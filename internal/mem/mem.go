@@ -50,17 +50,27 @@ type frame struct {
 	data [PageSize]byte
 }
 
-// frameSlabSize is how many frames one slab allocation holds. Frames
+// frameSlabSize caps how many frames one slab allocation holds. Frames
 // carry no pointers, so a slab is a single no-scan allocation: booting
 // a machine costs a handful of slab allocations instead of hundreds of
 // individual 4 KB ones, which is what used to drive GC frequency in
-// boot-heavy drivers (Table 3 cells, fleets). The tradeoff: a slab is
-// retained while ANY of its frames is referenced, so a workload that
-// releases almost all of a machine's memory but pins a few scattered
-// frames (a sparse long-lived snapshot) can retain up to
-// frameSlabSize× the frame bytes the refcounts say are live. Machines
-// are normally retained or released wholesale, where the slab granule
-// costs nothing.
+// boot-heavy drivers (Table 3 cells, fleets).
+//
+// Slabs grow geometrically per Physical: 1, 2, 4, … frames, then
+// frameSlabSize each. A booting machine reaches full slabs after six
+// doublings, while an ephemeral clone that COW-faults one or two
+// frames allocates one or two frames rather than a whole slab — the
+// per-request heap of clone-per-request serving is proportional to
+// what the request writes.
+//
+// The tradeoff: a slab is retained while ANY of its frames is
+// referenced, so a workload that releases almost all of a machine's
+// memory but pins a few scattered frames (a sparse long-lived
+// snapshot) can retain up to frameSlabSize× the frame bytes the
+// refcounts say are live. The same holds for interning: a FrameStore
+// canonical frame pins its whole slab for as long as the store lives.
+// Machines are normally retained or released wholesale, where the slab
+// granule costs nothing.
 const frameSlabSize = 64
 
 // newFrame hands out the next frame from this Physical's slab. Slabs
@@ -69,7 +79,8 @@ const frameSlabSize = 64
 // copy-on-write across Physicals afterwards.
 func (p *Physical) newFrame() *frame {
 	if len(p.slab) == 0 {
-		p.slab = make([]frame, frameSlabSize)
+		p.slabLen = min(max(2*p.slabLen, 1), frameSlabSize)
+		p.slab = make([]frame, p.slabLen)
 	}
 	f := &p.slab[0]
 	p.slab = p.slab[1:]
@@ -126,8 +137,10 @@ type Physical struct {
 	// bytes and different installed code.
 	onRestore func()
 
-	// slab batches frame allocation (see newFrame).
-	slab []frame
+	// slab batches frame allocation; slabLen is the size of the last
+	// slab allocated, doubled for the next one (see newFrame).
+	slab    []frame
+	slabLen int
 }
 
 // NewPhysical returns an empty physical memory.

@@ -220,7 +220,8 @@ func (p *Physical) LoadBytes(data []byte) error {
 // references are what mark the template's frames shared, and leaking
 // them would force the template to COW-copy on every later write
 // (falsely-shared frames) and would pin dead private frames resident
-// (leaked frames).
+// (leaked frames). The unused slab tail is dropped too, so a released
+// Physical that is still referenced pins no frame memory.
 func (p *Physical) Release() {
 	for ci, c := range p.root {
 		if c != nil {
@@ -229,6 +230,7 @@ func (p *Physical) Release() {
 		}
 	}
 	p.touched = 0
+	p.slab = nil
 }
 
 // SoleOwnerFrames reports how many resident frames this Physical can

@@ -81,8 +81,8 @@ func New(phys *mem.Physical, gdtSize int, clock *cycles.Clock, model *cycles.Mod
 // MMUState is a snapshot of the translation state: descriptor tables,
 // TLB contents and counters, current address space and control bits.
 type MMUState struct {
-	gdt   []Descriptor
-	ldt   *Table // cloned LDT, nil when none was installed
+	gdt   []Descriptor // shared copy-on-write with the GDT (Table.Snapshot)
+	ldt   *Table       // cloned LDT, nil when none was installed
 	tlb   *TLB
 	space *AddressSpace
 	wp    bool
@@ -118,8 +118,9 @@ func (m *MMU) RestoreState(s *MMUState) {
 }
 
 // Clone copies the MMU onto a cloned machine's physical memory and
-// clock: descriptor tables, TLB state and generation carry over, so
-// the clone translates exactly as its source would.
+// clock: descriptor tables (shared copy-on-write), TLB state and
+// generation carry over, so the clone translates exactly as its source
+// would.
 func (m *MMU) Clone(phys *mem.Physical, clock *cycles.Clock) *MMU {
 	c := &MMU{
 		Phys:         phys,

@@ -417,6 +417,43 @@ func TestTableAllocAndClear(t *testing.T) {
 	}
 }
 
+// TestTableCopyOnWrite: clones, snapshots and restored tables share one
+// descriptor slice until a write, and a write on any side never shows
+// through another.
+func TestTableCopyOnWrite(t *testing.T) {
+	data := func(base uint32) Descriptor { return Descriptor{Kind: SegData, Base: base, Present: true} }
+	tb := NewTable("t", 4)
+	tb.Set(1, data(1))
+	c := tb.Clone()
+	if &c.entries[0] != &tb.entries[0] {
+		t.Fatal("Clone copied the descriptors instead of sharing them")
+	}
+	c.Set(1, data(2))
+	tb.Set(2, data(3))
+	if tb.Get(1).Base != 1 || c.Get(2).Kind != SegNull {
+		t.Error("write through one table showed through its clone")
+	}
+	if c.Get(1).Base != 2 || tb.Get(2).Base != 3 {
+		t.Error("own writes lost")
+	}
+
+	saved := tb.Snapshot()
+	tb.Clear(1)
+	if saved[1].Base != 1 {
+		t.Error("Clear after Snapshot modified the saved descriptors")
+	}
+	for round := 0; round < 2; round++ {
+		tb.RestoreEntries(saved)
+		if tb.Get(1).Base != 1 {
+			t.Fatalf("round %d: restore lost descriptor 1", round)
+		}
+		tb.Set(1, data(9)) // must not write through to saved
+	}
+	if saved[1].Base != 1 {
+		t.Error("Set after RestoreEntries modified the saved descriptors")
+	}
+}
+
 func TestFaultError(t *testing.T) {
 	f := &Fault{Kind: GP, Sel: sel(2, 3), Off: 0x10, Access: Read, CPL: 3, Reason: "privilege"}
 	msg := f.Error()

@@ -20,7 +20,11 @@
 // (#GP for segment-level violations, #PF for page-level ones).
 package mmu
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // Selector is an x86 segment selector: a 13-bit descriptor-table index,
 // a table-indicator bit (0 = GDT, 1 = LDT), and a 2-bit requested
@@ -133,9 +137,21 @@ func (d *Descriptor) Contains(off uint32, size uint32) bool {
 }
 
 // Table is a descriptor table (GDT or LDT).
+//
+// The entries slice is shared copy-on-write: Clone and Snapshot hand
+// out the same slice and mark it shared, and Set — the only in-place
+// writer — copies it before its first write. A clone or a saved state
+// therefore costs no descriptor copy until one side actually changes a
+// descriptor, which a served request never does.
 type Table struct {
 	name    string
 	entries []Descriptor
+
+	// shared is set once entries may be referenced by another table or
+	// a saved state; Set copies them before writing and clears it. It
+	// is atomic because clones of one template may be forked from
+	// different goroutines, each marking the template's slice shared.
+	shared atomic.Bool
 
 	// onMutate, when set (by the MMU that consults this table),
 	// runs after every Set/Clear so cached decode state keyed on
@@ -149,10 +165,15 @@ func NewTable(name string, n int) *Table {
 	return &Table{name: name, entries: make([]Descriptor, n)}
 }
 
-// Set installs a descriptor at index i.
+// Set installs a descriptor at index i, first copying the entries off
+// when they are shared with a clone or a saved state.
 func (t *Table) Set(i int, d Descriptor) {
 	if i <= 0 || i >= len(t.entries) {
 		panic(fmt.Sprintf("mmu: %s index %d out of range", t.name, i))
+	}
+	if t.shared.Load() {
+		t.entries = slices.Clone(t.entries)
+		t.shared.Store(false)
 	}
 	t.entries[i] = d
 	if t.onMutate != nil {
@@ -160,7 +181,9 @@ func (t *Table) Set(i int, d Descriptor) {
 	}
 }
 
-// Get returns the descriptor at index i, or nil if out of range.
+// Get returns the descriptor at index i, or nil if out of range. The
+// descriptor may be shared with clones and saved states: read it, and
+// change it only through Set.
 func (t *Table) Get(i int) *Descriptor {
 	if i <= 0 || i >= len(t.entries) {
 		return nil
@@ -183,39 +206,42 @@ func (t *Table) Clear(i int) {
 	if i <= 0 || i >= len(t.entries) {
 		return
 	}
-	t.entries[i] = Descriptor{}
-	if t.onMutate != nil {
-		t.onMutate()
-	}
+	t.Set(i, Descriptor{})
 }
 
 // Len returns the table capacity.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Snapshot copies the table's descriptors.
+// Snapshot returns the table's descriptors, shared copy-on-write: the
+// table copies them before its next Set, so the returned slice stays
+// frozen. Callers must not modify it.
 func (t *Table) Snapshot() []Descriptor {
-	out := make([]Descriptor, len(t.entries))
-	copy(out, t.entries)
-	return out
+	t.shared.Store(true)
+	return t.entries
 }
 
-// RestoreEntries rewinds the table to a snapshot produced by Snapshot,
-// firing onMutate once (descriptor contents may have changed, so any
-// decode state keyed on them must be invalidated).
+// RestoreEntries rewinds the table to a snapshot produced by Snapshot
+// (or a decoded image), adopting the slice copy-on-write, and fires
+// onMutate once (descriptor contents may have changed, so any decode
+// state keyed on them must be invalidated).
 func (t *Table) RestoreEntries(entries []Descriptor) {
 	if len(entries) != len(t.entries) {
 		panic(fmt.Sprintf("mmu: %s snapshot size %d != table size %d", t.name, len(entries), len(t.entries)))
 	}
-	copy(t.entries, entries)
+	t.entries = entries
+	t.shared.Store(true)
 	if t.onMutate != nil {
 		t.onMutate()
 	}
 }
 
-// Clone copies the table for a cloned machine. The clone's onMutate is
-// left unset; the owning MMU rebinds it.
+// Clone derives the table for a cloned machine, sharing the entries
+// copy-on-write. The clone's onMutate is left unset; the owning MMU
+// rebinds it.
 func (t *Table) Clone() *Table {
-	return &Table{name: t.name, entries: t.Snapshot()}
+	c := &Table{name: t.name, entries: t.Snapshot()}
+	c.shared.Store(true)
+	return c
 }
 
 // Access describes the kind of memory access being checked.

@@ -2,6 +2,7 @@ package webserver
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -32,6 +33,75 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%v: %.2f allocs per steady-state request, want 0", m, avg)
 			}
 		})
+	}
+}
+
+// restoredTemplate restores a template from a fresh server's SaveBytes
+// image, as the clone-per-request daemon does, and warms the clone
+// path so one-time set-up is not counted against a request.
+func restoredTemplate(tb testing.TB) *Server {
+	tb.Helper()
+	srv, err := bootServer(28)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tmpl, err := LoadServerBytes(srv.SaveBytes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		cloneServeRequest(tb, tmpl)
+	}
+	return tmpl
+}
+
+// cloneServeRequest serves one request the clone-per-request way: fork
+// a clone, serve on it, release it.
+func cloneServeRequest(tb testing.TB, tmpl *Server) {
+	c, err := tmpl.Clone()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := c.ServeRequest(LibCGIProtected); err != nil {
+		tb.Fatal(err)
+	}
+	c.S.K.Phys.Release()
+}
+
+// TestCloneRequestHeapBudget pins the heap a clone-per-request request
+// allocates. Clone set-up and teardown dominate that workload, so every
+// per-clone allocation must be proportional to what the request writes:
+// frame slabs grow from one frame, and descriptor tables are shared
+// copy-on-write. A full 64-frame slab per clone alone would exceed the
+// budget.
+func TestCloneRequestHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const (
+		n      = 200
+		budget = 160 << 10
+	)
+	tmpl := restoredTemplate(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		cloneServeRequest(t, tmpl)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > budget {
+		t.Errorf("clone request allocates %d KiB, budget %d KiB", per>>10, budget>>10)
+	}
+}
+
+// BenchmarkCloneServeRequest measures one clone-per-request request:
+// Clone, a protected LibCGI request on the clone, and Release.
+func BenchmarkCloneServeRequest(b *testing.B) {
+	tmpl := restoredTemplate(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneServeRequest(b, tmpl)
 	}
 }
 
