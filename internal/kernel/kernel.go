@@ -53,6 +53,13 @@ const (
 	kServiceBase = 0xC000_0000 // service entry addresses (no backing pages)
 	kStackBase   = 0xC010_0000 // per-process kernel stacks
 	kHeapBase    = 0xC400_0000 // kernel heap (shared data areas etc.)
+
+	// kStackSlot is one process's kernel stack: a page and a guard gap.
+	kStackSlot = 2 * mem.PageSize
+	// maxProcesses is how many processes one kernel can ever create:
+	// the kernel-stack slots between kStackBase and kHeapBase.
+	maxProcesses = (kHeapBase - kStackBase) / kStackSlot
+
 	// ExtSegBase is where kernel extension segments are carved out.
 	ExtSegBase = 0xC800_0000
 )

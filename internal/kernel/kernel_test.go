@@ -514,6 +514,46 @@ func TestKernelAllocAndMapKernelPage(t *testing.T) {
 	}
 }
 
+// TestKernelStacksStopBeforeKernelHeap creates processes until the
+// kernel-stack slots run out. The last slot must end below the kernel
+// heap, the heap mapping must survive, and the next CreateProcess must
+// fail instead of mapping a stack over heap pages.
+func TestKernelStacksStopBeforeKernelHeap(t *testing.T) {
+	k := boot(t)
+	heap, err := k.KernelAlloc(mem.PageSize, mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := k.kernelTemplate.Lookup(heap)
+	var last *Process
+	for i := 0; i < maxProcesses; i++ {
+		p, err := k.CreateProcess()
+		if err != nil {
+			t.Fatalf("process %d of %d: %v", i+1, maxProcesses, err)
+		}
+		// Exited processes keep their kernel stacks but leave the
+		// process table, so mapKernelShared's walks stay short.
+		k.Exit(p, 0)
+		last = p
+	}
+	if last.KStackTop > kHeapBase {
+		t.Errorf("last kernel stack tops out at %#x, past the kernel heap at %#x", last.KStackTop, uint32(kHeapBase))
+	}
+	if got := k.kernelTemplate.Lookup(heap); got != want {
+		t.Errorf("kernel heap PTE at %#x = %#x, want %#x", heap, got, want)
+	}
+	pid := k.nextPID
+	if _, err := k.CreateProcess(); err == nil {
+		t.Fatal("CreateProcess past the last kernel-stack slot succeeded")
+	}
+	if k.nextPID != pid || k.Process(pid) != nil {
+		t.Error("failed CreateProcess left a process behind")
+	}
+	if got := k.kernelTemplate.Lookup(heap); got != want {
+		t.Errorf("kernel heap PTE at %#x = %#x after the failed call, want %#x", heap, got, want)
+	}
+}
+
 func TestSwitchLoadsCR3AndTSS(t *testing.T) {
 	k, p := bootWithProc(t)
 	q, _ := k.CreateProcess()

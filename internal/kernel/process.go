@@ -72,7 +72,13 @@ type Process struct {
 
 // CreateProcess builds a fresh SPL-3 process with an empty user
 // address space sharing the kernel half, plus stack and heap regions.
+// Kernel-stack slots are never reused, so one kernel creates at most
+// maxProcesses processes; past that CreateProcess fails, with no side
+// effects, rather than map a stack over the kernel heap.
 func (k *Kernel) CreateProcess() (*Process, error) {
+	if k.nextKStack >= kHeapBase {
+		return nil, fmt.Errorf("kernel: out of kernel stacks after %d processes", maxProcesses)
+	}
 	as, err := mmu.NewAddressSpace(k.Phys, k.Alloc)
 	if err != nil {
 		return nil, err
@@ -91,7 +97,7 @@ func (k *Kernel) CreateProcess() (*Process, error) {
 
 	// Kernel stack: one page in the shared kernel region.
 	kstack := k.nextKStack
-	k.nextKStack += 2 * mem.PageSize // guard gap
+	k.nextKStack += kStackSlot
 	if _, err := k.MapKernelPage(kstack, true); err != nil {
 		return nil, err
 	}

@@ -193,42 +193,23 @@ func (as *AddressSpace) SetWritable(linear uint32, writable bool) bool {
 	return true
 }
 
-// ClonePageDir produces a new address space whose page tables are
-// copies of this one and whose leaf entries point at the same physical
-// frames (the fork() memory-map inheritance of Section 4.5.2; page and
-// segment privilege levels are inherited because the leaf entries are
-// copied verbatim). The clone shares no page-table frames with the
-// parent, so later permission changes do not leak between them.
-func (as *AddressSpace) ClonePageDir() (*AddressSpace, error) {
-	clone, err := NewAddressSpace(as.phys, as.alloc)
-	if err != nil {
-		return nil, err
-	}
-	for pdi := uint32(0); pdi < 1024; pdi++ {
-		e := as.pde(pdi)
-		if !e.Present() {
-			continue
-		}
-		pt, err := clone.ensurePT(pdi)
-		if err != nil {
-			return nil, err
-		}
-		// Page tables are frame-aligned: copy the whole table frame at
-		// once instead of 1024 word reads and writes.
-		src := as.phys.FrameView(e.Frame())
-		dst := clone.phys.FrameMut(pt)
-		copy(dst[:], src[:])
-	}
-	return clone, nil
+// entryAt decodes entry i of a page-directory or page-table frame.
+func entryAt(frame *[mem.PageSize]byte, i uint32) PTE {
+	return PTE(binary.LittleEndian.Uint32(frame[i*4 : i*4+4]))
 }
 
 // CopyRangeFrom deep-copies src's mappings covering [startLinear,
 // endLinear] into this address space: fresh page-table frames, leaf
 // entries copied verbatim (same frames, same permissions — the fork()
 // inheritance of segment/page privilege levels in Section 4.5.2).
+// src's directory is read through one frame view, so absent entries
+// cost no memory access, and each present table is copied as a whole
+// frame. The view stays valid across the loop because only this
+// address space's directory and tables are written.
 func (as *AddressSpace) CopyRangeFrom(src *AddressSpace, startLinear, endLinear uint32) error {
+	dir := src.phys.FrameView(src.pdBase)
 	for pdi := startLinear >> 22; pdi <= endLinear>>22; pdi++ {
-		e := src.pde(pdi)
+		e := entryAt(dir, pdi)
 		if !e.Present() {
 			continue
 		}
@@ -243,46 +224,37 @@ func (as *AddressSpace) CopyRangeFrom(src *AddressSpace, startLinear, endLinear 
 	return nil
 }
 
-// PreallocateTables creates (empty) page tables covering every
-// 4 MB-aligned slot in [startLinear, endLinear]. The kernel uses this
-// at boot so the page-table *frames* of the kernel region exist before
-// any process is created and can then be shared into every address
-// space — making later kernel mappings globally visible, as on Linux.
-func (as *AddressSpace) PreallocateTables(startLinear, endLinear uint32) error {
-	for pdi := startLinear >> 22; pdi <= endLinear>>22; pdi++ {
-		if _, err := as.ensurePT(pdi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ShareRangeFrom aliases src's page-directory entries covering
 // [startLinear, endLinear] into this address space: both spaces then
 // use the *same page-table frames* for that range, so mappings made in
 // one are visible in the other. Used for the shared kernel half of
-// every process.
+// every process. The entries move as one byte-range copy between the
+// two directory frames.
 func (as *AddressSpace) ShareRangeFrom(src *AddressSpace, startLinear, endLinear uint32) {
-	for pdi := startLinear >> 22; pdi <= endLinear>>22; pdi++ {
-		as.setPDE(pdi, src.pde(pdi))
-	}
+	lo, hi := (startLinear>>22)*4, (endLinear>>22)*4+4
+	from := src.phys.FrameView(src.pdBase)
+	dst := as.phys.FrameMut(as.pdBase)
+	copy(dst[lo:hi], from[lo:hi])
 }
 
-// VisitMapped calls fn for every present leaf mapping. Each present
-// page table is captured through a direct frame view (one lookup per
-// 4 MB slice instead of 1024 word reads) before its callbacks run, so
-// a callback may mutate the visited entry (InitPL's PPL demotion does,
-// possibly COW-splitting the table frame) without perturbing the scan.
+// VisitMapped calls fn for every present leaf mapping. The directory
+// is read through one frame view, and each present page table is
+// captured the same way (one lookup per frame instead of 1024 word
+// reads) before its callbacks run, so a callback may mutate the visited
+// entry (InitPL's PPL demotion does, possibly COW-splitting the table
+// frame) without perturbing the scan. fn must not add or remove page
+// tables: the directory view is held across the callbacks.
 func (as *AddressSpace) VisitMapped(fn func(linear uint32, e PTE)) {
+	dir := as.phys.FrameView(as.pdBase)
 	var table [mem.PageSize]byte
 	for pdi := uint32(0); pdi < 1024; pdi++ {
-		pde := as.pde(pdi)
+		pde := entryAt(dir, pdi)
 		if !pde.Present() {
 			continue
 		}
 		table = *as.phys.FrameView(pde.Frame())
 		for pti := uint32(0); pti < 1024; pti++ {
-			leaf := PTE(binary.LittleEndian.Uint32(table[pti*4 : pti*4+4]))
+			leaf := entryAt(&table, pti)
 			if leaf.Present() {
 				fn(pdi<<22|pti<<12, leaf)
 			}

@@ -132,6 +132,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("request %d failed", i)
 		}
 	}
+	// The worker counts a request after its handler already has the
+	// result, so the last count can trail the response; Drain returns
+	// only once every count has landed.
+	s.Pool().Drain()
 	_, body := get(t, s.URL()+"/metrics")
 	for _, want := range []string{
 		"palladium_serve_completed_total 100",

@@ -105,6 +105,26 @@ func BenchmarkCloneServeRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkServeCGIRequest measures one classic-CGI request: fork and
+// exec of a script process on a booted server. Kernel stacks are never
+// reused (a kernel creates at most 8064 processes), so a fresh server
+// is booted off the clock every cgiPerServer requests.
+func BenchmarkServeCGIRequest(b *testing.B) {
+	const cgiPerServer = 1024
+	var s *Server
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%cgiPerServer == 0 {
+			b.StopTimer()
+			s = newBenchServer(b, 28)
+			b.StartTimer()
+		}
+		if _, err := s.ServeRequest(CGI); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeRequest measures the wall-clock serving rate of the
 // steady-state path (one booted server, repeated requests); -benchmem
 // documents the zero-allocation property the test above asserts.
