@@ -43,8 +43,12 @@ type App struct {
 	// at PPL 0.
 	Libc *loader.Image
 
+	appState
+}
+
+// appState is every simulated field of an App, declared once.
+type appState struct {
 	promoted bool
-	stubs    *stubArena
 	spSave   uint32 // SP2 save slot (PPL 0)
 	bpSave   uint32 // BP2 save slot
 
@@ -64,6 +68,16 @@ type App struct {
 	// intra-domain measurement.
 	intraCaller uint32
 	intraTarget uint32
+
+	stubs *stubArena
+}
+
+// copy returns an independent copy of the state; Clone rebinds the
+// stub arena's space.
+func (s *appState) copy() appState {
+	c := *s
+	c.stubs = s.stubs.clone()
+	return c
 }
 
 // ProtectedFunc is what seg_dlsym returns: a handle whose address is
@@ -86,7 +100,7 @@ func NewApp(s *System) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &App{S: s, P: p, maxInstr: 10_000_000}
+	a := &App{S: s, P: p, appState: appState{maxInstr: 10_000_000}}
 	a.DL = loader.NewDL(s.K, p)
 	if _, a.Libc, err = a.DL.Dlopen(loader.Libc(), loader.LibraryOptions()); err != nil {
 		return nil, fmt.Errorf("palladium: mapping libc: %w", err)

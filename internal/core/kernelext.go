@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
@@ -64,17 +66,22 @@ const (
 // protect modules within one segment from each other — load modules
 // into separate segments for that.
 type ExtSegment struct {
-	S     *System
+	S *System
+	segState
+}
+
+// segState is every simulated field of an ExtSegment, declared once.
+type segState struct {
 	Name  string
 	Base  uint32 // linear base
 	Limit uint32 // inclusive limit (size-1)
 	Code  mmu.Selector
 	Data  mmu.Selector
 
+	modules []*loader.Image
 	next    uint32 // module placement cursor (segment-relative)
 	ranges  *rangeList
 	mapped  map[uint32]bool
-	modules []*loader.Image
 	stubs   *stubArena // per-segment Transfer stubs (run at SPL 1)
 	aborted bool
 
@@ -82,8 +89,20 @@ type ExtSegment struct {
 	// (0 means DefaultAsyncQueueBound); InvokeAsync refuses further
 	// requests with ErrAsyncBackpressure once the bound is reached.
 	busy       bool
-	queue      []asyncReq
 	QueueBound int
+	queue      []asyncReq
+}
+
+// copy returns an independent copy of the state. Module images and
+// queued EFT entries are shared; Clone rebinds them.
+func (s *segState) copy() segState {
+	c := *s
+	c.modules = slices.Clone(s.modules)
+	c.ranges = s.ranges.clone()
+	c.mapped = maps.Clone(s.mapped)
+	c.stubs = s.stubs.clone()
+	c.queue = slices.Clone(s.queue)
+	return c
 }
 
 type asyncReq struct {
@@ -139,13 +158,13 @@ func (s *System) NewExtSegment(name string, size uint32) (*ExtSegment, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := &ExtSegment{
-		S: s, Name: name, Base: base, Limit: size - 1,
+	seg := &ExtSegment{S: s, segState: segState{
+		Name: name, Base: base, Limit: size - 1,
 		Code: code, Data: data,
 		next:   segModuleOff,
 		ranges: newRangeList(),
 		mapped: make(map[uint32]bool),
-	}
+	}}
 	// Scratch + stack pages ("that stack is allocated when the first
 	// module is loaded"; we allocate with the segment for simplicity).
 	for off := uint32(0); off < segStackTop; off += mem.PageSize {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -82,20 +83,7 @@ func (r *rangeList) freeBytes() uint32 {
 	return n
 }
 
-// clone deep-copies the range list (machine cloning).
+// clone deep-copies the range list.
 func (r *rangeList) clone() *rangeList {
-	c := &rangeList{sizes: make(map[uint32]uint32, len(r.sizes)), free: slices.Clone(r.free)}
-	for k, v := range r.sizes {
-		c.sizes[k] = v
-	}
-	return c
-}
-
-// restoreFrom rewinds this list to a snapshot produced by clone.
-func (r *rangeList) restoreFrom(s *rangeList) {
-	r.sizes = make(map[uint32]uint32, len(s.sizes))
-	for k, v := range s.sizes {
-		r.sizes[k] = v
-	}
-	r.free = append(r.free[:0], s.free...)
+	return &rangeList{sizes: maps.Clone(r.sizes), free: slices.Clone(r.free)}
 }

@@ -1,75 +1,30 @@
 package core
 
 import (
-	"maps"
-	"slices"
-
 	"repro/internal/kernel"
 	"repro/internal/loader"
 )
 
-// segSave captures one extension segment. The original *ExtSegment
-// pointer is kept so Restore rewrites its fields in place and every
-// KernelExtensionFunc and caller-held reference stays valid.
-type segSave struct {
-	seg     *ExtSegment
-	next    uint32
-	ranges  *rangeList
-	mapped  map[uint32]bool
-	modules []*loader.Image
-	// stubs is the arena object alive at the snapshot (nil when none
-	// existed yet) plus its cursor: recording the object itself lets a
-	// later restore re-attach an arena that an intermediate restore
-	// had detached (nil -> non-nil across two snapshots).
-	stubs    *stubArena
-	stubNext uint32
-	aborted  bool
-	busy     bool
-	queue    []asyncReq
-}
-
 // SystemSnapshot captures a whole Palladium system: the kernel (and
-// through it the machine, MMU, clock and COW memory image) plus the
-// extension-segment registry and the Extension Function Table. It is
-// the unit of the InvokeTx rollback transaction.
+// through it the machine, MMU, clock and COW memory image), the
+// system's state value and each live segment's state value. It is the
+// unit of the InvokeTx rollback transaction.
 type SystemSnapshot struct {
-	kern *kernel.Snapshot
-
-	nSegs    int
-	segs     []segSave
-	nextSeg  uint32
-	eft      map[string]*KernelExtensionFunc
-	prepNext uint32
-	kt       *rangeList
+	kern  *kernel.Snapshot
+	state systemState
+	segs  []segState // parallel to state.segs
 }
 
 // Snapshot captures the system for a later Restore. It charges no
 // simulated cycles and perturbs no simulated metric.
 func (s *System) Snapshot() *SystemSnapshot {
 	sn := &SystemSnapshot{
-		kern:     s.K.Snapshot(),
-		nSegs:    len(s.segs),
-		nextSeg:  s.nextSeg,
-		eft:      maps.Clone(s.eft),
-		prepNext: s.kernPrep.next,
-		kt:       s.ktRanges.clone(),
+		kern:  s.K.Snapshot(),
+		state: s.systemState.copy(),
+		segs:  make([]segState, len(s.segs)),
 	}
-	for _, seg := range s.segs {
-		sv := segSave{
-			seg:     seg,
-			next:    seg.next,
-			ranges:  seg.ranges.clone(),
-			mapped:  maps.Clone(seg.mapped),
-			modules: slices.Clone(seg.modules),
-			stubs:   seg.stubs,
-			aborted: seg.aborted,
-			busy:    seg.busy,
-			queue:   slices.Clone(seg.queue),
-		}
-		if seg.stubs != nil {
-			sv.stubNext = seg.stubs.next
-		}
-		sn.segs = append(sn.segs, sv)
+	for i, seg := range s.segs {
+		sn.segs[i] = seg.segState.copy()
 	}
 	return sn
 }
@@ -81,25 +36,10 @@ func (s *System) Snapshot() *SystemSnapshot {
 // snapshot remains valid for further restores.
 func (s *System) Restore(sn *SystemSnapshot) {
 	s.K.Restore(sn.kern)
-	s.segs = s.segs[:sn.nSegs]
-	for _, sv := range sn.segs {
-		seg := sv.seg
-		seg.next = sv.next
-		seg.ranges.restoreFrom(sv.ranges)
-		seg.mapped = maps.Clone(sv.mapped)
-		seg.modules = append(seg.modules[:0], sv.modules...)
-		seg.stubs = sv.stubs
-		if seg.stubs != nil {
-			seg.stubs.next = sv.stubNext
-		}
-		seg.aborted = sv.aborted
-		seg.busy = sv.busy
-		seg.queue = append(seg.queue[:0], sv.queue...)
+	s.systemState = sn.state.copy()
+	for i, seg := range s.segs {
+		seg.segState = sn.segs[i].copy()
 	}
-	s.nextSeg = sn.nextSeg
-	s.eft = maps.Clone(sn.eft)
-	s.kernPrep.next = sn.prepNext
-	s.ktRanges.restoreFrom(sn.kt)
 }
 
 // Release frees the snapshot's hold on the COW frame store.
@@ -121,50 +61,35 @@ func (s *System) Clone() (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s2 := &System{
-		K:           k2,
-		nextSeg:     s.nextSeg,
-		eft:         make(map[string]*KernelExtensionFunc, len(s.eft)),
-		kernRetGate: s.kernRetGate,
-		ktRanges:    s.ktRanges.clone(),
-	}
-	s2.kernPrep = s.kernPrep.rebind(&kernelTextSpace{s: s2})
+	s2 := &System{K: k2, systemState: s.systemState.copy()}
+	s2.kernPrep.rebind(&kernelTextSpace{s: s2})
 
 	segMap := make(map[*ExtSegment]*ExtSegment, len(s.segs))
 	imMap := make(map[*loader.Image]*loader.Image)
-	for _, seg := range s.segs {
-		seg2 := &ExtSegment{
-			S: s2, Name: seg.Name, Base: seg.Base, Limit: seg.Limit,
-			Code: seg.Code, Data: seg.Data,
-			next:       seg.next,
-			ranges:     seg.ranges.clone(),
-			mapped:     maps.Clone(seg.mapped),
-			aborted:    seg.aborted,
-			busy:       seg.busy,
-			QueueBound: seg.QueueBound,
-		}
-		seg2.stubs = seg.stubs.rebind(seg2)
-		for _, im := range seg.modules {
-			im2 := im.Rebind(seg2)
-			imMap[im] = im2
-			seg2.modules = append(seg2.modules, im2)
+	for i, seg := range s.segs {
+		seg2 := &ExtSegment{S: s2, segState: seg.segState.copy()}
+		seg2.stubs.rebind(seg2)
+		for j, im := range seg2.modules {
+			seg2.modules[j] = im.Rebind(seg2)
+			imMap[im] = seg2.modules[j]
 		}
 		segMap[seg] = seg2
-		s2.segs = append(s2.segs, seg2)
+		s2.segs[i] = seg2
 	}
 	for name, f := range s.eft {
-		s2.eft[name] = &KernelExtensionFunc{
-			Seg: segMap[f.Seg], Name: f.Name, FnOff: f.FnOff,
-			stub: f.stub, module: imMap[f.module],
-		}
+		f2 := *f
+		f2.Seg, f2.module = segMap[f.Seg], imMap[f.module]
+		s2.eft[name] = &f2
 	}
 	// Pending async requests carry over by entry-point name.
-	for _, seg := range s.segs {
-		for _, req := range seg.queue {
+	for _, seg2 := range s2.segs {
+		queue := seg2.queue[:0]
+		for _, req := range seg2.queue {
 			if f2 := s2.eft[req.fn.Name]; f2 != nil {
-				segMap[seg].queue = append(segMap[seg].queue, asyncReq{fn: f2, arg: req.arg})
+				queue = append(queue, asyncReq{fn: f2, arg: req.arg})
 			}
 		}
+		seg2.queue = queue
 	}
 	return s2, nil
 }
@@ -181,27 +106,9 @@ func (a *App) Clone(s2 *System) (*App, error) {
 	dl2, imap := a.DL.CloneFor(s2.K, p2)
 	a2 := &App{
 		S: s2, P: p2, DL: dl2, Libc: imap[a.Libc],
-
-		promoted: a.promoted,
-		spSave:   a.spSave,
-		bpSave:   a.bpSave,
-
-		extStackTop: a.extStackTop,
-		argSlot:     a.argSlot,
-
-		appGateSel:  a.appGateSel,
-		gateAddr:    a.gateAddr,
-		callStack:   a.callStack,
-		svcNext:     a.svcNext,
-		xheap:       a.xheap,
-		xheapEnd:    a.xheapEnd,
-		maxInstr:    a.maxInstr,
-		handleCount: a.handleCount,
-
-		intraCaller: a.intraCaller,
-		intraTarget: a.intraTarget,
+		appState: a.appState.copy(),
 	}
-	a2.stubs = a.stubs.rebind(dl2.Space())
+	a2.stubs.rebind(dl2.Space())
 	return a2, nil
 }
 
@@ -209,8 +116,7 @@ func (a *App) Clone(s2 *System) (*App, error) {
 // application (all stub and function addresses are identical in the
 // clone's address space).
 func (pf *ProtectedFunc) Rebind(a2 *App) *ProtectedFunc {
-	return &ProtectedFunc{
-		App: a2, Name: pf.Name,
-		PrepareAddr: pf.PrepareAddr, TransferAddr: pf.TransferAddr, FnAddr: pf.FnAddr,
-	}
+	c := *pf
+	c.App = a2
+	return &c
 }

@@ -19,14 +19,23 @@ type stubArena struct {
 	end   uint32
 }
 
-// rebind copies the arena descriptor onto a cloned machine's space;
-// the stub code itself already lives in the clone's (COW-shared)
-// memory at the same addresses.
-func (a *stubArena) rebind(space loader.Space) *stubArena {
+// clone copies the arena descriptor (nil stays nil); the stub code
+// itself lives in simulated memory.
+func (a *stubArena) clone() *stubArena {
 	if a == nil {
 		return nil
 	}
-	return &stubArena{space: space, base: a.base, next: a.next, end: a.end}
+	c := *a
+	return &c
+}
+
+// rebind points a copied arena descriptor at a cloned machine's space;
+// the stub code itself already lives in the clone's (COW-shared)
+// memory at the same addresses.
+func (a *stubArena) rebind(space loader.Space) {
+	if a != nil {
+		a.space = space
+	}
 }
 
 func newStubArena(space loader.Space, name string, size uint32) (*stubArena, error) {

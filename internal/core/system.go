@@ -24,31 +24,53 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/kernel"
 )
 
-// System is a booted Palladium machine: the mini-kernel plus the
-// registries for kernel extension segments.
-type System struct {
-	K *kernel.Kernel
-
-	segs    []*ExtSegment
+// systemState is every simulated field of a System, declared once:
+// Snapshot, Restore, Clone and SaveTo walk it whole (DESIGN.md,
+// "Snapshot layering"). Each segment carries its own segState.
+type systemState struct {
 	nextSeg uint32
+	segs    []*ExtSegment
 
-	// EFT is the kernel's Extension Function Table (Section 4.3):
+	// eft is the kernel's Extension Function Table (Section 4.3):
 	// extension service entry points registered at insmod time.
 	eft map[string]*KernelExtensionFunc
 
-	// retGate / retSvc: the call gate and trusted endpoint through
-	// which kernel extensions return to the kernel.
-	kernRetGate uint16
-	kernPrep    *stubArena
+	// kernPrep is the kernel-side stub arena.
+	kernPrep *stubArena
 
 	// ktRanges tracks kernel-text allocations handed to loader spaces
 	// so FreeRange can recycle them (the kernel heap only grows).
 	ktRanges *rangeList
+
+	// kernRetGate is the call gate through which kernel extensions
+	// return to the kernel. It is fixed at boot, so the byte image
+	// does not carry it.
+	kernRetGate uint16
+}
+
+// copy returns an independent copy of the state. Segments and EFT
+// entries are shared; Clone rebinds them.
+func (s *systemState) copy() systemState {
+	c := *s
+	c.segs = slices.Clone(s.segs)
+	c.eft = maps.Clone(s.eft)
+	c.kernPrep = s.kernPrep.clone()
+	c.ktRanges = s.ktRanges.clone()
+	return c
+}
+
+// System is a booted Palladium machine: the mini-kernel plus the
+// registries for kernel extension segments.
+type System struct {
+	K *kernel.Kernel
+	systemState
 }
 
 // NewSystem boots a Palladium system under the given cost model
@@ -59,10 +81,12 @@ func NewSystem(model *cycles.Model) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		K:        k,
-		nextSeg:  kernel.ExtSegBase,
-		eft:      make(map[string]*KernelExtensionFunc),
-		ktRanges: newRangeList(),
+		K: k,
+		systemState: systemState{
+			nextSeg:  kernel.ExtSegBase,
+			eft:      make(map[string]*KernelExtensionFunc),
+			ktRanges: newRangeList(),
+		},
 	}
 	if err := s.initKernelMechanism(); err != nil {
 		return nil, err

@@ -1,10 +1,9 @@
 // Snapshot-to-bytes serialization of a Palladium system and its
-// extensible application. The byte image carries the kernel image
-// (which carries the machine and the frame store) plus the core-level
-// registries' mutable state: segment cursors, range lists, async
-// queues, the Extension Function Table's live subset, stub-arena
-// cursors. The structural skeleton — which segments exist, where they
-// sit, which modules are loaded, which stubs were generated — is NOT
+// extensible application: the state values of the system, its segments
+// and the application, plus the kernel image (which carries the machine
+// and the frame store). The structural skeleton — which segments exist,
+// where they sit, which modules are loaded, which stubs were generated
+// — is NOT
 // reconstructed from bytes: LoadFrom restores into a deterministically
 // booted twin and validates the image's skeleton against the twin's.
 // An image saved from a machine whose post-boot history created new
@@ -17,6 +16,7 @@ import (
 	"slices"
 
 	"repro/internal/mem"
+	"repro/internal/mmu"
 )
 
 func saveRangeList(e *mem.Enc, r *rangeList) {
@@ -66,39 +66,16 @@ func loadRangeList(d *mem.Dec, what string) *rangeList {
 	return r
 }
 
-// SaveTo appends the system image: the registries' mutable state first
-// (pure decoding on the load side), the kernel — whose application is
-// the load's point of no return — last.
+// SaveTo appends the system image: the state value in field order
+// (segments with their own state, the EFT as its live names, the
+// kernel stub arena as base/cursor/end) first — pure decoding on the
+// load side — and the kernel, whose application is the load's point of
+// no return, last.
 func (s *System) SaveTo(e *mem.Enc) {
 	e.U32(s.nextSeg)
 	e.U32(uint32(len(s.segs)))
 	for _, seg := range s.segs {
-		e.String(seg.Name)
-		e.U32(seg.Base)
-		e.U32(seg.Limit)
-		e.U16(uint16(seg.Code))
-		e.U16(uint16(seg.Data))
-		e.U32(uint32(len(seg.modules)))
-		e.U32(seg.next)
-		saveRangeList(e, seg.ranges)
-		e.U32(uint32(len(seg.mapped)))
-		for _, page := range slices.Sorted(maps.Keys(seg.mapped)) {
-			e.U32(page)
-		}
-		e.Bool(seg.stubs != nil)
-		if seg.stubs != nil {
-			e.U32(seg.stubs.base)
-			e.U32(seg.stubs.next)
-			e.U32(seg.stubs.end)
-		}
-		e.Bool(seg.aborted)
-		e.Bool(seg.busy)
-		e.I32(int32(seg.QueueBound))
-		e.U32(uint32(len(seg.queue)))
-		for _, req := range seg.queue {
-			e.String(req.fn.Name)
-			e.U32(req.arg)
-		}
+		saveSegState(e, &seg.segState)
 	}
 	// The EFT's live subset: an abort unregisters entry points, so the
 	// image may hold fewer names than a fresh boot does.
@@ -106,35 +83,90 @@ func (s *System) SaveTo(e *mem.Enc) {
 	for _, name := range slices.Sorted(maps.Keys(s.eft)) {
 		e.String(name)
 	}
-	e.U32(s.kernPrep.base)
-	e.U32(s.kernPrep.next)
-	e.U32(s.kernPrep.end)
+	saveArenaExtent(e, s.kernPrep)
 	saveRangeList(e, s.ktRanges)
 
 	s.K.SaveTo(e)
 }
 
-// segImage is one decoded segment's mutable state.
-type segImage struct {
-	next       uint32
-	ranges     *rangeList
-	mapped     map[uint32]bool
-	stubNext   uint32
-	hasStubs   bool
-	aborted    bool
-	busy       bool
-	queueBound int
-	queue      []asyncReq
+func saveSegState(e *mem.Enc, s *segState) {
+	e.String(s.Name)
+	e.U32(s.Base)
+	e.U32(s.Limit)
+	e.U16(uint16(s.Code))
+	e.U16(uint16(s.Data))
+	e.U32(uint32(len(s.modules)))
+	e.U32(s.next)
+	saveRangeList(e, s.ranges)
+	e.U32(uint32(len(s.mapped)))
+	for _, page := range slices.Sorted(maps.Keys(s.mapped)) {
+		e.U32(page)
+	}
+	saveStubArena(e, s.stubs)
+	e.Bool(s.aborted)
+	e.Bool(s.busy)
+	e.I32(int32(s.QueueBound))
+	e.U32(uint32(len(s.queue)))
+	for _, req := range s.queue {
+		e.String(req.fn.Name)
+		e.U32(req.arg)
+	}
+}
+
+func saveStubArena(e *mem.Enc, a *stubArena) {
+	e.Bool(a != nil)
+	if a != nil {
+		saveArenaExtent(e, a)
+	}
+}
+
+func saveArenaExtent(e *mem.Enc, a *stubArena) {
+	e.U32(a.base)
+	e.U32(a.next)
+	e.U32(a.end)
+}
+
+// loadStubArena decodes an arena saved by saveStubArena, which may be
+// absent exactly when the booted twin has none.
+func loadStubArena(d *mem.Dec, what string, twin *stubArena) *stubArena {
+	if d.Bool() {
+		return loadArenaExtent(d, what, twin)
+	}
+	if d.Err() == nil && twin != nil {
+		d.Failf("%s has no stub arena in image but one in booted twin", what)
+	}
+	return nil
+}
+
+// loadArenaExtent decodes an arena extent into a copy of the booted
+// twin's arena, which must cover the same range.
+func loadArenaExtent(d *mem.Dec, what string, twin *stubArena) *stubArena {
+	base, next, end := d.U32(), d.U32(), d.U32()
+	if d.Err() != nil {
+		return nil
+	}
+	if twin == nil || base != twin.base || end != twin.end {
+		d.Failf("%s stub arena differs from booted twin's", what)
+		return nil
+	}
+	if next < base || next > end {
+		d.Failf("%s stub cursor %#x outside arena", what, next)
+		return nil
+	}
+	a := twin.clone()
+	a.next = next
+	return a
 }
 
 // LoadFrom decodes a SaveTo image into this system, which must be a
 // deterministically booted twin (same boot path and post-boot segment/
-// module history as the saved system's boot). The whole core-level
-// image is decoded and validated against the twin's skeleton before
-// the kernel — the first mutating step — loads; the core-level apply
-// that follows cannot fail.
+// module history as the saved system's boot). The core-level image
+// decodes into staged state values, validated against the twin's
+// skeleton, before the kernel — the first mutating step — loads; the
+// staged values are then applied whole.
 func (s *System) LoadFrom(d *mem.Dec) error {
-	nextSeg := d.U32()
+	st := s.systemState
+	st.nextSeg = d.U32()
 	nSegs := d.Len("extension segment", 1<<16)
 	if d.Err() == nil && nSegs != len(s.segs) {
 		d.Failf("image has %d extension segments, booted twin has %d", nSegs, len(s.segs))
@@ -142,88 +174,15 @@ func (s *System) LoadFrom(d *mem.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	images := make([]segImage, nSegs)
-	for i := 0; i < nSegs; i++ {
-		seg := s.segs[i]
-		si := &images[i]
-		name := d.String()
-		base := d.U32()
-		limit := d.U32()
-		code := d.U16()
-		data := d.U16()
-		nMods := d.U32()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if name != seg.Name || base != seg.Base || limit != seg.Limit ||
-			code != uint16(seg.Code) || data != uint16(seg.Data) {
-			d.Failf("segment %d is %q@%#x in image, %q@%#x in booted twin", i, name, base, seg.Name, seg.Base)
-			return d.Err()
-		}
-		if int(nMods) != len(seg.modules) {
-			d.Failf("segment %q holds %d modules in image, %d in booted twin", name, nMods, len(seg.modules))
-			return d.Err()
-		}
-		si.next = d.U32()
-		if si.ranges = loadRangeList(d, "segment"); si.ranges == nil {
-			return d.Err()
-		}
-		nMapped := d.Len("mapped page", 1<<20)
-		si.mapped = make(map[uint32]bool, nMapped)
-		lastPage := int64(-1)
-		for j := 0; j < nMapped; j++ {
-			page := d.U32()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if int64(page) <= lastPage || page&uint32(mem.PageMask) != 0 {
-				d.Failf("segment %q mapped page %#x malformed", name, page)
-				return d.Err()
-			}
-			lastPage = int64(page)
-			si.mapped[page] = true
-		}
-		si.hasStubs = d.Bool()
-		if si.hasStubs {
-			sbase := d.U32()
-			si.stubNext = d.U32()
-			send := d.U32()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if seg.stubs == nil || sbase != seg.stubs.base || send != seg.stubs.end {
-				d.Failf("segment %q stub arena differs from booted twin's", name)
-				return d.Err()
-			}
-			if si.stubNext < sbase || si.stubNext > send {
-				d.Failf("segment %q stub cursor %#x outside arena", name, si.stubNext)
-				return d.Err()
-			}
-		} else if seg.stubs != nil {
-			d.Failf("segment %q has no stub arena in image but one in booted twin", name)
-			return d.Err()
-		}
-		si.aborted = d.Bool()
-		si.busy = d.Bool()
-		si.queueBound = int(d.I32())
-		nQueue := d.Len("async request", 1<<20)
-		for j := 0; j < nQueue; j++ {
-			fnName := d.String()
-			arg := d.U32()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			fn := s.eft[fnName]
-			if fn == nil {
-				d.Failf("queued request for %q not in booted twin's function table", fnName)
-				return d.Err()
-			}
-			si.queue = append(si.queue, asyncReq{fn: fn, arg: arg})
+	segs := make([]segState, nSegs)
+	for i, seg := range s.segs {
+		if err := s.loadSegState(d, &segs[i], seg); err != nil {
+			return err
 		}
 	}
 
 	nEFT := d.Len("extension function", 1<<20)
-	eftNames := make([]string, 0, nEFT)
+	st.eft = make(map[string]*KernelExtensionFunc, nEFT)
 	for i := 0; i < nEFT; i++ {
 		name := d.String()
 		if d.Err() != nil {
@@ -233,19 +192,10 @@ func (s *System) LoadFrom(d *mem.Dec) error {
 			d.Failf("extension function %q not registered in booted twin", name)
 			return d.Err()
 		}
-		eftNames = append(eftNames, name)
+		st.eft[name] = s.eft[name]
 	}
-	prepBase := d.U32()
-	prepNext := d.U32()
-	prepEnd := d.U32()
-	if d.Err() == nil && (prepBase != s.kernPrep.base || prepEnd != s.kernPrep.end) {
-		d.Failf("kernel stub arena differs from booted twin's")
-	}
-	if d.Err() == nil && (prepNext < prepBase || prepNext > prepEnd) {
-		d.Failf("kernel stub cursor %#x outside arena", prepNext)
-	}
-	kt := loadRangeList(d, "kernel text")
-	if kt == nil {
+	st.kernPrep = loadArenaExtent(d, "kernel", s.kernPrep)
+	if st.ktRanges = loadRangeList(d, "kernel text"); st.ktRanges == nil {
 		return d.Err()
 	}
 
@@ -255,59 +205,100 @@ func (s *System) LoadFrom(d *mem.Dec) error {
 	if err := s.K.LoadFrom(d); err != nil {
 		return err
 	}
-
-	bootEFT := s.eft
-	s.eft = make(map[string]*KernelExtensionFunc, len(eftNames))
-	for _, name := range eftNames {
-		s.eft[name] = bootEFT[name]
+	s.systemState = st
+	for i, seg := range s.segs {
+		seg.segState = segs[i]
 	}
-	for i := range images {
-		seg := s.segs[i]
-		si := &images[i]
-		seg.next = si.next
-		seg.ranges = si.ranges
-		seg.mapped = si.mapped
-		if seg.stubs != nil {
-			seg.stubs.next = si.stubNext
-		}
-		seg.aborted = si.aborted
-		seg.busy = si.busy
-		seg.QueueBound = si.queueBound
-		seg.queue = si.queue
-	}
-	s.nextSeg = nextSeg
-	s.kernPrep.next = prepNext
-	s.ktRanges = kt
 	return nil
 }
 
-// SaveTo appends the application's mutable state. The application's
-// skeleton — its process, loaded modules, generated stubs — lives in
-// the kernel image and the twin's boot; what the app object itself
-// adds are addresses and cursors.
-func (a *App) SaveTo(e *mem.Enc) {
-	e.Bool(a.promoted)
-	e.I32(int32(a.P.PID))
-	e.U32(a.spSave)
-	e.U32(a.bpSave)
-	e.U32(a.extStackTop)
-	e.U32(a.argSlot)
-	e.U16(uint16(a.appGateSel))
-	e.U32(a.gateAddr)
-	e.U32(a.callStack)
-	e.U32(a.svcNext)
-	e.U32(a.xheap)
-	e.U32(a.xheapEnd)
-	e.U64(a.maxInstr)
-	e.U32(uint32(a.handleCount))
-	e.U32(a.intraCaller)
-	e.U32(a.intraTarget)
-	e.Bool(a.stubs != nil)
-	if a.stubs != nil {
-		e.U32(a.stubs.base)
-		e.U32(a.stubs.next)
-		e.U32(a.stubs.end)
+// loadSegState decodes one segment's state into ss, validating its
+// skeleton (placement, descriptors, module count, stub arena extent)
+// against the booted twin's segment; the twin's module images are kept.
+func (s *System) loadSegState(d *mem.Dec, ss *segState, seg *ExtSegment) error {
+	ss.Name = d.String()
+	ss.Base = d.U32()
+	ss.Limit = d.U32()
+	ss.Code = mmu.Selector(d.U16())
+	ss.Data = mmu.Selector(d.U16())
+	nMods := d.U32()
+	if d.Err() != nil {
+		return d.Err()
 	}
+	if ss.Name != seg.Name || ss.Base != seg.Base || ss.Limit != seg.Limit || ss.Code != seg.Code || ss.Data != seg.Data {
+		d.Failf("segment is %q@%#x in image, %q@%#x in booted twin", ss.Name, ss.Base, seg.Name, seg.Base)
+		return d.Err()
+	}
+	if int(nMods) != len(seg.modules) {
+		d.Failf("segment %q holds %d modules in image, %d in booted twin", ss.Name, nMods, len(seg.modules))
+		return d.Err()
+	}
+	ss.modules = seg.modules
+	ss.next = d.U32()
+	if ss.ranges = loadRangeList(d, "segment"); ss.ranges == nil {
+		return d.Err()
+	}
+	nMapped := d.Len("mapped page", 1<<20)
+	ss.mapped = make(map[uint32]bool, nMapped)
+	lastPage := int64(-1)
+	for j := 0; j < nMapped; j++ {
+		page := d.U32()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		if int64(page) <= lastPage || page&uint32(mem.PageMask) != 0 {
+			d.Failf("segment %q mapped page %#x malformed", ss.Name, page)
+			return d.Err()
+		}
+		lastPage = int64(page)
+		ss.mapped[page] = true
+	}
+	if ss.stubs = loadStubArena(d, "segment "+ss.Name, seg.stubs); d.Err() != nil {
+		return d.Err()
+	}
+	ss.aborted = d.Bool()
+	ss.busy = d.Bool()
+	ss.QueueBound = int(d.I32())
+	nQueue := d.Len("async request", 1<<20)
+	for j := 0; j < nQueue; j++ {
+		fnName := d.String()
+		arg := d.U32()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		fn := s.eft[fnName]
+		if fn == nil {
+			d.Failf("queued request for %q not in booted twin's function table", fnName)
+			return d.Err()
+		}
+		ss.queue = append(ss.queue, asyncReq{fn: fn, arg: arg})
+	}
+	return d.Err()
+}
+
+// SaveTo appends the application's state value in field order. The
+// application's skeleton — its process, loaded modules, generated
+// stubs — lives in the kernel image and the twin's boot; what the app
+// object itself adds are addresses and cursors.
+func (a *App) SaveTo(e *mem.Enc) {
+	s := &a.appState
+	e.Bool(s.promoted)
+	e.I32(int32(a.P.PID))
+	e.U32(s.spSave)
+	e.U32(s.bpSave)
+	e.U32(s.extStackTop)
+	e.U32(s.argSlot)
+	e.U16(uint16(s.appGateSel))
+	e.U32(s.gateAddr)
+	e.U32(s.callStack)
+	e.U32(s.svcNext)
+	e.U32(s.xheap)
+	e.U32(s.xheapEnd)
+	e.U64(s.maxInstr)
+	e.U32(uint32(s.handleCount))
+	e.U32(s.intraCaller)
+	e.U32(s.intraTarget)
+	saveStubArena(e, s.stubs)
 }
 
 // LoadFrom decodes an application image against this booted twin app.
@@ -316,57 +307,39 @@ func (a *App) SaveTo(e *mem.Enc) {
 // called after the owning System.LoadFrom so the PID check sees the
 // restored process table.
 func (a *App) LoadFrom(d *mem.Dec) error {
-	promoted := d.Bool()
+	var s appState
+	s.promoted = d.Bool()
 	pid := int(d.I32())
-	if d.Err() == nil && promoted != a.promoted {
-		d.Failf("image app promoted=%v, booted twin promoted=%v", promoted, a.promoted)
+	if d.Err() == nil && s.promoted != a.promoted {
+		d.Failf("image app promoted=%v, booted twin promoted=%v", s.promoted, a.promoted)
 	}
 	if d.Err() == nil && pid != a.P.PID {
 		d.Failf("image app is process %d, booted twin's is %d", pid, a.P.PID)
 	}
-	spSave := d.U32()
-	bpSave := d.U32()
-	extStackTop := d.U32()
-	argSlot := d.U32()
-	gateSel := d.U16()
-	gateAddr := d.U32()
-	callStack := d.U32()
-	svcNext := d.U32()
-	xheap := d.U32()
-	xheapEnd := d.U32()
-	maxInstr := d.U64()
-	handleCount := int(d.U32())
-	intraCaller := d.U32()
-	intraTarget := d.U32()
-	if d.Err() == nil && (gateSel != uint16(a.appGateSel) || gateAddr != a.gateAddr) {
-		d.Failf("image app call gate %#x@%#x differs from booted twin's", gateSel, gateAddr)
+	s.spSave = d.U32()
+	s.bpSave = d.U32()
+	s.extStackTop = d.U32()
+	s.argSlot = d.U32()
+	s.appGateSel = mmu.Selector(d.U16())
+	s.gateAddr = d.U32()
+	s.callStack = d.U32()
+	s.svcNext = d.U32()
+	s.xheap = d.U32()
+	s.xheapEnd = d.U32()
+	s.maxInstr = d.U64()
+	s.handleCount = int(d.U32())
+	s.intraCaller = d.U32()
+	s.intraTarget = d.U32()
+	if d.Err() == nil && (s.appGateSel != a.appGateSel || s.gateAddr != a.gateAddr) {
+		d.Failf("image app call gate %#x@%#x differs from booted twin's", s.appGateSel, s.gateAddr)
 	}
-	if d.Err() == nil && handleCount != a.handleCount {
-		d.Failf("image app loaded %d modules, booted twin loaded %d", handleCount, a.handleCount)
+	if d.Err() == nil && s.handleCount != a.handleCount {
+		d.Failf("image app loaded %d modules, booted twin loaded %d", s.handleCount, a.handleCount)
 	}
-	hasStubs := d.Bool()
-	var stubNext uint32
-	if hasStubs {
-		sbase := d.U32()
-		stubNext = d.U32()
-		send := d.U32()
-		if d.Err() == nil && (a.stubs == nil || sbase != a.stubs.base || send != a.stubs.end) {
-			d.Failf("image app stub arena differs from booted twin's")
-		}
-	} else if a.stubs != nil {
-		d.Failf("image app has no stub arena but booted twin does")
-	}
+	s.stubs = loadStubArena(d, "app", a.stubs)
 	if err := d.Err(); err != nil {
 		return err
 	}
-	a.spSave, a.bpSave = spSave, bpSave
-	a.extStackTop, a.argSlot = extStackTop, argSlot
-	a.callStack, a.svcNext = callStack, svcNext
-	a.xheap, a.xheapEnd = xheap, xheapEnd
-	a.maxInstr, a.handleCount = maxInstr, handleCount
-	a.intraCaller, a.intraTarget = intraCaller, intraTarget
-	if a.stubs != nil {
-		a.stubs.next = stubNext
-	}
+	a.appState = s
 	return nil
 }

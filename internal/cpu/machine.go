@@ -14,6 +14,7 @@ package cpu
 import (
 	"fmt"
 	"maps"
+	"math"
 
 	"repro/internal/cycles"
 	"repro/internal/isa"
@@ -94,13 +95,10 @@ type RunResult struct {
 	Instructions uint64
 }
 
-// Machine is one simulated processor plus its physical memory and MMU.
-type Machine struct {
-	Phys  *mem.Physical
-	MMU   *mmu.MMU
-	Clock *cycles.Clock
-	Model *cycles.Model
-
+// machineState is every simulated field of a Machine, declared once:
+// Snapshot, Restore, Clone and SaveTo walk it whole (DESIGN.md,
+// "Snapshot layering"). The clock, memory and MMU are their own layers.
+type machineState struct {
 	// Architectural state.
 	Regs  [8]uint32
 	EIP   uint32
@@ -115,27 +113,53 @@ type Machine struct {
 	IDT map[uint8]mmu.Descriptor
 
 	code map[uint32]*isa.Instr // physical address -> instruction
+
+	// Breakpoints are linear addresses at which Run stops *before*
+	// executing; used to return control to trusted callers.
+	breaks map[uint32]bool
+
+	// services maps linear addresses to trusted endpoints. The byte
+	// image carries only each endpoint's address, name and kind: the
+	// handlers are closures bound to their owners.
+	services map[uint32]*Service
+
+	instret    uint64 // lifetime instruction counter
+	haltFlag   bool
+	TickCycles float64 // OnTick period
+	nextTick   float64
+}
+
+// copy returns an independent copy of the state. The code map is the
+// exception: it is shared, and the caller marks it copy-on-write
+// (codeShared) on every machine that holds it.
+func (s *machineState) copy() machineState {
+	c := *s
+	c.IDT = maps.Clone(s.IDT)
+	c.breaks = maps.Clone(s.breaks)
+	c.services = maps.Clone(s.services)
+	return c
+}
+
+// Machine is one simulated processor plus its physical memory and MMU.
+type Machine struct {
+	Phys  *mem.Physical
+	MMU   *mmu.MMU
+	Clock *cycles.Clock
+	Model *cycles.Model
+
+	machineState
+
 	// codeShared marks the code map as referenced by a snapshot or a
 	// clone: the next InstallCode/RemoveCode copies it first. The map
 	// is by far the largest machine table (one entry per installed
 	// instruction), and it changes only on code install/remove, so
 	// sharing it keeps Snapshot/Restore O(small) on the common path.
 	codeShared bool
-	services   map[uint32]*Service // linear address -> trusted endpoint
-
-	// Breakpoints are linear addresses at which Run stops *before*
-	// executing; used to return control to trusted callers.
-	breaks map[uint32]bool
 
 	// OnTick, if set, runs every TickCycles simulated cycles; the
 	// kernel uses it for timer interrupts (extension CPU limits). A
 	// non-nil error stops the run.
-	OnTick     func(m *Machine) error
-	TickCycles float64
-	nextTick   float64
-
-	instret  uint64 // lifetime instruction counter
-	haltFlag bool
+	OnTick func(m *Machine) error
 
 	// Decoded-block cache (see blockcache.go): direct-mapped by
 	// linear start address, tagged with the code segment and the
@@ -231,14 +255,16 @@ func unpackFlags(v uint32) Flags {
 // New creates a machine over shared physical memory, MMU and clock.
 func New(phys *mem.Physical, m *mmu.MMU, clock *cycles.Clock, model *cycles.Model) *Machine {
 	return &Machine{
-		Phys:           phys,
-		MMU:            m,
-		Clock:          clock,
-		Model:          model,
-		IDT:            make(map[uint8]mmu.Descriptor),
-		code:           make(map[uint32]*isa.Instr),
-		services:       make(map[uint32]*Service),
-		breaks:         make(map[uint32]bool),
+		Phys:  phys,
+		MMU:   m,
+		Clock: clock,
+		Model: model,
+		machineState: machineState{
+			IDT:      make(map[uint8]mmu.Descriptor),
+			code:     make(map[uint32]*isa.Instr),
+			breaks:   make(map[uint32]bool),
+			services: make(map[uint32]*Service),
+		},
 		TraceThreshold: defaultTraceThreshold,
 	}
 }
@@ -332,26 +358,18 @@ func (m *Machine) ClearBreak(linear uint32) {
 // recomputeDispatchHints rebuilds the break/service envelopes from the
 // live maps; snapshot restore and clone install maps wholesale.
 func (m *Machine) recomputeDispatchHints() {
-	first := true
-	for lin := range m.breaks {
-		if first {
-			m.brkLo, m.brkHi = lin, lin
-			first = false
-		} else {
-			m.brkLo = min(m.brkLo, lin)
-			m.brkHi = max(m.brkHi, lin)
-		}
+	m.brkLo, m.brkHi = keyRange(m.breaks)
+	m.svcLo, m.svcHi = keyRange(m.services)
+}
+
+// keyRange returns the inclusive envelope of a map's keys (lo > hi for
+// an empty map).
+func keyRange[V any](m map[uint32]V) (lo, hi uint32) {
+	lo = math.MaxUint32
+	for k := range m {
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	first = true
-	for lin := range m.services {
-		if first {
-			m.svcLo, m.svcHi = lin, lin
-			first = false
-		} else {
-			m.svcLo = min(m.svcLo, lin)
-			m.svcHi = max(m.svcHi, lin)
-		}
-	}
+	return lo, hi
 }
 
 // Instructions returns the lifetime retired-instruction count.

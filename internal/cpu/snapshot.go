@@ -1,17 +1,13 @@
 package cpu
 
 import (
-	"maps"
-
 	"repro/internal/cycles"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 )
 
 // MachineSnapshot captures everything a Machine needs to resume
-// bit-identically: architectural state, the installed code/service/
-// breakpoint tables, the lifetime counters, the clock, the MMU state
+// bit-identically: its state value, the clock, the MMU state
 // (descriptor tables, TLB contents and statistics) and the physical
 // memory image (copy-on-write, so a snapshot is O(chunks), not
 // O(bytes)).
@@ -29,28 +25,12 @@ import (
 // machine copies it off only if code is installed or removed while a
 // snapshot holds it. A snapshot/restore cycle around a run that
 // installs no code (the InvokeTx fast path) therefore costs O(small),
-// matching the COW frame store. The small tables (IDT, services,
-// breakpoints) are copied eagerly.
+// matching the COW frame store.
 type MachineSnapshot struct {
 	phys  *mem.Snapshot
 	mmu   *mmu.MMUState
 	clock float64
-
-	regs           [8]uint32
-	eip            uint32
-	cs, ds, ss, es mmu.Selector
-	flags          Flags
-	tss            TSS
-
-	idt      map[uint8]mmu.Descriptor
-	code     map[uint32]*isa.Instr
-	services map[uint32]*Service
-	breaks   map[uint32]bool
-
-	instret    uint64
-	haltFlag   bool
-	tickCycles float64
-	nextTick   float64
+	state machineState
 }
 
 // Snapshot captures the machine: CPU, MMU, counters, clock and the COW
@@ -62,20 +42,7 @@ func (m *Machine) Snapshot() *MachineSnapshot {
 		phys:  m.Phys.Snapshot(),
 		mmu:   m.MMU.SaveState(),
 		clock: m.Clock.Cycles(),
-
-		regs: m.Regs, eip: m.EIP,
-		cs: m.CS, ds: m.DS, ss: m.SS, es: m.ES,
-		flags: m.Flags, tss: m.TSS,
-
-		idt:      maps.Clone(m.IDT),
-		code:     m.code, // shared copy-on-write (m.codeShared above)
-		services: maps.Clone(m.services),
-		breaks:   maps.Clone(m.breaks),
-
-		instret:    m.instret,
-		haltFlag:   m.haltFlag,
-		tickCycles: m.TickCycles,
-		nextTick:   m.nextTick,
+		state: m.machineState.copy(),
 	}
 }
 
@@ -89,22 +56,8 @@ func (m *Machine) Restore(s *MachineSnapshot) {
 	m.Phys.Restore(s.phys) // fires the MMU generation bump
 	m.MMU.RestoreState(s.mmu)
 	m.Clock.SetCycles(s.clock)
-
-	m.Regs, m.EIP = s.regs, s.eip
-	m.CS, m.DS, m.SS, m.ES = s.cs, s.ds, s.ss, s.es
-	m.Flags, m.TSS = s.flags, s.tss
-
-	m.IDT = maps.Clone(s.idt)
-	m.code = s.code // the snapshot still holds it: stay copy-on-write
-	m.codeShared = true
-	m.services = maps.Clone(s.services)
-	m.breaks = maps.Clone(s.breaks)
-
-	m.instret = s.instret
-	m.haltFlag = s.haltFlag
-	m.TickCycles = s.tickCycles
-	m.nextTick = s.nextTick
-
+	m.machineState = s.state.copy()
+	m.codeShared = true // the snapshot still holds the code map
 	m.recomputeDispatchHints()
 	m.clearBlockCache()
 }
@@ -115,8 +68,12 @@ func (s *MachineSnapshot) Release() { s.phys.Release() }
 
 // Clone copies the machine onto already-cloned physical memory, MMU
 // and clock (the caller clones those first so it can rebind the layers
-// above them). Architectural state, code/break tables and counters
-// carry over; the decoded-block cache starts empty (wall-clock only).
+// above them). The state value carries over, with the code map shared
+// copy-on-write between source and clone: the first side to
+// install/remove code splits its own copy off (the flag is per-machine,
+// so each owner goroutine touches only its own). The decoded-block
+// cache and trace registry start empty; the clone re-detects heat under
+// the source's TraceThreshold, with bit-identical simulated metrics.
 //
 // The services map is copied as-is: handlers receive the executing
 // machine as an argument, so capture-free handlers work unchanged on
@@ -124,10 +81,6 @@ func (s *MachineSnapshot) Release() { s.phys.Release() }
 // syscall entries) must be re-registered by that owner; OnTick is left
 // nil for the same reason.
 func (m *Machine) Clone(phys *mem.Physical, mu *mmu.MMU, clock *cycles.Clock) *Machine {
-	// Share the code map copy-on-write between source and clone: the
-	// first side to install/remove code splits its own copy off (the
-	// flag is per-machine, so each owner goroutine touches only its
-	// own).
 	m.codeShared = true
 	c := &Machine{
 		Phys:  phys,
@@ -135,24 +88,8 @@ func (m *Machine) Clone(phys *mem.Physical, mu *mmu.MMU, clock *cycles.Clock) *M
 		Clock: clock,
 		Model: m.Model,
 
-		Regs: m.Regs, EIP: m.EIP,
-		CS: m.CS, DS: m.DS, SS: m.SS, ES: m.ES,
-		Flags: m.Flags, TSS: m.TSS,
-
-		IDT:        maps.Clone(m.IDT),
-		code:       m.code,
-		codeShared: true,
-		services:   maps.Clone(m.services),
-		breaks:     maps.Clone(m.breaks),
-
-		instret:    m.instret,
-		haltFlag:   m.haltFlag,
-		TickCycles: m.TickCycles,
-		nextTick:   m.nextTick,
-
-		// The trace tier's knob carries over; its caches do not — the
-		// clone re-detects heat and rebuilds its own traces, with
-		// bit-identical simulated metrics (traces never alter them).
+		machineState:   m.machineState.copy(),
+		codeShared:     true,
 		TraceThreshold: m.TraceThreshold,
 	}
 	c.recomputeDispatchHints()

@@ -1,18 +1,13 @@
-// Snapshot-to-bytes serialization of the machine. Mirrors
-// MachineSnapshot: architectural state, code/break tables, lifetime
-// counters, the clock and (through the MMU) the translation state. The
-// decoded-block cache and trace registry are wall-clock accelerators
-// with no simulated side effects and are not serialized; LoadFrom
-// clears them, and a restored machine re-detects heat with
-// bit-identical simulated metrics.
+// Snapshot-to-bytes serialization of the machine. Like MachineSnapshot
+// it carries the machine's state value, the clock and (through the MMU)
+// the translation state; the decoded-block cache and trace registry are
+// wall-clock accelerators that LoadFrom clears.
 //
-// The services map is the one table that cannot cross the byte
-// boundary: its handlers are Go closures over their owning kernel and
+// Service handlers are the one part of the state that cannot cross the
+// byte boundary: they are Go closures over their owning kernel and
 // application. LoadFrom therefore restores INTO a deterministically
-// booted twin machine and validates that the twin's registered
-// endpoints (address, name, kind) exactly match the serialized set —
-// the handlers themselves are the twin's, already bound to the right
-// owners.
+// booted twin machine and keeps the twin's handlers once its endpoints
+// (address, name, kind) match the serialized set.
 package cpu
 
 import (
@@ -50,41 +45,42 @@ func loadOperand(d *mem.Dec) isa.Operand {
 	}
 }
 
-// SaveTo appends the machine image: clock, architectural state, IDT,
-// installed code, breakpoints, service endpoints (for validation), the
-// MMU state and the lifetime counters. Maps are emitted in sorted key
-// order so serialization is deterministic.
+// SaveTo appends the machine image: the clock, the state value in
+// field order (the services map as its endpoints, for validation) and
+// the MMU state. Maps are emitted in sorted key order so serialization
+// is deterministic.
 func (m *Machine) SaveTo(e *mem.Enc) {
 	e.F64(m.Clock.Cycles())
 	e.F64(m.Clock.MHz())
 
-	for _, r := range m.Regs {
+	s := &m.machineState
+	for _, r := range s.Regs {
 		e.U32(r)
 	}
-	e.U32(m.EIP)
-	e.U16(uint16(m.CS))
-	e.U16(uint16(m.DS))
-	e.U16(uint16(m.SS))
-	e.U16(uint16(m.ES))
-	e.Bool(m.Flags.ZF)
-	e.Bool(m.Flags.SF)
-	e.Bool(m.Flags.CF)
-	e.Bool(m.Flags.OF)
+	e.U32(s.EIP)
+	e.U16(uint16(s.CS))
+	e.U16(uint16(s.DS))
+	e.U16(uint16(s.SS))
+	e.U16(uint16(s.ES))
+	e.Bool(s.Flags.ZF)
+	e.Bool(s.Flags.SF)
+	e.Bool(s.Flags.CF)
+	e.Bool(s.Flags.OF)
 	for i := 0; i < 3; i++ {
-		e.U16(uint16(m.TSS.SS[i]))
-		e.U32(m.TSS.ESP[i])
+		e.U16(uint16(s.TSS.SS[i]))
+		e.U32(s.TSS.ESP[i])
 	}
 
-	e.U32(uint32(len(m.IDT)))
-	for _, vec := range slices.Sorted(maps.Keys(m.IDT)) {
-		gate := m.IDT[vec]
+	e.U32(uint32(len(s.IDT)))
+	for _, vec := range slices.Sorted(maps.Keys(s.IDT)) {
+		gate := s.IDT[vec]
 		e.U8(vec)
 		mmu.SaveDescriptor(e, &gate)
 	}
 
-	e.U32(uint32(len(m.code)))
-	for _, pa := range slices.Sorted(maps.Keys(m.code)) {
-		in := m.code[pa]
+	e.U32(uint32(len(s.code)))
+	for _, pa := range slices.Sorted(maps.Keys(s.code)) {
+		in := s.code[pa]
 		e.U32(pa)
 		e.U8(uint8(in.Op))
 		e.U8(in.Size)
@@ -92,23 +88,23 @@ func (m *Machine) SaveTo(e *mem.Enc) {
 		saveOperand(e, &in.Src)
 	}
 
-	e.U32(uint32(len(m.breaks)))
-	for _, pa := range slices.Sorted(maps.Keys(m.breaks)) {
+	e.U32(uint32(len(s.breaks)))
+	for _, pa := range slices.Sorted(maps.Keys(s.breaks)) {
 		e.U32(pa)
 	}
 
-	e.U32(uint32(len(m.services)))
-	for _, addr := range slices.Sorted(maps.Keys(m.services)) {
-		svc := m.services[addr]
+	e.U32(uint32(len(s.services)))
+	for _, addr := range slices.Sorted(maps.Keys(s.services)) {
+		svc := s.services[addr]
 		e.U32(addr)
 		e.String(svc.Name)
 		e.U8(uint8(svc.Kind))
 	}
 
-	e.U64(m.instret)
-	e.Bool(m.haltFlag)
-	e.F64(m.TickCycles)
-	e.F64(m.nextTick)
+	e.U64(s.instret)
+	e.Bool(s.haltFlag)
+	e.F64(s.TickCycles)
+	e.F64(s.nextTick)
 
 	// The MMU comes last so LoadFrom can decode and validate every
 	// cpu-level field before the first mutating step runs.
@@ -119,9 +115,9 @@ func (m *Machine) SaveTo(e *mem.Enc) {
 // deterministically booted twin (same boot path as the saved machine):
 // its service-endpoint registry is validated against the image and
 // kept, since the handlers are closures only a boot can construct.
-// adoptSpace resolves the serialized CR3 (see MMU.LoadFrom). All
-// decoding and validation happens before anything is applied; on error
-// the machine is untouched.
+// adoptSpace resolves the serialized CR3 (see MMU.LoadFrom). The image
+// is decoded into a staged state value and validated before anything
+// is applied; on error the machine is untouched.
 func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressSpace) error {
 	clock := d.F64()
 	mhz := d.F64()
@@ -129,28 +125,26 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 		d.Failf("image clock is %v MHz, machine runs at %v MHz", mhz, m.Clock.MHz())
 	}
 
-	var regs [8]uint32
-	for i := range regs {
-		regs[i] = d.U32()
+	var s machineState
+	for i := range s.Regs {
+		s.Regs[i] = d.U32()
 	}
-	eip := d.U32()
-	cs := mmu.Selector(d.U16())
-	ds := mmu.Selector(d.U16())
-	ss := mmu.Selector(d.U16())
-	es := mmu.Selector(d.U16())
-	var flags Flags
-	flags.ZF = d.Bool()
-	flags.SF = d.Bool()
-	flags.CF = d.Bool()
-	flags.OF = d.Bool()
-	var tss TSS
+	s.EIP = d.U32()
+	s.CS = mmu.Selector(d.U16())
+	s.DS = mmu.Selector(d.U16())
+	s.SS = mmu.Selector(d.U16())
+	s.ES = mmu.Selector(d.U16())
+	s.Flags.ZF = d.Bool()
+	s.Flags.SF = d.Bool()
+	s.Flags.CF = d.Bool()
+	s.Flags.OF = d.Bool()
 	for i := 0; i < 3; i++ {
-		tss.SS[i] = mmu.Selector(d.U16())
-		tss.ESP[i] = d.U32()
+		s.TSS.SS[i] = mmu.Selector(d.U16())
+		s.TSS.ESP[i] = d.U32()
 	}
 
 	nIDT := d.Len("idt gate", 256)
-	idt := make(map[uint8]mmu.Descriptor, nIDT)
+	s.IDT = make(map[uint8]mmu.Descriptor, nIDT)
 	lastVec := -1
 	for i := 0; i < nIDT; i++ {
 		vec := d.U8()
@@ -158,14 +152,14 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 			d.Failf("idt vector %#x out of order", vec)
 		}
 		lastVec = int(vec)
-		idt[vec] = mmu.LoadDescriptor(d)
+		s.IDT[vec] = mmu.LoadDescriptor(d)
 		if d.Err() != nil {
 			return d.Err()
 		}
 	}
 
 	nCode := d.Len("code entry", 1<<26)
-	code := make(map[uint32]*isa.Instr, nCode)
+	s.code = make(map[uint32]*isa.Instr, nCode)
 	lastPA := int64(-1)
 	for i := 0; i < nCode; i++ {
 		pa := d.U32()
@@ -181,13 +175,13 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 		if d.Err() != nil {
 			return d.Err()
 		}
-		code[pa] = in
+		s.code[pa] = in
 	}
 
 	nBrk := d.Len("breakpoint", 1<<20)
-	breaks := make(map[uint32]bool, nBrk)
+	s.breaks = make(map[uint32]bool, nBrk)
 	for i := 0; i < nBrk; i++ {
-		breaks[d.U32()] = true
+		s.breaks[d.U32()] = true
 	}
 
 	// Service endpoints: validate the twin's registry against the
@@ -214,11 +208,12 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 			return d.Err()
 		}
 	}
+	s.services = m.services
 
-	instret := d.U64()
-	haltFlag := d.Bool()
-	tickCycles := d.F64()
-	nextTick := d.F64()
+	s.instret = d.U64()
+	s.haltFlag = d.Bool()
+	s.TickCycles = d.F64()
+	s.nextTick = d.F64()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -231,17 +226,8 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 	}
 
 	m.Clock.SetCycles(clock)
-	m.Regs, m.EIP = regs, eip
-	m.CS, m.DS, m.SS, m.ES = cs, ds, ss, es
-	m.Flags, m.TSS = flags, tss
-	m.IDT = idt
-	m.code = code
+	m.machineState = s
 	m.codeShared = false
-	m.breaks = breaks
-	m.instret = instret
-	m.haltFlag = haltFlag
-	m.TickCycles = tickCycles
-	m.nextTick = nextTick
 	m.recomputeDispatchHints()
 	m.clearBlockCache()
 	return nil

@@ -14,6 +14,8 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
@@ -97,29 +99,13 @@ var (
 	ADataSel = mmu.MakeSelector(SelAData, false, 2)
 )
 
-// Kernel is the simulated operating system.
-type Kernel struct {
-	Machine *cpu.Machine
-	MMU     *mmu.MMU
-	Phys    *mem.Physical
-	Clock   *cycles.Clock
-	Model   *cycles.Model
-	Alloc   *mem.FrameAllocator
-	Costs   *CostSheet
-
-	procs   map[int]*Process
+// kernelState is every simulated field of a Kernel, declared once:
+// Snapshot, Restore, Clone and SaveTo walk it whole (DESIGN.md,
+// "Snapshot layering"). The machine and allocator are their own layers.
+type kernelState struct {
 	nextPID int
 	cur     *Process
-
-	// kernelTemplate holds the kernel half of every address space;
-	// its page-table frames are shared by all processes, so kernel
-	// mappings made after boot are globally visible.
-	kernelTemplate *mmu.AddressSpace
-
-	syscalls map[uint32]SyscallFn
-	// kernelServices is the pre-defined interface exposed to kernel
-	// extensions through int 0x81 (Section 4.3).
-	kernelServices map[uint32]SyscallFn
+	procs   map[int]*Process
 
 	nextKStack  uint32
 	nextKHeap   uint32
@@ -132,13 +118,15 @@ type Kernel struct {
 	svcSyscallAddr uint32
 	svcKSvcAddr    uint32
 
+	syscalls map[uint32]SyscallFn
+	// kernelServices is the pre-defined interface exposed to kernel
+	// extensions through int 0x81 (Section 4.3).
+	kernelServices map[uint32]SyscallFn
+
+	Costs *CostSheet
 	// ExtTimeLimit is the per-invocation extension CPU budget in
 	// cycles ("a system parameter set by the system administrator").
 	ExtTimeLimit float64
-
-	// tickFns receive timer ticks (extension budget policing).
-	tickFns []func() error
-
 	// extDeadline is the armed per-invocation extension CPU deadline in
 	// absolute cycles (0 = disarmed). It replaces the per-call
 	// OnTimerTick closure the invocation paths used to register, so the
@@ -150,6 +138,50 @@ type Kernel struct {
 	ConsoleOut []byte
 }
 
+// copy returns an independent copy of the state. Every process is
+// duplicated (cur points at the duplicate of the current process);
+// address spaces are shared, so Clone re-adopts them on its memory.
+func (s *kernelState) copy() kernelState {
+	c := *s
+	c.procs = make(map[int]*Process, len(s.procs))
+	for pid, p := range s.procs {
+		p2 := p.copy()
+		c.procs[pid] = p2
+		if p == s.cur {
+			c.cur = p2
+		}
+	}
+	if c.cur != nil && c.cur == s.cur { // an exited current process
+		c.cur = s.cur.copy()
+	}
+	c.syscalls = maps.Clone(s.syscalls)
+	c.kernelServices = maps.Clone(s.kernelServices)
+	costs := *s.Costs
+	c.Costs = &costs
+	c.ConsoleOut = slices.Clone(s.ConsoleOut)
+	return c
+}
+
+// Kernel is the simulated operating system.
+type Kernel struct {
+	Machine *cpu.Machine
+	MMU     *mmu.MMU
+	Phys    *mem.Physical
+	Clock   *cycles.Clock
+	Model   *cycles.Model
+	Alloc   *mem.FrameAllocator
+
+	kernelState
+
+	// kernelTemplate holds the kernel half of every address space;
+	// its page-table frames are shared by all processes, so kernel
+	// mappings made after boot are globally visible.
+	kernelTemplate *mmu.AddressSpace
+
+	// tickFns receive timer ticks (extension budget policing).
+	tickFns []func() error
+}
+
 // New boots a kernel: physical memory, GDT, IDT, the kernel template
 // address space, and the idle process.
 func New(model *cycles.Model) (*Kernel, error) {
@@ -158,22 +190,24 @@ func New(model *cycles.Model) (*Kernel, error) {
 	mu := mmu.New(phys, gdtSize, clock, model)
 	machine := cpu.New(phys, mu, clock, model)
 	k := &Kernel{
-		Machine:        machine,
-		MMU:            mu,
-		Phys:           phys,
-		Clock:          clock,
-		Model:          model,
-		Alloc:          mem.NewFrameAllocator(physBase, physSize),
-		Costs:          DefaultCosts(),
-		procs:          make(map[int]*Process),
-		nextPID:        1,
-		syscalls:       make(map[uint32]SyscallFn),
-		kernelServices: make(map[uint32]SyscallFn),
-		nextKStack:     kStackBase,
-		nextKHeap:      kHeapBase,
-		nextSvcAddr:    kServiceBase + 0x100,
-		nextGate:       SelDynBase,
-		ExtTimeLimit:   2_000_000, // 10 ms at 200 MHz
+		Machine: machine,
+		MMU:     mu,
+		Phys:    phys,
+		Clock:   clock,
+		Model:   model,
+		Alloc:   mem.NewFrameAllocator(physBase, physSize),
+		kernelState: kernelState{
+			nextPID:        1,
+			procs:          make(map[int]*Process),
+			nextKStack:     kStackBase,
+			nextKHeap:      kHeapBase,
+			nextSvcAddr:    kServiceBase + 0x100,
+			nextGate:       SelDynBase,
+			syscalls:       make(map[uint32]SyscallFn),
+			kernelServices: make(map[uint32]SyscallFn),
+			Costs:          DefaultCosts(),
+			ExtTimeLimit:   2_000_000, // 10 ms at 200 MHz
+		},
 	}
 
 	gdt := mu.GDT

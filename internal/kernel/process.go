@@ -70,6 +70,23 @@ type Process struct {
 	ExitCode int
 }
 
+// copy duplicates the process and its regions. The address space is
+// shared: it is a wrapper around a CR3 value in simulated memory.
+func (p *Process) copy() *Process {
+	c := *p
+	c.Regions = copyRegions(p.Regions)
+	return &c
+}
+
+func copyRegions(rs []*VMRegion) []*VMRegion {
+	out := make([]*VMRegion, len(rs))
+	for i, r := range rs {
+		r2 := *r
+		out[i] = &r2
+	}
+	return out
+}
+
 // CreateProcess builds a fresh SPL-3 process with an empty user
 // address space sharing the kernel half, plus stack and heap regions.
 // Kernel-stack slots are never reused, so one kernel creates at most
@@ -126,11 +143,7 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	child.Brk = parent.Brk
 	child.mmapPtr = parent.mmapPtr
 	child.Ring2StackTop = parent.Ring2StackTop
-	child.Regions = nil
-	for _, r := range parent.Regions {
-		cp := *r
-		child.Regions = append(child.Regions, &cp)
-	}
+	child.Regions = copyRegions(parent.Regions)
 	// Deep-copy the user half (frames shared copy-on-nothing: this
 	// simulator shares frames outright, which is sufficient since
 	// Table 3's CGI model only prices the fork).

@@ -2,94 +2,36 @@ package kernel
 
 import (
 	"maps"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 )
 
-// procSave captures one process. The original *Process pointer is kept
-// so a restore rewrites the fields in place: every reference held
-// elsewhere (core.App.P, a web server's CGI helper process) stays
-// valid across rollback.
-type procSave struct {
-	p       *Process
-	val     Process
-	regions []VMRegion
-}
-
 // Snapshot captures the whole kernel: the machine (CPU + MMU + clock +
-// COW memory image) plus the kernel's own bookkeeping — process table,
-// frame allocator, heap/stack/GDT cursors, console output. Taking a
-// snapshot charges no simulated cycles.
+// COW memory image), the frame allocator and the kernel's state value.
+// Taking a snapshot charges no simulated cycles.
 type Snapshot struct {
 	mach  *cpu.MachineSnapshot
 	alloc mem.AllocatorState
-
-	procs   []procSave
-	nextPID int
-	cur     *Process
-
-	nextKStack  uint32
-	nextKHeap   uint32
-	nextSvcAddr uint32
-	nextGate    int
-
-	costs        CostSheet
-	extTimeLimit float64
-	extDeadline  float64
-	tickLen      int
-	console      []byte
-
-	syscalls       map[uint32]SyscallFn
-	kernelServices map[uint32]SyscallFn
+	state kernelState
+	// live is the process table at the snapshot: Restore writes the
+	// captured processes back into these structs, so every reference
+	// held elsewhere (core.App.P, a web server's CGI helper process)
+	// stays valid across rollback.
+	live    map[int]*Process
+	tickLen int
 }
 
 // Snapshot captures the kernel state for a later Restore.
 func (k *Kernel) Snapshot() *Snapshot {
-	s := &Snapshot{
-		mach:  k.Machine.Snapshot(),
-		alloc: k.Alloc.Save(),
-
-		nextPID: k.nextPID,
-		cur:     k.cur,
-
-		nextKStack:  k.nextKStack,
-		nextKHeap:   k.nextKHeap,
-		nextSvcAddr: k.nextSvcAddr,
-		nextGate:    k.nextGate,
-
-		costs:        *k.Costs,
-		extTimeLimit: k.ExtTimeLimit,
-		extDeadline:  k.extDeadline,
-		tickLen:      len(k.tickFns),
-		console:      slices.Clone(k.ConsoleOut),
-
-		syscalls:       maps.Clone(k.syscalls),
-		kernelServices: maps.Clone(k.kernelServices),
+	return &Snapshot{
+		mach:    k.Machine.Snapshot(),
+		alloc:   k.Alloc.Save(),
+		state:   k.kernelState.copy(),
+		live:    maps.Clone(k.procs),
+		tickLen: len(k.tickFns),
 	}
-	for _, p := range k.procs {
-		s.procs = append(s.procs, procSave{p: p, val: *p, regions: copyRegions(p.Regions)})
-	}
-	return s
-}
-
-func copyRegions(rs []*VMRegion) []VMRegion {
-	out := make([]VMRegion, len(rs))
-	for i, r := range rs {
-		out[i] = *r
-	}
-	return out
-}
-
-func regionPtrs(rs []VMRegion) []*VMRegion {
-	out := make([]*VMRegion, len(rs))
-	for i := range rs {
-		r := rs[i]
-		out[i] = &r
-	}
-	return out
 }
 
 // Restore rewinds the kernel (and its machine) to the snapshot.
@@ -99,31 +41,46 @@ func regionPtrs(rs []VMRegion) []*VMRegion {
 func (k *Kernel) Restore(s *Snapshot) {
 	k.Machine.Restore(s.mach)
 	k.Alloc.RestoreState(s.alloc)
-
-	k.procs = make(map[int]*Process, len(s.procs))
-	for _, ps := range s.procs {
-		*ps.p = ps.val
-		ps.p.Regions = regionPtrs(ps.regions)
-		k.procs[ps.p.PID] = ps.p
-	}
-	k.nextPID = s.nextPID
-	k.cur = s.cur
-
-	k.nextKStack = s.nextKStack
-	k.nextKHeap = s.nextKHeap
-	k.nextSvcAddr = s.nextSvcAddr
-	k.nextGate = s.nextGate
-
-	*k.Costs = s.costs
-	k.ExtTimeLimit = s.extTimeLimit
-	k.extDeadline = s.extDeadline
+	k.kernelState = s.state.copy()
+	k.restoreInPlace(s.live, false)
 	if len(k.tickFns) > s.tickLen {
 		k.tickFns = k.tickFns[:s.tickLen]
 	}
-	k.ConsoleOut = append(k.ConsoleOut[:0], s.console...)
+}
 
-	k.syscalls = maps.Clone(s.syscalls)
-	k.kernelServices = maps.Clone(s.kernelServices)
+// restoreInPlace moves each restored process into the struct that held
+// the same PID in live, so pointers to it stay valid. keepHandlers
+// keeps that struct's signal handler, which a byte image cannot carry.
+func (k *Kernel) restoreInPlace(live map[int]*Process, keepHandlers bool) {
+	for pid, p := range k.procs {
+		orig := live[pid]
+		if orig == nil {
+			continue
+		}
+		if keepHandlers {
+			p.SignalHandler = orig.SignalHandler
+		}
+		*orig = *p
+		k.procs[pid] = orig
+		if k.cur == p {
+			k.cur = orig
+		}
+	}
+}
+
+// spaceFor returns the address-space object for cr3: the one owned by
+// a process in procs, the kernel template, or a fresh wrapper, so the
+// MMU's current space keeps pointer identity with its owner.
+func (k *Kernel) spaceFor(procs map[int]*Process, cr3 uint32) *mmu.AddressSpace {
+	for _, p := range procs {
+		if p.AS.CR3() == cr3 {
+			return p.AS
+		}
+	}
+	if cr3 == k.kernelTemplate.CR3() {
+		return k.kernelTemplate
+	}
+	return mmu.AdoptAddressSpace(k.Phys, k.Alloc, cr3)
 }
 
 // Release frees the snapshot's hold on the COW frame store.
@@ -131,7 +88,7 @@ func (s *Snapshot) Release() { s.mach.Release() }
 
 // Clone derives a complete, independent kernel from this one: the
 // physical memory image is shared copy-on-write, every Go-level
-// structure (machine, MMU, descriptor tables, TLB, process table,
+// structure (machine, MMU, descriptor tables, TLB, state value,
 // allocator) is copied, and the kernel-owned trusted endpoints
 // (syscall and kernel-service entries, the timer hook) are re-bound to
 // the clone. The clone's simulated state — clock, counters, memory —
@@ -154,7 +111,6 @@ func (k *Kernel) Clone() (*Kernel, error) {
 	mu := k.MMU.Clone(phys, clock)
 	machine := k.Machine.Clone(phys, mu, clock)
 	alloc := k.Alloc.Clone()
-	costs := *k.Costs
 
 	k2 := &Kernel{
 		Machine: machine,
@@ -163,49 +119,23 @@ func (k *Kernel) Clone() (*Kernel, error) {
 		Clock:   clock,
 		Model:   k.Model,
 		Alloc:   alloc,
-		Costs:   &costs,
 
-		procs:   make(map[int]*Process, len(k.procs)),
-		nextPID: k.nextPID,
-
+		kernelState:    k.kernelState.copy(),
 		kernelTemplate: mmu.AdoptAddressSpace(phys, alloc, k.kernelTemplate.CR3()),
-
-		syscalls:       maps.Clone(k.syscalls),
-		kernelServices: maps.Clone(k.kernelServices),
-
-		nextKStack:     k.nextKStack,
-		nextKHeap:      k.nextKHeap,
-		nextSvcAddr:    k.nextSvcAddr,
-		nextGate:       k.nextGate,
-		svcSyscallAddr: k.svcSyscallAddr,
-		svcKSvcAddr:    k.svcKSvcAddr,
-		ExtTimeLimit:   k.ExtTimeLimit,
-		extDeadline:    k.extDeadline,
-		ConsoleOut:     slices.Clone(k.ConsoleOut),
 	}
-
-	for pid, p := range k.procs {
-		p2 := *p
-		p2.Regions = regionPtrs(copyRegions(p.Regions))
-		p2.AS = mmu.AdoptAddressSpace(phys, alloc, p.AS.CR3())
-		k2.procs[pid] = &p2
-		if k.cur == p {
-			k2.cur = &p2
-		}
+	// Address spaces are wrapper objects over page tables that live in
+	// the COW'd simulated memory: re-adopt them on the clone's memory.
+	for _, p := range k2.procs {
+		p.AS = mmu.AdoptAddressSpace(phys, alloc, p.AS.CR3())
+	}
+	if k2.cur != nil && k.procs[k2.cur.PID] == nil {
+		k2.cur.AS = mmu.AdoptAddressSpace(phys, alloc, k2.cur.AS.CR3())
 	}
 
 	// Rebind the MMU's current address space to the clone's wrapper
-	// object (same CR3, same page tables — they live in the COW'd
-	// simulated memory).
-	switch space := k.MMU.Space(); {
-	case space == nil:
-		// Not booted far enough to have one; nothing to adopt.
-	case k.cur != nil && space == k.cur.AS:
-		mu.AdoptSpace(k2.cur.AS)
-	case space == k.kernelTemplate:
-		mu.AdoptSpace(k2.kernelTemplate)
-	default:
-		mu.AdoptSpace(mmu.AdoptAddressSpace(phys, alloc, space.CR3()))
+	// object (same CR3, same page tables).
+	if space := k.MMU.Space(); space != nil {
+		mu.AdoptSpace(k2.spaceFor(k2.procs, space.CR3()))
 	}
 
 	// Re-register the kernel-owned trusted endpoints with handlers

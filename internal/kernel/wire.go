@@ -1,15 +1,12 @@
 // Snapshot-to-bytes serialization of the kernel. Like Clone and
-// Restore, the byte image carries the logical kernel state — process
-// table, allocator, cursors, cost sheet, console — plus the whole
-// machine (cpu + mmu + clock + physical frames). What a byte stream
-// cannot carry are the Go closures the kernel is made of: syscall
-// handlers, kernel services, per-process signal handlers, timer
+// Restore, the byte image carries the kernel's state value — process
+// table, cursors, cost sheet, console — plus the allocator and the
+// whole machine (cpu + mmu + clock + physical frames). What a byte
+// stream cannot carry are the Go closures the kernel is made of:
+// syscall handlers, kernel services, per-process signal handlers, timer
 // subscribers. LoadFrom therefore restores INTO a deterministically
-// booted twin kernel: the twin's boot constructed all closures, and
-// the image's endpoint registries are validated against the twin's
-// (same syscall numbers, same service addresses) instead of being
-// replaced. Everything is decoded and validated before anything is
-// applied — a corrupt image never yields a half-restored kernel.
+// booted twin kernel and validates the image's endpoint registries
+// against the twin's closures instead of replacing them.
 package kernel
 
 import (
@@ -20,22 +17,24 @@ import (
 	"repro/internal/mmu"
 )
 
-// SaveTo appends the kernel image. The machine (which serializes the
-// MMU and clock, and whose load step is the first to mutate) comes
-// after the kernel's own fields; the physical frames come last so the
-// composed decoder can stage them with everything else.
+// SaveTo appends the kernel image: the template CR3 (validated on
+// load), the state value in field order, the tick-subscriber count
+// (validated), then the machine (which serializes the MMU and clock,
+// and whose load step is the first to mutate), the allocator and the
+// physical frames.
 func (k *Kernel) SaveTo(e *mem.Enc) {
 	e.U32(k.kernelTemplate.CR3())
-	e.I32(int32(k.nextPID))
+	s := &k.kernelState
+	e.I32(int32(s.nextPID))
 	cur := int32(-1)
-	if k.cur != nil {
-		cur = int32(k.cur.PID)
+	if s.cur != nil {
+		cur = int32(s.cur.PID)
 	}
 	e.I32(cur)
 
-	e.U32(uint32(len(k.procs)))
-	for _, pid := range slices.Sorted(maps.Keys(k.procs)) {
-		p := k.procs[pid]
+	e.U32(uint32(len(s.procs)))
+	for _, pid := range slices.Sorted(maps.Keys(s.procs)) {
+		p := s.procs[pid]
 		e.I32(int32(p.PID))
 		e.I32(int32(p.Parent))
 		e.U8(uint8(p.TaskSPL))
@@ -63,23 +62,23 @@ func (k *Kernel) SaveTo(e *mem.Enc) {
 		}
 	}
 
-	e.U32(k.nextKStack)
-	e.U32(k.nextKHeap)
-	e.U32(k.nextSvcAddr)
-	e.I32(int32(k.nextGate))
-	e.U32(k.svcSyscallAddr)
-	e.U32(k.svcKSvcAddr)
+	e.U32(s.nextKStack)
+	e.U32(s.nextKHeap)
+	e.U32(s.nextSvcAddr)
+	e.I32(int32(s.nextGate))
+	e.U32(s.svcSyscallAddr)
+	e.U32(s.svcKSvcAddr)
 
-	saveKeySet(e, k.syscalls)
-	saveKeySet(e, k.kernelServices)
+	saveKeySet(e, s.syscalls)
+	saveKeySet(e, s.kernelServices)
 
-	for _, v := range costsFields(k.Costs) {
+	for _, v := range costsFields(s.Costs) {
 		e.F64(*v)
 	}
-	e.F64(k.ExtTimeLimit)
-	e.F64(k.extDeadline)
+	e.F64(s.ExtTimeLimit)
+	e.F64(s.extDeadline)
 	e.U32(uint32(len(k.tickFns)))
-	e.Bytes(k.ConsoleOut)
+	e.Bytes(s.ConsoleOut)
 
 	k.Machine.SaveTo(e)
 	k.Alloc.SaveTo(e)
@@ -95,7 +94,7 @@ func saveKeySet(e *mem.Enc, m map[uint32]SyscallFn) {
 
 // costsFields enumerates every CostSheet field in wire order. A new
 // cost must be added here to round-trip (TestCostSheetWireCoverage
-// pins the count against the struct).
+// checks that every field of the struct is listed).
 func costsFields(c *CostSheet) []*float64 {
 	return []*float64{
 		&c.SyscallEntry, &c.SyscallExit, &c.ContextSwitch,
@@ -108,34 +107,26 @@ func costsFields(c *CostSheet) []*float64 {
 	}
 }
 
-// procImage is one decoded process, staged before application.
-type procImage struct {
-	val     Process // AS filled in during staging, Regions during apply
-	regions []VMRegion
-}
-
 // LoadFrom decodes a SaveTo image into this kernel, which must be a
-// deterministically booted twin. Process structs that exist in the
-// twin under the same PID are restored in place, so every reference
-// held elsewhere (a core.App's process, a web server's CGI helper)
-// stays valid — exactly the discipline Snapshot/Restore follows.
-// Signal handlers are kept from the twin when the process survives
-// (the kernel cannot reconstruct user closures) and are nil on
-// processes the twin did not have.
+// deterministically booted twin. The image decodes into a staged state
+// value that is validated against the twin and then applied whole, so a
+// corrupt image never yields a half-restored kernel. Processes the twin
+// has under the same PID are restored in place, as Snapshot/Restore
+// does, and keep the twin's signal handlers; new processes have none.
 func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	ktCR3 := d.U32()
 	if d.Err() == nil && ktCR3 != k.kernelTemplate.CR3() {
 		d.Failf("kernel template CR3 %#x does not match booted twin's %#x", ktCR3, k.kernelTemplate.CR3())
 	}
-	nextPID := int(d.I32())
+	var s kernelState
+	s.nextPID = int(d.I32())
 	curPID := int(d.I32())
 
 	nProcs := d.Len("process", 1<<20)
-	procs := make([]procImage, 0, nProcs)
+	s.procs = make(map[int]*Process, nProcs)
 	lastPID := -1 << 30
 	for i := 0; i < nProcs; i++ {
-		var pi procImage
-		p := &pi.val
+		p := &Process{}
 		p.PID = int(d.I32())
 		if d.Err() == nil && p.PID <= lastPID {
 			d.Failf("process %d out of order", p.PID)
@@ -159,14 +150,14 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 		}
 		nRegions := d.Len("vm region", 1<<16)
 		for j := 0; j < nRegions; j++ {
-			r := VMRegion{
+			r := &VMRegion{
 				Name: d.String(), Start: d.U32(), End: d.U32(),
 				Writable: d.Bool(), ForcePPL1: d.Bool(),
 			}
 			if d.Err() == nil && (r.Start&uint32(mem.PageMask) != 0 || r.End&uint32(mem.PageMask) != 0 || r.End <= r.Start) {
 				d.Failf("process %d region %q [%#x,%#x) malformed", p.PID, r.Name, r.Start, r.End)
 			}
-			pi.regions = append(pi.regions, r)
+			p.Regions = append(p.Regions, r)
 		}
 		if d.Err() != nil {
 			return d.Err()
@@ -177,70 +168,55 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 		}
 		// Wrapper objects only: contents live in the frame image.
 		p.AS = mmu.AdoptAddressSpace(k.Phys, k.Alloc, cr3)
-		procs = append(procs, pi)
+		s.procs[p.PID] = p
 	}
 
-	nextKStack := d.U32()
-	nextKHeap := d.U32()
-	nextSvcAddr := d.U32()
-	nextGate := int(d.I32())
-	svcSyscallAddr := d.U32()
-	svcKSvcAddr := d.U32()
-	if d.Err() == nil && (svcSyscallAddr != k.svcSyscallAddr || svcKSvcAddr != k.svcKSvcAddr) {
+	s.nextKStack = d.U32()
+	s.nextKHeap = d.U32()
+	s.nextSvcAddr = d.U32()
+	s.nextGate = int(d.I32())
+	s.svcSyscallAddr = d.U32()
+	s.svcKSvcAddr = d.U32()
+	if d.Err() == nil && (s.svcSyscallAddr != k.svcSyscallAddr || s.svcKSvcAddr != k.svcKSvcAddr) {
 		d.Failf("trusted endpoint addresses %#x/%#x do not match booted twin's %#x/%#x",
-			svcSyscallAddr, svcKSvcAddr, k.svcSyscallAddr, k.svcKSvcAddr)
+			s.svcSyscallAddr, s.svcKSvcAddr, k.svcSyscallAddr, k.svcKSvcAddr)
 	}
 
+	// The endpoint registries are validated and kept: their handlers
+	// are closures only the twin's boot could construct.
 	if err := checkKeySet(d, "syscall", k.syscalls); err != nil {
 		return err
 	}
 	if err := checkKeySet(d, "kernel service", k.kernelServices); err != nil {
 		return err
 	}
+	s.syscalls, s.kernelServices = k.syscalls, k.kernelServices
 
-	var costs CostSheet
-	for _, v := range costsFields(&costs) {
+	s.Costs = &CostSheet{}
+	for _, v := range costsFields(s.Costs) {
 		*v = d.F64()
 	}
-	extTimeLimit := d.F64()
-	extDeadline := d.F64()
-	tickLen := d.Len("tick subscriber", 1<<16)
-	if d.Err() == nil && tickLen != len(k.tickFns) {
+	s.ExtTimeLimit = d.F64()
+	s.extDeadline = d.F64()
+	if tickLen := d.U32(); d.Err() == nil && int64(tickLen) != int64(len(k.tickFns)) {
 		d.Failf("image has %d timer subscribers, booted twin has %d", tickLen, len(k.tickFns))
 	}
-	console := slices.Clone(d.Bytes())
+	s.ConsoleOut = slices.Clone(d.Bytes())
 	if err := d.Err(); err != nil {
 		return err
 	}
 
 	// cur must name a serialized process (or be absent).
-	var curImage *procImage
 	if curPID >= 0 {
-		for i := range procs {
-			if procs[i].val.PID == curPID {
-				curImage = &procs[i]
-			}
-		}
-		if curImage == nil {
+		if s.cur = s.procs[curPID]; s.cur == nil {
 			d.Failf("current process %d not in image", curPID)
 			return d.Err()
 		}
 	}
 
-	// The machine decodes next. Its CR3-adoption callback hands back
-	// the staged processes' address-space objects so the MMU's current
-	// space has pointer identity with the process that owns it.
-	adopt := func(cr3 uint32) *mmu.AddressSpace {
-		for i := range procs {
-			if procs[i].val.AS.CR3() == cr3 {
-				return procs[i].val.AS
-			}
-		}
-		if cr3 == k.kernelTemplate.CR3() {
-			return k.kernelTemplate
-		}
-		return mmu.AdoptAddressSpace(k.Phys, k.Alloc, cr3)
-	}
+	// The machine decodes next, adopting the staged processes' address
+	// spaces for its current CR3.
+	adopt := func(cr3 uint32) *mmu.AddressSpace { return k.spaceFor(s.procs, cr3) }
 	if err := k.Machine.LoadFrom(d, adopt); err != nil {
 		return err
 	}
@@ -258,38 +234,9 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	k.Phys.AdoptImage(physImg)
 	*k.Alloc = *stagedAlloc
 
-	old := k.procs
-	k.procs = make(map[int]*Process, len(procs))
-	for i := range procs {
-		pi := &procs[i]
-		p := old[pi.val.PID]
-		if p == nil {
-			p = &Process{}
-		} else {
-			// The twin's handler closure survives an in-place restore,
-			// like Snapshot/Restore keeps it.
-			pi.val.SignalHandler = p.SignalHandler
-		}
-		*p = pi.val
-		p.Regions = regionPtrs(pi.regions)
-		k.procs[p.PID] = p
-		if curImage == pi {
-			k.cur = p
-		}
-	}
-	if curPID < 0 {
-		k.cur = nil
-	}
-	k.nextPID = nextPID
-
-	k.nextKStack = nextKStack
-	k.nextKHeap = nextKHeap
-	k.nextSvcAddr = nextSvcAddr
-	k.nextGate = nextGate
-	*k.Costs = costs
-	k.ExtTimeLimit = extTimeLimit
-	k.extDeadline = extDeadline
-	k.ConsoleOut = append(k.ConsoleOut[:0], console...)
+	live := k.procs
+	k.kernelState = s
+	k.restoreInPlace(live, true)
 	return nil
 }
 

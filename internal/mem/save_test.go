@@ -292,6 +292,32 @@ func FuzzLoadBytes(f *testing.F) {
 }
 
 // FuzzDec drives the primitive decoders directly.
+// TestDecLenBoundedByRemaining: a count is checked against the bytes
+// left as well as its static cap, so a sealed image cannot claim more
+// elements than it carries and make the decoder presize a huge table.
+func TestDecLenBoundedByRemaining(t *testing.T) {
+	count := func(n uint32, tail int) *Dec {
+		var e Enc
+		e.U32(n)
+		e.Raw(make([]byte, tail))
+		return NewDec(e.Data())
+	}
+	if d := count(3, 3); d.Len("x", 1<<20) != 3 || d.Err() != nil {
+		t.Fatalf("count equal to the remaining bytes rejected: %v", d.Err())
+	}
+	if d := count(0, 0); d.Len("x", 1<<20) != 0 || d.Err() != nil {
+		t.Fatalf("empty collection rejected: %v", d.Err())
+	}
+	d := count(4, 3)
+	if n := d.Len("x", 1<<20); n != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("count 4 over 3 remaining bytes: got %d, err %v", n, d.Err())
+	}
+	d = count(1<<26, 100)
+	if n := d.Len("x", 1<<26); n != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("count 1<<26 over 100 remaining bytes: got %d, err %v", n, d.Err())
+	}
+}
+
 func FuzzDec(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {

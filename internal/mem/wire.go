@@ -207,10 +207,12 @@ func (d *Dec) String() string { return string(d.Bytes()) }
 // Raw consumes exactly n bytes. The returned slice aliases the input.
 func (d *Dec) Raw(n int) []byte { return d.take(n) }
 
-// Len consumes a 32-bit count and validates it against an upper bound,
-// latching ErrCorrupt when it exceeds the bound. Decoders size every
-// collection through this so a flipped length byte cannot drive a
-// multi-gigabyte allocation before validation catches it.
+// Len consumes a 32-bit count of collection elements and validates it,
+// latching ErrCorrupt when it exceeds either the static bound or the
+// bytes left in the input (every element encodes at least one byte).
+// Decoders size every collection through this so neither a flipped
+// length byte nor a crafted, correctly sealed image can drive a large
+// allocation before validation catches it.
 func (d *Dec) Len(what string, max int) int {
 	n := d.U32()
 	if d.err != nil {
@@ -218,6 +220,10 @@ func (d *Dec) Len(what string, max int) int {
 	}
 	if int64(n) > int64(max) {
 		d.Failf("%s count %d exceeds limit %d", what, n, max)
+		return 0
+	}
+	if int64(n) > int64(d.Remaining()) {
+		d.Failf("%s count %d exceeds the %d bytes remaining", what, n, d.Remaining())
 		return 0
 	}
 	return int(n)

@@ -114,19 +114,12 @@ const scriptSrc = `
 
 // Server is the extensible web server.
 type Server struct {
-	S     *core.System
-	Costs Costs
-	// FileSize is the size of the requested memory-resident file.
-	FileSize uint32
-	// NetBandwidthMbps is the client link (100 Mbps quiescent Fast
-	// Ethernet in the paper's setup).
-	NetBandwidthMbps float64
+	S *core.System
+	serverState
 
-	app       *core.App
-	script    *core.ProtectedFunc
-	scriptRaw uint32 // unprotected entry address
-	shared    uint32
-	cgiProc   *kernel.Process
+	app     *core.App
+	script  *core.ProtectedFunc
+	cgiProc *kernel.Process
 
 	// The LibCGI script through the unified sandbox API: the same
 	// loaded module adopted as a direct-backend extension (the
@@ -145,13 +138,26 @@ type Server struct {
 	respBuf [8]byte // response meta readback
 }
 
+// serverState is every simulated field of a Server, declared once. It
+// holds no maps or slices, so a plain assignment copies it.
+type serverState struct {
+	// FileSize is the size of the requested memory-resident file.
+	FileSize uint32
+	// NetBandwidthMbps is the client link (100 Mbps quiescent Fast
+	// Ethernet in the paper's setup).
+	NetBandwidthMbps float64
+	Costs            Costs
+
+	scriptRaw uint32 // unprotected entry address
+	shared    uint32
+}
+
 // New builds the server and loads the LibCGI script both as a
 // protected extension and as a plain function.
 func New(s *core.System, fileSize uint32) (*Server, error) {
-	srv := &Server{
-		S: s, Costs: DefaultCosts(), FileSize: fileSize,
-		NetBandwidthMbps: 100,
-	}
+	srv := &Server{S: s, serverState: serverState{
+		FileSize: fileSize, NetBandwidthMbps: 100, Costs: DefaultCosts(),
+	}}
 	app, err := core.NewApp(s)
 	if err != nil {
 		return nil, err
@@ -205,14 +211,12 @@ func (srv *Server) Clone() (*Server, error) {
 	}
 	script2 := srv.script.Rebind(app2)
 	return &Server{
-		S: s2, Costs: srv.Costs, FileSize: srv.FileSize,
-		NetBandwidthMbps: srv.NetBandwidthMbps,
+		S:           s2,
+		serverState: srv.serverState,
 
-		app:       app2,
-		script:    script2,
-		scriptRaw: srv.scriptRaw,
-		shared:    srv.shared,
-		cgiProc:   s2.K.Process(srv.cgiProc.PID),
+		app:     app2,
+		script:  script2,
+		cgiProc: s2.K.Process(srv.cgiProc.PID),
 
 		extDirect: sandbox.AdoptDirect(app2, "cgi_script", srv.scriptRaw),
 		extProt:   sandbox.AdoptProtected(script2),

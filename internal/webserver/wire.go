@@ -1,9 +1,9 @@
 // Snapshot-to-bytes serialization of a whole web server: the envelope
 // the -restore cold-start path and the clone bench persist to disk.
-// SaveBytes captures the server scalars, the system (kernel, machine,
-// frame store) and the application; LoadServerBytes boots a fresh twin
-// — the same deterministic boot the saved server went through — and
-// overlays the image onto it. A restored server is bit-identical in
+// SaveBytes captures the server's state value, the system (kernel,
+// machine, frame store) and the application; LoadServerBytes boots a
+// fresh twin — the same deterministic boot the saved server went
+// through — and overlays the image onto it. A restored server is bit-identical in
 // every simulated metric (memory fingerprint, clock, instret, TLB and
 // COW counters) to the server that was saved; on any decode or
 // validation error the half-restored twin is discarded and an error
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
-	"repro/sandbox"
 )
 
 const (
@@ -22,20 +21,24 @@ const (
 	srvVersion = 1
 )
 
-// SaveBytes serializes the server into a standalone enveloped image.
-// Save while no request is in flight.
+// SaveBytes serializes into a standalone enveloped image the server's
+// state value (FileSize first, so a restore knows which twin to boot),
+// the CGI helper's PID and the protected script's stub addresses (both
+// validated against the twin), the system and the application. Save
+// while no request is in flight.
 func (srv *Server) SaveBytes() []byte {
 	var e mem.Enc
-	e.U32(srv.FileSize)
-	e.F64(srv.NetBandwidthMbps)
-	e.F64(srv.Costs.BaseRequest)
-	e.F64(srv.Costs.PerByte)
-	e.F64(srv.Costs.CGIEnv)
-	e.F64(srv.Costs.CGIProcessExtra)
-	e.F64(srv.Costs.FastCGIRoundTrip)
-	e.I32(int32(srv.Costs.EnvBytes))
-	e.U32(srv.scriptRaw)
-	e.U32(srv.shared)
+	s := &srv.serverState
+	e.U32(s.FileSize)
+	e.F64(s.NetBandwidthMbps)
+	e.F64(s.Costs.BaseRequest)
+	e.F64(s.Costs.PerByte)
+	e.F64(s.Costs.CGIEnv)
+	e.F64(s.Costs.CGIProcessExtra)
+	e.F64(s.Costs.FastCGIRoundTrip)
+	e.I32(int32(s.Costs.EnvBytes))
+	e.U32(s.scriptRaw)
+	e.U32(s.shared)
 	e.I32(int32(srv.cgiProc.PID))
 	e.U32(srv.script.PrepareAddr)
 	e.U32(srv.script.TransferAddr)
@@ -55,61 +58,52 @@ func LoadServerBytes(data []byte) (*Server, error) {
 		return nil, err
 	}
 	d := mem.NewDec(payload)
-	fileSize := d.U32()
+	var s serverState
+	s.FileSize = d.U32()
+	s.NetBandwidthMbps = d.F64()
+	s.Costs.BaseRequest = d.F64()
+	s.Costs.PerByte = d.F64()
+	s.Costs.CGIEnv = d.F64()
+	s.Costs.CGIProcessExtra = d.F64()
+	s.Costs.FastCGIRoundTrip = d.F64()
+	s.Costs.EnvBytes = int(d.I32())
+	s.scriptRaw = d.U32()
+	s.shared = d.U32()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	srv, err := bootServer(fileSize)
+	srv, err := bootServer(s.FileSize)
 	if err != nil {
 		return nil, fmt.Errorf("webserver: booting restore twin: %w", err)
 	}
-	if err := srv.loadFrom(d); err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after server image", mem.ErrCorrupt, d.Remaining())
-	}
-	return srv, nil
-}
 
-// loadFrom overlays an image (past its fileSize header) onto this
-// freshly booted twin. On error the twin is unusable and must be
-// discarded — LoadServerBytes never hands it out.
-func (srv *Server) loadFrom(d *mem.Dec) error {
-	srv.NetBandwidthMbps = d.F64()
-	srv.Costs.BaseRequest = d.F64()
-	srv.Costs.PerByte = d.F64()
-	srv.Costs.CGIEnv = d.F64()
-	srv.Costs.CGIProcessExtra = d.F64()
-	srv.Costs.FastCGIRoundTrip = d.F64()
-	srv.Costs.EnvBytes = int(d.I32())
-	scriptRaw := d.U32()
-	shared := d.U32()
+	// Overlay the rest onto the twin. On error the twin is unusable and
+	// is discarded, never handed out.
 	cgiPID := int(d.I32())
 	prep := d.U32()
 	xfer := d.U32()
 	fn := d.U32()
-	if d.Err() == nil && (scriptRaw != srv.scriptRaw || shared != srv.shared || cgiPID != srv.cgiProc.PID) {
+	if d.Err() == nil && (s.scriptRaw != srv.scriptRaw || s.shared != srv.shared || cgiPID != srv.cgiProc.PID) {
 		d.Failf("server layout (script %#x shared %#x cgi pid %d) differs from booted twin's (%#x %#x %d)",
-			scriptRaw, shared, cgiPID, srv.scriptRaw, srv.shared, srv.cgiProc.PID)
+			s.scriptRaw, s.shared, cgiPID, srv.scriptRaw, srv.shared, srv.cgiProc.PID)
 	}
 	if d.Err() == nil && (prep != srv.script.PrepareAddr || xfer != srv.script.TransferAddr || fn != srv.script.FnAddr) {
 		d.Failf("protected-script stub addresses differ from booted twin's")
 	}
 	if err := d.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := srv.S.LoadFrom(d); err != nil {
-		return err
+		return nil, err
 	}
 	if err := srv.app.LoadFrom(d); err != nil {
-		return err
+		return nil, err
 	}
-	// The kernel restored processes in place, so the twin's handles
-	// stay valid; the sandbox adapters are rebuilt for clarity (they
-	// hold no simulated state).
-	srv.cgiProc = srv.S.K.Process(cgiPID)
-	srv.extDirect = sandbox.AdoptDirect(srv.app, "cgi_script", srv.scriptRaw)
-	srv.extProt = sandbox.AdoptProtected(srv.script)
-	return nil
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after server image", mem.ErrCorrupt, d.Remaining())
+	}
+	// The kernel restored processes in place, so the twin's process
+	// handle and the sandbox adapters over its app stay valid.
+	srv.serverState = s
+	return srv, nil
 }

@@ -2,10 +2,37 @@ package webserver
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/mem"
 )
+
+// TestServerImageGolden pins the byte image of a server that has served
+// one request under every model. The layout is wire version 1; a change
+// to any layer's encoding must either reproduce these bytes or bump the
+// version and re-record them.
+func TestServerImageGolden(t *testing.T) {
+	const (
+		wantLen    = 89486
+		wantSHA256 = "f93c23b4d2272a91f28ae03fa6bf629ebac580b946a1c804a5c9e42e689bb3ed"
+	)
+	srv, err := BootServer(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Model{Static, CGI, FastCGI, LibCGI, LibCGIProtected} {
+		if _, err := srv.ServeRequest(m); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+	}
+	img := srv.SaveBytes()
+	sum := sha256.Sum256(img)
+	if len(img) != wantLen || hex.EncodeToString(sum[:]) != wantSHA256 {
+		t.Fatalf("image is %d bytes sha256 %x, want %d bytes sha256 %s", len(img), sum, wantLen, wantSHA256)
+	}
+}
 
 // machineState gathers every simulated metric the round-trip must
 // reproduce exactly.
