@@ -56,7 +56,7 @@ import (
 // invalidation scans skip them.
 const (
 	// blockCacheSize is the number of direct-mapped block slots.
-	blockCacheSize = 2048
+	blockCacheSize = 1 << blockIndexBits
 	// maxBlockLen caps the instructions decoded per block.
 	maxBlockLen = 128
 )
@@ -83,9 +83,9 @@ type codeBlock struct {
 
 	// maxPrefix[i] is the worst-case cycle charge of slots[0:i]
 	// (prefix sums of each slot's compile-time charge bound), used by
-	// tickHorizon to skip per-instruction deadline checks that
-	// provably cannot fire.
-	maxPrefix []float64
+	// its Horizon to skip per-instruction deadline checks that
+	// provably cannot fire — the same proof the trace tier runs.
+	maxPrefix cycles.Prefix
 
 	// Chain exits. fallLin is the linear address execution continues at
 	// when the block falls through (no terminal transfer, or a
@@ -145,8 +145,20 @@ func pageBloomBit(pa uint32) uint64 {
 	return 1 << ((pa >> mem.PageShift) & 63)
 }
 
+// blockIndexBits is log2(blockCacheSize).
+const blockIndexBits = 11
+
+// blockIndex maps a block's linear start address to its cache slot by
+// a multiplicative (Fibonacci) hash of the instruction-slot number,
+// taking the product's top blockIndexBits bits. A low-bits index
+// ((lin/InstrSlot) & 2047) would alias every address congruent mod
+// 8 KiB: the kernel's Prepare stub (0xC4000000), an extension's entry
+// (0xC8010000) and the extension's next page (0xC8012000), which every
+// protected call runs, would share slot 0 and evict each other. The
+// hash mixes the high bits into the slot, and any two block starts
+// fewer than 987 instruction slots apart still land in different slots.
 func blockIndex(lin uint32) uint32 {
-	return (lin / isa.InstrSlot) & (blockCacheSize - 1)
+	return ((lin / isa.InstrSlot) * 0x9E3779B1) >> (32 - blockIndexBits)
 }
 
 // lookupBlock returns the cached block starting at lin under the
@@ -171,7 +183,7 @@ func (m *Machine) lookupBlock(lin uint32, gen uint64) *codeBlock {
 func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 	cpl := m.CPL()
 	b := &codeBlock{lin: lin, cs: m.CS, gen: gen, base: lin - m.EIP,
-		maxPrefix: make([]float64, 1, 16)}
+		maxPrefix: cycles.NewPrefix(15)}
 	eip := m.EIP
 	for len(b.slots) < maxBlockLen {
 		flin, f := m.MMU.CheckSegment(m.CS, eip, isa.InstrSlot, mmu.Execute, cpl)
@@ -205,7 +217,7 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 			maxCharge += m.Model.Cost(cycles.TLBMiss)
 		}
 		b.slots = append(b.slots, blockSlot{ins: ins, exec: fn, eip: eip, lin: flin, pa: pa})
-		b.maxPrefix = append(b.maxPrefix, b.maxPrefix[len(b.maxPrefix)-1]+maxCharge)
+		b.maxPrefix = b.maxPrefix.Append(maxCharge)
 		b.pages |= pageBloomBit(pa)
 		if ins.Op.TransfersControl() {
 			break
@@ -257,32 +269,6 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 	m.blocksBloom |= b.pages
 	m.blocks[idx] = b
 	return b
-}
-
-// tickHorizon returns the exclusive horizon h for deadline checks:
-// slots with index in [start, h) execute without a per-instruction
-// deadline check. Slot start itself is always exempt (the caller just
-// performed its check); a later slot j is exempt when the worst-case
-// charge prefix proves the clock cannot have reached deadline before
-// j begins (cyc + maxPrefix[j] - maxPrefix[start] < deadline). A
-// return of limit means the rest of the block is check-free.
-func (b *codeBlock) tickHorizon(cyc, deadline float64, start, limit int) int {
-	// maxPrefix is monotonic: binary-search the largest index whose
-	// prefix still fits under the deadline slack.
-	slack := deadline - cyc + b.maxPrefix[start]
-	lo, hi := start, limit
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if b.maxPrefix[mid] < slack {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if lo >= limit {
-		return limit
-	}
-	return lo + 1
 }
 
 // invalidateBlocksAt drops every cached block whose linear range

@@ -395,3 +395,73 @@ func BenchmarkRunHotLoop(b *testing.B) {
 	b.ReportMetric(float64(chains-chains0)/float64(b.N), "chain-hits/op")
 	b.ReportMetric(float64(fast-fast0)/float64(instr)*100, "fastpath-pct")
 }
+
+// TestBlockIndexSeparatesNearbyStarts: any two block starts fewer than
+// 987 instruction slots apart map to different cache slots, wherever
+// they sit in the linear address space.
+func TestBlockIndexSeparatesNearbyStarts(t *testing.T) {
+	for _, base := range []uint32{0, 0x0001_0000, 0xC400_0000, 0xC801_0000, 0xFFFF_F000} {
+		for d := uint32(1); d < 987; d++ {
+			a, b := base, base+d*isa.InstrSlot
+			if blockIndex(a) == blockIndex(b) {
+				t.Fatalf("blocks at %#x and %#x (%d slots apart) share cache slot %d", a, b, d, blockIndex(a))
+			}
+		}
+	}
+}
+
+// TestBlockCacheNoAliasAt8KiB pins the hashed block-cache index. A
+// protected kernel-extension call runs the kernel's Prepare stub at
+// linear 0xC4000000 (kernel CS), then the extension's entry at
+// 0xC8010000 and its next page at 0xC8012000 (extension CS). All three
+// are congruent mod 8 KiB, so a low-bits index put them in one slot
+// and every call rebuilt all three blocks. Run alternately, they must
+// stay cached: after the first round the build count is flat.
+func TestBlockCacheNoAliasAt8KiB(t *testing.T) {
+	h := newHarness(t)
+	const selExt = 9 // extension code segment, selector 0x49 at RPL 1
+	h.m.MMU.GDT.Set(selExt, mmu.Descriptor{Kind: mmu.SegCode, Base: 0xC801_0000,
+		Limit: 0x3FFF, DPL: 1, Present: true, Readable: true})
+	kcs, xcs := gsel(selKCode, 0), gsel(selExt, 1)
+
+	type site struct {
+		cs  mmu.Selector
+		eip uint32 // segment-relative entry
+		lin uint32
+	}
+	sites := []site{
+		{kcs, 0x0400_0000, 0xC400_0000},
+		{xcs, 0x0000_0000, 0xC801_0000},
+		{xcs, 0x0000_2000, 0xC801_2000},
+	}
+	for i, s := range sites {
+		pa := h.mapAt(s.lin, false, false)
+		h.m.InstallCode(pa, []isa.Instr{
+			{Op: isa.ADD, Dst: isa.R(isa.EAX), Src: isa.I(int32(i + 1)), Size: 4},
+			{Op: isa.NOP},
+			{Op: isa.NOP}, // stop: armed below
+		})
+		h.m.SetBreak(s.lin + 2*isa.InstrSlot)
+	}
+
+	builds := func() uint64 { _, b, _ := h.m.BlockCacheStats(); return b }
+	var afterFirst uint64
+	for round := range 50 {
+		for _, s := range sites {
+			h.m.CS, h.m.EIP = s.cs, s.eip
+			if res := h.m.Run(RunLimits{MaxInstructions: 100}); res.Reason != StopBreak {
+				t.Fatalf("round %d at %#x: stop = %+v err=%v", round, s.lin, res, res.Err)
+			}
+		}
+		if round == 0 {
+			afterFirst = builds()
+		}
+	}
+	if got, want := h.m.Reg(isa.EAX), uint32(50*(1+2+3)); got != want {
+		t.Errorf("eax = %d, want %d", got, want)
+	}
+	if got := builds(); got != afterFirst {
+		t.Errorf("blocks at 8 KiB-congruent addresses evict each other: %d builds after round 1, %d after 50",
+			afterFirst, got)
+	}
+}

@@ -181,7 +181,7 @@ func (m *Machine) runChain(b *codeBlock, remaining uint64) (*RunResult, uint64, 
 				}
 				haveFrame = false
 			}
-			horizon = b.tickHorizon(m.Clock.Cycles(), m.nextTick, 0, limit)
+			horizon = b.maxPrefix.Horizon(m.Clock.Cycles(), m.nextTick, 0, limit)
 		}
 		for i := 0; i < limit; i++ {
 			if i >= horizon {
@@ -200,7 +200,7 @@ func (m *Machine) runChain(b *codeBlock, remaining uint64) (*RunResult, uint64, 
 					}
 					haveFrame = false
 				}
-				horizon = b.tickHorizon(m.Clock.Cycles(), m.nextTick, i, limit)
+				horizon = b.maxPrefix.Horizon(m.Clock.Cycles(), m.nextTick, i, limit)
 			}
 			slot := &slots[i]
 			// Page-level fetch check: counted against the TLB and

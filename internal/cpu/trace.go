@@ -165,9 +165,9 @@ type traceOp struct {
 	vpageW, frameW      uint32
 	elideR, elideW      bool
 
-	// Dispatch-scoped frame-pointer cache for dword accesses, the
-	// physical half of the fast path above: a direct pointer into the
-	// backing frame, valid while msR/msW equals the dispatch seq. The
+	// Dispatch-scoped frame-pointer cache for byte and dword accesses,
+	// the physical half of the fast path above: a direct pointer into
+	// the backing frame, valid while msR/msW equals the dispatch seq. The
 	// read side is filled only when the frame is exclusively owned
 	// (mem.FrameViewStable), the write side via the full COW fault
 	// (mem.FrameMut) which makes it so; an exclusive frame cannot be

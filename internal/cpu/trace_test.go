@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/mmu"
 )
 
@@ -460,5 +461,120 @@ func TestTraceJccBothDirectionsParity(t *testing.T) {
 			}
 			traceCompare(t, cc, hRun, hStep, resRun, resStep)
 		})
+	}
+}
+
+// TestTraceByteAccessCOW drives tier 3's byte accesses through the
+// dispatch-scoped frame cache across copy-on-write. A warm trace loop
+// stores and reloads bytes at page offsets 0 and 4095 of a data frame
+// that a Snapshot and a Clone both share when the trace next
+// dispatches. The first byte load of that dispatch reads the shared
+// frame and must not pin it: the store right after it faults the frame
+// off, and every later load — in the same dispatch — must read the
+// private copy. The shared copies keep their bytes, and the COW copy
+// count, the bytes and every simulated metric match single-stepping.
+func TestTraceByteAccessCOW(t *testing.T) {
+	const src = `
+		entry:
+			mov ecx, 200
+			jmp loop
+		loop:
+			movb eax, [last]
+			add edx, 3
+			movb [last], edx
+			movb ebx, [last]
+			add esi, ebx
+			add edi, eax
+			movb [first], ecx
+			dec ecx
+			jne loop
+		stop:
+			nop
+		.data
+		first: .byte 0
+		.space 4094
+		last: .byte 0
+	`
+	type outcome struct {
+		h                  *harness
+		res                RunResult
+		cow                uint64
+		first, last        byte // live bytes after the second run
+		cloneF, cloneL     byte // the clone's bytes after the second run
+		snapF, snapL       byte // the snapshot's bytes
+		sharedF, sharedL   byte // the bytes when the frame was shared
+		dispatches, copies uint64
+	}
+	exec := func(runner func(*Machine, RunLimits) RunResult) outcome {
+		h := newHarness(t)
+		syms := h.install(0x0001_0000, src)
+		if syms["last"]-syms["first"] != 4095 || syms["first"]&0xFFF != 0 {
+			t.Fatalf("data layout: first %#x, last %#x; want page offsets 0 and 4095", syms["first"], syms["last"])
+		}
+		h.startUser(syms["entry"])
+		h.m.SetBreak(syms["stop"])
+		h.m.TraceThreshold = 3
+		m := h.m
+		if res := runner(m, RunLimits{}); res.Reason != StopBreak {
+			t.Fatalf("warm run stop = %v (%v)", res.Reason, res.Err)
+		}
+		pa := func(p *mem.Physical, lin uint32) byte {
+			a, ok := m.MMU.PeekPage(lin)
+			if !ok {
+				t.Fatalf("%#x unmapped", lin)
+			}
+			return p.Read8(a)
+		}
+		var o outcome
+		o.sharedF, o.sharedL = pa(m.Phys, syms["first"]), pa(m.Phys, syms["last"])
+
+		snap := m.Snapshot()
+		defer snap.Release()
+		phys2 := m.Phys.Clone()
+		clock2 := m.Clock.Clone()
+		mu2 := m.MMU.Clone(phys2, clock2)
+		mu2.AdoptSpace(mmu.AdoptAddressSpace(phys2, h.alloc.Clone(), h.as.CR3()))
+		m.Clone(phys2, mu2, clock2)
+
+		_, cow0, _ := m.Phys.COWStats()
+		d0 := m.TraceStats().Dispatches
+		m.EIP = syms["entry"]
+		o.res = runner(m, RunLimits{})
+		_, cow1, _ := m.Phys.COWStats()
+		o.h, o.copies, o.dispatches = h, cow1-cow0, m.TraceStats().Dispatches-d0
+		o.first, o.last = pa(m.Phys, syms["first"]), pa(m.Phys, syms["last"])
+		o.cloneF, o.cloneL = pa(phys2, syms["first"]), pa(phys2, syms["last"])
+
+		ps := mem.NewPhysical()
+		ps.Restore(snap.phys)
+		defer ps.Release()
+		o.snapF, o.snapL = pa(ps, syms["first"]), pa(ps, syms["last"])
+		return o
+	}
+	run, step := exec((*Machine).Run), exec(stepRun)
+
+	if run.dispatches == 0 {
+		t.Fatal("the second run never dispatched the trace")
+	}
+	if run.copies == 0 {
+		t.Fatal("the second run faulted no frame off the snapshot and clone")
+	}
+	traceCompare(t, "byte COW", run.h, step.h, run.res, step.res)
+	if run.copies != step.copies {
+		t.Errorf("COW copies: Run %d, Step %d", run.copies, step.copies)
+	}
+	if run.first != step.first || run.last != step.last {
+		t.Errorf("bytes at offsets 0/4095: Run %d/%d, Step %d/%d", run.first, run.last, step.first, step.last)
+	}
+	if run.last == run.sharedL {
+		t.Fatalf("the second run left byte 4095 at %d; the test needs it to change", run.last)
+	}
+	for _, o := range []outcome{run, step} {
+		if o.cloneF != o.sharedF || o.cloneL != o.sharedL {
+			t.Errorf("clone's bytes moved: %d/%d, want %d/%d", o.cloneF, o.cloneL, o.sharedF, o.sharedL)
+		}
+		if o.snapF != o.sharedF || o.snapL != o.sharedL {
+			t.Errorf("snapshot's bytes moved: %d/%d, want %d/%d", o.snapF, o.snapL, o.sharedF, o.sharedL)
+		}
 	}
 }

@@ -148,64 +148,80 @@ func (m *Machine) slowW(op *traceOp, proved bool, bound uint32, sel mmu.Selector
 	return pa, f
 }
 
-// cachedR32 reads a dword at pa through the op's dispatch-scoped
-// frame cache; the hit path is a page-match compare and one unaligned
-// load, inlined into the dispatch loop. The bytes read are exactly what
-// Physical.Read32 would return: the cached pointer is the frame an
-// uncached walk would resolve to (see traceOp's cache invariant).
-func (op *traceOp) cachedR32(pa, seq uint32) (uint32, bool) {
+// cachedR reads size bytes (1, or 4 as a little-endian dword) at pa
+// through the op's dispatch-scoped frame cache; the hit path is a
+// page-match compare and one load, inlined into the dispatch loop. The
+// bytes read are exactly what Physical.Read8/Read32 would return: the
+// cached pointer is the frame an uncached walk would resolve to (see
+// traceOp's cache invariant).
+func (op *traceOp) cachedR(pa, seq, size uint32) (uint32, bool) {
 	// One unsigned compare covers page match AND no-straddle: d is the
 	// in-page offset iff pa lands on the cached page, and ≥ PageSize
 	// (or wrapped-huge) otherwise. The slow path lives in a separate
 	// function because a call expression alone costs most of the inline
 	// budget; this hit path must inline into the dispatch loop.
-	if d := pa - op.fpageR; op.msR == seq && d <= mem.PageSize-4 {
+	if d := pa - op.fpageR; op.msR == seq && d <= mem.PageSize-size {
+		if size == 1 {
+			return uint32(op.memR[d]), true
+		}
 		return binary.LittleEndian.Uint32(op.memR[d : d+4]), true
 	}
 	return 0, false
 }
 
-// load32Slow is cachedR32's miss path: read via the live frame walk, and
+// loadSlow is cachedR's miss path: read via the live frame walk, and
 // pin the frame for the rest of the dispatch when this Physical owns
 // it exclusively (a shared frame could be COW-replaced by a later
-// write, so it is read but never cached). Straddling reads keep
+// write, so it is read but never cached). Straddling dword reads keep
 // Read32's byte-wise assembly.
-func (op *traceOp) load32Slow(phys *mem.Physical, pa, seq uint32) uint32 {
+func (op *traceOp) loadSlow(phys *mem.Physical, pa, seq, size uint32) uint32 {
 	off := pa & uint32(mem.PageMask)
-	if off > mem.PageSize-4 {
+	if off > mem.PageSize-size {
 		return phys.Read32(pa)
 	}
 	f, stable := phys.FrameViewStable(pa)
 	if stable {
 		op.memR, op.fpageR, op.msR = f, pa&^uint32(mem.PageMask), seq
 	}
+	if size == 1 {
+		return uint32(f[off])
+	}
 	return binary.LittleEndian.Uint32(f[off : off+4])
 }
 
-// cachedW32 writes a dword at pa through the op's dispatch-scoped
-// frame cache; see cachedR32.
-func (op *traceOp) cachedW32(pa, seq, v uint32) bool {
-	// Single-compare page-and-straddle check; see cachedR32.
-	if d := pa - op.fpageW; op.msW == seq && d <= mem.PageSize-4 {
-		binary.LittleEndian.PutUint32(op.memW[d:d+4], v)
+// cachedW writes the low size bytes of v (1, or 4 as a little-endian
+// dword) at pa through the op's dispatch-scoped frame cache; see
+// cachedR.
+func (op *traceOp) cachedW(pa, seq, size, v uint32) bool {
+	// Single-compare page-and-straddle check; see cachedR.
+	if d := pa - op.fpageW; op.msW == seq && d <= mem.PageSize-size {
+		if size == 1 {
+			op.memW[d] = byte(v)
+		} else {
+			binary.LittleEndian.PutUint32(op.memW[d:d+4], v)
+		}
 		return true
 	}
 	return false
 }
 
-// store32Slow is cachedW32's miss path: the full COW write fault
+// storeSlow is cachedW's miss path: the full COW write fault
 // (FrameMut), after which the frame is exclusively owned and safe to
-// pin for the rest of the dispatch. Straddling writes keep Write32's
-// byte-wise split.
-func (op *traceOp) store32Slow(phys *mem.Physical, pa, seq, v uint32) {
+// pin for the rest of the dispatch. Straddling dword writes keep
+// Write32's byte-wise split.
+func (op *traceOp) storeSlow(phys *mem.Physical, pa, seq, size, v uint32) {
 	off := pa & uint32(mem.PageMask)
-	if off > mem.PageSize-4 {
+	if off > mem.PageSize-size {
 		phys.Write32(pa, v)
 		return
 	}
 	f := phys.FrameMut(pa)
 	op.memW, op.fpageW, op.msW = f, pa&^uint32(mem.PageMask), seq
-	binary.LittleEndian.PutUint32(f[off:off+4], v)
+	if size == 1 {
+		f[off] = byte(v)
+	} else {
+		binary.LittleEndian.PutUint32(f[off:off+4], v)
+	}
 }
 
 // runTrace executes a trace superblock. It keeps the simulated
@@ -398,15 +414,11 @@ loop:
 					break loop
 				}
 			}
-			if op.size == 1 {
-				regs[op.dst] = uint32(phys.Read8(pa))
-			} else {
-				r32, rok := op.cachedR32(pa, seq)
-				if !rok {
-					r32 = op.load32Slow(phys, pa, seq)
-				}
-				regs[op.dst] = r32
+			r, rok := op.cachedR(pa, seq, uint32(op.size))
+			if !rok {
+				r = op.loadSlow(phys, pa, seq, uint32(op.size))
 			}
+			regs[op.dst] = r
 
 		case opMovStoreR, opMovStoreI:
 			v := op.imm
@@ -434,12 +446,8 @@ loop:
 					break loop
 				}
 			}
-			if op.size == 1 {
-				phys.Write8(pa, byte(v))
-			} else {
-				if !op.cachedW32(pa, seq, v) {
-					op.store32Slow(phys, pa, seq, v)
-				}
+			if !op.cachedW(pa, seq, uint32(op.size), v) {
+				op.storeSlow(phys, pa, seq, uint32(op.size), v)
 			}
 
 		case opAluRR, opAluRI:
@@ -483,15 +491,9 @@ loop:
 					break loop
 				}
 			}
-			var b uint32
-			if op.size == 1 {
-				b = uint32(phys.Read8(pa))
-			} else {
-				r32, rok := op.cachedR32(pa, seq)
-				if !rok {
-					r32 = op.load32Slow(phys, pa, seq)
-				}
-				b = r32
+			b, rok := op.cachedR(pa, seq, uint32(op.size))
+			if !rok {
+				b = op.loadSlow(phys, pa, seq, uint32(op.size))
 			}
 			r, ncf, nof := aluCF(op.sub, regs[op.dst], b)
 			cf, of = ncf, nof
@@ -528,15 +530,9 @@ loop:
 					break loop
 				}
 			}
-			var a uint32
-			if op.size == 1 {
-				a = uint32(phys.Read8(paR))
-			} else {
-				r32, rok := op.cachedR32(paR, seq)
-				if !rok {
-					r32 = op.load32Slow(phys, paR, seq)
-				}
-				a = r32
+			a, rok := op.cachedR(paR, seq, uint32(op.size))
+			if !rok {
+				a = op.loadSlow(phys, paR, seq, uint32(op.size))
 			}
 			b := op.imm
 			if op.code == opAluMR {
@@ -562,12 +558,8 @@ loop:
 						break loop
 					}
 				}
-				if op.size == 1 {
-					phys.Write8(paW, byte(r))
-				} else {
-					if !op.cachedW32(paW, seq, r) {
-						op.store32Slow(phys, paW, seq, r)
-					}
+				if !op.cachedW(paW, seq, uint32(op.size), r) {
+					op.storeSlow(phys, paW, seq, uint32(op.size), r)
 				}
 			}
 
@@ -624,15 +616,9 @@ loop:
 					break loop
 				}
 			}
-			var a uint32
-			if op.size == 1 {
-				a = uint32(phys.Read8(paR))
-			} else {
-				r32, rok := op.cachedR32(paR, seq)
-				if !rok {
-					r32 = op.load32Slow(phys, paR, seq)
-				}
-				a = r32
+			a, rok := op.cachedR(paR, seq, uint32(op.size))
+			if !rok {
+				a = op.loadSlow(phys, paR, seq, uint32(op.size))
 			}
 			var r uint32
 			flagless := false
@@ -669,12 +655,8 @@ loop:
 					break loop
 				}
 			}
-			if op.size == 1 {
-				phys.Write8(paW, byte(r))
-			} else {
-				if !op.cachedW32(paW, seq, r) {
-					op.store32Slow(phys, paW, seq, r)
-				}
+			if !op.cachedW(paW, seq, uint32(op.size), r) {
+				op.storeSlow(phys, paW, seq, uint32(op.size), r)
 			}
 
 		case opShR:
@@ -726,11 +708,10 @@ loop:
 					break loop
 				}
 			}
-			r32, rok := op.cachedR32(paR, seq)
+			a, rok := op.cachedR(paR, seq, 4)
 			if !rok {
-				r32 = op.load32Slow(phys, paR, seq)
+				a = op.loadSlow(phys, paR, seq, 4)
 			}
-			a := r32
 			k := op.imm
 			var r uint32
 			switch op.sub {
@@ -762,8 +743,8 @@ loop:
 					break loop
 				}
 			}
-			if !op.cachedW32(paW, seq, r) {
-				op.store32Slow(phys, paW, seq, r)
+			if !op.cachedW(paW, seq, 4, r) {
+				op.storeSlow(phys, paW, seq, 4, r)
 			}
 
 		case opImulRR:
@@ -794,9 +775,9 @@ loop:
 					break loop
 				}
 			}
-			r32, rok := op.cachedR32(pa, seq)
+			r32, rok := op.cachedR(pa, seq, 4)
 			if !rok {
-				r32 = op.load32Slow(phys, pa, seq)
+				r32 = op.loadSlow(phys, pa, seq, 4)
 			}
 			regs[op.dst] = uint32(a * int32(r32))
 
@@ -830,15 +811,9 @@ loop:
 					break loop
 				}
 			}
-			var mv uint32
-			if op.size == 1 {
-				mv = uint32(phys.Read8(paR))
-			} else {
-				r32, rok := op.cachedR32(paR, seq)
-				if !rok {
-					r32 = op.load32Slow(phys, paR, seq)
-				}
-				mv = r32
+			mv, rok := op.cachedR(paR, seq, uint32(op.size))
+			if !rok {
+				mv = op.loadSlow(phys, paR, seq, uint32(op.size))
 			}
 			if op.code == opXchgRM {
 				// dst reg <-> src mem: reg write first, then mem write,
@@ -859,12 +834,8 @@ loop:
 						break loop
 					}
 				}
-				if op.size == 1 {
-					phys.Write8(paW, byte(a))
-				} else {
-					if !op.cachedW32(paW, seq, a) {
-						op.store32Slow(phys, paW, seq, a)
-					}
+				if !op.cachedW(paW, seq, uint32(op.size), a) {
+					op.storeSlow(phys, paW, seq, uint32(op.size), a)
 				}
 			} else {
 				// dst mem <-> src reg: mem write first, then reg write.
@@ -879,12 +850,8 @@ loop:
 						break loop
 					}
 				}
-				if op.size == 1 {
-					phys.Write8(paW, byte(rv))
-				} else {
-					if !op.cachedW32(paW, seq, rv) {
-						op.store32Slow(phys, paW, seq, rv)
-					}
+				if !op.cachedW(paW, seq, uint32(op.size), rv) {
+					op.storeSlow(phys, paW, seq, uint32(op.size), rv)
 				}
 				if op.size == 1 {
 					regs[op.src] = mv & 0xFF
@@ -910,8 +877,8 @@ loop:
 					break loop
 				}
 			}
-			if !op.cachedW32(pa, seq, v) {
-				op.store32Slow(phys, pa, seq, v)
+			if !op.cachedW(pa, seq, 4, v) {
+				op.storeSlow(phys, pa, seq, 4, v)
 			}
 			regs[isa.ESP] = esp
 
@@ -938,11 +905,10 @@ loop:
 					break loop
 				}
 			}
-			r32, rok := op.cachedR32(paR, seq)
+			v, rok := op.cachedR(paR, seq, 4)
 			if !rok {
-				r32 = op.load32Slow(phys, paR, seq)
+				v = op.loadSlow(phys, paR, seq, 4)
 			}
-			v := r32
 			esp := regs[isa.ESP] - 4
 			paW, ok2 := op.fastW(esp, 4, seq, &elided, &batch)
 			if !ok2 {
@@ -955,8 +921,8 @@ loop:
 					break loop
 				}
 			}
-			if !op.cachedW32(paW, seq, v) {
-				op.store32Slow(phys, paW, seq, v)
+			if !op.cachedW(paW, seq, 4, v) {
+				op.storeSlow(phys, paW, seq, 4, v)
 			}
 			regs[isa.ESP] = esp
 
@@ -974,9 +940,9 @@ loop:
 				}
 			}
 			regs[isa.ESP] = esp + 4
-			r32, rok := op.cachedR32(pa, seq)
+			r32, rok := op.cachedR(pa, seq, 4)
 			if !rok {
-				r32 = op.load32Slow(phys, pa, seq)
+				r32 = op.loadSlow(phys, pa, seq, 4)
 			}
 			regs[op.dst] = r32
 
@@ -993,11 +959,10 @@ loop:
 					break loop
 				}
 			}
-			r32, rok := op.cachedR32(paR, seq)
+			v, rok := op.cachedR(paR, seq, 4)
 			if !rok {
-				r32 = op.load32Slow(phys, paR, seq)
+				v = op.loadSlow(phys, paR, seq, 4)
 			}
-			v := r32
 			regs[isa.ESP] = esp + 4
 			sel := ds
 			if op.useSS {
@@ -1022,8 +987,8 @@ loop:
 					break loop
 				}
 			}
-			if !op.cachedW32(paW, seq, v) {
-				op.store32Slow(phys, paW, seq, v)
+			if !op.cachedW(paW, seq, 4, v) {
+				op.storeSlow(phys, paW, seq, 4, v)
 			}
 
 		case opJmp:
@@ -1081,8 +1046,8 @@ loop:
 					break loop
 				}
 			}
-			if !op.cachedW32(pa, seq, op.eip+isa.InstrSlot) {
-				op.store32Slow(phys, pa, seq, op.eip+isa.InstrSlot)
+			if !op.cachedW(pa, seq, 4, op.eip+isa.InstrSlot) {
+				op.storeSlow(phys, pa, seq, 4, op.eip+isa.InstrSlot)
 			}
 			regs[isa.ESP] = esp
 			n++
@@ -1112,9 +1077,9 @@ loop:
 			}
 			regs[isa.ESP] = esp + 4 + op.imm
 			n++
-			r32, rok := op.cachedR32(pa, seq)
+			r32, rok := op.cachedR(pa, seq, 4)
 			if !rok {
-				r32 = op.load32Slow(phys, pa, seq)
+				r32 = op.loadSlow(phys, pa, seq, 4)
 			}
 			ceip = r32
 			m.trStats.SideExits++

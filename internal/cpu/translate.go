@@ -21,7 +21,7 @@ import (
 // translation it can perform). runChain sums these into per-block
 // prefix bounds so the per-instruction timer-deadline check can be
 // skipped wholesale while the clock provably cannot reach the next
-// tick (see tickHorizon).
+// tick (see cycles.Prefix.Horizon).
 
 // execFn executes one pre-bound instruction. The machine's EIP is the
 // instruction's own address on entry and is advanced (or redirected)

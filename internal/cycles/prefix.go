@@ -29,9 +29,15 @@ func NewPrefix(n int) Prefix {
 // prefix proves the clock cannot have reached deadline before j begins
 // (cyc + p[j] - p[start] < deadline). A return of limit means the rest
 // of the range is check-free. p is monotonic, so the largest fitting
-// index is found by binary search.
+// index is found by binary search — after an O(1) test of the whole
+// range, which is the common answer when a tick is far off (the trace
+// tier re-proves at every loop back-edge) and the one the search would
+// reach anyway.
 func (p Prefix) Horizon(cyc, deadline float64, start, limit int) int {
 	slack := deadline - cyc + p[start]
+	if p[limit] < slack {
+		return limit
+	}
 	lo, hi := start, limit
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
