@@ -119,18 +119,6 @@ func BenchmarkFigure7PacketFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetTable3 measures the wall-clock cost of serving one
-// Table 3 cell through a 4-worker clone-booted fleet (boot + serve +
-// drain); the simulated metrics it produces are pinned elsewhere —
-// this tracks how fast the simulator itself turns the crank.
-func BenchmarkFleetTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MeasureFleet(28, 40, []int{4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMicroMeasurements regenerates the Section 5.1 one-off
 // numbers: SIGSEGV delivery, kernel #GP processing, dlopen vs
 // seg_dlopen, segment register load, L4 comparison.

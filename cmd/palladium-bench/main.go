@@ -1,47 +1,31 @@
 // Command palladium-bench regenerates the paper's evaluation tables
 // and figures on the simulated Palladium system and prints them in the
-// paper's layout.
+// paper's layout. Every number it prints is simulated cycles (or
+// microseconds and requests per second at the simulated clock), so two
+// runs print the same bytes. Wall-clock performance of the simulator
+// is measured by the benchmark in bench/ (see bench/README.md).
 //
 // Usage:
 //
 //	palladium-bench                 # everything
 //	palladium-bench -table 1       # Table 1 only (1, 2 or 3)
+//	palladium-bench -table 3 -requests 50   # Table 3 with 50 requests per cell
 //	palladium-bench -figure 7      # Figure 7 only
 //	palladium-bench -micro         # Section 5.1 micro-measurements
 //	palladium-bench -ablation      # design-choice ablations
-//	palladium-bench -interp        # interpreter block-cache/TLB counters
-//	palladium-bench -fleet         # concurrent machine-fleet scaling curve
-//	palladium-bench -snapshot      # template-boot+clone vs serial fleet boots
-//	palladium-bench -clones        # ephemeral-clone serving: clone tax vs shared
-//	                               # machine, snapshot round-trip, frame dedup
-//	                               # (BENCH_clone.json)
-//	palladium-bench -matrix        # workload x backend matrix (BENCH_matrix.json)
-//	palladium-bench -matrix -backend sfi,bpf   # restrict the matrix's backends
-//	palladium-bench -verify        # static verifier: escape rejects, workload
-//	                               # accepts, tier-2 check elision (BENCH_verify.json)
-//	palladium-bench -serve-load    # HTTP serving-capacity sweep over in-process
-//	                               # palladium-serve daemons (BENCH_serve.json)
-//	palladium-bench -serve-load -serve-workers 1,2,4 -serve-conns 1,8,32 \
-//	                -serve-duration 2s             # custom sweep grid
 //	palladium-bench -table 3 -cpuprofile cpu.prof -memprofile mem.prof
 //	                               # profile any run (std runtime/pprof files;
 //	                               # inspect with `go tool pprof`)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/serve"
-	"repro/sandbox"
 )
 
 func main() {
@@ -49,40 +33,16 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate only this figure (7)")
 	micro := flag.Bool("micro", false, "regenerate only the section 5.1 micro-measurements")
 	ablation := flag.Bool("ablation", false, "regenerate only the design ablations")
-	interp := flag.Bool("interp", false, "report interpreter block-cache and TLB counters")
-	fleetRun := flag.Bool("fleet", false, "run the Table 3 workload through a concurrent machine fleet")
-	workers := flag.String("workers", "1,2,4,8", "comma-separated fleet worker counts for -fleet and -snapshot")
-	fleetJSON := flag.String("fleet-json", "", "write the -fleet report to this JSON file")
-	snapshotRun := flag.Bool("snapshot", false, "compare template-boot+clone against serial fleet boots")
-	snapshotJSON := flag.String("snapshot-json", "BENCH_snapshot.json", "write the -snapshot report to this JSON file")
-	clonesRun := flag.Bool("clones", false, "measure ephemeral-clone serving: clone tax, snapshot round-trip, frame dedup")
-	clonesJSON := flag.String("clones-json", "BENCH_clone.json", "write the -clones report to this JSON file")
-	dedupMachines := flag.Int("dedup-machines", 8, "resident machines restored from one image for the -clones dedup check")
-	matrixRun := flag.Bool("matrix", false, "run both workloads under every sandbox backend")
-	backend := flag.String("backend", "", "comma-separated sandbox backends for -matrix (default: all registered)")
-	matrixJSON := flag.String("matrix-json", "BENCH_matrix.json", "write the -matrix report to this JSON file")
-	verifyRun := flag.Bool("verify", false, "run the static verifier over escapes and workloads, then the elision benchmark")
-	verifyJSON := flag.String("verify-json", "BENCH_verify.json", "write the -verify report to this JSON file")
-	verifyRuns := flag.Int("verify-runs", 5, "host wall-clock median pool for -verify")
-	serveLoad := flag.Bool("serve-load", false, "sweep HTTP serving capacity (connections x workers) against in-process palladium-serve daemons")
-	serveWorkers := flag.String("serve-workers", "1,2,4", "comma-separated fleet sizes for -serve-load")
-	serveConns := flag.String("serve-conns", "1,4,16", "comma-separated client connection counts for -serve-load")
-	serveDuration := flag.Duration("serve-duration", time.Second, "load duration per -serve-load cell")
-	serveRate := flag.Float64("serve-rate", 0, "open-loop arrival rate in req/s for -serve-load (0 = closed-loop saturation)")
-	serveModel := flag.String("serve-model", "", "execution model for -serve-load requests (default: daemon default)")
-	serveJSON := flag.String("serve-json", "BENCH_serve.json", "write the -serve-load report to this JSON file")
 	requests := flag.Int("requests", 100, "requests per Table 3 cell")
-	calls := flag.Int("calls", 1000, "protected calls for the -interp workload")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the selected runs) to this file")
 	flag.Parse()
 
-	all := *table == 0 && *figure == 0 && !*micro && !*ablation && !*interp && !*fleetRun && !*snapshotRun && !*clonesRun && !*matrixRun && !*verifyRun && !*serveLoad
+	all := *table == 0 && *figure == 0 && !*micro && !*ablation
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "palladium-bench:", err)
 		os.Exit(1)
 	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -161,166 +121,4 @@ func main() {
 		}
 		experiments.RenderAblations(os.Stdout, sfiPts, cc)
 	}
-	if *interp {
-		st, err := experiments.MeasureInterp(*calls)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderInterp(os.Stdout, st, *calls)
-	}
-	if *fleetRun {
-		counts, err := parseWorkers(*workers)
-		if err != nil {
-			fail(err)
-		}
-		rep, err := experiments.MeasureFleet(28, *requests, counts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFleet(os.Stdout, rep)
-		if *fleetJSON != "" {
-			b, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*fleetJSON, append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if *snapshotRun {
-		counts, err := parseWorkers(*workers)
-		if err != nil {
-			fail(err)
-		}
-		rep, err := experiments.MeasureSnapshot(28, *requests, counts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderSnapshot(os.Stdout, rep)
-		if *snapshotJSON != "" {
-			b, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*snapshotJSON, append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if *clonesRun {
-		rep, err := experiments.MeasureClones(experiments.Table3Sizes(), *requests, *dedupMachines)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderClones(os.Stdout, rep)
-		if *clonesJSON != "" {
-			b, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*clonesJSON, append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if *matrixRun {
-		names, err := parseBackends(*backend)
-		if err != nil {
-			fail(err)
-		}
-		rep, err := experiments.MeasureMatrix(*requests, names)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderMatrix(os.Stdout, rep)
-		if *matrixJSON != "" {
-			b, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*matrixJSON, append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if *serveLoad {
-		workerCounts, err := parseWorkers(*serveWorkers)
-		if err != nil {
-			fail(err)
-		}
-		connCounts, err := parseWorkers(*serveConns)
-		if err != nil {
-			fail(err)
-		}
-		rep, err := serve.Sweep(serve.SweepConfig{
-			Model:    *serveModel,
-			Workers:  workerCounts,
-			Conns:    connCounts,
-			Rate:     *serveRate,
-			Duration: *serveDuration,
-		})
-		if err != nil {
-			fail(err)
-		}
-		serve.RenderReport(os.Stdout, rep)
-		if *serveJSON != "" {
-			b, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*serveJSON, append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if *verifyRun {
-		rep, err := experiments.MeasureVerify(*requests, *verifyRuns)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderVerify(os.Stdout, rep)
-		if *verifyJSON != "" {
-			b, err := json.MarshalIndent(rep, "", " ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*verifyJSON, append(b, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
-}
-
-// parseBackends validates a comma-separated backend list against the
-// sandbox registry; empty selects every registered backend.
-func parseBackends(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	known := map[string]bool{}
-	for _, n := range sandbox.Backends() {
-		known[n] = true
-	}
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		n := strings.TrimSpace(f)
-		if !known[n] {
-			return nil, fmt.Errorf("unknown backend %q (have %s)", n, strings.Join(sandbox.Backends(), ", "))
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -workers value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

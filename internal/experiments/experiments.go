@@ -1,6 +1,9 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section 5) on the simulated system. It is shared
-// by the root benchmark suite, the cmd/palladium-bench tool, and the
+// paper's evaluation (Section 5) on the simulated system: Tables 1-3,
+// Figure 7, the Section 5.1 micro-measurements and the design
+// ablations. Its results are simulated cycles. It is shared by the root
+// benchmark suite, the cmd/palladium-bench tool, the paper workload of
+// the bench/ module (which times these functions in wall clock), and the
 // regression tests that pin the reproduced shapes.
 package experiments
 
@@ -237,38 +240,6 @@ func Table2(sizes []int) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// VerifyReverse checks the extension actually reverses (used by tests
-// and the quickstart example).
-func VerifyReverse() (string, error) {
-	s, err := newSystem(cycles.Measured())
-	if err != nil {
-		return "", err
-	}
-	a, err := newApp(s)
-	if err != nil {
-		return "", err
-	}
-	h, err := a.SegDlopen(isa.MustAssemble("strrev", StrrevSrc))
-	if err != nil {
-		return "", err
-	}
-	pf, err := a.SegDlsym(h, "strrev")
-	if err != nil {
-		return "", err
-	}
-	buf, err := a.SharedAlloc(mem.PageSize)
-	if err != nil {
-		return "", err
-	}
-	if err := a.WriteString(buf, "palladium"); err != nil {
-		return "", err
-	}
-	if _, err := pf.Call(buf); err != nil {
-		return "", err
-	}
-	return a.ReadString(buf, 32)
-}
-
 // ---------------------------------------------------------------- Table 3
 
 // Table3Row is one file-size row, in requests/second.
@@ -279,10 +250,33 @@ type Table3Row struct {
 	WebServer                float64
 }
 
-// Table3Sizes returns the paper's Table 3 file sizes; shared by the
-// serial and fleet drivers so their rows stay diffable.
+// Table3Sizes returns the paper's Table 3 file sizes.
 func Table3Sizes() []uint32 {
 	return []uint32{28, 1024, 10 * 1024, 100 * 1024}
+}
+
+// fleetModels is Table 3's fixed serving order. The order matters at
+// full float precision: TLB warmth carries from one model's requests to
+// the next, so reordering (or iterating a map) would shift the rates a
+// few parts per million and break the serial-vs-fleet bit-identity
+// anchor.
+var fleetModels = []webserver.Model{
+	webserver.CGI,
+	webserver.FastCGI,
+	webserver.LibCGIProtected,
+	webserver.LibCGI,
+	webserver.Static,
+}
+
+// modelDests maps each served model to its Table 3 cell.
+func modelDests(cgi, fastcgi, prot, unprot, static *float64) map[webserver.Model]*float64 {
+	return map[webserver.Model]*float64{
+		webserver.CGI:             cgi,
+		webserver.FastCGI:         fastcgi,
+		webserver.LibCGIProtected: prot,
+		webserver.LibCGI:          unprot,
+		webserver.Static:          static,
+	}
 }
 
 // Table3 regenerates the CGI throughput comparison. requests is the
@@ -301,11 +295,6 @@ func Table3(sizes []uint32, requests int) ([]Table3Row, error) {
 		}
 		row := Table3Row{Size: size}
 		dst := modelDests(&row.CGI, &row.FastCGI, &row.LibCGIProt, &row.LibCGIUnprot, &row.WebServer)
-		// Fixed serving order: the per-request TLB warmth carried from
-		// one model to the next shifts the rates a few parts per
-		// million, so map-iteration order would make the full-precision
-		// values nondeterministic (the fleet's N=1 path is pinned
-		// bit-identical to these rows).
 		for _, m := range fleetModels {
 			v, err := srv.Throughput(m, requests)
 			if err != nil {

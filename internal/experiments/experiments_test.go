@@ -3,6 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cycles"
+	"repro/internal/isa"
+	"repro/internal/mem"
+	"repro/internal/webserver"
+	"repro/sandbox"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -64,13 +71,93 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// protectedStrrev boots a system and loads the Table 2 extension
+// through SegDlopen, returning the app, the protected entry point and
+// a shared buffer holding s.
+func protectedStrrev(t *testing.T, s string) (*core.System, *core.App, *core.ProtectedFunc, uint32) {
+	t.Helper()
+	sys, err := newSystem(cycles.Measured())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := newApp(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := a.SegDlopen(isa.MustAssemble("strrev", StrrevSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := a.SegDlsym(h, "strrev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := a.SharedAlloc(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteString(buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return sys, a, pf, buf
+}
+
 func TestVerifyReverse(t *testing.T) {
-	got, err := VerifyReverse()
+	_, a, pf, buf := protectedStrrev(t, "palladium")
+	if _, err := pf.Call(buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.ReadString(buf, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != "muidallap" {
 		t.Errorf("reverse = %q", got)
+	}
+}
+
+// TestStrrevPassesVerifier loads the Table 2 extension through the
+// palladium-user load gate with the static verifier on: the paper's
+// workload must be accepted, not refused.
+func TestStrrevPassesVerifier(t *testing.T) {
+	rep := verifiedLoad(t, "palladium-user", isa.MustAssemble("strrev", StrrevSrc),
+		sandbox.LoadOptions{Entry: "strrev", SharedBytes: mem.PageSize})
+	if !rep.Accepted() {
+		t.Fatalf("verify report = %+v, want accepted", rep)
+	}
+}
+
+// TestCompiledTiersEngage runs 200 protected string-reverse calls and
+// requires the specialized tiers to carry them: chained block
+// dispatches, same-page fetch fast paths and trace dispatches are all
+// nonzero. On this quiet workload no trace may bail out because of a
+// guest fault or a fetch-page remap; such a deopt means the trace tier
+// drops to the block tier where it should stay fused.
+func TestCompiledTiersEngage(t *testing.T) {
+	const calls = 200
+	sys, _, pf, buf := protectedStrrev(t, "palladium-interpreter-workload")
+	for i := 0; i < calls; i++ {
+		if _, err := pf.Call(buf); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	m := sys.K.Machine
+	chainHits, fastFetches := m.ChainStats()
+	ts := m.TraceStats()
+	if chainHits == 0 {
+		t.Error("no chained block dispatches")
+	}
+	if fastFetches == 0 {
+		t.Error("no same-page fast-path fetches")
+	}
+	if ts.Dispatches == 0 {
+		t.Error("no trace dispatches")
+	}
+	if ts.DeoptFault != 0 {
+		t.Errorf("%d trace deopts on guest faults, want 0", ts.DeoptFault)
+	}
+	if ts.DeoptPage != 0 {
+		t.Errorf("%d trace deopts on fetch-page remaps, want 0", ts.DeoptPage)
 	}
 }
 
@@ -94,6 +181,40 @@ func TestTable3Shape(t *testing.T) {
 	}
 	if big.CGI > big.WebServer*0.75 {
 		t.Errorf("100KB: CGI %v should stay well below static %v", big.CGI, big.WebServer)
+	}
+}
+
+// TestTable3ConcurrentN1BitIdentical pins every Table 3 number as the
+// N=1 case of the concurrent serving tier: a 1-worker fleet serving the
+// models in Table 3's order reproduces the serial rows bit for bit.
+func TestTable3ConcurrentN1BitIdentical(t *testing.T) {
+	sizes := []uint32{28, 10 * 1024}
+	const requests = 25
+	serial, err := Table3(sizes, requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range sizes {
+		f, err := webserver.NewFleet(size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := Table3Row{Size: size}
+		dst := modelDests(&row.CGI, &row.FastCGI, &row.LibCGIProt, &row.LibCGIUnprot, &row.WebServer)
+		for _, m := range fleetModels {
+			res, err := f.Serve(m, requests)
+			if err != nil {
+				f.Close()
+				t.Fatal(err)
+			}
+			*dst[m] = res.AggregateReqPerSec
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if row != serial[i] {
+			t.Errorf("size %d: fleet N=1 row %+v != serial %+v (must be bit-identical)", size, row, serial[i])
+		}
 	}
 }
 

@@ -60,9 +60,10 @@ func TermsTrueFor(pkt []byte, n int) []bpf.Term {
 
 // Evaluator is a packet filter with a cycle-accounted Match. There is
 // exactly one implementation — *Filter, a sandbox.Extension plus a
-// staging policy — shared by the serial Figure 7 harness, the matrix
-// runner and the concurrent fleet, so every isolation mechanism's
-// filter goes through the same dispatch type.
+// staging policy — shared by the serial Figure 7 harness, the
+// benchmark's invoke workload and the workload×backend matrix test, so
+// every isolation mechanism's filter goes through the same dispatch
+// type.
 type Evaluator interface {
 	Match(pkt []byte) (bool, error)
 	Name() string
@@ -84,9 +85,9 @@ type Filter struct {
 	headerOnly bool
 }
 
-// NewFilter wraps an arbitrary sandbox extension as a packet filter;
-// the matrix runner uses it to run the same filter program under
-// backends the paper never measured.
+// NewFilter wraps an arbitrary sandbox extension as a packet filter,
+// so the same filter program runs under backends the paper never
+// measured.
 func NewFilter(name string, ext sandbox.Extension, headerOnly bool) *Filter {
 	f := &Filter{name: name, ext: ext, headerOnly: headerOnly}
 	if seg, ok := ext.(interface{ Segment() *core.ExtSegment }); ok {
@@ -140,8 +141,8 @@ func NewInterpreted(s *core.System, terms []bpf.Term) (*Filter, error) {
 }
 
 // compiledSeq disambiguates the entry symbols of compiled filters; it
-// is atomic because fleet workers on independent machines may compile
-// filters concurrently.
+// is atomic because independent machines may compile filters
+// concurrently.
 var compiledSeq atomic.Int64
 
 // CompileObject compiles the conjunction for the given terms to a

@@ -351,9 +351,9 @@ func (p *Pool[M]) LiveWorkers() []int {
 // single boot plus cfg.Workers-1 clones. The template itself serves as
 // worker 0. Because a clone's simulated state is bit-identical to its
 // source's, a clone-booted fleet serves exactly as a serially booted
-// one — the only difference is wall-clock boot time (see
-// BENCH_snapshot.json). All clones are taken up front, before any
-// worker goroutine starts, so the template is quiescent while cloned.
+// one — the only difference is wall-clock boot time. All clones are
+// taken up front, before any worker goroutine starts, so the template
+// is quiescent while cloned.
 func NewFromTemplate[M Machine](cfg Config, bootTemplate func() (M, error), clone func(worker int, template M) (M, error)) (*Pool[M], error) {
 	tmpl, err := bootTemplate()
 	if err != nil {

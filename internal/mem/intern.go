@@ -110,8 +110,7 @@ func (p *Physical) Intern(s *FrameStore) (replaced int) {
 // ResidentFrames reports frame residency across a set of Physicals:
 // naive is the sum of per-machine frame counts (what residency would
 // be with no sharing at all), unique is the number of distinct frames
-// actually resident. naive/unique is the dedup ratio the -clones
-// bench publishes.
+// actually resident. naive/unique is the dedup ratio.
 func ResidentFrames(ps ...*Physical) (naive, unique int) {
 	seen := make(map[*frame]struct{})
 	for _, p := range ps {

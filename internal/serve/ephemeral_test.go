@@ -125,7 +125,8 @@ func TestScaleDownConservation(t *testing.T) {
 // a fresh clone of a pristine template burns exactly the same
 // simulated cycles as that request on a shared machine with identical
 // history — cloning is invisible in simulated metrics, so the clone
-// tax is pure wall-clock (measured by the -clones bench).
+// tax is pure wall-clock (the serve-clone workload of bench/ measures
+// it).
 func TestCloneTaxBitIdentical(t *testing.T) {
 	models := []webserver.Model{webserver.Static, webserver.CGI, webserver.FastCGI,
 		webserver.LibCGI, webserver.LibCGIProtected}

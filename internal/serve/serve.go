@@ -40,6 +40,15 @@ import (
 	"repro/sandbox"
 )
 
+// HTTP connection bounds. A client that never finishes its request
+// headers, or leaves a keep-alive connection idle, is disconnected
+// instead of pinning a goroutine forever. There is deliberately no
+// write timeout: /debug/pprof/profile streams for 30 s by default.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Config sizes the serving tier.
 type Config struct {
 	// Addr is the listen address (default "127.0.0.1:0").
@@ -256,7 +265,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.hs = &http.Server{Handler: mux}
+	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s, nil
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -354,79 +356,53 @@ func TestParseModelRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestLoadgenClosedLoop runs the load generator against a live
-// daemon: nonzero throughput, sane quantiles, zero dropped-accepted.
-func TestLoadgenClosedLoop(t *testing.T) {
-	s := startServer(t, Config{Workers: 2})
-	res, err := RunLoad(LoadConfig{
-		URL: s.URL(), Model: "libcgi-prot", Conns: 4,
-		Duration: 300 * time.Millisecond,
-	})
+// TestSlowHeaderClientDisconnected sends half a request header and
+// never finishes it: the daemon must close the connection once the
+// header timeout passes, keep serving other clients, and still conserve
+// its admitted requests.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	s, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK == 0 || res.AchievedReqPerSec <= 0 {
-		t.Fatalf("no throughput: %+v", res)
+	if s.hs.ReadHeaderTimeout != readHeaderTimeout || s.hs.IdleTimeout != idleTimeout {
+		t.Fatalf("http.Server timeouts header=%v idle=%v, want %v and %v",
+			s.hs.ReadHeaderTimeout, s.hs.IdleTimeout, readHeaderTimeout, idleTimeout)
 	}
-	if res.WallP50 == 0 || res.WallP99 < res.WallP50 {
-		t.Errorf("wall quantiles: p50=%d p99=%d", res.WallP50, res.WallP99)
+	s.hs.ReadHeaderTimeout = 50 * time.Millisecond
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if res.SimP50 == 0 {
-		t.Errorf("sim p50 = 0 for the protected model")
-	}
-	if res.Errors != 0 {
-		t.Errorf("%d transport errors", res.Errors)
-	}
-}
+	t.Cleanup(func() { s.Close(context.Background()) })
 
-// TestLoadgenOpenLoop paces arrivals at a fixed rate and checks the
-// achieved rate lands near it (the fleet has ample capacity at this
-// rate, so nothing should be shed or rejected).
-func TestLoadgenOpenLoop(t *testing.T) {
-	s := startServer(t, Config{Workers: 2})
-	const rate = 200.0
-	res, err := RunLoad(LoadConfig{
-		URL: s.URL(), Conns: 8, Rate: rate,
-		Duration: 500 * time.Millisecond,
-	})
+	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK == 0 {
-		t.Fatalf("open loop completed nothing: %+v", res)
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /serve HTTP/1.1\r\nHost: palladium\r\n"); err != nil {
+		t.Fatal(err)
 	}
-	if res.AchievedReqPerSec > rate*1.5 {
-		t.Errorf("achieved %.0f req/s against a %.0f pace", res.AchievedReqPerSec, rate)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open 5 s after a partial header")
 	}
-	if res.Rejected != 0 {
-		t.Errorf("%d rejections at a rate far below capacity", res.Rejected)
+	if err == nil {
+		t.Fatalf("read %d bytes from a connection that sent half a header, want close", n)
 	}
-}
 
-// TestSweepReport runs a miniature connections x workers sweep and
-// checks the report invariants the CI smoke leg asserts.
-func TestSweepReport(t *testing.T) {
-	rep, err := Sweep(SweepConfig{
-		Workers:  []int{1, 2},
-		Conns:    []int{1, 2},
-		Duration: 150 * time.Millisecond,
-	})
-	if err != nil {
+	resp, body := get(t, s.URL()+"/serve")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d after the slow client: %s", resp.StatusCode, body)
+	}
+	if err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != 4 {
-		t.Fatalf("cells = %d, want 4", len(rep.Cells))
-	}
-	if rep.CapacityReqPerSec <= 0 || rep.CeilingWorkers == 0 || rep.CeilingConns == 0 {
-		t.Errorf("no capacity ceiling: %+v", rep)
-	}
-	if rep.DroppedAccepted != 0 {
-		t.Errorf("dropped accepted = %d, want 0", rep.DroppedAccepted)
-	}
-	for _, c := range rep.Cells {
-		if c.OK == 0 || c.WallP50 == 0 || c.SimP50 == 0 {
-			t.Errorf("hollow cell: %+v", c)
-		}
+	c := s.CountersSnapshot()
+	if c.Admitted != 1 || c.Completed+c.Failed != c.Admitted {
+		t.Errorf("counters %+v: want 1 admitted == completed + failed", c)
 	}
 }
 

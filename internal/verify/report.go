@@ -63,8 +63,8 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", int(s))
 }
 
-// MarshalJSON renders the status as its string form so BENCH_verify
-// and matrix JSON stay readable.
+// MarshalJSON renders the status as its string form so a report's
+// JSON stays readable.
 func (s Status) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
 }

@@ -708,7 +708,7 @@ func TestSFIMaskSequence(t *testing.T) {
 	}
 }
 
-// TestReportJSON keeps the wire shape stable for BENCH_verify.json.
+// TestReportJSON keeps the report's JSON shape stable.
 func TestReportJSON(t *testing.T) {
 	rep := mustCheck(t, "hotloop", hotLoopSrc, kernelLayout())
 	b, err := json.Marshal(rep)

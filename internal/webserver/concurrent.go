@@ -46,8 +46,8 @@ type FleetResult struct {
 }
 
 // BootServer boots one machine exactly as the serial Table 3 harness
-// boots its single machine; exported for the snapshot benchmark, which
-// times a lone template boot against a lone clone.
+// boots its single machine: the template that daemons, clones and
+// saved images start from.
 func BootServer(fileSize uint32) (*Server, error) { return bootServer(fileSize) }
 
 // bootServer boots one machine exactly as the serial Table 3 harness
@@ -65,25 +65,12 @@ func bootServer(fileSize uint32) (*Server, error) {
 // boots its single machine, and the remaining workers are cloned from
 // it (COW memory, copied machine state). A clone's simulated state is
 // bit-identical to a fresh boot's, so the fleet serves exactly as a
-// serially booted one while paying one boot instead of N (the
-// BENCH_snapshot.json measurement).
+// serially booted one while paying one boot instead of N
+// (TestTable3CloneFleetN8BitIdentical pins the equality).
 func NewFleet(fileSize uint32, workers int) (*Fleet, error) {
 	pool, err := fleet.NewFromTemplate(fleet.Config{Workers: workers},
 		func() (*Server, error) { return bootServer(fileSize) },
 		func(_ int, tmpl *Server) (*Server, error) { return tmpl.Clone() })
-	if err != nil {
-		return nil, err
-	}
-	return &Fleet{Pool: pool, FileSize: fileSize}, nil
-}
-
-// NewFleetSerial boots every worker from scratch (the pre-snapshot
-// behaviour); kept as the baseline the clone-boot benchmark and the
-// bit-identity tests compare against.
-func NewFleetSerial(fileSize uint32, workers int) (*Fleet, error) {
-	pool, err := fleet.New(fleet.Config{Workers: workers}, func(int) (*Server, error) {
-		return bootServer(fileSize)
-	})
 	if err != nil {
 		return nil, err
 	}

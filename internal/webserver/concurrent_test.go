@@ -2,6 +2,8 @@ package webserver
 
 import (
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // TestFleetN1MatchesSerialThroughput pins the fleet's N=1 case to the
@@ -83,8 +85,7 @@ func TestFleetReusedAcrossModels(t *testing.T) {
 // TestFleetPerRunCountersNotContaminated is the regression test for
 // the pool-lifetime-counter bug: back-to-back Serve runs on one fleet
 // must report their own QueueHighWater (a heavy run used to leak its
-// high water into a later light run's result, contaminating
-// BENCH_fleet.json).
+// high water into a later light run's result).
 func TestFleetPerRunCountersNotContaminated(t *testing.T) {
 	f, err := NewFleet(28, 2)
 	if err != nil {
@@ -111,5 +112,78 @@ func TestFleetPerRunCountersNotContaminated(t *testing.T) {
 	}
 	if n := light.PerWorkerRequests[0] + light.PerWorkerRequests[1]; n != 2 {
 		t.Errorf("light run served %d requests, want 2", n)
+	}
+}
+
+// newFleetSerial boots every worker from scratch, the behaviour before
+// clone-boot: the serial reference the clone-booted fleet is compared
+// against.
+func newFleetSerial(fileSize uint32, workers int) (*Fleet, error) {
+	pool, err := fleet.New(fleet.Config{Workers: workers}, func(int) (*Server, error) {
+		return bootServer(fileSize)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Fleet{Pool: pool, FileSize: fileSize}, nil
+}
+
+// TestTable3CloneFleetN8BitIdentical extends the N=1 anchor to the
+// clone-booted fleet: 8 workers cloned from one template must serve
+// Table 3 exactly as 8 serially booted machines do — every worker's
+// sustained rate bit-identical for every model — and every worker's
+// rate must equal a lone serial machine's rate over the same per-worker
+// request count.
+func TestTable3CloneFleetN8BitIdentical(t *testing.T) {
+	const (
+		size     = 28
+		workers  = 8
+		requests = 64 // 8 per worker under pinned round-robin
+	)
+	cloned, err := NewFleet(size, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloned.Close()
+	serialFleet, err := newFleetSerial(size, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serialFleet.Close()
+
+	// A lone serial machine serving the same per-worker request count
+	// anchors the fleet rates back to the Table 3 path.
+	solo, err := BootServer(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Table 3's serving order: TLB warmth carries from one model to the
+	// next, so all three machines must see the same sequence.
+	for _, m := range []Model{CGI, FastCGI, LibCGIProtected, LibCGI, Static} {
+		rc, err := cloned.Serve(m, requests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := serialFleet.Serve(m, requests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		soloRate, err := solo.Throughput(m, requests/workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < workers; w++ {
+			if rc.PerWorkerReqPerSec[w] != rs.PerWorkerReqPerSec[w] {
+				t.Errorf("%v worker %d: clone-boot %v != serial-boot %v",
+					m, w, rc.PerWorkerReqPerSec[w], rs.PerWorkerReqPerSec[w])
+			}
+			if rc.PerWorkerReqPerSec[w] != soloRate {
+				t.Errorf("%v worker %d: fleet rate %v != serial Table 3 machine %v",
+					m, w, rc.PerWorkerReqPerSec[w], soloRate)
+			}
+		}
+		if rc.AggregateReqPerSec != rs.AggregateReqPerSec {
+			t.Errorf("%v aggregate: clone-boot %v != serial-boot %v", m, rc.AggregateReqPerSec, rs.AggregateReqPerSec)
+		}
 	}
 }

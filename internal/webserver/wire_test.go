@@ -113,6 +113,51 @@ func TestServerSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInternDedupsServerImages restores 8 machines from one real
+// server image and interns their frames into one content-addressed
+// store: resident frames must fold at least 2x, and no machine's
+// contents may change.
+func TestInternDedupsServerImages(t *testing.T) {
+	srv, err := bootServer(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Model{CGI, FastCGI, LibCGIProtected, LibCGI, Static} {
+		if _, err := srv.ServeRequest(m); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+	}
+	img := srv.SaveBytes()
+
+	const machines = 8
+	phys := make([]*mem.Physical, machines)
+	fps := make([]uint64, machines)
+	for i := range phys {
+		m, err := LoadServerBytes(img)
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		phys[i] = m.S.K.Phys
+		fps[i] = phys[i].Fingerprint()
+	}
+	store := mem.NewFrameStore()
+	for _, p := range phys {
+		p.Intern(store)
+	}
+	naive, unique := mem.ResidentFrames(phys...)
+	if naive != machines*phys[0].FrameCount() {
+		t.Errorf("naive residency %d != %d machines x %d frames", naive, machines, phys[0].FrameCount())
+	}
+	if unique == 0 || naive < 2*unique {
+		t.Errorf("dedup %d resident -> %d unique frames, want >= 2x", naive, unique)
+	}
+	for i, p := range phys {
+		if p.Fingerprint() != fps[i] {
+			t.Errorf("machine %d: interning changed its contents", i)
+		}
+	}
+}
+
 // TestServerLoadBytesCorruption feeds damaged images to the restore
 // path: every corruption must produce a typed error and no server.
 func TestServerLoadBytesCorruption(t *testing.T) {

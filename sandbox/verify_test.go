@@ -45,6 +45,22 @@ func TestVerifyGateRejectsEscapes(t *testing.T) {
 			push 0
 			lret
 	`
+	lcallKernel := `
+		.global escape
+		.text
+		escape:
+			lcall 0x08
+			ret
+	`
+	// 0x30000 is beyond a kernel extension segment's limit.
+	kernelOOB := fmt.Sprintf(`
+		.global escape
+		.text
+		escape:
+			mov eax, 255
+			mov [%d], eax
+			ret
+	`, int32(0x0003_0000))
 	cases := []struct {
 		name    string
 		backend string
@@ -52,7 +68,10 @@ func TestVerifyGateRejectsEscapes(t *testing.T) {
 	}{
 		{"paluser abs write", "palladium-user", absWrite},
 		{"paluser forged lret", "palladium-user", forgedLret},
+		{"paluser indirect jmp", "palladium-user", indirectJmp},
+		{"paluser lcall kernel code", "palladium-user", lcallKernel},
 		{"kernel abs write", "palladium-kernel", absWrite},
+		{"kernel abs write beyond segment", "palladium-kernel", kernelOOB},
 		{"kernel indirect jmp", "palladium-kernel", indirectJmp},
 		{"direct abs write", "direct", absWrite},
 		// The sfi rewriter masks the store, so the write variants
