@@ -8,15 +8,15 @@ import (
 )
 
 // The decoded-block cache removes the per-instruction map lookups and
-// segment walks from Run's hot loop; since the threaded-code tier it
-// also removes the per-instruction opcode dispatch (each slot carries a
-// pre-bound closure, see translate.go), batches the timer-deadline
-// check behind a per-block worst-case cycle bound (maxPrefix), takes a
-// same-page fast path for the page-level fetch check (fetches on the
-// page the previous fetch translated reuse its frame, counting the
-// guaranteed TLB hit through mmu.FastFetchHit), and chains hot blocks directly
-// to their successors so steady-state loops never consult the breaks/
-// services/block maps at all.
+// segment walks from Run's hot loop: each slot carries its decoded
+// instruction, which runs through the reference execute. It also
+// batches the timer-deadline check behind a per-block worst-case cycle
+// bound (maxPrefix, summed from worstCharge), takes a same-page fast
+// path for the page-level fetch check (fetches on the page the previous
+// fetch translated reuse its frame, counting the guaranteed TLB hit
+// through mmu.FastFetchHit), and chains hot blocks directly to their
+// successors so steady-state loops never consult the breaks/services/
+// block maps at all.
 //
 // A block is a straight-line run of predecoded instructions starting at
 // a linear EIP; the segment-level fetch checks (code-segment type, DPL,
@@ -61,13 +61,12 @@ const (
 	maxBlockLen = 128
 )
 
-// blockSlot is one predecoded, pre-bound instruction of a cached block.
+// blockSlot is one predecoded instruction of a cached block.
 type blockSlot struct {
-	ins  *isa.Instr
-	exec execFn // threaded-code closure (translate.go)
-	eip  uint32 // segment-relative address of the fetch
-	lin  uint32 // linear address of the fetch
-	pa   uint32 // physical address the decode came from
+	ins *isa.Instr
+	eip uint32 // segment-relative address of the fetch
+	lin uint32 // linear address of the fetch
+	pa  uint32 // physical address the decode came from
 }
 
 // codeBlock is a cached straight-line run. end is the linear address
@@ -82,9 +81,9 @@ type codeBlock struct {
 	slots []blockSlot
 
 	// maxPrefix[i] is the worst-case cycle charge of slots[0:i]
-	// (prefix sums of each slot's compile-time charge bound), used by
-	// its Horizon to skip per-instruction deadline checks that
-	// provably cannot fire — the same proof the trace tier runs.
+	// (prefix sums of each slot's worstCharge), used by its Horizon to
+	// skip per-instruction deadline checks that provably cannot fire —
+	// the same proof the trace tier runs.
 	maxPrefix cycles.Prefix
 
 	// Chain exits. fallLin is the linear address execution continues at
@@ -173,13 +172,13 @@ func (m *Machine) lookupBlock(lin uint32, gen uint64) *codeBlock {
 }
 
 // buildBlock decodes a straight-line run starting at CS:EIP (whose
-// linear address is lin), compiles each instruction into its threaded
-// closure, and caches it. It performs no charged or counted work:
-// segment checks are free in the cycle model, and page translation
-// uses MMU.PeekPage, so the charged, counted page check still happens
-// on every execution. Returns nil when not even the first instruction
-// is fetchable here — the caller then takes the uncached path, which
-// raises the appropriate fault with the appropriate charges.
+// linear address is lin) and caches it. It performs no charged or
+// counted work: segment checks are free in the cycle model, and page
+// translation uses MMU.PeekPage, so the charged, counted page check
+// still happens on every execution. Returns nil when not even the first
+// instruction is fetchable here — the caller then takes the uncached
+// path, which raises the appropriate fault with the appropriate
+// charges.
 func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 	cpl := m.CPL()
 	b := &codeBlock{lin: lin, cs: m.CS, gen: gen, base: lin - m.EIP,
@@ -204,7 +203,7 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 		if ins == nil {
 			break
 		}
-		fn, maxCharge := compile(ins, eip, m.Model)
+		maxCharge := worstCharge(ins, m.Model)
 		if len(b.slots) == 0 ||
 			flin>>mem.PageShift != b.slots[len(b.slots)-1].lin>>mem.PageShift {
 			// Page-run head: executing this slot may also charge a
@@ -216,7 +215,7 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 			// interpreter fires.
 			maxCharge += m.Model.Cost(cycles.TLBMiss)
 		}
-		b.slots = append(b.slots, blockSlot{ins: ins, exec: fn, eip: eip, lin: flin, pa: pa})
+		b.slots = append(b.slots, blockSlot{ins: ins, eip: eip, lin: flin, pa: pa})
 		b.maxPrefix = b.maxPrefix.Append(maxCharge)
 		b.pages |= pageBloomBit(pa)
 		if ins.Op.TransfersControl() {

@@ -183,7 +183,7 @@ func TestChainBailsOnLoadCR3MidChain(t *testing.T) {
 // TestSubstitutedSlotTickParity: when a code page is remapped under a
 // cached block (invlpg'd, so the live page check sees the new frame
 // while the block survives — pa != slot.pa per slot), the substituted
-// instructions' charges are NOT bounded by the compiled slots' worst
+// instructions' charges are NOT bounded by the cached slots' worst
 // case, so the batched deadline horizon must be discarded: timer ticks
 // must fire at exactly the instruction boundaries the uncached
 // interpreter fires them at. Regression test for a stale-horizon bug
@@ -217,7 +217,7 @@ func TestSubstitutedSlotTickParity(t *testing.T) {
 			t.Fatalf("warm run stop = %+v", res)
 		}
 		// Remap the code page to an expensive variant (imul charges 10
-		// cycles where the compiled slot budgeted a 1-cycle nop) and
+		// cycles where the cached slot budgeted a 1-cycle nop) and
 		// invlpg, so the next run substitutes live instructions into
 		// the surviving block.
 		alt, err := h.alloc.Alloc()

@@ -18,10 +18,10 @@ type RunLimits struct {
 }
 
 // Run executes instructions until a stop condition occurs. The hot
-// loop executes through the decoded-block cache's threaded-code tier:
-// breakpoints, service endpoints and block decode are resolved once
-// per straight-line run instead of once per instruction (with the
-// break/service maps themselves consulted only when armed and
+// loop executes through the decoded-block cache, each cached slot
+// running the reference execute: breakpoints, service endpoints and
+// block decode are resolved once per straight-line run instead of once
+// per instruction (with the break/service maps themselves consulted only when armed and
 // overlapping, via the machine's linear envelopes), hot blocks chain
 // directly to their successors, timer-deadline checks are batched
 // behind per-block worst-case charge bounds, and same-page fetches
@@ -248,7 +248,7 @@ func (m *Machine) runChain(b *codeBlock, remaining uint64) (*RunResult, uint64, 
 					return nil, n, nil, 0
 				}
 				// The live instruction's charge is not bounded by the
-				// compiled slot's worst case, so the deadline horizon
+				// cached slot's worst case, so the deadline horizon
 				// no longer proves anything: force a full check (and a
 				// re-derivation) before the next slot.
 				if ticking && horizon > i+1 {
@@ -256,7 +256,7 @@ func (m *Machine) runChain(b *codeBlock, remaining uint64) (*RunResult, uint64, 
 				}
 				continue
 			}
-			if f := slot.exec(m); f != nil {
+			if f := m.execute(slot.ins); f != nil {
 				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n, nil, 0
 			}
 			m.instret++
@@ -456,6 +456,67 @@ func costKind(i *isa.Instr) cycles.Kind {
 	// Branches and far transfers are charged inside execute, where
 	// the outcome (taken, privilege change) is known.
 	return cycles.Nop
+}
+
+// worstCharge is the most execute can charge for ins under model: its
+// static cost, the costlier outcome of a branch or far transfer, and
+// one TLB-miss walk per data translation it can perform. The fetch-side
+// walk is the caller's to add at page-run heads. Blocks and traces
+// sum it into prefix bounds (cycles.Prefix) so the per-instruction
+// timer-deadline check can be skipped while the clock provably cannot
+// reach the next tick; the batching is sound only while this bounds
+// what Step charges (TestWorstChargeBoundsStep).
+func worstCharge(ins *isa.Instr, model *cycles.Model) float64 {
+	tlb := model.Cost(cycles.TLBMiss)
+	c := model.Cost(costKind(ins))
+	// walks adds dst walks for a memory destination and src walks for
+	// a memory source.
+	walks := func(dst, src int) float64 {
+		w := c
+		if ins.Dst.Kind == isa.KindMem {
+			w += float64(dst) * tlb
+		}
+		if ins.Src.Kind == isa.KindMem {
+			w += float64(src) * tlb
+		}
+		return w
+	}
+	switch ins.Op {
+	case isa.NOP, isa.HLT, isa.LEA:
+		return c
+	case isa.MOV, isa.IMUL:
+		return walks(1, 1)
+	case isa.PUSH, isa.POP:
+		return walks(1, 0) + tlb // plus the stack access
+	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST:
+		return walks(2, 1) // a memory destination is read and written
+	case isa.INC, isa.DEC, isa.NEG, isa.NOT, isa.SHL, isa.SHR, isa.SAR:
+		return walks(2, 0)
+	case isa.XCHG:
+		return walks(2, 2)
+	case isa.JMP, isa.CALL:
+		if ins.Op == isa.CALL {
+			c += tlb // the return-address push
+		}
+		if ins.Dst.Kind == isa.KindMem {
+			c += model.Cost(cycles.Load) + tlb // the indirect target load
+		}
+		return c
+	case isa.RET:
+		return c + tlb
+	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE,
+		isa.JB, isa.JBE, isa.JA, isa.JAE, isa.JS, isa.JNS:
+		return model.MaxCost(cycles.JccTaken, cycles.JccNotTaken)
+	case isa.LCALL:
+		return model.MaxCost(cycles.CallFarSame, cycles.LcallGateInter) + 4*tlb
+	case isa.LRET:
+		return model.MaxCost(cycles.LretSame, cycles.LretInter) + 4*tlb
+	case isa.INT:
+		return model.Cost(cycles.IntGate) + 5*tlb
+	case isa.IRET:
+		return model.MaxCost(cycles.Iret, cycles.IretInter) + 5*tlb
+	}
+	return 0 // unimplemented: execute raises #UD without charging
 }
 
 // execute runs one instruction. EIP advances unless the instruction

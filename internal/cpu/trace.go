@@ -10,18 +10,18 @@ import (
 // Tier 3: trace superblocks.
 //
 // Tier 2 (blockcache.go) made dispatch cheap; its remaining steady-
-// state tax is per-instruction and per-block bookkeeping: every closure
-// call re-loads machine state through a pointer, every flag lives in a
-// struct field, every cycle charge is a float64 add against the shared
-// clock, and every block boundary re-derives the deadline horizon and
-// revalidates a chain hint. Tier 3 removes that tax for hot paths: the
-// chain-hit counter promotes a block whose chain is followed often into
-// a *trace* — a fused superblock covering the whole hot path (loops
-// included), compiled into a flat micro-op array executed by one
-// dispatch loop that keeps the simulated registers and EFLAGS in Go
-// locals, accumulates cycle charges in a local, and batches the
-// guaranteed TLB-hit accounting into per-dispatch counters committed
-// once per exit.
+// state tax is per-instruction and per-block bookkeeping: every execute
+// call re-dispatches on the opcode and re-loads machine state through a
+// pointer, every flag lives in a struct field, every cycle charge is a
+// float64 add against the shared clock, and every block boundary
+// re-derives the deadline horizon and revalidates a chain hint. Tier 3
+// removes that tax for hot paths: the chain-hit counter promotes a
+// block whose chain is followed often into a *trace* — a fused
+// superblock covering the whole hot path (loops included), compiled
+// into a flat micro-op array executed by one dispatch loop that keeps
+// the simulated registers and EFLAGS in Go locals, accumulates cycle
+// charges in a local, and batches the guaranteed TLB-hit accounting
+// into per-dispatch counters committed once per exit.
 //
 // Bit-identity. Every simulated metric must be exactly what tiers 1/2
 // produce:
@@ -53,9 +53,9 @@ import (
 //     translation deoptimizes to one live uncached execute (exactly
 //     tier 2's lazy-remap substitution), then re-dispatches.
 //   - Faults commit the partially-executed architectural state exactly
-//     as the tier-2 closure sequence would have left it: charge already
-//     made, flags as mutated so far, partial memory effects persisted,
-//     EIP at the faulting instruction.
+//     as execute would have left it: charge already made, flags as
+//     mutated so far, partial memory effects persisted, EIP at the
+//     faulting instruction.
 //
 // Invalidation mirrors the block cache: SegGen retires traces via
 // their entry block's tag; arming a break/service inside any fused
@@ -329,9 +329,10 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 		hi:       b.end,
 	}
 	tlbMiss := m.Model.Cost(cycles.TLBMiss)
-	// wcs collects each op's worst-case charge before page-head TLB
-	// walks are known (join targets are marked after the walk order is
-	// final); the prefix table is assembled at the end.
+	// wcs collects each op's worst-case charge (worstCharge of its
+	// instruction; 0 for an exit, which retires nothing) before
+	// page-head TLB walks are known (join targets are marked after the
+	// walk order is final); the prefix table is assembled at the end.
 	wcs := make([]float64, 0, 32)
 	blockStart := make(map[uint32]int) // block linear start -> first op index
 	cur := b
@@ -352,12 +353,13 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 		bailed := false
 		for i := 0; i < body; i++ {
 			s := &cur.slots[i]
-			if !m.appendTraceOp(tr, &wcs, cur, i) {
+			if !m.appendTraceOp(tr, cur, i) {
 				tr.ops = append(tr.ops, traceOp{code: opExit, eip: s.eip, exitEIP: s.eip})
 				wcs = append(wcs, 0)
 				bailed = true
 				break
 			}
+			wcs = append(wcs, worstCharge(s.ins, m.Model))
 		}
 		if bailed {
 			break
@@ -366,11 +368,12 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 		if !termSpecial {
 			// Fall-through continuation (length cap or a decode
 			// boundary): the terminal is an ordinary op.
-			if !m.appendTraceOp(tr, &wcs, cur, nslots-1) {
+			if !m.appendTraceOp(tr, cur, nslots-1) {
 				tr.ops = append(tr.ops, traceOp{code: opExit, eip: ts.eip, exitEIP: ts.eip})
 				wcs = append(wcs, 0)
 				break
 			}
+			wcs = append(wcs, worstCharge(ts.ins, m.Model))
 			nxt, done := m.traceCont(tr, blockStart, cur.end, gen, nblocks)
 			if done {
 				// Continuation leaves the trace: exit before the next
@@ -393,7 +396,12 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 			wcs = append(wcs, 0)
 			break
 		}
-		stop := m.appendTraceTerminal(tr, &wcs, cur, blockStart, gen, nblocks)
+		stop := m.appendTraceTerminal(tr, cur, blockStart, gen, nblocks)
+		if tr.ops[len(tr.ops)-1].code == opExit {
+			wcs = append(wcs, 0)
+		} else {
+			wcs = append(wcs, worstCharge(ts.ins, m.Model))
+		}
 		if stop.block == nil {
 			break
 		}
@@ -488,7 +496,7 @@ func (m *Machine) traceVerifySlot(s *blockSlot) bool {
 // returns the block to continue fusing at, or a zero target when the
 // trace is complete. The terminal slot has already been verified
 // against the live translation.
-func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock, blockStart map[uint32]int, gen uint64, nblocks int) traceTarget {
+func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[uint32]int, gen uint64, nblocks int) traceTarget {
 	s := &cur.slots[len(cur.slots)-1]
 	ins := s.ins
 	model := m.Model
@@ -502,7 +510,6 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 			tr.ops = append(tr.ops, m.newTraceOp(opJmpExit, s, c, func(op *traceOp) {
 				op.exitEIP = target
 			}))
-			*wcs = append(*wcs, c)
 			return traceTarget{}
 		}
 		op := m.newTraceOp(opJmp, s, c, func(op *traceOp) {
@@ -512,7 +519,6 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 			}
 		})
 		tr.ops = append(tr.ops, op)
-		*wcs = append(*wcs, c)
 		return nxt
 
 	case ins.Op.IsBranch():
@@ -553,7 +559,6 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 				}
 			})
 			tr.ops = append(tr.ops, op)
-			*wcs = append(*wcs, model.MaxCost(cycles.JccTaken, cycles.JccNotTaken))
 			return nxt
 		}
 		tr.ops = append(tr.ops, m.newTraceOp(opJccExit, s, 0, func(op *traceOp) {
@@ -562,7 +567,6 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 			op.imm = target
 			op.exitEIP = fall
 		}))
-		*wcs = append(*wcs, model.MaxCost(cycles.JccTaken, cycles.JccNotTaken))
 		return traceTarget{}
 
 	case ins.Op == isa.CALL && ins.Dst.Kind == isa.KindImm:
@@ -573,7 +577,6 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 			tr.ops = append(tr.ops, m.newTraceOp(opCallExit, s, c, func(op *traceOp) {
 				op.exitEIP = target
 			}))
-			*wcs = append(*wcs, c+m.Model.Cost(cycles.TLBMiss))
 			return traceTarget{}
 		}
 		op := m.newTraceOp(opCall, s, c, func(op *traceOp) {
@@ -583,7 +586,6 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 			}
 		})
 		tr.ops = append(tr.ops, op)
-		*wcs = append(*wcs, c+m.Model.Cost(cycles.TLBMiss))
 		return nxt
 
 	case ins.Op == isa.RET:
@@ -593,12 +595,10 @@ func (m *Machine) appendTraceTerminal(tr *trace, wcs *[]float64, cur *codeBlock,
 				op.imm = uint32(ins.Dst.Imm)
 			}
 		}))
-		*wcs = append(*wcs, c+m.Model.Cost(cycles.TLBMiss))
 		return traceTarget{}
 	}
 	// Indirect jmp/call, far transfers, HLT: exit before the terminal.
 	tr.ops = append(tr.ops, traceOp{code: opExit, eip: s.eip, exitEIP: s.eip})
-	*wcs = append(*wcs, 0)
 	return traceTarget{}
 }
 
@@ -627,14 +627,13 @@ func bindTraceMem(op *traceOp, o *isa.Operand) {
 // verifying its build-time translation first. Returns false when the
 // instruction cannot be fused; the caller then ends the trace with an
 // exit before it.
-func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx int) bool {
+func (m *Machine) appendTraceOp(tr *trace, cur *codeBlock, idx int) bool {
 	s := &cur.slots[idx]
 	if !m.traceVerifySlot(s) {
 		return false
 	}
 	ins := s.ins
 	model := m.Model
-	tlb := model.Cost(cycles.TLBMiss)
 	var op traceOp
 	op.eip, op.lin, op.pa = s.eip, s.lin, s.pa
 	op.size = ins.Size
@@ -642,17 +641,14 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 		op.size = 4
 	}
 	op.next = uint32(len(tr.ops) + 1)
-	wc := 0.0
 
 	switch ins.Op {
 	case isa.NOP:
 		op.code = opNop
 		op.cost = model.Cost(cycles.Nop)
-		wc = op.cost
 
 	case isa.MOV:
 		op.cost = model.Cost(costKind(ins))
-		wc = op.cost
 		switch {
 		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindImm:
 			op.code = opMovRI
@@ -672,17 +668,14 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 			op.code = opMovLoad
 			op.dst = uint8(ins.Dst.Reg)
 			bindTraceMem(&op, &ins.Src)
-			wc += tlb
 		case ins.Src.Kind == isa.KindReg: // store
 			op.code = opMovStoreR
 			op.src = uint8(ins.Src.Reg)
 			bindTraceMem(&op, &ins.Dst)
-			wc += tlb
 		case ins.Src.Kind == isa.KindImm:
 			op.code = opMovStoreI
 			op.imm = uint32(ins.Src.Imm)
 			bindTraceMem(&op, &ins.Dst)
-			wc += tlb
 		default: // mem <- mem does not assemble
 			return false
 		}
@@ -690,14 +683,12 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 	case isa.LEA:
 		op.code = opLea
 		op.cost = model.Cost(cycles.Lea)
-		wc = op.cost
 		op.dst = uint8(ins.Dst.Reg)
 		bindTraceMem(&op, &ins.Src)
 
 	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST:
 		op.sub = ins.Op
 		op.cost = model.Cost(costKind(ins))
-		wc = op.cost
 		switch {
 		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindReg:
 			op.code = opAluRR
@@ -711,17 +702,14 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 			op.code = opAluRM
 			op.dst = uint8(ins.Dst.Reg)
 			bindTraceMem(&op, &ins.Src)
-			wc += tlb
 		case ins.Dst.Kind == isa.KindMem && ins.Src.Kind == isa.KindReg:
 			op.code = opAluMR
 			op.src = uint8(ins.Src.Reg)
 			bindTraceMem(&op, &ins.Dst)
-			wc += 2 * tlb
 		case ins.Dst.Kind == isa.KindMem && ins.Src.Kind == isa.KindImm:
 			op.code = opAluMI
 			op.imm = uint32(ins.Src.Imm)
 			bindTraceMem(&op, &ins.Dst)
-			wc += 2 * tlb
 		default:
 			return false
 		}
@@ -729,7 +717,6 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
 		op.sub = ins.Op
 		op.cost = model.Cost(costKind(ins))
-		wc = op.cost
 		switch ins.Dst.Kind {
 		case isa.KindReg:
 			op.code = opUnR
@@ -737,7 +724,6 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 		case isa.KindMem:
 			op.code = opUnM
 			bindTraceMem(&op, &ins.Dst)
-			wc += 2 * tlb
 		default:
 			return false
 		}
@@ -745,7 +731,6 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 	case isa.SHL, isa.SHR, isa.SAR:
 		op.sub = ins.Op
 		op.cost = model.Cost(costKind(ins))
-		wc = op.cost
 		op.imm = uint32(ins.Src.Imm) & 31
 		switch ins.Dst.Kind {
 		case isa.KindReg:
@@ -754,14 +739,12 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 		case isa.KindMem:
 			op.code = opShM
 			bindTraceMem(&op, &ins.Dst)
-			wc += 2 * tlb
 		default:
 			return false
 		}
 
 	case isa.IMUL:
 		op.cost = model.Cost(cycles.Mul)
-		wc = op.cost
 		op.dst = uint8(ins.Dst.Reg)
 		switch ins.Src.Kind {
 		case isa.KindReg:
@@ -773,14 +756,12 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 		case isa.KindMem:
 			op.code = opImulRM
 			bindTraceMem(&op, &ins.Src)
-			wc += tlb
 		default:
 			return false
 		}
 
 	case isa.XCHG:
 		op.cost = model.Cost(cycles.Xchg)
-		wc = op.cost
 		switch {
 		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindReg:
 			op.code = opXchgRR
@@ -790,19 +771,16 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 			op.code = opXchgRM
 			op.dst = uint8(ins.Dst.Reg)
 			bindTraceMem(&op, &ins.Src)
-			wc += 2 * tlb
 		case ins.Dst.Kind == isa.KindMem && ins.Src.Kind == isa.KindReg:
 			op.code = opXchgMR
 			op.src = uint8(ins.Src.Reg)
 			bindTraceMem(&op, &ins.Dst)
-			wc += 2 * tlb
 		default: // mem <-> mem would need four probes; not fused
 			return false
 		}
 
 	case isa.PUSH:
 		op.cost = model.Cost(costKind(ins))
-		wc = op.cost + tlb // stack store
 		switch ins.Dst.Kind {
 		case isa.KindReg:
 			op.code = opPushR
@@ -813,14 +791,12 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 		case isa.KindMem:
 			op.code = opPushM
 			bindTraceMem(&op, &ins.Dst)
-			wc += tlb
 		default:
 			return false
 		}
 
 	case isa.POP:
 		op.cost = model.Cost(costKind(ins))
-		wc = op.cost + tlb // stack load
 		switch ins.Dst.Kind {
 		case isa.KindReg:
 			op.code = opPopR
@@ -828,7 +804,6 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 		case isa.KindMem:
 			op.code = opPopM
 			bindTraceMem(&op, &ins.Dst)
-			wc += tlb
 		default:
 			return false
 		}
@@ -840,6 +815,5 @@ func (m *Machine) appendTraceOp(tr *trace, wcs *[]float64, cur *codeBlock, idx i
 	}
 
 	tr.ops = append(tr.ops, op)
-	*wcs = append(*wcs, wc)
 	return true
 }

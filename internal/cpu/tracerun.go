@@ -11,7 +11,7 @@ import (
 const noReg = uint8(isa.NoReg)
 
 // traceCond evaluates a Jcc predicate on the trace's local flags;
-// mirrors condFns (translate.go) exactly.
+// mirrors Machine.cond exactly.
 func traceCond(sub isa.Op, zf, sf, cf, of bool) bool {
 	switch sub {
 	case isa.JE:
@@ -43,8 +43,8 @@ func traceCond(sub isa.Op, zf, sf, cf, of bool) bool {
 }
 
 // aluCF computes a binary ALU result with its CF/OF effects; mirrors
-// binComputes (translate.go) exactly. SF/ZF and the byte mask are
-// applied by the caller on the raw result, as there.
+// Machine.binop exactly. SF/ZF and the byte mask are applied by the
+// caller on the raw result, as there.
 func aluCF(sub isa.Op, a, b uint32) (r uint32, cf, of bool) {
 	switch sub {
 	case isa.ADD:
@@ -228,9 +228,9 @@ func (op *traceOp) storeSlow(phys *mem.Physical, pa, seq, size, v uint32) {
 // registers and flags in locals, accumulates cycle charges and
 // guaranteed TLB-hit counts locally, and commits everything to the
 // machine exactly once — at the side exit, or at the deoptimization
-// point with the architectural state the tier-2 closure sequence would
-// have left. It returns a stop result (the caller owns Instructions)
-// and the number of instructions retired.
+// point with the architectural state execute would have left. It
+// returns a stop result (the caller owns Instructions) and the number
+// of instructions retired.
 func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 	// Entry deadline check, mirroring runChain's block-entry check: if
 	// the hook ran and redirected execution, invalidated the entry
@@ -369,7 +369,7 @@ loop:
 			g++
 		}
 
-		// Charge first, then access — the closure order (translate.go).
+		// Charge first, then access — execute's order.
 		accum += op.cost
 
 		switch op.code {
@@ -764,7 +764,7 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			// IMUL reads its source as a dword (translate.go binds 4).
+			// IMUL reads its source as a dword, as execute does.
 			pa, ok := op.fastR(off, 4, seq, &elided, &batch)
 			if !ok {
 				var f *mmu.Fault
@@ -817,7 +817,7 @@ loop:
 			}
 			if op.code == opXchgRM {
 				// dst reg <-> src mem: reg write first, then mem write,
-				// matching the wa-then-wb closure order.
+				// matching execute's dst-then-src write order.
 				a := regs[op.dst]
 				if op.size == 1 {
 					regs[op.dst] = mv & 0xFF
@@ -979,7 +979,7 @@ loop:
 			if !ok2 {
 				var f *mmu.Fault
 				if paW, f = m.slowW(op, op.proved, op.bound, sel, off, 4, cpl, seq, &batch); f != nil {
-					// x86 restores ESP if the store faults (translate.go).
+					// x86 restores ESP if the store faults, as in execute.
 					regs[isa.ESP] -= 4
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip

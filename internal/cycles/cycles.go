@@ -134,24 +134,8 @@ func (m *Model) Cost(k Kind) float64 {
 	return m.costs[k]
 }
 
-// NumKinds is the number of chargeable event kinds; CostTable slices
-// are indexed by Kind.
-const NumKinds = int(numKinds)
-
-// CostTable returns the model's full cost table, indexed by Kind. The
-// CPU's block compiler uses it to pre-resolve every instruction's
-// charge at decode time, so the threaded execution tier charges the
-// exact float the switch interpreter would have charged without
-// re-consulting the model per instruction. The returned slice is a
-// copy; mutating it does not change the model.
-func (m *Model) CostTable() []float64 {
-	t := make([]float64, numKinds)
-	copy(t, m.costs[:])
-	return t
-}
-
-// MaxCost returns the largest cost among the given kinds; the block
-// compiler uses it to build worst-case charge bounds for instructions
+// MaxCost returns the largest cost among the given kinds; the CPU's
+// worstCharge uses it to build worst-case charge bounds for instructions
 // whose exact charge is data-dependent (taken vs not-taken branches,
 // same- vs cross-privilege far transfers).
 func (m *Model) MaxCost(kinds ...Kind) float64 {

@@ -185,10 +185,10 @@ type Operand struct {
 	// operands: every runtime effective address of this operand
 	// satisfies addr+size-1 <= ProvedEnd, where ProvedEnd lives in the
 	// same address domain as Disp (the loader adds the relocation
-	// value to both when it patches the displacement). The tier-2
-	// translator may use the fact to elide the segment-limit
-	// re-validation on a warm SegProbe; see mmu.TranslateVerified for
-	// the re-attestation that keeps the elision sound.
+	// value to both when it patches the displacement). The trace tier
+	// may use the fact to elide the segment-limit re-validation on a
+	// warm SegProbe; see mmu.TranslateBatched for the re-attestation
+	// that keeps the elision sound.
 	Proved    bool
 	ProvedEnd uint32
 }

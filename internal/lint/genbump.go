@@ -3,8 +3,8 @@
 // generation-bump discipline.
 //
 // The simulator caches segment-check and translation decisions keyed
-// on two generation counters (MMU.SegGen / MMU.TransGen): tier-2
-// translated blocks, SegProbe warm hits and the verifier's elided
+// on two generation counters (MMU.SegGen / MMU.TransGen): cached
+// blocks and traces, SegProbe warm hits and the verifier's elided
 // checks all stay valid only while their generation matches. Any
 // method that mutates generation-guarded state — descriptor-table
 // entries, the installed GDT/LDT, the active address space — must

@@ -46,7 +46,7 @@ func (t *TLB) AddHits(n uint64) { t.hits += n }
 // half of the trace tier's batched verified-access accounting. Each
 // credited elision stands for one warm verified translation whose
 // limit check the load-time proof made redundant, exactly as
-// TranslateVerified counts them one at a time.
+// TranslateBatched counts them one at a time.
 func (m *MMU) AddElided(n uint64) { m.elided += n }
 
 // Base reports the probe's cached segment base; Limit its cached
@@ -93,16 +93,23 @@ func (m *MMU) CheckPageBatched(linear uint32, acc Access, cpl int, sel Selector,
 	return e.frame | (linear & mem.PageMask), nil
 }
 
-// TranslateBatched is TranslateProbed/TranslateVerified with the
-// page-level half running through CheckPageBatched and a PageSlot
-// short-circuit: when the probe is warm and the operand lands on the
-// page this very operand translated earlier in the same trace dispatch
-// (pc.seq == seq), the result is the cached frame and one batched hit —
-// the permission outcome is guaranteed to repeat (same entry bits,
-// same access kind, same CPL, and nothing can have touched the TLB or
-// the descriptor mid-dispatch). proved carries the operand's load-time
-// verifier fact exactly as TranslateVerified does; bound is ignored
-// when proved is false.
+// TranslateBatched is TranslateProbed with the page-level half running
+// through CheckPageBatched and a PageSlot short-circuit: when the probe
+// is warm and the operand lands on the page this very operand
+// translated earlier in the same trace dispatch (pc.seq == seq), the
+// result is the cached frame and one batched hit — the permission
+// outcome is guaranteed to repeat (same entry bits, same access kind,
+// same CPL, and nothing can have touched the TLB or the descriptor
+// mid-dispatch). proved carries the operand's load-time
+// verifier fact: the static analysis proved that every runtime offset
+// of this operand satisfies off+size-1 <= bound. The bound is
+// re-attested against the live descriptor each time the probe is
+// (re)filled — a descriptor mutation bumps the segment generation,
+// forcing a refill — so on a warm hit with the probe's elide set the
+// limit check is provably redundant and is skipped (counted in
+// ElidedChecks). The page-level check still runs on every access: PPL
+// enforcement is never elided. bound is ignored when proved is false.
+// Pinned by TestTranslateVerifiedMatchesProbed and the soundness fuzz.
 func (m *MMU) TranslateBatched(p *SegProbe, proved bool, bound uint32, sel Selector, off, size uint32, acc Access, cpl int, pc *PageSlot, seq uint32, batch *uint64) (uint32, *Fault) {
 	if p.valid && p.sel == sel && p.acc == acc && int(p.cpl) == cpl && p.gen == m.segGen {
 		if p.elide {

@@ -42,7 +42,7 @@ type MMU struct {
 
 	// elided counts segment-limit re-validations skipped on warm
 	// SegProbe hits for operands carrying a verifier fact (see
-	// TranslateVerified). A host-side diagnostic only: segment checks
+	// TranslateBatched). A host-side diagnostic only: segment checks
 	// charge no cycles and count no statistics, so the counter is
 	// deliberately outside Save/RestoreState and the simulated metrics.
 	elided uint64
@@ -358,9 +358,9 @@ func (m *MMU) Translate(sel Selector, off, size uint32, acc Access, cpl int) (ui
 // descriptor mutation advances the translation generation; so while
 // the generation, selector, access and CPL match, only the offset-
 // dependent limit check needs re-running, against the cached base and
-// limit. The CPU's threaded-code tier binds one probe to each compiled
-// memory operand (and the stack primitives), turning the common-case
-// data translation into two compares plus the page-level check.
+// limit. The CPU binds one probe to each stack primitive and the trace
+// tier one to each fused memory operand, turning the common-case data
+// translation into two compares plus the page-level check.
 //
 // Segment checks charge no cycles and count no statistics, so a probe
 // hit is observationally identical to the full CheckSegment; pinned by
@@ -372,7 +372,7 @@ type SegProbe struct {
 	cpl   int8
 	valid bool
 	// elide: the operand bound attested at fill time (see
-	// TranslateVerified) is within this descriptor's limit, so the
+	// TranslateBatched) is within this descriptor's limit, so the
 	// offset check may be skipped while the probe stays warm.
 	elide bool
 	base  uint32
@@ -403,43 +403,8 @@ func (m *MMU) TranslateProbed(p *SegProbe, sel Selector, off, size uint32, acc A
 	return m.CheckPage(linear, acc, cpl, sel, off)
 }
 
-// TranslateVerified is TranslateProbed for operands carrying a
-// load-time verifier fact: the static analysis proved that every
-// runtime offset of this operand satisfies off+size-1 <= bound. The
-// bound is re-attested against the live descriptor each time the probe
-// is (re)filled — a descriptor mutation bumps the segment generation,
-// forcing a refill — so on a warm hit with p.elide set, the limit
-// check is provably redundant and is skipped (counted in
-// ElidedChecks). The page-level check still runs on every access: PPL
-// enforcement is never elided. Segment checks charge no cycles and
-// count no statistics, so elision leaves every simulated metric
-// bit-identical; pinned by TestTranslateVerifiedMatchesProbed and the
-// soundness fuzz.
-func (m *MMU) TranslateVerified(p *SegProbe, bound uint32, sel Selector, off, size uint32, acc Access, cpl int) (uint32, *Fault) {
-	if p.valid && p.sel == sel && p.acc == acc && int(p.cpl) == cpl && p.gen == m.segGen {
-		if p.elide {
-			m.elided++
-			return m.CheckPage(p.base+off, acc, cpl, sel, off)
-		}
-		end := off + size - 1
-		if end >= off && end <= p.limit {
-			return m.CheckPage(p.base+off, acc, cpl, sel, off)
-		}
-		return 0, fault(GP, sel, off, 0, acc, cpl, "segment limit violation")
-	}
-	linear, f := m.CheckSegment(sel, off, size, acc, cpl)
-	if f != nil {
-		p.valid = false
-		return 0, f
-	}
-	d := m.Descriptor(sel)
-	*p = SegProbe{gen: m.segGen, sel: sel, acc: acc, cpl: int8(cpl), valid: true, base: d.Base, limit: d.Limit,
-		elide: bound <= d.Limit}
-	return m.CheckPage(linear, acc, cpl, sel, off)
-}
-
 // ElidedChecks returns how many segment-limit re-validations
-// TranslateVerified has skipped on this MMU.
+// TranslateBatched has skipped on this MMU.
 func (m *MMU) ElidedChecks() uint64 { return m.elided }
 
 // Read32 translates and reads a 32-bit word.

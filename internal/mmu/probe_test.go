@@ -167,23 +167,32 @@ func TestSegGenTracksOnlySegmentEvents(t *testing.T) {
 	}
 }
 
-// TestTranslateVerifiedMatchesProbed pins the verified-elision path to
-// the probed one: identical addresses and fault identities on fills
-// and in-bound hits, elision only while the attested bound is within
-// the live descriptor's limit, invalidation on descriptor mutation,
-// and a live page-level check on every access (PPL is never elided).
+// TestTranslateVerifiedMatchesProbed pins the verified-elision path
+// (TranslateBatched with proved set, a fresh dispatch seq per call so
+// the PageSlot never short-circuits) to the probed one: identical
+// addresses and fault identities on fills and in-bound hits, elision
+// only while the attested bound is within the live descriptor's limit,
+// invalidation on descriptor mutation, and a live page-level check on
+// every access (PPL is never elided).
 func TestTranslateVerifiedMatchesProbed(t *testing.T) {
 	m, as := probeMMU(t)
 	sel := MakeSelector(1, false, 3)
 	const bound = 0x4FFF // the verifier's proved inclusive end bound
 
 	var pp, pv SegProbe
+	var pc PageSlot
+	var seq uint32
+	verified := func(off, size uint32) (uint32, *Fault) {
+		seq++
+		var batch uint64
+		return m.TranslateBatched(&pv, true, bound, sel, off, size, Write, 3, &pc, seq, &batch)
+	}
 	check := func(off, size uint32) {
 		t.Helper()
 		ref := m.tlb.Clone()
 		wantPA, wantF := m.TranslateProbed(&pp, sel, off, size, Write, 3)
 		m.tlb.restoreFrom(ref)
-		gotPA, gotF := m.TranslateVerified(&pv, bound, sel, off, size, Write, 3)
+		gotPA, gotF := verified(off, size)
 		m.tlb.restoreFrom(ref)
 		if (wantF == nil) != (gotF == nil) {
 			t.Fatalf("off %#x: fault mismatch: probed %v, verified %v", off, wantF, gotF)
@@ -230,7 +239,7 @@ func TestTranslateVerifiedMatchesProbed(t *testing.T) {
 	}
 	as.Unmap(0x4000)
 	m.InvalidatePage(0x4000) // paging event: TransGen only, probes stay warm
-	_, f := m.TranslateVerified(&pv, bound, sel, 0x4000, 4, Write, 3)
+	_, f := verified(0x4000, 4)
 	if f == nil || f.Kind != PF {
 		t.Fatalf("elided hit on an unmapped page: fault = %v, want PF", f)
 	}

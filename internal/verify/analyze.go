@@ -544,9 +544,9 @@ type memAcc struct {
 	elig bool
 }
 
-// eligOp whitelists the operand shapes whose translated closures read
-// and write through per-operand SegProbes (the elision point); stack
-// and transfer traffic goes through the machine-level paths instead.
+// eligOp whitelists the operand shapes whose trace ops read and write
+// through per-operand SegProbes (the elision point); stack and
+// transfer traffic goes through the machine-level paths instead.
 func eligOp(op isa.Op) bool {
 	switch op {
 	case isa.MOV, isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST,

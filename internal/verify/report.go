@@ -12,8 +12,8 @@
 // a verdict is three-valued:
 //
 //	Clean    every access proven in-bounds and termination bounded;
-//	         the program cannot fault and tier 2 may elide the
-//	         SegProbe limit re-validation for proven operands.
+//	         the program cannot fault and the trace tier may elide
+//	         the SegProbe limit re-validation for proven operands.
 //	Guarded  no provable violation, but some accesses (or loops)
 //	         could not be discharged statically; the program loads
 //	         and the ordinary hardware checks + time limits carry
@@ -23,9 +23,9 @@
 //	         unresolvable indirect jump); the object never runs.
 //
 // Facts proved for individual operands are exported by annotating the
-// object (isa.Operand.Proved/ProvedEnd) so the tier-2 translator can
-// skip the segment-limit re-validation on warm probes; see
-// mmu.TranslateVerified for the refill-time re-attestation that keeps
+// object (isa.Operand.Proved/ProvedEnd) so the trace tier can skip
+// the segment-limit re-validation on warm probes; see
+// mmu.TranslateBatched for the refill-time re-attestation that keeps
 // elision sound against descriptor mutation.
 package verify
 
