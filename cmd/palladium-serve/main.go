@@ -18,13 +18,14 @@
 //	/metrics        Prometheus-style counters + latency quantiles
 //	/debug/pprof/   net/http/pprof
 //
-// Ephemeral-clone serving and snapshot cold starts:
+// Clone-per-request serving and snapshot cold starts:
 //
 //	palladium-serve -save-template tmpl.pal   # boot, snapshot to disk, exit
 //	palladium-serve -restore tmpl.pal         # cold-start from the snapshot
-//	palladium-serve -clone -warm-clones 4     # serve every request on a fresh
-//	                                          # clone from a warm pool, discarded
-//	                                          # after the response
+//	palladium-serve -clone -warm-clones 4     # serve every request on a clone
+//	                                          # of the template, reset to it
+//	                                          # after the response; keep up
+//	                                          # to 4 reset clones
 //	palladium-serve -scale-down-depth 0.5     # retire idle scaled-up workers
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops
@@ -55,8 +56,8 @@ func main() {
 	scaleDepth := flag.Float64("scale-depth", 2, "scale up while queue depth exceeds this per worker")
 	scaleDownDepth := flag.Float64("scale-down-depth", 0, "retire idle workers above the boot size while queue depth stays below this per remaining worker (0 disables)")
 	model := flag.String("model", "libcgi-prot", "default execution model when ?model= is absent")
-	clone := flag.Bool("clone", false, "ephemeral-clone mode: serve every request on a fresh clone of the template, discarded after the response")
-	warmClones := flag.Int("warm-clones", 2, "pre-forked warm clone pool depth for -clone")
+	clone := flag.Bool("clone", false, "clone-per-request mode: serve every request on a clone of the template, reset to it after the response")
+	warmClones := flag.Int("warm-clones", 2, "reset clones kept for reuse with -clone")
 	restore := flag.String("restore", "", "cold-start the template from this snapshot file instead of booting (see -save-template)")
 	saveTemplate := flag.String("save-template", "", "boot a pristine template, write its snapshot to this file, and exit")
 	flag.Parse()

@@ -87,3 +87,10 @@ func (r *rangeList) freeBytes() uint32 {
 func (r *rangeList) clone() *rangeList {
 	return &rangeList{sizes: maps.Clone(r.sizes), free: slices.Clone(r.free)}
 }
+
+// resetTo rewinds the range list in place to a copy of t.
+func (r *rangeList) resetTo(t *rangeList) {
+	clear(r.sizes)
+	maps.Copy(r.sizes, t.sizes)
+	r.free = append(r.free[:0], t.free...)
+}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"maps"
+	"slices"
+
 	"repro/internal/kernel"
 	"repro/internal/loader"
 )
@@ -64,34 +68,108 @@ func (s *System) Clone() (*System, error) {
 	s2 := &System{K: k2, systemState: s.systemState.copy()}
 	s2.kernPrep.rebind(&kernelTextSpace{s: s2})
 
-	segMap := make(map[*ExtSegment]*ExtSegment, len(s.segs))
-	imMap := make(map[*loader.Image]*loader.Image)
 	for i, seg := range s.segs {
 		seg2 := &ExtSegment{S: s2, segState: seg.segState.copy()}
 		seg2.stubs.rebind(seg2)
 		for j, im := range seg2.modules {
 			seg2.modules[j] = im.Rebind(seg2)
-			imMap[im] = seg2.modules[j]
 		}
-		segMap[seg] = seg2
 		s2.segs[i] = seg2
 	}
 	for name, f := range s.eft {
-		f2 := *f
-		f2.Seg, f2.module = segMap[f.Seg], imMap[f.module]
+		f2 := s2.rebound(s, f)
 		s2.eft[name] = &f2
 	}
-	// Pending async requests carry over by entry-point name.
 	for _, seg2 := range s2.segs {
-		queue := seg2.queue[:0]
-		for _, req := range seg2.queue {
-			if f2 := s2.eft[req.fn.Name]; f2 != nil {
-				queue = append(queue, asyncReq{fn: f2, arg: req.arg})
-			}
-		}
-		seg2.queue = queue
+		seg2.queue = requeue(seg2.queue[:0], seg2.queue, s2.eft)
 	}
 	return s2, nil
+}
+
+// rebound returns f, an entry of t's Extension Function Table, bound
+// to the segment and module at the same positions in s.
+func (s *System) rebound(t *System, f *KernelExtensionFunc) KernelExtensionFunc {
+	c := *f
+	c.Seg = s.segs[slices.Index(t.segs, f.Seg)]
+	c.module = c.Seg.modules[slices.Index(f.Seg.modules, f.module)]
+	return c
+}
+
+// requeue appends to dst the pending async requests of src whose entry
+// point eft still registers, bound to eft's entry of the same name.
+func requeue(dst, src []asyncReq, eft map[string]*KernelExtensionFunc) []asyncReq {
+	for _, req := range src {
+		if f := eft[req.fn.Name]; f != nil {
+			dst = append(dst, asyncReq{fn: f, arg: req.arg})
+		}
+	}
+	return dst
+}
+
+// errResetDiverged reports a system missing a segment or module of the
+// system it would reset to.
+var errResetDiverged = errors.New("palladium: reset target holds segments or modules this system lacks")
+
+// ResetTo rewinds the system in place to t, the system it was cloned
+// from, leaving it indistinguishable from a fresh t.Clone(): the kernel
+// first (Kernel.ResetTo), then the system's and each segment's state
+// value. Segments created since vanish, modules insmod'ed since into a
+// surviving segment are dropped, and entry points an abort unregistered
+// come back, bound to this system's segments. Pending async requests
+// are t's, bound by name as Clone binds them. ResetTo fails, changing
+// nothing, when this system lacks a segment or module t holds; a
+// clone's segments and modules are only ever added to. ResetTo only
+// reads t.
+func (s *System) ResetTo(t *System) error {
+	if len(s.segs) < len(t.segs) {
+		return errResetDiverged
+	}
+	for i, ts := range t.segs {
+		if seg := s.segs[i]; seg.Name != ts.Name || len(seg.modules) < len(ts.modules) {
+			return errResetDiverged
+		}
+	}
+	s.K.ResetTo(t.K)
+
+	segs, eft, kernPrep, ktRanges := s.segs, s.eft, s.kernPrep, s.ktRanges
+	s.systemState = t.systemState
+	clear(segs[len(t.segs):])
+	s.segs = segs[:len(t.segs)]
+	s.kernPrep = kernPrep.resetTo(t.kernPrep, kernPrep.space)
+	ktRanges.resetTo(t.ktRanges)
+	s.ktRanges = ktRanges
+	for name := range eft {
+		if t.eft[name] == nil {
+			delete(eft, name)
+		}
+	}
+	for name, tf := range t.eft {
+		if want := s.rebound(t, tf); eft[name] == nil || *eft[name] != want {
+			eft[name] = &want
+		}
+	}
+	s.eft = eft
+	for i, seg := range s.segs {
+		seg.resetTo(t.segs[i], eft)
+	}
+	return nil
+}
+
+// resetTo rewinds the segment's state value in place to t's. The
+// segment keeps its own module images, the first len(t.modules) of
+// them (later ones were insmod'ed since).
+func (seg *ExtSegment) resetTo(t *ExtSegment, eft map[string]*KernelExtensionFunc) {
+	modules, ranges, mapped, stubs, queue := seg.modules, seg.ranges, seg.mapped, seg.stubs, seg.queue
+	seg.segState = t.segState
+	clear(modules[len(t.modules):])
+	seg.modules = modules[:len(t.modules)]
+	ranges.resetTo(t.ranges)
+	seg.ranges = ranges
+	clear(mapped)
+	maps.Copy(mapped, t.mapped)
+	seg.mapped = mapped
+	seg.stubs = stubs.resetTo(t.stubs, seg)
+	seg.queue = requeue(queue[:0], t.queue, eft)
 }
 
 // Clone copies the extensible application onto a cloned system: the
@@ -110,6 +188,22 @@ func (a *App) Clone(s2 *System) (*App, error) {
 	}
 	a2.stubs.rebind(dl2.Space())
 	return a2, nil
+}
+
+// ResetTo rewinds the application in place to t, the application it
+// was cloned from, on a system already reset to t's system. The
+// process was restored in place by the kernel; the loader state is
+// rewound in place, or cloned afresh from t's when a library was
+// opened or closed since.
+func (a *App) ResetTo(t *App) {
+	if !a.DL.ResetTo(t.DL) {
+		var imap map[*loader.Image]*loader.Image
+		a.DL, imap = t.DL.CloneFor(a.S.K, a.P)
+		a.Libc = imap[t.Libc]
+	}
+	stubs := a.stubs
+	a.appState = t.appState
+	a.stubs = stubs.resetTo(t.stubs, a.DL.Space())
 }
 
 // Rebind returns this protected-function handle bound to a cloned

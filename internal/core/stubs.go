@@ -29,6 +29,18 @@ func (a *stubArena) clone() *stubArena {
 	return &c
 }
 
+// resetTo rewinds the arena descriptor in place to t's, keeping space,
+// and returns it; it returns nil when t is nil (an arena created since
+// t was cloned).
+func (a *stubArena) resetTo(t *stubArena, space loader.Space) *stubArena {
+	if t == nil {
+		return nil
+	}
+	*a = *t
+	a.space = space
+	return a
+}
+
 // rebind points a copied arena descriptor at a cloned machine's space;
 // the stub code itself already lives in the clone's (COW-shared)
 // memory at the same addresses.

@@ -25,10 +25,11 @@ const (
 )
 
 type harness struct {
-	t     testing.TB
-	m     *Machine
-	as    *mmu.AddressSpace
-	alloc *mem.FrameAllocator
+	t      testing.TB
+	m      *Machine
+	as     *mmu.AddressSpace
+	alloc  *mem.FrameAllocator
+	resets int // resetTo calls
 }
 
 func newHarness(t testing.TB) *harness {
@@ -150,6 +151,29 @@ func (h *harness) install(textBase uint32, src string) map[string]uint32 {
 }
 
 // startUser prepares CPL 3 execution at entry with a fresh stack.
+// clone derives a harness over a clone of h's machine, rebound to its
+// own address-space wrapper.
+func (h *harness) clone() *harness {
+	phys := h.m.Phys.Clone()
+	clock := h.m.Clock.Clone()
+	mu := h.m.MMU.Clone(phys, clock)
+	alloc := h.alloc.Clone()
+	as := mmu.AdoptAddressSpace(phys, alloc, h.as.CR3())
+	mu.AdoptSpace(as)
+	return &harness{t: h.t, m: h.m.Clone(phys, mu, clock), as: as, alloc: alloc}
+}
+
+// resetTo rewinds a cloned harness in place to t, the harness it was
+// cloned from, layer by layer as kernel.Kernel.ResetTo does.
+func (h *harness) resetTo(t *harness) {
+	h.m.Phys.ResetTo(t.m.Phys)
+	h.alloc.ResetTo(t.alloc)
+	h.m.MMU.ResetTo(t.m.MMU)
+	h.m.ResetTo(t.m)
+	h.m.MMU.AdoptSpace(h.as)
+	h.resets++
+}
+
 func (h *harness) startUser(entry uint32) {
 	h.mapAt(0x0008_0000, true, true)
 	h.m.CS = gsel(selXCode, 3)

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -43,10 +44,21 @@ var diffRegs = []string{"eax", "ebx", "ecx", "edx", "esi", "edi"}
 // very next dispatch of that label must raise #UD), and a two-slot
 // InstallCode over a chained successor's entry and interior.
 type diffEvent struct {
-	kind  int   // 0 invlpg, 1 set break, 2 clear break, 3 install code, 4 load cr3, 5 remove code, 6 install 2 slots
+	kind  int   // 0 invlpg, 1 set break, 2 clear break, 3 install code, 4 load cr3, 5 remove code, 6 install 2 slots, 7 reset
 	block int   // target block label index
 	imm   int32 // replacement immediate for install-code events
 }
+
+// evReset is the reset event: the run stops, the machine is reset in
+// place to the pristine machine it was cloned from (the program loaded,
+// nothing run), and the run restarts there on the remaining budget.
+// Whatever the events before it did to the code map, breakpoints and
+// TLB, the Run leg then resumes on the blocks and traces the reset
+// kept, and must still match the Step leg, which never builds any.
+const evReset = 7
+
+// errResetEvent stops a run so diffExec can reset the machine.
+var errResetEvent = errors.New("reset event")
 
 // genProgram emits a random program of labelled blocks over a shared
 // data buffer, always ending in a reachable stop label, plus two leaf
@@ -171,12 +183,13 @@ func genProgram(rng *rand.Rand) (string, int) {
 	return b.String(), nblocks
 }
 
-// genEvents scripts 2-8 invalidation events against random blocks.
+// genEvents scripts 2-8 invalidation and reset events against random
+// blocks.
 func genEvents(rng *rand.Rand, nblocks int) []diffEvent {
 	events := make([]diffEvent, 2+rng.Intn(7))
 	for i := range events {
 		events[i] = diffEvent{
-			kind:  rng.Intn(7),
+			kind:  rng.Intn(8),
 			block: rng.Intn(nblocks),
 			imm:   rng.Int31n(1 << 20),
 		}
@@ -223,29 +236,40 @@ func applyEvent(h *harness, syms map[string]uint32, ev diffEvent) {
 	}
 }
 
-// diffExec runs the seeded program on a fresh machine with the given
-// runner and returns the final state.
+// diffExec runs the seeded program with the given runner on a clone of
+// a freshly loaded machine, which reset events rewind to, and returns
+// the final state.
 func diffExec(tb testing.TB, runner func(*Machine, RunLimits) RunResult,
 	src string, events []diffEvent, tick float64, budget uint64) (*harness, map[string]uint32, RunResult) {
-	h := newHarness(tb)
-	syms := h.install(0x0001_0000, src)
-	h.startUser(syms["entry"])
-	h.m.SetBreak(syms["stop"])
+	tmpl := newHarness(tb)
+	syms := tmpl.install(0x0001_0000, src)
+	tmpl.startUser(syms["entry"])
+	tmpl.m.SetBreak(syms["stop"])
 	// Hair-trigger trace promotion: every generated loop goes hot, so
 	// the scripted events double as trace-hostile events (the Step leg
 	// never builds traces — stepRun bypasses the block runner — so the
 	// differential still compares tiers, not trace-vs-trace).
-	h.m.TraceThreshold = 3
+	tmpl.m.TraceThreshold = 3
+	tmpl.m.TickCycles = tick
+	h := tmpl.clone()
 	next := 0
-	h.m.TickCycles = tick
 	h.m.OnTick = func(m *Machine) error {
 		if next < len(events) {
-			applyEvent(h, syms, events[next])
+			ev := events[next]
 			next++
+			if ev.kind == evReset {
+				return errResetEvent
+			}
+			applyEvent(h, syms, ev)
 		}
 		return nil
 	}
 	res := runner(h.m, RunLimits{MaxInstructions: budget})
+	for res.Reason == StopError && errors.Is(res.Err, errResetEvent) && res.Instructions < budget {
+		budget -= res.Instructions
+		h.resetTo(tmpl)
+		res = runner(h.m, RunLimits{MaxInstructions: budget})
+	}
 	return h, syms, res
 }
 
@@ -371,7 +395,7 @@ func TestDiffProgramsExerciseTheCache(t *testing.T) {
 	base := testSeed(t)
 	var hits, builds, invalidations uint64
 	var ts TraceStats
-	var faults, breaks, budgets int
+	var faults, breaks, budgets, resets int
 	for i := int64(0); i < 24; i++ {
 		rng := rand.New(rand.NewSource(base + i))
 		src, nblocks := genProgram(rng)
@@ -379,6 +403,7 @@ func TestDiffProgramsExerciseTheCache(t *testing.T) {
 		tick := 60 + float64(rng.Intn(150))
 		budget := uint64(1200 + rng.Intn(1800))
 		h, _, res := diffExec(t, (*Machine).Run, src, events, tick, budget)
+		resets += h.resets
 		bh, bb, bi := h.m.BlockCacheStats()
 		hits += bh
 		builds += bb
@@ -416,7 +441,10 @@ func TestDiffProgramsExerciseTheCache(t *testing.T) {
 	if ts.DeoptTick+ts.DeoptFault+ts.DeoptPage+ts.DeoptBudget == 0 {
 		t.Errorf("seed fan never deoptimized mid-trace; partial commits untested (%+v)", ts)
 	}
-	t.Logf("outcome mix: %d breaks, %d faults, %d budgets; cache: %d hits, %d builds, %d invalidations",
-		breaks, faults, budgets, hits, builds, invalidations)
+	if resets == 0 {
+		t.Errorf("seed fan never reset a machine mid-program")
+	}
+	t.Logf("outcome mix: %d breaks, %d faults, %d budgets, %d resets; cache: %d hits, %d builds, %d invalidations",
+		breaks, faults, budgets, resets, hits, builds, invalidations)
 	t.Logf("traces: %+v", ts)
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/cycles"
 	"repro/internal/isa"
@@ -154,7 +155,9 @@ type Machine struct {
 	// is by far the largest machine table (one entry per installed
 	// instruction), and it changes only on code install/remove, so
 	// sharing it keeps Snapshot/Restore O(small) on the common path.
-	codeShared bool
+	// It is atomic because clones of one template, forked and reset on
+	// different goroutines, all mark the template's map shared.
+	codeShared atomic.Bool
 
 	// OnTick, if set, runs every TickCycles simulated cycles; the
 	// kernel uses it for timer interrupts (extension CPU limits). A
@@ -282,11 +285,20 @@ func (m *Machine) SetReg(r isa.Reg, v uint32) { m.Regs[r] = v }
 // first when a snapshot or clone still references it (copy-on-write
 // at map granularity, mirroring the frame store's discipline).
 func (m *Machine) mutableCode() map[uint32]*isa.Instr {
-	if m.codeShared {
+	if m.codeShared.Load() {
 		m.code = maps.Clone(m.code)
-		m.codeShared = false
+		m.codeShared.Store(false)
 	}
 	return m.code
+}
+
+// shareCode marks the code map shared with a snapshot or a clone. It
+// writes only when the flag is clear, so forking and resetting clones
+// of a quiescent template never write to it.
+func (m *Machine) shareCode() {
+	if !m.codeShared.Load() {
+		m.codeShared.Store(true)
+	}
 }
 
 // InstallCode writes a sequence of instructions at the given physical
@@ -320,7 +332,14 @@ func (m *Machine) RemoveCode(pa uint32, n int) {
 func (m *Machine) CodeAt(pa uint32) *isa.Instr { return m.code[pa] }
 
 // RegisterService installs a trusted endpoint at a linear address.
+// Replacing the endpoint at an address that already holds one only
+// swaps the handler: cached blocks depend on which addresses are
+// endpoints, never on their handlers, so none is invalidated.
 func (m *Machine) RegisterService(linear uint32, s *Service) {
+	if _, ok := m.services[linear]; ok {
+		m.services[linear] = s
+		return
+	}
 	if len(m.services) == 0 {
 		m.svcLo, m.svcHi = linear, linear
 	} else {

@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"maps"
+	"reflect"
+
 	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -37,7 +40,7 @@ type MachineSnapshot struct {
 // physical memory image. It charges no simulated cycles and perturbs
 // no simulated metric, so a snapshot can be taken mid-run.
 func (m *Machine) Snapshot() *MachineSnapshot {
-	m.codeShared = true
+	m.shareCode()
 	return &MachineSnapshot{
 		phys:  m.Phys.Snapshot(),
 		mmu:   m.MMU.SaveState(),
@@ -57,7 +60,7 @@ func (m *Machine) Restore(s *MachineSnapshot) {
 	m.MMU.RestoreState(s.mmu)
 	m.Clock.SetCycles(s.clock)
 	m.machineState = s.state.copy()
-	m.codeShared = true // the snapshot still holds the code map
+	m.shareCode() // the snapshot still holds the code map
 	m.recomputeDispatchHints()
 	m.clearBlockCache()
 }
@@ -81,7 +84,7 @@ func (s *MachineSnapshot) Release() { s.phys.Release() }
 // syscall entries) must be re-registered by that owner; OnTick is left
 // nil for the same reason.
 func (m *Machine) Clone(phys *mem.Physical, mu *mmu.MMU, clock *cycles.Clock) *Machine {
-	m.codeShared = true
+	m.shareCode()
 	c := &Machine{
 		Phys:  phys,
 		MMU:   mu,
@@ -89,9 +92,69 @@ func (m *Machine) Clone(phys *mem.Physical, mu *mmu.MMU, clock *cycles.Clock) *M
 		Model: m.Model,
 
 		machineState:   m.machineState.copy(),
-		codeShared:     true,
 		TraceThreshold: m.TraceThreshold,
 	}
+	c.codeShared.Store(true)
 	c.recomputeDispatchHints()
 	return c
+}
+
+// ResetTo rewinds the machine in place to t, the machine it was cloned
+// from: its state value, with the IDT, breakpoint and service maps
+// refilled rather than reallocated and the code map shared with t
+// again, and the clock. Memory and the MMU are their own layers; the
+// owner resets them too. OnTick is left alone and the service handlers
+// are t's: as after Clone, owners re-bind the handlers that close over
+// them (the kernel's two endpoints).
+//
+// The decoded-block cache and traces survive when the code map, the
+// breakpoint and service addresses and the IDT are t's: blocks are
+// decoded from the code map, end at breakpoints and endpoints, and
+// follow the live page tables, so none of the rewound memory makes
+// them stale. Their segment checks are guarded by the MMU's segment
+// generation, which MMU.ResetTo advances when a descriptor table
+// differed. Otherwise the cache is dropped, as after Restore. ResetTo
+// only reads t.
+func (m *Machine) ResetTo(t *Machine) {
+	keep := sameMap(m.code, t.code) && sameKeys(m.breaks, t.breaks) &&
+		sameKeys(m.services, t.services) && maps.Equal(m.IDT, t.IDT)
+	idt, breaks, services := m.IDT, m.breaks, m.services
+	m.machineState = t.machineState
+	m.IDT, m.breaks, m.services = refill(idt, t.IDT), refill(breaks, t.breaks), refill(services, t.services)
+	t.shareCode()
+	m.codeShared.Store(true)
+	m.TraceThreshold = t.TraceThreshold
+	m.Clock.SetCycles(t.Clock.Cycles())
+	m.recomputeDispatchHints()
+	if !keep {
+		m.clearBlockCache()
+	}
+}
+
+// sameMap reports whether a and b are the same map, not merely equal.
+func sameMap[K comparable, V any](a, b map[K]V) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// sameKeys reports whether a and b hold the same key set.
+func sameKeys[V any](a, b map[uint32]V) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// refill makes dst a copy of src, reusing dst's storage.
+func refill[K comparable, V any](dst, src map[K]V) map[K]V {
+	if dst == nil {
+		return maps.Clone(src)
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }

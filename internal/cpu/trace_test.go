@@ -265,9 +265,14 @@ func TestTracePagingEventsMidTrace(t *testing.T) {
 	traceCompare(t, "paging events", hRun, hStep, resRun, resStep)
 }
 
-// TestSnapshotRestoreRebuildsTraces: snapshots never capture traces;
-// a restored machine re-detects heat, rebuilds, and finishes with
-// every simulated metric bit-identical to an uninterrupted run.
+// TestSnapshotRestoreRebuildsTraces: rewinding a machine mid-run —
+// by snapshot restore, or by a reset to the machine it was cloned
+// from — leaves its next run bit-identical to an uninterrupted one.
+// Traces must be dropped and rebuilt when the rewind can change what
+// they were compiled against: a restore always clears the registry,
+// and a reset after a descriptor-table change retires them through
+// the segment generation. A reset over unchanged tables keeps them, so
+// the rerun builds none.
 func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 	build := func() (*harness, map[string]uint32) {
 		h := newHarness(t)
@@ -288,32 +293,65 @@ func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 	}
 	want := capture(ref.m, refStop)
 
-	h, _ := build()
-	if mid := h.m.Run(RunLimits{MaxInstructions: 700}); mid.Reason != StopBudget {
-		t.Fatalf("mid stop = %v", mid.Reason)
+	// interrupt runs h partway, so traces are live.
+	interrupt := func(h *harness) {
+		if mid := h.m.Run(RunLimits{MaxInstructions: 700}); mid.Reason != StopBudget {
+			t.Fatalf("mid stop = %v", mid.Reason)
+		}
+		if h.m.TraceStats().Dispatches == 0 {
+			t.Fatal("interrupted run never dispatched a trace before the rewind")
+		}
 	}
-	if h.m.TraceStats().Dispatches == 0 {
-		t.Fatal("interrupted run never dispatched a trace before the snapshot")
+	// finish runs h to the end, requiring the reference outcome and
+	// reporting whether it built any trace.
+	finish := func(h *harness) (rebuilt bool) {
+		before := h.m.TraceStats().Built
+		stop := h.m.Run(RunLimits{})
+		if got := capture(h.m, stop); got != want {
+			t.Errorf("post-rewind finish diverged:\n got %+v\nwant %+v", got, want)
+		}
+		return h.m.TraceStats().Built != before
 	}
-	snap := h.m.Snapshot()
-	defer snap.Release()
 
-	stop1 := h.m.Run(RunLimits{})
-	if got := capture(h.m, stop1); got != want {
-		t.Errorf("first finish diverged:\n got %+v\nwant %+v", got, want)
-	}
-
-	h.m.Restore(snap)
-	if n := len(h.m.traces); n != 0 {
-		t.Errorf("restore left %d traces live; the registry must be cleared", n)
-	}
-	before := h.m.TraceStats().Built
-	stop2 := h.m.Run(RunLimits{})
-	if got := capture(h.m, stop2); got != want {
-		t.Errorf("post-restore finish diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if h.m.TraceStats().Built == before {
-		t.Error("post-restore run never rebuilt a trace")
+	t.Run("restore", func(t *testing.T) {
+		h, _ := build()
+		interrupt(h)
+		snap := h.m.Snapshot()
+		defer snap.Release()
+		if stop := h.m.Run(RunLimits{}); capture(h.m, stop) != want {
+			t.Errorf("first finish diverged:\n got %+v\nwant %+v", capture(h.m, stop), want)
+		}
+		h.m.Restore(snap)
+		if n := len(h.m.traces); n != 0 {
+			t.Errorf("restore left %d traces live; the registry must be cleared", n)
+		}
+		if !finish(h) {
+			t.Error("post-restore run never rebuilt a trace")
+		}
+	})
+	for _, tc := range []struct {
+		name         string
+		changeTables bool
+	}{
+		{"reset, tables changed", true},
+		{"reset, tables unchanged", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmpl, _ := build()
+			h := tmpl.clone()
+			interrupt(h)
+			if tc.changeTables {
+				gdt := h.m.MMU.GDT
+				gdt.Set(gdt.AllocIndex(), mmu.Descriptor{Kind: mmu.SegData, Limit: 0xFFF, DPL: 3, Present: true, Writable: true})
+			}
+			h.resetTo(tmpl)
+			if !tc.changeTables && len(h.m.traces) == 0 {
+				t.Error("reset over unchanged tables dropped the traces")
+			}
+			if rebuilt := finish(h); rebuilt != tc.changeTables {
+				t.Errorf("rerun rebuilt traces: %v, want %v", rebuilt, tc.changeTables)
+			}
+		})
 	}
 }
 
@@ -329,11 +367,7 @@ func TestCloneCarriesTraceTier(t *testing.T) {
 	h.m.TraceThreshold = 4
 	m := h.m
 
-	phys2 := m.Phys.Clone()
-	clock2 := m.Clock.Clone()
-	mu2 := m.MMU.Clone(phys2, clock2)
-	mu2.AdoptSpace(mmu.AdoptAddressSpace(phys2, h.alloc.Clone(), h.as.CR3()))
-	m2 := m.Clone(phys2, mu2, clock2)
+	m2 := h.clone().m
 
 	if m2.TraceThreshold != m.TraceThreshold {
 		t.Fatalf("clone TraceThreshold = %d, want %d", m2.TraceThreshold, m.TraceThreshold)

@@ -227,7 +227,7 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 
 	m.Clock.SetCycles(clock)
 	m.machineState = s
-	m.codeShared = false
+	m.codeShared.Store(false)
 	m.recomputeDispatchHints()
 	m.clearBlockCache()
 	return nil

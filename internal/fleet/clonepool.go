@@ -1,12 +1,15 @@
-// Warm clone pool for ephemeral-clone request serving: requests run on
-// a machine forked from a pristine template and discarded afterwards —
-// never restored — so cross-request isolation comes from never reusing
-// a machine, not from scrubbing one. The fork happens off the hot path:
-// a single filler goroutine (the only goroutine that ever touches the
-// template, keeping it quiescent) pre-forks clones into a bounded warm
-// stack, and the serving path just pops one. A request that finds the
-// stack dry pays the fork tax inline — the ColdSteals gauge counts how
-// often the filler lost that race.
+// Clone pool for clone-per-request serving: every request runs on a
+// machine cloned from a pristine template, so it sees exactly the
+// template's state. A machine handed back is reset in place to that
+// template (when M has a Reset method) and kept for the next request,
+// so a steady stream of requests forks nothing: Take hands out the
+// reset machine that has waited longest, or clones inline when none is
+// waiting — the ColdSteals gauge counts how often. Cross-request
+// isolation comes from the reset, which rewinds every layer of the
+// machine to the template (webserver.Server.Reset), so nothing one
+// request wrote survives into the next. Clone and Reset only read the
+// template, so Takes and Discards on different goroutines run them
+// concurrently.
 package fleet
 
 import (
@@ -19,113 +22,73 @@ var ErrPoolClosed = errors.New("fleet: clone pool is closed")
 
 // CloneStats is a snapshot of the pool gauges.
 type CloneStats struct {
-	// WarmDepth is the current number of pre-forked clones waiting.
+	// WarmDepth is the current number of reset machines waiting.
 	WarmDepth int
-	// TargetDepth is the configured warm bound.
+	// TargetDepth is the most reset machines the pool keeps.
 	TargetDepth int
-	// Forks counts every clone ever created, warm and cold alike.
+	// Forks counts every clone ever created.
 	Forks uint64
-	// ColdSteals counts Takes that found the warm stack dry and forked
-	// inline on the request path.
+	// ColdSteals counts Takes that found no reset machine waiting and
+	// cloned inline on the request path.
 	ColdSteals uint64
-	// Discards counts clones handed back and released.
+	// Discards counts machines handed back through Discard.
 	Discards uint64
+	// Resets counts handed-back machines reset and kept for reuse.
+	Resets uint64
 }
 
-// ClonePool pre-forks machines from a template. M is typically
-// *webserver.Server; the pool is generic so tests can drive it with
-// counters instead of full machines.
+// resetter is a machine that can rewind itself to the template it was
+// cloned from.
+type resetter interface {
+	Reset() error
+}
+
+// ClonePool hands out machines cloned from a template and takes them
+// back reset. M is typically *webserver.Server; the pool is generic so
+// tests can drive it with counters instead of full machines.
 type ClonePool[M any] struct {
 	clone   func() (M, error) // forks one machine off the template
-	discard func(M)           // releases a spent machine's resources
-
-	// forkMu serializes every clone() call: the template must be
-	// quiescent while forked, so the filler and cold-path Takes never
-	// fork concurrently.
-	forkMu sync.Mutex
+	discard func(M)           // releases a machine the pool does not keep
 
 	mu     sync.Mutex
-	warm   []M
-	target int
+	idle   []M
+	depth  int
 	closed bool
 
 	forks      uint64
 	coldSteals uint64
 	discards   uint64
-
-	wake chan struct{}
-	done chan struct{}
+	resets     uint64
 }
 
-// NewClonePool starts a pool keeping up to depth pre-forked clones
-// warm. clone runs only on the filler goroutine or inline in a
-// cold-path Take, never concurrently with itself — the template stays
-// quiescent. discard is called (on the caller's goroutine) for every
-// machine handed to Discard and for warm machines at Close.
+// NewClonePool returns a pool keeping up to depth reset machines, and
+// forks that many up front, so the first requests find machines
+// waiting (a failed fork stops it early; Take then clones inline and
+// returns the error). clone forks a machine off the template; it and
+// M's Reset must only read the template, since Takes and Discards on
+// different goroutines call them concurrently. discard releases a
+// machine that the pool does not keep: one without a Reset method, one
+// whose Reset failed, one handed back while depth machines wait, and
+// the waiting ones at Close.
 func NewClonePool[M any](depth int, clone func() (M, error), discard func(M)) *ClonePool[M] {
-	if depth < 1 {
-		depth = 1
+	p := &ClonePool[M]{clone: clone, discard: discard, depth: max(depth, 1)}
+	for len(p.idle) < p.depth {
+		m, err := clone()
+		if err != nil {
+			break
+		}
+		p.idle = append(p.idle, m)
+		p.forks++
 	}
-	p := &ClonePool[M]{
-		clone:   clone,
-		discard: discard,
-		warm:    make([]M, 0, depth),
-		target:  depth,
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
-	go p.fill()
-	p.kick()
 	return p
 }
 
-func (p *ClonePool[M]) kick() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// fill is the filler loop: the one goroutine that forks off the
-// template in steady state.
-func (p *ClonePool[M]) fill() {
-	defer close(p.done)
-	for range p.wake {
-		for {
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			if len(p.warm) >= p.target {
-				p.mu.Unlock()
-				break
-			}
-			p.mu.Unlock()
-			p.forkMu.Lock()
-			m, err := p.clone()
-			p.forkMu.Unlock()
-			if err != nil {
-				// Forks are retried on the next kick; a cold-path Take
-				// surfaces the error to a caller who can handle it.
-				break
-			}
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				p.discard(m)
-				return
-			}
-			p.warm = append(p.warm, m)
-			p.forks++
-			p.mu.Unlock()
-		}
-	}
-}
-
-// Take pops a warm clone, or forks inline (a cold steal) when the warm
-// stack is dry. The caller owns the returned machine exclusively and
-// must hand it to Discard when done.
+// Take hands out the reset machine that has waited longest, or clones
+// one inline (a cold steal) when none is waiting. Taking the oldest
+// rotates through the kept machines, so each has served, and holds
+// warm decoded blocks, before a burst needs them all at once. The
+// caller owns the returned machine exclusively and must hand it to
+// Discard when done.
 func (p *ClonePool[M]) Take() (M, error) {
 	var zero M
 	p.mu.Lock()
@@ -133,23 +96,17 @@ func (p *ClonePool[M]) Take() (M, error) {
 		p.mu.Unlock()
 		return zero, ErrPoolClosed
 	}
-	if n := len(p.warm); n > 0 {
-		m := p.warm[n-1]
-		p.warm[n-1] = zero
-		p.warm = p.warm[:n-1]
+	if n := len(p.idle); n > 0 {
+		m := p.idle[0]
+		copy(p.idle, p.idle[1:])
+		p.idle[n-1] = zero
+		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		p.kick()
 		return m, nil
 	}
 	p.coldSteals++
 	p.mu.Unlock()
-	p.kick()
-	// The template is only ever forked by one goroutine at a time: the
-	// filler owns it in steady state, so the cold path serializes with
-	// it through forkMu rather than forking concurrently.
-	p.forkMu.Lock()
 	m, err := p.clone()
-	p.forkMu.Unlock()
 	if err != nil {
 		return zero, err
 	}
@@ -159,12 +116,34 @@ func (p *ClonePool[M]) Take() (M, error) {
 	return m, nil
 }
 
-// Discard releases a spent clone. Never reuse a discarded machine.
+// Discard hands a spent machine back. It is reset and kept for a later
+// Take when M has a Reset method, the reset succeeds and fewer than
+// depth machines wait; otherwise it is released. Never use a machine
+// after handing it back.
 func (p *ClonePool[M]) Discard(m M) {
+	if r, ok := any(m).(resetter); ok && p.hasRoom() && r.Reset() == nil {
+		p.mu.Lock()
+		if !p.closed && len(p.idle) < p.depth {
+			p.idle = append(p.idle, m)
+			p.discards++
+			p.resets++
+			p.mu.Unlock()
+			return
+		}
+		p.mu.Unlock()
+	}
 	p.discard(m)
 	p.mu.Lock()
 	p.discards++
 	p.mu.Unlock()
+}
+
+// hasRoom reports whether a reset machine would be kept right now, so
+// Discard does not reset one it would release anyway.
+func (p *ClonePool[M]) hasRoom() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.closed && len(p.idle) < p.depth
 }
 
 // Stats snapshots the pool gauges.
@@ -172,32 +151,24 @@ func (p *ClonePool[M]) Stats() CloneStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return CloneStats{
-		WarmDepth:   len(p.warm),
-		TargetDepth: p.target,
+		WarmDepth:   len(p.idle),
+		TargetDepth: p.depth,
 		Forks:       p.forks,
 		ColdSteals:  p.coldSteals,
 		Discards:    p.discards,
+		Resets:      p.resets,
 	}
 }
 
-// Close stops the filler and discards every warm clone. Take fails
-// afterwards; machines already taken may still be Discarded.
+// Close releases every waiting machine. Take fails afterwards;
+// machines already taken may still be handed to Discard, which then
+// releases them.
 func (p *ClonePool[M]) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	warm := p.warm
-	p.warm = nil
+	idle := p.idle
+	p.idle, p.closed = nil, true
 	p.mu.Unlock()
-	close(p.wake)
-	<-p.done
-	for _, m := range warm {
+	for _, m := range idle {
 		p.discard(m)
-		p.mu.Lock()
-		p.discards++
-		p.mu.Unlock()
 	}
 }

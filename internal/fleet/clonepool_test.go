@@ -2,145 +2,178 @@ package fleet
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// gatedClones builds a clone source whose forks block until fed
-// through gate, so tests control exactly when the filler can work.
-type gatedClones struct {
-	gate      chan struct{}
-	forked    atomic.Int32
-	discarded atomic.Int32
-	inClone   atomic.Int32 // concurrency tripwire
+// resettable is a clone that counts its resets; failReset makes the
+// next Reset fail.
+type resettable struct {
+	id        int32
+	resets    int
+	failReset bool
 }
 
-func (g *gatedClones) clone() (int, error) {
-	<-g.gate
-	if g.inClone.Add(1) != 1 {
-		panic("concurrent clone: template not quiescent")
+func (m *resettable) Reset() error {
+	if m.failReset {
+		return errors.New("reset failed")
 	}
-	defer g.inClone.Add(-1)
-	return int(g.forked.Add(1)), nil
+	m.resets++
+	return nil
 }
 
-func (g *gatedClones) discard(int) { g.discarded.Add(1) }
-
-func waitDepth(t *testing.T, p *ClonePool[int], want int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Stats().WarmDepth != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("warm depth %d never reached %d", p.Stats().WarmDepth, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+// fakeClones is a clone source that counts forks and releases.
+type fakeClones struct {
+	forked   atomic.Int32
+	released atomic.Int32
 }
 
-// TestClonePoolWarmPath: the filler pre-forks to the target depth off
-// the hot path; Take pops warm clones without forking inline.
+func (f *fakeClones) clone() (*resettable, error) {
+	return &resettable{id: f.forked.Add(1)}, nil
+}
+
+func (f *fakeClones) release(*resettable) { f.released.Add(1) }
+
+// TestClonePoolWarmPath: the pool forks its depth up front, and a
+// machine handed back is reset and handed out again, oldest first, so
+// steady serving forks nothing more and warms every kept machine.
 func TestClonePoolWarmPath(t *testing.T) {
-	g := &gatedClones{gate: make(chan struct{}, 100)}
-	p := NewClonePool(3, g.clone, g.discard)
+	f := &fakeClones{}
+	p := NewClonePool(2, f.clone, f.release)
 	defer p.Close()
+	if st := p.Stats(); st.WarmDepth != 2 || st.Forks != 2 {
+		t.Fatalf("new pool %+v: want 2 machines forked and waiting", st)
+	}
+	var order []int32
 	for i := 0; i < 10; i++ {
-		g.gate <- struct{}{}
-	}
-	waitDepth(t, p, 3)
-
-	m, err := p.Take()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == 0 {
-		t.Fatal("got zero clone")
-	}
-	p.Discard(m)
-	waitDepth(t, p, 3) // filler topped the stack back up
-	st := p.Stats()
-	if st.TargetDepth != 3 || st.ColdSteals != 0 || st.Discards != 1 {
-		t.Errorf("stats %+v: want target 3, no cold steals, 1 discard", st)
-	}
-	if st.Forks != uint64(g.forked.Load()) {
-		t.Errorf("Forks gauge %d != clones created %d", st.Forks, g.forked.Load())
-	}
-}
-
-// TestClonePoolColdSteal: a Take that finds the warm stack dry forks
-// inline and is counted as a cold steal.
-func TestClonePoolColdSteal(t *testing.T) {
-	g := &gatedClones{gate: make(chan struct{}, 100)}
-	p := NewClonePool(1, g.clone, g.discard)
-	defer p.Close()
-	g.gate <- struct{}{}
-	waitDepth(t, p, 1)
-
-	if _, err := p.Take(); err != nil { // pops the only warm clone
-		t.Fatal(err)
-	}
-	// The stack is dry and the filler is blocked on the gate: this Take
-	// must go down the cold path (and block in clone until fed).
-	took := make(chan error, 1)
-	go func() {
-		_, err := p.Take()
-		took <- err
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Stats().ColdSteals == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("cold steal never counted")
+		m, err := p.Take()
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		order = append(order, m.id)
+		p.Discard(m)
 	}
-	g.gate <- struct{}{}
-	g.gate <- struct{}{} // one for the cold path, one for the filler
-	if err := <-took; err != nil {
-		t.Fatal(err)
+	for i, id := range order {
+		if want := int32(i%2 + 1); id != want {
+			t.Fatalf("takes handed out machines %v, want them in turn", order)
+		}
 	}
-	if st := p.Stats(); st.ColdSteals != 1 {
-		t.Errorf("ColdSteals = %d, want 1", st.ColdSteals)
+	want := CloneStats{WarmDepth: 2, TargetDepth: 2, Forks: 2, ColdSteals: 0, Discards: 10, Resets: 10}
+	if st := p.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	if f.released.Load() != 0 {
+		t.Errorf("%d machines released, want 0", f.released.Load())
 	}
 }
 
-// TestClonePoolCloseDrains: Close discards every warm clone and fails
-// later Takes; clones still out may be discarded afterwards.
+// TestClonePoolColdSteal: a Take that finds no reset machine waiting
+// clones inline and is counted as a cold steal, and takers that miss
+// together each get a machine of their own.
+func TestClonePoolColdSteal(t *testing.T) {
+	f := &fakeClones{}
+	p := NewClonePool(1, f.clone, f.release)
+	defer p.Close()
+	ms := make([]*resettable, 3)
+	var wg sync.WaitGroup
+	for i := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ms[i], _ = p.Take()
+		}()
+	}
+	wg.Wait()
+	if ms[0] == ms[1] || ms[1] == ms[2] || ms[0] == ms[2] {
+		t.Fatal("two takes returned the same machine")
+	}
+	if st := p.Stats(); st.ColdSteals != 2 || st.Forks != 3 {
+		t.Errorf("stats %+v: want 2 cold steals, 3 forks", st)
+	}
+}
+
+// TestClonePoolReleasesWhatItDoesNotKeep: a machine is released, not
+// kept, when the pool already holds depth machines or its Reset fails.
+// A full pool does not reset the machine it releases.
+func TestClonePoolReleasesWhatItDoesNotKeep(t *testing.T) {
+	f := &fakeClones{}
+	p := NewClonePool(1, f.clone, f.release)
+	defer p.Close()
+	a, _ := p.Take()
+	b, _ := p.Take()
+	c, _ := p.Take()
+	p.Discard(a) // kept
+	p.Discard(b) // pool full: released
+	if b.resets != 0 {
+		t.Errorf("machine reset before being released by a full pool")
+	}
+	if m, _ := p.Take(); m != a {
+		t.Fatalf("take after discard: got machine %d, want %d", m.id, a.id)
+	}
+	c.failReset = true
+	p.Discard(c) // reset fails: released
+	if st := p.Stats(); st.WarmDepth != 0 || st.Resets != 1 || st.Discards != 3 || st.Forks != 3 {
+		t.Errorf("stats %+v: want 0 waiting, 1 reset, 3 discards, 3 forks", st)
+	}
+	if f.released.Load() != 2 {
+		t.Errorf("%d machines released, want 2", f.released.Load())
+	}
+}
+
+// TestClonePoolWithoutReset: machines with no Reset method are always
+// released, so once the machines forked up front are used, every Take
+// clones.
+func TestClonePoolWithoutReset(t *testing.T) {
+	var forked, released atomic.Int32
+	p := NewClonePool(4, func() (int, error) { return int(forked.Add(1)), nil },
+		func(int) { released.Add(1) })
+	defer p.Close()
+	for i := 0; i < 5; i++ {
+		m, err := p.Take()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Discard(m)
+	}
+	if forked.Load() != 5 || released.Load() != 5 {
+		t.Errorf("forked %d, released %d: want 5 and 5", forked.Load(), released.Load())
+	}
+	if st := p.Stats(); st.ColdSteals != 1 || st.Resets != 0 {
+		t.Errorf("stats %+v: want 1 cold steal, 0 resets", st)
+	}
+}
+
+// TestClonePoolCloseDrains: Close releases every waiting machine and
+// fails later Takes; machines still out are released when handed back.
 func TestClonePoolCloseDrains(t *testing.T) {
-	g := &gatedClones{gate: make(chan struct{}, 100)}
-	p := NewClonePool(2, g.clone, g.discard)
-	for i := 0; i < 4; i++ {
-		g.gate <- struct{}{}
-	}
-	waitDepth(t, p, 2)
-	m, err := p.Take()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := &fakeClones{}
+	p := NewClonePool(2, f.clone, f.release)
+	a, _ := p.Take()
+	b, _ := p.Take()
+	c, _ := p.Take()
+	p.Discard(a)
+	p.Discard(b)
 	p.Close()
 	p.Close() // idempotent
 	if _, err := p.Take(); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Take after Close: %v, want ErrPoolClosed", err)
 	}
-	p.Discard(m)
-	// Every clone ever forked was handed back: warm ones at Close, the
-	// taken one explicitly.
-	if g.discarded.Load() != g.forked.Load() {
-		t.Errorf("%d of %d clones never discarded", g.forked.Load()-g.discarded.Load(), g.forked.Load())
+	p.Discard(c)
+	if f.released.Load() != f.forked.Load() {
+		t.Errorf("%d of %d machines never released", f.forked.Load()-f.released.Load(), f.forked.Load())
 	}
 }
 
-// TestClonePoolHammer: concurrent Take/Discard churn under -race, with
-// the inClone tripwire proving no two forks ever overlap — the
-// template stays quiescent no matter how the warm and cold paths race.
+// TestClonePoolHammer: concurrent Take/Discard churn under -race. No
+// machine is ever held by two takers at once, and the gauges agree
+// with the ground truth: every fork is either waiting or released.
 func TestClonePoolHammer(t *testing.T) {
-	g := &gatedClones{gate: make(chan struct{}, 1<<20)}
-	for i := 0; i < 1<<19; i++ {
-		g.gate <- struct{}{}
-	}
-	p := NewClonePool(4, g.clone, g.discard)
+	f := &fakeClones{}
+	p := NewClonePool(4, f.clone, f.release)
+	var inUse sync.Map
 	var wg sync.WaitGroup
-	var taken atomic.Int32
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
@@ -151,22 +184,26 @@ func TestClonePoolHammer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				taken.Add(1)
+				if _, dup := inUse.LoadOrStore(m, true); dup {
+					t.Errorf("machine %d handed to two takers", m.id)
+				}
+				runtime.Gosched()
+				inUse.Delete(m)
 				p.Discard(m)
 			}
 		}()
 	}
 	wg.Wait()
-	p.Close()
-	if taken.Load() != 800 {
-		t.Errorf("took %d clones, want 800", taken.Load())
-	}
-	if g.discarded.Load() != g.forked.Load() {
-		t.Errorf("%d clones leaked", g.forked.Load()-g.discarded.Load())
-	}
 	st := p.Stats()
-	if st.Forks != uint64(g.forked.Load()) || st.Discards != uint64(g.discarded.Load()) {
-		t.Errorf("gauges %+v drifted from ground truth fork=%d discard=%d",
-			st, g.forked.Load(), g.discarded.Load())
+	if st.Discards != 800 {
+		t.Errorf("discards = %d, want 800", st.Discards)
+	}
+	if st.Forks != uint64(f.forked.Load()) || st.Forks != uint64(st.WarmDepth)+uint64(f.released.Load()) {
+		t.Errorf("gauges %+v drifted from ground truth: forked %d, released %d",
+			st, f.forked.Load(), f.released.Load())
+	}
+	p.Close()
+	if f.released.Load() != f.forked.Load() {
+		t.Errorf("%d machines leaked", f.forked.Load()-f.released.Load())
 	}
 }

@@ -180,6 +180,18 @@ type Kernel struct {
 
 	// tickFns receive timer ticks (extension budget policing).
 	tickFns []func() error
+
+	// endpoints are the kernel-owned trusted endpoints (system call,
+	// kernel service) and onTick the timer hook, each bound to this
+	// kernel; bindEndpoints installs them on the machine.
+	endpoints [2]*cpu.Service
+	onTick    func(*cpu.Machine) error
+
+	// resetProcs are the process structs a clone started with, by PID:
+	// ResetTo restores each in place, even after an exit dropped it
+	// from the process table, because pointers to them are held
+	// outside the kernel.
+	resetProcs map[int]*Process
 }
 
 // New boots a kernel: physical memory, GDT, IDT, the kernel template
@@ -241,25 +253,35 @@ func New(model *cycles.Model) (*Kernel, error) {
 		Kind: mmu.SegIntGate, DPL: 3, Present: true,
 		GateSel: KCodeSel, GateOff: svcSyscall - KernelBase,
 	}
-	machine.RegisterService(svcSyscall, &cpu.Service{
-		Name: "syscall", Kind: cpu.ServiceInt, Handler: k.syscallEntry,
-	})
 	svcKSvc := k.allocServiceAddr()
 	k.svcKSvcAddr = svcKSvc
 	machine.IDT[VecKernelSvc] = mmu.Descriptor{
 		Kind: mmu.SegIntGate, DPL: 1, Present: true,
 		GateSel: KCodeSel, GateOff: svcKSvc - KernelBase,
 	}
-	machine.RegisterService(svcKSvc, &cpu.Service{
-		Name: "kernel-service", Kind: cpu.ServiceInt, Handler: k.kernelServiceEntry,
-	})
-
 	k.registerDefaultSyscalls()
 
 	// Timer plumbing: one simulated tick per ~0.1 ms.
 	machine.TickCycles = 20_000
-	machine.OnTick = func(*cpu.Machine) error { return k.timerTick() }
+	k.bindEndpoints()
 	return k, nil
+}
+
+// bindEndpoints registers the kernel-owned trusted endpoints and the
+// timer hook, with handlers bound to this kernel, on its machine. A
+// cloned or reset machine carries its source's handlers, which close
+// over the source kernel, so Clone and ResetTo call this too.
+func (k *Kernel) bindEndpoints() {
+	if k.onTick == nil {
+		k.endpoints = [2]*cpu.Service{
+			{Name: "syscall", Kind: cpu.ServiceInt, Handler: k.syscallEntry},
+			{Name: "kernel-service", Kind: cpu.ServiceInt, Handler: k.kernelServiceEntry},
+		}
+		k.onTick = func(*cpu.Machine) error { return k.timerTick() }
+	}
+	k.Machine.RegisterService(k.svcSyscallAddr, k.endpoints[0])
+	k.Machine.RegisterService(k.svcKSvcAddr, k.endpoints[1])
+	k.Machine.OnTick = k.onTick
 }
 
 // allocServiceAddr hands out a unique kernel-space linear address for

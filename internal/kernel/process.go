@@ -78,6 +78,27 @@ func (p *Process) copy() *Process {
 	return &c
 }
 
+// resetTo rewinds p in place to t, a process of the kernel this one
+// was cloned from, reusing p's region structs when the count matches.
+// p keeps its own address-space wrapper while it covers t's page
+// directory; otherwise it adopts one over phys.
+func (p *Process) resetTo(t *Process, phys *mem.Physical, alloc *mem.FrameAllocator) {
+	regions, as := p.Regions, p.AS
+	*p = *t
+	if len(regions) == len(t.Regions) {
+		for i, r := range t.Regions {
+			*regions[i] = *r
+		}
+		p.Regions = regions
+	} else {
+		p.Regions = copyRegions(t.Regions)
+	}
+	if as == nil || as.CR3() != t.AS.CR3() {
+		as = mmu.AdoptAddressSpace(phys, alloc, t.AS.CR3())
+	}
+	p.AS = as
+}
+
 func copyRegions(rs []*VMRegion) []*VMRegion {
 	out := make([]*VMRegion, len(rs))
 	for i, r := range rs {

@@ -138,15 +138,64 @@ func (k *Kernel) Clone() (*Kernel, error) {
 		mu.AdoptSpace(k2.spaceFor(k2.procs, space.CR3()))
 	}
 
-	// Re-register the kernel-owned trusted endpoints with handlers
-	// bound to the clone (the machine clone carried over the map
-	// entries, but those handlers close over the source kernel).
-	machine.RegisterService(k2.svcSyscallAddr, &cpu.Service{
-		Name: "syscall", Kind: cpu.ServiceInt, Handler: k2.syscallEntry,
-	})
-	machine.RegisterService(k2.svcKSvcAddr, &cpu.Service{
-		Name: "kernel-service", Kind: cpu.ServiceInt, Handler: k2.kernelServiceEntry,
-	})
-	machine.OnTick = func(*cpu.Machine) error { return k2.timerTick() }
+	k2.resetProcs = maps.Clone(k2.procs)
+	k2.bindEndpoints()
 	return k2, nil
+}
+
+// ResetTo rewinds the kernel in place to t, the kernel it was cloned
+// from, leaving it indistinguishable from a fresh t.Clone(): memory,
+// allocator, MMU, machine and the kernel's state value are rewound
+// layer by layer (see each layer's ResetTo), the endpoints and timer
+// hook are re-bound as Clone binds them, and the tick subscribers are
+// dropped, as a clone starts with none. Each process t holds is
+// restored into the struct of the same PID this kernel was cloned
+// with, so pointers held elsewhere (core.App.P, a web server's CGI
+// helper) stay valid even if the process exited; processes t lacks
+// vanish. ResetTo only reads t, so clones of one quiescent template
+// may reset concurrently.
+func (k *Kernel) ResetTo(t *Kernel) {
+	k.Phys.ResetTo(t.Phys)
+	k.Alloc.ResetTo(t.Alloc)
+	k.MMU.ResetTo(t.MMU)
+	k.Machine.ResetTo(t.Machine)
+
+	procs, syscalls, ksvcs, costs, console := k.procs, k.syscalls, k.kernelServices, k.Costs, k.ConsoleOut
+	k.kernelState = t.kernelState
+	for pid := range procs {
+		if t.procs[pid] == nil {
+			delete(procs, pid)
+		}
+	}
+	for pid, tp := range t.procs {
+		p := k.resetProcs[pid]
+		if p == nil {
+			p = new(Process)
+			k.resetProcs[pid] = p
+		}
+		p.resetTo(tp, k.Phys, k.Alloc)
+		procs[pid] = p
+	}
+	k.procs = procs
+	if t.cur != nil {
+		if k.cur = procs[t.cur.PID]; t.procs[t.cur.PID] != t.cur { // an exited current process
+			k.cur = new(Process)
+			k.cur.resetTo(t.cur, k.Phys, k.Alloc)
+		}
+	}
+	clear(syscalls)
+	maps.Copy(syscalls, t.syscalls)
+	clear(ksvcs)
+	maps.Copy(ksvcs, t.kernelServices)
+	k.syscalls, k.kernelServices = syscalls, ksvcs
+	*costs = *t.Costs
+	k.Costs = costs
+	k.ConsoleOut = append(console[:0], t.ConsoleOut...)
+
+	if space := t.MMU.Space(); space != nil {
+		k.MMU.AdoptSpace(k.spaceFor(k.procs, space.CR3()))
+	}
+	clear(k.tickFns)
+	k.tickFns = k.tickFns[:0]
+	k.bindEndpoints()
 }

@@ -2,6 +2,7 @@ package loader
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/isa"
 	"repro/internal/kernel"
@@ -214,6 +215,22 @@ func (d *DL) Dlclose(handle int) error {
 
 // Images lists the currently loaded images.
 func (d *DL) Images() []*Image { return d.images }
+
+// ResetTo rewinds the loader state in place to t, the loader it was
+// cloned from with CloneFor, and reports whether it could: it cannot
+// once an image was opened or closed since, and the caller then clones
+// t's state afresh. Only the global-symbol table can change without
+// either, so it alone is refilled.
+func (d *DL) ResetTo(t *DL) bool {
+	if d.nextH != t.nextH || len(d.images) != len(t.images) || len(d.handles) != len(t.handles) {
+		return false
+	}
+	if !maps.Equal(d.globals, t.globals) {
+		clear(d.globals)
+		maps.Copy(d.globals, t.globals)
+	}
+	return true
+}
 
 // CloneFor copies the dynamic-loader state onto a cloned kernel and
 // process: every image is rebound to the clone's loader space, and the

@@ -73,11 +73,19 @@ type frame struct {
 // granule costs nothing.
 const frameSlabSize = 64
 
-// newFrame hands out the next frame from this Physical's slab. Slabs
-// are per-Physical (each simulated machine is goroutine-owned), so no
-// locking is needed; the frames themselves may still be shared
-// copy-on-write across Physicals afterwards.
+// newFrame hands out a zeroed frame: one ResetTo freed, else the next
+// from this Physical's slab. Slabs and the free list are per-Physical
+// (each simulated machine is goroutine-owned), so no locking is
+// needed; the frames themselves may still be shared copy-on-write
+// across Physicals afterwards.
 func (p *Physical) newFrame() *frame {
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free = p.free[:n-1]
+		clear(f.data[:])
+		f.refs.Store(1)
+		return f
+	}
 	if len(p.slab) == 0 {
 		p.slabLen = min(max(2*p.slabLen, 1), frameSlabSize)
 		p.slab = make([]frame, p.slabLen)
@@ -141,6 +149,11 @@ type Physical struct {
 	// slab allocated, doubled for the next one (see newFrame).
 	slab    []frame
 	slabLen int
+
+	// free holds frames ResetTo dropped with no other reference left;
+	// newFrame reuses them before the slab, so a machine reset after
+	// every request does not grow new slabs for its next request.
+	free []*frame
 }
 
 // NewPhysical returns an empty physical memory.
@@ -280,6 +293,76 @@ func (p *Physical) Clone() *Physical {
 		}
 	}
 	return q
+}
+
+// ResetTo rewinds p in place to the contents of t, the Physical it
+// was cloned from. Only chunks that stopped being shared with t are
+// walked, and only frames that differ from t's are touched:
+//
+//   - a frame p owns alone gets t's bytes copied into it, so the next
+//     write to that page needs no copy-on-write fault;
+//   - a frame t lacks is dropped, onto the free list when nothing else
+//     references it;
+//   - anything else (a chunk or frame still shared with a snapshot of
+//     p, a canonical interned frame) is re-shared with t.
+//
+// The touched count is t's and the copy-on-write diagnostics restart
+// from zero, exactly as for a fresh Clone, so p is then
+// indistinguishable from one. No restore hook fires: the caller
+// decides which generations advance. ResetTo only reads t, so clones
+// of one template may reset concurrently while t stays quiescent.
+func (p *Physical) ResetTo(t *Physical) {
+	for ci, pc := range &p.root {
+		tc := t.root[ci]
+		switch {
+		case pc == tc:
+			continue
+		case pc == nil || pc.refs.Load() != 1:
+			if tc != nil {
+				tc.refs.Add(1)
+			}
+			p.root[ci] = tc
+			if pc != nil {
+				releaseChunk(pc)
+			}
+			continue
+		case tc == nil:
+			for _, f := range pc.frames {
+				if f != nil {
+					p.dropFrame(f)
+				}
+			}
+			p.root[ci] = nil
+			continue
+		}
+		for i, pf := range &pc.frames {
+			tf := tc.frames[i]
+			switch {
+			case pf == tf:
+			case tf == nil:
+				pc.frames[i] = nil
+				p.dropFrame(pf)
+			case pf != nil && pf.refs.Load() == 1:
+				pf.data = tf.data
+			default:
+				tf.refs.Add(1)
+				pc.frames[i] = tf
+				if pf != nil {
+					p.dropFrame(pf)
+				}
+			}
+		}
+	}
+	p.touched = t.touched
+	p.cowCopies, p.snapshots, p.deduped = 0, 0, 0
+}
+
+// dropFrame releases p's reference to f, keeping f for reuse when it
+// was the last one.
+func (p *Physical) dropFrame(f *frame) {
+	if f.refs.Add(-1) == 0 {
+		p.free = append(p.free, f)
+	}
 }
 
 // Snapshot is an immutable frozen frame table.
@@ -555,6 +638,12 @@ func (a *FrameAllocator) Available() int {
 // sequence their shared history established.
 func (a *FrameAllocator) Clone() *FrameAllocator {
 	return &FrameAllocator{next: a.next, limit: a.limit, free: slices.Clone(a.free)}
+}
+
+// ResetTo rewinds the allocator in place to t's cursor and free list.
+func (a *FrameAllocator) ResetTo(t *FrameAllocator) {
+	a.next, a.limit = t.next, t.limit
+	a.free = append(a.free[:0], t.free...)
 }
 
 // AllocatorState is a FrameAllocator snapshot.

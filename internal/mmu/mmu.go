@@ -141,12 +141,42 @@ func (m *MMU) Clone(phys *mem.Physical, clock *cycles.Clock) *MMU {
 	return c
 }
 
+// ResetTo rewinds the MMU in place to t, the MMU it was cloned from:
+// descriptor tables, TLB contents and counters, and control bits. The
+// caller rebinds the current address space (AdoptSpace), as after
+// Clone. The translation generation always advances, because the TLB
+// was rewound. The segment generation advances only when a descriptor
+// table no longer shares t's entries, so blocks and probes tagged with
+// it survive a reset over untouched tables. Neither generation ever
+// moves back: a rewound generation could let a stale block match.
+// ResetTo only reads t.
+func (m *MMU) ResetTo(t *MMU) {
+	if !m.GDT.sharesEntries(t.GDT) {
+		m.GDT.RestoreEntries(t.GDT.Snapshot()) // fires bumpSegGen
+	}
+	switch {
+	case t.LDT == nil:
+		if m.LDT != nil {
+			m.LDT = nil
+			m.bumpSegGen()
+		}
+	case m.LDT == nil || !m.LDT.sharesEntries(t.LDT):
+		m.LDT = t.LDT.Clone()
+		m.LDT.onMutate = m.bumpSegGen
+		m.bumpSegGen()
+	}
+	m.tlb.restoreFrom(t.tlb)
+	m.WriteProtect = t.WriteProtect
+	m.elided = 0
+	m.bumpGen()
+}
+
 // AdoptSpace installs an address space without a TLB flush or cycle
-// charge: used when rebinding a cloned MMU to the clone's own
+// charge: used when rebinding a cloned or reset MMU to the machine's own
 // AddressSpace objects (the page-table contents, which live in
 // simulated memory, are already identical).
 //
-//lint:genbump-exempt clone rebinding only: the adopted page tables are bit-identical, Clone carried the generations over, and restore paths bump via phys.OnRestore
+//lint:genbump-exempt clone and reset rebinding only: the adopted page tables are bit-identical, Clone carried the generations over, ResetTo advanced them, and restore paths bump via phys.OnRestore
 func (m *MMU) AdoptSpace(space *AddressSpace) { m.space = space }
 
 // bumpGen advances the translation generation (see the gen field).

@@ -216,8 +216,16 @@ func (t *Table) Len() int { return len(t.entries) }
 // table copies them before its next Set, so the returned slice stays
 // frozen. Callers must not modify it.
 func (t *Table) Snapshot() []Descriptor {
-	t.shared.Store(true)
+	if !t.shared.Load() { // clones of a template only read it
+		t.shared.Store(true)
+	}
 	return t.entries
+}
+
+// sharesEntries reports whether t and u hold the same descriptor slice,
+// which they do from a Clone until either side's next Set.
+func (t *Table) sharesEntries(u *Table) bool {
+	return len(t.entries) == len(u.entries) && (len(t.entries) == 0 || &t.entries[0] == &u.entries[0])
 }
 
 // RestoreEntries rewinds the table to a snapshot produced by Snapshot

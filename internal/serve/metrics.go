@@ -31,12 +31,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "palladium_serve_max_workers %d\n", s.maxWorkers)
 
 	if cs, ok := s.CloneStats(); ok {
-		fmt.Fprintf(&b, "# ephemeral clone pool (clone-per-request mode)\n")
+		fmt.Fprintf(&b, "# clone pool (clone-per-request mode)\n")
 		fmt.Fprintf(&b, "palladium_clone_warm_depth %d\n", cs.WarmDepth)
 		fmt.Fprintf(&b, "palladium_clone_target_depth %d\n", cs.TargetDepth)
 		fmt.Fprintf(&b, "palladium_clone_forks_total %d\n", cs.Forks)
 		fmt.Fprintf(&b, "palladium_clone_cold_steals_total %d\n", cs.ColdSteals)
 		fmt.Fprintf(&b, "palladium_clone_discards_total %d\n", cs.Discards)
+		fmt.Fprintf(&b, "palladium_clone_resets_total %d\n", cs.Resets)
 	}
 
 	st := s.pool.Stats()
@@ -52,40 +53,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "palladium_fleet_worker_sim_cycles_total{worker=\"%d\"} %.0f\n", ws.Worker, ws.SimCycles)
 	}
 
-	// Interpreter counters summed over the per-worker snapshots the
-	// owning workers publish after each request.
-	var blockHits, blockBuilds, blockInvalids, chainHits, fastFetches, tlbHits, tlbMisses, tlbFlushes uint64
-	var traceBuilds, traceDispatches, traceInvalids, traceDeopts uint64
+	// Interpreter counters summed over what the workers publish.
+	var ic interpCounters
 	s.wmu.RLock()
 	wstats := append([]*workerCounters(nil), s.wstats...)
 	s.wmu.RUnlock()
 	for _, wc := range wstats {
-		blockHits += wc.blockHits.Load()
-		blockBuilds += wc.blockBuilds.Load()
-		blockInvalids += wc.blockInvalids.Load()
-		chainHits += wc.chainHits.Load()
-		fastFetches += wc.fastFetches.Load()
-		traceBuilds += wc.traceBuilds.Load()
-		traceDispatches += wc.traceDispatches.Load()
-		traceInvalids += wc.traceInvalids.Load()
-		traceDeopts += wc.traceDeopts.Load()
-		tlbHits += wc.tlbHits.Load()
-		tlbMisses += wc.tlbMisses.Load()
-		tlbFlushes += wc.tlbFlushes.Load()
+		ic.addSince(wc.load(), interpCounters{})
 	}
-	fmt.Fprintf(&b, "# interpreter (summed per-worker snapshots)\n")
-	fmt.Fprintf(&b, "palladium_interp_block_hits_total %d\n", blockHits)
-	fmt.Fprintf(&b, "palladium_interp_block_builds_total %d\n", blockBuilds)
-	fmt.Fprintf(&b, "palladium_interp_block_invalidations_total %d\n", blockInvalids)
-	fmt.Fprintf(&b, "palladium_interp_chain_hits_total %d\n", chainHits)
-	fmt.Fprintf(&b, "palladium_interp_fast_fetches_total %d\n", fastFetches)
-	fmt.Fprintf(&b, "palladium_interp_trace_builds_total %d\n", traceBuilds)
-	fmt.Fprintf(&b, "palladium_interp_trace_dispatches_total %d\n", traceDispatches)
-	fmt.Fprintf(&b, "palladium_interp_trace_invalidations_total %d\n", traceInvalids)
-	fmt.Fprintf(&b, "palladium_interp_trace_deopts_total %d\n", traceDeopts)
-	fmt.Fprintf(&b, "palladium_tlb_hits_total %d\n", tlbHits)
-	fmt.Fprintf(&b, "palladium_tlb_misses_total %d\n", tlbMisses)
-	fmt.Fprintf(&b, "palladium_tlb_flushes_total %d\n", tlbFlushes)
+	fmt.Fprintf(&b, "# interpreter (summed per-worker counters)\n")
+	for i, name := range interpMetrics {
+		fmt.Fprintf(&b, "%s %d\n", name, ic[i])
+	}
 
 	fmt.Fprintf(&b, "# latency (microseconds)\n")
 	writeHist(&b, "palladium_serve_sim_latency_us", s.simHist)

@@ -72,12 +72,13 @@ type Config struct {
 	// boot size and inflight < ScaleDownDepth*(workers-1), the newest
 	// live worker drains and retires. 0 disables scale-down.
 	ScaleDownDepth float64
-	// ClonePerRequest switches the tier to ephemeral-clone serving:
-	// every admitted request runs on a fresh clone forked from the
-	// pristine template (pre-forked into a warm pool off the hot path)
-	// and discarded — never reused — on completion.
+	// ClonePerRequest switches the tier to clone-per-request serving:
+	// every admitted request runs on a machine in exactly the pristine
+	// template's state — a clone of it, reset in place to it after
+	// each request and reused, or forked inline when no reset machine
+	// is waiting (see fleet.ClonePool).
 	ClonePerRequest bool
-	// WarmClones bounds the pre-forked warm clone pool (default 2;
+	// WarmClones bounds the reset machines kept for reuse (default 2;
 	// only meaningful with ClonePerRequest).
 	WarmClones int
 	// RestoreImage, when non-nil, is a webserver.SaveBytes image the
@@ -112,16 +113,73 @@ func ParseModel(name string) (webserver.Model, error) {
 	return m, nil
 }
 
-// workerCounters is a per-worker snapshot of the simulator-internal
-// counters, refreshed by the owning worker after every request it
-// serves, so /metrics can read them without touching a machine another
-// goroutine owns.
+// interpCounters is one reading of a machine's simulator-internal
+// counters, in the order of interpMetrics.
+type interpCounters [12]uint64
+
+// interpMetrics names each interpreter counter on /metrics.
+var interpMetrics = [len(interpCounters{})]string{
+	"palladium_interp_block_hits_total",
+	"palladium_interp_block_builds_total",
+	"palladium_interp_block_invalidations_total",
+	"palladium_interp_chain_hits_total",
+	"palladium_interp_fast_fetches_total",
+	"palladium_interp_trace_builds_total",
+	"palladium_interp_trace_dispatches_total",
+	"palladium_interp_trace_invalidations_total",
+	"palladium_interp_trace_deopts_total",
+	"palladium_tlb_hits_total",
+	"palladium_tlb_misses_total",
+	"palladium_tlb_flushes_total",
+}
+
+// readInterp reads srv's counters; only srv's owner may call it.
+func readInterp(srv *webserver.Server) interpCounters {
+	m := srv.S.K.Machine
+	var c interpCounters
+	c[0], c[1], c[2] = m.BlockCacheStats()
+	c[3], c[4] = m.ChainStats()
+	ts := m.TraceStats()
+	c[5], c[6], c[7] = ts.Built, ts.Dispatches, ts.Invalidated
+	c[8] = ts.DeoptTick + ts.DeoptFault + ts.DeoptPage + ts.DeoptBudget
+	c[9], c[10], c[11] = srv.S.K.MMU.TLB().Stats()
+	return c
+}
+
+// addSince adds to c the counts now has accumulated since before.
+func (c *interpCounters) addSince(now, before interpCounters) {
+	for i := range c {
+		c[i] += now[i] - before[i]
+	}
+}
+
+// workerCounters are the simulator-internal counters one worker
+// publishes after every request it serves, so /metrics can read them
+// without touching a machine another goroutine owns. A worker with its
+// own machine stores that machine's lifetime counters; in
+// clone-per-request mode, where every request may run on a different
+// machine, the worker adds each request's counts instead.
 type workerCounters struct {
-	blockHits, blockBuilds, blockInvalids atomic.Uint64
-	chainHits, fastFetches                atomic.Uint64
-	traceBuilds, traceDispatches          atomic.Uint64
-	traceInvalids, traceDeopts            atomic.Uint64
-	tlbHits, tlbMisses, tlbFlushes        atomic.Uint64
+	mu sync.Mutex
+	c  interpCounters
+}
+
+func (w *workerCounters) store(c interpCounters) {
+	w.mu.Lock()
+	w.c = c
+	w.mu.Unlock()
+}
+
+func (w *workerCounters) addSince(now, before interpCounters) {
+	w.mu.Lock()
+	w.c.addSince(now, before)
+	w.mu.Unlock()
+}
+
+func (w *workerCounters) load() interpCounters {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.c
 }
 
 // Server is the HTTP serving tier over a fleet of web-serving
@@ -133,7 +191,9 @@ type Server struct {
 	// tmpl is the pristine clone source: it never serves, so every
 	// scale-up clone is bit-identical to a boot-time worker.
 	tmpl *webserver.Server
-	// clones is the warm ephemeral-clone pool (ClonePerRequest mode).
+	// clones is the pool of reset machines (ClonePerRequest mode). In
+	// that mode every fleet worker holds tmpl itself, read-only: the
+	// worker machines would never serve.
 	clones *fleet.ClonePool[*webserver.Server]
 
 	ln net.Listener
@@ -217,18 +277,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: booting template: %w", err)
 		}
 	}
-	// Every worker — boot-time and scaled-up alike — is a clone of the
-	// never-serving template, so all workers are bit-identical at
-	// birth no matter when they join.
-	pool, err := fleet.New(fleet.Config{Workers: cfg.Workers, Queue: cfg.Queue},
-		func(int) (*webserver.Server, error) { return tmpl.Clone() })
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:          cfg,
 		defaultModel: defaultModel,
-		pool:         pool,
 		tmpl:         tmpl,
 		simHist:      &Hist{},
 		wallHist:     &Hist{},
@@ -246,12 +297,21 @@ func New(cfg Config) (*Server, error) {
 			cfg.WarmClones = 2
 		}
 		s.cfg.WarmClones = cfg.WarmClones
-		// Discarded clones release their frame references so the
+		// Released clones drop their frame references so the
 		// template's frames never stay falsely shared and the spent
 		// clone's private frames are reclaimed.
 		s.clones = fleet.NewClonePool(cfg.WarmClones,
 			tmpl.Clone,
 			func(c *webserver.Server) { c.S.K.Phys.Release() })
+	}
+	// Every worker — boot-time and scaled-up alike — gets a clone of
+	// the never-serving template (the template itself in
+	// ClonePerRequest mode), so all workers are bit-identical at birth
+	// no matter when they join.
+	s.pool, err = fleet.New(fleet.Config{Workers: cfg.Workers, Queue: cfg.Queue},
+		func(int) (*webserver.Server, error) { return s.workerMachine() })
+	if err != nil {
+		return nil, err
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleServe)
@@ -324,7 +384,7 @@ func (s *Server) CountersSnapshot() Counters {
 // ScaleDowns reports how many workers the autoscaler retired.
 func (s *Server) ScaleDowns() uint64 { return s.scaleDowns.Load() }
 
-// CloneStats snapshots the ephemeral-clone pool gauges; ok is false
+// CloneStats snapshots the clone pool gauges; ok is false
 // when the tier is not in ClonePerRequest mode.
 func (s *Server) CloneStats() (st fleet.CloneStats, ok bool) {
 	if s.clones == nil {
@@ -359,28 +419,28 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		before := srv.SimCycles()
 		status, err := srv.ServeRequest(model)
 		cyc := srv.SimCycles() - before
-		s.refreshWorkerCounters(wk, srv)
+		s.workerCounters(wk).store(readInterp(srv))
 		done <- result{status: status, simMicros: srv.S.Clock().Micros(cyc), err: err}
 		return err
 	}
 	if s.clones != nil {
-		// Ephemeral-clone mode: the fleet still provides admission
+		// Clone-per-request mode: the fleet still provides admission
 		// control and worker concurrency, but the request executes on a
-		// fresh clone popped from the warm pool, not on the worker's
-		// long-lived machine, and the clone is discarded afterwards.
+		// machine in the template's state taken from the clone pool,
+		// not on the worker's machine, and is handed back afterwards.
 		handler = func(wk int, _ *webserver.Server) error {
 			c, err := s.clones.Take()
 			if err != nil {
 				done <- result{err: err}
 				return err
 			}
-			before := c.SimCycles()
+			before, interp := c.SimCycles(), readInterp(c)
 			status, serr := c.ServeRequest(model)
 			cyc := c.SimCycles() - before
-			s.refreshWorkerCounters(wk, c)
+			s.workerCounters(wk).addSince(readInterp(c), interp)
 			res := result{status: status, simMicros: c.S.Clock().Micros(cyc), err: serr}
-			// Discard before completing the request, so the pool gauges
-			// are settled by the time the response is observable.
+			// Hand back before completing the request, so the pool
+			// gauges are settled by the time the response is observable.
 			s.clones.Discard(c)
 			done <- res
 			return serr
@@ -426,34 +486,26 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		res.status, model.String(), res.simMicros, wallMicros)
 }
 
-// refreshWorkerCounters publishes worker wk's simulator counters; it
-// runs on the worker goroutine that owns srv, so the reads are safe.
-func (s *Server) refreshWorkerCounters(wk int, srv *webserver.Server) {
+// workerMachine returns the machine a new fleet worker holds: a clone
+// of the template, or in ClonePerRequest mode the template itself,
+// which the worker never serves on or writes.
+func (s *Server) workerMachine() (*webserver.Server, error) {
+	if s.clones != nil {
+		return s.tmpl, nil
+	}
+	return s.tmpl.Clone()
+}
+
+// workerCounters returns worker wk's published counters. A worker
+// that serves before ScaleUp has grown the table for it gets a scratch
+// entry nobody reads.
+func (s *Server) workerCounters(wk int) *workerCounters {
 	s.wmu.RLock()
-	var c *workerCounters
+	defer s.wmu.RUnlock()
 	if wk < len(s.wstats) {
-		c = s.wstats[wk]
+		return s.wstats[wk]
 	}
-	s.wmu.RUnlock()
-	if c == nil {
-		return
-	}
-	hits, builds, invalids := srv.S.K.Machine.BlockCacheStats()
-	chains, fast := srv.S.K.Machine.ChainStats()
-	ts := srv.S.K.Machine.TraceStats()
-	th, tm, tf := srv.S.K.MMU.TLB().Stats()
-	c.blockHits.Store(hits)
-	c.blockBuilds.Store(builds)
-	c.blockInvalids.Store(invalids)
-	c.chainHits.Store(chains)
-	c.fastFetches.Store(fast)
-	c.traceBuilds.Store(ts.Built)
-	c.traceDispatches.Store(ts.Dispatches)
-	c.traceInvalids.Store(ts.Invalidated)
-	c.traceDeopts.Store(ts.DeoptTick + ts.DeoptFault + ts.DeoptPage + ts.DeoptBudget)
-	c.tlbHits.Store(th)
-	c.tlbMisses.Store(tm)
-	c.tlbFlushes.Store(tf)
+	return &workerCounters{}
 }
 
 // autoscale samples queue depth every ScaleInterval and adds a cloned
@@ -492,11 +544,11 @@ func (s *Server) autoscale() {
 // ScaleUp adds one worker cloned from the pristine template. The
 // autoscaler calls it on queue pressure; tests call it directly.
 func (s *Server) ScaleUp() error {
-	clone, err := s.tmpl.Clone()
+	m, err := s.workerMachine()
 	if err != nil {
 		return err
 	}
-	w, err := s.pool.AddMachine(clone)
+	w, err := s.pool.AddMachine(m)
 	if err != nil {
 		return err
 	}
@@ -526,7 +578,9 @@ func (s *Server) ScaleDown() error {
 	if err != nil {
 		return err
 	}
-	m.S.K.Phys.Release()
+	if m != s.tmpl {
+		m.S.K.Phys.Release()
+	}
 	s.scaleDowns.Add(1)
 	return nil
 }

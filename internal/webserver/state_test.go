@@ -62,6 +62,9 @@ var stateOwners = []struct {
 		"Alloc":          "frame allocator: captured by its own layer (mem)",
 		"kernelTemplate": "wrapper around a page directory fixed at boot",
 		"tickFns":        "closures; only their count is checked",
+		"endpoints":      "trusted endpoints bound to this kernel, re-registered on clone and reset",
+		"onTick":         "timer hook bound to this kernel, re-installed on clone and reset",
+		"resetProcs":     "a clone's own process structs, restored in place on reset",
 	}},
 	{reflect.TypeFor[core.System](), "systemState", map[string]string{
 		"K": "captured by its own layer (kernel)",
@@ -80,6 +83,7 @@ var stateOwners = []struct {
 		"app":       "captured by its own layer (core)",
 		"script":    "stub-address handle, rebound on clone and checked on load",
 		"cgiProc":   "process handle, captured by the kernel",
+		"tmpl":      "the clone's reset point, set by Clone",
 		"extDirect": "sandbox adapter holding no simulated state",
 		"extProt":   "sandbox adapter holding no simulated state",
 		"envBuf":    "per-request scratch",

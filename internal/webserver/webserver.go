@@ -14,6 +14,7 @@
 package webserver
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -121,6 +122,10 @@ type Server struct {
 	script  *core.ProtectedFunc
 	cgiProc *kernel.Process
 
+	// tmpl is the server this one was cloned from, the state Reset
+	// rewinds to (nil for a booted or restored server).
+	tmpl *Server
+
 	// The LibCGI script through the unified sandbox API: the same
 	// loaded module adopted as a direct-backend extension (the
 	// unprotected model) and as a palladium-user extension (the
@@ -217,10 +222,36 @@ func (srv *Server) Clone() (*Server, error) {
 		app:     app2,
 		script:  script2,
 		cgiProc: s2.K.Process(srv.cgiProc.PID),
+		tmpl:    srv,
 
 		extDirect: sandbox.AdoptDirect(app2, "cgi_script", srv.scriptRaw),
 		extProt:   sandbox.AdoptProtected(script2),
 	}, nil
+}
+
+// errNotClone reports a Reset of a server that was not cloned.
+var errNotClone = errors.New("webserver: only a clone can be reset")
+
+// Reset rewinds a clone in place to the server it was cloned from, so
+// its next request runs exactly as on a fresh Clone of that server:
+// same simulated metrics, same byte image, and nothing an earlier
+// request wrote survives. Each layer is rewound in place
+// (core.System.ResetTo, core.App.ResetTo) and the compiled code is
+// kept where it is still valid, so a reset costs a fraction of a
+// clone. The template must be quiescent, as for Clone; Reset only
+// reads it, so clones of one template may reset concurrently. On error
+// nothing was rewound, and the server must be discarded.
+func (srv *Server) Reset() error {
+	t := srv.tmpl
+	if t == nil {
+		return errNotClone
+	}
+	if err := srv.S.ResetTo(t.S); err != nil {
+		return err
+	}
+	srv.app.ResetTo(t.app)
+	srv.serverState = t.serverState
+	return nil
 }
 
 // modelHandlers is the execution-model registry: ServeRequest
