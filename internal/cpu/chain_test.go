@@ -318,7 +318,7 @@ func TestChainHostileRegressionSeeds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, nblocks := genProgram(rng)
 		for _, ev := range genEvents(rng, nblocks) {
-			if ev.kind >= 4 && len(found[ev.kind]) < perKind {
+			if ev.kind >= 4 && ev.kind <= 6 && len(found[ev.kind]) < perKind {
 				found[ev.kind] = append(found[ev.kind], seed)
 				break
 			}

@@ -183,16 +183,26 @@ func genProgram(rng *rand.Rand) (string, int) {
 	return b.String(), nblocks
 }
 
-// genEvents scripts 2-8 invalidation and reset events against random
-// blocks.
+// genEvents scripts 2-8 invalidation events against random blocks,
+// then interleaves reset events among them. The resets are drawn after
+// every invalidation event, so a seed scripts the same invalidation
+// stream it did before reset events existed and seed-selected
+// regressions (TestChainHostileRegressionSeeds) keep their seeds.
 func genEvents(rng *rand.Rand, nblocks int) []diffEvent {
-	events := make([]diffEvent, 2+rng.Intn(7))
-	for i := range events {
-		events[i] = diffEvent{
-			kind:  rng.Intn(8),
+	inval := make([]diffEvent, 2+rng.Intn(7))
+	for i := range inval {
+		inval[i] = diffEvent{
+			kind:  rng.Intn(7),
 			block: rng.Intn(nblocks),
 			imm:   rng.Int31n(1 << 20),
 		}
+	}
+	events := make([]diffEvent, 0, 2*len(inval))
+	for _, ev := range inval {
+		if rng.Intn(7) == 0 {
+			events = append(events, diffEvent{kind: evReset})
+		}
+		events = append(events, ev)
 	}
 	return events
 }
