@@ -24,8 +24,8 @@
 //	palladium-serve -restore tmpl.pal         # cold-start from the snapshot
 //	palladium-serve -clone -warm-clones 4     # serve every request on a clone
 //	                                          # of the template, reset to it
-//	                                          # after the response; keep up
-//	                                          # to 4 reset clones
+//	                                          # after the response; fork 4
+//	                                          # reset clones at boot
 //	palladium-serve -scale-down-depth 0.5     # retire idle scaled-up workers
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops
@@ -57,7 +57,7 @@ func main() {
 	scaleDownDepth := flag.Float64("scale-down-depth", 0, "retire idle workers above the boot size while queue depth stays below this per remaining worker (0 disables)")
 	model := flag.String("model", "libcgi-prot", "default execution model when ?model= is absent")
 	clone := flag.Bool("clone", false, "clone-per-request mode: serve every request on a clone of the template, reset to it after the response")
-	warmClones := flag.Int("warm-clones", 2, "reset clones kept for reuse with -clone")
+	warmClones := flag.Int("warm-clones", 2, "reset clones forked at boot with -clone (at most the worker cap)")
 	restore := flag.String("restore", "", "cold-start the template from this snapshot file instead of booting (see -save-template)")
 	saveTemplate := flag.String("save-template", "", "boot a pristine template, write its snapshot to this file, and exit")
 	flag.Parse()

@@ -150,7 +150,6 @@ func (h *harness) install(textBase uint32, src string) map[string]uint32 {
 	return syms
 }
 
-// startUser prepares CPL 3 execution at entry with a fresh stack.
 // clone derives a harness over a clone of h's machine, rebound to its
 // own address-space wrapper.
 func (h *harness) clone() *harness {
@@ -174,6 +173,7 @@ func (h *harness) resetTo(t *harness) {
 	h.resets++
 }
 
+// startUser prepares CPL 3 execution at entry with a fresh stack.
 func (h *harness) startUser(entry uint32) {
 	h.mapAt(0x0008_0000, true, true)
 	h.m.CS = gsel(selXCode, 3)

@@ -183,28 +183,41 @@ func genProgram(rng *rand.Rand) (string, int) {
 	return b.String(), nblocks
 }
 
-// genEvents scripts 2-8 invalidation events against random blocks,
-// then interleaves reset events among them. The resets are drawn after
-// every invalidation event, so a seed scripts the same invalidation
-// stream it did before reset events existed and seed-selected
-// regressions (TestChainHostileRegressionSeeds) keep their seeds.
+// genEvents scripts 2-8 invalidation events against random blocks.
 func genEvents(rng *rand.Rand, nblocks int) []diffEvent {
-	inval := make([]diffEvent, 2+rng.Intn(7))
-	for i := range inval {
-		inval[i] = diffEvent{
+	events := make([]diffEvent, 2+rng.Intn(7))
+	for i := range events {
+		events[i] = diffEvent{
 			kind:  rng.Intn(7),
 			block: rng.Intn(nblocks),
 			imm:   rng.Int31n(1 << 20),
 		}
 	}
-	events := make([]diffEvent, 0, 2*len(inval))
+	return events
+}
+
+// diffCase draws a seed's scenario: the program, its invalidation
+// events, the tick period and the instruction budget, and with resets
+// set, reset events interleaved among the invalidations. The resets
+// are drawn last, so a seed's program, invalidation stream, tick and
+// budget are the same with and without them.
+func diffCase(seed int64, resets bool) (src string, events []diffEvent, tick float64, budget uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	src, nblocks := genProgram(rng)
+	inval := genEvents(rng, nblocks)
+	tick = 60 + float64(rng.Intn(150))
+	budget = uint64(1200 + rng.Intn(1800))
+	if !resets {
+		return src, inval, tick, budget
+	}
+	events = make([]diffEvent, 0, 2*len(inval))
 	for _, ev := range inval {
 		if rng.Intn(7) == 0 {
 			events = append(events, diffEvent{kind: evReset})
 		}
 		events = append(events, ev)
 	}
-	return events
+	return src, events, tick, budget
 }
 
 // applyEvent performs one scripted invalidation on a machine.
@@ -246,9 +259,10 @@ func applyEvent(h *harness, syms map[string]uint32, ev diffEvent) {
 	}
 }
 
-// diffExec runs the seeded program with the given runner on a clone of
-// a freshly loaded machine, which reset events rewind to, and returns
-// the final state.
+// diffExec runs the seeded program with the given runner on a freshly
+// loaded machine and returns the final state. When the events include
+// a reset, it runs on a clone of that machine instead, and each reset
+// rewinds the clone to it.
 func diffExec(tb testing.TB, runner func(*Machine, RunLimits) RunResult,
 	src string, events []diffEvent, tick float64, budget uint64) (*harness, map[string]uint32, RunResult) {
 	tmpl := newHarness(tb)
@@ -261,7 +275,13 @@ func diffExec(tb testing.TB, runner func(*Machine, RunLimits) RunResult,
 	// differential still compares tiers, not trace-vs-trace).
 	tmpl.m.TraceThreshold = 3
 	tmpl.m.TickCycles = tick
-	h := tmpl.clone()
+	h := tmpl
+	for _, ev := range events {
+		if ev.kind == evReset {
+			h = tmpl.clone()
+			break
+		}
+	}
 	next := 0
 	h.m.OnTick = func(m *Machine) error {
 		if next < len(events) {
@@ -298,13 +318,10 @@ func readRange(tb testing.TB, h *harness, lin uint32, n int) []byte {
 }
 
 // diffCheck is the differential oracle: Run and Step executions of the
-// same seeded program must be indistinguishable.
-func diffCheck(tb testing.TB, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	src, nblocks := genProgram(rng)
-	events := genEvents(rng, nblocks)
-	tick := 60 + float64(rng.Intn(150))
-	budget := uint64(1200 + rng.Intn(1800))
+// same seeded program must be indistinguishable. resets selects whether
+// the seed's scenario includes reset events (see diffCase).
+func diffCheck(tb testing.TB, seed int64, resets bool) {
+	src, events, tick, budget := diffCase(seed, resets)
 
 	hRun, symsRun, resRun := diffExec(tb, (*Machine).Run, src, events, tick, budget)
 	hStep, symsStep, resStep := diffExec(tb, stepRun, src, events, tick, budget)
@@ -380,7 +397,7 @@ func TestRunMatchesStepDifferential(t *testing.T) {
 	for i := int64(0); i < 24; i++ {
 		seed := base + i
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			diffCheck(t, seed)
+			diffCheck(t, seed, true)
 		})
 	}
 }
@@ -392,7 +409,7 @@ func FuzzRunMatchesStep(f *testing.F) {
 		f.Add(defaultTestSeed + i)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		diffCheck(t, seed)
+		diffCheck(t, seed, true)
 	})
 }
 
@@ -407,11 +424,7 @@ func TestDiffProgramsExerciseTheCache(t *testing.T) {
 	var ts TraceStats
 	var faults, breaks, budgets, resets int
 	for i := int64(0); i < 24; i++ {
-		rng := rand.New(rand.NewSource(base + i))
-		src, nblocks := genProgram(rng)
-		events := genEvents(rng, nblocks)
-		tick := 60 + float64(rng.Intn(150))
-		budget := uint64(1200 + rng.Intn(1800))
+		src, events, tick, budget := diffCase(base+i, true)
 		h, _, res := diffExec(t, (*Machine).Run, src, events, tick, budget)
 		resets += h.resets
 		bh, bb, bi := h.m.BlockCacheStats()

@@ -1,10 +1,12 @@
 // Clone pool for clone-per-request serving: every request runs on a
 // machine cloned from a pristine template, so it sees exactly the
 // template's state. A machine handed back is reset in place to that
-// template (when M has a Reset method) and kept for the next request,
-// so a steady stream of requests forks nothing: Take hands out the
-// reset machine that has waited longest, or clones inline when none is
-// waiting — the ColdSteals gauge counts how often. Cross-request
+// template and kept for the next request, so a steady stream of
+// requests forks nothing: Take hands out the reset machine that has
+// waited longest, or clones inline when none is waiting — the
+// ColdSteals gauge counts how often. A pool as deep as the most
+// machines its callers hold at once keeps every machine handed back,
+// so it forks no more than that many in its life. Cross-request
 // isolation comes from the reset, which rewinds every layer of the
 // machine to the template (webserver.Server.Reset), so nothing one
 // request wrote survives into the next. Clone and Reset only read the
@@ -37,16 +39,11 @@ type CloneStats struct {
 	Resets uint64
 }
 
-// resetter is a machine that can rewind itself to the template it was
-// cloned from.
-type resetter interface {
-	Reset() error
-}
-
 // ClonePool hands out machines cloned from a template and takes them
 // back reset. M is typically *webserver.Server; the pool is generic so
-// tests can drive it with counters instead of full machines.
-type ClonePool[M any] struct {
+// tests can drive it with counters instead of full machines. M's Reset
+// rewinds a machine in place to the template it was cloned from.
+type ClonePool[M interface{ Reset() error }] struct {
 	clone   func() (M, error) // forks one machine off the template
 	discard func(M)           // releases a machine the pool does not keep
 
@@ -63,16 +60,22 @@ type ClonePool[M any] struct {
 
 // NewClonePool returns a pool keeping up to depth reset machines, and
 // forks that many up front, so the first requests find machines
-// waiting (a failed fork stops it early; Take then clones inline and
-// returns the error). clone forks a machine off the template; it and
-// M's Reset must only read the template, since Takes and Discards on
-// different goroutines call them concurrently. discard releases a
-// machine that the pool does not keep: one without a Reset method, one
-// whose Reset failed, one handed back while depth machines wait, and
-// the waiting ones at Close.
-func NewClonePool[M any](depth int, clone func() (M, error), discard func(M)) *ClonePool[M] {
+// waiting. clone forks a machine off the template; it and M's Reset
+// must only read the template, since Takes and Discards on different
+// goroutines call them concurrently. discard releases a machine that
+// the pool does not keep: one whose Reset failed, one handed back while
+// depth machines wait, and the waiting ones at Close.
+func NewClonePool[M interface{ Reset() error }](depth int, clone func() (M, error), discard func(M)) *ClonePool[M] {
+	return NewClonePoolWarm(depth, depth, clone, discard)
+}
+
+// NewClonePoolWarm is NewClonePool forking only warm of the depth
+// machines up front; Takes that find none waiting fork the rest. A
+// failed fork stops the up-front forking early; Take then clones
+// inline and returns the error.
+func NewClonePoolWarm[M interface{ Reset() error }](depth, warm int, clone func() (M, error), discard func(M)) *ClonePool[M] {
 	p := &ClonePool[M]{clone: clone, discard: discard, depth: max(depth, 1)}
-	for len(p.idle) < p.depth {
+	for len(p.idle) < min(warm, p.depth) {
 		m, err := clone()
 		if err != nil {
 			break
@@ -117,33 +120,21 @@ func (p *ClonePool[M]) Take() (M, error) {
 }
 
 // Discard hands a spent machine back. It is reset and kept for a later
-// Take when M has a Reset method, the reset succeeds and fewer than
-// depth machines wait; otherwise it is released. Never use a machine
-// after handing it back.
+// Take, unless the reset fails, depth machines already wait or the
+// pool is closed; then it is released. Never use a machine after
+// handing it back.
 func (p *ClonePool[M]) Discard(m M) {
-	if r, ok := any(m).(resetter); ok && p.hasRoom() && r.Reset() == nil {
-		p.mu.Lock()
-		if !p.closed && len(p.idle) < p.depth {
-			p.idle = append(p.idle, m)
-			p.discards++
-			p.resets++
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
-	}
-	p.discard(m)
+	err := m.Reset()
 	p.mu.Lock()
 	p.discards++
+	if err == nil && !p.closed && len(p.idle) < p.depth {
+		p.idle = append(p.idle, m)
+		p.resets++
+		p.mu.Unlock()
+		return
+	}
 	p.mu.Unlock()
-}
-
-// hasRoom reports whether a reset machine would be kept right now, so
-// Discard does not reset one it would release anyway.
-func (p *ClonePool[M]) hasRoom() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.closed && len(p.idle) < p.depth
+	p.discard(m)
 }
 
 // Stats snapshots the pool gauges.

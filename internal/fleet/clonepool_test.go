@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,53 @@ func TestClonePoolWarmPath(t *testing.T) {
 	}
 }
 
+// TestClonePoolWarmFewerThanDepth: a pool may fork fewer machines up
+// front than it keeps. Takes that find none waiting fork the rest,
+// and every machine handed back is kept, up to the depth.
+func TestClonePoolWarmFewerThanDepth(t *testing.T) {
+	f := &fakeClones{}
+	p := NewClonePoolWarm(3, 1, f.clone, f.release)
+	defer p.Close()
+	if st := p.Stats(); st.WarmDepth != 1 || st.Forks != 1 || st.TargetDepth != 3 {
+		t.Fatalf("new pool %+v: want 1 machine forked and waiting, depth 3", st)
+	}
+	ms := make([]*resettable, 3)
+	for i := range ms {
+		ms[i], _ = p.Take()
+	}
+	for _, m := range ms {
+		p.Discard(m)
+	}
+	want := CloneStats{WarmDepth: 3, TargetDepth: 3, Forks: 3, ColdSteals: 2, Discards: 3, Resets: 3}
+	if st := p.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestClonePoolForkError: a failed fork stops the up-front forking, and
+// a Take whose inline fork fails returns the error.
+func TestClonePoolForkError(t *testing.T) {
+	f := &fakeClones{}
+	fail := true
+	p := NewClonePool(2, func() (*resettable, error) {
+		if fail {
+			return nil, errors.New("fork failed")
+		}
+		return f.clone()
+	}, f.release)
+	defer p.Close()
+	if _, err := p.Take(); err == nil {
+		t.Fatal("Take hid a failed fork")
+	}
+	fail = false
+	if _, err := p.Take(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Forks != 1 || st.ColdSteals != 2 {
+		t.Errorf("stats %+v: want 1 fork, 2 cold steals", st)
+	}
+}
+
 // TestClonePoolColdSteal: a Take that finds no reset machine waiting
 // clones inline and is counted as a cold steal, and takers that miss
 // together each get a machine of their own.
@@ -96,7 +144,6 @@ func TestClonePoolColdSteal(t *testing.T) {
 
 // TestClonePoolReleasesWhatItDoesNotKeep: a machine is released, not
 // kept, when the pool already holds depth machines or its Reset fails.
-// A full pool does not reset the machine it releases.
 func TestClonePoolReleasesWhatItDoesNotKeep(t *testing.T) {
 	f := &fakeClones{}
 	p := NewClonePool(1, f.clone, f.release)
@@ -106,9 +153,6 @@ func TestClonePoolReleasesWhatItDoesNotKeep(t *testing.T) {
 	c, _ := p.Take()
 	p.Discard(a) // kept
 	p.Discard(b) // pool full: released
-	if b.resets != 0 {
-		t.Errorf("machine reset before being released by a full pool")
-	}
 	if m, _ := p.Take(); m != a {
 		t.Fatalf("take after discard: got machine %d, want %d", m.id, a.id)
 	}
@@ -119,29 +163,6 @@ func TestClonePoolReleasesWhatItDoesNotKeep(t *testing.T) {
 	}
 	if f.released.Load() != 2 {
 		t.Errorf("%d machines released, want 2", f.released.Load())
-	}
-}
-
-// TestClonePoolWithoutReset: machines with no Reset method are always
-// released, so once the machines forked up front are used, every Take
-// clones.
-func TestClonePoolWithoutReset(t *testing.T) {
-	var forked, released atomic.Int32
-	p := NewClonePool(4, func() (int, error) { return int(forked.Add(1)), nil },
-		func(int) { released.Add(1) })
-	defer p.Close()
-	for i := 0; i < 5; i++ {
-		m, err := p.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Discard(m)
-	}
-	if forked.Load() != 5 || released.Load() != 5 {
-		t.Errorf("forked %d, released %d: want 5 and 5", forked.Load(), released.Load())
-	}
-	if st := p.Stats(); st.ColdSteals != 1 || st.Resets != 0 {
-		t.Errorf("stats %+v: want 1 cold steal, 0 resets", st)
 	}
 }
 
@@ -168,42 +189,52 @@ func TestClonePoolCloseDrains(t *testing.T) {
 
 // TestClonePoolHammer: concurrent Take/Discard churn under -race. No
 // machine is ever held by two takers at once, and the gauges agree
-// with the ground truth: every fork is either waiting or released.
+// with the ground truth: every fork is either waiting or released. A
+// pool as deep as its takers are many keeps every machine handed back,
+// so it forks no more than one per taker.
 func TestClonePoolHammer(t *testing.T) {
-	f := &fakeClones{}
-	p := NewClonePool(4, f.clone, f.release)
-	var inUse sync.Map
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				m, err := p.Take()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, dup := inUse.LoadOrStore(m, true); dup {
-					t.Errorf("machine %d handed to two takers", m.id)
-				}
-				runtime.Gosched()
-				inUse.Delete(m)
-				p.Discard(m)
+	const takers = 8
+	for _, depth := range []int{4, takers} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			f := &fakeClones{}
+			p := NewClonePool(depth, f.clone, f.release)
+			var inUse sync.Map
+			var wg sync.WaitGroup
+			for w := 0; w < takers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						m, err := p.Take()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if _, dup := inUse.LoadOrStore(m, true); dup {
+							t.Errorf("machine %d handed to two takers", m.id)
+						}
+						runtime.Gosched()
+						inUse.Delete(m)
+						p.Discard(m)
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	st := p.Stats()
-	if st.Discards != 800 {
-		t.Errorf("discards = %d, want 800", st.Discards)
-	}
-	if st.Forks != uint64(f.forked.Load()) || st.Forks != uint64(st.WarmDepth)+uint64(f.released.Load()) {
-		t.Errorf("gauges %+v drifted from ground truth: forked %d, released %d",
-			st, f.forked.Load(), f.released.Load())
-	}
-	p.Close()
-	if f.released.Load() != f.forked.Load() {
-		t.Errorf("%d machines leaked", f.forked.Load()-f.released.Load())
+			wg.Wait()
+			st := p.Stats()
+			if st.Discards != 100*takers {
+				t.Errorf("discards = %d, want %d", st.Discards, 100*takers)
+			}
+			if st.Forks != uint64(f.forked.Load()) || st.Forks != uint64(st.WarmDepth)+uint64(f.released.Load()) {
+				t.Errorf("gauges %+v drifted from ground truth: forked %d, released %d",
+					st, f.forked.Load(), f.released.Load())
+			}
+			if depth == takers && (st.Forks > takers || st.Resets != st.Discards) {
+				t.Errorf("gauges %+v: a pool as deep as its takers released a machine", st)
+			}
+			p.Close()
+			if f.released.Load() != f.forked.Load() {
+				t.Errorf("%d machines leaked", f.forked.Load()-f.released.Load())
+			}
+		})
 	}
 }

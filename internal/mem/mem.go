@@ -150,9 +150,10 @@ type Physical struct {
 	slab    []frame
 	slabLen int
 
-	// free holds frames ResetTo dropped with no other reference left;
-	// newFrame reuses them before the slab, so a machine reset after
-	// every request does not grow new slabs for its next request.
+	// free holds frames ResetTo dropped with no other reference left,
+	// up to maxFreeFrames; newFrame reuses them before the slab, so a
+	// machine reset after every request does not grow new slabs for
+	// its next request.
 	free []*frame
 }
 
@@ -302,7 +303,7 @@ func (p *Physical) Clone() *Physical {
 //   - a frame p owns alone gets t's bytes copied into it, so the next
 //     write to that page needs no copy-on-write fault;
 //   - a frame t lacks is dropped, onto the free list when nothing else
-//     references it;
+//     references it and the list has room;
 //   - anything else (a chunk or frame still shared with a snapshot of
 //     p, a canonical interned frame) is re-shared with t.
 //
@@ -357,10 +358,16 @@ func (p *Physical) ResetTo(t *Physical) {
 	p.cowCopies, p.snapshots, p.deduped = 0, 0, 0
 }
 
+// maxFreeFrames caps the free list at about the frames one request
+// adds to a reset machine (a LibCGI request adds 4 or 5). Frames above
+// it are left to the garbage collector, so a request that maps many
+// pages does not pin them for the rest of the machine's life.
+const maxFreeFrames = 8
+
 // dropFrame releases p's reference to f, keeping f for reuse when it
-// was the last one.
+// was the last one and the free list has room.
 func (p *Physical) dropFrame(f *frame) {
-	if f.refs.Add(-1) == 0 {
+	if f.refs.Add(-1) == 0 && len(p.free) < maxFreeFrames {
 		p.free = append(p.free, f)
 	}
 }

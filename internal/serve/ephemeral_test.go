@@ -174,9 +174,11 @@ func TestCloneTaxBitIdentical(t *testing.T) {
 // every request runs on a machine in the template's state (a clone,
 // reset after each request and reused), the template machine never
 // changes, the pool gauges add up, and the simulated latency is
-// bit-identical to shared-machine serving.
+// bit-identical to shared-machine serving. The fleet may serve on more
+// workers than machines are forked at boot, and every machine handed
+// back is still kept.
 func TestClonePerRequestServing(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, Queue: 64, ClonePerRequest: true, WarmClones: 3})
+	s := startServer(t, Config{Workers: 2, MaxWorkers: 4, Queue: 64, ClonePerRequest: true, WarmClones: 1})
 	tmplFP := s.tmpl.S.K.Phys.Fingerprint()
 	tmplFrames := s.tmpl.S.K.Phys.FrameCount()
 
@@ -245,17 +247,21 @@ func TestClonePerRequestServing(t *testing.T) {
 	if st.Discards != n {
 		t.Errorf("discards = %d, want %d (one per request)", st.Discards, n)
 	}
-	// Handed-back machines are reset and reused: no more are ever
-	// forked than can be in use at once plus those kept waiting.
-	if max := uint64(s.cfg.Workers + s.cfg.WarmClones); st.Forks > max {
-		t.Errorf("forks = %d, want <= %d (workers + warm clones)", st.Forks, max)
+	// The pool keeps one machine per worker the fleet may grow to, so
+	// every handed-back machine is reset and reused, and no more are
+	// ever forked than workers can hold at once.
+	if st.Resets != st.Discards {
+		t.Errorf("resets = %d of %d discards: a handed-back machine was released", st.Resets, st.Discards)
 	}
-	if st.TargetDepth != 3 {
-		t.Errorf("target depth = %d, want 3", st.TargetDepth)
+	if max := uint64(s.cfg.MaxWorkers); st.Forks > max {
+		t.Errorf("forks = %d, want <= %d (max workers)", st.Forks, max)
+	}
+	if st.TargetDepth != 4 {
+		t.Errorf("target depth = %d, want 4 (max workers)", st.TargetDepth)
 	}
 	_, body := get(t, s.URL()+"/metrics")
 	for _, want := range []string{
-		"palladium_clone_warm_depth", "palladium_clone_target_depth 3",
+		"palladium_clone_warm_depth", "palladium_clone_target_depth 4",
 		"palladium_clone_forks_total", "palladium_clone_cold_steals_total",
 		fmt.Sprintf("palladium_clone_discards_total %d", st.Discards),
 		fmt.Sprintf("palladium_clone_resets_total %d", st.Resets),

@@ -76,10 +76,14 @@ type Config struct {
 	// every admitted request runs on a machine in exactly the pristine
 	// template's state — a clone of it, reset in place to it after
 	// each request and reused, or forked inline when no reset machine
-	// is waiting (see fleet.ClonePool).
+	// is waiting (see fleet.ClonePool). One machine is kept per worker
+	// the fleet may grow to (MaxWorkers), so every machine handed back
+	// is reused and the tier forks at most that many.
 	ClonePerRequest bool
-	// WarmClones bounds the reset machines kept for reuse (default 2;
-	// only meaningful with ClonePerRequest).
+	// WarmClones is how many of those machines are forked at boot,
+	// before the first request (default 2, at most MaxWorkers; only
+	// meaningful with ClonePerRequest). The rest are forked inline by
+	// the first requests that find none waiting.
 	WarmClones int
 	// RestoreImage, when non-nil, is a webserver.SaveBytes image the
 	// template machine is restored from instead of booting fresh — the
@@ -300,7 +304,7 @@ func New(cfg Config) (*Server, error) {
 		// Released clones drop their frame references so the
 		// template's frames never stay falsely shared and the spent
 		// clone's private frames are reclaimed.
-		s.clones = fleet.NewClonePool(cfg.WarmClones,
+		s.clones = fleet.NewClonePoolWarm(cfg.MaxWorkers, cfg.WarmClones,
 			tmpl.Clone,
 			func(c *webserver.Server) { c.S.K.Phys.Release() })
 	}

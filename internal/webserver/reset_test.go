@@ -252,7 +252,9 @@ func resetClone(tb testing.TB) *Server {
 // TestResetHeapFlat: resetting does not leak. Frames a request adds go
 // to the free list and are reused by the next request, so 1,000
 // requests of every model, each followed by a reset, leave the live
-// heap where it was.
+// heap where it was. The free list is capped, so one request that maps
+// many pages, followed by requests that map few, leaves the machine
+// holding a small part of what it mapped, not all of it.
 func TestResetHeapFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race detector")
@@ -267,21 +269,49 @@ func TestResetHeapFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
 	for i := 0; i < 20; i++ {
 		serve(i)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := heap()
 	for i := 0; i < 1000; i++ {
 		serve(i)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c) // the clone's heap is what is measured
-	if grow := int64(after.HeapAlloc) - int64(before.HeapAlloc); grow > 16<<10 {
+	if grow := heap() - before; grow > 16<<10 {
 		t.Errorf("1000 resets grew the live heap by %d KiB, budget 16 KiB", grow>>10)
 	}
+
+	const large = 4 << 20
+	before = heap()
+	p, k := c.app.P, c.S.K
+	addr, err := p.Mmap(k, 0, large, true, "large")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Touch(k, addr, large); err != nil {
+		t.Fatal(err)
+	}
+	for off := uint32(0); off < large; off += mem.PageSize {
+		if err := c.app.WriteMem(addr+off, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		serve(i)
+	}
+	if grow := heap() - before; grow > large/8 {
+		t.Errorf("after a request mapping %d KiB, the reset machine holds %d KiB more, budget %d KiB",
+			large>>10, grow>>10, large/8>>10)
+	}
+	runtime.KeepAlive(c) // the clone's heap is what is measured
 }
 
 // TestResetRequestHeapBudget pins the heap one clone-per-request
