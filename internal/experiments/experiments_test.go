@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cycles"
+	"repro/internal/fleet"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/webserver"
@@ -185,8 +186,12 @@ func TestTable3Shape(t *testing.T) {
 }
 
 // TestTable3ConcurrentN1BitIdentical pins every Table 3 number as the
-// N=1 case of the concurrent serving tier: a 1-worker fleet serving the
-// models in Table 3's order reproduces the serial rows bit for bit.
+// N=1 case of the concurrent serving tier: a 1-worker fleet.Pool
+// serving the models in Table 3's order reproduces the serial rows bit
+// for bit. Each model's span runs from the machine's clock just before
+// its first pinned request to just after its last, and
+// Server.SustainedRate converts it exactly as the serial Throughput
+// does.
 func TestTable3ConcurrentN1BitIdentical(t *testing.T) {
 	sizes := []uint32{28, 10 * 1024}
 	const requests = 25
@@ -195,22 +200,38 @@ func TestTable3ConcurrentN1BitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, size := range sizes {
-		f, err := webserver.NewFleet(size, 1)
+		pool, err := fleet.New(fleet.Config{Workers: 1}, func(int) (*webserver.Server, error) {
+			return webserver.BootServer(size)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		row := Table3Row{Size: size}
 		dst := modelDests(&row.CGI, &row.FastCGI, &row.LibCGIProt, &row.LibCGIUnprot, &row.WebServer)
 		for _, m := range fleetModels {
-			res, err := f.Serve(m, requests)
-			if err != nil {
-				f.Close()
-				t.Fatal(err)
+			var start float64
+			for r := 0; r < requests; r++ {
+				first, last := r == 0, r == requests-1
+				err := pool.SubmitTo(0, func(_ int, srv *webserver.Server) error {
+					if first {
+						start = srv.SimCycles()
+					}
+					if _, err := srv.ServeRequest(m); err != nil {
+						return err
+					}
+					if last {
+						*dst[m] = srv.SustainedRate(srv.SimCycles()-start, requests)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			*dst[m] = res.AggregateReqPerSec
+			pool.Drain()
 		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
+		if st := pool.Close(); st.Errors != 0 || st.Requests != uint64(requests*len(fleetModels)) {
+			t.Fatalf("size %d: pool served %d requests with %d errors", size, st.Requests, st.Errors)
 		}
 		if row != serial[i] {
 			t.Errorf("size %d: fleet N=1 row %+v != serial %+v (must be bit-identical)", size, row, serial[i])

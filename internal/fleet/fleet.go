@@ -1,21 +1,21 @@
-// Package fleet runs a pool of independently booted Palladium
-// machines behind a work-stealing request dispatcher, turning the
-// one-machine-at-a-time reproduction into a concurrent serving tier.
+// Package fleet runs a pool of Palladium machines behind a
+// work-stealing request dispatcher, turning the one-machine-at-a-time
+// reproduction into a concurrent serving tier. The caller supplies
+// each worker's machine; the serving daemon (internal/serve) gives
+// every worker a clone of one template machine.
 //
 // The isolation argument is machine-per-worker ownership: every worker
-// goroutine boots and exclusively owns one complete simulated machine
-// (its own core.System, kernel, MMU, TLB, physical memory and clock),
-// so no simulator state is ever shared between goroutines and the
-// simulated metrics of each machine are bit-identical to what the same
-// machine would produce serving alone. The pool only adds scheduling
-// around the machines: a bounded submission queue, per-worker run
-// queues with idle-worker stealing, per-worker and aggregate
-// statistics, and a graceful drain that never drops an accepted
-// request.
+// goroutine exclusively owns one complete simulated machine (its own
+// core.System, kernel, MMU, TLB, physical memory and clock), so no
+// simulator state is ever shared between goroutines and the simulated
+// metrics of each machine are bit-identical to what the same machine
+// would produce serving alone. The pool only adds scheduling around
+// the machines: a bounded submission queue, per-worker run queues with
+// idle-worker stealing, per-worker and aggregate statistics, and a
+// graceful drain that never drops an accepted request.
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,9 +35,10 @@ type Machine interface {
 // (which, under stealing, may differ from the submission target).
 type Request[M Machine] func(worker int, m M) error
 
-// ErrClosed reports a Submit after Close. A Submit blocked on a full
-// queue when Close arrives is woken and returns ErrClosed too, rather
-// than being stranded against a queue no worker will ever drain.
+// ErrClosed reports a submission after Close. A SubmitTo blocked on a
+// full queue when Close arrives is woken and returns ErrClosed too,
+// rather than being stranded against a queue no worker will ever
+// drain.
 var ErrClosed = errors.New("fleet: pool is closed")
 
 // ErrBackpressure reports a TrySubmit refused because the submission
@@ -50,7 +51,8 @@ type Config struct {
 	// Workers is the number of machines to boot (default 1).
 	Workers int
 	// Queue bounds the number of accepted-but-unfinished requests;
-	// Submit blocks while the bound is reached (default 4*Workers).
+	// SubmitTo blocks and TrySubmit refuses while the bound is reached
+	// (default 4*Workers).
 	Queue int
 }
 
@@ -73,23 +75,11 @@ type WorkerStats struct {
 	// in every snapshot so pool totals remain conservation-exact across
 	// scale-downs.
 	Retired bool
-	// BootCycles is the machine's simulated clock reading right after
-	// boot, before any request ran.
-	BootCycles float64
 	// Busy is the wall-clock time spent executing requests.
 	Busy time.Duration
 	// QueueHighWater is the deepest this worker's run queue got: since
 	// boot in Pool.Stats snapshots, since BeginRun in Run.Stats ones.
 	QueueHighWater int
-	// SpanCycles and SpanSeconds are per-run serving spans, populated
-	// only by Run.Stats: the machine's simulated clock span and the
-	// host wall-clock span from just before this worker's first served
-	// request of the run to just after its last. Workers that join the
-	// pool mid-run (autoscaling) get a correct local span rather than
-	// inheriting the run's global start. Zero in cumulative Pool.Stats
-	// snapshots and for workers that served nothing this run.
-	SpanCycles  float64
-	SpanSeconds float64
 }
 
 // Stats is a snapshot of the whole pool.
@@ -132,7 +122,7 @@ type item[M Machine] struct {
 
 // ring is a growable circular queue of items. The buffer is allocated
 // once (pre-sized to the submission bound) and reused, so steady-state
-// Submit/take cycles allocate nothing — the slice-append queues this
+// submit/take cycles allocate nothing — the slice-append queues this
 // replaces reallocated continuously because popping from the front
 // discards capacity.
 type ring[M Machine] struct {
@@ -206,23 +196,9 @@ type Pool[M Machine] struct {
 	gone     *sync.Cond
 	live     int // workers not retired
 	stats    []WorkerStats
-	epoch    uint64     // bumped by BeginRun; scopes the run tracking
-	runs     []runTrack // per-worker tracking for the current run
-	firstErr error
+	epoch    uint64 // bumped by BeginRun; scopes the run tracking
+	runHigh  []int  // per-worker queue high water for the current run
 	wg       sync.WaitGroup
-}
-
-// runTrack is the pool's per-worker bookkeeping for the current
-// measurement run (see BeginRun): how many requests the worker served
-// this run, the simulated-clock and wall-clock readings bracketing its
-// first and last served request, and the run-local queue high water.
-type runTrack struct {
-	served    uint64
-	spanStart float64 // machine clock just before the first request
-	spanEnd   float64 // machine clock just after the latest request
-	firstWall time.Time
-	lastWall  time.Time
-	highWater int
 }
 
 // New boots cfg.Workers machines (sequentially, so boot-time frame and
@@ -243,7 +219,7 @@ func New[M Machine](cfg Config, boot func(worker int) (M, error)) (*Pool[M], err
 		exited:   make([]bool, cfg.Workers),
 		live:     cfg.Workers,
 		stats:    make([]WorkerStats, cfg.Workers),
-		runs:     make([]runTrack, cfg.Workers),
+		runHigh:  make([]int, cfg.Workers),
 	}
 	for w := range p.queues {
 		// Pre-size to the submission bound: no queue can hold more
@@ -260,7 +236,7 @@ func New[M Machine](cfg Config, boot func(worker int) (M, error)) (*Pool[M], err
 			return nil, fmt.Errorf("fleet: booting machine %d: %w", w, err)
 		}
 		p.machines[w] = m
-		p.stats[w] = WorkerStats{Worker: w, BootCycles: m.SimCycles()}
+		p.stats[w] = WorkerStats{Worker: w}
 	}
 	p.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -286,9 +262,9 @@ func (p *Pool[M]) AddMachine(m M) (int, error) {
 	p.retired = append(p.retired, false)
 	p.exited = append(p.exited, false)
 	p.live++
-	p.stats = append(p.stats, WorkerStats{Worker: w, BootCycles: m.SimCycles()})
+	p.stats = append(p.stats, WorkerStats{Worker: w})
 	p.queues = append(p.queues, ring[M]{buf: make([]item[M], p.bound)})
-	p.runs = append(p.runs, runTrack{})
+	p.runHigh = append(p.runHigh, 0)
 	p.wg.Add(1)
 	p.mu.Unlock()
 	go p.run(w, m)
@@ -346,27 +322,6 @@ func (p *Pool[M]) LiveWorkers() []int {
 	return out
 }
 
-// NewFromTemplate boots ONE template machine and derives the other
-// workers by cloning it, replacing cfg.Workers serial boots with a
-// single boot plus cfg.Workers-1 clones. The template itself serves as
-// worker 0. Because a clone's simulated state is bit-identical to its
-// source's, a clone-booted fleet serves exactly as a serially booted
-// one — the only difference is wall-clock boot time. All clones are
-// taken up front, before any worker goroutine starts, so the template
-// is quiescent while cloned.
-func NewFromTemplate[M Machine](cfg Config, bootTemplate func() (M, error), clone func(worker int, template M) (M, error)) (*Pool[M], error) {
-	tmpl, err := bootTemplate()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: booting template machine: %w", err)
-	}
-	return New(cfg, func(w int) (M, error) {
-		if w == 0 {
-			return tmpl, nil
-		}
-		return clone(w, tmpl)
-	})
-}
-
 // Workers returns the number of live (non-retired) workers. Under
 // autoscaling it can change between calls in either direction.
 func (p *Pool[M]) Workers() int {
@@ -394,99 +349,12 @@ func (p *Pool[M]) Inflight() int {
 // Bound reports the submission bound.
 func (p *Pool[M]) Bound() int { return p.bound }
 
-// Submit hands a request to the dispatcher, blocking while the
-// submission bound is reached. Requests are placed round-robin on the
-// worker run queues; idle workers steal from the longest queue.
-func (p *Pool[M]) Submit(req Request[M]) error {
-	return p.SubmitCtx(context.Background(), req)
-}
-
-// SubmitCtx is Submit with cancellation: a submitter blocked on a full
-// queue returns ctx.Err() once ctx is done (and ErrClosed if the pool
-// closes first). An accepted request is never revoked by a later
-// cancellation of ctx.
-func (p *Pool[M]) SubmitCtx(ctx context.Context, req Request[M]) error {
-	return p.submit(ctx, balanced, item[M]{req: req})
-}
-
-// TrySubmit is the non-blocking Submit used for admission control: a
-// full queue refuses immediately with ErrBackpressure instead of
-// queueing the caller behind capacity the pool does not have.
+// TrySubmit is the serving tier's admission path: the request is
+// placed round-robin on a live worker's run queue, where an idle
+// worker may steal it, and a full queue refuses immediately with
+// ErrBackpressure instead of queueing the caller behind capacity the
+// pool does not have.
 func (p *Pool[M]) TrySubmit(req Request[M]) error {
-	return p.trySubmit(balanced, item[M]{req: req})
-}
-
-// SubmitTo places a request on worker w's queue pinned to its machine:
-// only that worker executes it, so simulated placement is decided by
-// the caller's balancing policy, not by host scheduling. Capacity
-// measurements use this; wall-clock workloads use Submit and let idle
-// workers steal.
-func (p *Pool[M]) SubmitTo(w int, req Request[M]) error {
-	return p.submit(context.Background(), w, item[M]{req: req, pinned: true})
-}
-
-// TrySubmitTo is the non-blocking SubmitTo: pinned placement with
-// ErrBackpressure instead of blocking at the bound.
-func (p *Pool[M]) TrySubmitTo(w int, req Request[M]) error {
-	return p.trySubmit(w, item[M]{req: req, pinned: true})
-}
-
-// balanced marks a submission with no pinned worker: the target is
-// picked round-robin over live workers at enqueue time, so a worker
-// retiring while a submitter waits for space never receives new work.
-const balanced = -1
-
-// targetLocked resolves a submission target. Caller holds p.mu.
-func (p *Pool[M]) targetLocked(w int) (int, error) {
-	if w == balanced {
-		for {
-			t := p.next % len(p.queues)
-			p.next++
-			if !p.retired[t] {
-				return t, nil
-			}
-		}
-	}
-	if w < 0 || w >= len(p.machines) {
-		return 0, fmt.Errorf("fleet: no worker %d", w)
-	}
-	if p.retired[w] {
-		return 0, fmt.Errorf("fleet: worker %d retired", w)
-	}
-	return w, nil
-}
-
-func (p *Pool[M]) submit(ctx context.Context, w int, it item[M]) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ctx.Done() != nil {
-		// Wake the cond loop when the context fires; Wait cannot
-		// select on a channel, so the watcher broadcasts instead.
-		stop := context.AfterFunc(ctx, func() {
-			p.mu.Lock()
-			p.space.Broadcast()
-			p.mu.Unlock()
-		})
-		defer stop()
-	}
-	for p.inflight >= p.bound && !p.closing && ctx.Err() == nil {
-		p.space.Wait()
-	}
-	if p.closing {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	t, err := p.targetLocked(w)
-	if err != nil {
-		return err
-	}
-	p.enqueueLocked(t, it)
-	return nil
-}
-
-func (p *Pool[M]) trySubmit(w int, it item[M]) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closing {
@@ -495,11 +363,36 @@ func (p *Pool[M]) trySubmit(w int, it item[M]) error {
 	if p.inflight >= p.bound {
 		return ErrBackpressure
 	}
-	t, err := p.targetLocked(w)
-	if err != nil {
-		return err
+	for {
+		t := p.next % len(p.queues)
+		p.next++
+		if !p.retired[t] {
+			p.enqueueLocked(t, item[M]{req: req})
+			return nil
+		}
 	}
-	p.enqueueLocked(t, it)
+}
+
+// SubmitTo places a request on worker w's queue pinned to its machine,
+// blocking while the submission bound is reached: only that worker
+// executes it, so simulated placement is decided by the caller's
+// balancing policy, not by host scheduling.
+func (p *Pool[M]) SubmitTo(w int, req Request[M]) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.inflight >= p.bound && !p.closing {
+		p.space.Wait()
+	}
+	if p.closing {
+		return ErrClosed
+	}
+	if w < 0 || w >= len(p.machines) {
+		return fmt.Errorf("fleet: no worker %d", w)
+	}
+	if p.retired[w] {
+		return fmt.Errorf("fleet: worker %d retired", w)
+	}
+	p.enqueueLocked(w, item[M]{req: req, pinned: true})
 	return nil
 }
 
@@ -509,8 +402,8 @@ func (p *Pool[M]) enqueueLocked(w int, it item[M]) {
 	if n := p.queues[w].len(); n > p.stats[w].QueueHighWater {
 		p.stats[w].QueueHighWater = n
 	}
-	if n := p.queues[w].len(); n > p.runs[w].highWater {
-		p.runs[w].highWater = n
+	if n := p.queues[w].len(); n > p.runHigh[w] {
+		p.runHigh[w] = n
 	}
 	// Broadcast, not Signal: a pinned item must wake its owner, and
 	// Signal could wake only a worker that cannot take it.
@@ -578,25 +471,16 @@ func (p *Pool[M]) run(w int, m M) {
 		start := time.Now()
 		before := m.SimCycles()
 		err := req(w, m)
-		end := time.Now()
+		busy := time.Since(start)
 		after := m.SimCycles()
 
 		p.mu.Lock()
 		st := &p.stats[w]
 		st.Requests++
-		st.Busy += end.Sub(start)
+		st.Busy += busy
 		st.SimCycles += after - before
-		rt := &p.runs[w]
-		if rt.served == 0 {
-			rt.spanStart, rt.firstWall = before, start
-		}
-		rt.spanEnd, rt.lastWall = after, end
-		rt.served++
 		if err != nil {
 			st.Errors++
-			if p.firstErr == nil {
-				p.firstErr = err
-			}
 		}
 		p.inflight--
 		if p.inflight == 0 {
@@ -620,7 +504,7 @@ func (p *Pool[M]) Drain() {
 // Stats snapshots per-worker and aggregate counters. All counters are
 // totals since boot; measurement code that needs per-run values uses
 // BeginRun/Run.Stats instead of diffing two cumulative snapshots
-// (which cannot recover a per-run queue high water or serving span).
+// (which cannot recover a per-run queue high water).
 func (p *Pool[M]) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -642,30 +526,28 @@ type Run[M Machine] struct {
 }
 
 // BeginRun starts a new measurement run: it snapshots the cumulative
-// counters and resets the pool's per-run tracking (queue high water,
-// per-worker serving spans). Only one run is tracked at a time — a
-// later BeginRun ends span/high-water tracking for earlier handles —
-// and runs are expected to begin while the pool is quiescent (after
-// Drain), as the measurement harnesses do.
+// counters and resets the pool's per-run queue high water. Only one
+// run is tracked at a time — a later BeginRun ends high-water tracking
+// for earlier handles — and runs are expected to begin while the pool
+// is quiescent (after Drain), as the measurement harnesses do.
 func (p *Pool[M]) BeginRun() *Run[M] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.epoch++
-	for w := range p.runs {
+	for w := range p.runHigh {
 		// Anything already queued counts toward this run's high water.
-		p.runs[w] = runTrack{highWater: p.queues[w].len()}
+		p.runHigh[w] = p.queues[w].len()
 	}
 	return &Run[M]{p: p, epoch: p.epoch, base: append([]WorkerStats(nil), p.stats...)}
 }
 
 // Stats reports per-run deltas: requests, errors, steals, simulated
-// cycles and busy time since BeginRun, the run's queue high water, and
-// each worker's serving span from just before its first served request
-// to just after its last (SpanCycles/SpanSeconds). Workers added after
-// BeginRun (autoscaling) report their full counters, since their base
-// is zero. If a newer BeginRun has superseded this run, the counter
-// deltas remain correct but spans and high-water marks are zeroed
-// rather than silently reporting the newer run's tracking.
+// cycles and busy time since BeginRun, and the run's queue high water.
+// Workers added after BeginRun (autoscaling) report their full
+// counters, since their base is zero. If a newer BeginRun has
+// superseded this run, the counter deltas remain correct but the
+// high-water marks are zeroed rather than silently reporting the newer
+// run's tracking.
 func (r *Run[M]) Stats() Stats {
 	p := r.p
 	p.mu.Lock()
@@ -683,12 +565,7 @@ func (r *Run[M]) Stats() Stats {
 		}
 		ws.QueueHighWater = 0
 		if r.epoch == p.epoch {
-			rt := p.runs[w]
-			ws.QueueHighWater = rt.highWater
-			if rt.served > 0 {
-				ws.SpanCycles = rt.spanEnd - rt.spanStart
-				ws.SpanSeconds = rt.lastWall.Sub(rt.firstWall).Seconds()
-			}
+			ws.QueueHighWater = p.runHigh[w]
 		}
 		s.Workers[w] = ws
 	}
@@ -696,21 +573,12 @@ func (r *Run[M]) Stats() Stats {
 	return s
 }
 
-// Machine returns worker w's machine. It is only safe to touch the
-// machine while no requests are in flight (after Drain or Close); the
-// caller is reaching into a worker's private state.
-func (p *Pool[M]) Machine(w int) M {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.machines[w]
-}
-
 // Close executes every already-accepted request, stops the workers,
-// and returns the final statistics plus the first request error
-// observed (if any). Submissions racing with Close either complete or
-// return ErrClosed; accepted ones are never dropped, and submitters
-// blocked on a full queue are woken with ErrClosed.
-func (p *Pool[M]) Close() (Stats, error) {
+// and returns the final statistics; a request's own error is counted
+// in Stats.Errors, not returned. Submissions racing with Close either
+// complete or return ErrClosed; accepted ones are never dropped, and
+// submitters blocked on a full queue are woken with ErrClosed.
+func (p *Pool[M]) Close() Stats {
 	p.mu.Lock()
 	if !p.closing {
 		p.closing = true
@@ -721,5 +589,5 @@ func (p *Pool[M]) Close() (Stats, error) {
 	p.wg.Wait()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.statsLocked(), p.firstErr
+	return p.statsLocked()
 }

@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,8 +33,20 @@ func newFakePool(t *testing.T, workers, queue int) *Pool[*fakeMachine] {
 	return p
 }
 
+// submitBalanced retries TrySubmit until the pool has room, as a
+// client retries a 503: balanced placement that waits for capacity.
+func submitBalanced(p *Pool[*fakeMachine], req Request[*fakeMachine]) error {
+	for {
+		err := p.TrySubmit(req)
+		if !errors.Is(err, ErrBackpressure) {
+			return err
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestPoolHammer floods the pool from many goroutines, mixing
-// balanced (Submit) and pinned (SubmitTo) requests, and checks that
+// balanced (TrySubmit) and pinned (SubmitTo) requests, and checks that
 // every accepted request executed exactly once and that the aggregate
 // stats equal the sum of the per-worker stats. Run with -race this is
 // also the machine-ownership proof: each fakeMachine is mutated
@@ -64,7 +76,7 @@ func TestPoolHammer(t *testing.T) {
 				}
 				var err error
 				if i%2 == 0 {
-					err = p.Submit(req)
+					err = submitBalanced(p, req)
 				} else {
 					err = p.SubmitTo((s+i)%workers, req)
 				}
@@ -76,10 +88,7 @@ func TestPoolHammer(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	stats, err := p.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := p.Close()
 
 	const want = submitters * perSub
 	if got := executed.Load(); got != want {
@@ -107,9 +116,10 @@ func TestPoolHammer(t *testing.T) {
 	}
 
 	// And the per-worker machine counters agree with the per-worker
-	// stats (nothing ran on the wrong machine).
+	// stats (nothing ran on the wrong machine). The workers are gone,
+	// so their machines may be read.
 	for w := 0; w < workers; w++ {
-		m := p.Machine(w)
+		m := p.machines[w]
 		if uint64(m.served) != stats.Workers[w].Requests {
 			t.Errorf("worker %d: machine served %d, stats say %d", w, m.served, stats.Workers[w].Requests)
 		}
@@ -129,7 +139,7 @@ func TestDrainDropsNothing(t *testing.T) {
 	}
 	for round := 1; round <= 3; round++ {
 		for i := 0; i < 100; i++ {
-			if err := p.Submit(req); err != nil {
+			if err := submitBalanced(p, req); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -140,22 +150,22 @@ func TestDrainDropsNothing(t *testing.T) {
 	}
 	// Requests queued at Close time still execute.
 	for i := 0; i < 50; i++ {
-		if err := p.Submit(req); err != nil {
+		if err := submitBalanced(p, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats, err := p.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := p.Close()
 	if got := executed.Load(); got != 350 {
 		t.Errorf("executed %d, want 350 (close dropped requests)", got)
 	}
 	if stats.Requests != 350 {
 		t.Errorf("stats.Requests = %d, want 350", stats.Requests)
 	}
-	if err := p.Submit(req); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if err := p.TrySubmit(req); !errors.Is(err, ErrClosed) {
+		t.Errorf("TrySubmit after Close = %v, want ErrClosed", err)
+	}
+	if err := p.SubmitTo(0, req); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitTo after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -176,10 +186,10 @@ func TestPinnedPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := p.Close()
-	if err != nil {
-		t.Fatal(err)
+	if err := p.SubmitTo(99, func(int, *fakeMachine) error { return nil }); err == nil {
+		t.Error("SubmitTo(99) on a 4-worker pool must fail")
 	}
+	stats := p.Close()
 	if wrong.Load() != 0 {
 		t.Errorf("%d pinned requests ran on the wrong machine", wrong.Load())
 	}
@@ -190,9 +200,6 @@ func TestPinnedPlacement(t *testing.T) {
 		if stats.Workers[w].Requests != 50 {
 			t.Errorf("worker %d served %d, want 50", w, stats.Workers[w].Requests)
 		}
-	}
-	if err := p.SubmitTo(99, func(int, *fakeMachine) error { return nil }); err == nil {
-		t.Error("SubmitTo(99) on a 4-worker pool must fail")
 	}
 }
 
@@ -214,7 +221,7 @@ func TestIdleWorkerSteals(t *testing.T) {
 	// must steal worker 0's share.
 	var executed atomic.Uint64
 	for i := 0; i < 40; i++ {
-		if err := p.Submit(func(_ int, m *fakeMachine) error {
+		if err := p.TrySubmit(func(_ int, m *fakeMachine) error {
 			executed.Add(1)
 			return nil
 		}); err != nil {
@@ -231,10 +238,7 @@ func TestIdleWorkerSteals(t *testing.T) {
 		}
 	}
 	close(release)
-	stats, err := p.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := p.Close()
 	if stats.Workers[1].Steals == 0 {
 		t.Error("worker 1 never stole despite worker 0 being blocked")
 	}
@@ -243,13 +247,15 @@ func TestIdleWorkerSteals(t *testing.T) {
 	}
 }
 
-// TestRequestErrorsAreCountedAndReturned checks error accounting.
+// TestRequestErrorsAreCountedAndReturned checks error accounting: a
+// failed request still counts as served, and its error is counted in
+// the pool's statistics rather than returned from Close.
 func TestRequestErrorsAreCountedAndReturned(t *testing.T) {
 	p := newFakePool(t, 2, 8)
 	boom := errors.New("boom")
 	for i := 0; i < 10; i++ {
 		i := i
-		if err := p.Submit(func(int, *fakeMachine) error {
+		if err := submitBalanced(p, func(int, *fakeMachine) error {
 			if i%3 == 0 {
 				return boom
 			}
@@ -258,10 +264,7 @@ func TestRequestErrorsAreCountedAndReturned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := p.Close()
-	if !errors.Is(err, boom) {
-		t.Errorf("Close error = %v, want boom", err)
-	}
+	stats := p.Close()
 	if stats.Errors != 4 {
 		t.Errorf("stats.Errors = %d, want 4", stats.Errors)
 	}
@@ -284,7 +287,7 @@ func TestBootFailurePropagates(t *testing.T) {
 }
 
 // TestBoundedQueueBlocksSubmit checks the submission bound: with all
-// workers blocked, at most Queue requests are accepted before Submit
+// workers blocked, at most Queue requests are accepted before SubmitTo
 // blocks, and everything completes once the workers resume.
 func TestBoundedQueueBlocksSubmit(t *testing.T) {
 	p := newFakePool(t, 2, 4)
@@ -301,7 +304,7 @@ func TestBoundedQueueBlocksSubmit(t *testing.T) {
 	go func() {
 		n := 0
 		for i := 0; i < 20; i++ {
-			if err := p.Submit(func(int, *fakeMachine) error { return nil }); err != nil {
+			if err := p.SubmitTo(i%2, func(int, *fakeMachine) error { return nil }); err != nil {
 				break
 			}
 			n++
@@ -312,16 +315,13 @@ func TestBoundedQueueBlocksSubmit(t *testing.T) {
 	case n := <-accepted:
 		t.Fatalf("all %d submissions accepted despite blocked workers and bound 4", n)
 	case <-time.After(50 * time.Millisecond):
-		// Submit is blocking at the bound, as it should.
+		// SubmitTo is blocking at the bound, as it should.
 	}
 	close(release)
 	if n := <-accepted; n != 20 {
 		t.Fatalf("only %d of 20 submissions accepted after release", n)
 	}
-	stats, err := p.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := p.Close()
 	if stats.Requests != 22 {
 		t.Errorf("stats.Requests = %d, want 22", stats.Requests)
 	}
@@ -345,15 +345,9 @@ func TestTrySubmitBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Bound (2) reached: both non-blocking paths must refuse, typed.
+	// Bound (2) reached: TrySubmit must refuse, typed.
 	if err := p.TrySubmit(func(int, *fakeMachine) error { return nil }); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("TrySubmit at the bound = %v, want ErrBackpressure", err)
-	}
-	if err := p.TrySubmitTo(0, func(int, *fakeMachine) error { return nil }); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("TrySubmitTo at the bound = %v, want ErrBackpressure", err)
-	}
-	if err := p.TrySubmitTo(99, func(int, *fakeMachine) error { return nil }); err == nil {
-		t.Fatal("TrySubmitTo(99) on a 2-worker pool must fail")
 	}
 	close(release)
 	p.Drain()
@@ -365,59 +359,9 @@ func TestTrySubmitBackpressure(t *testing.T) {
 	if !ran.Load() {
 		t.Error("accepted TrySubmit request never ran")
 	}
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 	if err := p.TrySubmit(func(int, *fakeMachine) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("TrySubmit after Close = %v, want ErrClosed", err)
-	}
-}
-
-// TestSubmitCtxCancelUnblocks checks that a SubmitCtx blocked on a
-// full queue returns the context error when cancelled, and that a
-// context cancelled after acceptance does not revoke the request.
-func TestSubmitCtxCancelUnblocks(t *testing.T) {
-	p := newFakePool(t, 1, 1)
-	release := make(chan struct{})
-	if err := p.SubmitTo(0, func(int, *fakeMachine) error {
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		errc <- p.SubmitCtx(ctx, func(int, *fakeMachine) error { return nil })
-	}()
-	select {
-	case err := <-errc:
-		t.Fatalf("SubmitCtx returned %v before cancel despite full queue", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled SubmitCtx = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("SubmitCtx still blocked 5s after cancel")
-	}
-	// Acceptance is final: cancelling after Submit returns must not
-	// drop the request.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	var ran atomic.Bool
-	go func() { time.Sleep(20 * time.Millisecond); close(release) }()
-	if err := p.SubmitCtx(ctx2, func(int, *fakeMachine) error { ran.Store(true); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	cancel2()
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran.Load() {
-		t.Error("accepted request dropped after its context was cancelled")
 	}
 }
 
@@ -437,7 +381,7 @@ func TestCloseWakesBlockedSubmitters(t *testing.T) {
 	errs := make(chan error, blocked)
 	for i := 0; i < blocked; i++ {
 		go func() {
-			errs <- p.Submit(func(int, *fakeMachine) error { return nil })
+			errs <- p.SubmitTo(0, func(int, *fakeMachine) error { return nil })
 		}()
 	}
 	time.Sleep(50 * time.Millisecond) // let the submitters block at the bound
@@ -455,17 +399,17 @@ func TestCloseWakesBlockedSubmitters(t *testing.T) {
 			// accepted (nil, and then executed) or refused — but never
 			// a hang.
 			if err != nil && !errors.Is(err, ErrClosed) {
-				t.Errorf("blocked Submit woken with %v, want nil or ErrClosed", err)
+				t.Errorf("blocked SubmitTo woken with %v, want nil or ErrClosed", err)
 			}
 		case <-deadline:
-			t.Fatal("Submit still blocked 5s after Close")
+			t.Fatal("SubmitTo still blocked 5s after Close")
 		}
 	}
 	<-done
 }
 
-// TestSubmitRacingCloseNeverDropsAccepted hammers Submit/TrySubmit/
-// SubmitCtx from many goroutines racing Close: every submission that
+// TestSubmitRacingCloseNeverDropsAccepted hammers SubmitTo and
+// TrySubmit from many goroutines racing Close: every submission that
 // returned nil must execute exactly once, and nothing may panic. Run
 // under -race this is also the drain/shutdown memory-safety proof.
 func TestSubmitRacingCloseNeverDropsAccepted(t *testing.T) {
@@ -483,13 +427,10 @@ func TestSubmitRacingCloseNeverDropsAccepted(t *testing.T) {
 						return nil
 					}
 					var err error
-					switch i % 3 {
-					case 0:
-						err = p.Submit(req)
-					case 1:
+					if i%2 == 0 {
+						err = p.SubmitTo(g%4, req)
+					} else {
 						err = p.TrySubmit(req)
-					default:
-						err = p.SubmitCtx(context.Background(), req)
 					}
 					if err == nil {
 						accepted.Add(1)
@@ -500,9 +441,7 @@ func TestSubmitRacingCloseNeverDropsAccepted(t *testing.T) {
 			}(g)
 		}
 		time.Sleep(time.Millisecond)
-		if _, err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
+		p.Close()
 		wg.Wait()
 		if accepted.Load() != executed.Load() {
 			t.Fatalf("round %d: accepted %d but executed %d", round, accepted.Load(), executed.Load())
@@ -511,10 +450,40 @@ func TestSubmitRacingCloseNeverDropsAccepted(t *testing.T) {
 }
 
 // TestRunStatsPerRunDeltas checks that BeginRun isolates back-to-back
-// measurement runs: steals, queue high water, request counts and
-// serving spans of one run do not contaminate the next.
+// measurement runs: steals, queue high water and request counts of one
+// run do not contaminate the next (a heavy run used to leak its queue
+// high water into a later light run's result).
 func TestRunStatsPerRunDeltas(t *testing.T) {
 	p := newFakePool(t, 2, 16)
+
+	// Before run 1, worker 1 steals the balanced work queued behind a
+	// blocked worker 0, so the pool's lifetime steal count is nonzero.
+	release := make(chan struct{})
+	if err := p.SubmitTo(0, func(int, *fakeMachine) error {
+		<-release
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var stolen atomic.Uint64
+	for i := 0; i < 4; i++ {
+		if err := p.TrySubmit(func(int, *fakeMachine) error {
+			stolen.Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); stolen.Load() != 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 4 balanced requests ran while worker 0 blocked", stolen.Load())
+		}
+	}
+	close(release)
+	p.Drain()
+	if p.Stats().Steals == 0 {
+		t.Fatal("warm-up stole nothing")
+	}
 
 	run1 := p.BeginRun()
 	for i := 0; i < 10; i++ {
@@ -533,15 +502,15 @@ func TestRunStatsPerRunDeltas(t *testing.T) {
 	if s1.QueueHighWater == 0 {
 		t.Error("run 1 high water = 0, want > 0")
 	}
+	if s1.Steals != 0 {
+		t.Errorf("pinned run 1 steals = %d, want 0 (got the warm-up's?)", s1.Steals)
+	}
 	for w, ws := range s1.Workers {
 		if ws.Requests != 5 {
 			t.Errorf("run 1 worker %d requests = %d, want 5", w, ws.Requests)
 		}
-		if ws.SpanCycles != 25 {
-			t.Errorf("run 1 worker %d span = %v cycles, want 25", w, ws.SpanCycles)
-		}
-		if ws.SpanSeconds < 0 {
-			t.Errorf("run 1 worker %d wall span = %v", w, ws.SpanSeconds)
+		if ws.SimCycles != 25 {
+			t.Errorf("run 1 worker %d cycles = %v, want 25", w, ws.SimCycles)
 		}
 	}
 
@@ -559,13 +528,13 @@ func TestRunStatsPerRunDeltas(t *testing.T) {
 		p.Drain()
 	}
 	s2 := run2.Stats()
-	if s2.Requests != 2 {
-		t.Errorf("run 2 requests = %d, want 2", s2.Requests)
+	if s2.Requests != 2 || s2.Steals != 0 {
+		t.Errorf("run 2 requests = %d, steals = %d; want 2, 0", s2.Requests, s2.Steals)
 	}
-	if s2.Workers[0].SpanCycles != 6 {
-		t.Errorf("run 2 worker 0 span = %v cycles, want 6 (first-to-last of THIS run)", s2.Workers[0].SpanCycles)
+	if s2.Workers[0].SimCycles != 6 {
+		t.Errorf("run 2 worker 0 cycles = %v, want 6 (THIS run's only)", s2.Workers[0].SimCycles)
 	}
-	if s2.Workers[1].Requests != 0 || s2.Workers[1].SpanCycles != 0 {
+	if s2.Workers[1].Requests != 0 || s2.Workers[1].SimCycles != 0 {
 		t.Errorf("run 2 worker 1 = %+v, want untouched", s2.Workers[1])
 	}
 	if s2.QueueHighWater > 1 {
@@ -578,22 +547,15 @@ func TestRunStatsPerRunDeltas(t *testing.T) {
 	}
 
 	// The superseded run 1 handle still reports correct counter deltas
-	// but no longer claims the live span tracking.
+	// but no longer claims the live high-water tracking.
 	s1again := run1.Stats()
 	if s1again.Requests != 12 {
 		t.Errorf("superseded run 1 requests = %d, want 12 (deltas keep accumulating)", s1again.Requests)
 	}
-	if s1again.Workers[0].SpanCycles != 0 || s1again.QueueHighWater != 0 {
-		t.Errorf("superseded run must zero span/high-water, got %+v", s1again.Workers[0])
+	if s1again.QueueHighWater != 0 {
+		t.Errorf("superseded run must zero its high water, got %d", s1again.QueueHighWater)
 	}
-
-	// Cumulative Pool.Stats never reports spans.
-	if ws := p.Stats().Workers[0]; ws.SpanCycles != 0 || ws.SpanSeconds != 0 {
-		t.Errorf("cumulative stats carry spans: %+v", ws)
-	}
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 }
 
 // TestAddMachineGrowsLivePool checks autoscale's primitive: a machine
@@ -604,7 +566,7 @@ func TestAddMachineGrowsLivePool(t *testing.T) {
 	p := newFakePool(t, 1, 64)
 	run := p.BeginRun()
 	for i := 0; i < 20; i++ {
-		if err := p.Submit(func(_ int, m *fakeMachine) error {
+		if err := p.TrySubmit(func(_ int, m *fakeMachine) error {
 			m.cycles++
 			return nil
 		}); err != nil {
@@ -638,18 +600,12 @@ func TestAddMachineGrowsLivePool(t *testing.T) {
 	if s.Workers[1].Requests != 20 {
 		t.Errorf("scaled-up worker served %d, want 20", s.Workers[1].Requests)
 	}
-	// The late worker's span covers its own first-to-last request
-	// (100 -> 140), not the run's global start.
-	if s.Workers[1].SpanCycles != 40 {
-		t.Errorf("scaled-up worker span = %v, want 40", s.Workers[1].SpanCycles)
+	// The late worker's cycles are its own requests' (100 -> 140), not
+	// the clock it joined with.
+	if s.Workers[1].SimCycles != 40 {
+		t.Errorf("scaled-up worker cycles = %v, want 40", s.Workers[1].SimCycles)
 	}
-	if got := p.Stats().Workers[1].BootCycles; got != 100 {
-		t.Errorf("scaled-up worker boot cycles = %v, want 100", got)
-	}
-	stats, err := p.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := p.Close()
 	if stats.Requests != 40 {
 		t.Errorf("total requests = %d, want 40", stats.Requests)
 	}

@@ -592,7 +592,8 @@ func (s *Server) ScaleDown() error {
 // Close shuts the tier down in dependency order: stop the autoscaler,
 // stop accepting HTTP, let in-flight handlers finish (their fleet
 // requests execute — the pool drains accepted work), then close the
-// pool. Safe to call more than once.
+// pool. It reports only a shutdown error: a request that failed is
+// counted in Failed, not returned. Safe to call more than once.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -609,9 +610,7 @@ func (s *Server) Close(ctx context.Context) error {
 		err = s.hs.Shutdown(ctx)
 		<-s.serveDone
 	}
-	if _, cerr := s.pool.Close(); err == nil {
-		err = cerr
-	}
+	s.pool.Close()
 	// Workers are gone; no handler can Take any more. Drain the warm
 	// clones so their frame references are released.
 	if s.clones != nil {

@@ -277,27 +277,39 @@ func TestAutoscaledWorkerBitIdenticalToStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serveSeq := func(s *Server, w int) (boot, span float64) {
+	// serveSeq serves the pinned sequence on worker w and reports its
+	// machine's clock before the first request (nothing has run on the
+	// worker yet, so this is its boot state), the span the sequence
+	// took, and the sustained rate over that span.
+	serveSeq := func(s *Server, w int) (boot, span, rate float64) {
 		t.Helper()
-		run := s.Pool().BeginRun()
 		for i := 0; i < requests; i++ {
+			first, last := i == 0, i == requests-1
 			if err := s.Pool().SubmitTo(w, func(_ int, srv *webserver.Server) error {
-				_, err := srv.ServeRequest(webserver.LibCGIProtected)
-				return err
+				if first {
+					boot = srv.SimCycles()
+				}
+				if _, err := srv.ServeRequest(webserver.LibCGIProtected); err != nil {
+					return err
+				}
+				if last {
+					span = srv.SimCycles() - boot
+					rate = srv.SustainedRate(span, requests)
+				}
+				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		s.Pool().Drain()
-		rs := run.Stats()
-		if rs.Workers[w].Requests != requests {
-			t.Fatalf("worker %d served %d of %d", w, rs.Workers[w].Requests, requests)
+		if ws := s.Pool().Stats().Workers[w]; ws.Requests != requests || ws.Errors != 0 {
+			t.Fatalf("worker %d served %d of %d with %d errors", w, ws.Requests, requests, ws.Errors)
 		}
-		return s.Pool().Stats().Workers[w].BootCycles, rs.Workers[w].SpanCycles
+		return boot, span, rate
 	}
 
-	staticBoot, staticSpan := serveSeq(static, 1)
-	scaledBoot, scaledSpan := serveSeq(scaled, 1)
+	staticBoot, staticSpan, staticRate := serveSeq(static, 1)
+	scaledBoot, scaledSpan, scaledRate := serveSeq(scaled, 1)
 	if scaledBoot != staticBoot {
 		t.Errorf("scaled-up worker boot cycles %v != static worker's %v", scaledBoot, staticBoot)
 	}
@@ -306,10 +318,8 @@ func TestAutoscaledWorkerBitIdenticalToStatic(t *testing.T) {
 	}
 	// And the derived serving rate — the Table 3 quantity — matches
 	// bit-for-bit too.
-	rs := scaled.Pool().Machine(1).SustainedRate(scaledSpan, requests)
-	rt := static.Pool().Machine(1).SustainedRate(staticSpan, requests)
-	if rs != rt {
-		t.Errorf("scaled-up rate %v != static rate %v", rs, rt)
+	if scaledRate != staticRate {
+		t.Errorf("scaled-up rate %v != static rate %v", scaledRate, staticRate)
 	}
 }
 
@@ -342,6 +352,32 @@ func TestShutdownDrainsAccepted(t *testing.T) {
 	}
 	if c.Failed != 0 {
 		t.Errorf("%d requests failed during clean shutdown", c.Failed)
+	}
+}
+
+// TestCloseAfterFailedRequest checks that a request whose handler
+// failed is counted, not fatal: Close still returns nil, so a daemon
+// exits cleanly on SIGTERM after a tenant request failed, and its
+// counters conserve.
+func TestCloseAfterFailedRequest(t *testing.T) {
+	s := startServer(t, Config{Workers: 1})
+	boom := errors.New("tenant request failed")
+	if err := s.Pool().SubmitTo(0, func(int, *webserver.Server) error { return boom }); err != nil {
+		t.Fatal(err)
+	}
+	s.Pool().Drain()
+	if resp, body := get(t, s.URL()+"/serve"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d after a failed request: %s", resp.StatusCode, body)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatalf("Close after a failed request = %v, want nil", err)
+	}
+	if errs := s.Pool().Stats().Errors; errs != 1 {
+		t.Errorf("pool counted %d failed requests, want 1", errs)
+	}
+	c := s.CountersSnapshot()
+	if c.Admitted != 1 || c.Completed+c.Failed != c.Admitted {
+		t.Errorf("counters %+v: want 1 admitted, conserved", c)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 // path so one-time set-up is not counted against a request.
 func restoredTemplate(tb testing.TB) *Server {
 	tb.Helper()
-	srv, err := bootServer(28)
+	srv, err := BootServer(28)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // original frame count, and with every frame sole-owned again — no
 // frame leaked to a dead clone, none left falsely shared.
 func TestCloneChurnLeavesTemplateIntact(t *testing.T) {
-	tmpl, err := bootServer(1024)
+	tmpl, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCloneChurnLeavesTemplateIntact(t *testing.T) {
 	}
 	// The template still serves, identically to a never-churned
 	// machine.
-	fresh, err := bootServer(1024)
+	fresh, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}

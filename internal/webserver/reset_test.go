@@ -174,7 +174,7 @@ func requireSameNextRequest(t *testing.T, reset, fresh *Server) {
 // shared area (a page the template holds) or onto a page it maps
 // itself, is gone for the next request on the reset machine.
 func TestResetForgetsRequestWrites(t *testing.T) {
-	tmpl, err := bootServer(28)
+	tmpl, err := BootServer(28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestResetRequestHeapBudget(t *testing.T) {
 // breakpoint makes the next request rebuild. Either way, the next
 // request matches one on a fresh clone, which builds every block anew.
 func TestResetKeepsCompiledCodeOnlyWhenValid(t *testing.T) {
-	tmpl, err := bootServer(28)
+	tmpl, err := BootServer(28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +411,11 @@ func BenchmarkResetServeRequest(b *testing.B) {
 // the template's memory and every layer's state equal a twin's that
 // was never cloned.
 func TestCloneResetHammer(t *testing.T) {
-	tmpl, err := bootServer(1024)
+	tmpl, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := bootServer(1024)
+	twin, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,11 +80,11 @@ func TestServeRequestBitIdenticalThroughSandbox(t *testing.T) {
 	// over identically.
 	order := []Model{CGI, FastCGI, LibCGIProtected, LibCGI, Static}
 	for _, size := range []uint32{28, 10 * 1024} {
-		srvNew, err := bootServer(size)
+		srvNew, err := BootServer(size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srvLegacy, err := bootServer(size)
+		srvLegacy, err := BootServer(size)
 		if err != nil {
 			t.Fatal(err)
 		}

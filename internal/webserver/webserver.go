@@ -16,9 +16,9 @@ package webserver
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/cycles"
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -193,6 +193,17 @@ func New(s *core.System, fileSize uint32) (*Server, error) {
 	return srv, nil
 }
 
+// BootServer boots one machine exactly as the serial Table 3 harness
+// boots its single machine: the template that daemons, clones and
+// saved images start from.
+func BootServer(fileSize uint32) (*Server, error) {
+	s, err := core.NewSystem(cycles.Measured())
+	if err != nil {
+		return nil, err
+	}
+	return New(s, fileSize)
+}
+
 // App exposes the underlying extensible application (tests and
 // examples inspect it).
 func (srv *Server) App() *core.App { return srv.app }
@@ -254,46 +265,28 @@ func (srv *Server) Reset() error {
 	return nil
 }
 
-// modelHandlers is the execution-model registry: ServeRequest
-// dispatches by lookup, and the two LibCGI models invoke the script
-// through its sandbox extensions — the same registry-lookup shape the
-// matrix runner uses, with no per-model switch to extend. modelMu
-// guards it because fleet workers call ServeRequest concurrently
-// while RegisterModel may install new models.
-var (
-	modelMu       sync.RWMutex
-	modelHandlers = map[Model]func(*Server) (int, error){
-		Static:          (*Server).serveStatic,
-		CGI:             (*Server).serveCGI,
-		FastCGI:         (*Server).serveFastCGI,
-		LibCGI:          (*Server).serveLibCGI,
-		LibCGIProtected: (*Server).serveLibCGIProtected,
-	}
-)
-
-// RegisterModel installs (or replaces) the handler for an execution
-// model; new serving models can hook into ServeRequest without
-// touching the server. The registry is package-global: a registered
-// model is visible to every Server.
-func RegisterModel(m Model, h func(*Server) (int, error)) {
-	modelMu.Lock()
-	defer modelMu.Unlock()
-	modelHandlers[m] = h
+// modelHandlers is the execution-model table ServeRequest dispatches
+// through; the two LibCGI models invoke the script through its sandbox
+// extensions. It is never written, so concurrent servers read it
+// without a lock.
+var modelHandlers = [...]func(*Server) (int, error){
+	Static:          (*Server).serveStatic,
+	CGI:             (*Server).serveCGI,
+	FastCGI:         (*Server).serveFastCGI,
+	LibCGI:          (*Server).serveLibCGI,
+	LibCGIProtected: (*Server).serveLibCGIProtected,
 }
 
 // ServeRequest executes one request under the given model, charging
-// all costs to the system clock, and returns the HTTP status.
+// all costs to the system clock, and returns the HTTP status. An
+// unknown model fails before anything is charged.
 func (srv *Server) ServeRequest(m Model) (int, error) {
-	k := srv.S.K
-	c := srv.Costs
-	k.Clock.Add(c.BaseRequest + c.PerByte*float64(srv.FileSize))
-	modelMu.RLock()
-	h, ok := modelHandlers[m]
-	modelMu.RUnlock()
-	if !ok {
+	if m < 0 || int(m) >= len(modelHandlers) {
 		return 0, fmt.Errorf("webserver: unknown model %v", m)
 	}
-	return h(srv)
+	c := srv.Costs
+	srv.S.K.Clock.Add(c.BaseRequest + c.PerByte*float64(srv.FileSize))
+	return modelHandlers[m](srv)
 }
 
 // serveStatic serves the file directly (no CGI invocation at all).
@@ -404,9 +397,9 @@ func (srv *Server) Throughput(m Model, n int) (float64, error) {
 // SustainedRate converts a measured span of cyc simulated cycles over
 // n requests into the sustained requests/second rate: the CPU-bound
 // rate capped by this server's client link (response body plus ~350
-// bytes of HTTP framing per request). It is shared by the serial
-// Throughput path and the fleet's per-worker accounting so both
-// produce bit-identical rates from the same span.
+// bytes of HTTP framing per request). Throughput uses it on its own
+// span; the fleet anchor tests use it on each worker's span, so the
+// fleet's N=1 rates are bit-identical to the serial path's.
 func (srv *Server) SustainedRate(cyc float64, n int) float64 {
 	k := srv.S.K
 	secs := k.Clock.Micros(cyc) / 1e6 / float64(n)

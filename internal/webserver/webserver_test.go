@@ -47,6 +47,21 @@ func TestAllModelsServe200(t *testing.T) {
 	}
 }
 
+// TestUnknownModelChargesNothing checks that a request for a model
+// with no handler fails before the server path is charged.
+func TestUnknownModelChargesNothing(t *testing.T) {
+	srv := newServer(t, 28)
+	for _, m := range []Model{Model(99), Model(-1)} {
+		before := srv.SimCycles()
+		if _, err := srv.ServeRequest(m); err == nil {
+			t.Errorf("ServeRequest(%v) = nil error", m)
+		}
+		if after := srv.SimCycles(); after != before {
+			t.Errorf("ServeRequest(%v) charged %v cycles before failing", m, after-before)
+		}
+	}
+}
+
 func TestTable3Anchors28B(t *testing.T) {
 	// Table 3, 28-byte row: CGI 98, FastCGI 193, LibCGI protected
 	// 437, unprotected 448, static 460 requests/second. Accept +-7%.

@@ -72,7 +72,7 @@ func LoadServerBytes(data []byte) (*Server, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	srv, err := bootServer(s.FileSize)
+	srv, err := BootServer(s.FileSize)
 	if err != nil {
 		return nil, fmt.Errorf("webserver: booting restore twin: %w", err)
 	}

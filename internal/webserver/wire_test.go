@@ -69,7 +69,7 @@ func stateOf(srv *Server) machineState {
 // serve the SAME future: each subsequent request must land both
 // machines on identical clocks and fingerprints.
 func TestServerSaveLoadRoundTrip(t *testing.T) {
-	srv, err := bootServer(10 * 1024)
+	srv, err := BootServer(10 * 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestServerSaveLoadRoundTrip(t *testing.T) {
 // store: resident frames must fold at least 2x, and no machine's
 // contents may change.
 func TestInternDedupsServerImages(t *testing.T) {
-	srv, err := bootServer(1024)
+	srv, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestInternDedupsServerImages(t *testing.T) {
 // TestServerLoadBytesCorruption feeds damaged images to the restore
 // path: every corruption must produce a typed error and no server.
 func TestServerLoadBytesCorruption(t *testing.T) {
-	srv, err := bootServer(28)
+	srv, err := BootServer(28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestServerLoadBytesCorruption(t *testing.T) {
 // original, which is what lets a fleet restore ONE template from disk
 // and fork ephemeral clones from it.
 func TestRestoredCloneIdentity(t *testing.T) {
-	srv, err := bootServer(1024)
+	srv, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
