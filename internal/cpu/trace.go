@@ -35,7 +35,7 @@ import (
 //   - Page-level checks still happen per executed instruction. Fetches:
 //     a full (charged, counted, checked) probe at every trace page-run
 //     head and at every in-trace branch target, once per dispatch; all
-//     other fetches are guaranteed TLB hits (the array TLB never
+//     other fetches are guaranteed TLB hits (the TLB never
 //     evicts, and nothing that could invalidate an entry — CR3 load,
 //     invlpg, descriptor mutation, a timer hook — can happen mid-
 //     dispatch, because any of them ends the dispatch first), counted

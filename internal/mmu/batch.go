@@ -79,18 +79,18 @@ func (m *MMU) CheckPageBatched(linear uint32, acc Access, cpl int, sel Selector,
 		if !leaf.Present() {
 			return 0, fault(PF, sel, off, linear, acc, cpl, "page not present")
 		}
-		e = tlbEntry{frame: leaf.Frame(), writable: leaf.Writable(), user: leaf.User()}
+		e = makeTLBEntry(leaf)
 		m.tlb.insert(page, e)
 	}
-	if cpl == 3 && !e.user {
+	if cpl == 3 && !e.user() {
 		return 0, fault(PF, sel, off, linear, acc, cpl, "page privilege violation (PPL 0 page at CPL 3)")
 	}
-	if acc == Write && !e.writable {
+	if acc == Write && !e.writable() {
 		if cpl == 3 || m.WriteProtect {
 			return 0, fault(PF, sel, off, linear, acc, cpl, "write to read-only page")
 		}
 	}
-	return e.frame | (linear & mem.PageMask), nil
+	return e.frame() | (linear & mem.PageMask), nil
 }
 
 // TranslateBatched is TranslateProbed with the page-level half running

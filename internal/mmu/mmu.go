@@ -319,20 +319,20 @@ func (m *MMU) CheckPage(linear uint32, acc Access, cpl int, sel Selector, off ui
 		if !leaf.Present() {
 			return 0, fault(PF, sel, off, linear, acc, cpl, "page not present")
 		}
-		e = tlbEntry{frame: leaf.Frame(), writable: leaf.Writable(), user: leaf.User()}
+		e = makeTLBEntry(leaf)
 		m.tlb.insert(page, e)
 	}
 	// Page privilege check: CPL 3 cannot access PPL 0 (supervisor)
 	// pages — the core of Palladium's user-extension protection.
-	if cpl == 3 && !e.user {
+	if cpl == 3 && !e.user() {
 		return 0, fault(PF, sel, off, linear, acc, cpl, "page privilege violation (PPL 0 page at CPL 3)")
 	}
-	if acc == Write && !e.writable {
+	if acc == Write && !e.writable() {
 		if cpl == 3 || m.WriteProtect {
 			return 0, fault(PF, sel, off, linear, acc, cpl, "write to read-only page")
 		}
 	}
-	return e.frame | (linear & mem.PageMask), nil
+	return e.frame() | (linear & mem.PageMask), nil
 }
 
 // FastFetchHit is the inlineable same-page fetch probe: the CPU calls
@@ -359,7 +359,7 @@ func (m *MMU) FastFetchHit() { m.tlb.CountHit() }
 func (m *MMU) PeekPage(linear uint32) (uint32, bool) {
 	page := linear &^ uint32(mem.PageMask)
 	if e, ok := m.tlb.peek(page); ok {
-		return e.frame | (linear & mem.PageMask), true
+		return e.frame() | (linear & mem.PageMask), true
 	}
 	if m.space == nil {
 		return 0, false

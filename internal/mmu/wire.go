@@ -7,7 +7,11 @@
 // RestoreEntries mutate hook a snapshot restore fires.
 package mmu
 
-import "repro/internal/mem"
+import (
+	"slices"
+
+	"repro/internal/mem"
+)
 
 // SaveDescriptor appends one descriptor (shared with the cpu layer,
 // which serializes IDT gates).
@@ -87,17 +91,16 @@ func (t *TLB) SaveTo(e *mem.Enc) {
 	e.U64(t.misses)
 	e.U64(t.flushes)
 	e.U32(uint32(t.live))
-	for i, leaf := range t.root {
-		if leaf == nil {
-			continue
+	ents := make([]uint64, 0, t.live)
+	for _, s := range t.slots {
+		if vpn, ok := liveVPN(s, t.epoch); ok {
+			ents = append(ents, uint64(vpn)<<32|uint64(uint32(s)))
 		}
-		for j, ent := range leaf {
-			if uint32(ent>>32) != t.epoch {
-				continue
-			}
-			e.U32(uint32(i)<<tlbLeafBits | uint32(j)) // vpn
-			e.U32(uint32(ent))                        // frame | flag bits
-		}
+	}
+	slices.Sort(ents) // VPNs are unique, so this is VPN order
+	for _, ent := range ents {
+		e.U32(uint32(ent >> 32)) // vpn
+		e.U32(uint32(ent))       // frame | flag bits
 	}
 }
 
@@ -107,7 +110,7 @@ func loadTLB(d *mem.Dec) *TLB {
 	t.hits = d.U64()
 	t.misses = d.U64()
 	t.flushes = d.U64()
-	n := d.Len("tlb entry", tlbRootSize*tlbLeafSize)
+	n := d.Len("tlb entry", 1<<tlbVPNBits)
 	last := -1
 	for i := 0; i < n; i++ {
 		vpn := d.U32()
@@ -119,16 +122,16 @@ func loadTLB(d *mem.Dec) *TLB {
 			d.Failf("tlb entry %#x out of order", vpn)
 			return nil
 		}
-		if vpn >= tlbRootSize*tlbLeafSize {
+		if vpn >= 1<<tlbVPNBits {
 			d.Failf("tlb vpn %#x out of range", vpn)
 			return nil
 		}
-		if lo&uint32(mem.PageMask)&^uint32(tlbFlagWritable|tlbFlagUser) != 0 {
+		if tlbEntry(lo)&^tlbEntryBits != 0 {
 			d.Failf("tlb entry %#x has invalid flag bits %#x", vpn, lo)
 			return nil
 		}
 		last = int(vpn)
-		t.insert(vpn<<mem.PageShift, unpack(uint64(lo)))
+		t.insert(vpn<<mem.PageShift, tlbEntry(lo))
 	}
 	if d.Err() != nil {
 		return nil

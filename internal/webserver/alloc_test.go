@@ -71,16 +71,16 @@ func cloneServeRequest(tb testing.TB, tmpl *Server) {
 // TestCloneRequestHeapBudget pins the heap a clone-per-request request
 // allocates. Clone set-up and teardown dominate that workload, so every
 // per-clone allocation must be proportional to what the request writes:
-// frame slabs grow from one frame, and descriptor tables are shared
-// copy-on-write. A full 64-frame slab per clone alone would exceed the
-// budget.
+// frame slabs grow from one frame, descriptor tables are shared
+// copy-on-write, and the TLB's table is sized by its live entries. A
+// full 64-frame slab per clone alone would exceed the budget.
 func TestCloneRequestHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race detector")
 	}
 	const (
 		n      = 200
-		budget = 160 << 10
+		budget = 96 << 10
 	)
 	tmpl := restoredTemplate(t)
 	var before, after runtime.MemStats
