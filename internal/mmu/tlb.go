@@ -1,6 +1,10 @@
 package mmu
 
-import "repro/internal/mem"
+import (
+	"math/bits"
+
+	"repro/internal/mem"
+)
 
 // tlbEntry is one cached translation: the frame address with the leaf
 // PTE's writable and user bits in their PTE positions, the permission
@@ -77,10 +81,7 @@ func NewTLB() *TLB {
 // alloc installs an empty table of n slots, n a power of two.
 func (t *TLB) alloc(n int) {
 	t.slots = make([]uint64, n)
-	t.shift = 32
-	for ; n > 1; n >>= 1 {
-		t.shift--
-	}
+	t.shift = uint32(32 - bits.TrailingZeros(uint(n)))
 }
 
 // lookup probes the TLB for a page-aligned linear address, counting
