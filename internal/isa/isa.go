@@ -180,17 +180,6 @@ type Operand struct {
 	Index Reg
 	Scale uint8
 	Disp  int32
-
-	// Proved/ProvedEnd carry a static-verifier fact for memory
-	// operands: every runtime effective address of this operand
-	// satisfies addr+size-1 <= ProvedEnd, where ProvedEnd lives in the
-	// same address domain as Disp (the loader adds the relocation
-	// value to both when it patches the displacement). The trace tier
-	// may use the fact to elide the segment-limit re-validation on a
-	// warm SegProbe; see mmu.TranslateBatched for the re-attestation
-	// that keeps the elision sound.
-	Proved    bool
-	ProvedEnd uint32
 }
 
 // R builds a register operand.

@@ -194,10 +194,10 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 
 	s.Costs = &CostSheet{}
 	for _, v := range costsFields(s.Costs) {
-		*v = d.F64()
+		*v = d.NonNegF64("kernel cost")
 	}
-	s.ExtTimeLimit = d.F64()
-	s.extDeadline = d.F64()
+	s.ExtTimeLimit = d.NonNegF64("extension time limit")
+	s.extDeadline = d.NonNegF64("extension deadline")
 	if tickLen := d.U32(); d.Err() == nil && int64(tickLen) != int64(len(k.tickFns)) {
 		d.Failf("image has %d timer subscribers, booted twin has %d", tickLen, len(k.tickFns))
 	}

@@ -4,8 +4,8 @@
 //
 // The simulator caches segment-check and translation decisions keyed
 // on two generation counters (MMU.SegGen / MMU.TransGen): cached
-// blocks and traces, SegProbe warm hits and the verifier's elided
-// checks all stay valid only while their generation matches. Any
+// blocks and traces and SegProbe warm hits all stay valid only while
+// their generation matches. Any
 // method that mutates generation-guarded state — descriptor-table
 // entries, the installed GDT/LDT, the active address space — must
 // therefore advance a generation (directly via bumpGen/bumpSegGen,

@@ -240,17 +240,8 @@ func Load(obj *isa.Object, space Space, resolve Resolver, opt Options) (*Image, 
 		switch r.Slot {
 		case isa.RelDstDisp:
 			obj.Text[r.Index].Dst.Disp += pv
-			// A verifier fact on this operand was proved in the
-			// pre-relocation address domain; shift its bound along
-			// with the displacement it anchors.
-			if obj.Text[r.Index].Dst.Proved {
-				obj.Text[r.Index].Dst.ProvedEnd += uint32(pv)
-			}
 		case isa.RelSrcDisp:
 			obj.Text[r.Index].Src.Disp += pv
-			if obj.Text[r.Index].Src.Proved {
-				obj.Text[r.Index].Src.ProvedEnd += uint32(pv)
-			}
 		case isa.RelDstImm:
 			obj.Text[r.Index].Dst.Imm += pv
 		case isa.RelSrcImm:

@@ -194,6 +194,18 @@ func (d *Dec) I64() int64 { return int64(d.U64()) }
 // F64 consumes an IEEE 754 bit pattern.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
+// NonNegF64 decodes a float64 that must be finite and non-negative,
+// such as a cycle cost or a clock reading, and latches ErrCorrupt
+// naming what when it is not: a negative, infinite or NaN amount
+// charged to a simulated clock would panic or poison it.
+func (d *Dec) NonNegF64(what string) float64 {
+	v := d.F64()
+	if d.err == nil && !(v >= 0 && v <= math.MaxFloat64) {
+		d.Failf("%s %v is not a finite non-negative number", what, v)
+	}
+	return v
+}
+
 // Bytes consumes a 32-bit length prefix and that many bytes. The
 // returned slice aliases the input buffer.
 func (d *Dec) Bytes() []byte {

@@ -42,21 +42,12 @@ type PageSlot struct {
 // effect is that of n hitting lookups — hits+n, misses+0, no charge.
 func (t *TLB) AddHits(n uint64) { t.hits += n }
 
-// AddElided credits n elided segment-limit checks at once: the commit
-// half of the trace tier's batched verified-access accounting. Each
-// credited elision stands for one warm verified translation whose
-// limit check the load-time proof made redundant, exactly as
-// TranslateBatched counts them one at a time.
-func (m *MMU) AddElided(n uint64) { m.elided += n }
-
 // Base reports the probe's cached segment base; Limit its cached
-// limit; Elide whether the load-time verifier's bound lets warm
-// translations skip the limit check. The CPU's trace tier mirrors
-// these into its per-op dispatch-scoped fast path after a successful
-// TranslateBatched, so the probe remains the single source of truth.
+// limit. The CPU's trace tier mirrors these into its per-op
+// dispatch-scoped fast path after a successful TranslateBatched, so
+// the probe remains the single source of truth.
 func (p *SegProbe) Base() uint32  { return p.base }
 func (p *SegProbe) Limit() uint32 { return p.limit }
-func (p *SegProbe) Elide() bool   { return p.elide }
 
 // CheckPageBatched is CheckPage with hit-side accounting deferred to
 // the caller's batch counter: a TLB hit increments *batch instead of
@@ -100,25 +91,13 @@ func (m *MMU) CheckPageBatched(linear uint32, acc Access, cpl int, sel Selector,
 // result is the cached frame and one batched hit — the permission
 // outcome is guaranteed to repeat (same entry bits, same access kind,
 // same CPL, and nothing can have touched the TLB or the descriptor
-// mid-dispatch). proved carries the operand's load-time
-// verifier fact: the static analysis proved that every runtime offset
-// of this operand satisfies off+size-1 <= bound. The bound is
-// re-attested against the live descriptor each time the probe is
-// (re)filled — a descriptor mutation bumps the segment generation,
-// forcing a refill — so on a warm hit with the probe's elide set the
-// limit check is provably redundant and is skipped (counted in
-// ElidedChecks). The page-level check still runs on every access: PPL
-// enforcement is never elided. bound is ignored when proved is false.
-// Pinned by TestTranslateVerifiedMatchesProbed and the soundness fuzz.
-func (m *MMU) TranslateBatched(p *SegProbe, proved bool, bound uint32, sel Selector, off, size uint32, acc Access, cpl int, pc *PageSlot, seq uint32, batch *uint64) (uint32, *Fault) {
+// mid-dispatch). The segment-limit check runs on every access.
+// Pinned by TestTranslateBatchedMatchesProbed.
+func (m *MMU) TranslateBatched(p *SegProbe, sel Selector, off, size uint32, acc Access, cpl int, pc *PageSlot, seq uint32, batch *uint64) (uint32, *Fault) {
 	if p.valid && p.sel == sel && p.acc == acc && int(p.cpl) == cpl && p.gen == m.segGen {
-		if p.elide {
-			m.elided++
-		} else {
-			end := off + size - 1
-			if end < off || end > p.limit {
-				return 0, fault(GP, sel, off, 0, acc, cpl, "segment limit violation")
-			}
+		end := off + size - 1
+		if end < off || end > p.limit {
+			return 0, fault(GP, sel, off, 0, acc, cpl, "segment limit violation")
 		}
 		linear := p.base + off
 		if page := linear &^ uint32(mem.PageMask); pc.seq == seq && pc.page == page {
@@ -138,8 +117,7 @@ func (m *MMU) TranslateBatched(p *SegProbe, proved bool, bound uint32, sel Selec
 		return 0, f
 	}
 	d := m.Descriptor(sel)
-	*p = SegProbe{gen: m.segGen, sel: sel, acc: acc, cpl: int8(cpl), valid: true, base: d.Base, limit: d.Limit,
-		elide: proved && bound <= d.Limit}
+	*p = SegProbe{gen: m.segGen, sel: sel, acc: acc, cpl: int8(cpl), valid: true, base: d.Base, limit: d.Limit}
 	pa, f := m.CheckPageBatched(linear, acc, cpl, sel, off, batch)
 	if f != nil {
 		return 0, f

@@ -40,13 +40,6 @@ type MMU struct {
 	// protected serving path from flushing the block cache.
 	segGen uint64
 
-	// elided counts segment-limit re-validations skipped on warm
-	// SegProbe hits for operands carrying a verifier fact (see
-	// TranslateBatched). A host-side diagnostic only: segment checks
-	// charge no cycles and count no statistics, so the counter is
-	// deliberately outside Save/RestoreState and the simulated metrics.
-	elided uint64
-
 	// WriteProtect mirrors CR0.WP: when true, supervisor-level code
 	// (CPL 0-2) also honours page write protection. Palladium's
 	// read-only GOT needs protection only against CPL 3, but we model
@@ -167,7 +160,6 @@ func (m *MMU) ResetTo(t *MMU) {
 	}
 	m.tlb.restoreFrom(t.tlb)
 	m.WriteProtect = t.WriteProtect
-	m.elided = 0
 	m.bumpGen()
 }
 
@@ -401,10 +393,6 @@ type SegProbe struct {
 	acc   Access
 	cpl   int8
 	valid bool
-	// elide: the operand bound attested at fill time (see
-	// TranslateBatched) is within this descriptor's limit, so the
-	// offset check may be skipped while the probe stays warm.
-	elide bool
 	base  uint32
 	limit uint32
 }
@@ -433,9 +421,9 @@ func (m *MMU) TranslateProbed(p *SegProbe, sel Selector, off, size uint32, acc A
 	return m.CheckPage(linear, acc, cpl, sel, off)
 }
 
-// ElidedChecks returns how many segment-limit re-validations
-// TranslateBatched has skipped on this MMU.
-func (m *MMU) ElidedChecks() uint64 { return m.elided }
+// ElidedChecks always returns 0: every segment-limit check runs. It
+// stays because bench/probes.go still reads it.
+func (m *MMU) ElidedChecks() uint64 { return 0 }
 
 // Read32 translates and reads a 32-bit word.
 func (m *MMU) Read32(sel Selector, off uint32, cpl int) (uint32, *Fault) {

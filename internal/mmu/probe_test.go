@@ -167,80 +167,62 @@ func TestSegGenTracksOnlySegmentEvents(t *testing.T) {
 	}
 }
 
-// TestTranslateVerifiedMatchesProbed pins the verified-elision path
-// (TranslateBatched with proved set, a fresh dispatch seq per call so
-// the PageSlot never short-circuits) to the probed one: identical
-// addresses and fault identities on fills and in-bound hits, elision
-// only while the attested bound is within the live descriptor's limit,
-// invalidation on descriptor mutation, and a live page-level check on
-// every access (PPL is never elided).
-func TestTranslateVerifiedMatchesProbed(t *testing.T) {
+// TestTranslateBatchedMatchesProbed pins the trace tier's translation
+// (TranslateBatched, a fresh dispatch seq per call so the PageSlot
+// never short-circuits) to the probed one: identical addresses and
+// fault identities on fills, warm hits and limit violations, a refill
+// on descriptor mutation, and a live page-level check on every warm
+// access.
+func TestTranslateBatchedMatchesProbed(t *testing.T) {
 	m, as := probeMMU(t)
 	sel := MakeSelector(1, false, 3)
-	const bound = 0x4FFF // the verifier's proved inclusive end bound
 
-	var pp, pv SegProbe
+	var pp, pb SegProbe
 	var pc PageSlot
 	var seq uint32
-	verified := func(off, size uint32) (uint32, *Fault) {
+	batched := func(off, size uint32) (uint32, *Fault) {
 		seq++
 		var batch uint64
-		return m.TranslateBatched(&pv, true, bound, sel, off, size, Write, 3, &pc, seq, &batch)
+		return m.TranslateBatched(&pb, sel, off, size, Write, 3, &pc, seq, &batch)
 	}
 	check := func(off, size uint32) {
 		t.Helper()
 		ref := m.tlb.Clone()
 		wantPA, wantF := m.TranslateProbed(&pp, sel, off, size, Write, 3)
 		m.tlb.restoreFrom(ref)
-		gotPA, gotF := verified(off, size)
+		gotPA, gotF := batched(off, size)
 		m.tlb.restoreFrom(ref)
 		if (wantF == nil) != (gotF == nil) {
-			t.Fatalf("off %#x: fault mismatch: probed %v, verified %v", off, wantF, gotF)
+			t.Fatalf("off %#x: fault mismatch: probed %v, batched %v", off, wantF, gotF)
 		}
 		if wantF != nil && *wantF != *gotF {
-			t.Fatalf("off %#x: fault identity: probed %+v, verified %+v", off, wantF, gotF)
+			t.Fatalf("off %#x: fault identity: probed %+v, batched %+v", off, wantF, gotF)
 		}
 		if wantPA != gotPA {
-			t.Fatalf("off %#x: pa: probed %#x, verified %#x", off, wantPA, gotPA)
+			t.Fatalf("off %#x: pa: probed %#x, batched %#x", off, wantPA, gotPA)
 		}
 	}
 
-	check(0x4000, 4) // refill: bound 0x4FFF <= limit, probe arms elision
-	if !pv.elide {
-		t.Fatal("probe did not arm elision under a covering limit")
-	}
-	e0 := m.ElidedChecks()
-	check(0x4008, 4) // warm hit: limit check skipped
+	check(0x4000, 4) // refill
+	check(0x4008, 4) // warm hit
 	check(0x4001, 1)
-	if got := m.ElidedChecks(); got != e0+2 {
-		t.Fatalf("ElidedChecks = %d, want %d", got, e0+2)
-	}
 
-	// Shrink the segment below the attested bound: the mutation bumps
-	// SegGen, the refill re-attests, and elision must NOT re-arm.
+	// Shrink the segment: the mutation bumps SegGen and the refill
+	// takes the new limit.
 	m.GDT.Set(1, Descriptor{Kind: SegData, Base: 0, Limit: 0x4100, DPL: 3, Present: true, Writable: true})
 	check(0x4000, 4)
-	if pv.elide {
-		t.Fatal("probe re-armed elision with bound beyond the shrunk limit")
-	}
-	e1 := m.ElidedChecks()
-	check(0x4200, 4) // limit violation: both sides fault identically
-	check(0x40FE, 4) // straddles the limit
-	if m.ElidedChecks() != e1 {
-		t.Fatal("elision fired without a covering limit")
-	}
+	check(0x4200, 4)      // limit violation: both sides fault identically
+	check(0x40FE, 4)      // straddles the limit
+	check(0xFFFF_FFFE, 4) // offset wraparound
 
-	// The page-level check is never elided: unmap the page and the
-	// very next warm elided hit must page-fault.
+	// The page-level check runs on every warm access: unmap the page
+	// and the very next warm hit must page-fault.
 	m.GDT.Set(1, Descriptor{Kind: SegData, Base: 0, Limit: 0xFFFF_FFFF, DPL: 3, Present: true, Writable: true})
-	check(0x4000, 4) // re-arm under the restored flat segment
-	if !pv.elide {
-		t.Fatal("probe did not re-arm under the restored limit")
-	}
+	check(0x4000, 4)
 	as.Unmap(0x4000)
 	m.InvalidatePage(0x4000) // paging event: TransGen only, probes stay warm
-	_, f := verified(0x4000, 4)
+	_, f := batched(0x4000, 4)
 	if f == nil || f.Kind != PF {
-		t.Fatalf("elided hit on an unmapped page: fault = %v, want PF", f)
+		t.Fatalf("warm hit on an unmapped page: fault = %v, want PF", f)
 	}
 }

@@ -256,7 +256,7 @@ func (an *analysis) step(idx int, st *state) {
 		an.writeOp(&ins.Dst, rel.dstDisp, v, size, st)
 	case isa.LEA:
 		if ins.Dst.Kind == isa.KindReg {
-			full, _, _ := an.effAddr(&ins.Src, rel.srcDisp, st)
+			full := an.effAddr(&ins.Src, rel.srcDisp, st)
 			st.regs[ins.Dst.Reg] = full
 		}
 	case isa.PUSH:
@@ -541,19 +541,6 @@ type memAcc struct {
 	dst  bool
 	perm Perm
 	size int64
-	elig bool
-}
-
-// eligOp whitelists the operand shapes whose trace ops read and write
-// through per-operand SegProbes (the elision point); stack and
-// transfer traffic goes through the machine-level paths instead.
-func eligOp(op isa.Op) bool {
-	switch op {
-	case isa.MOV, isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST,
-		isa.SHL, isa.SHR, isa.SAR, isa.IMUL, isa.INC, isa.DEC, isa.NEG, isa.NOT, isa.XCHG:
-		return true
-	}
-	return false
 }
 
 // accessesOf enumerates an instruction's explicit memory accesses.
@@ -568,14 +555,14 @@ func accessesOf(ins *isa.Instr) []memAcc {
 		if ins.Op == isa.XCHG {
 			perm = PermRW
 		}
-		out = append(out, memAcc{dst: false, perm: perm, size: size, elig: eligOp(ins.Op)})
+		out = append(out, memAcc{dst: false, perm: perm, size: size})
 	}
 	if ins.Dst.Kind == isa.KindMem {
 		switch ins.Op {
 		case isa.MOV:
-			out = append(out, memAcc{dst: true, perm: PermW, size: size, elig: true})
+			out = append(out, memAcc{dst: true, perm: PermW, size: size})
 		case isa.CMP, isa.TEST:
-			out = append(out, memAcc{dst: true, perm: PermR, size: size, elig: true})
+			out = append(out, memAcc{dst: true, perm: PermR, size: size})
 		case isa.PUSH:
 			out = append(out, memAcc{dst: true, perm: PermR, size: 4})
 		case isa.POP:
@@ -584,7 +571,7 @@ func accessesOf(ins *isa.Instr) []memAcc {
 			out = append(out, memAcc{dst: true, perm: PermR, size: 4})
 		case isa.LEA:
 		default:
-			out = append(out, memAcc{dst: true, perm: PermRW, size: size, elig: eligOp(ins.Op)})
+			out = append(out, memAcc{dst: true, perm: PermRW, size: size})
 		}
 	}
 	return out
@@ -605,32 +592,6 @@ func (an *analysis) prove(site string) { an.proven[site] = true }
 func (an *analysis) demote(site string, idx int, rng, format string, args ...any) {
 	an.demoted[site] = true
 	an.unproven(idx, rng, format, args...)
-}
-
-func (an *analysis) fact(idx int, dst bool, end uint32) {
-	k := factKey{idx, dst}
-	if fs, ok := an.facts[k]; ok {
-		if !fs.dead && end > fs.end {
-			fs.end = end
-			an.facts[k] = fs
-		}
-		return
-	}
-	an.facts[k] = factState{end: end}
-}
-
-// factKill permanently blocks the elidable fact at a site. The site
-// can stay proven: some analysis context (an instruction may belong to
-// several analyzed functions) discharged it through a bound that is
-// not in the operand-local displacement domain — stack- or argument-
-// relative, or an unanchored data pointer — so an end bound recorded
-// by another context would not cover every runtime effective address,
-// which the isa.Operand.ProvedEnd contract requires.
-func (an *analysis) factKill(idx int, dst bool) {
-	k := factKey{idx, dst}
-	fs := an.facts[k]
-	fs.dead = true
-	an.facts[k] = fs
 }
 
 // classifyNode classifies every access and control effect of one
@@ -710,11 +671,9 @@ func (an *analysis) indirectTransfer(idx int, kind string, op *isa.Operand, disp
 	}
 }
 
-// checkAccess classifies one explicit memory access and records the
-// elision fact when the bound is operand-local (anchored by the
-// operand's own relocation or by proven absolute constants).
+// checkAccess classifies one explicit memory access.
 func (an *analysis) checkAccess(idx int, op *isa.Operand, acc memAcc, r *isa.Reloc, st *state) {
-	full, regPart, anchored := an.effAddr(op, r, st)
+	full := an.effAddr(op, r, st)
 	site := fmt.Sprintf("%d|%v", idx, acc.dst)
 	verb := accVerb(acc.perm)
 	loB, hiB := full.lo, full.hi+acc.size-1
@@ -729,9 +688,6 @@ func (an *analysis) checkAccess(idx int, op *isa.Operand, acc memAcc, r *isa.Rel
 			rLo, rHi := int64(rg.Lo), int64(rg.Hi)
 			if loB >= rLo && hiB <= rHi && acc.perm&^rg.Perm == 0 {
 				an.prove(site)
-				if acc.elig {
-					an.fact(idx, acc.dst, uint32(hiB))
-				}
 				return
 			}
 			if hiB >= rLo && loB <= rHi {
@@ -747,13 +703,6 @@ func (an *analysis) checkAccess(idx int, op *isa.Operand, acc memAcc, r *isa.Rel
 		switch {
 		case loB >= 0 && hiB < an.dataSize:
 			an.prove(site)
-			if acc.elig {
-				if anchored && regPart.r == rConst {
-					an.fact(idx, acc.dst, uint32(int64(op.Disp)+regPart.hi+acc.size-1))
-				} else {
-					an.factKill(idx, acc.dst)
-				}
-			}
 		case hiB < 0 || loB >= an.dataSize:
 			an.violationRange(idx, rng, "module data %s out of bounds", verb)
 		default:
@@ -768,13 +717,7 @@ func (an *analysis) checkAccess(idx int, op *isa.Operand, acc memAcc, r *isa.Rel
 	case rStack:
 		switch an.stackVerdict(full.lo, full.hi, acc.size, acc.perm) {
 		case vOK:
-			// Stack facts stay symbolic: never elidable — and any
-			// absolute fact another context recorded for this operand
-			// must die with them.
 			an.prove(site)
-			if acc.elig {
-				an.factKill(idx, acc.dst)
-			}
 		case vOut:
 			an.violationRange(idx, rng, "stack-relative %s outside the extension stack", verb)
 		default:
@@ -784,9 +727,6 @@ func (an *analysis) checkAccess(idx int, op *isa.Operand, acc memAcc, r *isa.Rel
 		a := an.lay.Arg
 		if a.Pointer && acc.perm&^a.Perm == 0 && loB >= 0 && hiB < int64(a.Size) {
 			an.prove(site)
-			if acc.elig {
-				an.factKill(idx, acc.dst)
-			}
 		} else {
 			an.demote(site, idx, rng, "argument-relative %s not provably within the declared argument area", verb)
 		}
@@ -823,11 +763,6 @@ func (an *analysis) fnTotal(e int, seen map[int]int8) (uint64, bool) {
 // finish settles the census, the termination verdict and the status.
 func (an *analysis) finish(entries []int) {
 	rep := an.rep
-	for k, fs := range an.facts {
-		if fs.dead || an.demoted[fmt.Sprintf("%d|%v", k.idx, k.dst)] {
-			delete(an.facts, k)
-		}
-	}
 	proven := 0
 	for s := range an.proven {
 		if !an.demoted[s] {
@@ -835,11 +770,6 @@ func (an *analysis) finish(entries []int) {
 		}
 	}
 	rep.Proven = proven
-	rep.Elidable = len(an.facts)
-	rep.facts = make(map[factKey]uint32, len(an.facts))
-	for k, fs := range an.facts {
-		rep.facts[k] = fs.end
-	}
 
 	bounded := len(entries) > 0
 	var maxSteps uint64

@@ -8,12 +8,13 @@
 // The verifier is the zero-per-access-tax pole of the paper's design
 // space: where Palladium pushes protection onto segment and page
 // checks the hardware performs on every access, the verifier charges
-// everything once at load time. The two compose rather than compete —
-// a verdict is three-valued:
+// everything once at load time. It is a load-time gate only: the
+// hardware checks still run on every access of every loaded object,
+// so no verdict changes what the simulator executes or charges. A
+// verdict is three-valued:
 //
 //	Clean    every access proven in-bounds and termination bounded;
-//	         the program cannot fault and the trace tier may elide
-//	         the SegProbe limit re-validation for proven operands.
+//	         the program cannot fault.
 //	Guarded  no provable violation, but some accesses (or loops)
 //	         could not be discharged statically; the program loads
 //	         and the ordinary hardware checks + time limits carry
@@ -21,19 +22,11 @@
 //	Rejected a definite policy violation (an absolute access outside
 //	         every declared region, a forged far transfer, an
 //	         unresolvable indirect jump); the object never runs.
-//
-// Facts proved for individual operands are exported by annotating the
-// object (isa.Operand.Proved/ProvedEnd) so the trace tier can skip
-// the segment-limit re-validation on warm probes; see
-// mmu.TranslateBatched for the refill-time re-attestation that keeps
-// elision sound against descriptor mutation.
 package verify
 
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/isa"
 )
 
 // Status is the verifier's three-valued verdict.
@@ -197,8 +190,7 @@ func (f Finding) String() string {
 }
 
 // Report is the verifier's structured result: the verdict, every
-// violation or undischarged obligation, the access census, and the
-// operand facts that back tier-2 check elision.
+// violation or undischarged obligation, and the access census.
 type Report struct {
 	// Object names the verified object; Backend echoes the layout.
 	Object  string `json:"object"`
@@ -212,24 +204,12 @@ type Report struct {
 	// Unproven are the obligations left to the runtime checks
 	// (nonempty for Guarded programs).
 	Unproven []Finding `json:"unproven,omitempty"`
-	// Proven counts memory accesses proved in-bounds; Elidable counts
-	// the subset whose segment-limit probe re-validation tier 2 may
-	// skip (operand-anchored facts).
-	Proven   int `json:"proven_accesses"`
-	Elidable int `json:"elidable_accesses"`
+	// Proven counts memory accesses proved in-bounds.
+	Proven int `json:"proven_accesses"`
 	// Bounded reports a proven termination bound; MaxSteps is that
 	// bound (0 when unbounded).
 	Bounded  bool   `json:"bounded"`
 	MaxSteps uint64 `json:"max_steps,omitempty"`
-
-	// facts maps (instruction index, operand) to the proved inclusive
-	// end bound, in the pre-relocation displacement domain.
-	facts map[factKey]uint32
-}
-
-type factKey struct {
-	idx int
-	dst bool
 }
 
 // Accepted reports whether the object may load (Clean or Guarded).
@@ -250,27 +230,6 @@ func (r *Report) Err() error {
 		extra = fmt.Sprintf(" (+%d more)", n-1)
 	}
 	return fmt.Errorf("verify: %s rejected: %s%s", r.Object, r.Violations[0], extra)
-}
-
-// Annotate writes the report's proved operand facts into obj (which
-// must be the object Check analyzed, or an identical clone): the
-// loader shifts each fact's bound along with the displacement it
-// anchors, and the tier-2 translator elides the probe limit
-// re-validation for annotated operands. Annotating an object that is
-// then loaded under a *different* layout would be unsound; adapters
-// therefore verify and annotate a private clone per load.
-func (r *Report) Annotate(obj *isa.Object) {
-	for k, end := range r.facts {
-		if k.idx < 0 || k.idx >= len(obj.Text) {
-			continue
-		}
-		op := &obj.Text[k.idx].Src
-		if k.dst {
-			op = &obj.Text[k.idx].Dst
-		}
-		op.Proved = true
-		op.ProvedEnd = end
-	}
 }
 
 // sortFindings orders findings for deterministic reports.

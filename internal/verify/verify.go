@@ -13,9 +13,7 @@ const visitCap = 50
 
 // Check verifies obj against the declared layout. It analyzes every
 // global text symbol as an environment entry point (plus any internal
-// functions they call), and never mutates obj — use Report.Annotate
-// to export the proved operand facts into a clone destined for the
-// loader.
+// functions they call), and never mutates obj.
 func Check(obj *isa.Object, lay Layout) *Report {
 	an := &analysis{
 		obj:      obj,
@@ -26,7 +24,6 @@ func Check(obj *isa.Object, lay Layout) *Report {
 		unp:      map[string]bool{},
 		proven:   map[string]bool{},
 		demoted:  map[string]bool{},
-		facts:    map[factKey]factState{},
 		funcs:    map[int]*fn{},
 		rep: &Report{
 			Object:  obj.Name,
@@ -90,11 +87,6 @@ type insRelocs struct {
 	dstImm, srcImm, dstDisp, srcDisp *isa.Reloc
 }
 
-type factState struct {
-	end  uint32
-	dead bool
-}
-
 type analysis struct {
 	obj      *isa.Object
 	lay      *Layout
@@ -106,7 +98,6 @@ type analysis struct {
 	unp     map[string]bool // unproven dedup
 	proven  map[string]bool // proven access sites
 	demoted map[string]bool // sites that failed in some context
-	facts   map[factKey]factState
 
 	funcs map[int]*fn
 	queue []int
@@ -281,30 +272,27 @@ func addRaw(a, b aval) aval {
 	return top
 }
 
-// effAddr evaluates a memory operand: the anchored displacement plus
-// the register part. regPart is returned separately so fact bounds
-// can be expressed in the pre-relocation displacement domain.
-func (an *analysis) effAddr(op *isa.Operand, r *isa.Reloc, st *state) (full, regPart aval, anchored bool) {
-	regPart = cst(0)
+// effAddr evaluates a memory operand: the displacement (anchored by
+// its relocation when one exists) plus the register part.
+func (an *analysis) effAddr(op *isa.Operand, r *isa.Reloc, st *state) aval {
+	full := aval{rConst, int64(op.Disp), int64(op.Disp)}
+	if r != nil {
+		full = an.anchorVal(r, op.Disp)
+	}
 	if op.Base != isa.NoReg {
-		regPart = addRaw(regPart, st.regs[op.Base])
+		full = addRaw(full, st.regs[op.Base])
 	}
 	if op.Index != isa.NoReg {
 		sc := int64(op.Scale)
 		if sc == 0 {
 			sc = 1
 		}
-		regPart = addRaw(regPart, mulConst(st.regs[op.Index], sc))
-	}
-	if r != nil {
-		full = addRaw(an.anchorVal(r, op.Disp), regPart)
-	} else {
-		full = addRaw(aval{rConst, int64(op.Disp), int64(op.Disp)}, regPart)
+		full = addRaw(full, mulConst(st.regs[op.Index], sc))
 	}
 	if full.r == rConst {
 		full = norm(full)
 	}
-	return full, regPart, r != nil
+	return full
 }
 
 // immVal evaluates an immediate operand (anchored by its relocation
@@ -333,7 +321,7 @@ func (an *analysis) readOpVal(op *isa.Operand, imm, disp *isa.Reloc, size uint8,
 	case isa.KindReg:
 		v = st.regs[op.Reg]
 	case isa.KindMem:
-		full, _, _ := an.effAddr(op, disp, st)
+		full := an.effAddr(op, disp, st)
 		v = top
 		if full.r == rStack && full.lo == full.hi {
 			if cv, ok := st.cells[full.lo]; ok {
@@ -366,7 +354,7 @@ func (an *analysis) writeOp(op *isa.Operand, disp *isa.Reloc, v aval, size uint8
 		}
 		st.regs[op.Reg] = v
 	case isa.KindMem:
-		full, _, _ := an.effAddr(op, disp, st)
+		full := an.effAddr(op, disp, st)
 		if full.r == rStack && full.lo == full.hi && size != 1 {
 			st.cells[full.lo] = v
 			return

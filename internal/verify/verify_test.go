@@ -191,10 +191,9 @@ func TestEscapeSuiteRejected(t *testing.T) {
 	}
 }
 
-// hotLoopSrc is the counted compute loop the tier-2 elision benchmark
-// drives: both scratch accesses are anchored data operands, so they
-// verify Clean with elidable facts, and the dec/jne latch proves the
-// step bound.
+// hotLoopSrc is a counted compute loop: both scratch accesses are
+// anchored data operands, so they verify Clean, and the dec/jne latch
+// proves the step bound.
 const hotLoopSrc = `
 	.global hotloop
 	.text
@@ -226,28 +225,6 @@ func TestHotLoopClean(t *testing.T) {
 	}
 	if rep.Proven == 0 {
 		t.Error("no proven accesses")
-	}
-	if rep.Elidable != 2 {
-		t.Errorf("Elidable = %d, want 2 (both scratch operands)", rep.Elidable)
-	}
-
-	// Annotate exports the facts onto the operands, in the
-	// pre-relocation displacement domain.
-	obj := isa.MustAssemble("hotloop", hotLoopSrc).Clone()
-	rep.Annotate(obj)
-	var proved int
-	for i := range obj.Text {
-		for _, op := range []*isa.Operand{&obj.Text[i].Dst, &obj.Text[i].Src} {
-			if op.Proved {
-				proved++
-				if op.ProvedEnd != 3 {
-					t.Errorf("text[%d] ProvedEnd = %d, want 3 (scratch is 4 bytes at offset 0)", i, op.ProvedEnd)
-				}
-			}
-		}
-	}
-	if proved != 2 {
-		t.Errorf("annotated %d operands, want 2", proved)
 	}
 }
 
@@ -527,10 +504,9 @@ func TestStackDiscipline(t *testing.T) {
 // kernel layout's declared scratch+stack region contains the extension
 // stack, so a proven absolute store can alias a tracked stack slot.
 // The verifier must forget the slot's abstract value — otherwise the
-// popped "pointer" below would keep its pushed safe constant, the
-// store through it would be proven with an elidable fact, and tier-2
-// elision would skip the segment-limit check on an address the
-// absolute store replaced at run time.
+// popped "pointer" below would keep its pushed safe constant, and the
+// store through it would be proven although the absolute store
+// replaced that address at run time.
 func TestAbsStoreStackAliasHavoc(t *testing.T) {
 	// kernelLayout entry ESP is absolute 0x4FF8; after the push the
 	// tracked slot lives at absolute 0x4FF4 (= 20468) — exactly where
@@ -560,11 +536,6 @@ func TestAbsStoreStackAliasHavoc(t *testing.T) {
 	if !demoted {
 		t.Errorf("store through the clobbered slot not demoted: %v", rep.Unproven)
 	}
-	// Only the absolute store itself stays elidable; the store through
-	// the popped value must not carry a fact.
-	if rep.Elidable != 1 {
-		t.Errorf("Elidable = %d, want 1", rep.Elidable)
-	}
 
 	// The same program with the absolute store below the stack window
 	// (scratch area at 0x500) cannot alias the slot: the popped
@@ -584,9 +555,6 @@ func TestAbsStoreStackAliasHavoc(t *testing.T) {
 	if rep.Status != Clean {
 		t.Fatalf("scratch-store status = %v, want clean; %v %v",
 			rep.Status, rep.Violations, rep.Unproven)
-	}
-	if rep.Elidable != 2 {
-		t.Errorf("scratch-store Elidable = %d, want 2", rep.Elidable)
 	}
 }
 
@@ -636,13 +604,10 @@ func TestNestedLoopBound(t *testing.T) {
 	}
 }
 
-// TestSharedSiteFactKilled: an instruction shared by two entry points
-// can be proven absolute in one context and stack-relative in the
-// other. The absolute context's elidable fact must die — its end bound
-// says nothing about the stack addresses the other entry produces, so
-// annotating it would break the ProvedEnd contract tier-2 elision
-// relies on.
-func TestSharedSiteFactKilled(t *testing.T) {
+// TestSharedSiteMixedDomains: an instruction shared by two entry
+// points can be proven absolute in one context and stack-relative in
+// the other; the site is proven in both and the program is Clean.
+func TestSharedSiteMixedDomains(t *testing.T) {
 	src := `
 		.global a
 		.global b
@@ -661,16 +626,6 @@ func TestSharedSiteFactKilled(t *testing.T) {
 	rep := mustCheck(t, "shared", src, kernelLayout())
 	if rep.Status != Clean {
 		t.Fatalf("status = %v, want clean; %v %v", rep.Status, rep.Violations, rep.Unproven)
-	}
-	if rep.Elidable != 0 {
-		t.Errorf("Elidable = %d, want 0 (mixed-domain site must not export a fact)", rep.Elidable)
-	}
-	obj := isa.MustAssemble("shared", src).Clone()
-	rep.Annotate(obj)
-	for i := range obj.Text {
-		if obj.Text[i].Dst.Proved || obj.Text[i].Src.Proved {
-			t.Errorf("text[%d] annotated despite mixed proving domains", i)
-		}
 	}
 }
 
@@ -703,9 +658,6 @@ func TestSFIMaskSequence(t *testing.T) {
 	if rep.Status != Clean {
 		t.Fatalf("status = %v, want clean; %v %v", rep.Status, rep.Violations, rep.Unproven)
 	}
-	if rep.Elidable != 1 {
-		t.Errorf("Elidable = %d, want 1 (the masked store)", rep.Elidable)
-	}
 }
 
 // TestReportJSON keeps the report's JSON shape stable.
@@ -715,7 +667,7 @@ func TestReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"status":"clean"`, `"bounded":true`, `"elidable_accesses":2`} {
+	for _, want := range []string{`"status":"clean"`, `"bounded":true`, `"proven_accesses":`} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("JSON %s missing %q", b, want)
 		}

@@ -154,8 +154,12 @@ type serverState struct {
 	Costs            Costs
 
 	scriptRaw uint32 // unprotected entry address
-	shared    uint32
+	shared    uint32 // the protected script's sharedBytes area
 }
+
+// sharedBytes is the size of the area the protected model stages the
+// CGI environment (Costs.EnvBytes) into.
+const sharedBytes = mem.PageSize
 
 // New builds the server and loads the LibCGI script both as a
 // protected extension and as a plain function.
@@ -181,7 +185,7 @@ func New(s *core.System, fileSize uint32) (*Server, error) {
 	if srv.scriptRaw, err = app.Dlsym(h, "cgi_script"); err != nil {
 		return nil, err
 	}
-	if srv.shared, err = app.SharedAlloc(mem.PageSize); err != nil {
+	if srv.shared, err = app.SharedAlloc(sharedBytes); err != nil {
 		return nil, err
 	}
 	// A helper process standing in for forked CGI children.

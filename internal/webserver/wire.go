@@ -18,7 +18,7 @@ import (
 
 const (
 	srvMagic   = "PALLWSRV"
-	srvVersion = 1
+	srvVersion = 2
 )
 
 // SaveBytes serializes into a standalone enveloped image the server's
@@ -60,13 +60,16 @@ func LoadServerBytes(data []byte) (*Server, error) {
 	d := mem.NewDec(payload)
 	var s serverState
 	s.FileSize = d.U32()
-	s.NetBandwidthMbps = d.F64()
-	s.Costs.BaseRequest = d.F64()
-	s.Costs.PerByte = d.F64()
-	s.Costs.CGIEnv = d.F64()
-	s.Costs.CGIProcessExtra = d.F64()
-	s.Costs.FastCGIRoundTrip = d.F64()
+	s.NetBandwidthMbps = d.NonNegF64("network bandwidth")
+	s.Costs.BaseRequest = d.NonNegF64("base request cost")
+	s.Costs.PerByte = d.NonNegF64("per-byte cost")
+	s.Costs.CGIEnv = d.NonNegF64("CGI environment cost")
+	s.Costs.CGIProcessExtra = d.NonNegF64("CGI process cost")
+	s.Costs.FastCGIRoundTrip = d.NonNegF64("FastCGI round-trip cost")
 	s.Costs.EnvBytes = int(d.I32())
+	if d.Err() == nil && (s.Costs.EnvBytes < 0 || s.Costs.EnvBytes > sharedBytes) {
+		d.Failf("CGI environment of %d bytes does not fit the %d-byte shared area", s.Costs.EnvBytes, sharedBytes)
+	}
 	s.scriptRaw = d.U32()
 	s.shared = d.U32()
 	if err := d.Err(); err != nil {

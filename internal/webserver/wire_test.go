@@ -10,13 +10,13 @@ import (
 )
 
 // TestServerImageGolden pins the byte image of a server that has served
-// one request under every model. The layout is wire version 1; a change
+// one request under every model. The layout is wire version 2; a change
 // to any layer's encoding must either reproduce these bytes or bump the
 // version and re-record them.
 func TestServerImageGolden(t *testing.T) {
 	const (
-		wantLen    = 89486
-		wantSHA256 = "f93c23b4d2272a91f28ae03fa6bf629ebac580b946a1c804a5c9e42e689bb3ed"
+		wantLen    = 88476
+		wantSHA256 = "92b3e9414f963cc33954121cc19c49035ebe6f4b53f406c3122435835d0c6bd1"
 	)
 	srv, err := BootServer(1024)
 	if err != nil {

@@ -31,7 +31,7 @@ func (b *directBackend) Load(obj *isa.Object, opts LoadOptions) (Extension, erro
 	// The direct backend enforces nothing at run time, so a verified
 	// load is judged against the user-level layout its siblings share:
 	// what the verifier proves safe there holds a fortiori here.
-	obj, rep, err := verifyGate("direct", obj, opts, userVerifyLayout("direct", obj, opts))
+	rep, err := verifyGate("direct", obj, opts, userVerifyLayout("direct", obj, opts))
 	if err != nil {
 		return nil, err
 	}

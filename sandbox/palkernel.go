@@ -28,7 +28,7 @@ func (b *palKernelBackend) Load(obj *isa.Object, opts LoadOptions) (Extension, e
 	if opts.Entry == "" {
 		return nil, rejectf("palladium-kernel", "no entry symbol")
 	}
-	obj, rep, err := verifyGate("palladium-kernel", obj, opts, kernelVerifyLayout(obj, opts))
+	rep, err := verifyGate("palladium-kernel", obj, opts, kernelVerifyLayout(obj, opts))
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func (b *palUserBackend) Load(obj *isa.Object, opts LoadOptions) (Extension, err
 	if opts.Entry == "" {
 		return nil, rejectf("palladium-user", "no entry symbol")
 	}
-	obj, rep, err := verifyGate("palladium-user", obj, opts, userVerifyLayout("palladium-user", obj, opts))
+	rep, err := verifyGate("palladium-user", obj, opts, userVerifyLayout("palladium-user", obj, opts))
 	if err != nil {
 		return nil, err
 	}

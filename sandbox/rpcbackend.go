@@ -32,7 +32,7 @@ func (b *rpcBackend) Load(obj *isa.Object, opts LoadOptions) (Extension, error) 
 	}
 	// The server process runs the object as an ordinary user-level
 	// call, so a verified load is judged against the user layout.
-	obj, rep, err := verifyGate("rpc", obj, opts, userVerifyLayout("rpc", obj, opts))
+	rep, err := verifyGate("rpc", obj, opts, userVerifyLayout("rpc", obj, opts))
 	if err != nil {
 		return nil, err
 	}

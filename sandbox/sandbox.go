@@ -195,10 +195,9 @@ type LoadOptions struct {
 	// interpretation over the ISA against the backend's declared
 	// segment layout. Objects with a definite violation are refused
 	// with a ValidationReject fault carrying the structured
-	// verify.Report; accepted objects are loaded with their proved
-	// per-operand bounds annotated, which lets the tier-2 translator
-	// elide the segment-limit re-validation for those accesses.
-	// Backends without a native-code load (bpf, rpc) report through
+	// verify.Report; accepted objects are loaded unchanged. The
+	// verifier only gates the load: the segment and page checks run
+	// on every access either way. Backends without a native-code load (bpf, rpc) report through
 	// the same verify.Report type but ignore the flag's gating (bpf
 	// always validates).
 	Verify bool

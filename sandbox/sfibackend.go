@@ -44,7 +44,7 @@ func (b *sfiBackend) Load(obj *isa.Object, opts LoadOptions) (Extension, error) 
 	// Verify the *rewritten* object: the mask sequences the rewriter
 	// inserted are precisely what lets the interval domain prove the
 	// guarded accesses land in the region.
-	rewritten, rep, err := verifyGate("sfi", rewritten, opts, sfiVerifyLayout(cfg, rewritten, opts))
+	rep, err := verifyGate("sfi", rewritten, opts, sfiVerifyLayout(cfg, rewritten, opts))
 	if err != nil {
 		return nil, err
 	}

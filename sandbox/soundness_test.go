@@ -9,12 +9,12 @@ import (
 	"repro/internal/verify"
 )
 
-// Differential soundness of verified-safe check elision: for every
+// Differential soundness of the load-time verifier gate: for every
 // generated program the static verifier accepts, loading it with
-// verification (annotated operands, segment checks elided in traces)
-// must be observationally identical to loading it without — same
-// result, same error, bit-identical simulated cycles — and a program
-// the verifier calls Clean must additionally run without any fault.
+// verification must be observationally identical to loading it
+// without — same result, same error, bit-identical simulated cycles —
+// and a program the verifier calls Clean must additionally run
+// without any fault.
 // The generator emits structurally valid extensions whose memory
 // offsets, loop counts and register choices come from the fuzz input,
 // so it produces Clean, Guarded and Rejected programs alike.
@@ -71,9 +71,15 @@ func genExtensionSrc(data []byte) string {
 	return sb.String()
 }
 
+// soundInvokes is how many times soundRun invokes each program: with
+// the lowered trace threshold, enough for straight-line programs to
+// reach the trace tier too.
+const soundInvokes = 3
+
 // soundRun loads src under palladium-kernel (verified or not) and
-// invokes it once, returning the observable outcome.
-func soundRun(t *testing.T, src string, verified bool) (v uint32, errStr string, cycles float64, elided uint64, rep *verify.Report, loadErr error) {
+// invokes it soundInvokes times, returning the observable outcome (the
+// last result, every error) and the trace dispatches the invokes took.
+func soundRun(t *testing.T, src string, verified bool) (v uint32, errStr string, cycles float64, traces uint64, rep *verify.Report, loadErr error) {
 	t.Helper()
 	h := newHost(t)
 	b, err := Open("palladium-kernel", h)
@@ -91,25 +97,31 @@ func soundRun(t *testing.T, src string, verified bool) (v uint32, errStr string,
 	if verified {
 		rep = ext.(interface{ VerifyReport() *verify.Report }).VerifyReport()
 	}
-	// Elision happens only in traces, and a single invoke loops at most
-	// 50 times: a hair-trigger threshold promotes the generated loops so
-	// the verified run actually elides. Traces never alter simulated
+	// An invoke loops at most 50 times: a hair-trigger threshold
+	// promotes the generated code to traces, whose warm accesses take
+	// the inline segment-limit check. Traces never alter simulated
 	// metrics, so both hosts still compare bit for bit.
 	h.Sys.K.Machine.TraceThreshold = 2
 	start := h.Sys.K.Clock.Cycles()
-	v, ierr := ext.Invoke(0)
-	if ierr != nil {
-		errStr = ierr.Error()
+	d0 := h.Sys.K.Machine.TraceStats().Dispatches
+	var errs []string
+	for range soundInvokes {
+		var ierr error
+		if v, ierr = ext.Invoke(0); ierr != nil {
+			errs = append(errs, ierr.Error())
+		}
 	}
-	return v, errStr, h.Sys.K.Clock.Cycles() - start, h.Sys.K.Machine.MMU.ElidedChecks(), rep, nil
+	errStr = strings.Join(errs, "; ")
+	return v, errStr, h.Sys.K.Clock.Cycles() - start, h.Sys.K.Machine.TraceStats().Dispatches - d0, rep, nil
 }
 
 // checkVerifySound is the property both the fuzz target and the
 // regression-seed replay assert. It returns the verifier's verdict
-// and the checks the verified run elided (0 for a rejected program).
+// and the trace dispatches of the verified run (0 for a rejected
+// program).
 func checkVerifySound(t *testing.T, data []byte) (verify.Status, uint64) {
 	src := genExtensionSrc(data)
-	vv, verr, vcyc, velided, rep, vload := soundRun(t, src, true)
+	vv, verr, vcyc, vtraces, rep, vload := soundRun(t, src, true)
 	if vload != nil {
 		// Rejected: the gate must have produced a structured report,
 		// and the unverified twin must still load (rejection is the
@@ -123,21 +135,18 @@ func checkVerifySound(t *testing.T, data []byte) (verify.Status, uint64) {
 		}
 		return verify.Rejected, 0
 	}
-	uv, uerr, ucyc, uelided, _, uload := soundRun(t, src, false)
+	uv, uerr, ucyc, _, _, uload := soundRun(t, src, false)
 	if uload != nil {
 		t.Fatalf("unverified load failed: %v\nprogram:\n%s", uload, src)
 	}
-	if uelided != 0 {
-		t.Fatalf("unverified run elided %d checks\nprogram:\n%s", uelided, src)
-	}
 	if vv != uv || verr != uerr || vcyc != ucyc {
-		t.Fatalf("elision changed observable behavior:\nverified:   v=%d err=%q cycles=%v (elided %d)\nunverified: v=%d err=%q cycles=%v\nprogram:\n%s",
-			vv, verr, vcyc, velided, uv, uerr, ucyc, src)
+		t.Fatalf("verification changed observable behavior:\nverified:   v=%d err=%q cycles=%v\nunverified: v=%d err=%q cycles=%v\nprogram:\n%s",
+			vv, verr, vcyc, uv, uerr, ucyc, src)
 	}
 	if rep.Status == verify.Clean && verr != "" {
 		t.Fatalf("Clean program faulted at runtime: %q\nprogram:\n%s", verr, src)
 	}
-	return rep.Status, velided
+	return rep.Status, vtraces
 }
 
 // FuzzVerifySound drives the generator from fuzz input.
@@ -153,9 +162,11 @@ func FuzzVerifySound(f *testing.F) {
 // verifySoundSeeds are the checked-in regression seeds: shapes that
 // exercised distinct verifier paths (clean straight-line, clean
 // counted loop, guarded loop whose latch register is clobbered in the
-// body, out-of-bounds scratch offsets, push/pop balance). The last is
+// body, out-of-bounds scratch offsets, push/pop balance). Seed 10 is
 // a clean 49-trip loop storing to scratch: too short for the default
-// trace threshold, so it elides only because soundRun lowers it.
+// trace threshold, so it runs in a trace only because soundRun lowers
+// it. Seed 11 stores to scratch+64, one word past the array, and is
+// the corpus's Rejected program.
 var verifySoundSeeds = []string{
 	"",
 	"\x00",
@@ -168,24 +179,29 @@ var verifySoundSeeds = []string{
 	"\x00\x02\x00\x04\x00\x06\x00\x08\x00",
 	"\xf0\x0d\xca\xfe\xba\xbe\x00\x01\x02\x03",
 	"\x00\x00\x00\x30\x01",
+	"\x02\x00\x00\x10",
 }
 
 // TestVerifySoundRegressionSeeds replays the corpus deterministically
 // under plain `go test` (the fuzz engine only replays it under
-// -fuzz). The Clean seeds together must elide checks, or the
-// comparison would never exercise the elision it is meant to hold
-// sound on the bounded programs the generator mostly emits (a guarded
-// runaway loop reaches the trace tier whatever the threshold).
+// -fuzz). The corpus must cover all three verdicts, and every Clean
+// seed must dispatch a trace, so the comparison exercises the trace
+// tier's inline segment-limit check on the programs the verifier
+// claims cannot fault.
 func TestVerifySoundRegressionSeeds(t *testing.T) {
-	var elided uint64
+	seen := map[verify.Status]int{}
 	for i, seed := range verifySoundSeeds {
 		t.Run(fmt.Sprintf("seed%02d", i), func(t *testing.T) {
-			if st, n := checkVerifySound(t, []byte(seed)); st == verify.Clean {
-				elided += n
+			st, traces := checkVerifySound(t, []byte(seed))
+			seen[st]++
+			if st == verify.Clean && traces == 0 {
+				t.Fatal("Clean seed dispatched no trace")
 			}
 		})
 	}
-	if elided == 0 {
-		t.Fatal("no Clean seed elided a segment check: the soundness comparison never exercises elision")
+	for _, st := range []verify.Status{verify.Clean, verify.Guarded, verify.Rejected} {
+		if seen[st] == 0 {
+			t.Errorf("no seed is %v (verdicts: %v)", st, seen)
+		}
 	}
 }

@@ -26,30 +26,23 @@ import (
 //	                  store masked to the last region byte spills into
 //	                  the guard, exactly the spill Wahbe et al. absorb
 //	                  with guard pages).
-//
-// Annotating an object that is then loaded under a *different* layout
-// would be unsound, so the gate verifies and annotates a private clone
-// per load.
 
 // verifyGate statically checks obj under lay when opts.Verify is set.
 // Rejections return a ValidationReject *Fault carrying the structured
-// report; acceptances return a private annotated clone (proved operand
-// bounds written in) for the adapter to load, plus the report for
-// Extension.VerifyReport.
-func verifyGate(backend string, obj *isa.Object, opts LoadOptions, lay verify.Layout) (*isa.Object, *verify.Report, error) {
+// report; acceptances return the report for Extension.VerifyReport,
+// and the adapter loads obj unchanged.
+func verifyGate(backend string, obj *isa.Object, opts LoadOptions, lay verify.Layout) (*verify.Report, error) {
 	if !opts.Verify {
-		return obj, nil, nil
+		return nil, nil
 	}
-	clone := obj.Clone()
-	rep := verify.Check(clone, lay)
+	rep := verify.Check(obj, lay)
 	if !rep.Accepted() {
-		return nil, rep, &Fault{
+		return rep, &Fault{
 			Class: ValidationReject, Backend: backend, Op: "load",
 			Report: rep, cause: rep.Err(),
 		}
 	}
-	rep.Annotate(clone)
-	return clone, rep, nil
+	return rep, nil
 }
 
 // verifyArgSpec models the argument the adapter will pass: a pointer

@@ -113,9 +113,8 @@ func TestVerifyGateRejectsEscapes(t *testing.T) {
 	}
 }
 
-// hotLoopSrc is the tier-2 elision workload: a counted compute loop
-// whose two scratch accesses are anchored data operands. It verifies
-// Clean with elidable facts under every layout.
+// hotLoopSrc is a counted compute loop whose two scratch accesses are
+// anchored data operands. It verifies Clean under every layout.
 const hotLoopSrc = `
 	.global hotloop
 	.text
@@ -134,70 +133,34 @@ const hotLoopSrc = `
 `
 
 // TestVerifyGateAcceptsHotLoop: the paper-shaped workload verifies
-// Clean, runs correctly, and its annotated loads actually elide
-// segment-limit re-validations in tier 2.
+// Clean and runs correctly, and the gate changes nothing it executes:
+// on a fresh host without verification the result and the simulated
+// cycles are bit-identical.
 func TestVerifyGateAcceptsHotLoop(t *testing.T) {
+	run := func(t *testing.T, backend string, opts LoadOptions) (uint32, float64, *verify.Report) {
+		h := newHost(t)
+		ext := load(t, h, backend, hotLoopSrc, "hotloop", opts)
+		start := h.Sys.K.Clock.Cycles()
+		v, err := ext.Invoke(0)
+		if err != nil {
+			t.Fatalf("invoke (verify=%v): %v", opts.Verify, err)
+		}
+		return v, h.Sys.K.Clock.Cycles() - start, ext.(verifyReporter).VerifyReport()
+	}
 	for _, backend := range []string{"palladium-kernel", "palladium-user"} {
 		t.Run(backend, func(t *testing.T) {
-			h := newHost(t)
-			ext := load(t, h, backend, hotLoopSrc, "hotloop", WithVerify(LoadOptions{}))
-			rep := ext.(verifyReporter).VerifyReport()
+			v, cyc, rep := run(t, backend, WithVerify(LoadOptions{}))
 			if rep == nil || rep.Status != verify.Clean {
 				t.Fatalf("report = %+v, want Clean", rep)
-			}
-			if rep.Elidable != 2 {
-				t.Fatalf("elidable = %d, want 2", rep.Elidable)
-			}
-			before := h.Sys.K.Machine.MMU.ElidedChecks()
-			v, err := ext.Invoke(0)
-			if err != nil {
-				t.Fatalf("invoke: %v", err)
 			}
 			if v != 500500 {
 				t.Fatalf("result = %d, want 500500", v)
 			}
-			elided := h.Sys.K.Machine.MMU.ElidedChecks() - before
-			if elided == 0 {
-				t.Fatal("verified hot loop elided no segment checks")
+			uv, ucyc, _ := run(t, backend, LoadOptions{})
+			if uv != v || ucyc != cyc {
+				t.Fatalf("unverified run (%d, %v cycles) differs from verified (%d, %v cycles)", uv, ucyc, v, cyc)
 			}
 		})
-	}
-}
-
-// TestVerifyElisionMetricsIdentical is the differential soundness
-// check at the adapter level: the same workload on two fresh hosts,
-// loaded with and without verification, must produce bit-identical
-// results and simulated cycles — elision skips re-validation work the
-// cost model never charged for, so only the host-side elided counter
-// may differ.
-func TestVerifyElisionMetricsIdentical(t *testing.T) {
-	run := func(verifyOn bool) (uint32, float64, uint64) {
-		h := newHost(t)
-		opts := LoadOptions{}
-		if verifyOn {
-			opts = WithVerify(opts)
-		}
-		ext := load(t, h, "palladium-kernel", hotLoopSrc, "hotloop", opts)
-		start := h.Sys.K.Clock.Cycles()
-		v, err := ext.Invoke(0)
-		if err != nil {
-			t.Fatalf("invoke (verify=%v): %v", verifyOn, err)
-		}
-		return v, h.Sys.K.Clock.Cycles() - start, h.Sys.K.Machine.MMU.ElidedChecks()
-	}
-	v1, cyc1, el1 := run(false)
-	v2, cyc2, el2 := run(true)
-	if v1 != v2 {
-		t.Fatalf("results differ: %d vs %d", v1, v2)
-	}
-	if cyc1 != cyc2 {
-		t.Fatalf("simulated cycles differ: %v vs %v", cyc1, cyc2)
-	}
-	if el1 != 0 {
-		t.Fatalf("unverified run elided %d checks, want 0", el1)
-	}
-	if el2 == 0 {
-		t.Fatal("verified run elided no checks")
 	}
 }
 
