@@ -133,34 +133,60 @@ const hotLoopSrc = `
 `
 
 // TestVerifyGateAcceptsHotLoop: the paper-shaped workload verifies
-// Clean and runs correctly, and the gate changes nothing it executes:
-// on a fresh host without verification the result and the simulated
-// cycles are bit-identical.
+// Clean and runs correctly under both palladium backends.
 func TestVerifyGateAcceptsHotLoop(t *testing.T) {
-	run := func(t *testing.T, backend string, opts LoadOptions) (uint32, float64, *verify.Report) {
-		h := newHost(t)
-		ext := load(t, h, backend, hotLoopSrc, "hotloop", opts)
-		start := h.Sys.K.Clock.Cycles()
-		v, err := ext.Invoke(0)
-		if err != nil {
-			t.Fatalf("invoke (verify=%v): %v", opts.Verify, err)
-		}
-		return v, h.Sys.K.Clock.Cycles() - start, ext.(verifyReporter).VerifyReport()
-	}
 	for _, backend := range []string{"palladium-kernel", "palladium-user"} {
 		t.Run(backend, func(t *testing.T) {
-			v, cyc, rep := run(t, backend, WithVerify(LoadOptions{}))
+			h := newHost(t)
+			ext := load(t, h, backend, hotLoopSrc, "hotloop", WithVerify(LoadOptions{}))
+			rep := ext.(verifyReporter).VerifyReport()
 			if rep == nil || rep.Status != verify.Clean {
 				t.Fatalf("report = %+v, want Clean", rep)
+			}
+			v, err := ext.Invoke(0)
+			if err != nil {
+				t.Fatalf("invoke: %v", err)
 			}
 			if v != 500500 {
 				t.Fatalf("result = %d, want 500500", v)
 			}
-			uv, ucyc, _ := run(t, backend, LoadOptions{})
-			if uv != v || ucyc != cyc {
-				t.Fatalf("unverified run (%d, %v cycles) differs from verified (%d, %v cycles)", uv, ucyc, v, cyc)
-			}
 		})
+	}
+}
+
+// TestVerifyElisionMetricsIdentical is the differential check at the
+// adapter level: the same workload on two fresh hosts, loaded with and
+// without verification, must produce bit-identical results and
+// simulated cycles, and neither run skips a segment check — the
+// verifier is a load-time gate and changes nothing the access path
+// executes.
+func TestVerifyElisionMetricsIdentical(t *testing.T) {
+	run := func(backend string, verifyOn bool) (uint32, float64, uint64) {
+		h := newHost(t)
+		opts := LoadOptions{}
+		if verifyOn {
+			opts = WithVerify(opts)
+		}
+		ext := load(t, h, backend, hotLoopSrc, "hotloop", opts)
+		start := h.Sys.K.Clock.Cycles()
+		v, err := ext.Invoke(0)
+		if err != nil {
+			t.Fatalf("invoke (%s, verify=%v): %v", backend, verifyOn, err)
+		}
+		return v, h.Sys.K.Clock.Cycles() - start, h.Sys.K.Machine.MMU.ElidedChecks()
+	}
+	for _, backend := range []string{"palladium-kernel", "palladium-user"} {
+		v1, cyc1, el1 := run(backend, false)
+		v2, cyc2, el2 := run(backend, true)
+		if v1 != v2 {
+			t.Fatalf("%s: results differ: %d vs %d", backend, v1, v2)
+		}
+		if cyc1 != cyc2 {
+			t.Fatalf("%s: simulated cycles differ: %v vs %v", backend, cyc1, cyc2)
+		}
+		if el1 != 0 || el2 != 0 {
+			t.Fatalf("%s: elided checks = %d (unverified), %d (verified), want 0", backend, el1, el2)
+		}
 	}
 }
 
