@@ -1,8 +1,8 @@
 // Command palladium-serve is the HTTP front end of the reproduction: a
 // daemon serving the paper's Table 3 workload over a fleet of
-// simulated Palladium machines, with bounded admission control (queue
-// full => HTTP 503 + Retry-After), queue-depth-driven autoscaling via
-// clone-boot, and latency observability.
+// simulated Palladium machines, with bounded admission control (too
+// many requests in flight => HTTP 503 + Retry-After), load-driven
+// autoscaling via clone-boot, and latency observability.
 //
 // Usage:
 //
@@ -53,8 +53,8 @@ func main() {
 	maxWorkers := flag.Int("max-workers", 0, "autoscaling cap (<= -workers disables autoscaling)")
 	queue := flag.Int("queue", 0, "admission bound on in-flight requests (default 4*max workers)")
 	scaleInterval := flag.Duration("scale-interval", 10*time.Millisecond, "autoscaler sampling period")
-	scaleDepth := flag.Float64("scale-depth", 2, "scale up while queue depth exceeds this per worker")
-	scaleDownDepth := flag.Float64("scale-down-depth", 0, "retire idle workers above the boot size while queue depth stays below this per remaining worker (0 disables)")
+	scaleDepth := flag.Float64("scale-depth", 2, "scale up while requests in flight exceed this per worker")
+	scaleDownDepth := flag.Float64("scale-down-depth", 0, "retire idle workers above the boot size while requests in flight stay below this per remaining worker (0 disables)")
 	model := flag.String("model", "libcgi-prot", "default execution model when ?model= is absent")
 	clone := flag.Bool("clone", false, "clone-per-request mode: serve every request on a clone of the template, reset to it after the response")
 	warmClones := flag.Int("warm-clones", 2, "reset clones forked at boot with -clone (at most the worker cap)")

@@ -137,6 +137,10 @@ func (p *ClonePool[M]) Discard(m M) {
 	p.discard(m)
 }
 
+// Drop releases a taken machine without resetting or keeping it: one
+// whose request panicked, leaving it in a state a reset may not undo.
+func (p *ClonePool[M]) Drop(m M) { p.discard(m) }
+
 // Stats snapshots the pool gauges.
 func (p *ClonePool[M]) Stats() CloneStats {
 	p.mu.Lock()

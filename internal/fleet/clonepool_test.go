@@ -166,6 +166,22 @@ func TestClonePoolReleasesWhatItDoesNotKeep(t *testing.T) {
 	}
 }
 
+// TestClonePoolDropReleases: a dropped machine is released without a
+// reset and never handed out again.
+func TestClonePoolDropReleases(t *testing.T) {
+	f := &fakeClones{}
+	p := NewClonePool(1, f.clone, f.release)
+	defer p.Close()
+	a, _ := p.Take()
+	p.Drop(a)
+	if a.resets != 0 || f.released.Load() != 1 {
+		t.Errorf("dropped machine reset %d times, %d released; want 0, 1", a.resets, f.released.Load())
+	}
+	if m, _ := p.Take(); m == a {
+		t.Error("a dropped machine was handed out again")
+	}
+}
+
 // TestClonePoolCloseDrains: Close releases every waiting machine and
 // fails later Takes; machines still out are released when handed back.
 func TestClonePoolCloseDrains(t *testing.T) {

@@ -1,209 +1,141 @@
-// Package fleet runs a pool of Palladium machines behind a
-// work-stealing request dispatcher, turning the one-machine-at-a-time
-// reproduction into a concurrent serving tier. The caller supplies
-// each worker's machine; the serving daemon (internal/serve) gives
-// every worker a clone of one template machine.
+// Package fleet runs requests on a pool of Palladium machines. A
+// caller checks a machine out, runs its request on its own goroutine
+// and hands the machine back, so the pool has no goroutines of its
+// own. The caller supplies each worker's machine; the serving daemon
+// (internal/serve) gives every worker a clone of one template machine.
 //
-// The isolation argument is machine-per-worker ownership: every worker
-// goroutine exclusively owns one complete simulated machine (its own
-// core.System, kernel, MMU, TLB, physical memory and clock), so no
-// simulator state is ever shared between goroutines and the simulated
-// metrics of each machine are bit-identical to what the same machine
-// would produce serving alone. The pool only adds scheduling around
-// the machines: a bounded submission queue, per-worker run queues with
-// idle-worker stealing, per-worker and aggregate statistics, and a
-// graceful drain that never drops an accepted request.
+// The isolation argument is machine-per-request ownership: a checked
+// out machine (its own core.System, kernel, MMU, TLB, physical memory
+// and clock) belongs to exactly one request until it is handed back,
+// so no simulator state is ever touched by two goroutines at once and
+// the simulated metrics of each machine are bit-identical to what the
+// same machine would produce serving alone. The pool only adds
+// bookkeeping around the machines: a bound on requests in flight,
+// per-worker and aggregate statistics, panic containment, and a drain
+// that never drops an admitted request.
 package fleet
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Machine is the constraint for worker-owned simulated machines: the
-// pool reads the machine's simulated clock around every request to
+// Machine is the constraint for pooled simulated machines: the pool
+// reads the machine's simulated clock around every request to
 // attribute simulated cycles to workers.
 type Machine interface {
 	// SimCycles returns the machine's simulated clock reading.
 	SimCycles() float64
 }
 
-// Request is one unit of work executed on a worker-owned machine. The
-// worker index identifies the machine the request actually ran on
-// (which, under stealing, may differ from the submission target).
+// Request is one unit of work executed on a checked-out machine; the
+// worker index identifies that machine.
 type Request[M Machine] func(worker int, m M) error
 
-// ErrClosed reports a submission after Close. A SubmitTo blocked on a
-// full queue when Close arrives is woken and returns ErrClosed too,
-// rather than being stranded against a queue no worker will ever
-// drain.
+// ErrClosed reports a submission after Close. A SubmitTo blocked at
+// the in-flight bound when Close arrives is woken and returns ErrClosed
+// too.
 var ErrClosed = errors.New("fleet: pool is closed")
 
-// ErrBackpressure reports a TrySubmit refused because the submission
+// ErrBackpressure reports a TrySubmit refused because the in-flight
 // bound is reached. The serving tier maps it to a typed
 // sandbox.Fault{Class: Backpressure} and HTTP 503.
 var ErrBackpressure = errors.New("fleet: submission queue full")
+
+// ErrPanicked reports a request that panicked. The request counts as
+// failed, and the machine it ran on is replaced by a freshly booted one.
+var ErrPanicked = errors.New("fleet: request panicked")
 
 // Config sizes a pool.
 type Config struct {
 	// Workers is the number of machines to boot (default 1).
 	Workers int
-	// Queue bounds the number of accepted-but-unfinished requests;
-	// SubmitTo blocks and TrySubmit refuses while the bound is reached
-	// (default 4*Workers).
+	// Queue bounds the admitted-but-unfinished requests, running or
+	// waiting for a machine; SubmitTo blocks and TrySubmit refuses
+	// while the bound is reached (default 4*Workers).
 	Queue int
 }
 
-// WorkerStats are one worker's counters. All fields are totals since
-// boot; Stats aggregates them by summation (QueueHighWater by max).
+// WorkerStats are one worker's counters, totals since boot.
 type WorkerStats struct {
 	Worker int
-	// Requests is the number of requests this worker executed.
+	// Requests is the number of requests run on this worker's machine.
 	Requests uint64
-	// Errors counts requests whose handler returned an error.
+	// Errors counts requests that returned an error or panicked.
 	Errors uint64
-	// Steals counts requests this worker took from another worker's
-	// queue while its own was empty.
-	Steals uint64
 	// SimCycles is the simulated cycles charged to this worker's
 	// machine while executing requests.
 	SimCycles float64
 	// Retired reports that the worker has been removed from the pool
-	// (RemoveMachine): it serves nothing further, but its counters stay
-	// in every snapshot so pool totals remain conservation-exact across
-	// scale-downs.
+	// (RemoveMachine, or a panic whose replacement failed to boot): it
+	// serves nothing further, but its counters stay in every snapshot
+	// so pool totals remain conservation-exact across scale-downs.
 	Retired bool
 	// Busy is the wall-clock time spent executing requests.
 	Busy time.Duration
-	// QueueHighWater is the deepest this worker's run queue got: since
-	// boot in Pool.Stats snapshots, since BeginRun in Run.Stats ones.
-	QueueHighWater int
 }
 
 // Stats is a snapshot of the whole pool.
 type Stats struct {
 	Workers []WorkerStats
-	// Aggregates: sums of the per-worker fields (QueueHighWater is
-	// the max across workers).
-	Requests       uint64
-	Errors         uint64
-	Steals         uint64
-	SimCycles      float64
-	Busy           time.Duration
+	// Sums of the per-worker fields.
+	Requests  uint64
+	Errors    uint64
+	SimCycles float64
+	Busy      time.Duration
+	// QueueHighWater is the most requests that waited for a machine at
+	// once: since boot in Pool.Stats snapshots, since BeginRun in
+	// Run.Stats ones.
 	QueueHighWater int
+	// Steals always reads 0: a request runs on the machine it checks
+	// out, so there is nothing to steal. It stays because bench/serve.go
+	// still reads it.
+	Steals uint64
 }
 
-// aggregate recomputes the summary fields from Workers.
-func (s *Stats) aggregate() {
-	s.Requests, s.Errors, s.Steals, s.SimCycles, s.Busy, s.QueueHighWater = 0, 0, 0, 0, 0, 0
+func (s *Stats) sum() {
 	for _, w := range s.Workers {
 		s.Requests += w.Requests
 		s.Errors += w.Errors
-		s.Steals += w.Steals
 		s.SimCycles += w.SimCycles
 		s.Busy += w.Busy
-		if w.QueueHighWater > s.QueueHighWater {
-			s.QueueHighWater = w.QueueHighWater
-		}
 	}
 }
 
-// item is one queued request. Pinned items model the fleet's load
-// balancer assigning a request to a specific machine: they may only
-// run on their queue's worker (a steal would change which simulated
-// machine's clock the request charges, making simulated placement
-// depend on host scheduling).
-type item[M Machine] struct {
-	req    Request[M]
-	pinned bool
+// slot is one worker: its machine and whether a request holds it.
+type slot[M Machine] struct {
+	m      M
+	held   bool
+	pinned int  // SubmitTo callers admitted and waiting for this machine
+	lost   bool // a panic left no machine: the replacement failed to boot
+	stats  WorkerStats
 }
 
-// ring is a growable circular queue of items. The buffer is allocated
-// once (pre-sized to the submission bound) and reused, so steady-state
-// submit/take cycles allocate nothing — the slice-append queues this
-// replaces reallocated continuously because popping from the front
-// discards capacity.
-type ring[M Machine] struct {
-	buf  []item[M]
-	head int
-	n    int
-}
-
-func (r *ring[M]) len() int { return r.n }
-
-func (r *ring[M]) at(i int) *item[M] { return &r.buf[(r.head+i)%len(r.buf)] }
-
-func (r *ring[M]) push(it item[M]) {
-	if r.n == len(r.buf) {
-		nb := make([]item[M], max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			nb[i] = *r.at(i)
-		}
-		r.buf, r.head = nb, 0
-	}
-	*r.at(r.n) = it
-	r.n++
-}
-
-func (r *ring[M]) popFront() item[M] {
-	it := r.buf[r.head]
-	r.buf[r.head] = item[M]{} // release the closure reference
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return it
-}
-
-// removeAt deletes logical index i in place, shifting the shorter
-// side (the dispatcher steals the newest stealable item, so this is
-// normally a shift of zero or one element).
-func (r *ring[M]) removeAt(i int) item[M] {
-	it := *r.at(i)
-	if i <= r.n-1-i {
-		for j := i; j > 0; j-- {
-			*r.at(j) = *r.at(j - 1)
-		}
-		r.buf[r.head] = item[M]{}
-		r.head = (r.head + 1) % len(r.buf)
-	} else {
-		for j := i; j < r.n-1; j++ {
-			*r.at(j) = *r.at(j + 1)
-		}
-		*r.at(r.n - 1) = item[M]{}
-	}
-	r.n--
-	return it
-}
-
-// Pool is a fleet of worker-owned machines behind a work-stealing
-// dispatcher.
+// Pool is a set of machines that requests check out one at a time.
 type Pool[M Machine] struct {
-	mu    sync.Mutex
-	work  *sync.Cond // work arrived (or the pool is closing)
-	space *sync.Cond // the submission bound has room again
-	idle  *sync.Cond // all accepted requests finished
+	boot  func(worker int) (M, error) // boots worker machines and replaces panicked ones
+	bound int
 
-	queues   []ring[M]
-	inflight int // accepted (queued or running) requests
-	next     int // round-robin submission cursor
-	bound    int
+	mu      sync.Mutex
+	changed *sync.Cond // a machine or an in-flight slot came free, or the pool is closing
+
+	slots    []slot[M]
+	free     []int // live workers no request holds, most recently released last
+	live     int   // workers not retired
+	inflight int   // admitted requests, running or waiting for a machine
+	waiting  int   // admitted requests waiting for a machine
+	high     int   // waiting high water since boot
+	runHigh  int   // waiting high water since BeginRun
+	epoch    uint64
 	closing  bool
-
-	machines []M
-	retired  []bool // worker has been told to retire (RemoveMachine)
-	exited   []bool // worker goroutine has finished draining and left
-	gone     *sync.Cond
-	live     int // workers not retired
-	stats    []WorkerStats
-	epoch    uint64 // bumped by BeginRun; scopes the run tracking
-	runHigh  []int  // per-worker queue high water for the current run
-	wg       sync.WaitGroup
 }
 
-// New boots cfg.Workers machines (sequentially, so boot-time frame and
-// address allocations are deterministic per worker index) and starts
-// one goroutine per machine.
+// New boots cfg.Workers machines, sequentially so boot-time frame and
+// address allocations are deterministic per worker index. boot also
+// replaces the machine of any request that panics.
 func New[M Machine](cfg Config, boot func(worker int) (M, error)) (*Pool[M], error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -211,101 +143,88 @@ func New[M Machine](cfg Config, boot func(worker int) (M, error)) (*Pool[M], err
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4 * cfg.Workers
 	}
-	p := &Pool[M]{
-		queues:   make([]ring[M], cfg.Workers),
-		bound:    cfg.Queue,
-		machines: make([]M, cfg.Workers),
-		retired:  make([]bool, cfg.Workers),
-		exited:   make([]bool, cfg.Workers),
-		live:     cfg.Workers,
-		stats:    make([]WorkerStats, cfg.Workers),
-		runHigh:  make([]int, cfg.Workers),
-	}
-	for w := range p.queues {
-		// Pre-size to the submission bound: no queue can hold more
-		// than `bound` items, so steady-state submission never grows.
-		p.queues[w].buf = make([]item[M], cfg.Queue)
-	}
-	p.work = sync.NewCond(&p.mu)
-	p.space = sync.NewCond(&p.mu)
-	p.idle = sync.NewCond(&p.mu)
-	p.gone = sync.NewCond(&p.mu)
+	p := &Pool[M]{boot: boot, bound: cfg.Queue}
+	p.changed = sync.NewCond(&p.mu)
 	for w := 0; w < cfg.Workers; w++ {
 		m, err := boot(w)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: booting machine %d: %w", w, err)
 		}
-		p.machines[w] = m
-		p.stats[w] = WorkerStats{Worker: w}
-	}
-	p.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go p.run(w, p.machines[w])
+		p.addLocked(m)
 	}
 	return p, nil
+}
+
+func (p *Pool[M]) addLocked(m M) int {
+	w := len(p.slots)
+	p.slots = append(p.slots, slot[M]{m: m, stats: WorkerStats{Worker: w}})
+	p.free = append(p.free, w)
+	p.live++
+	return w
 }
 
 // AddMachine grows a live pool by one worker owning machine m and
 // returns the new worker's index. The serving tier's autoscaler uses
 // it with a clone of a pristine template machine, so a scaled-up
 // worker's simulated state is bit-identical to a boot-time worker's.
-// Existing queues, in-flight requests and statistics are untouched;
-// balanced submissions start landing on the new worker immediately.
+// The machine is free for the next request at once.
 func (p *Pool[M]) AddMachine(m M) (int, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closing {
-		p.mu.Unlock()
 		return 0, ErrClosed
 	}
-	w := len(p.machines)
-	p.machines = append(p.machines, m)
-	p.retired = append(p.retired, false)
-	p.exited = append(p.exited, false)
-	p.live++
-	p.stats = append(p.stats, WorkerStats{Worker: w})
-	p.queues = append(p.queues, ring[M]{buf: make([]item[M], p.bound)})
-	p.runHigh = append(p.runHigh, 0)
-	p.wg.Add(1)
-	p.mu.Unlock()
-	go p.run(w, m)
+	w := p.addLocked(m)
+	p.changed.Broadcast()
 	return w, nil
 }
 
-// RemoveMachine retires worker w: balanced submissions stop landing on
-// it immediately, it drains whatever its queue already holds (accepted
-// work is never dropped — conservation of requests is exact across a
-// scale-down), and once empty its goroutine exits. RemoveMachine
-// blocks until the drain completes, then returns the machine to the
-// caller, who now owns it exclusively (an ephemeral-clone tier must
-// release its frame references; see mem.Physical.Release). The
-// worker's statistics remain in every later Stats snapshot, flagged
-// Retired. The last live worker cannot be removed.
+// RemoveMachine retires worker w: no new request checks it out, the
+// requests already admitted for it by SubmitTo still run on it
+// (accepted work is never dropped, so conservation of requests is
+// exact across a scale-down), and RemoveMachine blocks until the last
+// of them hands it back. It then returns the machine to the caller,
+// who owns it exclusively (an ephemeral-clone tier must release its
+// frame references; see mem.Physical.Release). The worker's statistics
+// remain in every later Stats snapshot, flagged Retired. The last live
+// worker cannot be removed.
 func (p *Pool[M]) RemoveMachine(w int) (M, error) {
 	var zero M
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if w < 0 || w >= len(p.machines) {
+	if w < 0 || w >= len(p.slots) {
 		return zero, fmt.Errorf("fleet: no worker %d", w)
 	}
 	if p.closing {
 		return zero, ErrClosed
 	}
-	if p.retired[w] {
+	s := &p.slots[w]
+	if s.stats.Retired {
 		return zero, fmt.Errorf("fleet: worker %d already retired", w)
 	}
 	if p.live <= 1 {
 		return zero, fmt.Errorf("fleet: cannot retire the last live worker")
 	}
-	p.retired[w] = true
-	p.live--
-	p.stats[w].Retired = true
-	p.work.Broadcast() // wake w (and stealers of its queue)
-	for !p.exited[w] {
-		p.gone.Wait()
+	p.retireLocked(w)
+	for p.slots[w].held || p.slots[w].pinned > 0 {
+		p.changed.Wait()
 	}
-	m := p.machines[w]
-	p.machines[w] = zero // the pool drops its reference; caller owns m
+	s = &p.slots[w]
+	if s.lost {
+		return zero, fmt.Errorf("fleet: worker %d lost its machine to a panic", w)
+	}
+	m := s.m
+	s.m = zero // the pool drops its reference; the caller owns m
 	return m, nil
+}
+
+func (p *Pool[M]) retireLocked(w int) {
+	p.slots[w].stats.Retired = true
+	p.live--
+	if i := slices.Index(p.free, w); i >= 0 {
+		p.free = slices.Delete(p.free, i, i+1)
+	}
+	p.changed.Broadcast()
 }
 
 // LiveWorkers lists the indices of workers that have not been retired,
@@ -314,8 +233,8 @@ func (p *Pool[M]) LiveWorkers() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]int, 0, p.live)
-	for w, r := range p.retired {
-		if !r {
+	for w := range p.slots {
+		if !p.slots[w].stats.Retired {
 			out = append(out, w)
 		}
 	}
@@ -335,176 +254,196 @@ func (p *Pool[M]) Workers() int {
 func (p *Pool[M]) TotalWorkers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.machines)
+	return len(p.slots)
 }
 
-// Inflight reports the number of accepted (queued or running)
-// requests; the serving tier's autoscaler samples it as queue depth.
+// Inflight reports the number of admitted requests, running or waiting
+// for a machine; the serving tier's autoscaler samples it as queue
+// depth.
 func (p *Pool[M]) Inflight() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.inflight
 }
 
-// Bound reports the submission bound.
+// Bound reports the in-flight bound.
 func (p *Pool[M]) Bound() int { return p.bound }
 
-// TrySubmit is the serving tier's admission path: the request is
-// placed round-robin on a live worker's run queue, where an idle
-// worker may steal it, and a full queue refuses immediately with
-// ErrBackpressure instead of queueing the caller behind capacity the
-// pool does not have.
+// TrySubmit is the serving tier's admission path. It refuses at once
+// with ErrBackpressure when the in-flight bound is reached, instead of
+// queueing the caller behind capacity the pool does not have.
+// Otherwise it waits for any free live machine, runs req on it on the
+// calling goroutine and returns once req has run. It returns
+// ErrPanicked if req panicked; the request's own error is counted in
+// Stats.Errors, not returned.
 func (p *Pool[M]) TrySubmit(req Request[M]) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closing {
+		p.mu.Unlock()
 		return ErrClosed
 	}
 	if p.inflight >= p.bound {
+		p.mu.Unlock()
 		return ErrBackpressure
 	}
-	for {
-		t := p.next % len(p.queues)
-		p.next++
-		if !p.retired[t] {
-			p.enqueueLocked(t, item[M]{req: req})
-			return nil
-		}
-	}
+	return p.exec(-1, req)
 }
 
-// SubmitTo places a request on worker w's queue pinned to its machine,
-// blocking while the submission bound is reached: only that worker
-// executes it, so simulated placement is decided by the caller's
-// balancing policy, not by host scheduling.
+// SubmitTo runs req on worker w's machine, blocking while the in-flight
+// bound is reached and then until the machine is free. It returns as
+// TrySubmit does, once req has run. Simulated placement is thus
+// decided by the caller, not by host scheduling, and one caller's
+// pinned requests run in the order it submits them.
 func (p *Pool[M]) SubmitTo(w int, req Request[M]) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for p.inflight >= p.bound && !p.closing {
-		p.space.Wait()
+		p.changed.Wait()
 	}
-	if p.closing {
-		return ErrClosed
+	var err error
+	switch {
+	case p.closing:
+		err = ErrClosed
+	case w < 0 || w >= len(p.slots):
+		err = fmt.Errorf("fleet: no worker %d", w)
+	case p.slots[w].stats.Retired:
+		err = fmt.Errorf("fleet: worker %d retired", w)
 	}
-	if w < 0 || w >= len(p.machines) {
-		return fmt.Errorf("fleet: no worker %d", w)
+	if err != nil {
+		p.mu.Unlock()
+		return err
 	}
-	if p.retired[w] {
-		return fmt.Errorf("fleet: worker %d retired", w)
+	return p.exec(w, req)
+}
+
+// exec admits req, checks out worker want's machine (any free live one
+// when want < 0), runs req on the calling goroutine and hands the
+// machine back. It is called with p.mu held and returns with it
+// released. This is the pool's one execution path.
+func (p *Pool[M]) exec(want int, req Request[M]) (err error) {
+	p.inflight++
+	w, err := p.checkoutLocked(want)
+	if err != nil {
+		p.inflight--
+		p.changed.Broadcast()
+		p.mu.Unlock()
+		return err
 	}
-	p.enqueueLocked(w, item[M]{req: req, pinned: true})
+	m := p.slots[w].m
+	p.mu.Unlock()
+
+	start := time.Now()
+	var cycles float64
+	var reqErr error
+	done := false
+	defer func() {
+		if !done {
+			// The request panicked, leaving m in whatever state it had
+			// reached: it fails, and m is quarantined.
+			reqErr = fmt.Errorf("%w on worker %d: %v", ErrPanicked, w, recover())
+			err = reqErr
+		}
+		p.checkin(w, time.Since(start), cycles, reqErr, !done)
+	}()
+	before := m.SimCycles()
+	reqErr = req(w, m)
+	cycles, done = m.SimCycles()-before, true
 	return nil
 }
 
-func (p *Pool[M]) enqueueLocked(w int, it item[M]) {
-	p.queues[w].push(it)
-	p.inflight++
-	if n := p.queues[w].len(); n > p.stats[w].QueueHighWater {
-		p.stats[w].QueueHighWater = n
-	}
-	if n := p.queues[w].len(); n > p.runHigh[w] {
-		p.runHigh[w] = n
-	}
-	// Broadcast, not Signal: a pinned item must wake its owner, and
-	// Signal could wake only a worker that cannot take it.
-	p.work.Broadcast()
-}
-
-// take returns the next request for worker w: its own queue first
-// (FIFO), then a steal of the newest stealable item from the most
-// loaded other queue that has one. It blocks while no eligible work
-// exists and reports false once the pool is closing and no work
-// remains for this worker (so every accepted request is executed).
-func (p *Pool[M]) take(w int) (Request[M], bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.queues[w].len() > 0 {
-			return p.queues[w].popFront().req, true
-		}
-		if p.retired[w] {
-			// Queue drained: the retiring worker leaves without
-			// stealing (its machine is about to be handed back).
-			return nil, false
-		}
-		victim, at, depth := -1, -1, 0
-		for v := range p.queues {
-			q := &p.queues[v]
-			if v == w || q.len() <= depth {
-				continue
-			}
-			for i := q.len() - 1; i >= 0; i-- {
-				if !q.at(i).pinned {
-					victim, at, depth = v, i, q.len()
-					break
-				}
-			}
-		}
-		if victim >= 0 {
-			req := p.queues[victim].removeAt(at).req
-			p.stats[w].Steals++
-			return req, true
-		}
-		if p.closing {
-			return nil, false
-		}
-		p.work.Wait()
-	}
-}
-
-// run is the worker loop: it exclusively owns machine m (worker w).
-// The machine is passed in rather than re-read from p.machines so the
-// loop never touches the slice header AddMachine may be growing.
-func (p *Pool[M]) run(w int, m M) {
-	defer p.wg.Done()
+// checkoutLocked waits until worker want's machine (any live machine
+// when want < 0) is free and marks it held.
+func (p *Pool[M]) checkoutLocked(want int) (int, error) {
+	waited := false
 	defer func() {
-		p.mu.Lock()
-		p.exited[w] = true
-		p.gone.Broadcast()
-		p.mu.Unlock()
+		if waited {
+			p.waiting--
+			if want >= 0 {
+				p.slots[want].pinned--
+			}
+		}
 	}()
 	for {
-		req, ok := p.take(w)
-		if !ok {
-			return
+		w := -1
+		switch {
+		case want >= 0 && p.slots[want].lost:
+			return 0, fmt.Errorf("fleet: worker %d lost its machine to a panic", want)
+		case want >= 0 && !p.slots[want].held:
+			w = want
+			if i := slices.Index(p.free, w); i >= 0 {
+				p.free = slices.Delete(p.free, i, i+1)
+			}
+		case want < 0 && len(p.free) > 0:
+			w = p.free[len(p.free)-1]
+			p.free = p.free[:len(p.free)-1]
+		case want < 0 && p.live == 0:
+			return 0, errors.New("fleet: no live machine")
 		}
-		start := time.Now()
-		before := m.SimCycles()
-		err := req(w, m)
-		busy := time.Since(start)
-		after := m.SimCycles()
-
-		p.mu.Lock()
-		st := &p.stats[w]
-		st.Requests++
-		st.Busy += busy
-		st.SimCycles += after - before
-		if err != nil {
-			st.Errors++
+		if w >= 0 {
+			p.slots[w].held = true
+			return w, nil
 		}
-		p.inflight--
-		if p.inflight == 0 {
-			p.idle.Broadcast()
+		if !waited {
+			waited = true
+			p.waiting++
+			p.high = max(p.high, p.waiting)
+			p.runHigh = max(p.runHigh, p.waiting)
+			if want >= 0 {
+				p.slots[want].pinned++
+			}
 		}
-		p.space.Signal()
-		p.mu.Unlock()
+		p.changed.Wait()
 	}
 }
 
-// Drain blocks until every accepted request has finished. The pool
+// checkin hands worker w's machine back after a request and records
+// it. A quarantined machine never goes back: the pool's boot function
+// replaces it, and if that fails the worker retires.
+func (p *Pool[M]) checkin(w int, busy time.Duration, cycles float64, reqErr error, quarantine bool) {
+	var fresh M
+	var bootErr error
+	if quarantine {
+		fresh, bootErr = p.boot(w)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := &p.slots[w]
+	s.stats.Requests++
+	s.stats.Busy += busy
+	s.stats.SimCycles += cycles
+	if reqErr != nil {
+		s.stats.Errors++
+	}
+	if quarantine {
+		s.m = fresh
+	}
+	s.held = false
+	switch {
+	case bootErr != nil:
+		s.lost = true
+		if !s.stats.Retired {
+			p.retireLocked(w)
+		}
+	case !s.stats.Retired:
+		p.free = append(p.free, w)
+	}
+	p.inflight--
+	p.changed.Broadcast()
+}
+
+// Drain blocks until every admitted request has finished. The pool
 // stays open for further submissions.
 func (p *Pool[M]) Drain() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.inflight > 0 {
-		p.idle.Wait()
+		p.changed.Wait()
 	}
 }
 
 // Stats snapshots per-worker and aggregate counters. All counters are
 // totals since boot; measurement code that needs per-run values uses
 // BeginRun/Run.Stats instead of diffing two cumulative snapshots
-// (which cannot recover a per-run queue high water).
+// (which cannot recover a per-run high water).
 func (p *Pool[M]) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -512,8 +451,11 @@ func (p *Pool[M]) Stats() Stats {
 }
 
 func (p *Pool[M]) statsLocked() Stats {
-	s := Stats{Workers: append([]WorkerStats(nil), p.stats...)}
-	s.aggregate()
+	s := Stats{Workers: make([]WorkerStats, len(p.slots)), QueueHighWater: p.high}
+	for w := range p.slots {
+		s.Workers[w] = p.slots[w].stats
+	}
+	s.sum()
 	return s
 }
 
@@ -526,68 +468,56 @@ type Run[M Machine] struct {
 }
 
 // BeginRun starts a new measurement run: it snapshots the cumulative
-// counters and resets the pool's per-run queue high water. Only one
-// run is tracked at a time — a later BeginRun ends high-water tracking
-// for earlier handles — and runs are expected to begin while the pool
-// is quiescent (after Drain), as the measurement harnesses do.
+// counters and restarts the per-run high water from the requests
+// waiting now. Only one run is tracked at a time: a later BeginRun
+// ends high-water tracking for earlier handles.
 func (p *Pool[M]) BeginRun() *Run[M] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.epoch++
-	for w := range p.runHigh {
-		// Anything already queued counts toward this run's high water.
-		p.runHigh[w] = p.queues[w].len()
-	}
-	return &Run[M]{p: p, epoch: p.epoch, base: append([]WorkerStats(nil), p.stats...)}
+	p.runHigh = p.waiting
+	return &Run[M]{p: p, epoch: p.epoch, base: p.statsLocked().Workers}
 }
 
-// Stats reports per-run deltas: requests, errors, steals, simulated
-// cycles and busy time since BeginRun, and the run's queue high water.
-// Workers added after BeginRun (autoscaling) report their full
-// counters, since their base is zero. If a newer BeginRun has
-// superseded this run, the counter deltas remain correct but the
-// high-water marks are zeroed rather than silently reporting the newer
-// run's tracking.
+// Stats reports per-run deltas: requests, errors, simulated cycles and
+// busy time since BeginRun, and the run's high water. Workers added
+// after BeginRun (autoscaling) report their full counters, since their
+// base is zero. If a newer BeginRun has superseded this run, the
+// counter deltas remain correct but the high water is zeroed rather
+// than silently reporting the newer run's tracking.
 func (r *Run[M]) Stats() Stats {
 	p := r.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := Stats{Workers: make([]WorkerStats, len(p.stats))}
-	for w := range p.stats {
-		ws := p.stats[w]
-		if w < len(r.base) {
-			b := r.base[w]
-			ws.Requests -= b.Requests
-			ws.Errors -= b.Errors
-			ws.Steals -= b.Steals
-			ws.SimCycles -= b.SimCycles
-			ws.Busy -= b.Busy
-		}
-		ws.QueueHighWater = 0
-		if r.epoch == p.epoch {
-			ws.QueueHighWater = p.runHigh[w]
-		}
-		s.Workers[w] = ws
+	s := p.statsLocked()
+	for w := range r.base {
+		ws, b := &s.Workers[w], r.base[w]
+		ws.Requests -= b.Requests
+		ws.Errors -= b.Errors
+		ws.SimCycles -= b.SimCycles
+		ws.Busy -= b.Busy
 	}
-	s.aggregate()
+	s.Requests, s.Errors, s.SimCycles, s.Busy = 0, 0, 0, 0
+	s.sum()
+	s.QueueHighWater = 0
+	if r.epoch == p.epoch {
+		s.QueueHighWater = p.runHigh
+	}
 	return s
 }
 
-// Close executes every already-accepted request, stops the workers,
-// and returns the final statistics; a request's own error is counted
-// in Stats.Errors, not returned. Submissions racing with Close either
-// complete or return ErrClosed; accepted ones are never dropped, and
-// submitters blocked on a full queue are woken with ErrClosed.
+// Close waits for every admitted request to finish, refuses further
+// submissions, and returns the final statistics; a request's own error
+// is counted in Stats.Errors, not returned. Submissions racing with
+// Close either complete or return ErrClosed, and submitters blocked at
+// the in-flight bound are woken with ErrClosed.
 func (p *Pool[M]) Close() Stats {
 	p.mu.Lock()
-	if !p.closing {
-		p.closing = true
-		p.work.Broadcast()
-		p.space.Broadcast()
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
-	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.closing = true
+	p.changed.Broadcast()
+	for p.inflight > 0 {
+		p.changed.Wait()
+	}
 	return p.statsLocked()
 }

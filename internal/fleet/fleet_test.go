@@ -11,8 +11,8 @@ import (
 )
 
 // fakeMachine is a minimal Machine for pool tests. Its fields are
-// deliberately unsynchronized: the pool's machine-per-worker ownership
-// guarantee is exactly what makes that safe, and the -race leg of the
+// deliberately unsynchronized: the pool's one-request-per-machine
+// checkout is exactly what makes that safe, and the -race leg of the
 // test suite verifies it.
 type fakeMachine struct {
 	id     int
@@ -42,6 +42,36 @@ func submitBalanced(p *Pool[*fakeMachine], req Request[*fakeMachine]) error {
 			return err
 		}
 		runtime.Gosched()
+	}
+}
+
+// hold checks worker w's machine out on a goroutine of its own and
+// keeps it until release is closed. It returns once the machine is
+// held; the request then counts as in flight.
+func hold(t *testing.T, p *Pool[*fakeMachine], w int, release <-chan struct{}) {
+	t.Helper()
+	held := make(chan error, 1)
+	go func() {
+		if err := p.SubmitTo(w, func(int, *fakeMachine) error {
+			held <- nil
+			<-release
+			return nil
+		}); err != nil {
+			held <- err
+		}
+	}()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitInflight polls until the pool has n requests in flight.
+func waitInflight(t *testing.T, p *Pool[*fakeMachine], n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); p.Inflight() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests in flight, want %d", p.Inflight(), n)
+		}
 	}
 }
 
@@ -104,22 +134,24 @@ func TestPoolHammer(t *testing.T) {
 		t.Errorf("stats.Errors = %d", stats.Errors)
 	}
 
-	// Aggregate equals the sum (max for the high-water mark) of the
-	// per-worker stats.
-	var sum Stats
-	sum.Workers = stats.Workers
-	sum.aggregate()
+	// Aggregate equals the sum of the per-worker stats, and nothing is
+	// ever stolen.
+	sum := Stats{Workers: stats.Workers}
+	sum.sum()
 	if stats.Requests != sum.Requests || stats.Errors != sum.Errors ||
-		stats.Steals != sum.Steals || stats.SimCycles != sum.SimCycles ||
-		stats.Busy != sum.Busy || stats.QueueHighWater != sum.QueueHighWater {
+		stats.Steals != 0 || stats.SimCycles != sum.SimCycles ||
+		stats.Busy != sum.Busy {
 		t.Errorf("aggregate %+v != recomputed %+v", stats, sum)
+	}
+	if stats.QueueHighWater > 32 {
+		t.Errorf("queue high water %d exceeds the bound 32", stats.QueueHighWater)
 	}
 
 	// And the per-worker machine counters agree with the per-worker
-	// stats (nothing ran on the wrong machine). The workers are gone,
-	// so their machines may be read.
+	// stats (nothing ran on the wrong machine). No request is in
+	// flight, so the machines may be read.
 	for w := 0; w < workers; w++ {
-		m := p.machines[w]
+		m := p.slots[w].m
 		if uint64(m.served) != stats.Workers[w].Requests {
 			t.Errorf("worker %d: machine served %d, stats say %d", w, m.served, stats.Workers[w].Requests)
 		}
@@ -170,7 +202,7 @@ func TestDrainDropsNothing(t *testing.T) {
 }
 
 // TestPinnedPlacement checks that SubmitTo requests run only on their
-// target machine, even with other workers idle and stealing.
+// target machine, even with other machines free.
 func TestPinnedPlacement(t *testing.T) {
 	const workers = 4
 	p := newFakePool(t, workers, 16)
@@ -200,50 +232,6 @@ func TestPinnedPlacement(t *testing.T) {
 		if stats.Workers[w].Requests != 50 {
 			t.Errorf("worker %d served %d, want 50", w, stats.Workers[w].Requests)
 		}
-	}
-}
-
-// TestIdleWorkerSteals blocks one worker on a long request and checks
-// that the other worker steals the backlog queued behind it.
-func TestIdleWorkerSteals(t *testing.T) {
-	p := newFakePool(t, 2, 64)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	if err := p.SubmitTo(0, func(_ int, m *fakeMachine) error {
-		close(started)
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	// Worker 0 is blocked; all these land in both queues, and worker 1
-	// must steal worker 0's share.
-	var executed atomic.Uint64
-	for i := 0; i < 40; i++ {
-		if err := p.TrySubmit(func(_ int, m *fakeMachine) error {
-			executed.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wait for worker 1 to finish everything stealable.
-	deadline := time.After(10 * time.Second)
-	for executed.Load() != 40 {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d of 40 requests executed while worker 0 blocked", executed.Load())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(release)
-	stats := p.Close()
-	if stats.Workers[1].Steals == 0 {
-		t.Error("worker 1 never stole despite worker 0 being blocked")
-	}
-	if stats.Requests != 41 {
-		t.Errorf("stats.Requests = %d, want 41", stats.Requests)
 	}
 }
 
@@ -286,39 +274,39 @@ func TestBootFailurePropagates(t *testing.T) {
 	}
 }
 
-// TestBoundedQueueBlocksSubmit checks the submission bound: with all
-// workers blocked, at most Queue requests are accepted before SubmitTo
-// blocks, and everything completes once the workers resume.
+// TestBoundedQueueBlocksSubmit checks the in-flight bound: with every
+// machine held, at most Queue requests are admitted (two running, two
+// waiting for a machine) while further SubmitTo callers block, and
+// everything completes once the machines are handed back.
 func TestBoundedQueueBlocksSubmit(t *testing.T) {
 	p := newFakePool(t, 2, 4)
 	release := make(chan struct{})
 	for w := 0; w < 2; w++ {
-		if err := p.SubmitTo(w, func(int, *fakeMachine) error {
-			<-release
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		hold(t, p, w, release)
 	}
-	accepted := make(chan int, 1)
-	go func() {
-		n := 0
-		for i := 0; i < 20; i++ {
-			if err := p.SubmitTo(i%2, func(int, *fakeMachine) error { return nil }); err != nil {
-				break
+	var accepted atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 20; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.SubmitTo(i%2, func(int, *fakeMachine) error { return nil }); err == nil {
+				accepted.Add(1)
 			}
-			n++
-		}
-		accepted <- n
-	}()
-	select {
-	case n := <-accepted:
-		t.Fatalf("all %d submissions accepted despite blocked workers and bound 4", n)
-	case <-time.After(50 * time.Millisecond):
-		// SubmitTo is blocking at the bound, as it should.
+		}()
+	}
+	waitInflight(t, p, 4)
+	time.Sleep(50 * time.Millisecond)
+	// SubmitTo is blocking at the bound, as it should.
+	if n := p.Inflight(); n != 4 {
+		t.Fatalf("%d requests in flight despite held machines and bound 4", n)
+	}
+	if n := accepted.Load(); n != 0 {
+		t.Fatalf("%d submissions completed while every machine was held", n)
 	}
 	close(release)
-	if n := <-accepted; n != 20 {
+	wg.Wait()
+	if n := accepted.Load(); n != 20 {
 		t.Fatalf("only %d of 20 submissions accepted after release", n)
 	}
 	stats := p.Close()
@@ -331,19 +319,14 @@ func TestBoundedQueueBlocksSubmit(t *testing.T) {
 }
 
 // TestTrySubmitBackpressure checks the non-blocking admission path:
-// with all workers blocked and the bound reached, TrySubmit refuses
+// with every machine held and the bound reached, TrySubmit refuses
 // with ErrBackpressure instead of queueing the caller, and accepts
 // again once capacity frees up.
 func TestTrySubmitBackpressure(t *testing.T) {
 	p := newFakePool(t, 2, 2)
 	release := make(chan struct{})
 	for w := 0; w < 2; w++ {
-		if err := p.SubmitTo(w, func(int, *fakeMachine) error {
-			<-release
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		hold(t, p, w, release)
 	}
 	// Bound (2) reached: TrySubmit must refuse, typed.
 	if err := p.TrySubmit(func(int, *fakeMachine) error { return nil }); !errors.Is(err, ErrBackpressure) {
@@ -371,12 +354,7 @@ func TestTrySubmitBackpressure(t *testing.T) {
 func TestCloseWakesBlockedSubmitters(t *testing.T) {
 	p := newFakePool(t, 1, 1)
 	release := make(chan struct{})
-	if err := p.SubmitTo(0, func(int, *fakeMachine) error {
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	hold(t, p, 0, release)
 	const blocked = 4
 	errs := make(chan error, blocked)
 	for i := 0; i < blocked; i++ {
@@ -450,51 +428,71 @@ func TestSubmitRacingCloseNeverDropsAccepted(t *testing.T) {
 }
 
 // TestRunStatsPerRunDeltas checks that BeginRun isolates back-to-back
-// measurement runs: steals, queue high water and request counts of one
-// run do not contaminate the next (a heavy run used to leak its queue
-// high water into a later light run's result).
+// measurement runs: queue high water and request counts of one run do
+// not contaminate the next (a heavy run used to leak its queue high
+// water into a later light run's result).
 func TestRunStatsPerRunDeltas(t *testing.T) {
 	p := newFakePool(t, 2, 16)
 
-	// Before run 1, worker 1 steals the balanced work queued behind a
-	// blocked worker 0, so the pool's lifetime steal count is nonzero.
+	// Before run 1, balanced requests wait behind two held machines,
+	// so the pool's lifetime high water and request count are nonzero.
 	release := make(chan struct{})
-	if err := p.SubmitTo(0, func(int, *fakeMachine) error {
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for w := 0; w < 2; w++ {
+		hold(t, p, w, release)
 	}
-	var stolen atomic.Uint64
+	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		if err := p.TrySubmit(func(int, *fakeMachine) error {
-			stolen.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.TrySubmit(func(int, *fakeMachine) error { return nil }); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	for deadline := time.Now().Add(10 * time.Second); stolen.Load() != 4; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 4 balanced requests ran while worker 0 blocked", stolen.Load())
-		}
-	}
+	waitInflight(t, p, 6)
 	close(release)
-	p.Drain()
-	if p.Stats().Steals == 0 {
-		t.Fatal("warm-up stole nothing")
+	wg.Wait()
+	p.Drain() // and the holders
+	if st := p.Stats(); st.QueueHighWater != 4 || st.Requests != 6 {
+		t.Fatalf("warm-up high water %d, requests %d; want 4, 6", st.QueueHighWater, st.Requests)
 	}
 
+	// Run 1: each machine is held by one request while four more wait
+	// pinned to it.
 	run1 := p.BeginRun()
-	for i := 0; i < 10; i++ {
-		if err := p.SubmitTo(i%2, func(_ int, m *fakeMachine) error {
-			m.cycles += 5
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	serve := func(_ int, m *fakeMachine) error {
+		m.cycles += 5
+		return nil
 	}
-	p.Drain()
+	release = make(chan struct{})
+	for w := 0; w < 2; w++ {
+		held := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.SubmitTo(w, func(w int, m *fakeMachine) error {
+				close(held)
+				<-release
+				return serve(w, m)
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-held
+	}
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.SubmitTo(i%2, serve); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitInflight(t, p, 10)
+	close(release)
+	wg.Wait()
 	s1 := run1.Stats()
 	if s1.Requests != 10 {
 		t.Errorf("run 1 requests = %d, want 10", s1.Requests)
@@ -503,7 +501,7 @@ func TestRunStatsPerRunDeltas(t *testing.T) {
 		t.Error("run 1 high water = 0, want > 0")
 	}
 	if s1.Steals != 0 {
-		t.Errorf("pinned run 1 steals = %d, want 0 (got the warm-up's?)", s1.Steals)
+		t.Errorf("run 1 steals = %d, want 0", s1.Steals)
 	}
 	for w, ws := range s1.Workers {
 		if ws.Requests != 5 {
@@ -540,8 +538,8 @@ func TestRunStatsPerRunDeltas(t *testing.T) {
 	if s2.QueueHighWater > 1 {
 		t.Errorf("run 2 high water = %d, want <= 1 (drained between submissions)", s2.QueueHighWater)
 	}
-	// Draining between the two submissions means at most one request
-	// was ever queued, while run 1 queued 5 per worker.
+	// Draining between the two submissions means no request ever
+	// waited, while in run 1 four waited per machine.
 	if s1.QueueHighWater <= s2.QueueHighWater {
 		t.Errorf("run 1 high water (%d) should exceed run 2's (%d)", s1.QueueHighWater, s2.QueueHighWater)
 	}

@@ -19,26 +19,36 @@ func TestRemoveMachineDrainsAndRetires(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var ran atomic.Uint64
-	// Block worker 2, then stack pinned work behind the blocker.
-	if err := p.SubmitTo(2, func(_ int, m *fakeMachine) error {
-		close(started)
-		<-release
-		ran.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	const pinned = 5
-	for i := 0; i < pinned; i++ {
+	// Hold worker 2, then admit pinned work waiting behind the holder.
+	var pinnedWG sync.WaitGroup
+	pinnedWG.Add(1)
+	go func() {
+		defer pinnedWG.Done()
 		if err := p.SubmitTo(2, func(_ int, m *fakeMachine) error {
-			m.served++
+			close(started)
+			<-release
 			ran.Add(1)
 			return nil
 		}); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
+	}()
+	<-started
+	const pinned = 5
+	for i := 0; i < pinned; i++ {
+		pinnedWG.Add(1)
+		go func() {
+			defer pinnedWG.Done()
+			if err := p.SubmitTo(2, func(_ int, m *fakeMachine) error {
+				m.served++
+				ran.Add(1)
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	waitInflight(t, p, 1+pinned)
 
 	got := make(chan *fakeMachine)
 	go func() {
@@ -56,6 +66,7 @@ func TestRemoveMachineDrainsAndRetires(t *testing.T) {
 	}
 	close(release)
 	m := <-got
+	pinnedWG.Wait()
 	if m == nil {
 		t.Fatal("RemoveMachine returned no machine")
 	}
@@ -208,7 +219,7 @@ func TestRemoveMachineConservation(t *testing.T) {
 	for _, m := range retired {
 		sum += m.served
 	}
-	sum += p.machines[0].served // worker 0 is gone with the pool
+	sum += p.slots[0].m.served // worker 0 stays with the closed pool
 	if uint64(sum) != executed.Load() {
 		t.Errorf("machine counters sum %d != executed %d", sum, executed.Load())
 	}

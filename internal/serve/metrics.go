@@ -9,9 +9,9 @@ import (
 
 // handleMetrics renders the observability surface as hand-rolled
 // Prometheus-style text: serving-tier request accounting, fleet
-// dispatcher counters, per-worker interpreter/chain/TLB counters
-// (published by the owning workers, so no machine state is read across
-// goroutines), and the latency quantiles.
+// counters, per-worker interpreter/chain/TLB counters (published by
+// each request after it serves, so no machine a request holds is read
+// here), and the latency quantiles.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var b strings.Builder
@@ -41,10 +41,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	st := s.pool.Stats()
-	fmt.Fprintf(&b, "# fleet dispatcher (totals since boot)\n")
+	fmt.Fprintf(&b, "# fleet (totals since boot)\n")
 	fmt.Fprintf(&b, "palladium_fleet_requests_total %d\n", st.Requests)
 	fmt.Fprintf(&b, "palladium_fleet_errors_total %d\n", st.Errors)
-	fmt.Fprintf(&b, "palladium_fleet_steals_total %d\n", st.Steals)
 	fmt.Fprintf(&b, "palladium_fleet_queue_high_water %d\n", st.QueueHighWater)
 	fmt.Fprintf(&b, "palladium_fleet_sim_cycles_total %.0f\n", st.SimCycles)
 	fmt.Fprintf(&b, "palladium_fleet_busy_seconds_total %.6f\n", st.Busy.Seconds())

@@ -5,18 +5,20 @@
 //
 // The tier adds exactly three things around the fleet, in that order:
 //
-//   - Admission control: a bounded submission queue. A full queue
-//     refuses the request immediately — fleet.ErrBackpressure is
+//   - Admission control: a bound on requests in flight. A request past
+//     the bound is refused immediately — fleet.ErrBackpressure is
 //     classified as sandbox.Fault{Class: Backpressure} and surfaces as
 //     HTTP 503 with a Retry-After header — instead of queueing callers
 //     behind capacity the fleet does not have.
-//   - Dispatch: admitted requests go through the pool's balanced
-//     submission path; any idle machine steals them.
-//   - Autoscaling: a sampler watches queue depth and, while it stays
-//     above a per-worker threshold, adds a worker cloned from a
-//     pristine template machine (PR 3's clone-boot, so scale-up costs
-//     one Clone and the new machine's simulated state is bit-identical
-//     to a boot-time worker's).
+//   - Execution: an admitted request checks out any free machine and
+//     runs on its own HTTP handler goroutine, with no hand-off to
+//     another goroutine. A request that panics fails with HTTP 500; its
+//     machine is replaced and the daemon keeps serving.
+//   - Autoscaling: a sampler watches the requests in flight and, while
+//     they stay above a per-worker threshold, adds a worker cloned from
+//     a pristine template machine (so scale-up costs one Clone and the
+//     new machine's simulated state is bit-identical to a boot-time
+//     worker's).
 //
 // Observability: per-request simulated and wall-clock latency
 // histograms with p50/p99/p999 (/metrics), fleet and interpreter
@@ -30,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +73,7 @@ type Config struct {
 	ScaleUpDepth float64
 	// ScaleDownDepth enables scale-down: while the fleet is above its
 	// boot size and inflight < ScaleDownDepth*(workers-1), the newest
-	// live worker drains and retires. 0 disables scale-down.
+	// live worker retires once its requests finish. 0 disables scale-down.
 	ScaleDownDepth float64
 	// ClonePerRequest switches the tier to clone-per-request serving:
 	// every admitted request runs on a machine in exactly the pristine
@@ -157,12 +160,12 @@ func (c *interpCounters) addSince(now, before interpCounters) {
 	}
 }
 
-// workerCounters are the simulator-internal counters one worker
-// publishes after every request it serves, so /metrics can read them
-// without touching a machine another goroutine owns. A worker with its
-// own machine stores that machine's lifetime counters; in
+// workerCounters are the simulator-internal counters published for
+// one worker after every request it serves, so /metrics can read them
+// without touching a machine a request holds. A worker with its own
+// machine stores that machine's lifetime counters; in
 // clone-per-request mode, where every request may run on a different
-// machine, the worker adds each request's counts instead.
+// machine, each request adds its counts instead.
 type workerCounters struct {
 	mu sync.Mutex
 	c  interpCounters
@@ -203,9 +206,9 @@ type Server struct {
 	ln net.Listener
 	hs *http.Server
 
-	// Request accounting. admitted counts requests accepted into the
-	// fleet queue; completed+failed must equal it after a drain —
-	// the "no accepted request is ever dropped" invariant.
+	// Request accounting. admitted counts requests the fleet accepted;
+	// completed+failed must equal it after a drain — the "no accepted
+	// request is ever dropped" invariant.
 	admitted   atomic.Uint64
 	rejected   atomic.Uint64 // 503s (admission refusals)
 	completed  atomic.Uint64
@@ -226,14 +229,6 @@ type Server struct {
 	serveDone  chan struct{}
 	mu         sync.Mutex // guards Close transitions
 	closed     bool
-}
-
-// result carries one request's outcome from the fleet worker back to
-// the HTTP handler.
-type result struct {
-	status    int
-	simMicros float64
-	err       error
 }
 
 // New boots the serving tier: one template machine plus cfg.Workers
@@ -363,7 +358,7 @@ func (s *Server) Workers() int { return s.pool.Workers() }
 func (s *Server) ScaleUps() uint64 { return s.scaleUps.Load() }
 
 // Pool exposes the underlying fleet pool (tests reach in to pin
-// placement and block workers deterministically).
+// placement and hold machines deterministically).
 func (s *Server) Pool() *fleet.Pool[*webserver.Server] { return s.pool }
 
 // Counters is the serving tier's request accounting snapshot.
@@ -408,51 +403,66 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	model := s.defaultModel
-	if name := r.URL.Query().Get("model"); name != "" {
-		m, err := ParseModel(name)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	if r.URL.RawQuery != "" {
+		if name := r.URL.Query().Get("model"); name != "" {
+			m, err := ParseModel(name)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			model = m
 		}
-		model = m
 	}
 
 	t0 := time.Now()
-	done := make(chan result, 1)
+	var (
+		status    int
+		simMicros float64
+		reqErr    error
+	)
 	handler := func(wk int, srv *webserver.Server) error {
 		before := srv.SimCycles()
-		status, err := srv.ServeRequest(model)
-		cyc := srv.SimCycles() - before
+		status, reqErr = srv.ServeRequest(model)
+		simMicros = srv.S.Clock().Micros(srv.SimCycles() - before)
 		s.workerCounters(wk).store(readInterp(srv))
-		done <- result{status: status, simMicros: srv.S.Clock().Micros(cyc), err: err}
-		return err
+		return reqErr
 	}
 	if s.clones != nil {
 		// Clone-per-request mode: the fleet still provides admission
-		// control and worker concurrency, but the request executes on a
-		// machine in the template's state taken from the clone pool,
-		// not on the worker's machine, and is handed back afterwards.
+		// control and the bound on concurrency, but the request executes
+		// on a machine in the template's state taken from the clone
+		// pool, not on the worker's machine, and hands it back after.
 		handler = func(wk int, _ *webserver.Server) error {
 			c, err := s.clones.Take()
 			if err != nil {
-				done <- result{err: err}
+				reqErr = err
 				return err
 			}
+			served := false
+			defer func() {
+				if !served {
+					// The request panicked: a reset may not undo
+					// whatever state it left, so the clone goes.
+					s.clones.Drop(c)
+				}
+			}()
 			before, interp := c.SimCycles(), readInterp(c)
-			status, serr := c.ServeRequest(model)
-			cyc := c.SimCycles() - before
+			status, reqErr = c.ServeRequest(model)
+			simMicros = c.S.Clock().Micros(c.SimCycles() - before)
 			s.workerCounters(wk).addSince(readInterp(c), interp)
-			res := result{status: status, simMicros: c.S.Clock().Micros(cyc), err: serr}
+			served = true
 			// Hand back before completing the request, so the pool
 			// gauges are settled by the time the response is observable.
 			s.clones.Discard(c)
-			done <- res
-			return serr
+			return reqErr
 		}
 	}
+	// Admission is final: even if the client goes away, the request
+	// runs to completion on this goroutine and is accounted.
 	err := s.pool.TrySubmit(handler)
-	if err != nil {
-		// Queue full (or shutting down): typed backpressure, HTTP 503.
+	if errors.Is(err, fleet.ErrBackpressure) || errors.Is(err, fleet.ErrClosed) {
+		// Too many in flight (or shutting down): typed backpressure,
+		// HTTP 503.
 		fault := sandbox.NewFault(sandbox.Backpressure, "serve", "admit", err)
 		if errors.Is(err, fleet.ErrClosed) {
 			fault = sandbox.NewFault(sandbox.Revoked, "serve", "admit", err)
@@ -464,30 +474,35 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.admitted.Add(1)
-
-	// Admission is final: even if the client goes away, the request
-	// runs and is accounted. The buffered channel lets the worker
-	// complete without a reader.
-	var res result
-	select {
-	case res = <-done:
-	case <-r.Context().Done():
-		res = <-done
+	if err != nil {
+		reqErr = err // the request panicked
 	}
 	wallMicros := time.Since(t0).Microseconds()
 	s.wallHist.Record(uint64(wallMicros))
-	s.simHist.Record(uint64(res.simMicros))
-	if res.err != nil {
+	s.simHist.Record(uint64(simMicros))
+	if reqErr != nil {
 		s.failed.Add(1)
-		http.Error(w, res.err.Error(), http.StatusInternalServerError)
+		var fault *sandbox.Fault
+		if !errors.As(reqErr, &fault) {
+			fault = sandbox.NewFault(sandbox.Unknown, "serve", "request", reqErr)
+		}
+		w.Header().Set("X-Fault-Class", fault.Class.String())
+		http.Error(w, fault.Error(), http.StatusInternalServerError)
 		return
 	}
 	s.completed.Add(1)
-	w.Header().Set("X-Model", model.String())
-	w.Header().Set("X-Sim-Micros", fmt.Sprintf("%.3f", res.simMicros))
-	w.Header().Set("X-Wall-Micros", fmt.Sprintf("%d", wallMicros))
-	fmt.Fprintf(w, "status=%d model=%q sim_us=%.3f wall_us=%d\n",
-		res.status, model.String(), res.simMicros, wallMicros)
+	sim := strconv.FormatFloat(simMicros, 'f', 3, 64)
+	wall := strconv.FormatInt(wallMicros, 10)
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; charset=utf-8") // what sniffing the body would find
+	h.Set("X-Model", model.String())
+	h.Set("X-Sim-Micros", sim)
+	h.Set("X-Wall-Micros", wall)
+	body := strconv.AppendInt(append(make([]byte, 0, 96), "status="...), int64(status), 10)
+	body = strconv.AppendQuote(append(body, " model="...), model.String())
+	body = append(append(body, " sim_us="...), sim...)
+	body = append(append(body, " wall_us="...), wall...)
+	w.Write(append(body, '\n'))
 }
 
 // workerMachine returns the machine a new fleet worker holds: a clone
@@ -500,21 +515,17 @@ func (s *Server) workerMachine() (*webserver.Server, error) {
 	return s.tmpl.Clone()
 }
 
-// workerCounters returns worker wk's published counters. A worker
-// that serves before ScaleUp has grown the table for it gets a scratch
-// entry nobody reads.
+// workerCounters returns worker wk's published counters. ScaleUp
+// grows the table before the worker's machine joins the pool.
 func (s *Server) workerCounters(wk int) *workerCounters {
 	s.wmu.RLock()
 	defer s.wmu.RUnlock()
-	if wk < len(s.wstats) {
-		return s.wstats[wk]
-	}
-	return &workerCounters{}
+	return s.wstats[wk]
 }
 
-// autoscale samples queue depth every ScaleInterval and adds a cloned
-// worker while the backlog exceeds ScaleUpDepth per worker. Scale-up
-// is one Clone of the pristine template (PR 3), so a scaled-up
+// autoscale samples the requests in flight every ScaleInterval and
+// adds a cloned worker while they exceed ScaleUpDepth per worker.
+// Scale-up is one Clone of the pristine template, so a scaled-up
 // worker's simulated state is bit-identical to a boot-time worker's.
 func (s *Server) autoscale() {
 	defer close(s.scalerDone)
@@ -546,31 +557,34 @@ func (s *Server) autoscale() {
 }
 
 // ScaleUp adds one worker cloned from the pristine template. The
-// autoscaler calls it on queue pressure; tests call it directly.
+// autoscaler calls it under load; tests call it directly.
 func (s *Server) ScaleUp() error {
 	m, err := s.workerMachine()
 	if err != nil {
 		return err
 	}
-	w, err := s.pool.AddMachine(m)
+	// Worker indices keep growing across retire/add cycles, so the
+	// counter table grows with them rather than being capped at
+	// MaxWorkers. It grows first: a request may take the new machine
+	// the moment AddMachine returns. Holding wmu across AddMachine
+	// keeps concurrent scale-ups from racing for the next index.
+	s.wmu.Lock()
+	for len(s.wstats) <= s.pool.TotalWorkers() {
+		s.wstats = append(s.wstats, &workerCounters{})
+	}
+	_, err = s.pool.AddMachine(m)
+	s.wmu.Unlock()
 	if err != nil {
 		return err
 	}
-	// Worker indices keep growing across retire/add cycles, so the
-	// counter table grows with them rather than being capped at
-	// MaxWorkers.
-	s.wmu.Lock()
-	for len(s.wstats) <= w {
-		s.wstats = append(s.wstats, &workerCounters{})
-	}
-	s.wmu.Unlock()
 	s.scaleUps.Add(1)
 	return nil
 }
 
-// ScaleDown retires the newest live worker: it stops receiving new
-// submissions, drains its queue (conservation-exact — nothing it
-// accepted is dropped), exits, and its machine's frames are released.
+// ScaleDown retires the newest live worker: no new request checks it
+// out, the requests already holding it or pinned to it finish
+// (conservation-exact — nothing admitted is dropped), and its
+// machine's frames are released.
 // The fleet never shrinks below its boot size.
 func (s *Server) ScaleDown() error {
 	live := s.pool.LiveWorkers()
@@ -590,9 +604,8 @@ func (s *Server) ScaleDown() error {
 }
 
 // Close shuts the tier down in dependency order: stop the autoscaler,
-// stop accepting HTTP, let in-flight handlers finish (their fleet
-// requests execute — the pool drains accepted work), then close the
-// pool. It reports only a shutdown error: a request that failed is
+// stop accepting HTTP, let in-flight handlers finish (each runs its
+// admitted request to completion), then close the pool. It reports only a shutdown error: a request that failed is
 // counted in Failed, not returned. Safe to call more than once.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
@@ -611,7 +624,7 @@ func (s *Server) Close(ctx context.Context) error {
 		<-s.serveDone
 	}
 	s.pool.Close()
-	// Workers are gone; no handler can Take any more. Drain the warm
+	// No request is in flight; no handler can Take any more. Drain the warm
 	// clones so their frame references are released.
 	if s.clones != nil {
 		s.clones.Close()

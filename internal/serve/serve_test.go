@@ -29,6 +29,26 @@ func startServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// holdWorker checks worker w's machine out on a goroutine of its own
+// and keeps it until release is closed. It returns once the machine is
+// held; the request then counts as in flight.
+func holdWorker(t *testing.T, s *Server, w int, release <-chan struct{}) {
+	t.Helper()
+	held := make(chan error, 1)
+	go func() {
+		if err := s.Pool().SubmitTo(w, func(int, *webserver.Server) error {
+			held <- nil
+			<-release
+			return nil
+		}); err != nil {
+			held <- err
+		}
+	}()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func get(t *testing.T, url string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -86,21 +106,17 @@ func TestServeHTTPThroughFleet(t *testing.T) {
 }
 
 // TestBackpressure503 pins the admission-control contract: with every
-// worker blocked and the queue full, a request is refused immediately
-// with HTTP 503, a Retry-After header and the typed backpressure fault
-// class — it does not block behind capacity the fleet does not have.
+// machine held and the in-flight bound reached, a request is refused
+// immediately with HTTP 503, a Retry-After header and the typed
+// backpressure fault class — it does not block behind capacity the
+// fleet does not have.
 func TestBackpressure503(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, Queue: 1})
 	release := make(chan struct{})
-	// Occupy the lone worker and fill the 1-deep queue through the
-	// pool directly, so the HTTP request below deterministically hits
-	// a full queue.
-	if err := s.Pool().SubmitTo(0, func(int, *webserver.Server) error {
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// Hold the lone machine through the pool directly, which fills the
+	// in-flight bound of 1, so the HTTP request below deterministically
+	// hits it.
+	holdWorker(t, s, 0, release)
 	defer close(release)
 
 	resp, body := get(t, s.URL()+"/serve")
@@ -134,10 +150,6 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("request %d failed", i)
 		}
 	}
-	// The worker counts a request after its handler already has the
-	// result, so the last count can trail the response; Drain returns
-	// only once every count has landed.
-	s.Pool().Drain()
 	_, body := get(t, s.URL()+"/metrics")
 	for _, want := range []string{
 		"palladium_serve_completed_total 100",
@@ -186,12 +198,7 @@ func TestAutoscaleUp(t *testing.T) {
 	})
 	// Hold worker 0 hostage so the backlog builds, forcing scale-up.
 	release := make(chan struct{})
-	if err := s.Pool().SubmitTo(0, func(int, *webserver.Server) error {
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	holdWorker(t, s, 0, release)
 	var wg sync.WaitGroup
 	var okN atomic.Uint64
 	for i := 0; i < 32; i++ {
@@ -229,7 +236,7 @@ func TestAutoscaleUp(t *testing.T) {
 	if okN.Load() == 0 {
 		t.Error("no requests served during scale-up")
 	}
-	// The scaled-up workers exist because worker 0 was blocked: they
+	// The scaled-up workers exist because worker 0 was held: they
 	// must have taken real work.
 	st := s.Pool().Stats()
 	var scaledServed uint64
