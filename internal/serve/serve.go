@@ -20,6 +20,19 @@
 //     new machine's simulated state is bit-identical to a boot-time
 //     worker's).
 //
+// Connections are served by the package's own HTTP/1.1 loop (conn.go),
+// not by net/http.Server: one goroutine per connection reads each
+// request with http.ReadRequest, dispatches it through an
+// http.ServeMux into a reused buffered response, and writes the status
+// line, Content-Length, Date, the handler's headers and the body. There
+// is no background-read goroutine per request and no header clone or
+// sort. Keep-alive, Connection: close, HTTP/1.0, pipelining, Content-Type
+// sniffing, 400/431 for bad or oversized headers and the header and idle
+// timeouts behave as in net/http (TestConnConformsToNetHTTP). No handler
+// reads a request body, so a request that declares one is answered and
+// its connection closed. A handler panic outside the fleet fails only
+// its request, with HTTP 500, and closes only its connection.
+//
 // Observability: per-request simulated and wall-clock latency
 // histograms with p50/p99/p999 (/metrics), fleet and interpreter
 // counters, and net/http/pprof.
@@ -41,15 +54,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/webserver"
 	"repro/sandbox"
-)
-
-// HTTP connection bounds. A client that never finishes its request
-// headers, or leaves a keep-alive connection idle, is disconnected
-// instead of pinning a goroutine forever. There is deliberately no
-// write timeout: /debug/pprof/profile streams for 30 s by default.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
 )
 
 // Config sizes the serving tier.
@@ -203,8 +207,17 @@ type Server struct {
 	// worker machines would never serve.
 	clones *fleet.ClonePool[*webserver.Server]
 
-	ln net.Listener
-	hs *http.Server
+	mux *http.ServeMux
+	ln  net.Listener
+	// timeouts are the connection bounds, readHeaderTimeout and
+	// idleTimeout; tests shorten them before Start.
+	timeouts struct{ header, idle time.Duration }
+	// closing is set by Close: the connection loops stop reading new
+	// requests.
+	closing atomic.Bool
+	connMu  sync.Mutex
+	conns   map[*conn]struct{} // every open connection, for Close
+	connWG  sync.WaitGroup     // one per connection goroutine
 
 	// Request accounting. admitted counts requests the fleet accepted;
 	// completed+failed must equal it after a drain — the "no accepted
@@ -287,7 +300,9 @@ func New(cfg Config) (*Server, error) {
 		stop:         make(chan struct{}),
 		scalerDone:   make(chan struct{}),
 		serveDone:    make(chan struct{}),
+		conns:        make(map[*conn]struct{}),
 	}
+	s.timeouts.header, s.timeouts.idle = readHeaderTimeout, idleTimeout
 	for i := range s.wstats {
 		s.wstats[i] = &workerCounters{}
 	}
@@ -313,6 +328,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	mux := http.NewServeMux()
+	s.mux = mux
 	mux.HandleFunc("/", s.handleServe)
 	mux.HandleFunc("/serve", s.handleServe)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -324,7 +340,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s, nil
 }
 
@@ -336,12 +351,7 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	go s.autoscale()
-	go func() {
-		defer close(s.serveDone)
-		if err := s.hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Printf("serve: http: %v\n", err)
-		}
-	}()
+	go s.acceptLoop()
 	return nil
 }
 
@@ -604,9 +614,14 @@ func (s *Server) ScaleDown() error {
 }
 
 // Close shuts the tier down in dependency order: stop the autoscaler,
-// stop accepting HTTP, let in-flight handlers finish (each runs its
-// admitted request to completion), then close the pool. It reports only a shutdown error: a request that failed is
-// counted in Failed, not returned. Safe to call more than once.
+// stop accepting HTTP, close idle connections, let each in-flight
+// request finish and write its response (an admitted request runs to
+// completion), then close the pool, which waits for every admitted
+// request. When ctx ends before the connections are done, every
+// connection is closed and ctx's error returned once the admitted
+// requests have finished. It reports only a shutdown error: a request
+// that failed is counted in Failed, not returned. Safe to call more
+// than once.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -620,8 +635,7 @@ func (s *Server) Close(ctx context.Context) error {
 	var err error
 	if s.ln != nil { // Start ran: the scaler and listener goroutines exist
 		<-s.scalerDone
-		err = s.hs.Shutdown(ctx)
-		<-s.serveDone
+		err = s.shutdown(ctx)
 	}
 	s.pool.Close()
 	// No request is in flight; no handler can Take any more. Drain the warm

@@ -408,11 +408,11 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.hs.ReadHeaderTimeout != readHeaderTimeout || s.hs.IdleTimeout != idleTimeout {
-		t.Fatalf("http.Server timeouts header=%v idle=%v, want %v and %v",
-			s.hs.ReadHeaderTimeout, s.hs.IdleTimeout, readHeaderTimeout, idleTimeout)
+	if s.timeouts.header != readHeaderTimeout || s.timeouts.idle != idleTimeout {
+		t.Fatalf("connection timeouts header=%v idle=%v, want %v and %v",
+			s.timeouts.header, s.timeouts.idle, readHeaderTimeout, idleTimeout)
 	}
-	s.hs.ReadHeaderTimeout = 50 * time.Millisecond
+	s.timeouts.header = 50 * time.Millisecond
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
