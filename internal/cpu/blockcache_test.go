@@ -360,7 +360,17 @@ func TestFirstTickDeferred(t *testing.T) {
 // BenchmarkRunHotLoop measures the interpreter's sustained
 // instructions-per-second on a tight compute loop — the path the
 // decoded-block cache accelerates.
-func BenchmarkRunHotLoop(b *testing.B) {
+func BenchmarkRunHotLoop(b *testing.B) { benchHotLoop(b, 0) }
+
+// BenchmarkRunHotLoopTicking is BenchmarkRunHotLoop under a timer: a
+// counting hook every 20,000 cycles, the kernel's tick period, so the
+// trace tier's deadline proof runs on every dispatch as it does for
+// every guest the kernel schedules.
+func BenchmarkRunHotLoopTicking(b *testing.B) { benchHotLoop(b, 20000) }
+
+// benchHotLoop runs the hot-loop benchmark with a counting tick hook
+// every tick cycles (0: no hook).
+func benchHotLoop(b *testing.B, tick float64) {
 	h := newHarness(b)
 	syms := h.install(0x0001_0000, `
 		entry:
@@ -379,6 +389,11 @@ func BenchmarkRunHotLoop(b *testing.B) {
 	`)
 	h.startUser(syms["entry"])
 	h.m.SetBreak(syms["stop"])
+	ticks := 0
+	if tick > 0 {
+		h.m.TickCycles = tick
+		h.m.OnTick = func(*Machine) error { ticks++; return nil }
+	}
 	b.ResetTimer()
 	var instr uint64
 	chains0, fast0 := h.m.ChainStats()
@@ -394,6 +409,9 @@ func BenchmarkRunHotLoop(b *testing.B) {
 	chains, fast := h.m.ChainStats()
 	b.ReportMetric(float64(chains-chains0)/float64(b.N), "chain-hits/op")
 	b.ReportMetric(float64(fast-fast0)/float64(instr)*100, "fastpath-pct")
+	if tick > 0 {
+		b.ReportMetric(float64(ticks)/float64(b.N), "ticks/op")
+	}
 }
 
 // TestBlockIndexSeparatesNearbyStarts: any two block starts fewer than

@@ -34,9 +34,15 @@ type harness struct {
 
 func newHarness(t testing.TB) *harness {
 	t.Helper()
+	return newHarnessModel(t, cycles.Measured())
+}
+
+// newHarnessModel is newHarness under the given cost model, shared by
+// the CPU and the MMU.
+func newHarnessModel(t testing.TB, model *cycles.Model) *harness {
+	t.Helper()
 	phys := mem.NewPhysical()
 	clock := cycles.NewClock(200)
-	model := cycles.Measured()
 	mu := mmu.New(phys, 32, clock, model)
 	const uLim = 0xBFFF_FFFF
 	mu.GDT.Set(selKCode, mmu.Descriptor{Kind: mmu.SegCode, Base: 0xC000_0000, Limit: 0x3FFF_FFFF, DPL: 0, Present: true, Readable: true})

@@ -43,8 +43,9 @@ import (
 //     probes and per-dispatch page slots (mmu.TranslateBatched) with
 //     identical fault identities, charges and miss behaviour.
 //   - Timer deadlines use the same worst-case prefix-sum batching as
-//     tier 2 (cycles.Prefix); past the proven horizon the trace checks
-//     precisely against clock+accum at each op boundary and, if the
+//     tier 2 (cycles.Prefix), with the proof's slack carried across
+//     loop back-edges (trace.prove); past the proven horizon the trace
+//     checks precisely against clock+accum at each op boundary and, if the
 //     deadline has arrived, deoptimizes: it commits the architectural
 //     state at that instruction boundary and returns to Run, whose
 //     tier-2 re-dispatch fires the hook at the identical clock reading
@@ -120,6 +121,15 @@ const (
 	opRet                    // ret [imm]: always a side exit
 )
 
+// traceOp flag bits. The dispatch loop tests the two pre-op bits
+// together, so an op with neither pays one byte test for both, and a
+// retired op without opFlagJump advances to the next op with no load.
+const (
+	opFlagExit     uint8 = 1 << iota // code is opExit: side exit before this op
+	opFlagPageHead                   // fetch needs a full page check once per dispatch
+	opFlagJump                       // a retired op continues at next, not at the following op
+)
+
 // traceOp is one fused micro-operation. The executor (tracerun.go)
 // dispatches on code with the hot architectural state in locals.
 type traceOp struct {
@@ -130,7 +140,7 @@ type traceOp struct {
 	dst, src uint8  // register indices
 	base, ix uint8  // memory operand base/index (isa.NoReg when absent)
 	useSS    bool   // memory operand addresses through SS
-	pageHead bool   // fetch needs a full page check once per dispatch
+	flags    uint8  // opFlag* bits, set once the op list is final
 	follow   bool   // opJcc: the followed direction is the taken branch
 	imm      uint32 // immediate / shift count / RET pop / JccExit taken EIP
 	disp     uint32
@@ -416,26 +426,31 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		switch op.code {
-		case opJmp, opCall:
-			tr.ops[op.next].pageHead = true
-		case opJcc:
-			tr.ops[op.next].pageHead = true
+		case opJmp, opCall, opJcc:
+			tr.ops[op.next].flags |= opFlagPageHead
 		default:
 			if op.next != 0 && int(op.next) != i+1 {
-				tr.ops[op.next].pageHead = true
+				tr.ops[op.next].flags |= opFlagPageHead
 			}
 		}
 	}
-	// Linear page transitions and the entry are page heads too.
+	// Linear page transitions and the entry are page heads too. Exits
+	// and non-linear successors get their dispatch bits.
 	for i := range tr.ops {
-		if i == 0 || tr.ops[i].lin>>mem.PageShift != tr.ops[i-1].lin>>mem.PageShift {
-			tr.ops[i].pageHead = true
+		op := &tr.ops[i]
+		if i == 0 || op.lin>>mem.PageShift != tr.ops[i-1].lin>>mem.PageShift {
+			op.flags |= opFlagPageHead
+		}
+		if op.code == opExit {
+			op.flags |= opFlagExit
+		} else if int(op.next) != i+1 {
+			op.flags |= opFlagJump
 		}
 	}
 	tr.wc = cycles.NewPrefix(len(tr.ops))
 	for i := range tr.ops {
 		wc := wcs[i]
-		if tr.ops[i].pageHead {
+		if tr.ops[i].flags&opFlagPageHead != 0 {
 			wc += tlbMiss
 		}
 		tr.wc = tr.wc.Append(wc)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -213,6 +214,26 @@ func (op *traceOp) storeSlow(phys *mem.Physical, pa, seq, size, v uint32) {
 	}
 }
 
+// prove runs the deadline proof from op boundary i at effective clock
+// eff < deadline. The slack is what the worst-case charge of ops [i,
+// nops) leaves before the deadline. When it is positive, every later
+// op boundary on the linear run is proven short of the deadline, and
+// it stays so along any path whose back-edges together spend less
+// worst-case charge than the slack: the horizon is the whole trace.
+// Otherwise the horizon is the worst-case prefix's
+// (cycles.Prefix.Horizon), and the non-positive slack makes every
+// back-edge re-check.
+// cycles.Model.BatchSafe keeps every charge a multiple of 0.5, so the
+// slack and what back-edges spend from it are exact.
+func (tr *trace) prove(eff, deadline float64, i int) (int, float64) {
+	nops := len(tr.ops)
+	slack := deadline - eff - (tr.wc[nops] - tr.wc[i])
+	if slack > 0 {
+		return nops, slack
+	}
+	return tr.wc.Horizon(eff, deadline, i, nops), slack
+}
+
 // runTrace executes a trace superblock. It keeps the simulated
 // registers and flags in locals, accumulates cycle charges and
 // guaranteed TLB-hit counts locally, and commits everything to the
@@ -278,83 +299,96 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 
 	var accum float64 // batched cycle charges
 	var batch uint64  // TLB hits observed by live batched checks
-	var g uint64      // guaranteed-hit fetches (no probe performed)
 	var n uint64      // instructions retired this dispatch
+	var full uint64   // fetches that took the full page check
 
-	// Deadline horizon over the worst-case charge prefix: ops with
-	// index below nextCheck provably cannot cross the tick deadline.
-	// Past it, a precise check against clock+accum runs at each op
-	// boundary; any non-linear transfer re-anchors the horizon at its
-	// target (the prefix only bounds linear runs).
-	nextCheck := nops
+	// Instruction budget as a limit (0 = unlimited), checked before each
+	// op executes so exactly `remaining` instructions retire — the same
+	// truncation point as runChain's per-block limit.
+	limit := remaining
+	if limit == 0 {
+		limit = math.MaxUint64
+	}
+
+	// Deadline proof (see trace.prove): ops with index below nextCheck
+	// provably cannot cross the tick deadline. Past it, a precise check
+	// against clock+accum runs at each op boundary. While slack is
+	// positive the proof covers the whole trace, and a back-edge spends
+	// its worst-case charge from it instead of re-proving; an exhausted
+	// slack forces a precise check at the back-edge's target. With no
+	// tick armed, nextCheck is nops and slack infinite, so no check
+	// ever runs.
+	wc := tr.wc
+	deadline := m.nextTick
+	nextCheck, slack := nops, math.Inf(1)
 	if ticking {
-		nextCheck = tr.wc.Horizon(m.Clock.Cycles(), m.nextTick, 0, nops)
+		nextCheck, slack = tr.prove(m.Clock.Cycles(), deadline, 0)
 	}
 
 	var stop *RunResult
-	var ceip uint32     // EIP to commit
-	var livePA uint32   // deopt-page: live physical fetch address
-	var pageOp *traceOp // deopt-page: the op whose frame moved
+	var fault *mmu.Fault // a data access faulted, after its fetch passed
+	var ceip uint32      // EIP to commit
+	var livePA uint32    // deopt-page: live physical fetch address
+	var pageOp *traceOp  // deopt-page: the op whose frame moved
 
 	i := 0
 loop:
 	for {
 		op := &ops[i]
 
-		// Instruction budget (0 = unlimited), checked before the op
-		// executes so exactly `remaining` instructions retire — the
-		// same truncation point as runChain's per-block limit.
-		if remaining > 0 && n >= remaining {
+		if n >= limit {
 			ceip = op.eip
 			m.trStats.DeoptBudget++
 			break loop
 		}
 
-		if op.code == opExit {
-			// Untraceable instruction ahead: normal side exit before it.
-			ceip = op.exitEIP
-			m.trStats.SideExits++
-			break loop
-		}
-
-		if ticking && i >= nextCheck {
-			eff := m.Clock.Cycles() + accum
-			if eff >= m.nextTick {
-				// Deadline reached at this op boundary: deoptimize. The
-				// commit lands the clock on eff and EIP here, so Run's
-				// re-dispatch fires the hook at the identical point the
-				// tier-2 mid-block check would have.
-				ceip = op.eip
-				m.trStats.DeoptTick++
+		// The rare pre-op work, in order: a side exit before an
+		// untraceable instruction, the precise deadline check, and the
+		// page-level fetch check. Every other executed fetch is a
+		// guaranteed TLB hit, counted at commit.
+		if op.flags&(opFlagExit|opFlagPageHead) != 0 || i >= nextCheck {
+			if op.flags&opFlagExit != 0 {
+				ceip = op.exitEIP
+				m.trStats.SideExits++
 				break loop
 			}
-			nextCheck = tr.wc.Horizon(eff, m.nextTick, i, nops)
-		}
-
-		// Page-level fetch check: full (charged, counted, faulting)
-		// once per dispatch at page heads; every other executed fetch
-		// is a guaranteed TLB hit, batched into g.
-		if op.pageHead && op.fseq != seq {
-			pa, f := mm.CheckPageBatched(op.lin, mmu.Execute, cpl, cs, op.eip, &batch)
-			if f != nil {
-				stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-				ceip = op.eip
-				m.trStats.DeoptFault++
-				break loop
+			if i >= nextCheck {
+				eff := m.Clock.Cycles() + accum
+				if eff >= deadline {
+					// Deadline reached at this op boundary: deoptimize.
+					// The commit lands the clock on eff and EIP here, so
+					// Run's re-dispatch fires the hook at the identical
+					// point the tier-2 mid-block check would have.
+					ceip = op.eip
+					m.trStats.DeoptTick++
+					break loop
+				}
+				nextCheck, slack = tr.prove(eff, deadline, i)
 			}
-			if pa != op.pa {
-				// The mapping changed under the trace (honoured lazily,
-				// as on hardware): commit, then execute what the live
-				// translation holds — tier 2's substitution arm.
-				ceip = op.eip
-				livePA = pa
-				pageOp = op
-				m.trStats.DeoptPage++
-				break loop
+			// Full fetch check (charged, counted, faulting) once per
+			// dispatch at page heads.
+			if op.flags&opFlagPageHead != 0 && op.fseq != seq {
+				pa, f := mm.CheckPageBatched(op.lin, mmu.Execute, cpl, cs, op.eip, &batch)
+				if f != nil {
+					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
+					ceip = op.eip
+					m.trStats.DeoptFault++
+					break loop
+				}
+				if pa != op.pa {
+					// The mapping changed under the trace (honoured
+					// lazily, as on hardware): commit, then execute what
+					// the live translation holds — tier 2's substitution
+					// arm.
+					ceip = op.eip
+					livePA = pa
+					pageOp = op
+					m.trStats.DeoptPage++
+					break loop
+				}
+				op.fseq = seq
+				full++
 			}
-			op.fseq = seq
-		} else {
-			g++
 		}
 
 		// Charge first, then access — execute's order.
@@ -396,9 +430,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if pa, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -428,9 +460,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if pa, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -473,9 +503,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if pa, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -512,9 +540,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -540,9 +566,7 @@ loop:
 				if !ok {
 					var f *mmu.Fault
 					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-						stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-						ceip = op.eip
-						m.trStats.DeoptFault++
+						fault, ceip = f, op.eip
 						break loop
 					}
 				}
@@ -598,9 +622,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -637,9 +659,7 @@ loop:
 			if !ok2 {
 				var f *mmu.Fault
 				if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -690,9 +710,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if paR, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -725,9 +743,7 @@ loop:
 			if !ok2 {
 				var f *mmu.Fault
 				if paW, f = m.slowW(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -757,9 +773,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if pa, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -793,9 +807,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -816,9 +828,7 @@ loop:
 				if !ok2 {
 					var f *mmu.Fault
 					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-						stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-						ceip = op.eip
-						m.trStats.DeoptFault++
+						fault, ceip = f, op.eip
 						break loop
 					}
 				}
@@ -832,9 +842,7 @@ loop:
 				if !ok2 {
 					var f *mmu.Fault
 					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-						stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-						ceip = op.eip
-						m.trStats.DeoptFault++
+						fault, ceip = f, op.eip
 						break loop
 					}
 				}
@@ -859,9 +867,7 @@ loop:
 				var f *mmu.Fault
 				if pa, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS // ESP unchanged, as in Machine.Push
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -887,9 +893,7 @@ loop:
 			if !ok {
 				var f *mmu.Fault
 				if paR, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -903,9 +907,7 @@ loop:
 				var f *mmu.Fault
 				if paW, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -921,9 +923,7 @@ loop:
 				var f *mmu.Fault
 				if pa, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -941,9 +941,7 @@ loop:
 				var f *mmu.Fault
 				if paR, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -969,9 +967,7 @@ loop:
 				if paW, f = m.slowW(op, sel, off, 4, cpl, seq, &batch); f != nil {
 					// x86 restores ESP if the store faults, as in execute.
 					regs[isa.ESP] -= 4
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -980,12 +976,6 @@ loop:
 			}
 
 		case opJmp:
-			n++
-			i = int(op.next)
-			if ticking && i < nextCheck {
-				nextCheck = i // horizon only bounds linear runs
-			}
-			continue
 
 		case opJmpExit:
 			n++
@@ -994,20 +984,13 @@ loop:
 			break loop
 
 		case opJcc:
-			taken := traceCond(op.sub, zf, sf, cf, of)
-			if taken == op.follow {
+			if traceCond(op.sub, zf, sf, cf, of) != op.follow {
+				accum += op.alt - op.cost // charged op.cost above; actual is alt
 				n++
-				i = int(op.next)
-				if ticking && i < nextCheck {
-					nextCheck = i
-				}
-				continue
+				ceip = op.exitEIP
+				m.trStats.SideExits++
+				break loop
 			}
-			accum += op.alt - op.cost // charged op.cost above; actual is alt
-			n++
-			ceip = op.exitEIP
-			m.trStats.SideExits++
-			break loop
 
 		case opJccExit:
 			taken := traceCond(op.sub, zf, sf, cf, of)
@@ -1028,9 +1011,7 @@ loop:
 				var f *mmu.Fault
 				if pa, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -1038,17 +1019,12 @@ loop:
 				op.storeSlow(phys, pa, seq, 4, op.eip+isa.InstrSlot)
 			}
 			regs[isa.ESP] = esp
-			n++
 			if op.code == opCallExit {
+				n++
 				ceip = op.exitEIP
 				m.trStats.SideExits++
 				break loop
 			}
-			i = int(op.next)
-			if ticking && i < nextCheck {
-				nextCheck = i
-			}
-			continue
 
 		case opRet:
 			esp := regs[isa.ESP]
@@ -1057,9 +1033,7 @@ loop:
 				var f *mmu.Fault
 				if pa, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
 					f.Kind = mmu.SS
-					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
-					ceip = op.eip
-					m.trStats.DeoptFault++
+					fault, ceip = f, op.eip
 					break loop
 				}
 			}
@@ -1076,16 +1050,35 @@ loop:
 
 	retired:
 		n++
-		ni := int(op.next)
-		if ticking && ni != i+1 && ni < nextCheck {
-			// Non-linear advance: the horizon proof only bounds linear
-			// runs, so force a precise check at the transfer target.
-			nextCheck = ni
+		if op.flags&opFlagJump == 0 {
+			i++
+			continue
 		}
-		i = ni
+		// Non-linear successor. A forward transfer skips charges the
+		// proof already counted, so it stays inside the proof. A
+		// back-edge from i to t re-runs ops [t, i] and spends their
+		// worst-case charge from the slack; once the slack is spent, a
+		// precise check runs at t.
+		t := int(op.next)
+		if t <= i {
+			slack -= wc[i+1] - wc[t]
+			if slack <= 0 && t < nextCheck {
+				nextCheck = t
+			}
+		}
+		i = t
 	}
 
 	// Commit: architectural state, batched charges, batched accounting.
+	// Every retired op passed its fetch, and so did an op whose data
+	// access faulted; those that did not take the full check were
+	// guaranteed TLB hits.
+	g := n - full
+	if fault != nil {
+		stop = &RunResult{Reason: StopFault, Fault: fault, Err: fault}
+		m.trStats.DeoptFault++
+		g++
+	}
 	m.Regs = regs
 	m.Flags = Flags{ZF: zf, SF: sf, CF: cf, OF: of}
 	m.EIP = ceip

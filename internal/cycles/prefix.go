@@ -30,9 +30,8 @@ func NewPrefix(n int) Prefix {
 // (cyc + p[j] - p[start] < deadline). A return of limit means the rest
 // of the range is check-free. p is monotonic, so the largest fitting
 // index is found by binary search — after an O(1) test of the whole
-// range, which is the common answer when a tick is far off (the trace
-// tier re-proves at every loop back-edge) and the one the search would
-// reach anyway.
+// range, which is the common answer when a tick is far off and the one
+// the search would reach anyway.
 func (p Prefix) Horizon(cyc, deadline float64, start, limit int) int {
 	slack := deadline - cyc + p[start]
 	if p[limit] < slack {

@@ -173,3 +173,54 @@ func TestCOWHammerConcurrentClones(t *testing.T) {
 		t.Errorf("template image mutated by clone traffic")
 	}
 }
+
+// TestResetCloneCOWFromFreeList: on a reset clone whose free list holds
+// stale frames, a copy-on-write fault takes one of them without
+// clearing it first, and the copy still leaves exactly the template's
+// bytes plus the write — the same image as a fresh clone given the same
+// write. A page the template lacks still materializes zeroed.
+func TestResetCloneCOWFromFreeList(t *testing.T) {
+	tmpl := NewPhysical()
+	for pg := uint32(0); pg < 10; pg++ {
+		for off := uint32(0); off < PageSize; off += 4 {
+			tmpl.Write32(pg*PageSize+off, pg<<24|off)
+		}
+	}
+	c := tmpl.Clone()
+	for pg := uint32(20); pg < 23; pg++ {
+		for off := uint32(0); off < PageSize; off++ {
+			c.Write8(pg*PageSize+off, 0xEE) // stale bytes for the free list
+		}
+	}
+	c.ResetTo(tmpl)
+	free := len(c.free)
+	if free == 0 {
+		t.Fatal("reset left an empty free list")
+	}
+
+	c.Write8(3*PageSize+5, 0xAB)
+	if len(c.free) != free-1 {
+		t.Fatalf("COW fault took %d free-list frames, want 1", free-len(c.free))
+	}
+	for off := uint32(0); off < PageSize; off++ {
+		want := tmpl.Read8(3*PageSize + off)
+		if off == 5 {
+			want = 0xAB
+		}
+		if got := c.Read8(3*PageSize + off); got != want {
+			t.Fatalf("COW copy byte %d = %#x, want %#x", off, got, want)
+		}
+	}
+	fresh := tmpl.Clone()
+	fresh.Write8(3*PageSize+5, 0xAB)
+	if c.Fingerprint() != fresh.Fingerprint() {
+		t.Error("reset clone's image differs from a fresh clone's after the same write")
+	}
+
+	c.Write8(30*PageSize, 1)
+	for off := uint32(1); off < PageSize; off++ {
+		if b := c.Read8(30*PageSize + off); b != 0 {
+			t.Fatalf("new page byte %d = %#x from a free-list frame, want 0", off, b)
+		}
+	}
+}

@@ -78,11 +78,18 @@ const frameSlabSize = 64
 // (each simulated machine is goroutine-owned), so no locking is
 // needed; the frames themselves may still be shared copy-on-write
 // across Physicals afterwards.
-func (p *Physical) newFrame() *frame {
+func (p *Physical) newFrame() *frame { return p.takeFrame(true) }
+
+// takeFrame is newFrame for a caller that overwrites every byte when
+// zero is false: a frame from the free list then keeps its stale bytes
+// instead of being cleared first. Slab frames are always zero.
+func (p *Physical) takeFrame(zero bool) *frame {
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free = p.free[:n-1]
-		clear(f.data[:])
+		if zero {
+			clear(f.data[:])
+		}
 		f.refs.Store(1)
 		return f
 	}
@@ -226,7 +233,7 @@ func (p *Physical) writeFrame(pa uint32) *[PageSize]byte {
 		return &f.data
 	}
 	if f.refs.Load() > 1 {
-		nf := p.newFrame()
+		nf := p.takeFrame(false) // the copy overwrites all of it
 		nf.data = f.data
 		c.frames[i] = nf
 		f.refs.Add(-1)

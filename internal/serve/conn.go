@@ -230,15 +230,55 @@ func (c *conn) serve() (linger bool) {
 		// connection closed, since the body's bytes would otherwise be
 		// parsed as the next request.
 		hasBody := r.Body != http.NoBody || r.Header["Expect"] != nil
+		var stop func() bool
+		if longRunning(r.URL.Path) {
+			r, stop = c.watchClose(r)
+		}
 		panicked := c.dispatch(r)
-		closing := r.Close || hasBody || panicked || c.s.closing.Load()
+		pipelined := stop != nil && stop()
+		closing := r.Close || hasBody || panicked || pipelined || c.s.closing.Load()
 		c.writeResponse(r, closing)
 		if c.bw.Flush() != nil {
 			return false
 		}
 		if closing {
-			return hasBody
+			return hasBody || pipelined
 		}
+	}
+}
+
+// longRunning reports whether path's handler runs for as long as its
+// request asks (?seconds=N). Only these requests get a context that
+// ends when the client goes away, since watching for that takes a
+// goroutine.
+func longRunning(path string) bool {
+	return path == "/debug/pprof/profile" || path == "/debug/pprof/trace"
+}
+
+// watchClose gives r a context that is cancelled when a background read
+// on the connection ends while r's handler runs: the client closed the
+// connection, or Close did. The read has no deadline, so a long
+// profile is not cut short by the header timeout. stop ends the watch
+// and reports whether the client sent more input meanwhile; that input
+// stays buffered, but the connection is closed after this response, as
+// it is no longer watched.
+func (c *conn) watchClose(r *http.Request) (*http.Request, func() bool) {
+	ctx, cancel := context.WithCancel(r.Context())
+	c.lr.N = maxHeaderBytes
+	c.nc.SetReadDeadline(time.Time{})
+	more := make(chan bool, 1)
+	go func() {
+		_, err := c.br.Peek(1)
+		if err != nil {
+			cancel()
+		}
+		more <- err == nil
+	}()
+	return r.WithContext(ctx), func() bool {
+		c.nc.SetReadDeadline(time.Unix(1, 0)) // unblocks the read
+		got := <-more
+		cancel()
+		return got
 	}
 }
 

@@ -352,3 +352,35 @@ func TestCloseForceClosesAtDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonedProfileStops: a CPU profile or execution trace whose
+// client disconnects stops, and its connection goroutine finishes,
+// instead of running for the full ?seconds its request asked for.
+func TestAbandonedProfileStops(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	for _, path := range []string{"/debug/pprof/profile?seconds=30", "/debug/pprof/trace?seconds=30"} {
+		cli, srv := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.serveConn(srv)
+		}()
+		cli.SetDeadline(time.Now().Add(5 * time.Second))
+		// The pipe is unbuffered: the write returns once the loop has
+		// read the whole request.
+		if _, err := fmt.Fprintf(cli, "GET %s HTTP/1.1\r\nHost: x\r\n\r\n", path); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond) // let the handler start
+		cli.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: connection goroutine still running 5 s after its client left", path)
+		}
+	}
+}
