@@ -5,49 +5,8 @@ import (
 	"maps"
 	"slices"
 
-	"repro/internal/kernel"
 	"repro/internal/loader"
 )
-
-// SystemSnapshot captures a whole Palladium system: the kernel (and
-// through it the machine, MMU, clock and COW memory image), the
-// system's state value and each live segment's state value. It is the
-// unit of the InvokeTx rollback transaction.
-type SystemSnapshot struct {
-	kern  *kernel.Snapshot
-	state systemState
-	segs  []segState // parallel to state.segs
-}
-
-// Snapshot captures the system for a later Restore. It charges no
-// simulated cycles and perturbs no simulated metric.
-func (s *System) Snapshot() *SystemSnapshot {
-	sn := &SystemSnapshot{
-		kern:  s.K.Snapshot(),
-		state: s.systemState.copy(),
-		segs:  make([]segState, len(s.segs)),
-	}
-	for i, seg := range s.segs {
-		sn.segs[i] = seg.segState.copy()
-	}
-	return sn
-}
-
-// Restore rewinds the system (kernel, machine, memory and the
-// Palladium registries) to the snapshot. Segments created after the
-// snapshot vanish; segments alive at the snapshot are restored in
-// place, including an undo of any abort that happened since. The
-// snapshot remains valid for further restores.
-func (s *System) Restore(sn *SystemSnapshot) {
-	s.K.Restore(sn.kern)
-	s.systemState = sn.state.copy()
-	for i, seg := range s.segs {
-		seg.segState = sn.segs[i].copy()
-	}
-}
-
-// Release frees the snapshot's hold on the COW frame store.
-func (sn *SystemSnapshot) Release() { sn.kern.Release() }
 
 // Clone derives a complete, independent Palladium system: the kernel
 // clone shares physical memory copy-on-write, and every core-level
@@ -110,16 +69,19 @@ func requeue(dst, src []asyncReq, eft map[string]*KernelExtensionFunc) []asyncRe
 // system it would reset to.
 var errResetDiverged = errors.New("palladium: reset target holds segments or modules this system lacks")
 
-// ResetTo rewinds the system in place to t, the system it was cloned
-// from, leaving it indistinguishable from a fresh t.Clone(): the kernel
-// first (Kernel.ResetTo), then the system's and each segment's state
-// value. Segments created since vanish, modules insmod'ed since into a
-// surviving segment are dropped, and entry points an abort unregistered
-// come back, bound to this system's segments. Pending async requests
+// ResetTo rewinds the system in place to t, either the system it was
+// cloned from, leaving it indistinguishable from a fresh t.Clone(), or
+// a frozen clone of itself, leaving it as it was when t was cloned
+// (Tx's rollback): the kernel first (Kernel.ResetTo), then the system's
+// and each segment's state value. Segments created since vanish,
+// modules insmod'ed since into a surviving segment are dropped, and
+// entry points an abort unregistered come back, bound to this system's
+// segments. Pending async requests
 // are t's, bound by name as Clone binds them. ResetTo fails, changing
 // nothing, when this system lacks a segment or module t holds; a
-// clone's segments and modules are only ever added to. ResetTo only
-// reads t.
+// system's segments and modules are only ever added to. ResetTo only
+// reads t, and allocates only for an entry point that differs from
+// t's.
 func (s *System) ResetTo(t *System) error {
 	if len(s.segs) < len(t.segs) {
 		return errResetDiverged
@@ -145,12 +107,36 @@ func (s *System) ResetTo(t *System) error {
 	}
 	for name, tf := range t.eft {
 		if want := s.rebound(t, tf); eft[name] == nil || *eft[name] != want {
-			eft[name] = &want
+			f := new(KernelExtensionFunc)
+			*f = want
+			eft[name] = f
 		}
 	}
 	s.eft = eft
 	for i, seg := range s.segs {
 		seg.resetTo(t.segs[i], eft)
+	}
+	return nil
+}
+
+// Tx runs call as a transaction. The system is frozen in a clone before
+// call runs; when call reports abort, the system is reset onto the
+// frozen clone, so memory, clock, MMU and TLB state, kernel bookkeeping
+// and every segment are exactly as before the call, and the compiled
+// blocks and traces survive. Either way the frozen clone is then
+// released, so the frames the call left alone are sole-owned and
+// writable in place again, and the frames only the clone still held go
+// on the system's free list for its next copy-on-write faults.
+// Freezing charges no simulated cycles: a committed call is
+// bit-identical to one run outside a transaction.
+func (s *System) Tx(call func() (abort bool)) error {
+	frozen, err := s.Clone()
+	if err != nil {
+		return err
+	}
+	defer frozen.K.Phys.ReleaseTo(s.K.Phys)
+	if call() {
+		return s.ResetTo(frozen)
 	}
 	return nil
 }

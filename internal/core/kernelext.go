@@ -502,14 +502,14 @@ func (f *KernelExtensionFunc) Invoke(arg uint32) (uint32, error) {
 	return f.invoke(arg, false)
 }
 
-// InvokeTx runs the extension as a transaction: the whole machine
-// (memory image, CPU, MMU, clock, kernel bookkeeping) is snapshotted
-// before the call, and a protection fault or time-limit overrun rolls
-// everything back to that snapshot instead of aborting the segment.
-// The error wraps ErrKernelExtensionRolledBack; the segment remains
-// alive and the next invocation starts from known-good state. A
-// successful call releases the snapshot and is bit-identical in every
-// simulated metric to a plain Invoke.
+// InvokeTx runs the extension as a transaction (System.Tx): the whole
+// machine (memory image, CPU, MMU, clock, kernel bookkeeping) is frozen
+// in a clone before the call, and a protection fault or time-limit
+// overrun resets everything onto that clone instead of aborting the
+// segment. The error wraps ErrKernelExtensionRolledBack; the segment
+// remains alive and the next invocation starts from known-good state.
+// A successful call is bit-identical in every simulated metric to a
+// plain Invoke.
 func (f *KernelExtensionFunc) InvokeTx(arg uint32) (uint32, error) {
 	return f.invoke(arg, true)
 }
@@ -519,26 +519,40 @@ func (f *KernelExtensionFunc) invoke(arg uint32, tx bool) (uint32, error) {
 	if f.Seg.aborted {
 		return 0, ErrKernelExtensionAborted
 	}
-	k := s.K
-	p := k.Current()
+	p := s.K.Current()
 	if p == nil {
 		return 0, fmt.Errorf("palladium: no current process (kernel extensions run on the caller's kernel stack)")
 	}
-	var snap *SystemSnapshot
-	if tx {
-		snap = s.Snapshot()
-		defer snap.Release()
+	if !tx {
+		return f.run(p, arg, false)
 	}
+	var v uint32
+	var err error
+	if txErr := s.Tx(func() bool {
+		v, err = f.run(p, arg, true)
+		return errors.Is(err, ErrKernelExtensionRolledBack)
+	}); txErr != nil {
+		return 0, txErr
+	}
+	return v, err
+}
+
+// run executes the extension on p's kernel stack. A segment violation
+// or time-limit overrun aborts the segment, or under tx leaves it alive
+// and returns an error wrapping ErrKernelExtensionRolledBack, for the
+// transaction to roll back.
+func (f *KernelExtensionFunc) run(p *kernel.Process, arg uint32, tx bool) (uint32, error) {
+	s := f.Seg.S
+	k := s.K
 	// fail routes an abort-worthy outcome through the active policy:
-	// transactional calls restore the pre-call state and keep the
-	// segment alive; plain calls abort the segment (Section 4.5.2).
+	// transactional calls are rolled back by their transaction and keep
+	// the segment alive; plain calls abort the segment (Section 4.5.2).
 	fail := func(cause error) error {
 		// Both the policy sentinel and the cause are wrapped (the
 		// message is unchanged) so callers — notably the sandbox fault
 		// taxonomy — can errors.As the *mmu.Fault or errors.Is the
 		// time limit out of the chain.
 		if tx {
-			s.Restore(snap)
 			return fmt.Errorf("%w: %w", ErrKernelExtensionRolledBack, cause)
 		}
 		f.Seg.abort(s)

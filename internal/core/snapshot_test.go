@@ -148,8 +148,8 @@ func TestInvokeTxSuccessMatchesInvoke(t *testing.T) {
 	}
 }
 
-// TestSystemSnapshotRestoreDeterministic: invoking after a
-// snapshot+restore reproduces the invocation bit-identically.
+// TestSystemSnapshotRestoreDeterministic: invoking after a reset onto
+// a frozen clone reproduces the invocation bit-identically.
 func TestSystemSnapshotRestoreDeterministic(t *testing.T) {
 	s := newSystem(t)
 	if _, err := s.K.CreateProcess(); err != nil {
@@ -167,15 +167,20 @@ func TestSystemSnapshotRestoreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := s.Snapshot()
-	defer snap.Release()
+	frozen, err := s.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frozen.K.Phys.Release()
 	r1, err := f.Invoke(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run1 := captureSys(s)
 
-	s.Restore(snap)
+	if err := s.ResetTo(frozen); err != nil {
+		t.Fatal(err)
+	}
 	r2, err := f.Invoke(10)
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +191,10 @@ func TestSystemSnapshotRestoreDeterministic(t *testing.T) {
 	}
 }
 
-// TestRestoreReattachesStubArena: restoring to a snapshot taken
-// BEFORE a segment's first module (stubs nil), then restoring forward
-// to one taken after, must bring the stub arena back instead of
-// leaving it detached (which would silently carve a second arena on
-// the next Insmod).
+// TestRestoreReattachesStubArena: rewinding onto a clone frozen BEFORE
+// a segment's first module detaches the stub arena and drops the entry
+// point, and the next Insmod then carves the arena afresh at the same
+// place instead of a second one beside it.
 func TestRestoreReattachesStubArena(t *testing.T) {
 	s := newSystem(t)
 	if _, err := s.K.CreateProcess(); err != nil {
@@ -200,36 +204,43 @@ func TestRestoreReattachesStubArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapA := s.Snapshot()
-	defer snapA.Release()
+	frozen, err := s.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frozen.K.Phys.Release()
 
-	if _, err := s.Insmod(seg, isa.MustAssemble("inc", incOnceSrc)); err != nil {
+	inc := isa.MustAssemble("inc", incOnceSrc)
+	if _, err := s.Insmod(seg, inc); err != nil {
 		t.Fatal(err)
 	}
 	if seg.stubs == nil {
 		t.Fatal("no stub arena after Insmod")
 	}
-	wantCursor := seg.stubs.next
-	snapB := s.Snapshot()
-	defer snapB.Release()
+	wantBase, wantCursor := seg.stubs.base, seg.stubs.next
 
-	s.Restore(snapA)
+	if err := s.ResetTo(frozen); err != nil {
+		t.Fatal(err)
+	}
 	if seg.stubs != nil {
-		t.Fatal("stub arena survived restore to pre-Insmod snapshot")
+		t.Fatal("stub arena survived the rewind to the pre-Insmod freeze")
 	}
-	s.Restore(snapB)
-	if seg.stubs == nil {
-		t.Fatal("stub arena not re-attached by forward restore")
+	if _, ok := s.ExtensionFunction("add_one"); ok {
+		t.Fatal("EFT entry survived the rewind to the pre-Insmod freeze")
 	}
-	if seg.stubs.next != wantCursor {
-		t.Errorf("arena cursor %#x, want %#x", seg.stubs.next, wantCursor)
+	if _, err := s.Insmod(seg, inc); err != nil {
+		t.Fatal(err)
+	}
+	if seg.stubs.base != wantBase || seg.stubs.next != wantCursor {
+		t.Errorf("arena %#x cursor %#x after re-Insmod, want %#x cursor %#x",
+			seg.stubs.base, seg.stubs.next, wantBase, wantCursor)
 	}
 	f, ok := s.ExtensionFunction("add_one")
 	if !ok {
-		t.Fatal("EFT entry missing after forward restore")
+		t.Fatal("EFT entry missing after re-Insmod")
 	}
 	if got, err := f.Invoke(1); err != nil || got != 2 {
-		t.Errorf("invoke after forward restore = %d, %v", got, err)
+		t.Errorf("invoke after re-Insmod = %d, %v", got, err)
 	}
 }
 

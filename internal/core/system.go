@@ -32,8 +32,8 @@ import (
 )
 
 // systemState is every simulated field of a System, declared once:
-// Snapshot, Restore, Clone and SaveTo walk it whole (DESIGN.md,
-// "Snapshot layering"). Each segment carries its own segState.
+// Clone, ResetTo and SaveTo walk it whole (DESIGN.md, "Snapshot
+// layering"). Each segment carries its own segState.
 type systemState struct {
 	nextSeg uint32
 	segs    []*ExtSegment

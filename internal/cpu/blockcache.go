@@ -61,6 +61,13 @@ const (
 	maxBlockLen = 128
 )
 
+// noBlocks is the empty block table every machine starts with, so a
+// machine that never builds a block (a transaction's frozen clone)
+// allocates no table. Nothing writes to it: only a build stores a
+// block, and the build first gives the machine its own table; every
+// other writer runs only while blocks are live.
+var noBlocks [blockCacheSize]*codeBlock
+
 // blockSlot is one predecoded instruction of a cached block.
 type blockSlot struct {
 	ins *isa.Instr
@@ -250,6 +257,9 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 	}
 
 	m.bcBuilds++
+	if m.blocks == &noBlocks {
+		m.blocks = new([blockCacheSize]*codeBlock)
+	}
 	idx := blockIndex(lin)
 	if m.blocks[idx] == nil {
 		m.liveBlocks++
@@ -284,7 +294,7 @@ func (m *Machine) invalidateBlocksAt(lin uint32) {
 		return
 	}
 	gen := m.MMU.SegGen()
-	for i, b := range &m.blocks {
+	for i, b := range m.blocks {
 		if b != nil && b.gen == gen && b.lin <= lin && lin < b.end {
 			m.blocks[i] = nil
 			m.liveBlocks--
@@ -305,7 +315,7 @@ func (m *Machine) invalidateBlocksByPages(pages uint64) {
 		return
 	}
 	gen := m.MMU.SegGen()
-	for i, b := range &m.blocks {
+	for i, b := range m.blocks {
 		if b != nil && b.gen == gen && b.pages&pages != 0 {
 			m.blocks[i] = nil
 			m.liveBlocks--
@@ -315,9 +325,9 @@ func (m *Machine) invalidateBlocksByPages(pages uint64) {
 }
 
 // clearBlockCache empties the decoded-block cache and resets the
-// invalidation envelope and aggregate page bloom; used by snapshot
-// restore (the restored image may hold different code behind the same
-// physical addresses).
+// invalidation envelope and aggregate page bloom; used when a rewind
+// (ResetTo over a changed code map, LoadFrom) may put different code
+// behind the same physical addresses.
 func (m *Machine) clearBlockCache() {
 	m.clearTraces()
 	if m.liveBlocks == 0 {

@@ -168,8 +168,9 @@ func (h *harness) clone() *harness {
 	return &harness{t: h.t, m: h.m.Clone(phys, mu, clock), as: as, alloc: alloc}
 }
 
-// resetTo rewinds a cloned harness in place to t, the harness it was
-// cloned from, layer by layer as kernel.Kernel.ResetTo does.
+// resetTo rewinds a harness in place to t, the harness it was cloned
+// from or a frozen clone of it, layer by layer as kernel.Kernel.ResetTo
+// does.
 func (h *harness) resetTo(t *harness) {
 	h.m.Phys.ResetTo(t.m.Phys)
 	h.alloc.ResetTo(t.alloc)

@@ -97,8 +97,8 @@ type RunResult struct {
 }
 
 // machineState is every simulated field of a Machine, declared once:
-// Snapshot, Restore, Clone and SaveTo walk it whole (DESIGN.md,
-// "Snapshot layering"). The clock, memory and MMU are their own layers.
+// Clone, ResetTo and SaveTo walk it whole (DESIGN.md, "Snapshot
+// layering"). The clock, memory and MMU are their own layers.
 type machineState struct {
 	// Architectural state.
 	Regs  [8]uint32
@@ -150,11 +150,12 @@ type Machine struct {
 
 	machineState
 
-	// codeShared marks the code map as referenced by a snapshot or a
-	// clone: the next InstallCode/RemoveCode copies it first. The map
-	// is by far the largest machine table (one entry per installed
-	// instruction), and it changes only on code install/remove, so
-	// sharing it keeps Snapshot/Restore O(small) on the common path.
+	// codeShared marks the code map as referenced by a clone: the next
+	// InstallCode/RemoveCode copies it first. The map is by far the
+	// largest machine table (one entry per installed instruction), and
+	// it changes only on code install/remove, so sharing it keeps Clone
+	// and ResetTo O(small) on the common path, the frozen clone of a
+	// transaction (core.System.Tx) included.
 	// It is atomic because clones of one template, forked and reset on
 	// different goroutines, all mark the template's map shared.
 	codeShared atomic.Bool
@@ -164,10 +165,16 @@ type Machine struct {
 	// non-nil error stops the run.
 	OnTick func(m *Machine) error
 
+	// Owner is the trusted code driving the machine (the kernel):
+	// service and OnTick handlers shared by many machines find their
+	// owner here instead of closing over it. Clone leaves it nil.
+	Owner any
+
 	// Decoded-block cache (see blockcache.go): direct-mapped by
 	// linear start address, tagged with the code segment and the
-	// MMU's translation generation.
-	blocks             [blockCacheSize]*codeBlock
+	// MMU's translation generation. It starts as the shared empty
+	// noBlocks table; the first block built gives the machine its own.
+	blocks             *[blockCacheSize]*codeBlock
 	liveBlocks         int
 	blockMin, blockMax uint32 // linear envelope over live blocks
 	blocksBloom        uint64 // aggregate page bloom over cached blocks
@@ -268,6 +275,7 @@ func New(phys *mem.Physical, m *mmu.MMU, clock *cycles.Clock, model *cycles.Mode
 			breaks:   make(map[uint32]bool),
 			services: make(map[uint32]*Service),
 		},
+		blocks:         &noBlocks,
 		TraceThreshold: defaultTraceThreshold,
 	}
 }
@@ -282,8 +290,8 @@ func (m *Machine) Reg(r isa.Reg) uint32 { return m.Regs[r] }
 func (m *Machine) SetReg(r isa.Reg, v uint32) { m.Regs[r] = v }
 
 // mutableCode returns the code map safe to mutate, splitting it off
-// first when a snapshot or clone still references it (copy-on-write
-// at map granularity, mirroring the frame store's discipline).
+// first when a clone still references it (copy-on-write at map
+// granularity, mirroring the frame store's discipline).
 func (m *Machine) mutableCode() map[uint32]*isa.Instr {
 	if m.codeShared.Load() {
 		m.code = maps.Clone(m.code)
@@ -292,9 +300,9 @@ func (m *Machine) mutableCode() map[uint32]*isa.Instr {
 	return m.code
 }
 
-// shareCode marks the code map shared with a snapshot or a clone. It
-// writes only when the flag is clear, so forking and resetting clones
-// of a quiescent template never write to it.
+// shareCode marks the code map shared with a clone. It writes only
+// when the flag is clear, so forking and resetting clones of a
+// quiescent template never write to it.
 func (m *Machine) shareCode() {
 	if !m.codeShared.Load() {
 		m.codeShared.Store(true)
@@ -375,7 +383,7 @@ func (m *Machine) ClearBreak(linear uint32) {
 }
 
 // recomputeDispatchHints rebuilds the break/service envelopes from the
-// live maps; snapshot restore and clone install maps wholesale.
+// live maps; Clone, ResetTo and LoadFrom install maps wholesale.
 func (m *Machine) recomputeDispatchHints() {
 	m.brkLo, m.brkHi = keyRange(m.breaks)
 	m.svcLo, m.svcHi = keyRange(m.services)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/mmu"
 )
 
-// snapMetrics gathers every simulated metric the snapshot contract
-// promises to preserve: instructions, cycles, TLB statistics,
+// snapMetrics gathers every simulated metric a rewind promises to
+// preserve: instructions, cycles, TLB statistics,
 // registers, flags, memory and the final stop result (faults
 // included).
 type snapMetrics struct {
@@ -52,9 +52,10 @@ func prepRun(t *testing.T, h *harness, start uint32) {
 }
 
 // TestSnapshotRestoreRunBitIdentical is the machine-level determinism
-// anchor: running to completion after a snapshot+restore is
-// bit-identical — instructions, cycles, TLB statistics, registers,
-// flags, memory and the final stop — to running through uninterrupted.
+// anchor: running to completion after a reset onto a clone frozen
+// mid-run is bit-identical — instructions, cycles, TLB statistics,
+// registers, flags, memory and the final stop — to running through
+// uninterrupted.
 func TestSnapshotRestoreRunBitIdentical(t *testing.T) {
 	build := func() *harness {
 		h := newHarness(t)
@@ -88,32 +89,33 @@ func TestSnapshotRestoreRunBitIdentical(t *testing.T) {
 	}
 	want := capture(ref.m, refStop)
 
-	// Interrupted run: execute ~half, snapshot, finish once, restore,
-	// finish again. Both finishes must equal the reference.
+	// Interrupted run: execute ~half, freeze a clone, finish once,
+	// reset onto the clone, finish again. Both finishes must equal the
+	// reference.
 	h := build()
 	mid := h.m.Run(RunLimits{MaxInstructions: 300})
 	if mid.Reason != StopBudget {
 		t.Fatalf("mid run stopped with %v", mid.Reason)
 	}
-	snap := h.m.Snapshot()
-	defer snap.Release()
+	frozen := h.clone()
+	defer frozen.m.Phys.Release()
 
 	stop1 := h.m.Run(RunLimits{})
 	if got1 := capture(h.m, stop1); got1 != want {
 		t.Errorf("first finish diverged:\n got %+v\nwant %+v", got1, want)
 	}
 
-	h.m.Restore(snap)
+	h.resetTo(frozen)
 	stop2 := h.m.Run(RunLimits{})
 	if got2 := capture(h.m, stop2); got2 != want {
-		t.Errorf("post-restore finish diverged:\n got %+v\nwant %+v", got2, want)
+		t.Errorf("post-reset finish diverged:\n got %+v\nwant %+v", got2, want)
 	}
 }
 
 // TestRestoreUndoesCodeAndBreakpointChanges pins the staleness
-// contract: code installed and breakpoints armed after the snapshot
-// vanish on restore, and decoded blocks from the abandoned timeline
-// never execute (the MMU generation bump invalidates them).
+// contract: code installed after a clone is frozen vanishes on a reset
+// onto it, and decoded blocks from the abandoned timeline never
+// execute (a reset over a different code map drops them).
 func TestRestoreUndoesCodeAndBreakpointChanges(t *testing.T) {
 	h := newHarness(t)
 	h.mapAt(0x8000, false, true)
@@ -127,8 +129,8 @@ func TestRestoreUndoesCodeAndBreakpointChanges(t *testing.T) {
 	m := h.m
 	prepRun(t, h, syms["start"])
 
-	snap := m.Snapshot()
-	defer snap.Release()
+	frozen := h.clone()
+	defer frozen.m.Phys.Release()
 
 	// Divergent timeline: overwrite the first instruction and run.
 	pa, ok := m.MMU.PeekPage(syms["start"])
@@ -144,13 +146,13 @@ func TestRestoreUndoesCodeAndBreakpointChanges(t *testing.T) {
 		t.Fatalf("divergent run EAX = %d, want 42", m.Reg(isa.EAX))
 	}
 
-	m.Restore(snap)
+	h.resetTo(frozen)
 	res = m.Run(RunLimits{})
 	if res.Reason != StopBreak {
-		t.Fatalf("restored run: %v (%v), want breakpoint", res.Reason, res.Err)
+		t.Fatalf("reset run: %v (%v), want breakpoint", res.Reason, res.Err)
 	}
 	if m.Reg(isa.EAX) != 1 {
-		t.Errorf("restored run EAX = %d, want 1 (original code)", m.Reg(isa.EAX))
+		t.Errorf("reset run EAX = %d, want 1 (original code)", m.Reg(isa.EAX))
 	}
 }
 

@@ -62,9 +62,10 @@ import (
 // their entry block's tag; arming a break/service inside any fused
 // range and installing/removing code over any decoded page kill the
 // trace explicitly (invalidateTracesAt / invalidateTracesByPages);
-// snapshot restore clears everything (clearBlockCache). Traces are
-// never captured by Snapshot/Clone — a restored or cloned machine
-// re-detects heat and rebuilds, with bit-identical simulated metrics.
+// a rewind that changes the code map clears everything
+// (clearBlockCache). Traces are never captured by Clone or SaveTo — a
+// cloned or loaded machine re-detects heat and rebuilds, with
+// bit-identical simulated metrics.
 const (
 	// defaultTraceThreshold is the chain-follow count at which a block
 	// is promoted to a trace entry.
@@ -259,7 +260,7 @@ func (m *Machine) invalidateTracesByPages(pages uint64) {
 	m.traces = live
 }
 
-// clearTraces kills every trace; snapshot restore path.
+// clearTraces kills every trace; the clearBlockCache path.
 func (m *Machine) clearTraces() {
 	for _, tr := range m.traces {
 		tr.entry.trace = nil

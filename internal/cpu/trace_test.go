@@ -263,14 +263,14 @@ func TestTracePagingEventsMidTrace(t *testing.T) {
 	traceCompare(t, "paging events", hRun, hStep, resRun, resStep)
 }
 
-// TestSnapshotRestoreRebuildsTraces: rewinding a machine mid-run —
-// by snapshot restore, or by a reset to the machine it was cloned
-// from — leaves its next run bit-identical to an uninterrupted one.
-// Traces must be dropped and rebuilt when the rewind can change what
-// they were compiled against: a restore always clears the registry,
-// and a reset after a descriptor-table change retires them through
-// the segment generation. A reset over unchanged tables keeps them, so
-// the rerun builds none.
+// TestSnapshotRestoreRebuildsTraces: rewinding a machine mid-run — by
+// a reset onto a clone of itself frozen mid-run, or by a reset to the
+// machine it was cloned from — leaves its next run bit-identical to an
+// uninterrupted one. Traces must be dropped and rebuilt when the rewind
+// can change what they were compiled against: a reset after a
+// descriptor-table change retires them through the segment generation.
+// A reset over unchanged tables and code keeps them, so the rerun
+// builds none.
 func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 	build := func() (*harness, map[string]uint32) {
 		h := newHarness(t)
@@ -314,17 +314,17 @@ func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 	t.Run("restore", func(t *testing.T) {
 		h, _ := build()
 		interrupt(h)
-		snap := h.m.Snapshot()
-		defer snap.Release()
+		frozen := h.clone()
+		defer frozen.m.Phys.Release()
 		if stop := h.m.Run(RunLimits{}); capture(h.m, stop) != want {
 			t.Errorf("first finish diverged:\n got %+v\nwant %+v", capture(h.m, stop), want)
 		}
-		h.m.Restore(snap)
-		if n := len(h.m.traces); n != 0 {
-			t.Errorf("restore left %d traces live; the registry must be cleared", n)
+		h.resetTo(frozen)
+		if len(h.m.traces) == 0 {
+			t.Error("rewind onto the frozen clone dropped the traces")
 		}
-		if !finish(h) {
-			t.Error("post-restore run never rebuilt a trace")
+		if finish(h) {
+			t.Error("post-rewind run rebuilt a trace; the rewind kept the code map and tables")
 		}
 	})
 	for _, tc := range []struct {
@@ -499,12 +499,13 @@ func TestTraceJccBothDirectionsParity(t *testing.T) {
 // TestTraceByteAccessCOW drives tier 3's byte accesses through the
 // dispatch-scoped frame cache across copy-on-write. A warm trace loop
 // stores and reloads bytes at page offsets 0 and 4095 of a data frame
-// that a Snapshot and a Clone both share when the trace next
+// that two clones — one frozen for a rewind — share when the trace next
 // dispatches. The first byte load of that dispatch reads the shared
 // frame and must not pin it: the store right after it faults the frame
 // off, and every later load — in the same dispatch — must read the
-// private copy. The shared copies keep their bytes, and the COW copy
-// count, the bytes and every simulated metric match single-stepping.
+// private copy. The shared copies keep their bytes, a reset onto the
+// frozen clone brings them back, and the COW copy count, the bytes and
+// every simulated metric match single-stepping.
 func TestTraceByteAccessCOW(t *testing.T) {
 	const src = `
 		entry:
@@ -528,12 +529,13 @@ func TestTraceByteAccessCOW(t *testing.T) {
 		last: .byte 0
 	`
 	type outcome struct {
-		h                  *harness
+		h, frozen          *harness
+		bytes              func(p *mem.Physical) (first, last byte)
 		res                RunResult
 		cow                uint64
 		first, last        byte // live bytes after the second run
 		cloneF, cloneL     byte // the clone's bytes after the second run
-		snapF, snapL       byte // the snapshot's bytes
+		frozenF, frozenL   byte // the frozen clone's bytes
 		sharedF, sharedL   byte // the bytes when the frame was shared
 		dispatches, copies uint64
 	}
@@ -560,8 +562,7 @@ func TestTraceByteAccessCOW(t *testing.T) {
 		var o outcome
 		o.sharedF, o.sharedL = pa(m.Phys, syms["first"]), pa(m.Phys, syms["last"])
 
-		snap := m.Snapshot()
-		defer snap.Release()
+		frozen := h.clone()
 		phys2 := m.Phys.Clone()
 		clock2 := m.Clock.Clone()
 		mu2 := m.MMU.Clone(phys2, clock2)
@@ -573,14 +574,13 @@ func TestTraceByteAccessCOW(t *testing.T) {
 		m.EIP = syms["entry"]
 		o.res = runner(m, RunLimits{})
 		_, cow1, _ := m.Phys.COWStats()
-		o.h, o.copies, o.dispatches = h, cow1-cow0, m.TraceStats().Dispatches-d0
+		o.h, o.frozen = h, frozen
+		o.bytes = func(p *mem.Physical) (byte, byte) { return pa(p, syms["first"]), pa(p, syms["last"]) }
+		o.copies, o.dispatches = cow1-cow0, m.TraceStats().Dispatches-d0
 		o.first, o.last = pa(m.Phys, syms["first"]), pa(m.Phys, syms["last"])
 		o.cloneF, o.cloneL = pa(phys2, syms["first"]), pa(phys2, syms["last"])
 
-		ps := mem.NewPhysical()
-		ps.Restore(snap.phys)
-		defer ps.Release()
-		o.snapF, o.snapL = pa(ps, syms["first"]), pa(ps, syms["last"])
+		o.frozenF, o.frozenL = pa(frozen.m.Phys, syms["first"]), pa(frozen.m.Phys, syms["last"])
 		return o
 	}
 	run, step := exec((*Machine).Run), exec(stepRun)
@@ -589,7 +589,7 @@ func TestTraceByteAccessCOW(t *testing.T) {
 		t.Fatal("the second run never dispatched the trace")
 	}
 	if run.copies == 0 {
-		t.Fatal("the second run faulted no frame off the snapshot and clone")
+		t.Fatal("the second run faulted no frame off the clones")
 	}
 	traceCompare(t, "byte COW", run.h, step.h, run.res, step.res)
 	if run.copies != step.copies {
@@ -605,8 +605,13 @@ func TestTraceByteAccessCOW(t *testing.T) {
 		if o.cloneF != o.sharedF || o.cloneL != o.sharedL {
 			t.Errorf("clone's bytes moved: %d/%d, want %d/%d", o.cloneF, o.cloneL, o.sharedF, o.sharedL)
 		}
-		if o.snapF != o.sharedF || o.snapL != o.sharedL {
-			t.Errorf("snapshot's bytes moved: %d/%d, want %d/%d", o.snapF, o.snapL, o.sharedF, o.sharedL)
+		if o.frozenF != o.sharedF || o.frozenL != o.sharedL {
+			t.Errorf("frozen clone's bytes moved: %d/%d, want %d/%d", o.frozenF, o.frozenL, o.sharedF, o.sharedL)
+		}
+		o.h.resetTo(o.frozen)
+		o.frozen.m.Phys.Release()
+		if f, l := o.bytes(o.h.m.Phys); f != o.sharedF || l != o.sharedL {
+			t.Errorf("bytes after the reset onto the frozen clone: %d/%d, want %d/%d", f, l, o.sharedF, o.sharedL)
 		}
 	}
 }

@@ -47,6 +47,7 @@ func chargeForms() []chargeForm {
 		{name: "mov r,m", src: "at: mov eax, [buf]"},
 		{name: "mov m,r", src: "at: mov [buf], eax"},
 		{name: "mov m,imm", src: "at: mov [buf], 7"},
+		{name: "movb r,r", src: "at: movb eax, ebx"},
 		{name: "movb r,m", src: "at: movb eax, [buf+1]"},
 		{name: "movb m,r", src: "at: movb [buf+1], eax"},
 		{name: "push r", src: "at: push eax"},
@@ -58,6 +59,7 @@ func chargeForms() []chargeForm {
 		{name: "imul r,imm", src: "at: imul eax, 7"},
 		{name: "imul r,m", src: "at: imul eax, [buf]"},
 		{name: "xchg r,r", src: "at: xchg eax, ebx"},
+		{name: "xchgb r,r", src: "at: xchgb eax, ebx"},
 		{name: "xchg r,m", src: "at: xchg eax, [buf]"},
 		{name: "xchg m,r", src: "at: xchg [buf], eax"},
 		{name: "jmp imm", src: "at: jmp back"},

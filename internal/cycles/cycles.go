@@ -246,7 +246,7 @@ func (c *Clock) Reset() { c.cycles = 0 }
 func (c *Clock) Clone() *Clock { return &Clock{cycles: c.cycles, mhz: c.mhz} }
 
 // SetCycles rewinds (or forwards) the clock to an absolute reading;
-// used by machine snapshot/restore, never by simulated code.
+// used by machine reset, never by simulated code.
 func (c *Clock) SetCycles(v float64) { c.cycles = v }
 
 // MHz returns the clock frequency.

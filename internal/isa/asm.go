@@ -286,7 +286,7 @@ func init() {
 // byteSuffixable lists opcodes that accept the 'b' size suffix.
 var byteSuffixable = map[Op]bool{
 	MOV: true, CMP: true, ADD: true, SUB: true, AND: true, OR: true,
-	XOR: true, TEST: true, INC: true, DEC: true,
+	XOR: true, TEST: true, INC: true, DEC: true, XCHG: true,
 }
 
 func (a *assembler) instruction(line string) error {

@@ -100,8 +100,8 @@ var (
 )
 
 // kernelState is every simulated field of a Kernel, declared once:
-// Snapshot, Restore, Clone and SaveTo walk it whole (DESIGN.md,
-// "Snapshot layering"). The machine and allocator are their own layers.
+// Clone, ResetTo and SaveTo walk it whole (DESIGN.md, "Snapshot
+// layering"). The machine and allocator are their own layers.
 type kernelState struct {
 	nextPID int
 	cur     *Process
@@ -113,8 +113,8 @@ type kernelState struct {
 	nextGate    int
 
 	// svcSyscallAddr / svcKSvcAddr are the service addresses of the two
-	// kernel-owned trusted endpoints; Clone re-registers handlers bound
-	// to the cloned kernel at these addresses.
+	// kernel-owned trusted endpoints (syscallEndpoint and
+	// kernelServiceEndpoint).
 	svcSyscallAddr uint32
 	svcKSvcAddr    uint32
 
@@ -181,17 +181,25 @@ type Kernel struct {
 	// tickFns receive timer ticks (extension budget policing).
 	tickFns []func() error
 
-	// endpoints are the kernel-owned trusted endpoints (system call,
-	// kernel service) and onTick the timer hook, each bound to this
-	// kernel; bindEndpoints installs them on the machine.
-	endpoints [2]*cpu.Service
-	onTick    func(*cpu.Machine) error
+	// origin is the kernel this one was cloned from, and originTicks
+	// how many tick subscribers it had then: when origin resets onto
+	// this kernel (a transaction's rollback), it keeps those.
+	// clonedProcs pairs each process struct this kernel was cloned with
+	// and the one origin held for the same PID. A reset onto origin
+	// restores each process into this kernel's struct, and origin's
+	// rollback onto this kernel into origin's, so pointers held outside
+	// the kernel (core.App.P, a web server's CGI helper) stay valid even
+	// after an exit dropped a process from the table.
+	origin      *Kernel
+	originTicks int
+	clonedProcs []clonedProc
+}
 
-	// resetProcs are the process structs a clone started with, by PID:
-	// ResetTo restores each in place, even after an exit dropped it
-	// from the process table, because pointers to them are held
-	// outside the kernel.
-	resetProcs map[int]*Process
+// clonedProc is one process of a clone: its PID, the clone's struct and
+// the origin's.
+type clonedProc struct {
+	pid         int
+	own, origin *Process
 }
 
 // New boots a kernel: physical memory, GDT, IDT, the kernel template
@@ -263,26 +271,28 @@ func New(model *cycles.Model) (*Kernel, error) {
 
 	// Timer plumbing: one simulated tick per ~0.1 ms.
 	machine.TickCycles = 20_000
-	k.bindEndpoints()
+	machine.RegisterService(svcSyscall, syscallEndpoint)
+	machine.RegisterService(svcKSvc, kernelServiceEndpoint)
+	k.own(machine)
 	return k, nil
 }
 
-// bindEndpoints registers the kernel-owned trusted endpoints and the
-// timer hook, with handlers bound to this kernel, on its machine. A
-// cloned or reset machine carries its source's handlers, which close
-// over the source kernel, so Clone and ResetTo call this too.
-func (k *Kernel) bindEndpoints() {
-	if k.onTick == nil {
-		k.endpoints = [2]*cpu.Service{
-			{Name: "syscall", Kind: cpu.ServiceInt, Handler: k.syscallEntry},
-			{Name: "kernel-service", Kind: cpu.ServiceInt, Handler: k.kernelServiceEntry},
-		}
-		k.onTick = func(*cpu.Machine) error { return k.timerTick() }
-	}
-	k.Machine.RegisterService(k.svcSyscallAddr, k.endpoints[0])
-	k.Machine.RegisterService(k.svcKSvcAddr, k.endpoints[1])
-	k.Machine.OnTick = k.onTick
-}
+// The kernel-owned trusted endpoints (system call, kernel service) and
+// the timer hook are shared by every kernel: each call finds its kernel
+// as the machine's Owner, so a cloned or reset machine carries them
+// unchanged and only needs an owner (own).
+var (
+	syscallEndpoint = &cpu.Service{Name: "syscall", Kind: cpu.ServiceInt,
+		Handler: func(m *cpu.Machine) error { return m.Owner.(*Kernel).syscallEntry(m) }}
+	kernelServiceEndpoint = &cpu.Service{Name: "kernel-service", Kind: cpu.ServiceInt,
+		Handler: func(m *cpu.Machine) error { return m.Owner.(*Kernel).kernelServiceEntry(m) }}
+)
+
+func timerHook(m *cpu.Machine) error { return m.Owner.(*Kernel).timerTick() }
+
+// own makes k the owner of machine m and installs the timer hook,
+// which Clone leaves unset.
+func (k *Kernel) own(m *cpu.Machine) { m.Owner, m.OnTick = k, timerHook }
 
 // allocServiceAddr hands out a unique kernel-space linear address for
 // a trusted service endpoint (no backing page needed).
@@ -444,8 +454,9 @@ func (k *Kernel) ArmExtLimit(deadline float64) (prev float64) {
 func (k *Kernel) DisarmExtLimit(prev float64) { k.extDeadline = prev }
 
 // OnTimerTick registers a tick subscriber and returns a removal func.
-// Removal is bounds-checked: a snapshot rollback may truncate the
-// subscriber list under a still-pending removal (the rolled-back
+// Removal is bounds-checked: ResetTo onto a frozen clone (a
+// transaction's rollback) drops the subscribers registered after the
+// freeze, possibly under a still-pending removal (the rolled-back
 // timeline's registration no longer exists).
 func (k *Kernel) OnTimerTick(fn func() error) func() {
 	k.tickFns = append(k.tickFns, fn)

@@ -588,6 +588,49 @@ func TestTimerTickSubscribers(t *testing.T) {
 	}
 }
 
+// TestResetToFrozenClone pins a rollback onto a clone frozen from the
+// kernel itself: the subscribers registered before the freeze keep
+// running, those registered after it are dropped (their removal funcs
+// stay safe to call), and a process that exited after the freeze comes
+// back in its original struct. A clone reset to its template keeps no
+// subscriber, as a fresh clone has none.
+func TestResetToFrozenClone(t *testing.T) {
+	k, p := bootWithProc(t)
+	before, after := 0, 0
+	k.OnTimerTick(func() error { before++; return nil })
+	frozen, err := k.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel := k.OnTimerTick(func() error { after++; return nil })
+	k.Exit(p, 1)
+
+	k.ResetTo(frozen)
+	frozen.Phys.Release()
+	if k.Process(p.PID) != p || p.Exited {
+		t.Errorf("process %d after rollback: %p (exited %v), want its original struct %p alive",
+			p.PID, k.Process(p.PID), p.Exited, p)
+	}
+	if err := k.timerTick(); err != nil || before != 1 || after != 0 {
+		t.Fatalf("tick after rollback: err=%v before=%d after=%d, want 1 and 0", err, before, after)
+	}
+	cancel()
+	if err := k.timerTick(); err != nil || before != 2 {
+		t.Errorf("removing a rolled-back registration disturbed an earlier one: before=%d", before)
+	}
+
+	c, err := k.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := 0
+	c.OnTimerTick(func() error { own++; return nil })
+	c.ResetTo(k)
+	if err := c.timerTick(); err != nil || own != 0 || before != 2 {
+		t.Errorf("clone reset to its template ran subscribers: own=%d template's=%d", own, before-2)
+	}
+}
+
 func TestInstallCallGateAndSegmentPair(t *testing.T) {
 	k := boot(t)
 	gate, err := k.InstallCallGate(3, ACodeSel, 0x1234)

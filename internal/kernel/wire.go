@@ -1,5 +1,5 @@
 // Snapshot-to-bytes serialization of the kernel. Like Clone and
-// Restore, the byte image carries the kernel's state value — process
+// ResetTo, the byte image carries the kernel's state value — process
 // table, cursors, cost sheet, console — plus the allocator and the
 // whole machine (cpu + mmu + clock + physical frames). What a byte
 // stream cannot carry are the Go closures the kernel is made of:
@@ -111,8 +111,8 @@ func costsFields(c *CostSheet) []*float64 {
 // deterministically booted twin. The image decodes into a staged state
 // value that is validated against the twin and then applied whole, so a
 // corrupt image never yields a half-restored kernel. Processes the twin
-// has under the same PID are restored in place, as Snapshot/Restore
-// does, and keep the twin's signal handlers; new processes have none.
+// has under the same PID are restored in place, as ResetTo does, and
+// keep the twin's signal handlers; new processes have none.
 func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	ktCR3 := d.U32()
 	if d.Err() == nil && ktCR3 != k.kernelTemplate.CR3() {
@@ -236,8 +236,26 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 
 	live := k.procs
 	k.kernelState = s
-	k.restoreInPlace(live, true)
+	k.restoreInPlace(live)
 	return nil
+}
+
+// restoreInPlace moves each loaded process into the struct that held
+// the same PID in live, so pointers to it stay valid, keeping that
+// struct's signal handler, which a byte image cannot carry.
+func (k *Kernel) restoreInPlace(live map[int]*Process) {
+	for pid, p := range k.procs {
+		orig := live[pid]
+		if orig == nil {
+			continue
+		}
+		p.SignalHandler = orig.SignalHandler
+		*orig = *p
+		k.procs[pid] = orig
+		if k.cur == p {
+			k.cur = orig
+		}
+	}
 }
 
 func checkKeySet(d *mem.Dec, what string, m map[uint32]SyscallFn) error {

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// TestSnapshotFreezesImageAndRestores: a clone frozen from p keeps p's
+// image while p diverges, and a reset onto it brings that image back,
+// as often as asked.
 func TestSnapshotFreezesImageAndRestores(t *testing.T) {
 	p := NewPhysical()
 	p.WriteBytes(0x1000, []byte("hello"))
@@ -13,47 +16,40 @@ func TestSnapshotFreezesImageAndRestores(t *testing.T) {
 	framesBefore := p.FrameCount()
 	fpBefore := p.Fingerprint()
 
-	s := p.Snapshot()
+	s := p.Clone()
 	p.WriteBytes(0x1000, []byte("WORLD"))
-	p.Write8(0x80_0000, 7) // fresh frame after the snapshot
+	p.Write8(0x80_0000, 7) // fresh frame after the freeze
 	if got := string(p.ReadBytes(0x1000, 5)); got != "WORLD" {
-		t.Fatalf("post-snapshot write lost: %q", got)
+		t.Fatalf("post-freeze write lost: %q", got)
+	}
+	if got := string(s.ReadBytes(0x1000, 5)); got != "hello" {
+		t.Fatalf("frozen clone saw the write: %q", got)
 	}
 
-	p.Restore(s)
+	p.ResetTo(s)
 	if got := string(p.ReadBytes(0x1000, 5)); got != "hello" {
-		t.Errorf("restore: got %q, want hello", got)
+		t.Errorf("reset: got %q, want hello", got)
 	}
 	if p.Read32(0x40_0000) != 0xdeadbeef {
-		t.Errorf("restore lost second chunk word")
+		t.Errorf("reset lost second chunk word")
 	}
 	if p.FrameCount() != framesBefore {
 		t.Errorf("FrameCount = %d, want %d", p.FrameCount(), framesBefore)
 	}
 	if p.Fingerprint() != fpBefore {
-		t.Errorf("fingerprint differs after restore")
+		t.Errorf("fingerprint differs after reset")
 	}
 
-	// The snapshot stays valid: diverge and restore again.
+	// The frozen clone stays valid: diverge and reset again.
 	p.Write8(0x1000, 'X')
-	p.Restore(s)
+	p.ResetTo(s)
 	if got := p.Read8(0x1000); got != 'h' {
-		t.Errorf("second restore: got %q", got)
+		t.Errorf("second reset: got %q", got)
 	}
 	s.Release()
-}
-
-func TestRestoreReleasedSnapshotPanics(t *testing.T) {
-	p := NewPhysical()
-	p.Write8(0, 1)
-	s := p.Snapshot()
-	s.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("Restore after Release did not panic")
-		}
-	}()
-	p.Restore(s)
+	if n := p.SoleOwnerFrames(); n != p.FrameCount() {
+		t.Errorf("%d of %d frames sole-owned after releasing the frozen clone", n, p.FrameCount())
+	}
 }
 
 func TestCloneIsIndependentAndBitIdentical(t *testing.T) {
@@ -102,7 +98,7 @@ func TestReadsNeverCopyFrames(t *testing.T) {
 func TestReleaseRestoresInPlaceWrites(t *testing.T) {
 	p := NewPhysical()
 	p.Write8(0, 1)
-	s := p.Snapshot()
+	s := p.Clone()
 	s.Release()
 	p.Write8(0, 2) // sole owner again: no copy
 	if _, copies, _ := p.COWStats(); copies != 0 {
@@ -110,9 +106,39 @@ func TestReleaseRestoresInPlaceWrites(t *testing.T) {
 	}
 }
 
+// TestReleaseToRecyclesFrozenFrames: releasing a frozen clone into the
+// Physical it was frozen from hands that Physical the frames only the
+// clone still held, and its next copy-on-write fault reuses one with
+// the right bytes, leaving the clone's image alone.
+func TestReleaseToRecyclesFrozenFrames(t *testing.T) {
+	p := NewPhysical()
+	p.Write32(0, 1)
+	s := p.Clone()
+	p.Write32(0, 2) // the fault leaves s alone holding the old frame
+	s.ReleaseTo(p)
+	if len(p.free) != 1 {
+		t.Fatalf("free list holds %d frames after the release, want 1", len(p.free))
+	}
+	if sole, n := p.SoleOwnerFrames(), p.FrameCount(); sole != n {
+		t.Fatalf("%d of %d frames sole-owned after the release", sole, n)
+	}
+
+	s = p.Clone()
+	p.Write32(4, 3) // faults a copy off the recycled frame
+	if len(p.free) != 0 {
+		t.Errorf("the fault left %d frames on the free list, want 0", len(p.free))
+	}
+	if p.Read32(0) != 2 || p.Read32(4) != 3 || s.Read32(0) != 2 || s.Read32(4) != 0 {
+		t.Errorf("words %d/%d live, %d/%d frozen; want 2/3 and 2/0",
+			p.Read32(0), p.Read32(4), s.Read32(0), s.Read32(4))
+	}
+	s.ReleaseTo(p)
+}
+
 // TestCOWHammerConcurrentClones is the -race leg's core target: many
 // goroutines writing and reading through clones that share frames with
-// one template, while snapshots are taken and restored on the side.
+// one template, while each clone freezes a clone of itself and resets
+// onto it on the side.
 func TestCOWHammerConcurrentClones(t *testing.T) {
 	p := NewPhysical()
 	const pages = 128
@@ -129,7 +155,7 @@ func TestCOWHammerConcurrentClones(t *testing.T) {
 		wg.Add(1)
 		go func(id uint32, q *Physical) {
 			defer wg.Done()
-			s := q.Snapshot()
+			s := q.Clone()
 			defer s.Release()
 			for round := 0; round < 3; round++ {
 				for i := uint32(0); i < pages; i++ {
@@ -141,10 +167,10 @@ func TestCOWHammerConcurrentClones(t *testing.T) {
 						return
 					}
 				}
-				q.Restore(s)
+				q.ResetTo(s)
 				for i := uint32(0); i < pages; i++ {
 					if got := q.Read32(i * PageSize); got != i {
-						errs <- fmt.Errorf("clone %d after restore: page %d = %d", id, i, got)
+						errs <- fmt.Errorf("clone %d after reset: page %d = %d", id, i, got)
 						return
 					}
 				}

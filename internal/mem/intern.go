@@ -80,7 +80,7 @@ func (s *FrameStore) Hits() uint64 {
 // Frame contents and Fingerprint are unchanged; replaced frames
 // become COW-shared, so later writes fault a private copy off first.
 func (p *Physical) Intern(s *FrameStore) (replaced int) {
-	for ci := range p.root {
+	for ci := range &p.root {
 		if p.root[ci] == nil {
 			continue
 		}
@@ -114,11 +114,11 @@ func (p *Physical) Intern(s *FrameStore) (replaced int) {
 func ResidentFrames(ps ...*Physical) (naive, unique int) {
 	seen := make(map[*frame]struct{})
 	for _, p := range ps {
-		for _, c := range p.root {
+		for _, c := range &p.root {
 			if c == nil {
 				continue
 			}
-			for _, f := range c.frames {
+			for _, f := range &c.frames {
 				if f != nil {
 					naive++
 					seen[f] = struct{}{}

@@ -3,12 +3,13 @@
 // on first touch, so a 4 GB physical address space costs only what is
 // actually used.
 //
-// The frame store is copy-on-write: Snapshot freezes the current frame
-// table into an immutable parent, Clone derives a new Physical sharing
-// every frame with its source, and the first write through a shared
-// frame clones just that frame. Whole-machine snapshot/restore
-// (internal/cpu, internal/kernel, internal/core) and O(1) fleet machine
-// cloning (internal/fleet) are built on this layer.
+// The frame store is copy-on-write: Clone derives a new Physical
+// sharing every frame with its source, the first write through a
+// shared frame clones just that frame, and ResetTo rewinds a Physical
+// onto another of its lineage. Whole-machine cloning, reset and
+// transaction rollback (internal/cpu, internal/kernel, internal/core)
+// and O(1) fleet machine cloning (internal/fleet) are built on this
+// layer.
 package mem
 
 import (
@@ -42,8 +43,8 @@ const (
 
 // frame is one 4 KB physical page frame. refs counts how many chunk
 // tables reference it; a frame is written in place only while that
-// count is 1, so a frame reachable from a snapshot or a clone is
-// immutable until the writer clones it off (the COW write fault).
+// count is 1, so a frame reachable from a clone is immutable until the
+// writer clones it off (the COW write fault).
 // The count is atomic because clones run on different goroutines.
 type frame struct {
 	refs atomic.Int32
@@ -65,9 +66,9 @@ type frame struct {
 //
 // The tradeoff: a slab is retained while ANY of its frames is
 // referenced, so a workload that releases almost all of a machine's
-// memory but pins a few scattered frames (a sparse long-lived
-// snapshot) can retain up to frameSlabSize× the frame bytes the
-// refcounts say are live. The same holds for interning: a FrameStore
+// memory but pins a few scattered frames (a sparse long-lived clone)
+// can retain up to frameSlabSize× the frame bytes the refcounts say are
+// live. The same holds for interning: a FrameStore
 // canonical frame pins its whole slab for as long as the store lives.
 // Machines are normally retained or released wholesale, where the slab
 // granule costs nothing.
@@ -104,10 +105,9 @@ func (p *Physical) takeFrame(zero bool) *frame {
 }
 
 // physChunk is one 4 MB-aligned slice of the frame table. refs counts
-// how many frame tables (Physicals and Snapshots) reference the chunk;
-// the frames array is mutated only while that count is 1. Sharing is
-// two-level so Snapshot/Clone touch only the ~1k chunk pointers, not
-// every frame.
+// how many frame tables (Physicals) reference the chunk; the frames
+// array is mutated only while that count is 1. Sharing is two-level so
+// Clone touches only the ~1k chunk pointers, not every frame.
 type physChunk struct {
 	refs   atomic.Int32
 	frames [physChunkSize]*frame
@@ -121,10 +121,18 @@ func newChunk() *physChunk {
 
 // releaseChunk drops one reference to c, cascading a frame release when
 // the chunk itself dies.
-func releaseChunk(c *physChunk) {
+func releaseChunk(c *physChunk) { releaseChunkTo(c, nil) }
+
+// releaseChunkTo is releaseChunk that hands each frame the cascade
+// releases to sink.dropFrame, when sink is set, so sink can reuse it.
+func releaseChunkTo(c *physChunk, sink *Physical) {
 	if c.refs.Add(-1) == 0 {
-		for _, f := range c.frames {
-			if f != nil {
+		for _, f := range &c.frames {
+			switch {
+			case f == nil:
+			case sink != nil:
+				sink.dropFrame(f)
+			default:
 				f.refs.Add(-1)
 			}
 		}
@@ -136,20 +144,22 @@ type Physical struct {
 	root    [physRootSize]*physChunk
 	touched int
 
-	// cowCopies counts frames cloned by write faults; snapshots counts
-	// Snapshot calls; deduped counts frames folded onto a canonical
-	// FrameStore frame by Intern (diagnostics only — COW and interning
-	// charge no simulated cycles, so the non-snapshot paths stay
-	// bit-identical).
+	// cowCopies counts frames cloned by write faults; deduped counts
+	// frames folded onto a canonical FrameStore frame by Intern
+	// (diagnostics only — COW and interning charge no simulated
+	// cycles). snapshots is kept for the byte image's wire layout and
+	// COWStats's shape; nothing advances it any more, so it reads 0
+	// unless a loaded image carried a count.
 	cowCopies uint64
 	snapshots uint64
 	deduped   uint64
 
 	// onRestore, when set (by the MMU observing this memory), runs
-	// after every Restore so translation-keyed decode state (the CPU's
-	// decoded-block cache generation) is invalidated: the restored
-	// frame table may back the same physical addresses with different
-	// bytes and different installed code.
+	// after every image load (LoadFrom, LoadBytes, AdoptImage) so
+	// translation-keyed decode state (the CPU's decoded-block cache
+	// generation) is invalidated: the loaded frame table may back the
+	// same physical addresses with different bytes and different
+	// installed code.
 	onRestore func()
 
 	// slab batches frame allocation; slabLen is the size of the last
@@ -169,13 +179,15 @@ func NewPhysical() *Physical {
 	return &Physical{}
 }
 
-// OnRestore registers the restore hook (one consumer: the MMU).
+// OnRestore registers the hook an image load fires (one consumer: the
+// MMU). ResetTo fires no hook: its caller decides which generations
+// advance.
 func (p *Physical) OnRestore(fn func()) { p.onRestore = fn }
 
 // exclusiveChunk returns the chunk covering frame number fn with this
 // Physical as its sole owner, creating it when absent and splitting it
-// off when it is shared with a snapshot or a clone (the chunk-level
-// half of the COW write fault).
+// off when it is shared with a clone (the chunk-level half of the COW
+// write fault).
 func (p *Physical) exclusiveChunk(fn uint32) *physChunk {
 	ci := fn >> physChunkBits
 	c := p.root[ci]
@@ -189,7 +201,7 @@ func (p *Physical) exclusiveChunk(fn uint32) *physChunk {
 	}
 	nc := newChunk()
 	nc.frames = c.frames
-	for _, f := range nc.frames {
+	for _, f := range &nc.frames {
 		if f != nil {
 			f.refs.Add(1)
 		}
@@ -204,7 +216,7 @@ func (p *Physical) exclusiveChunk(fn uint32) *physChunk {
 
 // readFrame returns the frame backing pa for reading. An absent frame
 // is allocated zeroed, exactly as the pre-COW store did, so FrameCount
-// accounting is unchanged on non-snapshot paths.
+// accounting does not depend on sharing.
 func (p *Physical) readFrame(pa uint32) *[PageSize]byte {
 	fn := pa >> PageShift
 	if c := p.root[fn>>physChunkBits]; c != nil {
@@ -243,50 +255,6 @@ func (p *Physical) writeFrame(pa uint32) *[PageSize]byte {
 	return &f.data
 }
 
-// Snapshot freezes the current frame table into an immutable parent:
-// every chunk becomes shared, so later writes through this Physical
-// (or any clone) fault their frame off before mutating it. Snapshots
-// charge no simulated cycles and leave all simulated metrics
-// untouched. Call Release when the snapshot is no longer needed so
-// frames stop being treated as shared.
-func (p *Physical) Snapshot() *Snapshot {
-	s := &Snapshot{touched: p.touched}
-	s.root = p.root
-	for _, c := range s.root {
-		if c != nil {
-			c.refs.Add(1)
-		}
-	}
-	p.snapshots++
-	return s
-}
-
-// Restore resets the memory image to exactly the snapshot's state and
-// fires the restore hook (invalidating translation-keyed decode state
-// in the MMU's consumers). The snapshot stays valid and can be
-// restored again.
-func (p *Physical) Restore(s *Snapshot) {
-	if s.released {
-		panic("mem: restoring a released snapshot")
-	}
-	old := p.root
-	p.root = s.root
-	for _, c := range p.root {
-		if c != nil {
-			c.refs.Add(1)
-		}
-	}
-	for _, c := range old {
-		if c != nil {
-			releaseChunk(c)
-		}
-	}
-	p.touched = s.touched
-	if p.onRestore != nil {
-		p.onRestore()
-	}
-}
-
 // Clone derives a new Physical whose initial contents are bit-identical
 // to p, sharing every frame copy-on-write. The cost is O(chunks), not
 // O(bytes): this is what makes whole-machine cloning O(1) in the size
@@ -295,7 +263,7 @@ func (p *Physical) Restore(s *Snapshot) {
 func (p *Physical) Clone() *Physical {
 	q := &Physical{touched: p.touched}
 	q.root = p.root
-	for _, c := range q.root {
+	for _, c := range &q.root {
 		if c != nil {
 			c.refs.Add(1)
 		}
@@ -303,16 +271,18 @@ func (p *Physical) Clone() *Physical {
 	return q
 }
 
-// ResetTo rewinds p in place to the contents of t, the Physical it
-// was cloned from. Only chunks that stopped being shared with t are
+// ResetTo rewinds p in place to the contents of t, either the Physical
+// it was cloned from or a frozen clone of p (a transaction's rollback;
+// releasing that clone afterwards makes p's untouched frames sole-owned
+// again). Only chunks that stopped being shared with t are
 // walked, and only frames that differ from t's are touched:
 //
 //   - a frame p owns alone gets t's bytes copied into it, so the next
 //     write to that page needs no copy-on-write fault;
 //   - a frame t lacks is dropped, onto the free list when nothing else
 //     references it and the list has room;
-//   - anything else (a chunk or frame still shared with a snapshot of
-//     p, a canonical interned frame) is re-shared with t.
+//   - anything else (a chunk or frame still shared with another clone,
+//     a canonical interned frame) is re-shared with t.
 //
 // The touched count is t's and the copy-on-write diagnostics restart
 // from zero, exactly as for a fresh Clone, so p is then
@@ -335,7 +305,7 @@ func (p *Physical) ResetTo(t *Physical) {
 			}
 			continue
 		case tc == nil:
-			for _, f := range pc.frames {
+			for _, f := range &pc.frames {
 				if f != nil {
 					p.dropFrame(f)
 				}
@@ -379,28 +349,6 @@ func (p *Physical) dropFrame(f *frame) {
 	}
 }
 
-// Snapshot is an immutable frozen frame table.
-type Snapshot struct {
-	root     [physRootSize]*physChunk
-	touched  int
-	released bool
-}
-
-// Release drops the snapshot's frame references; restoring it
-// afterwards panics. Releasing lets sole-owner frames be written in
-// place again instead of being COW-cloned forever.
-func (s *Snapshot) Release() {
-	if s.released {
-		return
-	}
-	s.released = true
-	for _, c := range s.root {
-		if c != nil {
-			releaseChunk(c)
-		}
-	}
-}
-
 // ForEachPageRun invokes fn once per maximal page-contained run of
 // [addr, addr+n): fn(runAddr, runLen) with runLen clamped so a run
 // never crosses a page boundary. It is the single implementation of
@@ -424,7 +372,7 @@ func ForEachPageRun(addr uint32, n int, fn func(addr uint32, n int) error) error
 
 // FrameView returns the whole 4 KB frame containing pa for READING.
 // The caller must not write through it: a viewed frame may be shared
-// copy-on-write with snapshots or clones (use FrameMut for writing).
+// copy-on-write with clones (use FrameMut for writing).
 // Like every read, an absent frame is allocated zeroed. Bulk scanners
 // (page-table walks, fingerprinting, copies) use this to replace
 // word-at-a-time Read32 loops with direct frame access.
@@ -448,10 +396,9 @@ func (p *Physical) FrameMut(pa uint32) *[PageSize]byte {
 // write can replace the frame underneath a held pointer. A shared
 // frame is still returned — valid for this one read — but must not be
 // cached: a later write to the same page would clone the frame and
-// leave the held pointer reading frozen snapshot bytes. The CPU's
+// leave the held pointer reading the clone's frozen bytes. The CPU's
 // trace tier uses this to pin frames for a dispatch, during which
-// nothing can newly share a frame (Snapshot and Clone never run
-// mid-dispatch).
+// nothing can newly share a frame (Clone never runs mid-dispatch).
 func (p *Physical) FrameViewStable(pa uint32) (*[PageSize]byte, bool) {
 	fn := pa >> PageShift
 	if c := p.root[fn>>physChunkBits]; c != nil {
@@ -565,8 +512,9 @@ func (p *Physical) Zero(pa uint32, n int) {
 // FrameCount reports how many frames have been touched.
 func (p *Physical) FrameCount() int { return p.touched }
 
-// COWStats reports copy-on-write diagnostics: snapshots taken on this
-// Physical, frames cloned by write faults, and resident frames
+// COWStats reports copy-on-write diagnostics: the snapshot count (0
+// unless a loaded image carried one; nothing takes snapshots), frames
+// cloned by write faults, and resident frames
 // replaced by content-addressed interning (Intern) — dedupedFrames is
 // how many private frames this Physical gave up in favor of canonical
 // FrameStore frames.
@@ -585,11 +533,11 @@ func (p *Physical) Fingerprint() uint64 {
 	var h maphash.Hash
 	h.SetSeed(fingerprintSeed)
 	var idx [4]byte
-	for ci, c := range p.root {
+	for ci, c := range &p.root {
 		if c == nil {
 			continue
 		}
-		for fi, f := range c.frames {
+		for fi, f := range &c.frames {
 			if f == nil {
 				continue
 			}
@@ -658,21 +606,4 @@ func (a *FrameAllocator) Clone() *FrameAllocator {
 func (a *FrameAllocator) ResetTo(t *FrameAllocator) {
 	a.next, a.limit = t.next, t.limit
 	a.free = append(a.free[:0], t.free...)
-}
-
-// AllocatorState is a FrameAllocator snapshot.
-type AllocatorState struct {
-	next uint32
-	free []uint32
-}
-
-// Save captures the allocator state.
-func (a *FrameAllocator) Save() AllocatorState {
-	return AllocatorState{next: a.next, free: slices.Clone(a.free)}
-}
-
-// RestoreState rewinds the allocator to a saved state.
-func (a *FrameAllocator) RestoreState(s AllocatorState) {
-	a.next = s.next
-	a.free = append(a.free[:0], s.free...)
 }

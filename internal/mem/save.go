@@ -36,22 +36,22 @@ var zeroPage [PageSize]byte
 //	cowCopies u64 | snapshots u64 | deduped u64
 func (p *Physical) SaveTo(e *Enc) {
 	n := 0
-	for _, c := range p.root {
+	for _, c := range &p.root {
 		if c == nil {
 			continue
 		}
-		for _, f := range c.frames {
+		for _, f := range &c.frames {
 			if f != nil {
 				n++
 			}
 		}
 	}
 	e.U32(uint32(n))
-	for ci, c := range p.root {
+	for ci, c := range &p.root {
 		if c == nil {
 			continue
 		}
-		for fi, f := range c.frames {
+		for fi, f := range &c.frames {
 			if f == nil {
 				continue
 			}
@@ -74,8 +74,7 @@ func (p *Physical) SaveTo(e *Enc) {
 // frame table first; on any error the receiver is untouched — a
 // corrupt image can never produce a half-loaded memory. On success the
 // previous frame table is released and the restore hook fires (the
-// MMU invalidates translation-keyed decode state, exactly as after
-// Restore).
+// MMU invalidates translation-keyed decode state).
 func (p *Physical) LoadFrom(d *Dec) error {
 	staging, err := decodePhysical(d)
 	if err != nil {
@@ -176,7 +175,7 @@ func (p *Physical) adopt(staging *Physical) {
 	p.cowCopies = staging.cowCopies
 	p.snapshots = staging.snapshots
 	p.deduped = staging.deduped
-	for _, c := range old {
+	for _, c := range &old {
 		if c != nil {
 			releaseChunk(c)
 		}
@@ -223,10 +222,17 @@ func (p *Physical) LoadBytes(data []byte) error {
 // (leaked frames). The unused slab tail and the free list are dropped
 // too, so a released Physical that is still referenced pins no frame
 // memory.
-func (p *Physical) Release() {
-	for ci, c := range p.root {
+func (p *Physical) Release() { p.ReleaseTo(nil) }
+
+// ReleaseTo is Release for a clone frozen from q (a transaction's
+// frozen clone), called by the goroutine that owns q: each frame whose
+// last reference p held goes on q's free list while it has room, so
+// q's next copy-on-write faults reuse the frames the frozen clone kept
+// instead of allocating new ones.
+func (p *Physical) ReleaseTo(q *Physical) {
+	for ci, c := range &p.root {
 		if c != nil {
-			releaseChunk(c)
+			releaseChunkTo(c, q)
 			p.root[ci] = nil
 		}
 	}
@@ -237,17 +243,17 @@ func (p *Physical) Release() {
 
 // SoleOwnerFrames reports how many resident frames this Physical can
 // write in place — both the chunk and the frame are unshared. After
-// every clone and snapshot of a template has been released, this must
+// every clone of a template has been released, this must
 // equal FrameCount: anything less means a discarded clone leaked
 // references (the falsely-shared-frame bug the churn tests hammer).
 func (p *Physical) SoleOwnerFrames() int {
 	n := 0
-	for _, c := range p.root {
+	for _, c := range &p.root {
 		if c == nil {
 			continue
 		}
 		sole := c.refs.Load() == 1
-		for _, f := range c.frames {
+		for _, f := range &c.frames {
 			if f != nil && sole && f.refs.Load() == 1 {
 				n++
 			}

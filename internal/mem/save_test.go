@@ -21,8 +21,9 @@ func scribble(p *Physical) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := NewPhysical()
 	scribble(p)
-	p.Snapshot().Release()
-	p.Write8(0, 9) // nonzero cowCopies via released-snapshot history
+	c := p.Clone()
+	p.Write8(0, 9) // nonzero cowCopies: the write faults the frame off c
+	c.Release()
 	img := p.SaveBytes()
 
 	q := NewPhysical()

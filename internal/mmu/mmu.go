@@ -30,7 +30,7 @@ type MMU struct {
 
 	// segGen counts only the events that can change the outcome of a
 	// SEGMENT-level check: GDT/LDT descriptor mutations, LDT switches,
-	// and whole-image restores. The decoded-block cache tags blocks
+	// and image loads. The decoded-block cache tags blocks
 	// with it (a block's build-time segment checks stay valid while it
 	// is unchanged), and SegProbes validate against it. Page-level
 	// events (CR3 loads, invlpg) deliberately do NOT advance it: the
@@ -60,54 +60,15 @@ func New(phys *mem.Physical, gdtSize int, clock *cycles.Clock, model *cycles.Mod
 		WriteProtect: true,
 	}
 	m.GDT.onMutate = m.bumpSegGen
-	// COW plumbing: restoring the frame store can put different bytes
-	// (and different installed code) behind live physical addresses, so
-	// a restore must advance both generations — every decoded block
-	// tagged with an older segment generation then misses and rebuilds
-	// from the restored image. TLB entries key physical *addresses*,
-	// which COW never changes, so the TLB needs no flush here; its
-	// contents are restored wholesale by RestoreState.
+	// Loading a byte image (mem.Physical.LoadFrom) can put different
+	// bytes (and different installed code) behind live physical
+	// addresses, so it must advance both generations — every decoded
+	// block tagged with an older segment generation then misses and
+	// rebuilds from the loaded image. TLB entries key physical
+	// *addresses*, which the image load never changes, so the TLB needs
+	// no flush here; the machine's LoadFrom decodes its contents.
 	phys.OnRestore(m.bumpSegGen)
 	return m
-}
-
-// MMUState is a snapshot of the translation state: descriptor tables,
-// TLB contents and counters, current address space and control bits.
-type MMUState struct {
-	gdt   []Descriptor // shared copy-on-write with the GDT (Table.Snapshot)
-	ldt   *Table       // cloned LDT, nil when none was installed
-	tlb   *TLB
-	space *AddressSpace
-	wp    bool
-}
-
-// SaveState snapshots the MMU. The translation generation is *not*
-// captured: it is monotonic so that decoded blocks from any abandoned
-// timeline can never tag-match again.
-func (m *MMU) SaveState() *MMUState {
-	s := &MMUState{gdt: m.GDT.Snapshot(), tlb: m.tlb.Clone(), space: m.space, wp: m.WriteProtect}
-	if m.LDT != nil {
-		s.ldt = m.LDT.Clone()
-	}
-	return s
-}
-
-// RestoreState rewinds the MMU to a saved state and advances the
-// generation (via the GDT restore's mutate hook) so stale decoded
-// blocks are invalidated. No cycle costs are charged and no TLB
-// statistics move: restore is a simulator-level operation, invisible
-// to the simulated timeline.
-func (m *MMU) RestoreState(s *MMUState) {
-	m.GDT.RestoreEntries(s.gdt) // fires bumpSegGen
-	if s.ldt == nil {
-		m.LDT = nil
-	} else {
-		m.LDT = s.ldt.Clone()
-		m.LDT.onMutate = m.bumpSegGen
-	}
-	m.tlb.restoreFrom(s.tlb)
-	m.space = s.space
-	m.WriteProtect = s.wp
 }
 
 // Clone copies the MMU onto a cloned machine's physical memory and
@@ -125,24 +86,25 @@ func (m *MMU) Clone(phys *mem.Physical, clock *cycles.Clock) *MMU {
 		segGen:       m.segGen,
 		WriteProtect: m.WriteProtect,
 	}
-	c.GDT.onMutate = c.bumpSegGen
+	bump := c.bumpSegGen
+	c.GDT.onMutate = bump
 	if m.LDT != nil {
 		c.LDT = m.LDT.Clone()
-		c.LDT.onMutate = c.bumpSegGen
+		c.LDT.onMutate = bump
 	}
-	phys.OnRestore(c.bumpSegGen)
+	phys.OnRestore(bump)
 	return c
 }
 
-// ResetTo rewinds the MMU in place to t, the MMU it was cloned from:
-// descriptor tables, TLB contents and counters, and control bits. The
-// caller rebinds the current address space (AdoptSpace), as after
-// Clone. The translation generation always advances, because the TLB
-// was rewound. The segment generation advances only when a descriptor
-// table no longer shares t's entries, so blocks and probes tagged with
-// it survive a reset over untouched tables. Neither generation ever
-// moves back: a rewound generation could let a stale block match.
-// ResetTo only reads t.
+// ResetTo rewinds the MMU in place to t, either the MMU it was cloned
+// from or a frozen clone of itself: descriptor tables, TLB contents
+// and counters, and control bits. The caller rebinds the current
+// address space (AdoptSpace), as after Clone. The translation
+// generation always advances, because the TLB was rewound. The segment
+// generation advances only when a descriptor table no longer shares
+// t's entries, so blocks and probes tagged with it survive a reset over
+// untouched tables. Neither generation ever moves back: a rewound
+// generation could let a stale block match. ResetTo only reads t.
 func (m *MMU) ResetTo(t *MMU) {
 	if !m.GDT.sharesEntries(t.GDT) {
 		m.GDT.RestoreEntries(t.GDT.Snapshot()) // fires bumpSegGen
@@ -168,7 +130,7 @@ func (m *MMU) ResetTo(t *MMU) {
 // AddressSpace objects (the page-table contents, which live in
 // simulated memory, are already identical).
 //
-//lint:genbump-exempt clone and reset rebinding only: the adopted page tables are bit-identical, Clone carried the generations over, ResetTo advanced them, and restore paths bump via phys.OnRestore
+//lint:genbump-exempt clone and reset rebinding only: the adopted page tables are bit-identical, Clone carried the generations over, ResetTo advanced them, and image loads bump via phys.OnRestore
 func (m *MMU) AdoptSpace(space *AddressSpace) { m.space = space }
 
 // bumpGen advances the translation generation (see the gen field).

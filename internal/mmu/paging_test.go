@@ -73,12 +73,12 @@ type pagingWorld struct {
 
 	// parent and parentPrint are set when the world is a clone: the
 	// memory it was cloned from, and that memory's fingerprint at the
-	// moment of cloning. snap and snapPrint are the same for a world
-	// operated on under a live snapshot.
+	// moment of cloning. frozen and frozenPrint are the same for a world
+	// operated on while a frozen clone of its memory is live.
 	parent      *mem.Physical
 	parentPrint uint64
-	snap        *mem.Snapshot
-	snapPrint   uint64
+	frozen      *mem.Physical
+	frozenPrint uint64
 }
 
 func newPagingWorld(t *testing.T) *pagingWorld {
@@ -110,13 +110,13 @@ func newPagingWorld(t *testing.T) *pagingWorld {
 }
 
 // share puts the world's frames under copy-on-write sharing: "snapshot"
-// takes a live snapshot of its memory, "clone" moves the world onto a
-// Physical.Clone of it, and "private" leaves it alone.
+// freezes a clone of its memory to reset onto later, "clone" moves the
+// world onto a Physical.Clone of it, and "private" leaves it alone.
 func (w *pagingWorld) share(mode string) *pagingWorld {
 	switch mode {
 	case "snapshot":
-		w.snapPrint = w.phys.Fingerprint()
-		w.snap = w.phys.Snapshot()
+		w.frozenPrint = w.phys.Fingerprint()
+		w.frozen = w.phys.Clone()
 	case "clone":
 		c := &pagingWorld{phys: w.phys.Clone(), alloc: w.alloc.Clone(), parent: w.phys, parentPrint: w.phys.Fingerprint()}
 		c.src = AdoptAddressSpace(c.phys, c.alloc, w.src.CR3())
@@ -127,17 +127,21 @@ func (w *pagingWorld) share(mode string) *pagingWorld {
 }
 
 // checkShared verifies that the operation wrote only through
-// copy-on-write splits: the clone's parent and the snapshot still hold
-// the bytes they held before it.
+// copy-on-write splits: the clone's parent and the frozen clone still
+// hold the bytes they held before it, and a reset onto the frozen clone
+// brings them back.
 func (w *pagingWorld) checkShared(t *testing.T) {
 	t.Helper()
 	if w.parent != nil && w.parent.Fingerprint() != w.parentPrint {
 		t.Error("operation on the clone changed its parent's memory")
 	}
-	if w.snap != nil {
-		w.phys.Restore(w.snap)
-		if w.phys.Fingerprint() != w.snapPrint {
-			t.Error("operation changed the snapshot's memory")
+	if w.frozen != nil {
+		if w.frozen.Fingerprint() != w.frozenPrint {
+			t.Error("operation changed the frozen clone's memory")
+		}
+		w.phys.ResetTo(w.frozen)
+		if w.phys.Fingerprint() != w.frozenPrint {
+			t.Error("reset onto the frozen clone did not bring its memory back")
 		}
 	}
 }

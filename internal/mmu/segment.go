@@ -140,7 +140,7 @@ func (d *Descriptor) Contains(off uint32, size uint32) bool {
 //
 // The entries slice is shared copy-on-write: Clone and Snapshot hand
 // out the same slice and mark it shared, and Set — the only in-place
-// writer — copies it before its first write. A clone or a saved state
+// writer — copies it before its first write. A clone or a reset
 // therefore costs no descriptor copy until one side actually changes a
 // descriptor, which a served request never does.
 type Table struct {

@@ -228,7 +228,7 @@ func (t *TLB) Stats() (hits, misses, flushes uint64) {
 }
 
 // Clone deep-copies the TLB: contents, epoch and counters. A cloned or
-// restored machine must resume with exactly this TLB state, because
+// reset machine must resume with exactly this TLB state, because
 // hit/miss behaviour feeds the charged page-walk costs — a flush
 // instead of a copy would perturb every subsequent simulated metric.
 func (t *TLB) Clone() *TLB {
@@ -237,12 +237,13 @@ func (t *TLB) Clone() *TLB {
 	return &c
 }
 
-// restoreFrom rewinds this TLB to the state of a snapshot produced by
-// Clone: its counters and live entries. The table keeps its memory.
-// The epoch is never rewound, since a slot this TLB stamped under an
-// earlier epoch would turn current again: the restore moves to a fresh
-// epoch and copies in the snapshot's live entries, so restoring an
-// empty snapshot is O(1) and allocates nothing.
+// restoreFrom rewinds this TLB to the state of s, another TLB (a
+// clone's, a template's or a decoded image's): its counters and live
+// entries. The table keeps its memory. The epoch is never rewound,
+// since a slot this TLB stamped under an earlier epoch would turn
+// current again: the restore moves to a fresh epoch and copies in s's
+// live entries, so restoring from an empty TLB is O(1) and allocates
+// nothing.
 func (t *TLB) restoreFrom(s *TLB) {
 	t.newEpoch()
 	t.hits, t.misses, t.flushes = s.hits, s.misses, s.flushes

@@ -3,8 +3,8 @@
 // counters, the current CR3 and the control bits. The translation
 // generations (gen, segGen) are deliberately NOT serialized — they are
 // monotonic so decoded blocks from an abandoned timeline can never
-// tag-match again, and a restore advances them through the same
-// RestoreEntries mutate hook a snapshot restore fires.
+// tag-match again, and a load advances them through the
+// RestoreEntries mutate hook, as ResetTo does.
 package mmu
 
 import (
@@ -161,7 +161,7 @@ func (m *MMU) SaveTo(e *mem.Enc) {
 // AS so pointer identity matches a live machine's). Everything is
 // decoded and validated before anything is applied; on error the MMU
 // is untouched. The GDT restore fires the mutate hook, advancing both
-// generations exactly as a snapshot restore does.
+// generations.
 func (m *MMU) LoadFrom(d *mem.Dec, adopt func(cr3 uint32) *AddressSpace) error {
 	wp := d.Bool()
 	gdt := loadTableEntries(d, "gdt", m.GDT.Len())

@@ -50,10 +50,10 @@ func TestServerCloneServesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServerSnapshotRestoreServingDeterministic: snapshotting
-// mid-service and restoring replays the remaining requests
-// bit-identically — the whole-machine determinism check at the top of
-// the stack.
+// TestServerSnapshotRestoreServingDeterministic: freezing a clone of
+// the system mid-service and resetting onto it replays the remaining
+// requests bit-identically — the whole-machine determinism check at the
+// top of the stack.
 func TestServerSnapshotRestoreServingDeterministic(t *testing.T) {
 	srv, err := BootServer(1024)
 	if err != nil {
@@ -64,8 +64,11 @@ func TestServerSnapshotRestoreServingDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := srv.S.Snapshot()
-	defer snap.Release()
+	frozen, err := srv.S.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frozen.K.Phys.Release()
 
 	type obs struct {
 		rates   [5]float64
@@ -88,10 +91,12 @@ func TestServerSnapshotRestoreServingDeterministic(t *testing.T) {
 		return o
 	}
 	run1 := serve()
-	srv.S.Restore(snap)
+	if err := srv.S.ResetTo(frozen); err != nil {
+		t.Fatal(err)
+	}
 	run2 := serve()
 	if run1 != run2 {
-		t.Errorf("post-restore serving diverged:\n run1 %+v\n run2 %+v", run1, run2)
+		t.Errorf("post-reset serving diverged:\n run1 %+v\n run2 %+v", run1, run2)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // Each layer keeps its simulated fields in one embedded state struct,
-// which Snapshot, Restore, Clone and the byte image walk as a whole.
+// which Clone, ResetTo and the byte image walk as a whole.
 // stateOwners names that struct per owner type and waives every other
 // field with the reason it stays outside. A field added to an owner
 // without deciding where it belongs fails TestStateCoverage.
@@ -29,7 +29,8 @@ var stateOwners = []struct {
 		"Clock":           "captured as a cycle count next to the state value",
 		"Model":           "immutable cost model shared by every machine",
 		"codeShared":      "copy-on-write flag of the shared code map",
-		"OnTick":          "closure bound to the owning kernel",
+		"OnTick":          "timer hook installed by the owning kernel",
+		"Owner":           "wiring: the kernel driving the machine",
 		"blocks":          "decoded-block cache: host-side accelerator",
 		"liveBlocks":      "decoded-block cache: host-side accelerator",
 		"blockMin":        "decoded-block cache: host-side accelerator",
@@ -62,9 +63,9 @@ var stateOwners = []struct {
 		"Alloc":          "frame allocator: captured by its own layer (mem)",
 		"kernelTemplate": "wrapper around a page directory fixed at boot",
 		"tickFns":        "closures; only their count is checked",
-		"endpoints":      "trusted endpoints bound to this kernel, re-registered on clone and reset",
-		"onTick":         "timer hook bound to this kernel, re-installed on clone and reset",
-		"resetProcs":     "a clone's own process structs, restored in place on reset",
+		"origin":         "lineage: the kernel this one was cloned from",
+		"originTicks":    "the origin's subscriber count; closures are not state",
+		"clonedProcs":    "process structs restored in place on reset and rollback",
 	}},
 	{reflect.TypeFor[core.System](), "systemState", map[string]string{
 		"K": "captured by its own layer (kernel)",
@@ -216,9 +217,9 @@ func stateDiff(path string, a, b reflect.Value) string {
 }
 
 // layerStates returns each layer's embedded state value, keyed by a
-// readable name. Snapshot/Restore covers the machine, kernel, system
-// and segments; Clone and the byte image also cover the app and the
-// server.
+// readable name. A System.ResetTo onto a frozen clone covers the
+// machine, kernel, system and segments; Clone and the byte image also
+// cover the app and the server.
 func layerStates(srv *Server, viaSnapshot bool) map[string]reflect.Value {
 	field := func(owner any, name string) reflect.Value {
 		return reflect.ValueOf(owner).Elem().FieldByName(name)
@@ -251,7 +252,7 @@ func requireSameState(t *testing.T, got, want *Server, viaSnapshot bool) {
 		}
 	}
 	a, b := stateOf(got), stateOf(want)
-	if viaSnapshot { // taking a snapshot counts in the COW statistics
+	if viaSnapshot { // a rewind restarts the COW statistics
 		a.snapshots, a.copies, b.snapshots, b.copies = 0, 0, 0, 0
 	}
 	if a != b {
@@ -307,15 +308,19 @@ func servedServer(t *testing.T, withSegment bool) *Server {
 	return srv
 }
 
-// TestStateWalksPreserveWholeState: Snapshot/Restore, Clone and the
-// byte image each reproduce every layer's whole state value, not just
-// the metrics stateOf samples, so a field one walk drops fails here.
+// TestStateWalksPreserveWholeState: a reset onto a frozen clone, Clone
+// and the byte image each reproduce every layer's whole state value,
+// not just the metrics stateOf samples, so a field one walk drops fails
+// here.
 func TestStateWalksPreserveWholeState(t *testing.T) {
 	t.Run("snapshot-restore", func(t *testing.T) {
 		srv, twin := servedServer(t, true), servedServer(t, true)
 		requireSameState(t, srv, twin, true)
-		snap := srv.S.Snapshot()
-		defer snap.Release()
+		frozen, err := srv.S.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer frozen.K.Phys.Release()
 		f, _ := srv.S.ExtensionFunction("tally")
 		f.Seg.QueueBound = 9
 		if err := f.InvokeAsync(5); err != nil {
@@ -326,7 +331,9 @@ func TestStateWalksPreserveWholeState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv.S.Restore(snap)
+		if err := srv.S.ResetTo(frozen); err != nil {
+			t.Fatal(err)
+		}
 		requireSameState(t, srv, twin, true)
 	})
 	t.Run("clone", func(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 
 // extBase carries the behavior every adapter shares: stats
 // accounting, the generic bounded async queue, transactional rollback
-// via whole-system snapshots, and release bookkeeping. Adapters plug
+// (core.System.Tx), and release bookkeeping. Adapters plug
 // in the mechanism-specific pieces.
 type extBase struct {
 	h       *Host
@@ -23,7 +23,7 @@ type extBase struct {
 	stage     func(b []byte) error
 	sharedArg uint32
 	// ownTx: doInvoke implements WithTx natively (palladium-kernel's
-	// InvokeTx), so the base must not wrap it in a second snapshot.
+	// InvokeTx), so the base must not wrap it in a second transaction.
 	ownTx bool
 	// ownAsync/ownDrain/ownPending delegate WithAsync to a native
 	// queue (the kernel segment's); nil selects the generic queue.
@@ -107,28 +107,29 @@ func (e *extBase) Invoke(arg uint32, opts ...InvokeOption) (uint32, error) {
 	return e.call(arg, cfg)
 }
 
-func (e *extBase) call(arg uint32, cfg *InvokeConfig) (uint32, error) {
+func (e *extBase) call(arg uint32, cfg *InvokeConfig) (v uint32, err error) {
 	clock := e.h.Sys.K.Clock
-	var snap *core.SystemSnapshot
-	if cfg.Tx && !e.ownTx {
-		snap = e.h.Sys.Snapshot()
-		defer snap.Release()
-	}
 	start := clock.Cycles()
-	v, err := e.doInvoke(arg, cfg)
+	rolledBack := false
+	if cfg.Tx && !e.ownTx {
+		if txErr := e.h.Sys.Tx(func() bool {
+			v, err = e.doInvoke(arg, cfg)
+			rolledBack = err != nil
+			return rolledBack
+		}); txErr != nil {
+			v, err, rolledBack = 0, txErr, false
+		}
+	} else {
+		v, err = e.doInvoke(arg, cfg)
+	}
 	e.stats.Invocations++
 	if err == nil {
 		e.stats.SimCycles += clock.Cycles() - start
 		return v, nil
 	}
 	e.stats.Faults++
-	rolledBack := false
-	if snap != nil {
-		e.h.Sys.Restore(snap)
-		rolledBack = true
-	}
-	// Accounted after the restore: a rolled-back transaction rewinds
-	// the clock to the snapshot, so it contributes nothing — matching
+	// Accounted after the rollback: a rolled-back transaction rewinds
+	// the clock to the freeze, so it contributes nothing — matching
 	// the kernel backend's native InvokeTx.
 	e.stats.SimCycles += clock.Cycles() - start
 	err = classify(e.backend, "invoke", err)

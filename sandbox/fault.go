@@ -78,8 +78,8 @@ type Fault struct {
 	// exists (nil for validation rejects, backpressure, cost-model
 	// time limits).
 	Hw *mmu.Fault
-	// RolledBack reports that the machine was restored to its
-	// pre-call snapshot (WithTx).
+	// RolledBack reports that the machine was reset onto the clone
+	// frozen before the call (WithTx).
 	RolledBack bool
 	// Report is the static verifier's structured evidence, present on
 	// ValidationReject faults produced by the LoadOptions.Verify gate

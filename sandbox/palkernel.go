@@ -15,9 +15,9 @@ func init() {
 // 4.3): the object is insmod'ed into a dedicated SPL-1 extension
 // segment carved out of the kernel's 3-4 GB range; the segment limit
 // check confines it and a general-protection fault aborts offenders.
-// WithTx upgrades an invocation to the PR-3 snapshot transaction
-// (InvokeTx); WithAsync queues onto the segment's bounded request
-// queue.
+// WithTx upgrades an invocation to the segment's native transaction
+// (InvokeTx, which rolls back onto a frozen clone of the system);
+// WithAsync queues onto the segment's bounded request queue.
 type palKernelBackend struct{ h *Host }
 
 // Name implements Backend.

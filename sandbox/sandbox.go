@@ -223,11 +223,12 @@ type InvokeConfig struct {
 	TimeLimit float64
 }
 
-// WithTx runs the invocation as a transaction: the whole machine is
-// snapshotted before the call (the PR-3 copy-on-write snapshot), and
-// a fault rolls every simulated metric — memory, clock, page tables,
-// descriptor tables, kernel bookkeeping — back to the pre-call state.
-// The returned *Fault has RolledBack set.
+// WithTx runs the invocation as a transaction (core.System.Tx): the
+// whole machine is frozen in a copy-on-write clone before the call,
+// and a fault resets it onto that clone, rolling every simulated
+// metric — memory, clock, page tables, descriptor tables, kernel
+// bookkeeping — back to the pre-call state. The returned *Fault has
+// RolledBack set.
 func WithTx() InvokeOption { return func(c *InvokeConfig) { c.Tx = true } }
 
 // WithAsync queues the invocation instead of running it: the call
