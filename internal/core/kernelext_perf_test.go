@@ -67,10 +67,13 @@ func fig7Inputs() (pkts [][]byte, class []int) {
 // TestKernelExtInvokeStaysWarm pins the protected call to warm compiled
 // code. The kernel's Prepare stub (0xC4000000) and the filter's entry
 // (0xC8010000) are congruent mod 8 KiB; a block-cache index that
-// aliased them rebuilt three blocks on every call. After one warm call
-// per input, 100 invocations of the Figure 7 filter must build no
-// block, and each must charge exactly its input class's cycles (plus
-// the kernel's timer-interrupt cost for each tick that fired inside it).
+// aliased them rebuilt three blocks on every call. After a warm-up
+// long enough for every block the calls dispatch to reach the trace
+// threshold (so a trace promoted late, whose side exit builds a block,
+// cannot land inside the window), 100 invocations of the Figure 7
+// filter must build no block, and each must charge exactly its input
+// class's cycles (plus the kernel's timer-interrupt cost for each tick
+// that fired inside it).
 func TestKernelExtInvokeStaysWarm(t *testing.T) {
 	// Tick-free cycles of one warm Invoke, by index of the first false
 	// term (4: every term true), and the timer-interrupt cost. These
@@ -83,14 +86,16 @@ func TestKernelExtInvokeStaysWarm(t *testing.T) {
 	ticks := 0
 	s.K.OnTimerTick(func() error { ticks++; return nil })
 	pkts, class := fig7Inputs()
-	for _, p := range pkts {
-		stage(p)
-		if _, err := fn.Invoke(filter.HeaderLen); err != nil {
-			t.Fatal(err)
+	m := s.K.Machine
+	for range m.TraceThreshold {
+		for _, p := range pkts {
+			stage(p)
+			if _, err := fn.Invoke(filter.HeaderLen); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	m := s.K.Machine
 	_, builds0, _ := m.BlockCacheStats()
 	for i := range 100 {
 		j := i % len(pkts)

@@ -11,12 +11,12 @@ import (
 // segment walks from Run's hot loop: each slot carries its decoded
 // instruction, which runs through the reference execute. It also
 // batches the timer-deadline check behind a per-block worst-case cycle
-// bound (maxPrefix, summed from worstCharge), takes a same-page fast
+// bound (maxPrefix, summed from worstCharge) and takes a same-page fast
 // path for the page-level fetch check (fetches on the page the previous
 // fetch translated reuse its frame, counting the guaranteed TLB hit
-// through mmu.FastFetchHit), and chains hot blocks directly to their
-// successors so steady-state loops never consult the breaks/services/
-// block maps at all.
+// through mmu.FastFetchHit). Run dispatches one block at a time and
+// counts each dispatch of a block toward its promotion into a trace
+// (trace.go), which is built from the cached blocks.
 //
 // A block is a straight-line run of predecoded instructions starting at
 // a linear EIP; the segment-level fetch checks (code-segment type, DPL,
@@ -35,16 +35,12 @@ import (
 //     loads, invlpg) advance only mmu.TransGen: they do not invalidate
 //     blocks — the live per-execution page check follows remaps
 //     lazily, exactly as the uncached interpreter would — but any such
-//     event fired from a timer hook makes the running chain bail out
-//     and re-dispatch from live state. Chain edges carry no generation
-//     of their own: a chained successor is revalidated against the
-//     live generation and the live cache slot on every follow, so
-//     whatever kills a block also unhooks every chain into it.
+//     event fired from a timer hook makes the running block bail out
+//     and re-dispatch from live state.
 //   - SetBreak/ClearBreak and RegisterService/UnregisterService
 //     invalidate exactly the cached blocks whose linear range covers
 //     the armed address (breakpoints and trusted endpoints must be
-//     honoured mid-run by the very next instruction). Dropping the
-//     covering block from its cache slot is what severs chains to it.
+//     honoured mid-run by the very next instruction).
 //   - InstallCode/RemoveCode invalidate the blocks whose decoded
 //     instructions came from any touched physical page, matched through
 //     a per-block page bloom filter (false positives only cost a
@@ -93,22 +89,7 @@ type codeBlock struct {
 	// the same proof the trace tier runs.
 	maxPrefix cycles.Prefix
 
-	// Chain exits. fallLin is the linear address execution continues at
-	// when the block falls through (no terminal transfer, or a
-	// conditional branch not taken); takenLin is the target of the
-	// terminal direct transfer (jmp/jcc/call with an immediate target).
-	// A zero *OK flag means that exit is not chainable (indirect or far
-	// transfers, halts). succFall/succTaken cache the successor block
-	// last dispatched from that exit; they are hints revalidated on
-	// every follow.
-	fallLin   uint32
-	takenLin  uint32
-	fallOK    bool
-	takenOK   bool
-	succFall  *codeBlock
-	succTaken *codeBlock
-
-	// Trace tier (see trace.go). hot counts chain-follows into this
+	// Trace tier (see trace.go). hot counts Run's dispatches of this
 	// block; at Machine.TraceThreshold the block is promoted to a trace
 	// entry. trace is the compiled superblock rooted here (nil when
 	// none); traceFailed remembers that a build was refused so the
@@ -116,34 +97,6 @@ type codeBlock struct {
 	hot         uint32
 	trace       *trace
 	traceFailed bool
-}
-
-// chainExit resolves the exit at linear target to this block's
-// chainable-edge hint (nil when the exit is not chainable or no
-// successor has been recorded yet).
-func (b *codeBlock) chainExit(target uint32) *codeBlock {
-	if b.fallOK && target == b.fallLin {
-		return b.succFall
-	}
-	if b.takenOK && target == b.takenLin {
-		return b.succTaken
-	}
-	return nil
-}
-
-// chainable reports whether the exit at linear target may be chained.
-func (b *codeBlock) chainable(target uint32) bool {
-	return (b.fallOK && target == b.fallLin) || (b.takenOK && target == b.takenLin)
-}
-
-// setSucc records the successor dispatched from the exit at target.
-func (b *codeBlock) setSucc(target uint32, succ *codeBlock) {
-	if b.fallOK && target == b.fallLin {
-		b.succFall = succ
-	}
-	if b.takenOK && target == b.takenLin {
-		b.succTaken = succ
-	}
 }
 
 // pageBloomBit maps a physical address to its bloom bit.
@@ -233,28 +186,7 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 	if len(b.slots) == 0 {
 		return nil
 	}
-	last := &b.slots[len(b.slots)-1]
-	b.end = last.lin + isa.InstrSlot
-
-	// Chain-exit metadata. Only near transfers with immediate targets
-	// (and plain fall-through) are chainable: far transfers change the
-	// code segment, and indirect targets change per execution.
-	switch term := last.ins; {
-	case !term.Op.TransfersControl():
-		// Decode stopped at the length cap or a boundary: execution
-		// falls through to end.
-		b.fallLin, b.fallOK = b.end, true
-	case term.Op.IsFarTransfer():
-		// Far transfers change CS (and therefore the segment base the
-		// exit target would be derived from): never chained.
-	case term.Op == isa.JMP && term.Dst.Kind == isa.KindImm:
-		b.takenLin, b.takenOK = b.base+uint32(term.Dst.Imm), true
-	case term.Op == isa.CALL && term.Dst.Kind == isa.KindImm:
-		b.takenLin, b.takenOK = b.base+uint32(term.Dst.Imm), true
-	case term.Op.IsBranch():
-		b.takenLin, b.takenOK = b.base+uint32(term.Dst.Imm), true
-		b.fallLin, b.fallOK = b.end, true
-	}
+	b.end = b.slots[len(b.slots)-1].lin + isa.InstrSlot
 
 	m.bcBuilds++
 	if m.blocks == &noBlocks {
@@ -283,8 +215,8 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 // invalidateBlocksAt drops every cached block whose linear range
 // covers lin; used when a breakpoint or service endpoint is armed or
 // disarmed at that address. Blocks from an older translation
-// generation are unreachable (lookup and chain validation both require
-// the live generation) and are skipped.
+// generation are unreachable (lookup requires the live generation) and
+// are skipped.
 func (m *Machine) invalidateBlocksAt(lin uint32) {
 	// Traces first: their envelope spans every fused block, which may
 	// be wider than any single covering block (and must be checked even
@@ -343,17 +275,16 @@ func (m *Machine) clearBlockCache() {
 
 // BlockCacheStats reports decoded-block cache counters: cached-block
 // dispatches through the block map, block builds, and explicit
-// invalidations. Chained dispatches (which bypass the map) are
-// reported by ChainStats.
+// invalidations.
 func (m *Machine) BlockCacheStats() (hits, builds, invalidations uint64) {
 	return m.bcHits, m.bcBuilds, m.bcInvalidations
 }
 
-// ChainStats reports the specialized execution tier's counters:
-// chained block dispatches (successor followed directly, no break/
-// service/block-map consultation) and same-page fetch fast-path hits
-// (page-level fetch checks satisfied by the page-run head's
-// translation, each counted as a TLB hit).
+// ChainStats reports same-page fetch fast-path hits (page-level fetch
+// checks satisfied by the page-run head's translation, each counted as
+// a TLB hit). Its first value, chained block dispatches, is always 0:
+// blocks are no longer chained, and the two-value shape stays only for
+// existing callers.
 func (m *Machine) ChainStats() (chainHits, fastFetches uint64) {
-	return m.bcChainHits, m.bcFastFetches
+	return 0, m.bcFastFetches
 }

@@ -396,7 +396,8 @@ func benchHotLoop(b *testing.B, tick float64) {
 	}
 	b.ResetTimer()
 	var instr uint64
-	chains0, fast0 := h.m.ChainStats()
+	traces0 := h.m.TraceStats().Dispatches
+	_, fast0 := h.m.ChainStats()
 	for i := 0; i < b.N; i++ {
 		h.m.EIP = syms["entry"]
 		res := h.m.Run(RunLimits{})
@@ -406,8 +407,8 @@ func benchHotLoop(b *testing.B, tick float64) {
 		instr += res.Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
-	chains, fast := h.m.ChainStats()
-	b.ReportMetric(float64(chains-chains0)/float64(b.N), "chain-hits/op")
+	_, fast := h.m.ChainStats()
+	b.ReportMetric(float64(h.m.TraceStats().Dispatches-traces0)/float64(b.N), "trace-dispatches/op")
 	b.ReportMetric(float64(fast-fast0)/float64(instr)*100, "fastpath-pct")
 	if tick > 0 {
 		b.ReportMetric(float64(ticks)/float64(b.N), "ticks/op")

@@ -10,8 +10,8 @@ import (
 )
 
 // hotLoopSrc is a small compute loop whose body block exits through a
-// taken conditional branch back to itself — the shape block chaining
-// exists for.
+// taken conditional branch back to itself, so Run dispatches the same
+// cached block once per iteration.
 const hotLoopSrc = `
 	entry:
 		mov eax, 0
@@ -28,10 +28,10 @@ const hotLoopSrc = `
 	scratch: .long 0
 `
 
-// TestChainEngagesOnHotLoop: the specialized tier must actually engage
-// on a hot loop — chained dispatches and same-page fetch fast-path
-// hits both counting — while producing the correct architectural
-// result.
+// TestChainEngagesOnHotLoop: the block tier must actually engage on a
+// hot loop — same-page fetch fast-path hits counting — while producing
+// the correct architectural result. (Blocks are no longer chained; the
+// name is kept from when the loop's blocks were.)
 func TestChainEngagesOnHotLoop(t *testing.T) {
 	h := newHarness(t)
 	syms := h.install(0x0001_0000, hotLoopSrc)
@@ -44,24 +44,20 @@ func TestChainEngagesOnHotLoop(t *testing.T) {
 	if got, want := h.m.Reg(isa.EAX), uint32(50*51/2); got != want {
 		t.Errorf("eax = %d, want %d", got, want)
 	}
-	chains, fast := h.m.ChainStats()
-	if chains == 0 {
-		t.Errorf("hot loop executed with zero chained dispatches")
-	}
-	if fast == 0 {
+	if _, fast := h.m.ChainStats(); fast == 0 {
 		t.Errorf("hot loop executed with zero same-page fetch fast-path hits")
 	}
 }
 
-// TestChainSeveredBySetBreak: arming a breakpoint at a chained target
-// must stop the very next run there — the chain may not skip the entry
-// checks the edge was recorded under.
-func TestChainSeveredBySetBreak(t *testing.T) {
+// TestBlockDispatchHonoursSetBreak: arming a breakpoint at the entry of
+// a cached block must stop the very next run there — dispatching the
+// warm block may not skip the entry checks.
+func TestBlockDispatchHonoursSetBreak(t *testing.T) {
 	h := newHarness(t)
 	syms := h.install(0x0001_0000, hotLoopSrc)
 	h.startUser(syms["entry"])
 	h.m.SetBreak(syms["stop"])
-	runToStop(t, h, syms["entry"]) // builds and chains the loop
+	runToStop(t, h, syms["entry"]) // builds the loop's blocks
 
 	h.m.SetBreak(syms["loop"])
 	h.m.EIP = syms["entry"]
@@ -76,10 +72,10 @@ func TestChainSeveredBySetBreak(t *testing.T) {
 	}
 }
 
-// TestChainSeesInstallCodeOnSuccessor: rewriting the chained
-// successor's first instruction must be honoured by the next run even
-// though the predecessor's chain edge pointed at the old block.
-func TestChainSeesInstallCodeOnSuccessor(t *testing.T) {
+// TestBlockSeesInstallCodeOnSuccessor: rewriting the first instruction
+// of a cached jump target must be honoured by the next run even though
+// the old block for that target was cached.
+func TestBlockSeesInstallCodeOnSuccessor(t *testing.T) {
 	h := newHarness(t)
 	syms := h.install(0x0001_0000, `
 		entry:
@@ -92,7 +88,7 @@ func TestChainSeesInstallCodeOnSuccessor(t *testing.T) {
 	`)
 	h.startUser(syms["entry"])
 	h.m.SetBreak(syms["stop"])
-	runToStop(t, h, syms["entry"]) // records entry -> next chain edge
+	runToStop(t, h, syms["entry"]) // caches the entry and next blocks
 
 	pa, f := h.m.MMU.Translate(gsel(selXCode, 3), syms["next"], 4, mmu.Execute, 3)
 	if f != nil {
@@ -101,15 +97,15 @@ func TestChainSeesInstallCodeOnSuccessor(t *testing.T) {
 	h.m.InstallCode(pa, []isa.Instr{{Op: isa.MOV, Dst: isa.R(isa.EBX), Src: isa.I(77), Size: 4}})
 	runToStop(t, h, syms["entry"])
 	if got := h.m.Reg(isa.EBX); got != 77 {
-		t.Errorf("ebx after InstallCode over chained successor = %d, want 77", got)
+		t.Errorf("ebx after InstallCode over cached successor = %d, want 77", got)
 	}
 }
 
-// TestChainSurvivesInvalidatePage pins the generation split: a pure
+// TestBlockSurvivesInvalidatePage pins the generation split: a pure
 // paging event (invlpg) must NOT rebuild cached blocks — the live
 // page-level check follows it — so a serving loop that flips page
 // privileges per request keeps its decoded blocks.
-func TestChainSurvivesInvalidatePage(t *testing.T) {
+func TestBlockSurvivesInvalidatePage(t *testing.T) {
 	h := newHarness(t)
 	syms := h.install(0x0001_0000, hotLoopSrc)
 	h.startUser(syms["entry"])
@@ -127,11 +123,11 @@ func TestChainSurvivesInvalidatePage(t *testing.T) {
 	}
 }
 
-// TestChainBailsOnLoadCR3MidChain: a CR3 load fired from the timer
-// hook while a chain is hot must be honoured — the next fetch executes
+// TestBlockBailsOnLoadCR3MidRun: a CR3 load fired from the timer hook
+// while a cached block runs must be honoured — the next fetch executes
 // whatever the new address space maps, exactly as stepping uncached
 // would.
-func TestChainBailsOnLoadCR3MidChain(t *testing.T) {
+func TestBlockBailsOnLoadCR3MidRun(t *testing.T) {
 	h := newHarness(t)
 	syms := h.install(0x0001_0000, `
 		entry:
@@ -176,7 +172,7 @@ func TestChainBailsOnLoadCR3MidChain(t *testing.T) {
 		t.Fatal("tick hook never fired")
 	}
 	if got := h.m.Reg(isa.EBX); got != 9 {
-		t.Errorf("ebx = %d, want 9 (CR3 switch mid-chain not honoured)", got)
+		t.Errorf("ebx = %d, want 9 (CR3 switch mid-run not honoured)", got)
 	}
 }
 
@@ -301,14 +297,16 @@ func TestColdTLBTickParity(t *testing.T) {
 }
 
 // TestChainHostileRegressionSeeds deterministically selects seeds
-// whose scripted event streams contain each chain-hostile event kind
-// (4 = LoadCR3 mid-chain, 5 = RemoveCode over a chained successor,
-// 6 = InstallCode over a chained successor) and replays the full
-// Run-vs-Step differential on them. Since diffExec runs with a
-// hair-trigger TraceThreshold, the same events are also trace-hostile:
-// each strikes while fused superblocks are live, so these replays pin
-// the trace tier's invalidation and deopt paths too. The replays leave
-// reset events out, so no reset moves a chain-hostile event.
+// whose scripted event streams contain each block-hostile event kind
+// (4 = LoadCR3 from the tick hook mid-block, 5 = RemoveCode over a
+// cached jump target, 6 = InstallCode over a cached jump target) and
+// replays the full Run-vs-Step differential on them. Since diffExec
+// runs with a hair-trigger TraceThreshold, the same events are also
+// trace-hostile: each strikes while fused superblocks are live, so
+// these replays pin the trace tier's invalidation and deopt paths too.
+// The replays leave reset events out, so no reset moves a hostile
+// event. (The name, and its seeded subtests', is kept from when these
+// events struck chained blocks.)
 func TestChainHostileRegressionSeeds(t *testing.T) {
 	const base, span, perKind = int64(59990000), int64(4000), 2
 	found := map[int][]int64{}
@@ -326,7 +324,7 @@ func TestChainHostileRegressionSeeds(t *testing.T) {
 		}
 	}
 	if !covered() {
-		t.Fatalf("seed scan did not cover every chain-hostile kind: %v", found)
+		t.Fatalf("seed scan did not cover every block-hostile kind: %v", found)
 	}
 	for kind := 4; kind <= 6; kind++ {
 		for _, seed := range found[kind] {

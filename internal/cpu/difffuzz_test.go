@@ -28,7 +28,7 @@ import (
 // trace is live, breakpoints land inside fused ranges, ticks and
 // budgets expire mid-trace, and generated faults hit arbitrary fused
 // positions. The oracle therefore pins tier-3 deoptimization — the
-// partial-commit path — to tier-1 semantics along with the chains.
+// partial-commit path — to tier-1 semantics along with the blocks.
 
 // diffRegs are the registers random programs scribble on. ESP and EBP
 // are excluded so stack handling stays structured (push/pop pairs and
@@ -38,11 +38,11 @@ var diffRegs = []string{"eax", "ebx", "ecx", "edx", "esi", "edi"}
 
 // diffEvent is one scripted invalidation, applied by the timer hook at
 // an identical simulated cycle on both machines. Kinds 4-6 are the
-// chain-hostile events: they strike while the specialized tier is
-// mid-chain — a CR3 reload (TLB flush + translation-generation bump
-// under a running chain), a RemoveCode over a chained successor (the
+// block-hostile events: they strike while a cached block or trace is
+// running — a CR3 reload (TLB flush + translation-generation bump
+// under a running block), a RemoveCode over a cached jump target (the
 // very next dispatch of that label must raise #UD), and a two-slot
-// InstallCode over a chained successor's entry and interior.
+// InstallCode over a cached jump target's entry and interior.
 type diffEvent struct {
 	kind  int   // 0 invlpg, 1 set break, 2 clear break, 3 install code, 4 load cr3, 5 remove code, 6 install 2 slots, 7 reset
 	block int   // target block label index
@@ -237,18 +237,18 @@ func applyEvent(h *harness, syms map[string]uint32, ev diffEvent) {
 			})
 		}
 	case 4:
-		// CR3 reload mid-chain: flushes the TLB (charged identically
-		// on both machines) and advances the translation generation
-		// under whatever chain is executing.
+		// CR3 reload mid-run: flushes the TLB (charged identically on
+		// both machines) and advances the translation generation under
+		// whatever block or trace is executing.
 		h.m.MMU.LoadCR3(h.as)
 	case 5:
-		// RemoveCode over a chained successor: the next dispatch of
+		// RemoveCode over a cached jump target: the next dispatch of
 		// this label must raise #UD on both machines.
 		if pa, ok := h.m.MMU.PeekPage(lin); ok {
 			h.m.RemoveCode(pa, 1)
 		}
 	case 6:
-		// Two-slot install over a chained successor's entry and
+		// Two-slot install over a cached jump target's entry and
 		// interior.
 		if pa, ok := h.m.MMU.PeekPage(lin); ok {
 			h.m.InstallCode(pa, []isa.Instr{

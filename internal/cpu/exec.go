@@ -18,24 +18,20 @@ type RunLimits struct {
 }
 
 // Run executes instructions until a stop condition occurs. The hot
-// loop executes through the decoded-block cache, each cached slot
-// running the reference execute: breakpoints, service endpoints and
-// block decode are resolved once per straight-line run instead of once
-// per instruction (with the break/service maps themselves consulted only when armed and
-// overlapping, via the machine's linear envelopes), hot blocks chain
-// directly to their successors, timer-deadline checks are batched
-// behind per-block worst-case charge bounds, and same-page fetches
-// take a counted fast path — while every per-instruction architectural
-// event (timer ticks, page-level fetch checks with their TLB
-// statistics and page-walk charges, faults mid-block) happens exactly
-// as it would stepping uncached.
+// loop dispatches one cached block at a time, each cached slot running
+// the reference execute: breakpoints, service endpoints and block
+// decode are resolved once per straight-line run instead of once per
+// instruction (with the break/service maps themselves consulted only
+// when armed and overlapping, via the machine's linear envelopes),
+// timer-deadline checks are batched behind per-block worst-case charge
+// bounds, and same-page fetches take a counted fast path — while every
+// per-instruction architectural event (timer ticks, page-level fetch
+// checks with their TLB statistics and page-walk charges, faults
+// mid-block) happens exactly as it would stepping uncached. Every
+// dispatch of a block without a trace counts toward its promotion into
+// one, however the block was entered.
 func (m *Machine) Run(lim RunLimits) RunResult {
 	var res RunResult
-	// prev/prevExit remember the chainable exit that led to the next
-	// dispatch, so the edge can be recorded once the successor has
-	// passed the break/service entry checks.
-	var prev *codeBlock
-	var prevExit uint32
 	for {
 		if lim.MaxInstructions > 0 && res.Instructions >= lim.MaxInstructions {
 			res.Reason = StopBudget
@@ -48,7 +44,6 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 		}
 		if len(m.services) != 0 && lin >= m.svcLo && lin <= m.svcHi {
 			if svc := m.services[lin]; svc != nil {
-				prev = nil
 				if stop := serviceStop(m.runService(svc)); stop != nil {
 					stop.Instructions = res.Instructions
 					return *stop
@@ -62,7 +57,6 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 			b = m.buildBlock(lin, gen)
 		}
 		if b == nil {
-			prev = nil
 			// Nothing fetchable or decodable here: take the uncached
 			// path, which raises the right fault with the right
 			// charges.
@@ -80,29 +74,22 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 			}
 			continue
 		}
-		if prev != nil && prev.gen == gen && prev.cs == b.cs {
-			// The successor passed this iteration's break/service
-			// checks: record the chain edge. SetBreak/RegisterService
-			// at any address the successor covers will drop it from
-			// its cache slot, which the follow-side validation sees.
-			prev.setSucc(prevExit, b)
-		}
 		var remaining uint64
 		if lim.MaxInstructions > 0 {
 			remaining = lim.MaxInstructions - res.Instructions
 		}
 		if m.TraceThreshold > 0 {
-			// Trace tier: promote a hot chain entry (runChain bailed
-			// out here after the chain-follow counter crossed the
-			// threshold) and dispatch through its superblock. A live b
-			// implies a live trace: both carry the same (gen, cs) tag,
-			// and everything that invalidates the entry block also
-			// detaches the trace.
-			if b.trace == nil && !b.traceFailed && b.hot >= m.TraceThreshold {
-				m.buildTrace(b, gen)
+			// Trace tier: count this dispatch toward the block's heat,
+			// promote it at the threshold, and dispatch through its
+			// superblock. A live b implies a live trace: both carry the
+			// same (gen, cs) tag, and everything that invalidates the
+			// entry block also detaches the trace.
+			if b.trace == nil && !b.traceFailed {
+				if b.hot++; b.hot >= m.TraceThreshold {
+					m.buildTrace(b, gen)
+				}
 			}
 			if tr := b.trace; tr != nil {
-				prev = nil
 				stop, n := m.runTrace(tr, remaining)
 				res.Instructions += n
 				if stop != nil {
@@ -112,63 +99,54 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 				continue
 			}
 		}
-		stop, n, exit, exitLin := m.runChain(b, remaining)
+		stop, n := m.runBlock(b, remaining)
 		res.Instructions += n
 		if stop != nil {
 			stop.Instructions = res.Instructions
 			return *stop
 		}
-		prev, prevExit = exit, exitLin
 	}
 }
 
-// runChain executes a cached block and then follows chained successors
-// for as long as each exit's cached block revalidates, stopping early
-// at the remaining instruction budget (0 = unlimited), a timer-hook
-// error, a fault, or HLT. It returns the retired-instruction count, a
-// stop result whose Instructions field the caller owns, and — when the
-// final block left through a chainable exit whose successor was not
-// yet linked — that block and its exit's linear target, so Run can
-// record the edge after re-running the entry checks.
-func (m *Machine) runChain(b *codeBlock, remaining uint64) (*RunResult, uint64, *codeBlock, uint32) {
-	gen := b.gen // segment-check generation the chain was built under
+// runBlock executes one cached block, stopping early at the remaining
+// instruction budget (0 = unlimited; Run dispatches only while some
+// remains), a timer-hook error, a fault, or HLT. It returns the
+// retired-instruction count and a stop result whose Instructions field
+// the caller owns.
+func (m *Machine) runBlock(b *codeBlock, remaining uint64) (*RunResult, uint64) {
 	// tgen guards the translation-level caches (the same-page fetch
 	// fast path): any paging event a timer hook performs advances it,
-	// and the chain bails out to live-state dispatch.
+	// and the block bails out to live-state dispatch.
 	tgen := m.MMU.TransGen()
 	cpl := m.CPL()
 	var n uint64
 	// Same-page fetch fast path: curFrame/curPage hold the frame base
-	// the last full CheckPage returned. Within one chain dispatch the
-	// cached translation can only be invalidated by events that bump
-	// the translation generation, which bail out below.
+	// the last full CheckPage returned. Within one block the cached
+	// translation can only be invalidated by events that bump the
+	// translation generation, which bail out below.
 	var curFrame, curPage uint32
 	haveFrame := false
-	for {
-		slots := b.slots
-		limit := len(slots)
-		if remaining > 0 {
-			left := remaining - n
-			if left == 0 {
-				// Budget exhausted; Run's top-of-loop check reports it.
-				return nil, n, nil, 0
-			}
-			if uint64(limit) > left {
-				limit = int(left)
-			}
-		}
-		// Deadline check for the block entry (the check "before slot
-		// 0"), then the horizon below which per-slot checks provably
-		// cannot fire.
-		horizon := limit
-		ticking := m.OnTick != nil && m.TickCycles > 0
-		if ticking {
+	slots := b.slots
+	limit := len(slots)
+	if remaining > 0 && uint64(limit) > remaining {
+		limit = int(remaining)
+	}
+	// horizon is the slot below which per-slot deadline checks provably
+	// cannot fire. When ticking it starts at 0, so slot 0 takes the
+	// block-entry check and derives the first horizon.
+	horizon := limit
+	ticking := m.OnTick != nil && m.TickCycles > 0
+	if ticking {
+		horizon = 0
+	}
+	for i := 0; i < limit; i++ {
+		if i >= horizon {
 			stop, ticked := m.tickCheck()
 			if stop != nil {
-				return stop, n, nil, 0
+				return stop, n
 			}
 			if ticked {
-				if m.EIP != slots[0].eip || m.CS != b.cs ||
+				if m.EIP != slots[i].eip || m.CS != b.cs ||
 					m.blocks[blockIndex(b.lin)] != b || tgen != m.MMU.TransGen() {
 					// The tick handler redirected execution or
 					// invalidated cached state; finish this step
@@ -177,127 +155,76 @@ func (m *Machine) runChain(b *codeBlock, remaining uint64) (*RunResult, uint64, 
 					if done {
 						n++
 					}
-					return stop, n, nil, 0
+					return stop, n
 				}
 				haveFrame = false
 			}
-			horizon = b.maxPrefix.Horizon(m.Clock.Cycles(), m.nextTick, 0, limit)
+			horizon = b.maxPrefix.Horizon(m.Clock.Cycles(), m.nextTick, i, limit)
 		}
-		for i := 0; i < limit; i++ {
-			if i >= horizon {
-				stop, ticked := m.tickCheck()
-				if stop != nil {
-					return stop, n, nil, 0
-				}
-				if ticked {
-					if m.EIP != slots[i].eip || m.CS != b.cs ||
-						m.blocks[blockIndex(b.lin)] != b || tgen != m.MMU.TransGen() {
-						stop, done := m.fetchExec()
-						if done {
-							n++
-						}
-						return stop, n, nil, 0
-					}
-					haveFrame = false
-				}
-				horizon = b.maxPrefix.Horizon(m.Clock.Cycles(), m.nextTick, i, limit)
+		slot := &slots[i]
+		// Page-level fetch check: counted against the TLB and charged
+		// on a miss exactly as the uncached fetch would be, and the
+		// page-privilege faults are raised mid-block as on hardware.
+		// Same-page fetches reuse the page-run head's translation,
+		// counting the guaranteed TLB hit.
+		var pa uint32
+		if page := slot.lin &^ uint32(mem.PageMask); haveFrame && page == curPage {
+			m.MMU.FastFetchHit()
+			m.bcFastFetches++
+			pa = curFrame | (slot.lin & mem.PageMask)
+		} else {
+			full, f := m.MMU.CheckPage(slot.lin, mmu.Execute, cpl, b.cs, slot.eip)
+			if f != nil {
+				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
 			}
-			slot := &slots[i]
-			// Page-level fetch check: counted against the TLB and
-			// charged on a miss exactly as the uncached fetch would
-			// be, and the page-privilege faults are raised mid-block
-			// as on hardware. Same-page fetches reuse the page-run
-			// head's translation, counting the guaranteed TLB hit.
-			var pa uint32
-			if page := slot.lin &^ uint32(mem.PageMask); haveFrame && page == curPage {
-				m.MMU.FastFetchHit()
-				m.bcFastFetches++
-				pa = curFrame | (slot.lin & mem.PageMask)
-			} else {
-				full, f := m.MMU.CheckPage(slot.lin, mmu.Execute, cpl, b.cs, slot.eip)
-				if f != nil {
-					return &RunResult{Reason: StopFault, Fault: f, Err: f}, n, nil, 0
-				}
-				pa = full
-				curFrame = pa &^ uint32(mem.PageMask)
-				curPage = page
-				haveFrame = true
+			pa = full
+			curFrame = pa &^ uint32(mem.PageMask)
+			curPage = page
+			haveFrame = true
+		}
+		if pa != slot.pa {
+			// The mapping changed under the block (e.g. a PTE store
+			// with no invlpg, honoured lazily as on hardware): execute
+			// what the live translation holds.
+			ins := m.code[pa]
+			if ins == nil {
+				f := &mmu.Fault{Kind: mmu.UD, Sel: b.cs, Off: slot.eip, Linear: slot.lin,
+					Access: mmu.Execute, CPL: cpl, Reason: "no instruction at address"}
+				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
 			}
-			if pa != slot.pa {
-				// The mapping changed under the block (e.g. a PTE
-				// store with no invlpg, honoured lazily as on
-				// hardware): execute what the live translation holds.
-				ins := m.code[pa]
-				if ins == nil {
-					f := &mmu.Fault{Kind: mmu.UD, Sel: b.cs, Off: slot.eip, Linear: slot.lin,
-						Access: mmu.Execute, CPL: cpl, Reason: "no instruction at address"}
-					return &RunResult{Reason: StopFault, Fault: f, Err: f}, n, nil, 0
-				}
-				if f := m.execute(ins); f != nil {
-					return &RunResult{Reason: StopFault, Fault: f, Err: f}, n, nil, 0
-				}
-				m.instret++
-				n++
-				if m.haltFlag {
-					return &RunResult{Reason: StopHalt}, n, nil, 0
-				}
-				if m.EIP != slot.eip+isa.InstrSlot {
-					// The substituted instruction transferred control;
-					// the rest of the cached run no longer follows.
-					// Re-dispatch from live state.
-					return nil, n, nil, 0
-				}
-				// The live instruction's charge is not bounded by the
-				// cached slot's worst case, so the deadline horizon
-				// no longer proves anything: force a full check (and a
-				// re-derivation) before the next slot.
-				if ticking && horizon > i+1 {
-					horizon = i + 1
-				}
-				continue
-			}
-			if f := m.execute(slot.ins); f != nil {
-				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n, nil, 0
+			if f := m.execute(ins); f != nil {
+				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
 			}
 			m.instret++
 			n++
 			if m.haltFlag {
-				return &RunResult{Reason: StopHalt}, n, nil, 0
+				return &RunResult{Reason: StopHalt}, n
 			}
-		}
-		if limit < len(slots) {
-			// Budget truncation; Run's top-of-loop check reports it.
-			return nil, n, nil, 0
-		}
-		// Block complete: follow the chain if this exit's successor is
-		// recorded and still the live block for its address under the
-		// live generation (whatever invalidates a block drops it from
-		// its slot or retires its generation, so a stale successor can
-		// never revalidate).
-		target := b.base + m.EIP
-		if next := b.chainExit(target); next != nil &&
-			next.lin == target && next.gen == gen && next.cs == b.cs &&
-			m.blocks[blockIndex(next.lin)] == next {
-			m.bcChainHits++
-			if m.TraceThreshold > 0 {
-				// Heat detection for the trace tier: count the chain
-				// follow and, once the successor is hot (or already has
-				// a trace), bail to Run so it can build/dispatch the
-				// superblock from the top of the dispatch loop. EIP is
-				// already at the successor's entry.
-				next.hot++
-				if next.trace != nil || (next.hot >= m.TraceThreshold && !next.traceFailed) {
-					return nil, n, nil, 0
-				}
+			if m.EIP != slot.eip+isa.InstrSlot {
+				// The substituted instruction transferred control; the
+				// rest of the cached run no longer follows. Re-dispatch
+				// from live state.
+				return nil, n
 			}
-			b = next
+			// The live instruction's charge is not bounded by the
+			// cached slot's worst case, so the deadline horizon no
+			// longer proves anything: force a full check (and a
+			// re-derivation) before the next slot.
+			if ticking && horizon > i+1 {
+				horizon = i + 1
+			}
 			continue
 		}
-		if b.chainable(target) {
-			return nil, n, b, target
+		if f := m.execute(slot.ins); f != nil {
+			return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
 		}
-		return nil, n, nil, 0
+		m.instret++
+		n++
+		if m.haltFlag {
+			return &RunResult{Reason: StopHalt}, n
+		}
 	}
+	return nil, n
 }
 
 // Step executes at most one instruction (or one trusted service call)

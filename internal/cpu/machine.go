@@ -181,11 +181,10 @@ type Machine struct {
 	bcHits             uint64
 	bcBuilds           uint64
 	bcInvalidations    uint64
-	bcChainHits        uint64 // chained block dispatches
 	bcFastFetches      uint64 // same-page fetch fast-path hits
 
-	// Trace tier (see trace.go). TraceThreshold is the chain-follow
-	// count that promotes a block into a trace entry (0 disables the
+	// Trace tier (see trace.go). TraceThreshold is the dispatch count
+	// that promotes a block into a trace entry (0 disables the
 	// tier); the registry mirrors the block cache's invalidation
 	// envelope and aggregate page bloom at trace granularity.
 	TraceThreshold     uint32

@@ -14,9 +14,11 @@ import (
 // call re-dispatches on the opcode and re-loads machine state through a
 // pointer, every flag lives in a struct field, every cycle charge is a
 // float64 add against the shared clock, and every block boundary
-// re-derives the deadline horizon and revalidates a chain hint. Tier 3
-// removes that tax for hot paths: the chain-hit counter promotes a
-// block whose chain is followed often into a *trace* — a fused
+// returns to Run, which re-checks breaks and services, looks the next
+// block up and re-derives the deadline horizon. Tier 3 removes that tax
+// for hot paths: Run counts every dispatch of a block, however it was
+// entered (fall-through, branch, ret, indirect jump, service return),
+// and promotes a block dispatched often into a *trace* — a fused
 // superblock covering the whole hot path (loops included), compiled
 // into a flat micro-op array executed by one dispatch loop that keeps
 // the simulated registers and EFLAGS in Go locals, accumulates cycle
@@ -67,8 +69,8 @@ import (
 // cloned or loaded machine re-detects heat and rebuilds, with
 // bit-identical simulated metrics.
 const (
-	// defaultTraceThreshold is the chain-follow count at which a block
-	// is promoted to a trace entry.
+	// defaultTraceThreshold is the dispatch count at which a block is
+	// promoted to a trace entry.
 	defaultTraceThreshold = 64
 	// maxTraceOps caps the micro-ops fused into one trace.
 	maxTraceOps = 512

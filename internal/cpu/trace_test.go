@@ -100,6 +100,49 @@ func TestTraceEngagesOnHotLoop(t *testing.T) {
 	traceCompare(t, "hot loop", hRun, hStep, resRun, resStep)
 }
 
+// TestTracePromotesBlockEnteredIndirectly: a hot block that is only
+// ever entered through ret or an indirect jmp must still be promoted
+// into a trace (heat is counted per dispatch, not per direct edge), and
+// the traced run must stay bit-identical to single-stepping.
+func TestTracePromotesBlockEnteredIndirectly(t *testing.T) {
+	for _, tc := range []struct{ name, enter string }{
+		{"ret", "push target\n\t\tret"},
+		{"jmp-reg", "mov edx, target\n\t\tjmp edx"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := `
+	entry:
+		mov eax, 0
+		mov ecx, 200
+	loop:
+		` + tc.enter + `
+	target:
+		add eax, ecx
+		mov [scratch], eax
+		dec ecx
+		jne loop
+	stop:
+		nop
+	.data
+	scratch: .long 0
+`
+			hRun, syms, resRun := traceExec(t, (*Machine).Run, src, defaultTraceThreshold)
+			hStep, _, resStep := traceExec(t, stepRun, src, defaultTraceThreshold)
+			if resRun.Reason != StopBreak {
+				t.Fatalf("run stop = %v (%v)", resRun.Reason, resRun.Err)
+			}
+			promoted := false
+			for _, tr := range hRun.m.traces {
+				promoted = promoted || tr.entryEIP == syms["target"]
+			}
+			if !promoted {
+				t.Errorf("block at target (entered only by %s) never promoted: %+v", tc.name, hRun.m.TraceStats())
+			}
+			traceCompare(t, tc.name, hRun, hStep, resRun, resStep)
+		})
+	}
+}
+
 // TestTraceSeveredBySetBreak: arming a breakpoint on an instruction
 // inside the fused range must invalidate the trace, and the very next
 // dispatch must honour the break.

@@ -242,7 +242,7 @@ func (tr *trace) prove(eff, deadline float64, i int) (int, float64) {
 // returns a stop result (the caller owns Instructions) and the number
 // of instructions retired.
 func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
-	// Entry deadline check, mirroring runChain's block-entry check: if
+	// Entry deadline check, mirroring runBlock's block-entry check: if
 	// the hook ran and redirected execution, invalidated the entry
 	// block or this trace, or performed a paging event, finish one step
 	// uncached and let Run re-dispatch from live state.
@@ -304,7 +304,7 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 
 	// Instruction budget as a limit (0 = unlimited), checked before each
 	// op executes so exactly `remaining` instructions retire — the same
-	// truncation point as runChain's per-block limit.
+	// truncation point as runBlock's per-block limit.
 	limit := remaining
 	if limit == 0 {
 		limit = math.MaxUint64
@@ -1090,7 +1090,7 @@ loop:
 	if pageOp != nil {
 		// Deopt-page: the frame under pageOp moved. State is committed
 		// at the op; now execute what the live translation holds —
-		// exactly runChain's substitution arm — and let Run re-dispatch.
+		// exactly runBlock's substitution arm — and let Run re-dispatch.
 		ins := m.code[livePA]
 		if ins == nil {
 			f := &mmu.Fault{Kind: mmu.UD, Sel: cs, Off: pageOp.eip, Linear: pageOp.lin,

@@ -129,9 +129,8 @@ func TestStrrevPassesVerifier(t *testing.T) {
 }
 
 // TestCompiledTiersEngage runs 200 protected string-reverse calls and
-// requires the specialized tiers to carry them: chained block
-// dispatches, same-page fetch fast paths and trace dispatches are all
-// nonzero. On this quiet workload no trace may bail out because of a
+// requires the compiled tiers to carry them: same-page fetch fast
+// paths and trace dispatches are both nonzero. On this quiet workload no trace may bail out because of a
 // guest fault or a fetch-page remap; such a deopt means the trace tier
 // drops to the block tier where it should stay fused.
 func TestCompiledTiersEngage(t *testing.T) {
@@ -143,11 +142,8 @@ func TestCompiledTiersEngage(t *testing.T) {
 		}
 	}
 	m := sys.K.Machine
-	chainHits, fastFetches := m.ChainStats()
+	_, fastFetches := m.ChainStats()
 	ts := m.TraceStats()
-	if chainHits == 0 {
-		t.Error("no chained block dispatches")
-	}
 	if fastFetches == 0 {
 		t.Error("no same-page fast-path fetches")
 	}

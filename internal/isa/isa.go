@@ -138,19 +138,6 @@ func (o Op) TransfersControl() bool {
 	return o.IsBranch()
 }
 
-// IsFarTransfer reports whether the opcode can change the code segment
-// (and therefore the privilege level and the segment base used to form
-// linear fetch addresses). Far transfers are never block-chained: the
-// successor's linear address cannot be derived from the predecessor's
-// cached segment base.
-func (o Op) IsFarTransfer() bool {
-	switch o {
-	case LCALL, LRET, INT, IRET:
-		return true
-	}
-	return false
-}
-
 // HasMemOperand reports whether either operand is a memory reference.
 func (i *Instr) HasMemOperand() bool {
 	return i.Dst.Kind == KindMem || i.Src.Kind == KindMem

@@ -22,10 +22,9 @@ type MMU struct {
 	// gen counts every event that can change the outcome of a
 	// translation performed through this MMU: CR3 loads, single-page
 	// invalidations, LDT switches and GDT/LDT descriptor mutations.
-	// The CPU's chained execution tier checks it after every timer-
-	// hook firing: a changed generation means cached per-run
-	// translation state (the same-page fetch fast path, chain hints)
-	// must be revalidated from scratch.
+	// The CPU's block tier checks it after every timer-hook firing: a
+	// changed generation means cached per-run translation state (the
+	// same-page fetch fast path) must be revalidated from scratch.
 	gen uint64
 
 	// segGen counts only the events that can change the outcome of a

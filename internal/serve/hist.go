@@ -94,7 +94,7 @@ func (h *Hist) Quantile(q float64) uint64 {
 		rank = h.count
 	}
 	var seen uint64
-	for i, n := range h.buckets {
+	for i, n := range &h.buckets {
 		seen += n
 		if seen >= rank {
 			if seen == h.count && bucketOf(h.max) == i {

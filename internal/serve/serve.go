@@ -126,14 +126,13 @@ func ParseModel(name string) (webserver.Model, error) {
 
 // interpCounters is one reading of a machine's simulator-internal
 // counters, in the order of interpMetrics.
-type interpCounters [12]uint64
+type interpCounters [11]uint64
 
 // interpMetrics names each interpreter counter on /metrics.
 var interpMetrics = [len(interpCounters{})]string{
 	"palladium_interp_block_hits_total",
 	"palladium_interp_block_builds_total",
 	"palladium_interp_block_invalidations_total",
-	"palladium_interp_chain_hits_total",
 	"palladium_interp_fast_fetches_total",
 	"palladium_interp_trace_builds_total",
 	"palladium_interp_trace_dispatches_total",
@@ -149,11 +148,11 @@ func readInterp(srv *webserver.Server) interpCounters {
 	m := srv.S.K.Machine
 	var c interpCounters
 	c[0], c[1], c[2] = m.BlockCacheStats()
-	c[3], c[4] = m.ChainStats()
+	_, c[3] = m.ChainStats()
 	ts := m.TraceStats()
-	c[5], c[6], c[7] = ts.Built, ts.Dispatches, ts.Invalidated
-	c[8] = ts.DeoptTick + ts.DeoptFault + ts.DeoptPage + ts.DeoptBudget
-	c[9], c[10], c[11] = srv.S.K.MMU.TLB().Stats()
+	c[4], c[5], c[6] = ts.Built, ts.Dispatches, ts.Invalidated
+	c[7] = ts.DeoptTick + ts.DeoptFault + ts.DeoptPage + ts.DeoptBudget
+	c[8], c[9], c[10] = srv.S.K.MMU.TLB().Stats()
 	return c
 }
 

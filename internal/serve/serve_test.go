@@ -157,7 +157,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"palladium_serve_workers 1",
 		"palladium_fleet_requests_total 100",
 		"palladium_fleet_worker_requests_total{worker=\"0\"} 100",
-		"palladium_interp_chain_hits_total",
+		"palladium_interp_fast_fetches_total",
 		"palladium_interp_trace_builds_total",
 		"palladium_interp_trace_dispatches_total",
 		"palladium_interp_trace_deopts_total",
@@ -173,7 +173,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	// per-worker interpreter counters — including the trace tier's —
 	// must be live, not zero.
 	for _, counter := range []string{
-		"palladium_interp_chain_hits_total",
 		"palladium_interp_trace_dispatches_total",
 		"palladium_tlb_hits_total",
 	} {

@@ -39,7 +39,6 @@ var stateOwners = []struct {
 		"bcHits":          "block-cache statistics: host-side",
 		"bcBuilds":        "block-cache statistics: host-side",
 		"bcInvalidations": "block-cache statistics: host-side",
-		"bcChainHits":     "block-cache statistics: host-side",
 		"bcFastFetches":   "block-cache statistics: host-side",
 		"TraceThreshold":  "trace-tier knob: traces never alter simulated metrics; Clone carries it as configuration",
 		"traces":          "trace registry: host-side accelerator",

@@ -1,8 +1,11 @@
 package sandbox
 
 import (
+	"errors"
+
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/kernel"
 	"repro/internal/mem"
 )
 
@@ -78,20 +81,20 @@ func AdoptDirect(a *core.App, entry string, fnAddr uint32) Extension {
 // per-invocation time limit: the mechanism itself has none (it is the
 // unprotected baseline), so the limit is only armed when an
 // invocation asks for one — leaving the un-optioned path bit-identical
-// to the raw call.
+// to the raw call. It arms the kernel's built-in limiter, which checks
+// after every tick subscriber and registers nothing per call.
 func callUnprotectedLimited(h *Host, a *core.App, addr, arg uint32, cfg *InvokeConfig) (uint32, error) {
-	if cfg.TimeLimit > 0 {
-		k := h.Sys.K
-		deadline := k.Clock.Cycles() + cfg.TimeLimit
-		cancel := k.OnTimerTick(func() error {
-			if k.Clock.Cycles() > deadline {
-				return core.ErrTimeLimit
-			}
-			return nil
-		})
-		defer cancel()
+	if cfg.TimeLimit <= 0 {
+		return a.CallUnprotected(addr, arg)
 	}
-	return a.CallUnprotected(addr, arg)
+	k := h.Sys.K
+	prev := k.ArmExtLimit(k.Clock.Cycles() + cfg.TimeLimit)
+	defer k.DisarmExtLimit(prev)
+	v, err := a.CallUnprotected(addr, arg)
+	if errors.Is(err, kernel.ErrExtTimeBudget) {
+		return 0, core.ErrTimeLimit
+	}
+	return v, err
 }
 
 // bindUserShared resolves the staging area for a user-level backend:

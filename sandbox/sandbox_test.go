@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 const doubleSrc = `
@@ -109,6 +110,30 @@ func TestTimeLimitAcrossBackends(t *testing.T) {
 				t.Errorf("underlying ErrTimeLimit not preserved: %v", err)
 			}
 		})
+	}
+}
+
+// TestDirectTimeLimitAddsNoTickSubscriber: a time-limited direct
+// invocation arms the kernel's limiter instead of subscribing to the
+// timer tick, so after many limited calls the kernel holds as many tick
+// subscribers as a booted twin that made none — the count the system
+// image must match to load into the twin.
+func TestDirectTimeLimitAddsNoTickSubscriber(t *testing.T) {
+	boot := func() (*Host, Extension) {
+		h := newHost(t)
+		return h, load(t, h, "direct", doubleSrc, "double", LoadOptions{})
+	}
+	h, ext := boot()
+	for i := range 100 {
+		if v, err := ext.Invoke(21, WithTimeLimit(50_000)); err != nil || v != 42 {
+			t.Fatalf("call %d: double(21) = %d, %v", i, v, err)
+		}
+	}
+	var e mem.Enc
+	h.Sys.SaveTo(&e)
+	twin, _ := boot()
+	if err := twin.Sys.LoadFrom(mem.NewDec(e.Data())); err != nil {
+		t.Fatalf("image after 100 time-limited direct calls does not load into a booted twin: %v", err)
 	}
 }
 
