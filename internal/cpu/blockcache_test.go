@@ -360,33 +360,62 @@ func TestFirstTickDeferred(t *testing.T) {
 // BenchmarkRunHotLoop measures the interpreter's sustained
 // instructions-per-second on a tight compute loop — the path the
 // decoded-block cache accelerates.
-func BenchmarkRunHotLoop(b *testing.B) { benchHotLoop(b, 0) }
+func BenchmarkRunHotLoop(b *testing.B) { benchLoop(b, benchHotLoopSrc, 0) }
 
 // BenchmarkRunHotLoopTicking is BenchmarkRunHotLoop under a timer: a
 // counting hook every 20,000 cycles, the kernel's tick period, so the
 // trace tier's deadline proof runs on every dispatch as it does for
 // every guest the kernel schedules.
-func BenchmarkRunHotLoopTicking(b *testing.B) { benchHotLoop(b, 20000) }
+func BenchmarkRunHotLoopTicking(b *testing.B) { benchLoop(b, benchHotLoopSrc, 20000) }
 
-// benchHotLoop runs the hot-loop benchmark with a counting tick hook
-// every tick cycles (0: no hook).
-func benchHotLoop(b *testing.B, tick float64) {
+// BenchmarkRunByteLoop is the Table 2 strrev extension's reversal loop
+// over a 512-byte buffer: two byte loads and two byte stores per
+// iteration, so it prices the trace tier's memory operands.
+func BenchmarkRunByteLoop(b *testing.B) { benchLoop(b, byteLoopSrc, 0) }
+
+// benchHotLoopSrc is hotLoopSrc with 1000 iterations.
+const benchHotLoopSrc = `
+	entry:
+		mov eax, 0
+		mov ecx, 1000
+	loop:
+		add eax, ecx
+		mov [scratch], eax
+		mov ebx, [scratch]
+		dec ecx
+		jne loop
+	stop:
+		nop
+	.data
+	scratch: .long 0
+`
+
+// byteLoopSrc reverses buf in place, as strrev does.
+const byteLoopSrc = `
+	entry:
+		mov edi, buf
+		lea ecx, [edi+511]
+	rev:
+		cmp edi, ecx
+		jae stop
+		movb edx, [edi]
+		movb ebx, [ecx]
+		movb [edi], ebx
+		movb [ecx], edx
+		inc edi
+		dec ecx
+		jmp rev
+	stop:
+		nop
+	.data
+	buf: .space 512
+`
+
+// benchLoop runs a loop benchmark from src's entry to its stop label,
+// with a counting tick hook every tick cycles (0: no hook).
+func benchLoop(b *testing.B, src string, tick float64) {
 	h := newHarness(b)
-	syms := h.install(0x0001_0000, `
-		entry:
-			mov eax, 0
-			mov ecx, 1000
-		loop:
-			add eax, ecx
-			mov [scratch], eax
-			mov ebx, [scratch]
-			dec ecx
-			jne loop
-		stop:
-			nop
-		.data
-		scratch: .long 0
-	`)
+	syms := h.install(0x0001_0000, src)
 	h.startUser(syms["entry"])
 	h.m.SetBreak(syms["stop"])
 	ticks := 0

@@ -79,6 +79,27 @@ func TestCmpFlagsMatchComparisonsProperty(t *testing.T) {
 	}
 }
 
+// TestAddFlagsMatchArithmeticProperty pins ADD's CF and OF, which
+// execute and the trace tier compute with one shared formula, to
+// unsigned carry and signed overflow computed in wider integers.
+func TestAddFlagsMatchArithmeticProperty(t *testing.T) {
+	f := func(a, b uint32) bool {
+		_, flags := runBinop(t, "add", a, b)
+		sum := int64(int32(a)) + int64(int32(b))
+		return flags.CF == (uint64(a)+uint64(b) > 0xFFFF_FFFF) &&
+			flags.OF == (sum != int64(int32(sum)))
+	}
+	cfg := &quick.Config{MaxCount: 40, Rand: testRand(t)}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+	for _, p := range [][2]uint32{{0x7FFF_FFFF, 1}, {0x8000_0000, 0x8000_0000}, {0xFFFF_FFFF, 1}, {0x8000_0000, 0xFFFF_FFFF}} {
+		if !f(p[0], p[1]) {
+			t.Errorf("add %#x, %#x: CF/OF wrong", p[0], p[1])
+		}
+	}
+}
+
 func TestPushPopRoundTripProperty(t *testing.T) {
 	h := newHarness(t)
 	syms := h.install(0x0001_0000, `

@@ -552,7 +552,7 @@ func (m *Machine) execute(ins *isa.Instr) *mmu.Fault {
 
 	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE,
 		isa.JB, isa.JBE, isa.JA, isa.JAE, isa.JS, isa.JNS:
-		if m.cond(ins.Op) {
+		if f := m.Flags; cond(ins.Op, f.ZF, f.SF, f.CF, f.OF) {
 			m.Clock.Charge(m.Model, cycles.JccTaken)
 			m.EIP = uint32(ins.Dst.Imm)
 			return nil
@@ -675,33 +675,9 @@ func (m *Machine) binop(ins *isa.Instr) *mmu.Fault {
 	if f != nil {
 		return f
 	}
-	var r uint32
-	switch ins.Op {
-	case isa.ADD:
-		r = a + b
-		m.Flags.CF = r < a
-		m.Flags.OF = (a>>31 == b>>31) && (r>>31 != a>>31)
-	case isa.SUB, isa.CMP:
-		r = a - b
-		m.Flags.CF = a < b
-		m.Flags.OF = (a>>31 != b>>31) && (r>>31 != a>>31)
-	case isa.AND, isa.TEST:
-		r = a & b
-		m.Flags.CF, m.Flags.OF = false, false
-	case isa.OR:
-		r = a | b
-		m.Flags.CF, m.Flags.OF = false, false
-	case isa.XOR:
-		r = a ^ b
-		m.Flags.CF, m.Flags.OF = false, false
-	}
-	if ins.Size == 1 {
-		r &= 0xFF
-		m.Flags.SF = r&0x80 != 0
-	} else {
-		m.Flags.SF = r&0x8000_0000 != 0
-	}
-	m.Flags.ZF = r == 0
+	r, cf, of := aluCF(ins.Op, a, b)
+	m.Flags.CF, m.Flags.OF = cf, of
+	r = m.Flags.setSZ(r, ins.Size)
 	if ins.Op == isa.CMP || ins.Op == isa.TEST {
 		return nil
 	}
@@ -713,31 +689,10 @@ func (m *Machine) unop(ins *isa.Instr) *mmu.Fault {
 	if f != nil {
 		return f
 	}
-	var r uint32
-	switch ins.Op {
-	case isa.INC:
-		r = a + 1
-		m.Flags.OF = r == 0x8000_0000
-	case isa.DEC:
-		r = a - 1
-		m.Flags.OF = a == 0x8000_0000
-	case isa.NEG:
-		r = -a
-		m.Flags.CF = a != 0
-	case isa.NOT:
-		r = ^a
-		if f := m.writeOperand(&ins.Dst, ins.Size, r); f != nil {
-			return f
-		}
-		return nil // NOT does not affect flags
+	r := ^a // NOT does not affect flags
+	if ins.Op != isa.NOT {
+		r = m.Flags.unary(ins.Op, ins.Size, a)
 	}
-	if ins.Size == 1 {
-		r &= 0xFF
-		m.Flags.SF = r&0x80 != 0
-	} else {
-		m.Flags.SF = r&0x8000_0000 != 0
-	}
-	m.Flags.ZF = r == 0
 	return m.writeOperand(&ins.Dst, ins.Size, r)
 }
 
@@ -746,57 +701,114 @@ func (m *Machine) shift(ins *isa.Instr) *mmu.Fault {
 	if f != nil {
 		return f
 	}
-	n := uint32(ins.Src.Imm) & 31
-	var r uint32
-	switch ins.Op {
-	case isa.SHL:
-		r = a << n
-		if n > 0 {
-			m.Flags.CF = a&(1<<(32-n)) != 0
-		}
-	case isa.SHR:
-		r = a >> n
-		if n > 0 {
-			m.Flags.CF = a&(1<<(n-1)) != 0
-		}
-	case isa.SAR:
-		r = uint32(int32(a) >> n)
-		if n > 0 {
-			m.Flags.CF = a&(1<<(n-1)) != 0
-		}
-	}
-	m.Flags.ZF = r == 0
-	m.Flags.SF = r&0x8000_0000 != 0
-	return m.writeOperand(&ins.Dst, 4, r)
+	return m.writeOperand(&ins.Dst, 4, m.Flags.shift(ins.Op, a, uint32(ins.Src.Imm)&31))
 }
 
-func (m *Machine) cond(op isa.Op) bool {
-	f := m.Flags
+// The flag semantics below are shared by execute and the trace tier's
+// fused ops, so the two cannot disagree on a flag. Each is small enough
+// to inline into the trace dispatch loop.
+
+// aluCF computes a binary ALU result with its CF/OF effects (both
+// clear for the logical ops); the caller applies setSZ.
+func aluCF(sub isa.Op, a, b uint32) (r uint32, cf, of bool) {
+	switch sub {
+	case isa.ADD:
+		r = a + b
+		cf = r < a
+		// Same sign in, different sign out: bit-exact XOR form of
+		// (a>>31 == b>>31) && (r>>31 != a>>31).
+		of = (^(a^b)&(a^r))>>31 != 0
+	case isa.SUB, isa.CMP:
+		r = a - b
+		cf = a < b
+		// Different sign in, result sign differs from a: XOR form of
+		// (a>>31 != b>>31) && (r>>31 != a>>31).
+		of = ((a^b)&(a^r))>>31 != 0
+	case isa.AND, isa.TEST:
+		r = a & b
+	case isa.OR:
+		r = a | b
+	case isa.XOR:
+		r = a ^ b
+	}
+	return
+}
+
+// setSZ masks r to operand size (1 = byte, otherwise dword), sets SF
+// and ZF from it, and returns it.
+func (fl *Flags) setSZ(r uint32, size uint8) uint32 {
+	sign := uint32(0x8000_0000)
+	if size == 1 {
+		r &= 0xFF
+		sign = 0x80
+	}
+	fl.SF, fl.ZF = r&sign != 0, r == 0
+	return r
+}
+
+// unary applies INC, DEC or NEG to a at operand size, sets the flags
+// and returns the result. (NOT, which affects no flag, is the caller's
+// ^a.)
+func (fl *Flags) unary(sub isa.Op, size uint8, a uint32) uint32 {
+	r := -a
+	switch sub {
+	case isa.INC:
+		r = a + 1
+		fl.OF = r == 0x8000_0000
+	case isa.DEC:
+		r = a - 1
+		fl.OF = a == 0x8000_0000
+	default: // NEG
+		fl.CF = a != 0
+	}
+	return fl.setSZ(r, size)
+}
+
+// shift applies SHL, SHR or SAR by n (0..31) to the dword a, sets the
+// flags and returns the result. CF takes the last bit shifted out; a
+// zero count leaves it alone.
+func (fl *Flags) shift(sub isa.Op, a, n uint32) uint32 {
+	r, out := a<<n, a>>(32-n)
+	switch sub {
+	case isa.SHR:
+		r, out = a>>n, a>>(n-1)
+	case isa.SAR:
+		r, out = uint32(int32(a)>>n), a>>(n-1)
+	}
+	if n > 0 {
+		fl.CF = out&1 != 0
+	}
+	fl.ZF, fl.SF = r == 0, r&0x8000_0000 != 0
+	return r
+}
+
+// cond evaluates the Jcc predicate op on the flags.
+func cond(op isa.Op, zf, sf, cf, of bool) bool {
 	switch op {
 	case isa.JE:
-		return f.ZF
+		return zf
 	case isa.JNE:
-		return !f.ZF
+		return !zf
 	case isa.JL:
-		return f.SF != f.OF
+		return sf != of
 	case isa.JLE:
-		return f.ZF || f.SF != f.OF
+		return zf || sf != of
 	case isa.JG:
-		return !f.ZF && f.SF == f.OF
+		return !zf && sf == of
 	case isa.JGE:
-		return f.SF == f.OF
+		return sf == of
 	case isa.JB:
-		return f.CF
+		return cf
 	case isa.JBE:
-		return f.CF || f.ZF
+		return cf || zf
 	case isa.JA:
-		return !f.CF && !f.ZF
+		return !cf && !zf
 	case isa.JAE:
-		return !f.CF
+		return !cf
 	case isa.JS:
-		return f.SF
+		return sf
 	case isa.JNS:
-		return !f.SF
+		return !sf
 	}
 	return false
 }

@@ -20,10 +20,14 @@ import (
 // entered (fall-through, branch, ret, indirect jump, service return),
 // and promotes a block dispatched often into a *trace* — a fused
 // superblock covering the whole hot path (loops included), compiled
-// into a flat micro-op array executed by one dispatch loop that keeps
-// the simulated registers and EFLAGS in Go locals, accumulates cycle
-// charges in a local, and batches the guaranteed TLB-hit accounting
-// into per-dispatch counters committed once per exit.
+// into a flat micro-op array executed by one dispatch loop
+// (tracerun.go). The loop keeps only its loop-carried hot values in Go
+// locals — the op index, the retired count, the batched cycle charge,
+// the simulated registers, the dispatch seq and the batched TLB-hit
+// count — and reaches everything else (segment selectors, CPL, memory,
+// MMU, deadline proof, EFLAGS) through one per-dispatch struct in
+// memory (traceRun), so none of it competes for registers at the
+// loop's merge point. Accounting is committed once per exit.
 //
 // Bit-identity. Every simulated metric must be exactly what tiers 1/2
 // produce:
@@ -41,12 +45,18 @@ import (
 //     evicts, and nothing that could invalidate an entry — CR3 load,
 //     invlpg, descriptor mutation, a timer hook — can happen mid-
 //     dispatch, because any of them ends the dispatch first), counted
-//     wholesale at commit. Data accesses go through per-op segment
-//     probes and per-dispatch page slots (mmu.TranslateBatched) with
+//     wholesale at commit. Data accesses run through one
+//     dispatch-scoped operand cache per memory operand and access
+//     direction (opCache): a hit replays the page the operand's last
+//     live translation (per-op segment probe plus mmu.TranslateBatched)
+//     landed on in this dispatch, with its limit check folded into one
+//     compare and exactly the one TLB hit the live check would count;
+//     every other access — first touch, another page, a straddle, a
+//     limit or page fault, a shared frame — is taken live, with
 //     identical fault identities, charges and miss behaviour.
 //   - Timer deadlines use the same worst-case prefix-sum batching as
 //     tier 2 (cycles.Prefix), with the proof's slack carried across
-//     loop back-edges (trace.prove); past the proven horizon the trace
+//     loop back-edges (traceRun.prove); past the proven horizon the trace
 //     checks precisely against clock+accum at each op boundary and, if the
 //     deadline has arrived, deoptimizes: it commits the architectural
 //     state at that instruction boundary and returns to Run, whose
@@ -83,8 +93,8 @@ const (
 )
 
 // traceOp codes. Ops with memory operands carry pre-bound segment
-// probes and per-dispatch page slots; ops that can leave the trace
-// carry the side-exit EIP.
+// probes and dispatch-scoped operand caches; ops that can leave the
+// trace carry the side-exit EIP.
 const (
 	opExit      uint8 = iota // side exit before this address (untraceable instruction)
 	opNop                    //
@@ -134,7 +144,7 @@ const (
 )
 
 // traceOp is one fused micro-operation. The executor (tracerun.go)
-// dispatches on code with the hot architectural state in locals.
+// dispatches on code with the simulated registers in locals.
 type traceOp struct {
 	code     uint8
 	sub      isa.Op // ALU/unop/shift kind or Jcc condition
@@ -157,35 +167,31 @@ type traceOp struct {
 	fseq     uint32  // dispatch seq of the last full fetch check
 	probeR   mmu.SegProbe
 	probeW   mmu.SegProbe
-	pcR      mmu.PageSlot
-	pcW      mmu.PageSlot
+	r, w     opCache // the memory operand's read and write caches
+}
 
-	// Dispatch-scoped inline translation cache, one set per access
-	// direction: a flattened mirror of (probe, page slot) state filled
-	// after a successful TranslateBatched, valid while fsR/fsW equals
-	// the trace's dispatch seq. Within one dispatch nothing can go cold
-	// underneath it — descriptor mutation, paging events and TLB
-	// flushes all end the dispatch first — so a seq match plus a page
-	// match replays the cached translation with exactly one batched TLB
-	// hit, the same accounting TranslateBatched's warm slot-hit path
-	// does.
-	fsR, fsW            uint32
-	segBaseR, segLimitR uint32
-	vpageR, frameR      uint32
-	segBaseW, segLimitW uint32
-	vpageW, frameW      uint32
-
-	// Dispatch-scoped frame-pointer cache for byte and dword accesses,
-	// the physical half of the fast path above: a direct pointer into
-	// the backing frame, valid while msR/msW equals the dispatch seq. The
-	// read side is filled only when the frame is exclusively owned
-	// (mem.FrameViewStable), the write side via the full COW fault
-	// (mem.FrameMut) which makes it so; an exclusive frame cannot be
-	// COW-replaced mid-dispatch, so the pointer stays the one every
-	// uncached access would resolve to.
-	msR, msW       uint32
-	fpageR, fpageW uint32
-	memR, memW     *[mem.PageSize]byte
+// opCache is one memory operand's dispatch-scoped cache for one access
+// direction: the page its last live translation landed on, valid while
+// seq equals the trace's dispatch seq. Within one dispatch nothing can
+// change what that translation decided — descriptor mutation, paging
+// events and TLB flushes all end the dispatch first, and the op's
+// selector, access kind, access size and CPL are fixed — so an access
+// at segment offset off hits when off−lo ≤ span (unsigned), which
+// proves at once that the access lies on the cached page, does not
+// straddle it, and passes the segment-limit check. A hit counts exactly
+// the one TLB hit the live check would, and reads or writes the page's
+// bytes through host: the frame an uncached access resolves to. host is
+// pinned only while this Physical owns the frame exclusively — the read
+// side via mem.FrameViewStable, the write side after the full COW fault
+// (mem.FrameMut) — since nothing can newly share a frame mid-dispatch
+// (Clone never runs then). A read cache over a shared frame keeps host
+// nil, and its hits read through frame on the live path.
+type opCache struct {
+	seq   uint32              // dispatch seq of the fill
+	lo    uint32              // segment offset of the cached page's first byte
+	span  uint32              // largest off−lo on the page and inside the limit
+	frame uint32              // physical address of the cached page
+	host  *[mem.PageSize]byte // the frame's bytes; nil while the frame is shared
 }
 
 // trace is a compiled superblock: a flat micro-op array over the fused
@@ -200,7 +206,7 @@ type trace struct {
 	pages    uint64 // bloom over decoded physical pages
 	ops      []traceOp
 	wc       cycles.Prefix // worst-case charge prefix over ops
-	seq      uint32        // dispatch sequence for fseq/PageSlot tags
+	seq      uint32        // dispatch sequence for fseq/opCache tags
 }
 
 // TraceStats reports the trace tier's counters: traces built and

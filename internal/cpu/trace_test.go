@@ -661,9 +661,9 @@ func TestTraceByteAccessCOW(t *testing.T) {
 
 // TestTraceSegmentLimitBoundary pins the segment-limit compare a warm
 // trace access makes. A loop walks one memory operand up to the DS
-// limit inside a single trace dispatch, so its last access takes the
-// inline-cache hit path (fastR/fastW) on the page the earlier
-// iterations cached. An access ending exactly at the limit succeeds;
+// limit inside a single trace dispatch, so its last access is checked
+// against the operand cache (opCache) the earlier iterations filled on
+// that page. An access ending exactly at the limit succeeds;
 // one ending a byte past it raises #GP; under a flat 4 GiB limit so
 // does a dword whose end wraps past 2^32. Every outcome, fault identity
 // included, matches single-stepping.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"repro/internal/cycles"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -11,236 +12,187 @@ import (
 
 const noReg = uint8(isa.NoReg)
 
-// traceCond evaluates a Jcc predicate on the trace's local flags;
-// mirrors Machine.cond exactly.
-func traceCond(sub isa.Op, zf, sf, cf, of bool) bool {
-	switch sub {
-	case isa.JE:
-		return zf
-	case isa.JNE:
-		return !zf
-	case isa.JL:
-		return sf != of
-	case isa.JLE:
-		return zf || sf != of
-	case isa.JG:
-		return !zf && sf == of
-	case isa.JGE:
-		return sf == of
-	case isa.JB:
-		return cf
-	case isa.JBE:
-		return cf || zf
-	case isa.JA:
-		return !cf && !zf
-	case isa.JAE:
-		return !cf
-	case isa.JS:
-		return sf
-	case isa.JNS:
-		return !sf
-	}
-	return false
+// traceRun is one trace dispatch's loop-invariant and rarely written
+// state. runTrace keeps only its loop-carried hot values in locals (the
+// op index, retired count, accum, regs, seq and batch) and reaches this
+// through memory: Go keeps a struct of more than four fields in memory
+// rather than splitting it into SSA values, so none of it competes for
+// registers at the dispatch loop's merge point.
+type traceRun struct {
+	mm         *mmu.MMU
+	phys       *mem.Physical
+	cs, ds, ss mmu.Selector
+	cpl        int
+	limit      uint64 // instruction budget (MaxUint64: unlimited)
+	// Deadline proof (see prove): ops with index below nextCheck
+	// provably cannot cross the tick deadline; slack is what back-edges
+	// may still spend before a precise check is due.
+	nextCheck int
+	deadline  float64
+	slack     float64
+	wc        cycles.Prefix
+	full      uint64 // fetches that took the full page check
+	hits      uint64 // TLB hits counted by live checks (fetch and data)
+	flags     Flags
 }
 
-// aluCF computes a binary ALU result with its CF/OF effects; mirrors
-// Machine.binop exactly. SF/ZF and the byte mask are applied by the
-// caller on the raw result, as there.
-func aluCF(sub isa.Op, a, b uint32) (r uint32, cf, of bool) {
-	switch sub {
-	case isa.ADD:
-		r = a + b
-		cf = r < a
-		// Same sign in, different sign out: bit-exact XOR form of
-		// (a>>31 == b>>31) && (r>>31 != a>>31).
-		of = (^(a^b)&(a^r))>>31 != 0
-	case isa.SUB, isa.CMP:
-		r = a - b
-		cf = a < b
-		// Different sign in, result sign differs from a: XOR form of
-		// (a>>31 != b>>31) && (r>>31 != a>>31).
-		of = ((a^b)&(a^r))>>31 != 0
-	case isa.AND, isa.TEST:
-		r = a & b
-	case isa.OR:
-		r = a | b
-	case isa.XOR:
-		r = a ^ b
+// sel is the segment op's memory operand addresses through: SS when
+// its base register is EBP or ESP, DS otherwise.
+func (st *traceRun) sel(op *traceOp) mmu.Selector {
+	if op.useSS {
+		return st.ss
 	}
-	return
+	return st.ds
 }
 
-// fastR replays this op's read translation from its dispatch-scoped
-// inline cache (traceOp.fsR..frameR): a live seq tag plus a page match
-// mean the warm TranslateBatched outcome is guaranteed to repeat, so
-// the replay performs — and counts — exactly what that path would: the
-// identical limit check and one batched TLB hit. Every miss (first use
-// this dispatch, page crossed, limit violated) reports !ok having
-// counted nothing, and the caller takes TranslateBatched live, which
-// does and counts everything itself; slowR then refills the cache. The
-// split exists so this hit path inlines into runTrace's dispatch loop.
-func (op *traceOp) fastR(off, size, seq uint32, batch *uint64) (uint32, bool) {
-	if op.fsR != seq {
+// ea computes op's memory operand's segment offset.
+func (op *traceOp) ea(regs *[8]uint32) uint32 {
+	off := op.disp
+	if op.base != noReg {
+		off += regs[op.base]
+	}
+	if op.ix != noReg {
+		off += regs[op.ix] * uint32(op.scale)
+	}
+	return off
+}
+
+// load is the cache's hit path for reading size bytes (1, or 4 as a
+// little-endian dword) at segment offset off: a live tag, off on the
+// cached page inside span, and a pinned frame. On a miss it reads and
+// counts nothing. Small enough to inline into the dispatch loop, which
+// counts the hit.
+func (c *opCache) load(off, seq, size uint32) (uint32, bool) {
+	d := off - c.lo
+	if c.seq != seq || d > c.span || c.host == nil {
 		return 0, false
-	}
-	lin := op.segBaseR + off
-	if lin&^uint32(mem.PageMask) != op.vpageR {
-		return 0, false
-	}
-	end := off + size - 1
-	if end < off || end > op.segLimitR {
-		return 0, false
-	}
-	*batch++
-	return op.frameR | (lin & uint32(mem.PageMask)), true
-}
-
-// fastW is fastR over the write-side cache.
-func (op *traceOp) fastW(off, size, seq uint32, batch *uint64) (uint32, bool) {
-	if op.fsW != seq {
-		return 0, false
-	}
-	lin := op.segBaseW + off
-	if lin&^uint32(mem.PageMask) != op.vpageW {
-		return 0, false
-	}
-	end := off + size - 1
-	if end < off || end > op.segLimitW {
-		return 0, false
-	}
-	*batch++
-	return op.frameW | (lin & uint32(mem.PageMask)), true
-}
-
-// slowR is the fast-path miss handler: the live TranslateBatched with
-// this op's read probe and page slot, refilling the inline cache on
-// success.
-func (m *Machine) slowR(op *traceOp, sel mmu.Selector, off, size uint32, cpl int, seq uint32, batch *uint64) (uint32, *mmu.Fault) {
-	pa, f := m.MMU.TranslateBatched(&op.probeR, sel, off, size, mmu.Read, cpl, &op.pcR, seq, batch)
-	if f == nil {
-		op.segBaseR, op.segLimitR = op.probeR.Base(), op.probeR.Limit()
-		op.vpageR = (op.segBaseR + off) &^ uint32(mem.PageMask)
-		op.frameR = pa &^ uint32(mem.PageMask)
-		op.fsR = seq
-	}
-	return pa, f
-}
-
-// slowW is slowR over the write-side probe, slot and cache.
-func (m *Machine) slowW(op *traceOp, sel mmu.Selector, off, size uint32, cpl int, seq uint32, batch *uint64) (uint32, *mmu.Fault) {
-	pa, f := m.MMU.TranslateBatched(&op.probeW, sel, off, size, mmu.Write, cpl, &op.pcW, seq, batch)
-	if f == nil {
-		op.segBaseW, op.segLimitW = op.probeW.Base(), op.probeW.Limit()
-		op.vpageW = (op.segBaseW + off) &^ uint32(mem.PageMask)
-		op.frameW = pa &^ uint32(mem.PageMask)
-		op.fsW = seq
-	}
-	return pa, f
-}
-
-// cachedR reads size bytes (1, or 4 as a little-endian dword) at pa
-// through the op's dispatch-scoped frame cache; the hit path is a
-// page-match compare and one load, inlined into the dispatch loop. The
-// bytes read are exactly what Physical.Read8/Read32 would return: the
-// cached pointer is the frame an uncached walk would resolve to (see
-// traceOp's cache invariant).
-func (op *traceOp) cachedR(pa, seq, size uint32) (uint32, bool) {
-	// One unsigned compare covers page match AND no-straddle: d is the
-	// in-page offset iff pa lands on the cached page, and ≥ PageSize
-	// (or wrapped-huge) otherwise. The slow path lives in a separate
-	// function because a call expression alone costs most of the inline
-	// budget; this hit path must inline into the dispatch loop.
-	if d := pa - op.fpageR; op.msR == seq && d <= mem.PageSize-size {
-		if size == 1 {
-			return uint32(op.memR[d]), true
-		}
-		return binary.LittleEndian.Uint32(op.memR[d : d+4]), true
-	}
-	return 0, false
-}
-
-// loadSlow is cachedR's miss path: read via the live frame walk, and
-// pin the frame for the rest of the dispatch when this Physical owns
-// it exclusively (a shared frame could be COW-replaced by a later
-// write, so it is read but never cached). Straddling dword reads keep
-// Read32's byte-wise assembly.
-func (op *traceOp) loadSlow(phys *mem.Physical, pa, seq, size uint32) uint32 {
-	off := pa & uint32(mem.PageMask)
-	if off > mem.PageSize-size {
-		return phys.Read32(pa)
-	}
-	f, stable := phys.FrameViewStable(pa)
-	if stable {
-		op.memR, op.fpageR, op.msR = f, pa&^uint32(mem.PageMask), seq
 	}
 	if size == 1 {
-		return uint32(f[off])
+		return uint32(c.host[d]), true
 	}
-	return binary.LittleEndian.Uint32(f[off : off+4])
+	return binary.LittleEndian.Uint32(c.host[d:]), true
 }
 
-// cachedW writes the low size bytes of v (1, or 4 as a little-endian
-// dword) at pa through the op's dispatch-scoped frame cache; see
-// cachedR.
-func (op *traceOp) cachedW(pa, seq, size, v uint32) bool {
-	// Single-compare page-and-straddle check; see cachedR.
-	if d := pa - op.fpageW; op.msW == seq && d <= mem.PageSize-size {
-		if size == 1 {
-			op.memW[d] = byte(v)
-		} else {
-			binary.LittleEndian.PutUint32(op.memW[d:d+4], v)
-		}
-		return true
+// store is load's write-side counterpart; a filled write cache always
+// has its frame pinned.
+func (c *opCache) store(off, seq, size, v uint32) bool {
+	d := off - c.lo
+	if c.seq != seq || d > c.span {
+		return false
 	}
-	return false
+	if size == 1 {
+		c.host[d] = byte(v)
+	} else {
+		binary.LittleEndian.PutUint32(c.host[d:], v)
+	}
+	return true
 }
 
-// storeSlow is cachedW's miss path: the full COW write fault
-// (FrameMut), after which the frame is exclusively owned and safe to
-// pin for the rest of the dispatch. Straddling dword writes keep
-// Write32's byte-wise split.
-func (op *traceOp) storeSlow(phys *mem.Physical, pa, seq, size, v uint32) {
-	off := pa & uint32(mem.PageMask)
-	if off > mem.PageSize-size {
-		phys.Write32(pa, v)
+// fill caches the page a successful live translation of an access of
+// size at off landed on (pa), under probe p's segment base and limit.
+// span stops at the last offset that neither straddles the page nor
+// crosses the limit. A page whose first offset lies past the limit (its
+// offsets wrap through 2^32) is not cached: every access to it stays
+// live.
+func (c *opCache) fill(p *mmu.SegProbe, off, size, pa, seq uint32, host *[mem.PageSize]byte) {
+	lo := off - (p.Base()+off)&mem.PageMask
+	last := p.Limit() - (size - 1) // the access passed, so Limit ≥ size−1
+	if lo > last {
 		return
 	}
-	f := phys.FrameMut(pa)
-	op.memW, op.fpageW, op.msW = f, pa&^uint32(mem.PageMask), seq
-	if size == 1 {
-		f[off] = byte(v)
+	c.seq, c.lo, c.span = seq, lo, min(mem.PageSize-size, last-lo)
+	c.frame, c.host = pa&^uint32(mem.PageMask), host
+}
+
+// load is the live path of op's memory read: a cached page whose frame
+// was shared when cached (one batched TLB hit and a read through the
+// frame, pinning it if this Physical now owns it), or the full
+// TranslateBatched followed by a refill. Straddling dword reads keep
+// Read32's byte-wise assembly and are never cached.
+func (st *traceRun) load(op *traceOp, sel mmu.Selector, off, size, seq uint32) (uint32, *mmu.Fault) {
+	c := &op.r
+	d := off - c.lo
+	pa := c.frame | d
+	cached := c.seq == seq && d <= c.span
+	if cached {
+		st.hits++
 	} else {
-		binary.LittleEndian.PutUint32(f[off:off+4], v)
+		var f *mmu.Fault
+		if pa, f = st.mm.TranslateBatched(&op.probeR, sel, off, size, mmu.Read, st.cpl, &st.hits); f != nil {
+			return 0, f
+		}
+		if pa&mem.PageMask > mem.PageSize-size {
+			return st.phys.Read32(pa), nil
+		}
 	}
+	h, stable := st.phys.FrameViewStable(pa)
+	host := h
+	if !stable {
+		host = nil
+	}
+	if cached {
+		c.host = host
+	} else {
+		c.fill(&op.probeR, off, size, pa, seq, host)
+	}
+	in := pa & mem.PageMask
+	if size == 1 {
+		return uint32(h[in]), nil
+	}
+	return binary.LittleEndian.Uint32(h[in:]), nil
+}
+
+// store is the live path of op's memory write: the full TranslateBatched
+// and COW write fault (mem.FrameMut), after which the frame is this
+// Physical's alone and is pinned by the refill. Straddling dword writes
+// keep Write32's byte-wise split and are never cached.
+func (st *traceRun) store(op *traceOp, sel mmu.Selector, off, size, seq, v uint32) *mmu.Fault {
+	pa, f := st.mm.TranslateBatched(&op.probeW, sel, off, size, mmu.Write, st.cpl, &st.hits)
+	if f != nil {
+		return f
+	}
+	in := pa & mem.PageMask
+	if in > mem.PageSize-size {
+		st.phys.Write32(pa, v)
+		return nil
+	}
+	h := st.phys.FrameMut(pa)
+	op.w.fill(&op.probeW, off, size, pa, seq, h)
+	if size == 1 {
+		h[in] = byte(v)
+	} else {
+		binary.LittleEndian.PutUint32(h[in:], v)
+	}
+	return nil
 }
 
 // prove runs the deadline proof from op boundary i at effective clock
-// eff < deadline. The slack is what the worst-case charge of ops [i,
-// nops) leaves before the deadline. When it is positive, every later
-// op boundary on the linear run is proven short of the deadline, and
-// it stays so along any path whose back-edges together spend less
-// worst-case charge than the slack: the horizon is the whole trace.
-// Otherwise the horizon is the worst-case prefix's
-// (cycles.Prefix.Horizon), and the non-positive slack makes every
-// back-edge re-check.
+// eff < deadline, setting nextCheck and slack. The slack is what the
+// worst-case charge of ops [i, nops) leaves before the deadline. When
+// it is positive, every later op boundary on the linear run is proven
+// short of the deadline, and it stays so along any path whose
+// back-edges together spend less worst-case charge than the slack: the
+// horizon is the whole trace. Otherwise the horizon is the worst-case
+// prefix's (cycles.Prefix.Horizon), and the non-positive slack makes
+// every back-edge re-check.
 // cycles.Model.BatchSafe keeps every charge a multiple of 0.5, so the
 // slack and what back-edges spend from it are exact.
-func (tr *trace) prove(eff, deadline float64, i int) (int, float64) {
-	nops := len(tr.ops)
-	slack := deadline - eff - (tr.wc[nops] - tr.wc[i])
-	if slack > 0 {
-		return nops, slack
+func (st *traceRun) prove(eff float64, i int) {
+	nops := len(st.wc) - 1
+	st.slack = st.deadline - eff - (st.wc[nops] - st.wc[i])
+	st.nextCheck = nops
+	if st.slack <= 0 {
+		st.nextCheck = st.wc.Horizon(eff, st.deadline, i, nops)
 	}
-	return tr.wc.Horizon(eff, deadline, i, nops), slack
 }
 
 // runTrace executes a trace superblock. It keeps the simulated
-// registers and flags in locals, accumulates cycle charges and
-// guaranteed TLB-hit counts locally, and commits everything to the
-// machine exactly once — at the side exit, or at the deoptimization
-// point with the architectural state execute would have left. It
-// returns a stop result (the caller owns Instructions) and the number
-// of instructions retired.
+// registers in locals, accumulates cycle charges and guaranteed TLB-hit
+// counts locally, and commits everything to the machine exactly once —
+// at the side exit, or at the deoptimization point with the
+// architectural state execute would have left. It returns a stop
+// result (the caller owns Instructions) and the number of instructions
+// retired.
 func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 	// Entry deadline check, mirroring runBlock's block-entry check: if
 	// the hook ran and redirected execution, invalidated the entry
@@ -268,62 +220,43 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 	}
 	m.trStats.Dispatches++
 
-	// Per-dispatch sequence for the fetch-check and page-slot tags. On
-	// wrap, stale tags from 2^32 dispatches ago could alias, so sweep
+	// Per-dispatch sequence for the fetch-check and operand-cache tags.
+	// On wrap, stale tags from 2^32 dispatches ago could alias, so sweep
 	// them; the sweep preserves correctness, not just accounting — a
-	// false fseq match would skip the check that validates op.pa.
+	// false tag match would skip the check that validates op.pa or an
+	// operand's translation.
 	seq := tr.seq + 1
 	if seq == 0 {
 		for i := range tr.ops {
-			tr.ops[i].fseq = 0
-			tr.ops[i].pcR = mmu.PageSlot{}
-			tr.ops[i].pcW = mmu.PageSlot{}
-			tr.ops[i].fsR, tr.ops[i].fsW = 0, 0
-			tr.ops[i].msR, tr.ops[i].msW = 0, 0
+			op := &tr.ops[i]
+			op.fseq, op.r.seq, op.w.seq = 0, 0, 0
 		}
 		seq = 1
 	}
 	tr.seq = seq
 
-	// Hot architectural state in locals. CS/DS/SS and the CPL cannot
-	// change mid-trace (no fused instruction writes a segment register,
-	// and far transfers are never fused), so they are loop invariants.
-	regs := m.Regs
-	zf, sf, cf, of := m.Flags.ZF, m.Flags.SF, m.Flags.CF, m.Flags.OF
-	cs, ds, ss := m.CS, m.DS, m.SS
-	cpl := m.CPL()
-	phys := m.Phys
-	mm := m.MMU
+	// CS/DS/SS and the CPL cannot change mid-trace (no fused
+	// instruction writes a segment register, and far transfers are
+	// never fused), so they are loop invariants. With no tick armed,
+	// nextCheck is past the last op and slack infinite, so no deadline
+	// check ever runs.
 	ops := tr.ops
-	nops := len(ops)
-
-	var accum float64 // batched cycle charges
-	var batch uint64  // TLB hits observed by live batched checks
-	var n uint64      // instructions retired this dispatch
-	var full uint64   // fetches that took the full page check
-
-	// Instruction budget as a limit (0 = unlimited), checked before each
-	// op executes so exactly `remaining` instructions retire — the same
-	// truncation point as runBlock's per-block limit.
-	limit := remaining
-	if limit == 0 {
-		limit = math.MaxUint64
+	st := traceRun{mm: m.MMU, phys: m.Phys, cs: m.CS, ds: m.DS, ss: m.SS, cpl: m.CPL(),
+		limit: remaining, nextCheck: len(ops), deadline: m.nextTick, slack: math.Inf(1),
+		wc: tr.wc, flags: m.Flags}
+	// The instruction budget is checked before each op executes, so
+	// exactly `remaining` instructions retire — the same truncation
+	// point as runBlock's.
+	if st.limit == 0 {
+		st.limit = math.MaxUint64
 	}
-
-	// Deadline proof (see trace.prove): ops with index below nextCheck
-	// provably cannot cross the tick deadline. Past it, a precise check
-	// against clock+accum runs at each op boundary. While slack is
-	// positive the proof covers the whole trace, and a back-edge spends
-	// its worst-case charge from it instead of re-proving; an exhausted
-	// slack forces a precise check at the back-edge's target. With no
-	// tick armed, nextCheck is nops and slack infinite, so no check
-	// ever runs.
-	wc := tr.wc
-	deadline := m.nextTick
-	nextCheck, slack := nops, math.Inf(1)
 	if ticking {
-		nextCheck, slack = tr.prove(m.Clock.Cycles(), deadline, 0)
+		st.prove(m.Clock.Cycles(), 0)
 	}
+	regs := m.Regs
+	var accum float64 // batched cycle charges
+	var batch uint64  // TLB hits of operand-cache hits
+	var n uint64      // instructions retired this dispatch
 
 	var stop *RunResult
 	var fault *mmu.Fault // a data access faulted, after its fetch passed
@@ -336,7 +269,7 @@ loop:
 	for {
 		op := &ops[i]
 
-		if n >= limit {
+		if n >= st.limit {
 			ceip = op.eip
 			m.trStats.DeoptBudget++
 			break loop
@@ -346,15 +279,15 @@ loop:
 		// untraceable instruction, the precise deadline check, and the
 		// page-level fetch check. Every other executed fetch is a
 		// guaranteed TLB hit, counted at commit.
-		if op.flags&(opFlagExit|opFlagPageHead) != 0 || i >= nextCheck {
+		if op.flags&(opFlagExit|opFlagPageHead) != 0 || i >= st.nextCheck {
 			if op.flags&opFlagExit != 0 {
 				ceip = op.exitEIP
 				m.trStats.SideExits++
 				break loop
 			}
-			if i >= nextCheck {
+			if i >= st.nextCheck {
 				eff := m.Clock.Cycles() + accum
-				if eff >= deadline {
+				if eff >= st.deadline {
 					// Deadline reached at this op boundary: deoptimize.
 					// The commit lands the clock on eff and EIP here, so
 					// Run's re-dispatch fires the hook at the identical
@@ -363,12 +296,12 @@ loop:
 					m.trStats.DeoptTick++
 					break loop
 				}
-				nextCheck, slack = tr.prove(eff, deadline, i)
+				st.prove(eff, i)
 			}
 			// Full fetch check (charged, counted, faulting) once per
 			// dispatch at page heads.
 			if op.flags&opFlagPageHead != 0 && op.fseq != seq {
-				pa, f := mm.CheckPageBatched(op.lin, mmu.Execute, cpl, cs, op.eip, &batch)
+				pa, f := st.mm.CheckPageBatched(op.lin, mmu.Execute, st.cpl, st.cs, op.eip, &st.hits)
 				if f != nil {
 					stop = &RunResult{Reason: StopFault, Fault: f, Err: f}
 					ceip = op.eip
@@ -387,11 +320,13 @@ loop:
 					break loop
 				}
 				op.fseq = seq
-				full++
+				st.full++
 			}
 		}
 
-		// Charge first, then access — execute's order.
+		// Charge first, then access — execute's order. Every memory
+		// access tries its operand cache inline and takes the live path
+		// (traceRun.load/store) on a miss.
 		accum += op.cost
 
 		switch op.code {
@@ -405,350 +340,132 @@ loop:
 			regs[op.dst] = regs[op.src] & 0xFF
 
 		case opLea:
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			regs[op.dst] = off
+			regs[op.dst] = op.ea(&regs)
 
 		case opMovLoad:
-			sel := ds
-			if op.useSS {
-				sel = ss
+			off := op.ea(&regs)
+			v, ok := op.r.load(off, seq, uint32(op.size))
+			if ok {
+				batch++
+			} else if v, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			pa, ok := op.fastR(off, uint32(op.size), seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			r, rok := op.cachedR(pa, seq, uint32(op.size))
-			if !rok {
-				r = op.loadSlow(phys, pa, seq, uint32(op.size))
-			}
-			regs[op.dst] = r
+			regs[op.dst] = v
 
 		case opMovStoreR, opMovStoreI:
 			v := op.imm
 			if op.code == opMovStoreR {
 				v = regs[op.src]
 			}
-			sel := ds
-			if op.useSS {
-				sel = ss
-			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			pa, ok := op.fastW(off, uint32(op.size), seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(pa, seq, uint32(op.size), v) {
-				op.storeSlow(phys, pa, seq, uint32(op.size), v)
+			off := op.ea(&regs)
+			if op.w.store(off, seq, uint32(op.size), v) {
+				batch++
+			} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, v); fault != nil {
+				ceip = op.eip
+				break loop
 			}
 
 		case opAluRR, opAluRI:
-			a := regs[op.dst]
 			b := op.imm
 			if op.code == opAluRR {
 				b = regs[op.src]
 			}
-			r, ncf, nof := aluCF(op.sub, a, b)
-			cf, of = ncf, nof
-			if op.size == 1 {
-				r &= 0xFF
-				sf = r&0x80 != 0
-			} else {
-				sf = r&0x8000_0000 != 0
-			}
-			zf = r == 0
-			if op.sub != isa.CMP && op.sub != isa.TEST {
+			r, cf, of := aluCF(op.sub, regs[op.dst], b)
+			st.flags.CF, st.flags.OF = cf, of
+			if r = st.flags.setSZ(r, op.size); op.sub != isa.CMP && op.sub != isa.TEST {
 				regs[op.dst] = r // byte results already masked
 			}
 
 		case opAluRM:
-			sel := ds
-			if op.useSS {
-				sel = ss
+			off := op.ea(&regs)
+			b, ok := op.r.load(off, seq, uint32(op.size))
+			if ok {
+				batch++
+			} else if b, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			pa, ok := op.fastR(off, uint32(op.size), seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			b, rok := op.cachedR(pa, seq, uint32(op.size))
-			if !rok {
-				b = op.loadSlow(phys, pa, seq, uint32(op.size))
-			}
-			r, ncf, nof := aluCF(op.sub, regs[op.dst], b)
-			cf, of = ncf, nof
-			if op.size == 1 {
-				r &= 0xFF
-				sf = r&0x80 != 0
-			} else {
-				sf = r&0x8000_0000 != 0
-			}
-			zf = r == 0
-			if op.sub != isa.CMP && op.sub != isa.TEST {
+			r, cf, of := aluCF(op.sub, regs[op.dst], b)
+			st.flags.CF, st.flags.OF = cf, of
+			if r = st.flags.setSZ(r, op.size); op.sub != isa.CMP && op.sub != isa.TEST {
 				regs[op.dst] = r
 			}
 
 		case opAluMR, opAluMI:
-			sel := ds
-			if op.useSS {
-				sel = ss
-			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			paR, ok := op.fastR(off, uint32(op.size), seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			a, rok := op.cachedR(paR, seq, uint32(op.size))
-			if !rok {
-				a = op.loadSlow(phys, paR, seq, uint32(op.size))
+			off := op.ea(&regs)
+			a, ok := op.r.load(off, seq, uint32(op.size))
+			if ok {
+				batch++
+			} else if a, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
 			b := op.imm
 			if op.code == opAluMR {
 				b = regs[op.src]
 			}
-			r, ncf, nof := aluCF(op.sub, a, b)
-			cf, of = ncf, nof
-			if op.size == 1 {
-				r &= 0xFF
-				sf = r&0x80 != 0
-			} else {
-				sf = r&0x8000_0000 != 0
-			}
-			zf = r == 0
-			if op.sub != isa.CMP && op.sub != isa.TEST {
-				paW, ok := op.fastW(off, uint32(op.size), seq, &batch)
-				if !ok {
-					var f *mmu.Fault
-					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-						fault, ceip = f, op.eip
-						break loop
-					}
-				}
-				if !op.cachedW(paW, seq, uint32(op.size), r) {
-					op.storeSlow(phys, paW, seq, uint32(op.size), r)
+			r, cf, of := aluCF(op.sub, a, b)
+			st.flags.CF, st.flags.OF = cf, of
+			if r = st.flags.setSZ(r, op.size); op.sub != isa.CMP && op.sub != isa.TEST {
+				if op.w.store(off, seq, uint32(op.size), r) {
+					batch++
+				} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, r); fault != nil {
+					ceip = op.eip
+					break loop
 				}
 			}
 
 		case opUnR:
 			a := regs[op.dst]
-			var r uint32
-			switch op.sub {
-			case isa.INC:
-				r = a + 1
-				of = r == 0x8000_0000
-			case isa.DEC:
-				r = a - 1
-				of = a == 0x8000_0000
-			case isa.NEG:
-				r = -a
-				cf = a != 0
-			case isa.NOT:
-				// NOT does not affect flags.
-				if op.size == 1 {
-					regs[op.dst] = ^a & 0xFF
-				} else {
-					regs[op.dst] = ^a
-				}
-				goto retired
-			}
-			if op.size == 1 {
+			r := ^a // NOT does not affect flags
+			if op.sub != isa.NOT {
+				r = st.flags.unary(op.sub, op.size, a)
+			} else if op.size == 1 {
 				r &= 0xFF
-				sf = r&0x80 != 0
-			} else {
-				sf = r&0x8000_0000 != 0
 			}
-			zf = r == 0
 			regs[op.dst] = r
 
 		case opUnM:
-			sel := ds
-			if op.useSS {
-				sel = ss
+			off := op.ea(&regs)
+			a, ok := op.r.load(off, seq, uint32(op.size))
+			if ok {
+				batch++
+			} else if a, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
+			r := ^a // NOT does not affect flags
+			if op.sub != isa.NOT {
+				r = st.flags.unary(op.sub, op.size, a)
 			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			paR, ok := op.fastR(off, uint32(op.size), seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			a, rok := op.cachedR(paR, seq, uint32(op.size))
-			if !rok {
-				a = op.loadSlow(phys, paR, seq, uint32(op.size))
-			}
-			var r uint32
-			flagless := false
-			switch op.sub {
-			case isa.INC:
-				r = a + 1
-				of = r == 0x8000_0000
-			case isa.DEC:
-				r = a - 1
-				of = a == 0x8000_0000
-			case isa.NEG:
-				r = -a
-				cf = a != 0
-			case isa.NOT:
-				r = ^a
-				flagless = true
-			}
-			if !flagless {
-				if op.size == 1 {
-					r &= 0xFF
-					sf = r&0x80 != 0
-				} else {
-					sf = r&0x8000_0000 != 0
-				}
-				zf = r == 0
-			}
-			paW, ok2 := op.fastW(off, uint32(op.size), seq, &batch)
-			if !ok2 {
-				var f *mmu.Fault
-				if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(paW, seq, uint32(op.size), r) {
-				op.storeSlow(phys, paW, seq, uint32(op.size), r)
+			if op.w.store(off, seq, uint32(op.size), r) {
+				batch++
+			} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, r); fault != nil {
+				ceip = op.eip
+				break loop
 			}
 
 		case opShR:
-			a := regs[op.dst]
-			k := op.imm
-			var r uint32
-			switch op.sub {
-			case isa.SHL:
-				r = a << k
-				if k > 0 {
-					cf = a&(1<<(32-k)) != 0
-				}
-			case isa.SHR:
-				r = a >> k
-				if k > 0 {
-					cf = a&(1<<(k-1)) != 0
-				}
-			case isa.SAR:
-				r = uint32(int32(a) >> k)
-				if k > 0 {
-					cf = a&(1<<(k-1)) != 0
-				}
-			}
-			zf = r == 0
-			sf = r&0x8000_0000 != 0
-			regs[op.dst] = r
+			regs[op.dst] = st.flags.shift(op.sub, regs[op.dst], op.imm)
 
 		case opShM:
 			// Shifts read and write a dword regardless of Size
 			// (compileShift binds size 4).
-			sel := ds
-			if op.useSS {
-				sel = ss
+			off := op.ea(&regs)
+			a, ok := op.r.load(off, seq, 4)
+			if ok {
+				batch++
+			} else if a, fault = st.load(op, st.sel(op), off, 4, seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			paR, ok := op.fastR(off, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if paR, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			a, rok := op.cachedR(paR, seq, 4)
-			if !rok {
-				a = op.loadSlow(phys, paR, seq, 4)
-			}
-			k := op.imm
-			var r uint32
-			switch op.sub {
-			case isa.SHL:
-				r = a << k
-				if k > 0 {
-					cf = a&(1<<(32-k)) != 0
-				}
-			case isa.SHR:
-				r = a >> k
-				if k > 0 {
-					cf = a&(1<<(k-1)) != 0
-				}
-			case isa.SAR:
-				r = uint32(int32(a) >> k)
-				if k > 0 {
-					cf = a&(1<<(k-1)) != 0
-				}
-			}
-			zf = r == 0
-			sf = r&0x8000_0000 != 0
-			paW, ok2 := op.fastW(off, 4, seq, &batch)
-			if !ok2 {
-				var f *mmu.Fault
-				if paW, f = m.slowW(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(paW, seq, 4, r) {
-				op.storeSlow(phys, paW, seq, 4, r)
+			r := st.flags.shift(op.sub, a, op.imm)
+			if op.w.store(off, seq, 4, r) {
+				batch++
+			} else if fault = st.store(op, st.sel(op), off, 4, seq, r); fault != nil {
+				ceip = op.eip
+				break loop
 			}
 
 		case opImulRR:
@@ -756,32 +473,16 @@ loop:
 		case opImulRI:
 			regs[op.dst] = uint32(int32(regs[op.dst]) * int32(op.imm))
 		case opImulRM:
-			a := int32(regs[op.dst])
-			sel := ds
-			if op.useSS {
-				sel = ss
-			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
 			// IMUL reads its source as a dword, as execute does.
-			pa, ok := op.fastR(off, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
+			off := op.ea(&regs)
+			b, ok := op.r.load(off, seq, 4)
+			if ok {
+				batch++
+			} else if b, fault = st.load(op, st.sel(op), off, 4, seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
-			r32, rok := op.cachedR(pa, seq, 4)
-			if !rok {
-				r32 = op.loadSlow(phys, pa, seq, 4)
-			}
-			regs[op.dst] = uint32(a * int32(r32))
+			regs[op.dst] = uint32(int32(regs[op.dst]) * int32(b))
 
 		case opXchgRR:
 			a, b := regs[op.dst], regs[op.src]
@@ -792,69 +493,35 @@ loop:
 			}
 
 		case opXchgRM, opXchgMR:
-			sel := ds
-			if op.useSS {
-				sel = ss
+			off := op.ea(&regs)
+			mv, ok := op.r.load(off, seq, uint32(op.size))
+			if ok {
+				batch++
+			} else if mv, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
+			if op.size == 1 {
+				mv &= 0xFF
 			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			paR, ok := op.fastR(off, uint32(op.size), seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if paR, f = m.slowR(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			mv, rok := op.cachedR(paR, seq, uint32(op.size))
-			if !rok {
-				mv = op.loadSlow(phys, paR, seq, uint32(op.size))
-			}
+			// The register side is dst for XchgRM, src for XchgMR;
+			// execute writes dst first, so XchgRM writes the register
+			// before memory and XchgMR after.
+			r := op.src
 			if op.code == opXchgRM {
-				// dst reg <-> src mem: reg write first, then mem write,
-				// matching execute's dst-then-src write order.
-				a := regs[op.dst]
-				if op.size == 1 {
-					regs[op.dst] = mv & 0xFF
-				} else {
-					regs[op.dst] = mv
-				}
-				paW, ok2 := op.fastW(off, uint32(op.size), seq, &batch)
-				if !ok2 {
-					var f *mmu.Fault
-					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-						fault, ceip = f, op.eip
-						break loop
-					}
-				}
-				if !op.cachedW(paW, seq, uint32(op.size), a) {
-					op.storeSlow(phys, paW, seq, uint32(op.size), a)
-				}
-			} else {
-				// dst mem <-> src reg: mem write first, then reg write.
-				rv := regs[op.src]
-				paW, ok2 := op.fastW(off, uint32(op.size), seq, &batch)
-				if !ok2 {
-					var f *mmu.Fault
-					if paW, f = m.slowW(op, sel, off, uint32(op.size), cpl, seq, &batch); f != nil {
-						fault, ceip = f, op.eip
-						break loop
-					}
-				}
-				if !op.cachedW(paW, seq, uint32(op.size), rv) {
-					op.storeSlow(phys, paW, seq, uint32(op.size), rv)
-				}
-				if op.size == 1 {
-					regs[op.src] = mv & 0xFF
-				} else {
-					regs[op.src] = mv
-				}
+				r = op.dst
 			}
+			rv := regs[r]
+			if op.code == opXchgRM {
+				regs[r] = mv
+			}
+			if op.w.store(off, seq, uint32(op.size), rv) {
+				batch++
+			} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, rv); fault != nil {
+				ceip = op.eip
+				break loop
+			}
+			regs[r] = mv
 
 		case opPushR, opPushI:
 			v := op.imm
@@ -862,117 +529,67 @@ loop:
 				v = regs[op.src]
 			}
 			esp := regs[isa.ESP] - 4
-			pa, ok := op.fastW(esp, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
-					f.Kind = mmu.SS // ESP unchanged, as in Machine.Push
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(pa, seq, 4, v) {
-				op.storeSlow(phys, pa, seq, 4, v)
+			if op.w.store(esp, seq, 4, v) {
+				batch++
+			} else if fault = st.store(op, st.ss, esp, 4, seq, v); fault != nil {
+				fault.Kind = mmu.SS // ESP unchanged, as in Machine.Push
+				ceip = op.eip
+				break loop
 			}
 			regs[isa.ESP] = esp
 
 		case opPushM:
 			// PUSH reads its operand as a dword (compileRead size 4).
-			sel := ds
-			if op.useSS {
-				sel = ss
-			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			paR, ok := op.fastR(off, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if paR, f = m.slowR(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			v, rok := op.cachedR(paR, seq, 4)
-			if !rok {
-				v = op.loadSlow(phys, paR, seq, 4)
+			off := op.ea(&regs)
+			v, ok := op.r.load(off, seq, 4)
+			if ok {
+				batch++
+			} else if v, fault = st.load(op, st.sel(op), off, 4, seq); fault != nil {
+				ceip = op.eip
+				break loop
 			}
 			esp := regs[isa.ESP] - 4
-			paW, ok2 := op.fastW(esp, 4, seq, &batch)
-			if !ok2 {
-				var f *mmu.Fault
-				if paW, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
-					f.Kind = mmu.SS
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(paW, seq, 4, v) {
-				op.storeSlow(phys, paW, seq, 4, v)
+			if op.w.store(esp, seq, 4, v) {
+				batch++
+			} else if fault = st.store(op, st.ss, esp, 4, seq, v); fault != nil {
+				fault.Kind = mmu.SS
+				ceip = op.eip
+				break loop
 			}
 			regs[isa.ESP] = esp
 
 		case opPopR:
 			esp := regs[isa.ESP]
-			pa, ok := op.fastR(esp, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
-					f.Kind = mmu.SS
-					fault, ceip = f, op.eip
-					break loop
-				}
+			v, ok := op.r.load(esp, seq, 4)
+			if ok {
+				batch++
+			} else if v, fault = st.load(op, st.ss, esp, 4, seq); fault != nil {
+				fault.Kind = mmu.SS
+				ceip = op.eip
+				break loop
 			}
 			regs[isa.ESP] = esp + 4
-			r32, rok := op.cachedR(pa, seq, 4)
-			if !rok {
-				r32 = op.loadSlow(phys, pa, seq, 4)
-			}
-			regs[op.dst] = r32
+			regs[op.dst] = v
 
 		case opPopM:
 			esp := regs[isa.ESP]
-			paR, ok := op.fastR(esp, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if paR, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
-					f.Kind = mmu.SS
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			v, rok := op.cachedR(paR, seq, 4)
-			if !rok {
-				v = op.loadSlow(phys, paR, seq, 4)
+			v, ok := op.r.load(esp, seq, 4)
+			if ok {
+				batch++
+			} else if v, fault = st.load(op, st.ss, esp, 4, seq); fault != nil {
+				fault.Kind = mmu.SS
+				ceip = op.eip
+				break loop
 			}
 			regs[isa.ESP] = esp + 4
-			sel := ds
-			if op.useSS {
-				sel = ss
-			}
-			off := op.disp
-			if op.base != noReg {
-				off += regs[op.base]
-			}
-			if op.ix != noReg {
-				off += regs[op.ix] * uint32(op.scale)
-			}
-			paW, ok2 := op.fastW(off, 4, seq, &batch)
-			if !ok2 {
-				var f *mmu.Fault
-				if paW, f = m.slowW(op, sel, off, 4, cpl, seq, &batch); f != nil {
-					// x86 restores ESP if the store faults, as in execute.
-					regs[isa.ESP] -= 4
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(paW, seq, 4, v) {
-				op.storeSlow(phys, paW, seq, 4, v)
+			off := op.ea(&regs)
+			if op.w.store(off, seq, 4, v) {
+				batch++
+			} else if fault = st.store(op, st.sel(op), off, 4, seq, v); fault != nil {
+				// x86 restores ESP if the store faults, as in execute.
+				regs[isa.ESP] -= 4
+				ceip = op.eip
+				break loop
 			}
 
 		case opJmp:
@@ -984,7 +601,7 @@ loop:
 			break loop
 
 		case opJcc:
-			if traceCond(op.sub, zf, sf, cf, of) != op.follow {
+			if cond(op.sub, st.flags.ZF, st.flags.SF, st.flags.CF, st.flags.OF) != op.follow {
 				accum += op.alt - op.cost // charged op.cost above; actual is alt
 				n++
 				ceip = op.exitEIP
@@ -993,8 +610,7 @@ loop:
 			}
 
 		case opJccExit:
-			taken := traceCond(op.sub, zf, sf, cf, of)
-			if taken {
+			if cond(op.sub, st.flags.ZF, st.flags.SF, st.flags.CF, st.flags.OF) {
 				ceip = op.imm
 			} else {
 				accum += op.alt - op.cost
@@ -1006,17 +622,13 @@ loop:
 
 		case opCall, opCallExit:
 			esp := regs[isa.ESP] - 4
-			pa, ok := op.fastW(esp, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowW(op, ss, esp, 4, cpl, seq, &batch); f != nil {
-					f.Kind = mmu.SS
-					fault, ceip = f, op.eip
-					break loop
-				}
-			}
-			if !op.cachedW(pa, seq, 4, op.eip+isa.InstrSlot) {
-				op.storeSlow(phys, pa, seq, 4, op.eip+isa.InstrSlot)
+			ret := op.eip + isa.InstrSlot
+			if op.w.store(esp, seq, 4, ret) {
+				batch++
+			} else if fault = st.store(op, st.ss, esp, 4, seq, ret); fault != nil {
+				fault.Kind = mmu.SS
+				ceip = op.eip
+				break loop
 			}
 			regs[isa.ESP] = esp
 			if op.code == opCallExit {
@@ -1028,27 +640,21 @@ loop:
 
 		case opRet:
 			esp := regs[isa.ESP]
-			pa, ok := op.fastR(esp, 4, seq, &batch)
-			if !ok {
-				var f *mmu.Fault
-				if pa, f = m.slowR(op, ss, esp, 4, cpl, seq, &batch); f != nil {
-					f.Kind = mmu.SS
-					fault, ceip = f, op.eip
-					break loop
-				}
+			v, ok := op.r.load(esp, seq, 4)
+			if ok {
+				batch++
+			} else if v, fault = st.load(op, st.ss, esp, 4, seq); fault != nil {
+				fault.Kind = mmu.SS
+				ceip = op.eip
+				break loop
 			}
 			regs[isa.ESP] = esp + 4 + op.imm
 			n++
-			r32, rok := op.cachedR(pa, seq, 4)
-			if !rok {
-				r32 = op.loadSlow(phys, pa, seq, 4)
-			}
-			ceip = r32
+			ceip = v
 			m.trStats.SideExits++
 			break loop
 		}
 
-	retired:
 		n++
 		if op.flags&opFlagJump == 0 {
 			i++
@@ -1061,9 +667,9 @@ loop:
 		// precise check runs at t.
 		t := int(op.next)
 		if t <= i {
-			slack -= wc[i+1] - wc[t]
-			if slack <= 0 && t < nextCheck {
-				nextCheck = t
+			st.slack -= st.wc[i+1] - st.wc[t]
+			if st.slack <= 0 && t < st.nextCheck {
+				st.nextCheck = t
 			}
 		}
 		i = t
@@ -1073,18 +679,18 @@ loop:
 	// Every retired op passed its fetch, and so did an op whose data
 	// access faulted; those that did not take the full check were
 	// guaranteed TLB hits.
-	g := n - full
+	g := n - st.full
 	if fault != nil {
 		stop = &RunResult{Reason: StopFault, Fault: fault, Err: fault}
 		m.trStats.DeoptFault++
 		g++
 	}
 	m.Regs = regs
-	m.Flags = Flags{ZF: zf, SF: sf, CF: cf, OF: of}
+	m.Flags = st.flags
 	m.EIP = ceip
 	m.Clock.Add(accum)
 	m.instret += n
-	m.MMU.TLB().AddHits(batch + g)
+	m.MMU.TLB().AddHits(batch + st.hits + g)
 	m.bcFastFetches += g
 
 	if pageOp != nil {
@@ -1093,8 +699,8 @@ loop:
 		// exactly runBlock's substitution arm — and let Run re-dispatch.
 		ins := m.code[livePA]
 		if ins == nil {
-			f := &mmu.Fault{Kind: mmu.UD, Sel: cs, Off: pageOp.eip, Linear: pageOp.lin,
-				Access: mmu.Execute, CPL: cpl, Reason: "no instruction at address"}
+			f := &mmu.Fault{Kind: mmu.UD, Sel: st.cs, Off: pageOp.eip, Linear: pageOp.lin,
+				Access: mmu.Execute, CPL: st.cpl, Reason: "no instruction at address"}
 			return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
 		}
 		if f := m.execute(ins); f != nil {

@@ -168,30 +168,37 @@ func TestSegGenTracksOnlySegmentEvents(t *testing.T) {
 }
 
 // TestTranslateBatchedMatchesProbed pins the trace tier's translation
-// (TranslateBatched, a fresh dispatch seq per call so the PageSlot
-// never short-circuits) to the probed one: identical addresses and
-// fault identities on fills, warm hits and limit violations, a refill
-// on descriptor mutation, and a live page-level check on every warm
-// access.
+// (TranslateBatched) to the probed one: identical addresses, fault
+// identities, charges and TLB counts — a hit counted in the batch
+// instead of the TLB — on fills, warm hits and limit violations, a
+// refill on descriptor mutation, and a live page-level check on every
+// warm access.
 func TestTranslateBatchedMatchesProbed(t *testing.T) {
 	m, as := probeMMU(t)
 	sel := MakeSelector(1, false, 3)
 
 	var pp, pb SegProbe
-	var pc PageSlot
-	var seq uint32
+	var batch uint64
 	batched := func(off, size uint32) (uint32, *Fault) {
-		seq++
-		var batch uint64
-		return m.TranslateBatched(&pb, sel, off, size, Write, 3, &pc, seq, &batch)
+		batch = 0
+		return m.TranslateBatched(&pb, sel, off, size, Write, 3, &batch)
 	}
 	check := func(off, size uint32) {
 		t.Helper()
 		ref := m.tlb.Clone()
+		c0 := m.clock.Cycles()
 		wantPA, wantF := m.TranslateProbed(&pp, sel, off, size, Write, 3)
+		wantHits, wantMisses, _ := m.tlb.Stats()
+		c1 := m.clock.Cycles()
 		m.tlb.restoreFrom(ref)
 		gotPA, gotF := batched(off, size)
+		gotHits, gotMisses, _ := m.tlb.Stats()
+		c2 := m.clock.Cycles()
 		m.tlb.restoreFrom(ref)
+		if gotHits+batch != wantHits || gotMisses != wantMisses || c2-c1 != c1-c0 {
+			t.Fatalf("off %#x: TLB hits/misses/charge: probed %d/%d/%v, batched %d+%d/%d/%v",
+				off, wantHits, wantMisses, c1-c0, gotHits, batch, gotMisses, c2-c1)
+		}
 		if (wantF == nil) != (gotF == nil) {
 			t.Fatalf("off %#x: fault mismatch: probed %v, batched %v", off, wantF, gotF)
 		}
