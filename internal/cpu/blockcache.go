@@ -29,8 +29,8 @@ import (
 // what the uncached interpreter produced.
 //
 // Invalidation:
-//   - LDT switches, GDT/LDT descriptor mutations and whole-image
-//     restores advance mmu.SegGen, which is part of every block's tag
+//   - GDT descriptor mutations and whole-image restores advance
+//     mmu.SegGen, which is part of every block's tag
 //     (gen), killing all blocks at once. Pure paging events (CR3
 //     loads, invlpg) advance only mmu.TransGen: they do not invalidate
 //     blocks — the live per-execution page check follows remaps

@@ -30,10 +30,10 @@ import (
 // positions. The oracle therefore pins tier-3 deoptimization — the
 // partial-commit path — to tier-1 semantics along with the blocks.
 
-// diffRegs are the registers random programs scribble on. ESP and EBP
-// are excluded so stack handling stays structured (push/pop pairs and
-// call/ret); wild memory traffic is exercised through indirect
-// addressing instead.
+// diffRegs are the registers random programs scribble on. ESP is
+// excluded so stack handling stays structured (push/pop pairs and
+// call/ret), and EBP because it counts spliceLongLoop's loop; wild
+// memory traffic is exercised through indirect addressing instead.
 var diffRegs = []string{"eax", "ebx", "ecx", "edx", "esi", "edi"}
 
 // diffEvent is one scripted invalidation, applied by the timer hook at
@@ -68,99 +68,12 @@ func genProgram(rng *rand.Rand) (string, int) {
 	nblocks := 4 + rng.Intn(8)
 	var b strings.Builder
 	b.WriteString("entry:\n")
-	reg := func() string { return diffRegs[rng.Intn(len(diffRegs))] }
-	disp := func() int { return 4 * rng.Intn(60) }
-	alu := []string{"add", "sub", "and", "or", "xor", "cmp", "test"}
-	una := []string{"inc", "dec", "neg", "not"}
-	shf := []string{"shl", "shr", "sar"}
 	jcc := []string{"je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe", "ja", "jae", "js", "jns"}
 
 	for blk := 0; blk < nblocks; blk++ {
 		fmt.Fprintf(&b, "b%d:\n", blk)
 		for n := 1 + rng.Intn(6); n > 0; n-- {
-			switch rng.Intn(22) {
-			case 0:
-				fmt.Fprintf(&b, "\tmov %s, %d\n", reg(), rng.Int31())
-			case 1:
-				fmt.Fprintf(&b, "\tmov %s, %s\n", reg(), reg())
-			case 2:
-				fmt.Fprintf(&b, "\tmov %s, [buf+%d]\n", reg(), disp())
-			case 3:
-				if rng.Intn(4) == 0 {
-					fmt.Fprintf(&b, "\tmov [buf+%d], %d\n", disp(), rng.Int31())
-				} else {
-					fmt.Fprintf(&b, "\tmov [buf+%d], %s\n", disp(), reg())
-				}
-			case 4:
-				fmt.Fprintf(&b, "\tmovb %s, [buf+%d]\n", reg(), disp())
-			case 5:
-				fmt.Fprintf(&b, "\tmovb [buf+%d], %s\n", disp(), reg())
-			case 6:
-				fmt.Fprintf(&b, "\t%s %s, %s\n", alu[rng.Intn(len(alu))], reg(), reg())
-			case 7:
-				fmt.Fprintf(&b, "\t%s %s, %d\n", alu[rng.Intn(len(alu))], reg(), rng.Int31n(1<<16))
-			case 8:
-				fmt.Fprintf(&b, "\t%s %s, [buf+%d]\n", alu[rng.Intn(len(alu))], reg(), disp())
-			case 9:
-				fmt.Fprintf(&b, "\t%s %s\n", una[rng.Intn(len(una))], reg())
-			case 10:
-				fmt.Fprintf(&b, "\t%s %s, %d\n", shf[rng.Intn(len(shf))], reg(), rng.Intn(32))
-			case 11:
-				fmt.Fprintf(&b, "\timul %s, %s\n", reg(), reg())
-			case 12:
-				fmt.Fprintf(&b, "\tlea %s, [buf+%d]\n", reg(), disp())
-			case 13:
-				r1, r2 := reg(), reg()
-				fmt.Fprintf(&b, "\tpush %s\n\tpop %s\n", r1, r2)
-			case 14:
-				fmt.Fprintf(&b, "\tcall fn%d\n", rng.Intn(2))
-			case 15:
-				// Wild indirect access: the register value is whatever
-				// the program computed, so this may fault — both
-				// executions must fault identically.
-				if rng.Intn(2) == 0 {
-					fmt.Fprintf(&b, "\tmov %s, [%s]\n", reg(), reg())
-				} else {
-					fmt.Fprintf(&b, "\tmov [%s], %s\n", reg(), reg())
-				}
-			// Memory-destination and exotic forms, added with the
-			// trace tier so its fused read-modify-write micro-ops are
-			// under the differential too.
-			case 16:
-				if rng.Intn(2) == 0 {
-					fmt.Fprintf(&b, "\t%s [buf+%d], %s\n", alu[rng.Intn(len(alu))], disp(), reg())
-				} else {
-					fmt.Fprintf(&b, "\t%s [buf+%d], %d\n", alu[rng.Intn(len(alu))], disp(), rng.Int31n(1<<16))
-				}
-			case 17:
-				fmt.Fprintf(&b, "\t%s [buf+%d]\n", una[rng.Intn(len(una))], disp())
-			case 18:
-				fmt.Fprintf(&b, "\t%s [buf+%d], %d\n", shf[rng.Intn(len(shf))], disp(), rng.Intn(32))
-			case 19:
-				switch rng.Intn(3) {
-				case 0:
-					fmt.Fprintf(&b, "\txchg %s, %s\n", reg(), reg())
-				case 1:
-					fmt.Fprintf(&b, "\txchg %s, [buf+%d]\n", reg(), disp())
-				case 2:
-					fmt.Fprintf(&b, "\txchg [buf+%d], %s\n", disp(), reg())
-				}
-			case 20:
-				if rng.Intn(2) == 0 {
-					fmt.Fprintf(&b, "\timul %s, %d\n", reg(), rng.Int31n(1<<8))
-				} else {
-					fmt.Fprintf(&b, "\timul %s, [buf+%d]\n", reg(), disp())
-				}
-			case 21:
-				switch rng.Intn(3) {
-				case 0:
-					fmt.Fprintf(&b, "\tpush %d\n\tpop %s\n", rng.Int31(), reg())
-				case 1:
-					fmt.Fprintf(&b, "\tpush [buf+%d]\n\tpop %s\n", disp(), reg())
-				case 2:
-					fmt.Fprintf(&b, "\tpush %s\n\tpop [buf+%d]\n", reg(), disp())
-				}
-			}
+			genInstr(&b, rng, rng.Intn(22))
 		}
 		if blk == nblocks-1 {
 			b.WriteString("\tjmp stop\n")
@@ -177,10 +90,132 @@ func genProgram(rng *rand.Rand) (string, int) {
 	}
 	b.WriteString("stop:\n\tnop\n")
 	for f := 0; f < 2; f++ {
-		fmt.Fprintf(&b, "fn%d:\n\tpush ebx\n\t%s ebx\n\tpop ebx\n\tret\n", f, una[f])
+		fmt.Fprintf(&b, "fn%d:\n\tpush ebx\n\t%s ebx\n\tpop ebx\n\tret\n", f, diffUna[f])
 	}
 	b.WriteString(".data\nbuf: .space 256\n")
 	return b.String(), nblocks
+}
+
+var (
+	diffALU = []string{"add", "sub", "and", "or", "xor", "cmp", "test"}
+	diffUna = []string{"inc", "dec", "neg", "not"}
+	diffShf = []string{"shl", "shr", "sar"}
+)
+
+// genInstr appends one instruction (two for the push/pop pairs) of the
+// given kind, 0 to 21, drawing its operands from rng. Kind 14 is a call
+// and kind 15 a wild indirect access; no other kind ends a block.
+func genInstr(b *strings.Builder, rng *rand.Rand, kind int) {
+	reg := func() string { return diffRegs[rng.Intn(len(diffRegs))] }
+	disp := func() int { return 4 * rng.Intn(60) }
+	switch kind {
+	case 0:
+		fmt.Fprintf(b, "\tmov %s, %d\n", reg(), rng.Int31())
+	case 1:
+		fmt.Fprintf(b, "\tmov %s, %s\n", reg(), reg())
+	case 2:
+		fmt.Fprintf(b, "\tmov %s, [buf+%d]\n", reg(), disp())
+	case 3:
+		if rng.Intn(4) == 0 {
+			fmt.Fprintf(b, "\tmov [buf+%d], %d\n", disp(), rng.Int31())
+		} else {
+			fmt.Fprintf(b, "\tmov [buf+%d], %s\n", disp(), reg())
+		}
+	case 4:
+		fmt.Fprintf(b, "\tmovb %s, [buf+%d]\n", reg(), disp())
+	case 5:
+		fmt.Fprintf(b, "\tmovb [buf+%d], %s\n", disp(), reg())
+	case 6:
+		fmt.Fprintf(b, "\t%s %s, %s\n", diffALU[rng.Intn(len(diffALU))], reg(), reg())
+	case 7:
+		fmt.Fprintf(b, "\t%s %s, %d\n", diffALU[rng.Intn(len(diffALU))], reg(), rng.Int31n(1<<16))
+	case 8:
+		fmt.Fprintf(b, "\t%s %s, [buf+%d]\n", diffALU[rng.Intn(len(diffALU))], reg(), disp())
+	case 9:
+		fmt.Fprintf(b, "\t%s %s\n", diffUna[rng.Intn(len(diffUna))], reg())
+	case 10:
+		fmt.Fprintf(b, "\t%s %s, %d\n", diffShf[rng.Intn(len(diffShf))], reg(), rng.Intn(32))
+	case 11:
+		fmt.Fprintf(b, "\timul %s, %s\n", reg(), reg())
+	case 12:
+		fmt.Fprintf(b, "\tlea %s, [buf+%d]\n", reg(), disp())
+	case 13:
+		r1, r2 := reg(), reg()
+		fmt.Fprintf(b, "\tpush %s\n\tpop %s\n", r1, r2)
+	case 14:
+		fmt.Fprintf(b, "\tcall fn%d\n", rng.Intn(2))
+	case 15:
+		// Wild indirect access: the register value is whatever
+		// the program computed, so this may fault — both
+		// executions must fault identically.
+		if rng.Intn(2) == 0 {
+			fmt.Fprintf(b, "\tmov %s, [%s]\n", reg(), reg())
+		} else {
+			fmt.Fprintf(b, "\tmov [%s], %s\n", reg(), reg())
+		}
+	// Memory-destination and exotic forms, added with the
+	// trace tier so its fused read-modify-write micro-ops are
+	// under the differential too.
+	case 16:
+		if rng.Intn(2) == 0 {
+			fmt.Fprintf(b, "\t%s [buf+%d], %s\n", diffALU[rng.Intn(len(diffALU))], disp(), reg())
+		} else {
+			fmt.Fprintf(b, "\t%s [buf+%d], %d\n", diffALU[rng.Intn(len(diffALU))], disp(), rng.Int31n(1<<16))
+		}
+	case 17:
+		fmt.Fprintf(b, "\t%s [buf+%d]\n", diffUna[rng.Intn(len(diffUna))], disp())
+	case 18:
+		fmt.Fprintf(b, "\t%s [buf+%d], %d\n", diffShf[rng.Intn(len(diffShf))], disp(), rng.Intn(32))
+	case 19:
+		switch rng.Intn(3) {
+		case 0:
+			fmt.Fprintf(b, "\txchg %s, %s\n", reg(), reg())
+		case 1:
+			fmt.Fprintf(b, "\txchg %s, [buf+%d]\n", reg(), disp())
+		case 2:
+			fmt.Fprintf(b, "\txchg [buf+%d], %s\n", disp(), reg())
+		}
+	case 20:
+		if rng.Intn(2) == 0 {
+			fmt.Fprintf(b, "\timul %s, %d\n", reg(), rng.Int31n(1<<8))
+		} else {
+			fmt.Fprintf(b, "\timul %s, [buf+%d]\n", reg(), disp())
+		}
+	case 21:
+		switch rng.Intn(3) {
+		case 0:
+			fmt.Fprintf(b, "\tpush %d\n\tpop %s\n", rng.Int31(), reg())
+		case 1:
+			fmt.Fprintf(b, "\tpush [buf+%d]\n\tpop %s\n", disp(), reg())
+		case 2:
+			fmt.Fprintf(b, "\tpush %s\n\tpop [buf+%d]\n", reg(), disp())
+		}
+	}
+}
+
+// spliceLongLoop puts, for one scenario in three, a counted loop over a
+// straight line longer than maxBlockLen at the head of one block: the
+// line's first block ends on the length cap, so the loop's trace
+// continues by fall-through. The loop has no call and no wild access,
+// and ebp, which nothing else writes, counts it. rng is a stream of its
+// own, so every other draw of a seed's scenario stays what it was.
+func spliceLongLoop(src string, nblocks int, rng *rand.Rand) (string, bool) {
+	if rng.Intn(3) != 0 {
+		return src, false
+	}
+	blk := rng.Intn(nblocks)
+	var b strings.Builder
+	fmt.Fprintf(&b, "\tmov ebp, %d\nb%d_long:\n", 5+rng.Intn(4), blk)
+	for n := maxBlockLen + 1 + rng.Intn(8); n > 0; n-- {
+		kind := rng.Intn(20)
+		if kind >= 14 {
+			kind += 2
+		}
+		genInstr(&b, rng, kind)
+	}
+	fmt.Fprintf(&b, "\tdec ebp\n\tjne b%d_long\n", blk)
+	label := fmt.Sprintf("\nb%d:\n", blk)
+	return strings.Replace(src, label, label+b.String(), 1), true
 }
 
 // genEvents scripts 2-8 invalidation events against random blocks.
@@ -206,6 +241,13 @@ func diffCase(seed int64, resets bool) (src string, events []diffEvent, tick flo
 	src, nblocks := genProgram(rng)
 	inval := genEvents(rng, nblocks)
 	tick = 60 + float64(rng.Intn(150))
+	src, long := spliceLongLoop(src, nblocks, rand.New(rand.NewSource(^seed)))
+	if long {
+		// Ticks must leave a trace dispatch room to run past the
+		// line's first maxBlockLen instructions (memory forms cost a
+		// few cycles each) before it deoptimizes.
+		tick += 8 * maxBlockLen
+	}
 	budget = uint64(1200 + rng.Intn(1800))
 	if !resets {
 		return src, inval, tick, budget

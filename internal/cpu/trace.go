@@ -362,12 +362,8 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 		nslots := len(cur.slots)
 		term := cur.slots[nslots-1].ins
 		termSpecial := term.Op.TransfersControl()
-		body := nslots
-		if termSpecial {
-			body--
-		}
 		bailed := false
-		for i := 0; i < body; i++ {
+		for i := 0; i < nslots-1; i++ { // the terminal slot is appended below
 			s := &cur.slots[i]
 			if !m.appendTraceOp(tr, cur, i) {
 				tr.ops = append(tr.ops, traceOp{code: opExit, eip: s.eip, exitEIP: s.eip})

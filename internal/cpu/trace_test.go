@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -98,6 +99,37 @@ func TestTraceEngagesOnHotLoop(t *testing.T) {
 		t.Errorf("unexpected deopts on a quiet hot loop: %+v", ts)
 	}
 	traceCompare(t, "hot loop", hRun, hStep, resRun, resStep)
+}
+
+// TestTraceLongBlockParity: a loop body longer than maxBlockLen splits
+// into a block that ends on an ordinary instruction (the length cap),
+// so its trace continues by fall-through. That terminal must run once
+// per iteration, as under single-stepping.
+func TestTraceLongBlockParity(t *testing.T) {
+	const body, iters = maxBlockLen + 2, 100
+	src := `
+	entry:
+		mov eax, 0
+		mov ecx, ` + fmt.Sprint(iters) + `
+	loop:
+` + strings.Repeat("\t\tinc eax\n", body) + `
+		dec ecx
+		jne loop
+	stop:
+		nop
+`
+	hRun, _, resRun := traceExec(t, (*Machine).Run, src, defaultTraceThreshold)
+	hStep, _, resStep := traceExec(t, stepRun, src, defaultTraceThreshold)
+	if resRun.Reason != StopBreak {
+		t.Fatalf("run stop = %v (%v)", resRun.Reason, resRun.Err)
+	}
+	if ts := hRun.m.TraceStats(); ts.Built == 0 || ts.Dispatches == 0 {
+		t.Fatalf("trace tier never engaged: %+v", ts)
+	}
+	if got := hRun.m.Regs[isa.EAX]; got != body*iters {
+		t.Errorf("eax = %d after %d iterations of %d incs, want %d", got, iters, body, body*iters)
+	}
+	traceCompare(t, "long block", hRun, hStep, resRun, resStep)
 }
 
 // TestTracePromotesBlockEnteredIndirectly: a hot block that is only

@@ -45,7 +45,7 @@ func (m *Machine) lcallGate(gateSel mmu.Selector, retEIP uint32) *mmu.Fault {
 	}
 	// Gate privilege: callers below the gate's DPL are rejected. This
 	// check is what makes call gates safe entry points: the gate
-	// descriptor lives in the GDT/LDT, modifiable only at SPL 0.
+	// descriptor lives in the GDT, modifiable only at SPL 0.
 	if max(m.CPL(), gateSel.RPL()) > gate.DPL {
 		return m.gpf("lcall: gate DPL below caller privilege")
 	}

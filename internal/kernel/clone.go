@@ -102,7 +102,7 @@ func (k *Kernel) ResetTo(t *Kernel) {
 	k.MMU.ResetTo(t.MMU)
 	k.Machine.ResetTo(t.Machine)
 
-	procs, syscalls, ksvcs, costs, console := k.procs, k.syscalls, k.kernelServices, k.Costs, k.ConsoleOut
+	procs, syscalls, ksvcs, costs, console, kstacks := k.procs, k.syscalls, k.kernelServices, k.Costs, k.ConsoleOut, k.freeKStacks
 	k.kernelState = t.kernelState
 	for pid := range procs {
 		if t.procs[pid] == nil {
@@ -145,6 +145,7 @@ func (k *Kernel) ResetTo(t *Kernel) {
 	*costs = *t.Costs
 	k.Costs = costs
 	k.ConsoleOut = append(console[:0], t.ConsoleOut...)
+	k.freeKStacks = append(kstacks[:0], t.freeKStacks...)
 
 	if space := t.MMU.Space(); space != nil {
 		k.MMU.AdoptSpace(k.spaceFor(k.procs, space.CR3()))

@@ -58,8 +58,8 @@ const (
 
 	// kStackSlot is one process's kernel stack: a page and a guard gap.
 	kStackSlot = 2 * mem.PageSize
-	// maxProcesses is how many processes one kernel can ever create:
-	// the kernel-stack slots between kStackBase and kHeapBase.
+	// maxProcesses is how many processes one kernel can hold live at
+	// once: the kernel-stack slots between kStackBase and kHeapBase.
 	maxProcesses = (kHeapBase - kStackBase) / kStackSlot
 
 	// ExtSegBase is where kernel extension segments are carved out.
@@ -107,7 +107,11 @@ type kernelState struct {
 	cur     *Process
 	procs   map[int]*Process
 
-	nextKStack  uint32
+	nextKStack uint32
+	// freeKStacks holds the bases of the kernel-stack slots exited
+	// processes gave back, still mapped; CreateProcess takes the last
+	// one before it advances nextKStack.
+	freeKStacks []uint32
 	nextKHeap   uint32
 	nextSvcAddr uint32
 	nextGate    int
@@ -159,6 +163,7 @@ func (s *kernelState) copy() kernelState {
 	costs := *s.Costs
 	c.Costs = &costs
 	c.ConsoleOut = slices.Clone(s.ConsoleOut)
+	c.freeKStacks = slices.Clone(s.freeKStacks)
 	return c
 }
 

@@ -514,10 +514,11 @@ func TestKernelAllocAndMapKernelPage(t *testing.T) {
 	}
 }
 
-// TestKernelStacksStopBeforeKernelHeap creates processes until the
-// kernel-stack slots run out. The last slot must end below the kernel
-// heap, the heap mapping must survive, and the next CreateProcess must
-// fail instead of mapping a stack over heap pages.
+// TestKernelStacksStopBeforeKernelHeap creates live processes until
+// the kernel-stack slots run out. The last slot must end below the
+// kernel heap, the heap mapping must survive, and the next
+// CreateProcess must fail instead of mapping a stack over heap pages;
+// once a process exits, its slot serves the next one.
 func TestKernelStacksStopBeforeKernelHeap(t *testing.T) {
 	k := boot(t)
 	heap, err := k.KernelAlloc(mem.PageSize, mem.PageSize)
@@ -531,9 +532,6 @@ func TestKernelStacksStopBeforeKernelHeap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("process %d of %d: %v", i+1, maxProcesses, err)
 		}
-		// Exited processes keep their kernel stacks but leave the
-		// process table, so mapKernelShared's walks stay short.
-		k.Exit(p, 0)
 		last = p
 	}
 	if last.KStackTop > kHeapBase {
@@ -551,6 +549,14 @@ func TestKernelStacksStopBeforeKernelHeap(t *testing.T) {
 	}
 	if got := k.kernelTemplate.Lookup(heap); got != want {
 		t.Errorf("kernel heap PTE at %#x = %#x after the failed call, want %#x", heap, got, want)
+	}
+	k.Exit(last, 0)
+	p, err := k.CreateProcess()
+	if err != nil {
+		t.Fatalf("CreateProcess after an exit: %v", err)
+	}
+	if p.KStackTop != last.KStackTop {
+		t.Errorf("new process's kernel stack tops out at %#x, want the exited one's %#x", p.KStackTop, last.KStackTop)
 	}
 }
 

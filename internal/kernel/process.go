@@ -110,12 +110,13 @@ func copyRegions(rs []*VMRegion) []*VMRegion {
 
 // CreateProcess builds a fresh SPL-3 process with an empty user
 // address space sharing the kernel half, plus stack and heap regions.
-// Kernel-stack slots are never reused, so one kernel creates at most
-// maxProcesses processes; past that CreateProcess fails, with no side
-// effects, rather than map a stack over the kernel heap.
+// Its kernel stack is the slot an exited process gave back last, or
+// else a new one, so at most maxProcesses processes are live at once;
+// past that CreateProcess fails, with no side effects, rather than map
+// a stack over the kernel heap.
 func (k *Kernel) CreateProcess() (*Process, error) {
-	if k.nextKStack >= kHeapBase {
-		return nil, fmt.Errorf("kernel: out of kernel stacks after %d processes", maxProcesses)
+	if len(k.freeKStacks) == 0 && k.nextKStack >= kHeapBase {
+		return nil, fmt.Errorf("kernel: out of kernel stacks with %d live processes", maxProcesses)
 	}
 	as, err := mmu.NewAddressSpace(k.Phys, k.Alloc)
 	if err != nil {
@@ -133,11 +134,19 @@ func (k *Kernel) CreateProcess() (*Process, error) {
 	k.nextPID++
 	k.procs[p.PID] = p
 
-	// Kernel stack: one page in the shared kernel region.
+	// Kernel stack: one page in the shared kernel region. A recycled
+	// slot keeps its page mapped; dropping its translation leaves the
+	// TLB exactly as a freshly mapped slot would.
 	kstack := k.nextKStack
-	k.nextKStack += kStackSlot
-	if _, err := k.MapKernelPage(kstack, true); err != nil {
-		return nil, err
+	if n := len(k.freeKStacks); n > 0 {
+		kstack = k.freeKStacks[n-1]
+		k.freeKStacks = k.freeKStacks[:n-1]
+		k.MMU.InvalidatePage(kstack)
+	} else {
+		k.nextKStack += kStackSlot
+		if _, err := k.MapKernelPage(kstack, true); err != nil {
+			return nil, err
+		}
 	}
 	p.KStackTop = kstack + mem.PageSize
 
@@ -198,8 +207,12 @@ func (k *Kernel) Exec(p *Process) error {
 	return nil
 }
 
-// Exit terminates a process.
+// Exit terminates a process and gives its kernel-stack slot back for
+// the next CreateProcess. Exiting an exited process frees nothing.
 func (k *Kernel) Exit(p *Process, code int) {
+	if !p.Exited {
+		k.freeKStacks = append(k.freeKStacks, p.KStackTop-mem.PageSize)
+	}
 	p.Exited = true
 	p.ExitCode = code
 	delete(k.procs, p.PID)

@@ -63,6 +63,10 @@ func (k *Kernel) SaveTo(e *mem.Enc) {
 	}
 
 	e.U32(s.nextKStack)
+	e.U32(uint32(len(s.freeKStacks)))
+	for _, slot := range s.freeKStacks {
+		e.U32(slot)
+	}
 	e.U32(s.nextKHeap)
 	e.U32(s.nextSvcAddr)
 	e.I32(int32(s.nextGate))
@@ -172,6 +176,9 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	}
 
 	s.nextKStack = d.U32()
+	if err := s.loadFreeKStacks(d); err != nil {
+		return err
+	}
 	s.nextKHeap = d.U32()
 	s.nextSvcAddr = d.U32()
 	s.nextGate = int(d.I32())
@@ -238,6 +245,32 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	k.kernelState = s
 	k.restoreInPlace(live)
 	return nil
+}
+
+// loadFreeKStacks checks the decoded kernel-stack cursor and decodes
+// the free list, refusing a cursor off the slot grid, more slots than a
+// kernel has, a slot that is not a slot base below the cursor, and a
+// slot listed twice: each would let a process's kernel stack land on
+// another's or outside the stack region.
+func (s *kernelState) loadFreeKStacks(d *mem.Dec) error {
+	if d.Err() == nil && (s.nextKStack < kStackBase || s.nextKStack > kHeapBase || (s.nextKStack-kStackBase)%kStackSlot != 0) {
+		d.Failf("kernel stack cursor %#x is off the slot grid", s.nextKStack)
+	}
+	n := d.Len("free kernel stack", maxProcesses)
+	seen := make(map[uint32]bool, n)
+	for i := 0; i < n; i++ {
+		slot := d.U32()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		if slot < kStackBase || (slot-kStackBase)%kStackSlot != 0 || slot >= s.nextKStack || seen[slot] {
+			d.Failf("free kernel stack %#x is misaligned, not yet allocated or listed twice", slot)
+			return d.Err()
+		}
+		seen[slot] = true
+		s.freeKStacks = append(s.freeKStacks, slot)
+	}
+	return d.Err()
 }
 
 // restoreInPlace moves each loaded process into the struct that held

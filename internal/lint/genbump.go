@@ -7,7 +7,7 @@
 // blocks and traces and SegProbe warm hits all stay valid only while
 // their generation matches. Any
 // method that mutates generation-guarded state — descriptor-table
-// entries, the installed GDT/LDT, the active address space — must
+// entries, the installed GDT, the active address space — must
 // therefore advance a generation (directly via bumpGen/bumpSegGen,
 // or through a mutator that fires one, like Table.Set or
 // RestoreEntries) in the same function. A mutation without a bump is
@@ -37,13 +37,12 @@ import (
 var guardedFields = map[string]bool{
 	"entries": true, // descriptor-table contents (Table)
 	"GDT":     true, // installed global descriptor table (MMU)
-	"LDT":     true, // installed local descriptor table (MMU)
 	"space":   true, // active address space / CR3 (MMU)
 }
 
 // bumpCalls are the callee names that advance a generation, directly
 // or by construction (Table mutators fire onMutate; RestoreEntries
-// fires it once; LoadCR3/SetLDT/InvalidatePage bump internally).
+// fires it once; LoadCR3/InvalidatePage bump internally).
 var bumpCalls = map[string]bool{
 	"bumpGen":        true,
 	"bumpSegGen":     true,
@@ -52,7 +51,6 @@ var bumpCalls = map[string]bool{
 	"Clear":          true,
 	"RestoreEntries": true,
 	"LoadCR3":        true,
-	"SetLDT":         true,
 	"InvalidatePage": true,
 }
 
@@ -191,8 +189,8 @@ func mutatedGuarded(body *ast.BlockStmt, recv string) []string {
 }
 
 // guardedPath reports the first guarded field on a selector/index
-// path rooted at the receiver identifier. `m.LDT.onMutate = ...`
-// matches LDT; `t.entries[i] = d` matches entries; `c.GDT = ...` with
+// path rooted at the receiver identifier. `m.GDT.onMutate = ...`
+// matches GDT; `t.entries[i] = d` matches entries; `c.GDT = ...` with
 // c not the receiver matches nothing.
 func guardedPath(expr ast.Expr, recv string) (string, bool) {
 	var fields []string

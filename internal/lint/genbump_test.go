@@ -56,9 +56,9 @@ func TestGenbumpFixtures(t *testing.T) {
 		{
 			name: "nested selector path is flagged",
 			src: `func (m *MMU) rewire(fn func()) {
-	m.LDT.onMutate = fn
+	m.GDT.onMutate = fn
 }`,
-			want: []string{"rewire mutates LDT"},
+			want: []string{"rewire mutates GDT"},
 		},
 		{
 			name: "exempt directive downgrades to waiver",

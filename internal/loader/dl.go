@@ -213,9 +213,6 @@ func (d *DL) Dlclose(handle int) error {
 	return im.Unload()
 }
 
-// Images lists the currently loaded images.
-func (d *DL) Images() []*Image { return d.images }
-
 // ResetTo rewinds the loader state in place to t, the loader it was
 // cloned from with CloneFor, and reports whether it could: it cannot
 // once an image was opened or closed since, and the caller then clones

@@ -68,10 +68,8 @@ type frame struct {
 // referenced, so a workload that releases almost all of a machine's
 // memory but pins a few scattered frames (a sparse long-lived clone)
 // can retain up to frameSlabSize× the frame bytes the refcounts say are
-// live. The same holds for interning: a FrameStore
-// canonical frame pins its whole slab for as long as the store lives.
-// Machines are normally retained or released wholesale, where the slab
-// granule costs nothing.
+// live. Machines are normally retained or released wholesale, where the
+// slab granule costs nothing.
 const frameSlabSize = 64
 
 // newFrame hands out a zeroed frame: one ResetTo freed, else the next
@@ -144,15 +142,9 @@ type Physical struct {
 	root    [physRootSize]*physChunk
 	touched int
 
-	// cowCopies counts frames cloned by write faults; deduped counts
-	// frames folded onto a canonical FrameStore frame by Intern
-	// (diagnostics only — COW and interning charge no simulated
-	// cycles). snapshots is kept for the byte image's wire layout and
-	// COWStats's shape; nothing advances it any more, so it reads 0
-	// unless a loaded image carried a count.
+	// cowCopies counts frames cloned by write faults (a diagnostic
+	// only: COW charges no simulated cycles).
 	cowCopies uint64
-	snapshots uint64
-	deduped   uint64
 
 	// onRestore, when set (by the MMU observing this memory), runs
 	// after every image load (LoadFrom, LoadBytes, AdoptImage) so
@@ -281,10 +273,10 @@ func (p *Physical) Clone() *Physical {
 //     write to that page needs no copy-on-write fault;
 //   - a frame t lacks is dropped, onto the free list when nothing else
 //     references it and the list has room;
-//   - anything else (a chunk or frame still shared with another clone,
-//     a canonical interned frame) is re-shared with t.
+//   - anything else (a chunk or frame still shared with another clone)
+//     is re-shared with t.
 //
-// The touched count is t's and the copy-on-write diagnostics restart
+// The touched count is t's and the copy-on-write count restarts
 // from zero, exactly as for a fresh Clone, so p is then
 // indistinguishable from one. No restore hook fires: the caller
 // decides which generations advance. ResetTo only reads t, so clones
@@ -332,7 +324,7 @@ func (p *Physical) ResetTo(t *Physical) {
 		}
 	}
 	p.touched = t.touched
-	p.cowCopies, p.snapshots, p.deduped = 0, 0, 0
+	p.cowCopies = 0
 }
 
 // maxFreeFrames caps the free list at about the frames one request
@@ -512,14 +504,12 @@ func (p *Physical) Zero(pa uint32, n int) {
 // FrameCount reports how many frames have been touched.
 func (p *Physical) FrameCount() int { return p.touched }
 
-// COWStats reports copy-on-write diagnostics: the snapshot count (0
-// unless a loaded image carried one; nothing takes snapshots), frames
-// cloned by write faults, and resident frames
-// replaced by content-addressed interning (Intern) — dedupedFrames is
-// how many private frames this Physical gave up in favor of canonical
-// FrameStore frames.
+// COWStats reports the frames cloned by copy-on-write faults as its
+// second value. The first and third values are always 0: nothing takes
+// snapshots or interns frames any more, and the three-value shape stays
+// only because bench/probes.go reads it.
 func (p *Physical) COWStats() (snapshots, frameCopies, dedupedFrames uint64) {
-	return p.snapshots, p.cowCopies, p.deduped
+	return 0, p.cowCopies, 0
 }
 
 // fingerprintSeed is fixed so fingerprints are comparable across

@@ -16,7 +16,7 @@ import "fmt"
 // own envelope instead.
 const (
 	physMagic   = "PALLPHYS"
-	physVersion = 1
+	physVersion = 2
 )
 
 // totalFrames is the number of addressable 4 KB frames in the 4 GB
@@ -33,7 +33,7 @@ var zeroPage [PageSize]byte
 //	frameCount u32
 //	repeat frameCount times, ascending frame number:
 //	  fn u32 | flag u8 (0 = all-zero frame, 1 = raw) | data[4096] if raw
-//	cowCopies u64 | snapshots u64 | deduped u64
+//	cowCopies u64
 func (p *Physical) SaveTo(e *Enc) {
 	n := 0
 	for _, c := range &p.root {
@@ -65,8 +65,6 @@ func (p *Physical) SaveTo(e *Enc) {
 		}
 	}
 	e.U64(p.cowCopies)
-	e.U64(p.snapshots)
-	e.U64(p.deduped)
 }
 
 // LoadFrom decodes a SaveTo image from d and replaces this Physical's
@@ -85,7 +83,7 @@ func (p *Physical) LoadFrom(d *Dec) error {
 }
 
 // decodePhysical decodes a SaveTo image into a fresh staging Physical
-// (carrying the decoded diagnostic counters in its own fields) without
+// (carrying the decoded copy-on-write count in its own field) without
 // touching any live machine.
 func decodePhysical(d *Dec) (*Physical, error) {
 	staging := NewPhysical()
@@ -129,8 +127,6 @@ func decodePhysical(d *Dec) (*Physical, error) {
 		staging.touched++
 	}
 	staging.cowCopies = d.U64()
-	staging.snapshots = d.U64()
-	staging.deduped = d.U64()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -173,8 +169,6 @@ func (p *Physical) adopt(staging *Physical) {
 	p.root = staging.root
 	p.touched = staging.touched
 	p.cowCopies = staging.cowCopies
-	p.snapshots = staging.snapshots
-	p.deduped = staging.deduped
 	for _, c := range &old {
 		if c != nil {
 			releaseChunk(c)

@@ -42,10 +42,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if q.FrameCount() != p.FrameCount() {
 		t.Errorf("FrameCount %d != %d", q.FrameCount(), p.FrameCount())
 	}
-	ps, pc, pd := p.COWStats()
-	qs, qc, qd := q.COWStats()
-	if ps != qs || pc != qc || pd != qd {
-		t.Errorf("COWStats (%d,%d,%d) != (%d,%d,%d)", qs, qc, qd, ps, pc, pd)
+	_, pc, _ := p.COWStats()
+	_, qc, _ := q.COWStats()
+	if pc == 0 || pc != qc {
+		t.Errorf("COW copies %d != %d (want nonzero)", qc, pc)
 	}
 	// Serialization is deterministic: a re-save is byte-identical.
 	if !bytes.Equal(q.SaveBytes(), img) {
@@ -97,6 +97,15 @@ func TestLoadBytesCorruption(t *testing.T) {
 		bad := bytes.Clone(img)
 		bad[envMagicLen] ^= 0xff
 		check(t, bad, ErrBadVersion)
+	})
+	t.Run("version-1", func(t *testing.T) {
+		// The version 1 layout carried two more counters; its images
+		// are refused by version, whatever their payload.
+		payload, err := Open(physMagic, physVersion, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, Seal(physMagic, 1, append(bytes.Clone(payload), make([]byte, 16)...)), ErrBadVersion)
 	})
 	t.Run("bit-flips", func(t *testing.T) {
 		// Any single flipped bit past the version field trips the CRC.
@@ -200,73 +209,6 @@ func TestReleaseUnsharesTemplate(t *testing.T) {
 	p.Write8(0, p.Read8(0)) // in-place write: no COW fault after release
 	if _, c2, _ := p.COWStats(); c2 != copies {
 		t.Errorf("template write COW-copied after all clones released")
-	}
-}
-
-func TestInternDedupsRestoredMachines(t *testing.T) {
-	p := NewPhysical()
-	scribble(p)
-	img := p.SaveBytes()
-
-	const n = 8
-	store := NewFrameStore()
-	machines := make([]*Physical, n)
-	for i := range machines {
-		q := NewPhysical()
-		if err := q.LoadBytes(img); err != nil {
-			t.Fatal(err)
-		}
-		machines[i] = q
-	}
-	naive, unique := ResidentFrames(machines...)
-	if naive != n*p.FrameCount() || unique != naive {
-		t.Fatalf("before intern: naive %d unique %d, want %d private frames", naive, unique, n*p.FrameCount())
-	}
-	for _, q := range machines {
-		q.Intern(store)
-	}
-	naive, unique = ResidentFrames(machines...)
-	if naive != n*p.FrameCount() {
-		t.Errorf("intern changed logical residency: naive %d", naive)
-	}
-	// Identical-content frames fold within a machine too (the zeroed
-	// frames share one canonical), so unique is the number of distinct
-	// contents — at most one machine's worth, for >= n-fold dedup.
-	if unique != store.Frames() || unique > p.FrameCount() || naive < n*unique {
-		t.Errorf("after intern: %d unique frames (store %d, per-machine %d, ratio %.1fx)",
-			unique, store.Frames(), p.FrameCount(), float64(naive)/float64(unique))
-	}
-	for i, q := range machines {
-		if q.Fingerprint() != p.Fingerprint() {
-			t.Fatalf("intern changed machine %d contents", i)
-		}
-	}
-	_, _, ded := machines[1].COWStats()
-	if ded == 0 {
-		t.Errorf("COWStats dedupedFrames not counted")
-	}
-
-	// Writes through interned frames still COW off private copies.
-	m0 := machines[0].Fingerprint()
-	machines[1].Write32(0, 0xdeadbeef)
-	if machines[0].Fingerprint() != m0 {
-		t.Errorf("write through interned frame leaked into sibling")
-	}
-
-	// The store pins canonicals: releasing every machine must leave
-	// the canonical frames immutable for later interners.
-	for _, q := range machines {
-		q.Release()
-	}
-	r := NewPhysical()
-	if err := r.LoadBytes(img); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Intern(store); got != r.FrameCount() {
-		t.Errorf("fresh machine interned %d of %d frames against pinned store", got, r.FrameCount())
-	}
-	if r.Fingerprint() != p.Fingerprint() {
-		t.Errorf("intern against aged store changed contents")
 	}
 }
 

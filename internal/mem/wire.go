@@ -74,9 +74,6 @@ func (e *Enc) U64(v uint64) {
 // I32 appends a little-endian 32-bit value in two's complement.
 func (e *Enc) I32(v int32) { e.U32(uint32(v)) }
 
-// I64 appends a little-endian 64-bit value in two's complement.
-func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
-
 // F64 appends the IEEE 754 bit pattern of v (exact round trip).
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
@@ -187,9 +184,6 @@ func (d *Dec) U64() uint64 {
 
 // I32 consumes a little-endian 32-bit two's-complement value.
 func (d *Dec) I32() int32 { return int32(d.U32()) }
-
-// I64 consumes a little-endian 64-bit two's-complement value.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // F64 consumes an IEEE 754 bit pattern.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }

@@ -11,7 +11,6 @@ import (
 type MMU struct {
 	Phys *mem.Physical
 	GDT  *Table
-	LDT  *Table // current process's LDT; may be nil
 
 	clock *cycles.Clock
 	model *cycles.Model
@@ -21,17 +20,17 @@ type MMU struct {
 
 	// gen counts every event that can change the outcome of a
 	// translation performed through this MMU: CR3 loads, single-page
-	// invalidations, LDT switches and GDT/LDT descriptor mutations.
+	// invalidations and GDT descriptor mutations.
 	// The CPU's block tier checks it after every timer-hook firing: a
 	// changed generation means cached per-run translation state (the
 	// same-page fetch fast path) must be revalidated from scratch.
 	gen uint64
 
 	// segGen counts only the events that can change the outcome of a
-	// SEGMENT-level check: GDT/LDT descriptor mutations, LDT switches,
-	// and image loads. The decoded-block cache tags blocks
-	// with it (a block's build-time segment checks stay valid while it
-	// is unchanged), and SegProbes validate against it. Page-level
+	// SEGMENT-level check: GDT descriptor mutations and image loads.
+	// The decoded-block cache tags blocks with it (a block's build-time
+	// segment checks stay valid while it is unchanged), and SegProbes
+	// validate against it. Page-level
 	// events (CR3 loads, invlpg) deliberately do NOT advance it: the
 	// page-level check runs live on every executed instruction, so
 	// cached blocks follow remaps lazily and correctly without being
@@ -85,13 +84,8 @@ func (m *MMU) Clone(phys *mem.Physical, clock *cycles.Clock) *MMU {
 		segGen:       m.segGen,
 		WriteProtect: m.WriteProtect,
 	}
-	bump := c.bumpSegGen
-	c.GDT.onMutate = bump
-	if m.LDT != nil {
-		c.LDT = m.LDT.Clone()
-		c.LDT.onMutate = bump
-	}
-	phys.OnRestore(bump)
+	c.GDT.onMutate = c.bumpSegGen
+	phys.OnRestore(c.bumpSegGen)
 	return c
 }
 
@@ -100,24 +94,13 @@ func (m *MMU) Clone(phys *mem.Physical, clock *cycles.Clock) *MMU {
 // and counters, and control bits. The caller rebinds the current
 // address space (AdoptSpace), as after Clone. The translation
 // generation always advances, because the TLB was rewound. The segment
-// generation advances only when a descriptor table no longer shares
-// t's entries, so blocks and probes tagged with it survive a reset over
-// untouched tables. Neither generation ever moves back: a rewound
-// generation could let a stale block match. ResetTo only reads t.
+// generation advances only when the GDT no longer shares t's entries,
+// so blocks and probes tagged with it survive a reset over an untouched
+// table. Neither generation ever moves back: a rewound generation could
+// let a stale block match. ResetTo only reads t.
 func (m *MMU) ResetTo(t *MMU) {
 	if !m.GDT.sharesEntries(t.GDT) {
 		m.GDT.RestoreEntries(t.GDT.Snapshot()) // fires bumpSegGen
-	}
-	switch {
-	case t.LDT == nil:
-		if m.LDT != nil {
-			m.LDT = nil
-			m.bumpSegGen()
-		}
-	case m.LDT == nil || !m.LDT.sharesEntries(t.LDT):
-		m.LDT = t.LDT.Clone()
-		m.LDT.onMutate = m.bumpSegGen
-		m.bumpSegGen()
 	}
 	m.tlb.restoreFrom(t.tlb)
 	m.WriteProtect = t.WriteProtect
@@ -140,8 +123,8 @@ func (m *MMU) bumpGen() { m.gen++ }
 func (m *MMU) bumpSegGen() { m.segGen++; m.gen++ }
 
 // TransGen returns the current translation generation. It changes
-// whenever CR3 is loaded, a page is invalidated, the LDT is switched,
-// or a GDT/LDT descriptor is installed or cleared.
+// whenever CR3 is loaded, a page is invalidated, or a GDT descriptor is
+// installed or cleared.
 func (m *MMU) TransGen() uint64 { return m.gen }
 
 // SegGen returns the current segment-check generation (see segGen).
@@ -170,15 +153,6 @@ func (m *MMU) LoadCR3(space *AddressSpace) {
 	m.clock.Charge(m.model, cycles.TLBFlushBase)
 }
 
-// SetLDT installs the current process's local descriptor table.
-func (m *MMU) SetLDT(ldt *Table) {
-	m.LDT = ldt
-	if ldt != nil {
-		ldt.onMutate = m.bumpSegGen
-	}
-	m.bumpSegGen()
-}
-
 // InvalidatePage drops one page translation (after a permission
 // change) without a full flush.
 func (m *MMU) InvalidatePage(linear uint32) {
@@ -187,13 +161,12 @@ func (m *MMU) InvalidatePage(linear uint32) {
 }
 
 // Descriptor resolves a selector to its descriptor. A nil return means
-// the selector is out of range for its table.
+// the selector is out of range for the GDT, or names the LDT: no
+// machine installs one, so an LDT selector faults #GP as it would under
+// a null LDTR.
 func (m *MMU) Descriptor(sel Selector) *Descriptor {
 	if sel.IsLDT() {
-		if m.LDT == nil {
-			return nil
-		}
-		return m.LDT.Get(sel.Index())
+		return nil
 	}
 	return m.GDT.Get(sel.Index())
 }

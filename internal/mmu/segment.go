@@ -1,6 +1,6 @@
 // Package mmu models the Intel x86 virtual memory architecture as
 // described in Section 3 of the paper: variable-length segments with a
-// 4-level privilege ring selected through GDT/LDT descriptors, plus
+// 4-level privilege ring selected through GDT descriptors, plus
 // two-level page tables with a 2-level page privilege (user/supervisor)
 // and read/write permission bits, fronted by a TLB that is flushed on
 // every CR3 (page-table base) load.
@@ -101,7 +101,7 @@ func (k SegKind) String() string {
 }
 
 // Descriptor is a segment or gate descriptor, the in-simulator
-// equivalent of the 8-byte GDT/LDT entry in Figure 1 of the paper.
+// equivalent of the 8-byte GDT entry in Figure 1 of the paper.
 type Descriptor struct {
 	Kind    SegKind
 	Base    uint32 // segment start linear address
@@ -136,7 +136,7 @@ func (d *Descriptor) Contains(off uint32, size uint32) bool {
 	return end <= d.Limit
 }
 
-// Table is a descriptor table (GDT or LDT).
+// Table is a descriptor table (the GDT).
 //
 // The entries slice is shared copy-on-write: Clone and Snapshot hand
 // out the same slice and mark it shared, and Set — the only in-place

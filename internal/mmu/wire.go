@@ -62,13 +62,13 @@ func (t *Table) SaveTo(e *mem.Enc) {
 	}
 }
 
-// loadEntries decodes a table image of the expected size.
+// loadTableEntries decodes a table image of the expected size.
 func loadTableEntries(d *mem.Dec, what string, want int) []Descriptor {
 	n := d.Len(what+" descriptor", 1<<13)
 	if d.Err() != nil {
 		return nil
 	}
-	if want >= 0 && n != want {
+	if n != want {
 		d.Failf("%s has %d descriptors, target table holds %d", what, n, want)
 		return nil
 	}
@@ -139,15 +139,11 @@ func loadTLB(d *mem.Dec) *TLB {
 	return t
 }
 
-// SaveTo appends the MMU state: control bits, GDT, LDT, TLB and the
-// current address space's CR3.
+// SaveTo appends the MMU state: control bits, GDT, TLB and the current
+// address space's CR3.
 func (m *MMU) SaveTo(e *mem.Enc) {
 	e.Bool(m.WriteProtect)
 	m.GDT.SaveTo(e)
-	e.Bool(m.LDT != nil)
-	if m.LDT != nil {
-		m.LDT.SaveTo(e)
-	}
 	m.tlb.SaveTo(e)
 	e.Bool(m.space != nil)
 	if m.space != nil {
@@ -165,10 +161,6 @@ func (m *MMU) SaveTo(e *mem.Enc) {
 func (m *MMU) LoadFrom(d *mem.Dec, adopt func(cr3 uint32) *AddressSpace) error {
 	wp := d.Bool()
 	gdt := loadTableEntries(d, "gdt", m.GDT.Len())
-	var ldt []Descriptor
-	if d.Bool() {
-		ldt = loadTableEntries(d, "ldt", -1)
-	}
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -186,11 +178,6 @@ func (m *MMU) LoadFrom(d *mem.Dec, adopt func(cr3 uint32) *AddressSpace) error {
 	}
 
 	m.GDT.RestoreEntries(gdt) // fires bumpSegGen
-	if ldt == nil {
-		m.LDT = nil
-	} else {
-		m.LDT = &Table{name: "ldt", entries: ldt, onMutate: m.bumpSegGen}
-	}
 	m.tlb.restoreFrom(tlb)
 	m.WriteProtect = wp
 	if hasSpace {

@@ -106,9 +106,11 @@ func BenchmarkCloneServeRequest(b *testing.B) {
 }
 
 // BenchmarkServeCGIRequest measures one classic-CGI request: fork and
-// exec of a script process on a booted server. Kernel stacks are never
-// reused (a kernel creates at most 8064 processes), so a fresh server
-// is booted off the clock every cgiPerServer requests.
+// exec of a script process on a booted server. Each request leaks the
+// two page directories Fork and Exec allocate (nothing frees an address
+// space), so a server's resident memory grows with every request; a
+// fresh server is booted off the clock every cgiPerServer requests to
+// keep that growth out of the measurement.
 func BenchmarkServeCGIRequest(b *testing.B) {
 	const cgiPerServer = 1024
 	var s *Server

@@ -81,3 +81,19 @@ func TestCloneChurnLeavesTemplateIntact(t *testing.T) {
 		t.Errorf("template write COW-copied after all clones released")
 	}
 }
+
+// TestSharedServerServesManyCGIRequests serves more classic-CGI
+// requests on one long-lived server than a kernel has kernel-stack
+// slots (8064): each request forks and execs a process that exits, so
+// every request after the first must run on a recycled slot.
+func TestSharedServerServesManyCGIRequests(t *testing.T) {
+	srv, err := BootServer(28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		if status, err := srv.ServeRequest(CGI); err != nil || status != 200 {
+			t.Fatalf("request %d: status %d, %v", i, status, err)
+		}
+	}
+}

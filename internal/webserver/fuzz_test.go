@@ -17,7 +17,7 @@ var loadServerSeeds = []struct {
 	off uint32
 	xor byte
 }{
-	{3447, 0x80},
+	{3451, 0x80},
 	{27, 0x92},
 	{55, 0x70},
 }

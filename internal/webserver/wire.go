@@ -18,7 +18,7 @@ import (
 
 const (
 	srvMagic   = "PALLWSRV"
-	srvVersion = 2
+	srvVersion = 3
 )
 
 // SaveBytes serializes into a standalone enveloped image the server's

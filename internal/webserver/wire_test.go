@@ -4,19 +4,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"repro/internal/mem"
 )
 
 // TestServerImageGolden pins the byte image of a server that has served
-// one request under every model. The layout is wire version 2; a change
+// one request under every model. The layout is wire version 3; a change
 // to any layer's encoding must either reproduce these bytes or bump the
 // version and re-record them.
 func TestServerImageGolden(t *testing.T) {
 	const (
-		wantLen    = 88476
-		wantSHA256 = "92b3e9414f963cc33954121cc19c49035ebe6f4b53f406c3122435835d0c6bd1"
+		wantLen    = 88467
+		wantSHA256 = "2a31bbb0aa9516990d138125422e98a1325317cbf6306387f96a011ab9ee0463"
 	)
 	srv, err := BootServer(1024)
 	if err != nil {
@@ -42,7 +43,7 @@ type machineState struct {
 	clock                   float64
 	instret                 uint64
 	tlbHits, tlbMiss, tlbFl uint64
-	snapshots, copies       uint64
+	copies                  uint64
 	console                 string
 	curPID                  int
 }
@@ -50,14 +51,14 @@ type machineState struct {
 func stateOf(srv *Server) machineState {
 	k := srv.S.K
 	h, m, f := k.MMU.TLB().Stats()
-	snaps, copies, _ := k.Phys.COWStats()
+	_, copies, _ := k.Phys.COWStats()
 	return machineState{
 		fingerprint: k.Phys.Fingerprint(),
 		frames:      k.Phys.FrameCount(),
 		clock:       k.Clock.Cycles(),
 		instret:     k.Machine.Instructions(),
 		tlbHits:     h, tlbMiss: m, tlbFl: f,
-		snapshots: snaps, copies: copies,
+		copies:  copies,
 		console: string(k.ConsoleOut),
 		curPID:  k.Current().PID,
 	}
@@ -113,51 +114,6 @@ func TestServerSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInternDedupsServerImages restores 8 machines from one real
-// server image and interns their frames into one content-addressed
-// store: resident frames must fold at least 2x, and no machine's
-// contents may change.
-func TestInternDedupsServerImages(t *testing.T) {
-	srv, err := BootServer(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Model{CGI, FastCGI, LibCGIProtected, LibCGI, Static} {
-		if _, err := srv.ServeRequest(m); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-	}
-	img := srv.SaveBytes()
-
-	const machines = 8
-	phys := make([]*mem.Physical, machines)
-	fps := make([]uint64, machines)
-	for i := range phys {
-		m, err := LoadServerBytes(img)
-		if err != nil {
-			t.Fatalf("machine %d: %v", i, err)
-		}
-		phys[i] = m.S.K.Phys
-		fps[i] = phys[i].Fingerprint()
-	}
-	store := mem.NewFrameStore()
-	for _, p := range phys {
-		p.Intern(store)
-	}
-	naive, unique := mem.ResidentFrames(phys...)
-	if naive != machines*phys[0].FrameCount() {
-		t.Errorf("naive residency %d != %d machines x %d frames", naive, machines, phys[0].FrameCount())
-	}
-	if unique == 0 || naive < 2*unique {
-		t.Errorf("dedup %d resident -> %d unique frames, want >= 2x", naive, unique)
-	}
-	for i, p := range phys {
-		if p.Fingerprint() != fps[i] {
-			t.Errorf("machine %d: interning changed its contents", i)
-		}
-	}
-}
-
 // TestServerLoadBytesCorruption feeds damaged images to the restore
 // path: every corruption must produce a typed error and no server.
 func TestServerLoadBytesCorruption(t *testing.T) {
@@ -182,6 +138,15 @@ func TestServerLoadBytesCorruption(t *testing.T) {
 	}
 
 	t.Run("empty", func(t *testing.T) { check(t, nil) })
+	t.Run("version-2", func(t *testing.T) {
+		p, err := mem.Open(srvMagic, srvVersion, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadServerBytes(mem.Seal(srvMagic, 2, p)); !errors.Is(err, mem.ErrBadVersion) {
+			t.Fatalf("version 2 image: %v, want ErrBadVersion", err)
+		}
+	})
 	t.Run("wrong-magic", func(t *testing.T) {
 		p, err := mem.Open(srvMagic, srvVersion, img)
 		if err != nil {
@@ -222,18 +187,25 @@ func TestServerLoadBytesCorruption(t *testing.T) {
 // TestRestoredCloneIdentity: the restore path composes with cloning —
 // a clone of a restored server is bit-identical to a clone of the
 // original, which is what lets a fleet restore ONE template from disk
-// and fork ephemeral clones from it.
+// and fork ephemeral clones from it. The template has served CGI
+// requests, so the image carries recycled kernel-stack slots, and the
+// clones serve CGI requests on them.
 func TestRestoredCloneIdentity(t *testing.T) {
 	srv, err := BootServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.ServeRequest(LibCGIProtected); err != nil {
-		t.Fatal(err)
+	for _, m := range []Model{LibCGIProtected, CGI, CGI, CGI} {
+		if _, err := srv.ServeRequest(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	restored, err := LoadServerBytes(srv.SaveBytes())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a, b := stateOf(srv), stateOf(restored); a != b {
+		t.Fatalf("restored server differs from the original:\n %+v\n %+v", a, b)
 	}
 	c1, err := srv.Clone()
 	if err != nil {
@@ -243,11 +215,12 @@ func TestRestoredCloneIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := c1.ServeRequest(LibCGIProtected); err != nil {
+	for i := 0; i < 6; i++ {
+		m := []Model{LibCGIProtected, CGI}[i%2]
+		if _, err := c1.ServeRequest(m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c2.ServeRequest(LibCGIProtected); err != nil {
+		if _, err := c2.ServeRequest(m); err != nil {
 			t.Fatal(err)
 		}
 	}
