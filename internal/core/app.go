@@ -72,14 +72,6 @@ type appState struct {
 	stubs *stubArena
 }
 
-// copy returns an independent copy of the state; Clone rebinds the
-// stub arena's space.
-func (s *appState) copy() appState {
-	c := *s
-	c.stubs = s.stubs.clone()
-	return c
-}
-
 // ProtectedFunc is what seg_dlsym returns: a handle whose address is
 // the extension function's Prepare routine rather than the function
 // itself (Section 4.5.1).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"maps"
 	"slices"
 
@@ -9,13 +8,15 @@ import (
 )
 
 // Clone derives a complete, independent Palladium system: the kernel
-// clone shares physical memory copy-on-write, and every core-level
-// structure (segments, stub arenas, the Extension Function Table) is
-// re-built against the clone with identical addresses and cursors. A
-// clone of a freshly booted system is bit-identical, in every
-// simulated metric, to a system booted from scratch — at a fraction of
-// the wall-clock cost, which is what lets a fleet boot one template
-// and clone N workers.
+// clone shares physical memory copy-on-write, and an empty system over
+// it is reset to this one (resetState, the system's own step of
+// ResetTo), which re-builds every core-level structure (segments, stub
+// arenas, the Extension Function Table) against the clone with
+// identical addresses and cursors. A clone of a freshly booted system
+// is bit-identical, in every simulated metric, to a system booted from
+// scratch — at a fraction of the wall-clock cost, which is what lets a
+// fleet boot one template and clone N workers. The error is always
+// nil.
 //
 // Clone must be called while the machine is quiescent; the clone may
 // then be driven from another goroutine.
@@ -24,25 +25,68 @@ func (s *System) Clone() (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s2 := &System{K: k2, systemState: s.systemState.copy()}
-	s2.kernPrep.rebind(&kernelTextSpace{s: s2})
+	c := &System{K: k2}
+	c.resetState(s)
+	return c, nil
+}
 
-	for i, seg := range s.segs {
-		seg2 := &ExtSegment{S: s2, segState: seg.segState.copy()}
-		seg2.stubs.rebind(seg2)
-		for j, im := range seg2.modules {
-			seg2.modules[j] = im.Rebind(seg2)
+// ResetTo rewinds the system in place to t, either the system it was
+// cloned from, leaving it indistinguishable from a fresh t.Clone(), or
+// a frozen clone of itself, leaving it as it was when t was cloned
+// (Tx's rollback): the kernel first (Kernel.ResetTo), then the system's
+// own state (resetState). ResetTo only reads t, and allocates only for
+// an entry point that differs from t's.
+func (s *System) ResetTo(t *System) {
+	s.K.ResetTo(t.K)
+	s.resetState(t)
+}
+
+// resetState rewinds the system's and each segment's state value to
+// t's, over a kernel already rewound. Segments created since vanish,
+// and a segment t holds that this system lacks is created, as are the
+// modules t holds that a segment lacks; modules insmod'ed since into a
+// surviving segment are dropped. A system's segments and modules are
+// only ever added to, so the ones both hold are the same. Entry points
+// an abort unregistered come back, bound to this system's segments,
+// and pending async requests are t's, bound to this system's entries of
+// the same names.
+func (s *System) resetState(t *System) {
+	segs, eft, kernPrep, ktRanges := s.segs, s.eft, s.kernPrep, s.ktRanges
+	s.systemState = t.systemState
+	n := min(len(segs), len(t.segs))
+	clear(segs[n:])
+	segs = slices.Grow(segs[:n], len(t.segs)-n)
+	for len(segs) < len(t.segs) {
+		segs = append(segs, &ExtSegment{S: s})
+	}
+	s.segs = segs
+	for i, seg := range segs {
+		seg.resetTo(t.segs[i])
+	}
+	if kernPrep == nil {
+		kernPrep = &stubArena{space: &kernelTextSpace{s: s}}
+	}
+	s.kernPrep = kernPrep.resetTo(t.kernPrep, kernPrep.space)
+	s.ktRanges = ktRanges.resetTo(t.ktRanges)
+	if eft == nil {
+		eft = make(map[string]*KernelExtensionFunc, len(t.eft))
+	}
+	for name := range eft {
+		if t.eft[name] == nil {
+			delete(eft, name)
 		}
-		s2.segs[i] = seg2
 	}
-	for name, f := range s.eft {
-		f2 := s2.rebound(s, f)
-		s2.eft[name] = &f2
+	for name, tf := range t.eft {
+		if want := s.rebound(t, tf); eft[name] == nil || *eft[name] != want {
+			f := new(KernelExtensionFunc)
+			*f = want
+			eft[name] = f
+		}
 	}
-	for _, seg2 := range s2.segs {
-		seg2.queue = requeue(seg2.queue[:0], seg2.queue, s2.eft)
+	s.eft = eft
+	for i, seg := range segs {
+		seg.queue = requeue(seg.queue, t.segs[i].queue, eft)
 	}
-	return s2, nil
 }
 
 // rebound returns f, an entry of t's Extension Function Table, bound
@@ -65,60 +109,6 @@ func requeue(dst, src []asyncReq, eft map[string]*KernelExtensionFunc) []asyncRe
 	return dst
 }
 
-// errResetDiverged reports a system missing a segment or module of the
-// system it would reset to.
-var errResetDiverged = errors.New("palladium: reset target holds segments or modules this system lacks")
-
-// ResetTo rewinds the system in place to t, either the system it was
-// cloned from, leaving it indistinguishable from a fresh t.Clone(), or
-// a frozen clone of itself, leaving it as it was when t was cloned
-// (Tx's rollback): the kernel first (Kernel.ResetTo), then the system's
-// and each segment's state value. Segments created since vanish,
-// modules insmod'ed since into a surviving segment are dropped, and
-// entry points an abort unregistered come back, bound to this system's
-// segments. Pending async requests
-// are t's, bound by name as Clone binds them. ResetTo fails, changing
-// nothing, when this system lacks a segment or module t holds; a
-// system's segments and modules are only ever added to. ResetTo only
-// reads t, and allocates only for an entry point that differs from
-// t's.
-func (s *System) ResetTo(t *System) error {
-	if len(s.segs) < len(t.segs) {
-		return errResetDiverged
-	}
-	for i, ts := range t.segs {
-		if seg := s.segs[i]; seg.Name != ts.Name || len(seg.modules) < len(ts.modules) {
-			return errResetDiverged
-		}
-	}
-	s.K.ResetTo(t.K)
-
-	segs, eft, kernPrep, ktRanges := s.segs, s.eft, s.kernPrep, s.ktRanges
-	s.systemState = t.systemState
-	clear(segs[len(t.segs):])
-	s.segs = segs[:len(t.segs)]
-	s.kernPrep = kernPrep.resetTo(t.kernPrep, kernPrep.space)
-	ktRanges.resetTo(t.ktRanges)
-	s.ktRanges = ktRanges
-	for name := range eft {
-		if t.eft[name] == nil {
-			delete(eft, name)
-		}
-	}
-	for name, tf := range t.eft {
-		if want := s.rebound(t, tf); eft[name] == nil || *eft[name] != want {
-			f := new(KernelExtensionFunc)
-			*f = want
-			eft[name] = f
-		}
-	}
-	s.eft = eft
-	for i, seg := range s.segs {
-		seg.resetTo(t.segs[i], eft)
-	}
-	return nil
-}
-
 // Tx runs call as a transaction. The system is frozen in a clone before
 // call runs; when call reports abort, the system is reset onto the
 // frozen clone, so memory, clock, MMU and TLB state, kernel bookkeeping
@@ -129,60 +119,66 @@ func (s *System) ResetTo(t *System) error {
 // on the system's free list for its next copy-on-write faults.
 // Freezing charges no simulated cycles: a committed call is
 // bit-identical to one run outside a transaction.
-func (s *System) Tx(call func() (abort bool)) error {
-	frozen, err := s.Clone()
-	if err != nil {
-		return err
-	}
+func (s *System) Tx(call func() (abort bool)) {
+	frozen, _ := s.Clone() // never fails
 	defer frozen.K.Phys.ReleaseTo(s.K.Phys)
 	if call() {
-		return s.ResetTo(frozen)
+		s.ResetTo(frozen)
 	}
-	return nil
 }
 
-// resetTo rewinds the segment's state value in place to t's. The
-// segment keeps its own module images, the first len(t.modules) of
-// them (later ones were insmod'ed since).
-func (seg *ExtSegment) resetTo(t *ExtSegment, eft map[string]*KernelExtensionFunc) {
+// resetTo rewinds the segment's state value in place to t's, keeping
+// its own module images, the first len(t.modules) of them (later ones
+// were insmod'ed since), and binding t's others to this segment. The
+// queue is left empty for resetState to refill.
+func (seg *ExtSegment) resetTo(t *ExtSegment) {
 	modules, ranges, mapped, stubs, queue := seg.modules, seg.ranges, seg.mapped, seg.stubs, seg.queue
 	seg.segState = t.segState
-	clear(modules[len(t.modules):])
-	seg.modules = modules[:len(t.modules)]
-	ranges.resetTo(t.ranges)
-	seg.ranges = ranges
-	clear(mapped)
-	maps.Copy(mapped, t.mapped)
-	seg.mapped = mapped
+	n := min(len(modules), len(t.modules))
+	clear(modules[n:])
+	modules = slices.Grow(modules[:n], len(t.modules)-n)
+	for _, im := range t.modules[n:] {
+		modules = append(modules, im.Rebind(seg))
+	}
+	seg.modules = modules
+	seg.ranges = ranges.resetTo(t.ranges)
+	seg.mapped = refill(mapped, t.mapped)
 	seg.stubs = stubs.resetTo(t.stubs, seg)
-	seg.queue = requeue(queue[:0], t.queue, eft)
+	seg.queue = queue[:0]
 }
 
-// Clone copies the extensible application onto a cloned system: the
-// process, dynamic-loader state and stub addresses carry over (the
-// clone's memory holds the same loaded bytes at the same addresses).
-// Application services exposed via ExposeService keep their handlers:
-// those receive the executing machine as an argument, but a handler
-// closing over this App's state will still observe the template's Go
-// state — re-expose such services on the clone if they are stateful.
-func (a *App) Clone(s2 *System) (*App, error) {
-	p2 := s2.K.Process(a.P.PID)
-	dl2, imap := a.DL.CloneFor(s2.K, p2)
-	a2 := &App{
-		S: s2, P: p2, DL: dl2, Libc: imap[a.Libc],
-		appState: a.appState.copy(),
+// refill makes dst a copy of src, reusing dst's storage.
+func refill[K comparable, V any](dst, src map[K]V) map[K]V {
+	if dst == nil {
+		return maps.Clone(src)
 	}
-	a2.stubs.rebind(dl2.Space())
-	return a2, nil
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
+}
+
+// Clone copies the extensible application onto a cloned system: an
+// empty application over the clone's copy of its process, reset to
+// this one (ResetTo), so the dynamic-loader state and stub addresses
+// carry over (the clone's memory holds the same loaded bytes at the
+// same addresses). Application services exposed via ExposeService keep
+// their handlers: those receive the executing machine as an argument,
+// but a handler closing over this App's state will still observe the
+// template's Go state — re-expose such services on the clone if they
+// are stateful. The error is always nil.
+func (a *App) Clone(s2 *System) (*App, error) {
+	c := &App{S: s2, P: s2.K.Process(a.P.PID)}
+	c.ResetTo(a)
+	return c, nil
 }
 
 // ResetTo rewinds the application in place to t, the application it
 // was cloned from, on a system already reset to t's system. The
 // process was restored in place by the kernel; the loader state is
 // rewound in place, or cloned afresh from t's when a library was
-// opened or closed since.
+// opened or closed since or this application has none yet.
 func (a *App) ResetTo(t *App) {
-	if !a.DL.ResetTo(t.DL) {
+	if a.DL == nil || !a.DL.ResetTo(t.DL) {
 		var imap map[*loader.Image]*loader.Image
 		a.DL, imap = t.DL.CloneFor(a.S.K, a.P)
 		a.Libc = imap[t.Libc]

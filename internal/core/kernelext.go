@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
@@ -91,18 +89,6 @@ type segState struct {
 	busy       bool
 	QueueBound int
 	queue      []asyncReq
-}
-
-// copy returns an independent copy of the state. Module images and
-// queued EFT entries are shared; Clone rebinds them.
-func (s *segState) copy() segState {
-	c := *s
-	c.modules = slices.Clone(s.modules)
-	c.ranges = s.ranges.clone()
-	c.mapped = maps.Clone(s.mapped)
-	c.stubs = s.stubs.clone()
-	c.queue = slices.Clone(s.queue)
-	return c
 }
 
 type asyncReq struct {
@@ -528,12 +514,10 @@ func (f *KernelExtensionFunc) invoke(arg uint32, tx bool) (uint32, error) {
 	}
 	var v uint32
 	var err error
-	if txErr := s.Tx(func() bool {
+	s.Tx(func() bool {
 		v, err = f.run(p, arg, true)
 		return errors.Is(err, ErrKernelExtensionRolledBack)
-	}); txErr != nil {
-		return 0, txErr
-	}
+	})
 	return v, err
 }
 

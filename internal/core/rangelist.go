@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -83,14 +82,13 @@ func (r *rangeList) freeBytes() uint32 {
 	return n
 }
 
-// clone deep-copies the range list.
-func (r *rangeList) clone() *rangeList {
-	return &rangeList{sizes: maps.Clone(r.sizes), free: slices.Clone(r.free)}
-}
-
-// resetTo rewinds the range list in place to a copy of t.
-func (r *rangeList) resetTo(t *rangeList) {
-	clear(r.sizes)
-	maps.Copy(r.sizes, t.sizes)
+// resetTo rewinds the range list in place to a copy of t, or returns
+// a new copy when r is nil (an empty clone's), and returns it.
+func (r *rangeList) resetTo(t *rangeList) *rangeList {
+	if r == nil {
+		r = new(rangeList)
+	}
+	r.sizes = refill(r.sizes, t.sizes)
 	r.free = append(r.free[:0], t.free...)
+	return r
 }

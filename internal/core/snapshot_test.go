@@ -178,9 +178,7 @@ func TestSystemSnapshotRestoreDeterministic(t *testing.T) {
 	}
 	run1 := captureSys(s)
 
-	if err := s.ResetTo(frozen); err != nil {
-		t.Fatal(err)
-	}
+	s.ResetTo(frozen)
 	r2, err := f.Invoke(10)
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +217,7 @@ func TestRestoreReattachesStubArena(t *testing.T) {
 	}
 	wantBase, wantCursor := seg.stubs.base, seg.stubs.next
 
-	if err := s.ResetTo(frozen); err != nil {
-		t.Fatal(err)
-	}
+	s.ResetTo(frozen)
 	if seg.stubs != nil {
 		t.Fatal("stub arena survived the rewind to the pre-Insmod freeze")
 	}

@@ -19,35 +19,20 @@ type stubArena struct {
 	end   uint32
 }
 
-// clone copies the arena descriptor (nil stays nil); the stub code
-// itself lives in simulated memory.
-func (a *stubArena) clone() *stubArena {
-	if a == nil {
-		return nil
-	}
-	c := *a
-	return &c
-}
-
-// resetTo rewinds the arena descriptor in place to t's, keeping space,
-// and returns it; it returns nil when t is nil (an arena created since
-// t was cloned).
+// resetTo rewinds the arena descriptor in place to t's, or a new one
+// when a is nil (an empty clone's), setting space, and returns it; it
+// returns nil when t is nil (an arena created since t was cloned). The
+// stub code itself lives in simulated memory.
 func (a *stubArena) resetTo(t *stubArena, space loader.Space) *stubArena {
 	if t == nil {
 		return nil
 	}
+	if a == nil {
+		a = new(stubArena)
+	}
 	*a = *t
 	a.space = space
 	return a
-}
-
-// rebind points a copied arena descriptor at a cloned machine's space;
-// the stub code itself already lives in the clone's (COW-shared)
-// memory at the same addresses.
-func (a *stubArena) rebind(space loader.Space) {
-	if a != nil {
-		a.space = space
-	}
 }
 
 func newStubArena(space loader.Space, name string, size uint32) (*stubArena, error) {

@@ -24,15 +24,13 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/kernel"
 )
 
 // systemState is every simulated field of a System, declared once:
-// Clone, ResetTo and SaveTo walk it whole (DESIGN.md, "Snapshot
+// ResetTo (which Clone runs) and SaveTo walk it whole (DESIGN.md, "Snapshot
 // layering"). Each segment carries its own segState.
 type systemState struct {
 	nextSeg uint32
@@ -53,17 +51,6 @@ type systemState struct {
 	// return to the kernel. It is fixed at boot, so the byte image
 	// does not carry it.
 	kernRetGate uint16
-}
-
-// copy returns an independent copy of the state. Segments and EFT
-// entries are shared; Clone rebinds them.
-func (s *systemState) copy() systemState {
-	c := *s
-	c.segs = slices.Clone(s.segs)
-	c.eft = maps.Clone(s.eft)
-	c.kernPrep = s.kernPrep.clone()
-	c.ktRanges = s.ktRanges.clone()
-	return c
 }
 
 // System is a booted Palladium machine: the mini-kernel plus the

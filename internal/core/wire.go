@@ -153,9 +153,9 @@ func loadArenaExtent(d *mem.Dec, what string, twin *stubArena) *stubArena {
 		d.Failf("%s stub cursor %#x outside arena", what, next)
 		return nil
 	}
-	a := twin.clone()
+	a := *twin
 	a.next = next
-	return a
+	return &a
 }
 
 // LoadFrom decodes a SaveTo image into this system, which must be a

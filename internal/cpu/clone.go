@@ -11,12 +11,13 @@ import (
 
 // Clone copies the machine onto already-cloned physical memory, MMU
 // and clock (the caller clones those first so it can rebind the layers
-// above them). The state value carries over, with the code map shared
-// copy-on-write between source and clone: the first side to
-// install/remove code splits its own copy off (the flag is per-machine,
-// so each owner goroutine touches only its own). The decoded-block
-// cache and trace registry start empty; the clone re-detects heat under
-// the source's TraceThreshold, with bit-identical simulated metrics.
+// above them): an empty machine reset to this one (ResetTo), so the
+// state value carries over, with the code map shared copy-on-write
+// between source and clone: the first side to install/remove code
+// splits its own copy off (the flag is per-machine, so each owner
+// goroutine touches only its own). The decoded-block cache and trace
+// registry start empty; the clone re-detects heat under the source's
+// TraceThreshold, with bit-identical simulated metrics.
 //
 // The services map is copied as-is: handlers receive the executing
 // machine as an argument, so capture-free handlers work unchanged on
@@ -24,19 +25,8 @@ import (
 // re-registered by that owner; OnTick and Owner are left nil for the
 // same reason.
 func (m *Machine) Clone(phys *mem.Physical, mu *mmu.MMU, clock *cycles.Clock) *Machine {
-	m.shareCode()
-	c := &Machine{
-		Phys:  phys,
-		MMU:   mu,
-		Clock: clock,
-		Model: m.Model,
-
-		machineState:   m.machineState.copy(),
-		blocks:         &noBlocks,
-		TraceThreshold: m.TraceThreshold,
-	}
-	c.codeShared.Store(true)
-	c.recomputeDispatchHints()
+	c := &Machine{Phys: phys, MMU: mu, Clock: clock, Model: m.Model, blocks: &noBlocks}
+	c.ResetTo(m)
 	return c
 }
 
@@ -46,8 +36,8 @@ func (m *Machine) Clone(phys *mem.Physical, mu *mmu.MMU, clock *cycles.Clock) *M
 // service maps refilled rather than reallocated and the code map shared
 // with t again, and the clock. Memory and the MMU are their own layers;
 // the owner resets them too. OnTick and Owner are left alone and the
-// service handlers are t's: as after Clone, owners re-bind the handlers
-// that close over them.
+// service handlers are t's: owners re-bind the handlers that close
+// over them. An empty machine gets its maps here.
 //
 // The decoded-block cache and traces survive when the code map, the
 // breakpoint and service addresses and the IDT are t's: blocks are

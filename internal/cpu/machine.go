@@ -97,7 +97,7 @@ type RunResult struct {
 }
 
 // machineState is every simulated field of a Machine, declared once:
-// Clone, ResetTo and SaveTo walk it whole (DESIGN.md, "Snapshot
+// ResetTo (which Clone runs) and SaveTo walk it whole (DESIGN.md, "Snapshot
 // layering"). The clock, memory and MMU are their own layers.
 type machineState struct {
 	// Architectural state.
@@ -128,17 +128,6 @@ type machineState struct {
 	haltFlag   bool
 	TickCycles float64 // OnTick period
 	nextTick   float64
-}
-
-// copy returns an independent copy of the state. The code map is the
-// exception: it is shared, and the caller marks it copy-on-write
-// (codeShared) on every machine that holds it.
-func (s *machineState) copy() machineState {
-	c := *s
-	c.IDT = maps.Clone(s.IDT)
-	c.breaks = maps.Clone(s.breaks)
-	c.services = maps.Clone(s.services)
-	return c
 }
 
 // Machine is one simulated processor plus its physical memory and MMU.

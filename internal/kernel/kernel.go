@@ -14,8 +14,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/cycles"
@@ -100,7 +98,7 @@ var (
 )
 
 // kernelState is every simulated field of a Kernel, declared once:
-// Clone, ResetTo and SaveTo walk it whole (DESIGN.md, "Snapshot
+// ResetTo (which Clone runs) and SaveTo walk it whole (DESIGN.md, "Snapshot
 // layering"). The machine and allocator are their own layers.
 type kernelState struct {
 	nextPID int
@@ -140,31 +138,6 @@ type kernelState struct {
 
 	// ConsoleOut collects bytes written via SysWrite to fd 1/2.
 	ConsoleOut []byte
-}
-
-// copy returns an independent copy of the state. Every process is
-// duplicated (cur points at the duplicate of the current process);
-// address spaces are shared, so Clone re-adopts them on its memory.
-func (s *kernelState) copy() kernelState {
-	c := *s
-	c.procs = make(map[int]*Process, len(s.procs))
-	for pid, p := range s.procs {
-		p2 := p.copy()
-		c.procs[pid] = p2
-		if p == s.cur {
-			c.cur = p2
-		}
-	}
-	if c.cur != nil && c.cur == s.cur { // an exited current process
-		c.cur = s.cur.copy()
-	}
-	c.syscalls = maps.Clone(s.syscalls)
-	c.kernelServices = maps.Clone(s.kernelServices)
-	costs := *s.Costs
-	c.Costs = &costs
-	c.ConsoleOut = slices.Clone(s.ConsoleOut)
-	c.freeKStacks = slices.Clone(s.freeKStacks)
-	return c
 }
 
 // Kernel is the simulated operating system.

@@ -675,6 +675,52 @@ func TestExitRemovesProcess(t *testing.T) {
 	}
 }
 
+// TestForkExecExitReleasesSpaces: Exec gives back the directory it
+// replaces and the user page table Fork copied for it, Exit the exited
+// process's directory, so a fork-exec-exit cycle leaves the free frame
+// count where it was, and the frames come back zeroed. The current
+// process's loaded directory is not released when it exits.
+func TestForkExecExitReleasesSpaces(t *testing.T) {
+	k, p := bootWithProc(t)
+	addr, err := p.Mmap(k, 0, mem.PageSize, true, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.CopyToUser(p, addr, []byte{0xAA}); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		child, err := k.Fork(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Exec(child); err != nil {
+			t.Fatal(err)
+		}
+		k.Exit(child, 0)
+	}
+	cycle() // carves the child's kernel-stack slot
+	free := k.Alloc.Available()
+	cycle()
+	if got := k.Alloc.Available(); got != free {
+		t.Fatalf("%d free frames after a fork-exec-exit cycle, %d before", got, free)
+	}
+	for i := 0; i < 3; i++ { // the two directories and the copied table
+		pa, err := k.Alloc.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *k.Phys.FrameView(pa) != [mem.PageSize]byte{} {
+			t.Fatalf("released frame %#x came back dirty", pa)
+		}
+	}
+	loaded := k.MMU.Space().CR3()
+	k.Exit(p, 0)
+	if k.Phys.Read32(loaded+(KernelBase>>22)*4) == 0 {
+		t.Error("the loaded directory was released by its process's exit")
+	}
+}
+
 func TestDefaultSignalDispositionKills(t *testing.T) {
 	k, p := bootWithProc(t)
 	k.DeliverSignal(p, SignalInfo{Sig: SIGSEGV, Reason: "no handler"})

@@ -70,14 +70,6 @@ type Process struct {
 	ExitCode int
 }
 
-// copy duplicates the process and its regions. The address space is
-// shared: it is a wrapper around a CR3 value in simulated memory.
-func (p *Process) copy() *Process {
-	c := *p
-	c.Regions = copyRegions(p.Regions)
-	return &c
-}
-
 // resetTo rewinds p in place to t, a process of the kernel this one
 // was cloned from, reusing p's region structs when the count matches.
 // p keeps its own address-space wrapper while it covers t's page
@@ -193,6 +185,7 @@ func (k *Kernel) Exec(p *Process) error {
 		return err
 	}
 	as.ShareRangeFrom(k.kernelTemplate, KernelBase, 0xFFFF_F000)
+	old := p.AS
 	p.AS = as
 	p.TaskSPL = 3
 	p.Regions = []*VMRegion{{
@@ -204,18 +197,31 @@ func (k *Kernel) Exec(p *Process) error {
 	if k.cur == p {
 		k.MMU.LoadCR3(p.AS)
 	}
+	k.releaseSpace(old)
 	return nil
 }
 
-// Exit terminates a process and gives its kernel-stack slot back for
-// the next CreateProcess. Exiting an exited process frees nothing.
+// Exit terminates a process and gives its kernel-stack slot and address
+// space back for the next CreateProcess. Exiting an exited process
+// frees nothing.
 func (k *Kernel) Exit(p *Process, code int) {
 	if !p.Exited {
 		k.freeKStacks = append(k.freeKStacks, p.KStackTop-mem.PageSize)
+		k.releaseSpace(p.AS)
 	}
 	p.Exited = true
 	p.ExitCode = code
 	delete(k.procs, p.PID)
+}
+
+// releaseSpace returns as's page directory and user-half page tables to
+// the allocator, unless as is the loaded address space, which the MMU
+// still translates through. The kernel half's page tables belong to the
+// kernel template and are shared by every process: they stay.
+func (k *Kernel) releaseSpace(as *mmu.AddressSpace) {
+	if cur := k.MMU.Space(); cur == nil || cur.CR3() != as.CR3() {
+		as.Release(0, UserLimit)
+	}
 }
 
 // Mmap creates a demand-paged region of n bytes. With addr == 0 the

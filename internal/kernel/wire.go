@@ -32,34 +32,20 @@ func (k *Kernel) SaveTo(e *mem.Enc) {
 	}
 	e.I32(cur)
 
-	e.U32(uint32(len(s.procs)))
-	for _, pid := range slices.Sorted(maps.Keys(s.procs)) {
-		p := s.procs[pid]
-		e.I32(int32(p.PID))
-		e.I32(int32(p.Parent))
-		e.U8(uint8(p.TaskSPL))
-		e.U32(p.AS.CR3())
-		e.U32(p.Brk)
-		e.U32(p.mmapPtr)
-		e.U32(p.KStackTop)
-		e.U32(p.Ring2StackTop)
-		e.Bool(p.Exited)
-		e.I32(int32(p.ExitCode))
-		e.Bool(p.LastSignal != nil)
-		if p.LastSignal != nil {
-			// The *mmu.Fault detail is a host-side diagnostic and is
-			// not serialized; signal number and reason round-trip.
-			e.I32(int32(p.LastSignal.Sig))
-			e.String(p.LastSignal.Reason)
-		}
-		e.U32(uint32(len(p.Regions)))
-		for _, r := range p.Regions {
-			e.String(r.Name)
-			e.U32(r.Start)
-			e.U32(r.End)
-			e.Bool(r.Writable)
-			e.Bool(r.ForcePPL1)
-		}
+	// An exited current process is in no table: it follows the live
+	// processes as one extra record, its Exited flag set.
+	live := slices.Sorted(maps.Keys(s.procs))
+	n := len(live)
+	exited := s.cur != nil && s.procs[s.cur.PID] != s.cur
+	if exited {
+		n++
+	}
+	e.U32(uint32(n))
+	for _, pid := range live {
+		saveProcess(e, s.procs[pid])
+	}
+	if exited {
+		saveProcess(e, s.cur)
 	}
 
 	e.U32(s.nextKStack)
@@ -87,6 +73,35 @@ func (k *Kernel) SaveTo(e *mem.Enc) {
 	k.Machine.SaveTo(e)
 	k.Alloc.SaveTo(e)
 	k.Phys.SaveTo(e)
+}
+
+// saveProcess appends one process record.
+func saveProcess(e *mem.Enc, p *Process) {
+	e.I32(int32(p.PID))
+	e.I32(int32(p.Parent))
+	e.U8(uint8(p.TaskSPL))
+	e.U32(p.AS.CR3())
+	e.U32(p.Brk)
+	e.U32(p.mmapPtr)
+	e.U32(p.KStackTop)
+	e.U32(p.Ring2StackTop)
+	e.Bool(p.Exited)
+	e.I32(int32(p.ExitCode))
+	e.Bool(p.LastSignal != nil)
+	if p.LastSignal != nil {
+		// The *mmu.Fault detail is a host-side diagnostic and is
+		// not serialized; signal number and reason round-trip.
+		e.I32(int32(p.LastSignal.Sig))
+		e.String(p.LastSignal.Reason)
+	}
+	e.U32(uint32(len(p.Regions)))
+	for _, r := range p.Regions {
+		e.String(r.Name)
+		e.U32(r.Start)
+		e.U32(r.End)
+		e.Bool(r.Writable)
+		e.Bool(r.ForcePPL1)
+	}
 }
 
 func saveKeySet(e *mem.Enc, m map[uint32]SyscallFn) {
@@ -126,16 +141,15 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	s.nextPID = int(d.I32())
 	curPID := int(d.I32())
 
+	// Live processes come in PID order; at most one exited record, the
+	// current process, is among them.
 	nProcs := d.Len("process", 1<<20)
 	s.procs = make(map[int]*Process, nProcs)
+	var exited *Process
 	lastPID := -1 << 30
 	for i := 0; i < nProcs; i++ {
 		p := &Process{}
 		p.PID = int(d.I32())
-		if d.Err() == nil && p.PID <= lastPID {
-			d.Failf("process %d out of order", p.PID)
-		}
-		lastPID = p.PID
 		p.Parent = int(d.I32())
 		spl := d.U8()
 		if d.Err() == nil && (spl < 2 || spl > 3) {
@@ -172,7 +186,20 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 		}
 		// Wrapper objects only: contents live in the frame image.
 		p.AS = mmu.AdoptAddressSpace(k.Phys, k.Alloc, cr3)
-		s.procs[p.PID] = p
+		switch {
+		case p.Exited && (exited != nil || p.PID != curPID):
+			d.Failf("exited process %d in image is not the one exited current process", p.PID)
+		case p.Exited:
+			exited = p
+		case p.PID <= lastPID:
+			d.Failf("process %d out of order", p.PID)
+		default:
+			lastPID = p.PID
+			s.procs[p.PID] = p
+		}
+		if d.Err() != nil {
+			return d.Err()
+		}
 	}
 
 	s.nextKStack = d.U32()
@@ -213,10 +240,18 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 		return err
 	}
 
-	// cur must name a serialized process (or be absent).
+	// cur must name one serialized process, live or exited (or be
+	// absent).
 	if curPID >= 0 {
-		if s.cur = s.procs[curPID]; s.cur == nil {
+		switch s.cur = s.procs[curPID]; {
+		case s.cur == nil && exited == nil:
 			d.Failf("current process %d not in image", curPID)
+		case s.cur != nil && exited != nil:
+			d.Failf("current process %d both live and exited in image", curPID)
+		case exited != nil:
+			s.cur = exited
+		}
+		if d.Err() != nil {
 			return d.Err()
 		}
 	}
@@ -273,20 +308,27 @@ func (s *kernelState) loadFreeKStacks(d *mem.Dec) error {
 	return d.Err()
 }
 
-// restoreInPlace moves each loaded process into the struct that held
-// the same PID in live, so pointers to it stay valid, keeping that
-// struct's signal handler, which a byte image cannot carry.
+// restoreInPlace moves each loaded process, an exited current one
+// included, into the struct that held the same PID in live, so pointers
+// to it stay valid, keeping that struct's signal handler, which a byte
+// image cannot carry.
 func (k *Kernel) restoreInPlace(live map[int]*Process) {
-	for pid, p := range k.procs {
-		orig := live[pid]
+	inPlace := func(p *Process) *Process {
+		orig := live[p.PID]
 		if orig == nil {
-			continue
+			return p
 		}
 		p.SignalHandler = orig.SignalHandler
 		*orig = *p
-		k.procs[pid] = orig
-		if k.cur == p {
-			k.cur = orig
+		return orig
+	}
+	cur := k.cur
+	for pid, p := range k.procs {
+		k.procs[pid] = inPlace(p)
+	}
+	if cur != nil {
+		if k.cur = k.procs[cur.PID]; k.cur == nil {
+			k.cur = inPlace(cur)
 		}
 	}
 }

@@ -189,3 +189,72 @@ func TestKStackFreeListImage(t *testing.T) {
 		})
 	}
 }
+
+// TestExitedCurrentProcessImage: a kernel whose current process exited
+// saves it as one extra record after the live processes, its Exited
+// flag set, and a booted twin restores it as the current process, in no
+// table. An exited record that is not that one is refused.
+func TestExitedCurrentProcessImage(t *testing.T) {
+	image := func(k *Kernel) []byte {
+		var e mem.Enc
+		k.SaveTo(&e)
+		return e.Data()
+	}
+	k, cur := bootWithProc(t)
+	other, err := k.CreateProcess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Exit(cur, 9)
+	twin := boot(t)
+	if err := twin.LoadFrom(mem.NewDec(image(k))); err != nil {
+		t.Fatal(err)
+	}
+	if c := twin.Current(); c == nil || c.PID != cur.PID || !c.Exited || c.ExitCode != 9 || twin.Process(cur.PID) != nil {
+		t.Fatalf("restored current process %+v: want exited PID %d in no table", c, cur.PID)
+	}
+	if twin.Process(other.PID) == nil {
+		t.Fatalf("live process %d lost", other.PID)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func() (undo func())
+	}{
+		{"second exited record", func() func() {
+			other.Exited = true
+			return func() { other.Exited = false }
+		}},
+		{"exited record not current", func() func() {
+			k.procs[cur.PID], cur.Exited, other.Exited = cur, false, true
+			return func() {
+				delete(k.procs, cur.PID)
+				cur.Exited, other.Exited = true, false
+			}
+		}},
+		{"exited record with no current process", func() func() {
+			k.cur, other.Exited = nil, true
+			return func() { k.cur, other.Exited = cur, false }
+		}},
+		{"two exited current records", func() func() {
+			twin := *cur
+			k.procs[other.PID+1] = &twin
+			return func() { delete(k.procs, other.PID+1) }
+		}},
+		{"exited current also live", func() func() {
+			twin := *cur
+			twin.Exited = false
+			k.procs[cur.PID] = &twin
+			return func() { delete(k.procs, cur.PID) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			undo := tc.mutate()
+			img := image(k)
+			undo()
+			if err := boot(t).LoadFrom(mem.NewDec(img)); !errors.Is(err, mem.ErrCorrupt) {
+				t.Errorf("load = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}

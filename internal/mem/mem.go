@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"slices"
 	"sync/atomic"
 )
 
@@ -248,18 +247,14 @@ func (p *Physical) writeFrame(pa uint32) *[PageSize]byte {
 }
 
 // Clone derives a new Physical whose initial contents are bit-identical
-// to p, sharing every frame copy-on-write. The cost is O(chunks), not
-// O(bytes): this is what makes whole-machine cloning O(1) in the size
-// of memory. The clone may be used from another goroutine; the shared
-// refcounts are atomic.
+// to p, sharing every frame copy-on-write: it is a ResetTo of an empty
+// Physical, which takes each of p's chunks with one reference. The cost
+// is O(chunks), not O(bytes): this is what makes whole-machine cloning
+// O(1) in the size of memory. The clone may be used from another
+// goroutine; the shared refcounts are atomic.
 func (p *Physical) Clone() *Physical {
-	q := &Physical{touched: p.touched}
-	q.root = p.root
-	for _, c := range &q.root {
-		if c != nil {
-			c.refs.Add(1)
-		}
-	}
+	q := &Physical{}
+	q.ResetTo(p)
 	return q
 }
 
@@ -587,9 +582,12 @@ func (a *FrameAllocator) Available() int {
 
 // Clone copies the allocator (cursor and free list) for a cloned
 // machine, so both sides keep handing out the same deterministic frame
-// sequence their shared history established.
+// sequence their shared history established: a ResetTo of an empty
+// allocator.
 func (a *FrameAllocator) Clone() *FrameAllocator {
-	return &FrameAllocator{next: a.next, limit: a.limit, free: slices.Clone(a.free)}
+	c := &FrameAllocator{}
+	c.ResetTo(a)
+	return c
 }
 
 // ResetTo rewinds the allocator in place to t's cursor and free list.

@@ -70,34 +70,33 @@ func New(phys *mem.Physical, gdtSize int, clock *cycles.Clock, model *cycles.Mod
 }
 
 // Clone copies the MMU onto a cloned machine's physical memory and
-// clock: descriptor tables (shared copy-on-write), TLB state and
-// generation carry over, so the clone translates exactly as its source
-// would.
+// clock: an empty MMU, with no descriptor table yet and a TLB sized
+// from this one's, reset to this MMU (ResetTo), so the clone translates
+// exactly as its source would. The clone's generations restart: they
+// tag only the clone's own blocks and probes, of which it has none yet.
 func (m *MMU) Clone(phys *mem.Physical, clock *cycles.Clock) *MMU {
 	c := &MMU{
-		Phys:         phys,
-		GDT:          m.GDT.Clone(),
-		clock:        clock,
-		model:        m.model,
-		tlb:          m.tlb.Clone(),
-		gen:          m.gen,
-		segGen:       m.segGen,
-		WriteProtect: m.WriteProtect,
+		Phys:  phys,
+		GDT:   &Table{name: m.GDT.name},
+		clock: clock,
+		model: m.model,
+		tlb:   newTLB(len(m.tlb.slots)),
 	}
 	c.GDT.onMutate = c.bumpSegGen
 	phys.OnRestore(c.bumpSegGen)
+	c.ResetTo(m)
 	return c
 }
 
 // ResetTo rewinds the MMU in place to t, either the MMU it was cloned
 // from or a frozen clone of itself: descriptor tables, TLB contents
 // and counters, and control bits. The caller rebinds the current
-// address space (AdoptSpace), as after Clone. The translation
-// generation always advances, because the TLB was rewound. The segment
-// generation advances only when the GDT no longer shares t's entries,
-// so blocks and probes tagged with it survive a reset over an untouched
-// table. Neither generation ever moves back: a rewound generation could
-// let a stale block match. ResetTo only reads t.
+// address space (AdoptSpace). The translation generation always
+// advances, because the TLB was rewound. The segment generation
+// advances only when the GDT no longer shares t's entries, so blocks
+// and probes tagged with it survive a reset over an untouched table.
+// Neither generation ever moves back: a rewound generation could let a
+// stale block match. ResetTo only reads t.
 func (m *MMU) ResetTo(t *MMU) {
 	if !m.GDT.sharesEntries(t.GDT) {
 		m.GDT.RestoreEntries(t.GDT.Snapshot()) // fires bumpSegGen
@@ -112,7 +111,7 @@ func (m *MMU) ResetTo(t *MMU) {
 // AddressSpace objects (the page-table contents, which live in
 // simulated memory, are already identical).
 //
-//lint:genbump-exempt clone and reset rebinding only: the adopted page tables are bit-identical, Clone carried the generations over, ResetTo advanced them, and image loads bump via phys.OnRestore
+//lint:genbump-exempt clone and reset rebinding only: the adopted page tables are bit-identical, the ResetTo that Clone and reset both run advanced the generations, and image loads bump via phys.OnRestore
 func (m *MMU) AdoptSpace(space *AddressSpace) { m.space = space }
 
 // bumpGen advances the translation generation (see the gen field).

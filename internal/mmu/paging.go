@@ -3,6 +3,7 @@ package mmu
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 
 	"repro/internal/mem"
 )
@@ -198,6 +199,24 @@ func entryAt(frame *[mem.PageSize]byte, i uint32) PTE {
 	return PTE(binary.LittleEndian.Uint32(frame[i*4 : i*4+4]))
 }
 
+// present yields the index and value of every present entry i in
+// [lo, hi] of a page-directory or page-table frame, in index order.
+// Absent entries are almost all zero, so the scan skips aligned runs of
+// 16 zero entries with one compare.
+func present(frame *[mem.PageSize]byte, lo, hi uint32) iter.Seq2[uint32, PTE] {
+	return func(yield func(uint32, PTE) bool) {
+		for i := lo; i <= hi; i++ {
+			if i%16 == 0 && i+15 <= hi && [64]byte(frame[i*4:i*4+64]) == [64]byte{} {
+				i += 15
+				continue
+			}
+			if e := entryAt(frame, i); e.Present() && !yield(i, e) {
+				return
+			}
+		}
+	}
+}
+
 // CopyRangeFrom deep-copies src's mappings covering [startLinear,
 // endLinear] into this address space: fresh page-table frames, leaf
 // entries copied verbatim (same frames, same permissions — the fork()
@@ -208,11 +227,7 @@ func entryAt(frame *[mem.PageSize]byte, i uint32) PTE {
 // address space's directory and tables are written.
 func (as *AddressSpace) CopyRangeFrom(src *AddressSpace, startLinear, endLinear uint32) error {
 	dir := src.phys.FrameView(src.pdBase)
-	for pdi := startLinear >> 22; pdi <= endLinear>>22; pdi++ {
-		e := entryAt(dir, pdi)
-		if !e.Present() {
-			continue
-		}
+	for pdi, e := range present(dir, startLinear>>22, endLinear>>22) {
 		pt, err := as.ensurePT(pdi)
 		if err != nil {
 			return err
@@ -222,6 +237,24 @@ func (as *AddressSpace) CopyRangeFrom(src *AddressSpace, startLinear, endLinear 
 		copy(dst[:], from[:])
 	}
 	return nil
+}
+
+// Release returns the page tables covering [startLinear, endLinear] and
+// then the page directory to the allocator, each zeroed first, so a
+// later Alloc hands out a frame as clean as a fresh one. Tables outside
+// the range, shared with other address spaces, are left alone. The
+// space must not be used afterwards.
+func (as *AddressSpace) Release(startLinear, endLinear uint32) {
+	dir := as.phys.FrameView(as.pdBase)
+	for _, e := range present(dir, startLinear>>22, endLinear>>22) {
+		as.freeFrame(e.Frame())
+	}
+	as.freeFrame(as.pdBase)
+}
+
+func (as *AddressSpace) freeFrame(pa uint32) {
+	as.phys.Zero(pa, mem.PageSize)
+	as.alloc.Free(pa)
 }
 
 // ShareRangeFrom aliases src's page-directory entries covering
@@ -247,17 +280,10 @@ func (as *AddressSpace) ShareRangeFrom(src *AddressSpace, startLinear, endLinear
 func (as *AddressSpace) VisitMapped(fn func(linear uint32, e PTE)) {
 	dir := as.phys.FrameView(as.pdBase)
 	var table [mem.PageSize]byte
-	for pdi := uint32(0); pdi < 1024; pdi++ {
-		pde := entryAt(dir, pdi)
-		if !pde.Present() {
-			continue
-		}
+	for pdi, pde := range present(dir, 0, 1023) {
 		table = *as.phys.FrameView(pde.Frame())
-		for pti := uint32(0); pti < 1024; pti++ {
-			leaf := entryAt(&table, pti)
-			if leaf.Present() {
-				fn(pdi<<22|pti<<12, leaf)
-			}
+		for pti, leaf := range present(&table, 0, 1023) {
+			fn(pdi<<22|pti<<12, leaf)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestTranslateProbedMatchesTranslate(t *testing.T) {
 
 	check := func(off, size uint32) {
 		t.Helper()
-		ref := m.tlb.Clone()
+		ref := copyTLB(m.tlb)
 		wantPA, wantF := m.Translate(sel, off, size, Write, 3)
 		// Rewind the TLB so the probed run sees identical state (the
 		// page-level half is shared and counted in both).
@@ -185,7 +185,7 @@ func TestTranslateBatchedMatchesProbed(t *testing.T) {
 	}
 	check := func(off, size uint32) {
 		t.Helper()
-		ref := m.tlb.Clone()
+		ref := copyTLB(m.tlb)
 		c0 := m.clock.Cycles()
 		wantPA, wantF := m.TranslateProbed(&pp, sel, off, size, Write, 3)
 		wantHits, wantMisses, _ := m.tlb.Stats()

@@ -138,8 +138,8 @@ func (d *Descriptor) Contains(off uint32, size uint32) bool {
 
 // Table is a descriptor table (the GDT).
 //
-// The entries slice is shared copy-on-write: Clone and Snapshot hand
-// out the same slice and mark it shared, and Set — the only in-place
+// The entries slice is shared copy-on-write: Snapshot and
+// RestoreEntries hand out the same slice and mark it shared, and Set — the only in-place
 // writer — copies it before its first write. A clone or a reset
 // therefore costs no descriptor copy until one side actually changes a
 // descriptor, which a served request never does.
@@ -223,7 +223,7 @@ func (t *Table) Snapshot() []Descriptor {
 }
 
 // sharesEntries reports whether t and u hold the same descriptor slice,
-// which they do from a Clone until either side's next Set.
+// which they do from a clone or a reset until either side's next Set.
 func (t *Table) sharesEntries(u *Table) bool {
 	return len(t.entries) == len(u.entries) && (len(t.entries) == 0 || &t.entries[0] == &u.entries[0])
 }
@@ -231,9 +231,10 @@ func (t *Table) sharesEntries(u *Table) bool {
 // RestoreEntries rewinds the table to a snapshot produced by Snapshot
 // (or a decoded image), adopting the slice copy-on-write, and fires
 // onMutate once (descriptor contents may have changed, so any decode
-// state keyed on them must be invalidated).
+// state keyed on them must be invalidated). A table with no entries yet
+// (a cloned MMU's) takes the snapshot's size.
 func (t *Table) RestoreEntries(entries []Descriptor) {
-	if len(entries) != len(t.entries) {
+	if t.entries != nil && len(entries) != len(t.entries) {
 		panic(fmt.Sprintf("mmu: %s snapshot size %d != table size %d", t.name, len(entries), len(t.entries)))
 	}
 	t.entries = entries
@@ -241,15 +242,6 @@ func (t *Table) RestoreEntries(entries []Descriptor) {
 	if t.onMutate != nil {
 		t.onMutate()
 	}
-}
-
-// Clone derives the table for a cloned machine, sharing the entries
-// copy-on-write. The clone's onMutate is left unset; the owning MMU
-// rebinds it.
-func (t *Table) Clone() *Table {
-	c := &Table{name: t.name, entries: t.Snapshot()}
-	c.shared.Store(true)
-	return c
 }
 
 // Access describes the kind of memory access being checked.

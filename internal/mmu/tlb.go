@@ -72,9 +72,14 @@ type TLB struct {
 }
 
 // NewTLB returns an empty TLB.
-func NewTLB() *TLB {
+func NewTLB() *TLB { return newTLB(tlbMinSlots) }
+
+// newTLB returns an empty TLB of n slots, n a power of two: a cloned
+// MMU sizes its TLB from the source's, so restoring the source's
+// entries does not regrow it.
+func newTLB(n int) *TLB {
 	t := &TLB{epoch: 1}
-	t.alloc(tlbMinSlots)
+	t.alloc(n)
 	return t
 }
 
@@ -225,16 +230,6 @@ func (t *TLB) CountHit() { t.hits++ }
 // Stats reports hit/miss/flush counters.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {
 	return t.hits, t.misses, t.flushes
-}
-
-// Clone deep-copies the TLB: contents, epoch and counters. A cloned or
-// reset machine must resume with exactly this TLB state, because
-// hit/miss behaviour feeds the charged page-walk costs — a flush
-// instead of a copy would perturb every subsequent simulated metric.
-func (t *TLB) Clone() *TLB {
-	c := *t
-	c.slots = append([]uint64(nil), t.slots...)
-	return &c
 }
 
 // restoreFrom rewinds this TLB to the state of s, another TLB (a

@@ -237,7 +237,7 @@ func TestTLBMatchesMapModel(t *testing.T) {
 	for _, page := range work[:100] {
 		direct(page)
 	}
-	snap, modelSnap := tlb.Clone(), model.clone()
+	snap, modelSnap := copyTLB(tlb), model.clone()
 	mixed(3000, work, direct)
 	check("before restore")
 	tlb.restoreFrom(snap)
@@ -249,4 +249,12 @@ func TestTLBMatchesMapModel(t *testing.T) {
 	tlb.restoreFrom(snap)
 	model = modelSnap
 	check("restore into a new TLB")
+}
+
+// copyTLB returns a TLB holding t's live entries and counters, built
+// the way MMU.Clone builds a clone's.
+func copyTLB(t *TLB) *TLB {
+	c := newTLB(len(t.slots))
+	c.restoreFrom(t)
+	return c
 }

@@ -106,24 +106,30 @@ func BenchmarkCloneServeRequest(b *testing.B) {
 }
 
 // BenchmarkServeCGIRequest measures one classic-CGI request: fork and
-// exec of a script process on a booted server. Each request leaks the
-// two page directories Fork and Exec allocate (nothing frees an address
-// space), so a server's resident memory grows with every request; a
-// fresh server is booted off the clock every cgiPerServer requests to
-// keep that growth out of the measurement.
+// exec of a script process on a booted server.
 func BenchmarkServeCGIRequest(b *testing.B) {
-	const cgiPerServer = 1024
-	var s *Server
+	s := newBenchServer(b, 28)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%cgiPerServer == 0 {
-			b.StopTimer()
-			s = newBenchServer(b, 28)
-			b.StartTimer()
-		}
 		if _, err := s.ServeRequest(CGI); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCloneServer measures a bare clone of a restored template,
+// with no request: Server.Clone and the clone's Release.
+func BenchmarkCloneServer(b *testing.B) {
+	tmpl := restoredTemplate(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := tmpl.Clone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.S.K.Phys.Release()
 	}
 }
 

@@ -85,15 +85,25 @@ func TestCloneChurnLeavesTemplateIntact(t *testing.T) {
 // TestSharedServerServesManyCGIRequests serves more classic-CGI
 // requests on one long-lived server than a kernel has kernel-stack
 // slots (8064): each request forks and execs a process that exits, so
-// every request after the first must run on a recycled slot.
+// every request after the first must run on a recycled slot. The
+// replaced and the exited page directories go back to the allocator
+// too, so the free frame count after the last request is the one after
+// the first.
 func TestSharedServerServesManyCGIRequests(t *testing.T) {
 	srv, err := BootServer(28)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var free int
 	for i := 0; i < 10_000; i++ {
 		if status, err := srv.ServeRequest(CGI); err != nil || status != 200 {
 			t.Fatalf("request %d: status %d, %v", i, status, err)
 		}
+		if i == 0 {
+			free = srv.S.K.Alloc.Available()
+		}
+	}
+	if got := srv.S.K.Alloc.Available(); got != free {
+		t.Errorf("%d free frames after 10,000 CGI requests, %d after the first", got, free)
 	}
 }

@@ -330,9 +330,7 @@ func TestStateWalksPreserveWholeState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := srv.S.ResetTo(frozen); err != nil {
-			t.Fatal(err)
-		}
+		srv.S.ResetTo(frozen)
 		requireSameState(t, srv, twin, true)
 	})
 	t.Run("clone", func(t *testing.T) {
@@ -350,5 +348,18 @@ func TestStateWalksPreserveWholeState(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameState(t, r, srv, false)
+	})
+	t.Run("bytes-exited-current", func(t *testing.T) {
+		srv := servedServer(t, false)
+		k := srv.S.K
+		k.Exit(k.Current(), 9)
+		r, err := LoadServerBytes(srv.SaveBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, r, srv, false)
+		if p := r.S.K.Current(); !p.Exited || r.S.K.Process(p.PID) != nil || p != r.app.P {
+			t.Errorf("restored current process %+v: want the exited application process, in no table", p)
+		}
 	})
 }

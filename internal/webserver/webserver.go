@@ -213,13 +213,14 @@ func BootServer(fileSize uint32) (*Server, error) {
 func (srv *Server) App() *core.App { return srv.app }
 
 // Clone derives an independent server from this one without re-running
-// the boot: the underlying system is cloned (COW memory, copied
-// machine/kernel state) and the application, script handles and CGI
-// helper process are rebound to the clone. The clone's simulated state
-// is bit-identical to this server's at the moment of cloning, so a
-// clone of a freshly booted server serves exactly like a freshly
-// booted server. Clone while no request is in flight; the clone may
-// then serve from another goroutine.
+// the boot: the underlying system and application are cloned (COW
+// memory, machine and kernel state reset onto empty instances), the
+// script handles and CGI helper process are rebound to the clone, and
+// the server's state value is copied, as Reset copies it. The clone's
+// simulated state is bit-identical to this server's at the moment of
+// cloning, so a clone of a freshly booted server serves exactly like a
+// freshly booted server. Clone while no request is in flight; the clone
+// may then serve from another goroutine. The error is always nil.
 func (srv *Server) Clone() (*Server, error) {
 	s2, err := srv.S.Clone()
 	if err != nil {
@@ -254,16 +255,14 @@ var errNotClone = errors.New("webserver: only a clone can be reset")
 // (core.System.ResetTo, core.App.ResetTo) and the compiled code is
 // kept where it is still valid, so a reset costs a fraction of a
 // clone. The template must be quiescent, as for Clone; Reset only
-// reads it, so clones of one template may reset concurrently. On error
-// nothing was rewound, and the server must be discarded.
+// reads it, so clones of one template may reset concurrently. Reset
+// fails, rewinding nothing, only for a server that is not a clone.
 func (srv *Server) Reset() error {
 	t := srv.tmpl
 	if t == nil {
 		return errNotClone
 	}
-	if err := srv.S.ResetTo(t.S); err != nil {
-		return err
-	}
+	srv.S.ResetTo(t.S)
 	srv.app.ResetTo(t.app)
 	srv.serverState = t.serverState
 	return nil

@@ -16,8 +16,8 @@ import (
 // version and re-record them.
 func TestServerImageGolden(t *testing.T) {
 	const (
-		wantLen    = 88467
-		wantSHA256 = "2a31bbb0aa9516990d138125422e98a1325317cbf6306387f96a011ab9ee0463"
+		wantLen    = 80283
+		wantSHA256 = "54a2559910116e8aa8a60a3328dd0fdf69184fbaec9e916c9006cb8160afd62c"
 	)
 	srv, err := BootServer(1024)
 	if err != nil {

@@ -112,13 +112,11 @@ func (e *extBase) call(arg uint32, cfg *InvokeConfig) (v uint32, err error) {
 	start := clock.Cycles()
 	rolledBack := false
 	if cfg.Tx && !e.ownTx {
-		if txErr := e.h.Sys.Tx(func() bool {
+		e.h.Sys.Tx(func() bool {
 			v, err = e.doInvoke(arg, cfg)
 			rolledBack = err != nil
 			return rolledBack
-		}); txErr != nil {
-			v, err, rolledBack = 0, txErr, false
-		}
+		})
 	} else {
 		v, err = e.doInvoke(arg, cfg)
 	}
