@@ -165,9 +165,14 @@ func refill[K comparable, V any](dst, src map[K]V) map[K]V {
 // their handlers: those receive the executing machine as an argument,
 // but a handler closing over this App's state will still observe the
 // template's Go state — re-expose such services on the clone if they
-// are stateful. The error is always nil.
+// are stateful. An application whose process has exited is bound to
+// the clone kernel's current process of that PID, since an exited
+// process is in no process table. The error is always nil.
 func (a *App) Clone(s2 *System) (*App, error) {
 	c := &App{S: s2, P: s2.K.Process(a.P.PID)}
+	if cur := s2.K.Current(); c.P == nil && cur != nil && cur.PID == a.P.PID {
+		c.P = cur
+	}
 	c.ResetTo(a)
 	return c, nil
 }

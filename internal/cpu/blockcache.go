@@ -16,7 +16,9 @@ import (
 // fetch translated reuse its frame, counting the guaranteed TLB hit
 // through mmu.FastFetchHit). Run dispatches one block at a time and
 // counts each dispatch of a block toward its promotion into a trace
-// (trace.go), which is built from the cached blocks.
+// (trace.go), which is built from the cached blocks and stored on its
+// entry block. This is the one code cache: a trace is bounded, evicted
+// and invalidated with its entry block.
 //
 // A block is a straight-line run of predecoded instructions starting at
 // a linear EIP; the segment-level fetch checks (code-segment type, DPL,
@@ -39,13 +41,20 @@ import (
 //     and re-dispatch from live state.
 //   - SetBreak/ClearBreak and RegisterService/UnregisterService
 //     invalidate exactly the cached blocks whose linear range covers
-//     the armed address (breakpoints and trusted endpoints must be
-//     honoured mid-run by the very next instruction).
+//     the armed address, with their traces, and detach every other
+//     block's trace whose fused range covers it (breakpoints and
+//     trusted endpoints must be honoured mid-run by the very next
+//     instruction).
 //   - InstallCode/RemoveCode invalidate the blocks whose decoded
-//     instructions came from any touched physical page, matched through
-//     a per-block page bloom filter (false positives only cost a
-//     rebuild) behind a machine-wide aggregate bloom that rejects
-//     non-overlapping installs in O(1).
+//     instructions came from any touched physical page, with their
+//     traces, and detach every other block's trace that decoded from
+//     one, matched through per-block and per-trace page bloom filters
+//     (false positives only cost a rebuild) behind a machine-wide
+//     aggregate bloom that rejects non-overlapping installs in O(1).
+//
+// The linear envelope and the aggregate bloom cover every trace's
+// fused range and pages as well as the blocks' own (registerTrace
+// widens them), so their O(1) rejections never skip a trace.
 //
 // Blocks whose generation is no longer current can never tag-match
 // again (the generation is monotonic), so the address- and page-keyed
@@ -92,8 +101,8 @@ type codeBlock struct {
 	// Trace tier (see trace.go). hot counts Run's dispatches of this
 	// block; at Machine.TraceThreshold the block is promoted to a trace
 	// entry. trace is the compiled superblock rooted here (nil when
-	// none); traceFailed remembers that a build was refused so the
-	// dispatcher stops retrying until the block itself is rebuilt.
+	// none); traceFailed remembers that no useful trace starts here so
+	// the dispatcher stops retrying until the block itself is rebuilt.
 	hot         uint32
 	trace       *trace
 	traceFailed bool
@@ -213,55 +222,74 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 }
 
 // invalidateBlocksAt drops every cached block whose linear range
-// covers lin; used when a breakpoint or service endpoint is armed or
-// disarmed at that address. Blocks from an older translation
-// generation are unreachable (lookup requires the live generation) and
-// are skipped.
+// covers lin, with its trace, and detaches every other block's trace
+// whose fused range covers it; used when a breakpoint or service
+// endpoint is armed or disarmed at that address. Blocks from an older
+// translation generation are unreachable (lookup requires the live
+// generation) and are skipped.
 func (m *Machine) invalidateBlocksAt(lin uint32) {
-	// Traces first: their envelope spans every fused block, which may
-	// be wider than any single covering block (and must be checked even
-	// when the block-level early-out below fires).
-	m.invalidateTracesAt(lin)
 	if m.liveBlocks == 0 || lin < m.blockMin || lin >= m.blockMax {
 		return
 	}
 	gen := m.MMU.SegGen()
 	for i, b := range m.blocks {
-		if b != nil && b.gen == gen && b.lin <= lin && lin < b.end {
-			m.blocks[i] = nil
-			m.liveBlocks--
-			m.bcInvalidations++
+		if b == nil || b.gen != gen {
+			continue
+		}
+		if b.lin <= lin && lin < b.end {
+			m.dropBlock(i)
+		} else if tr := b.trace; tr != nil && tr.lo <= lin && lin < tr.hi {
+			m.detachTrace(b)
 		}
 	}
 }
 
 // invalidateBlocksByPages drops every cached block that may have
-// decoded instructions from a physical page in the bloom set; used
+// decoded instructions from a physical page in the bloom set, with its
+// trace, and detaches every other block's trace that may have; used
 // when code is installed or removed. The machine-wide aggregate bloom
-// (the union of every cached block's page set, conservatively stale
-// across invalidations) rejects non-overlapping installs without
-// scanning the cache.
+// (the union of every cached block's and trace's page set,
+// conservatively stale across invalidations) rejects non-overlapping
+// installs without scanning the cache.
 func (m *Machine) invalidateBlocksByPages(pages uint64) {
-	m.invalidateTracesByPages(pages)
 	if m.liveBlocks == 0 || m.blocksBloom&pages == 0 {
 		return
 	}
 	gen := m.MMU.SegGen()
 	for i, b := range m.blocks {
-		if b != nil && b.gen == gen && b.pages&pages != 0 {
-			m.blocks[i] = nil
-			m.liveBlocks--
-			m.bcInvalidations++
+		if b == nil || b.gen != gen {
+			continue
+		}
+		if b.pages&pages != 0 {
+			m.dropBlock(i)
+		} else if tr := b.trace; tr != nil && tr.pages&pages != 0 {
+			m.detachTrace(b)
 		}
 	}
 }
 
-// clearBlockCache empties the decoded-block cache and resets the
-// invalidation envelope and aggregate page bloom; used when a rewind
-// (ResetTo over a changed code map, LoadFrom) may put different code
-// behind the same physical addresses.
+// dropBlock invalidates the block in cache slot i, and its trace.
+func (m *Machine) dropBlock(i int) {
+	if m.blocks[i].trace != nil {
+		m.trStats.Invalidated++
+	}
+	m.blocks[i] = nil
+	m.liveBlocks--
+	m.bcInvalidations++
+}
+
+// detachTrace invalidates b's trace and keeps b; the next dispatches
+// of b may promote it again.
+func (m *Machine) detachTrace(b *codeBlock) {
+	b.trace = nil
+	m.trStats.Invalidated++
+}
+
+// clearBlockCache empties the decoded-block cache, traces included, and
+// resets the invalidation envelope and aggregate page bloom; used when
+// a rewind (ResetTo over a changed code map, LoadFrom) may put
+// different code behind the same physical addresses.
 func (m *Machine) clearBlockCache() {
-	m.clearTraces()
 	if m.liveBlocks == 0 {
 		return
 	}

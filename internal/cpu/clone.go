@@ -15,9 +15,9 @@ import (
 // state value carries over, with the code map shared copy-on-write
 // between source and clone: the first side to install/remove code
 // splits its own copy off (the flag is per-machine, so each owner
-// goroutine touches only its own). The decoded-block cache and trace
-// registry start empty; the clone re-detects heat under the source's
-// TraceThreshold, with bit-identical simulated metrics.
+// goroutine touches only its own). The decoded-block cache, and with it
+// every trace, starts empty; the clone re-detects heat under the
+// source's TraceThreshold, with bit-identical simulated metrics.
 //
 // The services map is copied as-is: handlers receive the executing
 // machine as an argument, so capture-free handlers work unchanged on

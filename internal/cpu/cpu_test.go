@@ -128,16 +128,19 @@ func (h *harness) install(textBase uint32, src string) map[string]uint32 {
 			syms[name] = addrOf(name)
 		}
 	}
-	// Map code pages (PPL 1 so both CPL 2 and 3 can fetch) and copy in.
+	// Map code pages (PPL 1 so both CPL 2 and 3 can fetch) and copy in,
+	// page by page: the pages' frames need not be contiguous.
 	for off := uint32(0); off < obj.TextBytes(); off += mem.PageSize {
-		frame := h.mapAt(textBase+off, false, true)
-		_ = frame
+		h.mapAt(textBase+off, false, true)
 	}
-	pa, f := h.m.MMU.Translate(gsel(selXCode, 3), textBase, 4, mmu.Execute, 3)
-	if f != nil {
-		h.t.Fatalf("code address not executable: %v", f)
+	const perPage = mem.PageSize / isa.InstrSlot
+	for i := 0; i < len(obj.Text); i += perPage {
+		pa, f := h.m.MMU.Translate(gsel(selXCode, 3), textBase+uint32(i)*isa.InstrSlot, 4, mmu.Execute, 3)
+		if f != nil {
+			h.t.Fatalf("code address not executable: %v", f)
+		}
+		h.m.InstallCode(pa, obj.Text[i:min(i+perPage, len(obj.Text))])
 	}
-	h.m.InstallCode(pa, obj.Text)
 	// Map data pages (PPL 1, writable) and copy.
 	dataLen := uint32(len(obj.Data)) + obj.BSSSize
 	for off := uint32(0); off < dataLen || off == 0; off += mem.PageSize {

@@ -81,12 +81,12 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 		if m.TraceThreshold > 0 {
 			// Trace tier: count this dispatch toward the block's heat,
 			// promote it at the threshold, and dispatch through its
-			// superblock. A live b implies a live trace: both carry the
-			// same (gen, cs) tag, and everything that invalidates the
-			// entry block also detaches the trace.
+			// superblock. A live b implies a live trace: the trace is
+			// stored on b and shares its tag, and everything that
+			// invalidates b or the trace drops or detaches it.
 			if b.trace == nil && !b.traceFailed {
 				if b.hot++; b.hot >= m.TraceThreshold {
-					m.buildTrace(b, gen)
+					m.buildTrace(b)
 				}
 			}
 			if tr := b.trace; tr != nil {

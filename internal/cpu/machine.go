@@ -165,8 +165,8 @@ type Machine struct {
 	// noBlocks table; the first block built gives the machine its own.
 	blocks             *[blockCacheSize]*codeBlock
 	liveBlocks         int
-	blockMin, blockMax uint32 // linear envelope over live blocks
-	blocksBloom        uint64 // aggregate page bloom over cached blocks
+	blockMin, blockMax uint32 // linear envelope over live blocks and their traces
+	blocksBloom        uint64 // aggregate page bloom over cached blocks and their traces
 	bcHits             uint64
 	bcBuilds           uint64
 	bcInvalidations    uint64
@@ -174,13 +174,9 @@ type Machine struct {
 
 	// Trace tier (see trace.go). TraceThreshold is the dispatch count
 	// that promotes a block into a trace entry (0 disables the
-	// tier); the registry mirrors the block cache's invalidation
-	// envelope and aggregate page bloom at trace granularity.
-	TraceThreshold     uint32
-	traces             []*trace
-	traceMin, traceMax uint32
-	tracesBloom        uint64
-	trStats            TraceStats
+	// tier). Traces live on their entry blocks in the block cache.
+	TraceThreshold uint32
+	trStats        TraceStats
 
 	// Conservative linear envelopes over the armed breakpoints and
 	// registered services, so Run's dispatch loop can reject both maps

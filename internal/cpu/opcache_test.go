@@ -152,10 +152,11 @@ func TestTraceSeqWrapSweep(t *testing.T) {
 	hR, resR := exec((*Machine).Run, func(i int, h *harness) {
 		switch i {
 		case 1:
-			if len(h.m.traces) != 1 {
-				t.Fatalf("%d traces after warm-up, want 1", len(h.m.traces))
+			trs := liveTraces(h.m)
+			if len(trs) != 1 {
+				t.Fatalf("%d traces after warm-up, want 1", len(trs))
 			}
-			tr = h.m.traces[0]
+			tr = trs[0]
 			tr.seq = math.MaxUint32 - 1
 		case 2:
 			// The last dispatch ran at seq MaxUint32 and tagged every op

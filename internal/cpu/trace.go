@@ -70,14 +70,19 @@ import (
 //     mutated so far, partial memory effects persisted, EIP at the
 //     faulting instruction.
 //
-// Invalidation mirrors the block cache: SegGen retires traces via
-// their entry block's tag; arming a break/service inside any fused
-// range and installing/removing code over any decoded page kill the
-// trace explicitly (invalidateTracesAt / invalidateTracesByPages);
-// a rewind that changes the code map clears everything
-// (clearBlockCache). Traces are never captured by Clone or SaveTo — a
-// cloned or loaded machine re-detects heat and rebuilds, with
-// bit-identical simulated metrics.
+// Storage and invalidation are the block cache's: a trace lives only on
+// its entry block (codeBlock.trace) and carries that block's tag, so
+// SegGen retires it with the block, a colliding build evicts it with
+// the block, and the trace count is bounded by the block table.
+// registerTrace widens the block cache's linear envelope and aggregate
+// page bloom over the trace's fused range and pages; the cache's scans
+// then drop a block together with its trace when the block's own range
+// or pages match, and detach only the trace when just its fused range
+// or pages do (a break or service armed, or code installed or removed,
+// in a fused successor). A rewind that changes the code map clears
+// everything (clearBlockCache). Traces are never captured by Clone or
+// SaveTo — a cloned or loaded machine re-detects heat and rebuilds,
+// with bit-identical simulated metrics.
 const (
 	// defaultTraceThreshold is the dispatch count at which a block is
 	// promoted to a trace entry.
@@ -86,10 +91,6 @@ const (
 	maxTraceOps = 512
 	// maxTraceBlocks caps the blocks fused into one trace.
 	maxTraceBlocks = 64
-	// maxMachineTraces caps live traces per machine; above it the
-	// registry is swept of unreachable traces and, if still full, new
-	// builds are refused until invalidation makes room.
-	maxMachineTraces = 256
 )
 
 // traceOp codes. Ops with memory operands carry pre-bound segment
@@ -195,18 +196,16 @@ type opCache struct {
 }
 
 // trace is a compiled superblock: a flat micro-op array over the fused
-// blocks' instructions, plus the metadata invalidation needs.
+// blocks' instructions, plus the metadata invalidation needs. Its tag
+// (linear and segment-relative entry, code segment, generation) is
+// its entry block's.
 type trace struct {
-	entry    *codeBlock // owning entry block (entry.trace == this while live)
-	entryEIP uint32
-	entryLin uint32
-	cs       mmu.Selector
-	gen      uint64 // mmu.SegGen at build
-	lo, hi   uint32 // linear envelope over all fused block ranges
-	pages    uint64 // bloom over decoded physical pages
-	ops      []traceOp
-	wc       cycles.Prefix // worst-case charge prefix over ops
-	seq      uint32        // dispatch sequence for fseq/opCache tags
+	entry  *codeBlock // owning entry block (entry.trace == this while live)
+	lo, hi uint32     // linear envelope over all fused block ranges
+	pages  uint64     // bloom over decoded physical pages
+	ops    []traceOp
+	wc     cycles.Prefix // worst-case charge prefix over ops
+	seq    uint32        // dispatch sequence for fseq/opCache tags
 }
 
 // TraceStats reports the trace tier's counters: traces built and
@@ -232,94 +231,16 @@ type TraceStats struct {
 // TraceStats reports the machine's trace-tier counters.
 func (m *Machine) TraceStats() TraceStats { return m.trStats }
 
-// invalidateTracesAt kills every trace whose fused linear range covers
-// lin (breakpoint or service endpoint armed there).
-func (m *Machine) invalidateTracesAt(lin uint32) {
-	if len(m.traces) == 0 || lin < m.traceMin || lin >= m.traceMax {
-		return
-	}
-	live := m.traces[:0]
-	for _, tr := range m.traces {
-		if tr.lo <= lin && lin < tr.hi {
-			tr.entry.trace = nil
-			m.trStats.Invalidated++
-		} else {
-			live = append(live, tr)
-		}
-	}
-	m.traces = live
-}
-
-// invalidateTracesByPages kills every trace that decoded instructions
-// from a physical page in the bloom set (code installed or removed).
-func (m *Machine) invalidateTracesByPages(pages uint64) {
-	if len(m.traces) == 0 || m.tracesBloom&pages == 0 {
-		return
-	}
-	live := m.traces[:0]
-	for _, tr := range m.traces {
-		if tr.pages&pages != 0 {
-			tr.entry.trace = nil
-			m.trStats.Invalidated++
-		} else {
-			live = append(live, tr)
-		}
-	}
-	m.traces = live
-}
-
-// clearTraces kills every trace; the clearBlockCache path.
-func (m *Machine) clearTraces() {
-	for _, tr := range m.traces {
-		tr.entry.trace = nil
-	}
-	m.traces = m.traces[:0]
-	m.traceMin, m.traceMax = 0, 0
-	m.tracesBloom = 0
-}
-
-// registerTrace attaches a built trace to its entry block and the
-// machine registry, maintaining the invalidation envelope and bloom.
+// registerTrace attaches a built trace to its entry block, widening
+// the block cache's invalidation envelope and aggregate page bloom over
+// the trace's fused range and pages, so the block cache's scans find
+// the trace through its entry block.
 func (m *Machine) registerTrace(tr *trace) {
-	if len(m.traces) >= maxMachineTraces {
-		// Sweep unreachable traces: entry no longer in its cache slot
-		// or from a retired generation.
-		gen := m.MMU.SegGen()
-		live := m.traces[:0]
-		for _, t := range m.traces {
-			if t.gen == gen && m.blocks[blockIndex(t.entryLin)] == t.entry {
-				live = append(live, t)
-			} else {
-				t.entry.trace = nil
-			}
-		}
-		m.traces = live
-		if len(m.traces) >= maxMachineTraces {
-			tr.entry.traceFailed = true
-			return
-		}
-	}
-	if len(m.traces) == 0 {
-		m.traceMin, m.traceMax = tr.lo, tr.hi
-	} else {
-		m.traceMin = min(m.traceMin, tr.lo)
-		m.traceMax = max(m.traceMax, tr.hi)
-	}
-	m.tracesBloom |= tr.pages
-	m.traces = append(m.traces, tr)
+	m.blockMin = min(m.blockMin, tr.lo)
+	m.blockMax = max(m.blockMax, tr.hi)
+	m.blocksBloom |= tr.pages
 	tr.entry.trace = tr
 	m.trStats.Built++
-}
-
-// validBlockAt returns the live cached block starting at linear target
-// under (gen, cs), or nil. Unlike lookupBlock it takes the tag from the
-// trace being built and moves no counters.
-func (m *Machine) validBlockAt(target uint32, gen uint64, cs mmu.Selector) *codeBlock {
-	b := m.blocks[blockIndex(target)]
-	if b != nil && b.lin == target && b.gen == gen && b.cs == cs {
-		return b
-	}
-	return nil
 }
 
 // buildTrace fuses the hot path starting at block b into a trace. It
@@ -328,22 +249,14 @@ func (m *Machine) validBlockAt(target uint32, gen uint64, cs mmu.Selector) *code
 // branches), stopping at untraceable instructions (far transfers,
 // indirect targets, HLT), cache misses, or the size caps. Build is
 // charge-free and count-free, like buildBlock: it reads decoded slots
-// and peeks translations only. Returns nil (and marks the block) when
-// no useful trace exists here.
-func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
+// and peeks translations only. It marks the block instead when no
+// useful trace exists here.
+func (m *Machine) buildTrace(b *codeBlock) {
 	if !m.Model.BatchSafe() {
 		b.traceFailed = true
-		return nil
+		return
 	}
-	tr := &trace{
-		entry:    b,
-		entryEIP: b.slots[0].eip,
-		entryLin: b.lin,
-		cs:       b.cs,
-		gen:      gen,
-		lo:       b.lin,
-		hi:       b.end,
-	}
+	tr := &trace{entry: b, lo: b.lin, hi: b.end}
 	tlbMiss := m.Model.Cost(cycles.TLBMiss)
 	// wcs collects each op's worst-case charge (worstCharge of its
 	// instruction; 0 for an exit, which retires nothing) before
@@ -386,7 +299,7 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 				break
 			}
 			wcs = append(wcs, worstCharge(ts.ins, m.Model))
-			nxt, done := m.traceCont(tr, blockStart, cur.end, gen, nblocks)
+			nxt, done := m.traceCont(tr, blockStart, cur.end, nblocks)
 			if done {
 				// Continuation leaves the trace: exit before the next
 				// instruction.
@@ -408,7 +321,7 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 			wcs = append(wcs, 0)
 			break
 		}
-		stop := m.appendTraceTerminal(tr, cur, blockStart, gen, nblocks)
+		stop := m.appendTraceTerminal(tr, cur, blockStart, nblocks)
 		if tr.ops[len(tr.ops)-1].code == opExit {
 			wcs = append(wcs, 0)
 		} else {
@@ -421,7 +334,7 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 	}
 	if !traceUseful(tr) {
 		b.traceFailed = true
-		return nil
+		return
 	}
 	// Mark in-trace branch targets as page heads: an op reached by a
 	// non-linear transfer cannot prove its page was touched earlier in
@@ -461,10 +374,6 @@ func (m *Machine) buildTrace(b *codeBlock, gen uint64) *trace {
 		tr.wc = tr.wc.Append(wc)
 	}
 	m.registerTrace(tr)
-	if tr.entry.trace != tr {
-		return nil // registry full
-	}
-	return tr
 }
 
 // traceUseful reports whether the built op list makes progress: at
@@ -483,17 +392,19 @@ type traceTarget struct {
 }
 
 // traceCont resolves a continuation at linear target: an already-fused
-// op index, a valid cached successor block that still fits, or done
-// (leave the trace). nblocks counts blocks fused so far.
-func (m *Machine) traceCont(tr *trace, blockStart map[uint32]int, target uint32, gen uint64, nblocks int) (traceTarget, bool) {
-	if target == tr.entryLin {
+// op index, a cached successor block under the entry block's (gen, cs)
+// tag that still fits, or done (leave the trace). nblocks counts blocks
+// fused so far. It moves no counters.
+func (m *Machine) traceCont(tr *trace, blockStart map[uint32]int, target uint32, nblocks int) (traceTarget, bool) {
+	if target == tr.entry.lin {
 		return traceTarget{idx: 0}, false
 	}
 	if j, ok := blockStart[target]; ok {
 		return traceTarget{idx: j}, false
 	}
-	succ := m.validBlockAt(target, gen, tr.cs)
-	if succ == nil || nblocks >= maxTraceBlocks ||
+	succ := m.blocks[blockIndex(target)]
+	if succ == nil || succ.lin != target || succ.gen != tr.entry.gen || succ.cs != tr.entry.cs ||
+		nblocks >= maxTraceBlocks ||
 		len(tr.ops)+len(succ.slots)+2 > maxTraceOps {
 		return traceTarget{}, true
 	}
@@ -513,7 +424,7 @@ func (m *Machine) traceVerifySlot(s *blockSlot) bool {
 // returns the block to continue fusing at, or a zero target when the
 // trace is complete. The terminal slot has already been verified
 // against the live translation.
-func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[uint32]int, gen uint64, nblocks int) traceTarget {
+func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[uint32]int, nblocks int) traceTarget {
 	s := &cur.slots[len(cur.slots)-1]
 	ins := s.ins
 	model := m.Model
@@ -522,7 +433,7 @@ func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[
 	case ins.Op == isa.JMP && ins.Dst.Kind == isa.KindImm:
 		target := uint32(ins.Dst.Imm)
 		c := model.Cost(cycles.JmpNear)
-		nxt, done := m.traceCont(tr, blockStart, cur.base+target, gen, nblocks)
+		nxt, done := m.traceCont(tr, blockStart, cur.base+target, nblocks)
 		if done {
 			tr.ops = append(tr.ops, m.newTraceOp(opJmpExit, s, c, func(op *traceOp) {
 				op.exitEIP = target
@@ -556,7 +467,7 @@ func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[
 			if dir {
 				lin = takenLin
 			}
-			nxt, done := m.traceCont(tr, blockStart, lin, gen, nblocks)
+			nxt, done := m.traceCont(tr, blockStart, lin, nblocks)
 			if done {
 				continue
 			}
@@ -589,7 +500,7 @@ func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[
 	case ins.Op == isa.CALL && ins.Dst.Kind == isa.KindImm:
 		target := uint32(ins.Dst.Imm)
 		c := model.Cost(cycles.CallNear)
-		nxt, done := m.traceCont(tr, blockStart, cur.base+target, gen, nblocks)
+		nxt, done := m.traceCont(tr, blockStart, cur.base+target, nblocks)
 		if done {
 			tr.ops = append(tr.ops, m.newTraceOp(opCallExit, s, c, func(op *traceOp) {
 				op.exitEIP = target

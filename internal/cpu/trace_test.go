@@ -50,6 +50,18 @@ func traceExec(t *testing.T, runner func(*Machine, RunLimits) RunResult, src str
 	return h, syms, res
 }
 
+// liveTraces returns the traces attached to m's cached blocks, in
+// cache-slot order.
+func liveTraces(m *Machine) []*trace {
+	var trs []*trace
+	for _, b := range m.blocks {
+		if b != nil && b.trace != nil {
+			trs = append(trs, b.trace)
+		}
+	}
+	return trs
+}
+
 // traceCompare asserts every simulated metric two executions must
 // share: stop reason, fault identity, instructions, cycles, TLB
 // statistics, registers, flags and EIP.
@@ -164,8 +176,8 @@ func TestTracePromotesBlockEnteredIndirectly(t *testing.T) {
 				t.Fatalf("run stop = %v (%v)", resRun.Reason, resRun.Err)
 			}
 			promoted := false
-			for _, tr := range hRun.m.traces {
-				promoted = promoted || tr.entryEIP == syms["target"]
+			for _, tr := range liveTraces(hRun.m) {
+				promoted = promoted || tr.entry.slots[0].eip == syms["target"]
 			}
 			if !promoted {
 				t.Errorf("block at target (entered only by %s) never promoted: %+v", tc.name, hRun.m.TraceStats())
@@ -195,6 +207,151 @@ func TestTraceSeveredBySetBreak(t *testing.T) {
 	if res.Reason != StopBreak || h.m.EIP != syms["loop"] {
 		t.Fatalf("break inside former trace not honoured: %v at %#x, want %#x",
 			res.Reason, h.m.EIP, syms["loop"])
+	}
+}
+
+// splitLoopSrc is a hot loop whose body spans two pages: the loop
+// block jumps to a successor block on the next page, which branches
+// back. Entered through a jump, the loop block is dispatched first in
+// every iteration, so it becomes the trace entry and the successor is
+// fused into its trace. The loop exits onto the stop breakpoint, so no
+// other block is decoded from the successor's page.
+const splitLoopSrc = `
+	entry:
+		mov eax, 0
+		mov ecx, 200
+		jmp loop
+	loop:
+		add eax, ecx
+		jmp tail
+	.align 4096
+	tail:
+		dec ecx
+		jne loop
+	stop:
+		nop
+`
+
+// warmSplitLoop runs splitLoopSrc to its stop breakpoint and returns
+// the harness with one live trace, rooted at loop and fused through
+// tail.
+func warmSplitLoop(t *testing.T) (*harness, map[string]uint32) {
+	t.Helper()
+	h, syms, res := traceExec(t, (*Machine).Run, splitLoopSrc, 4)
+	if res.Reason != StopBreak || h.m.Reg(isa.EAX) != 20100 {
+		t.Fatalf("warm run: stop %v, eax %d", res.Reason, h.m.Reg(isa.EAX))
+	}
+	trs := liveTraces(h.m)
+	if len(trs) != 1 || trs[0].entry.lin != syms["loop"] || trs[0].hi <= syms["tail"] {
+		t.Fatalf("want one trace at loop fused through tail, got %d", len(trs))
+	}
+	return h, syms
+}
+
+// evictSlot builds a one-instruction block at the first instruction
+// address above 0x40000 that shares lin's block-cache slot, so the
+// block cached at lin leaves the cache.
+func evictSlot(t *testing.T, h *harness, lin uint32) uint32 {
+	t.Helper()
+	x := uint32(0x0004_0000)
+	for blockIndex(x) != blockIndex(lin) {
+		x += isa.InstrSlot
+	}
+	pa := h.mapAt(x&^mem.PageMask, false, true) | x&mem.PageMask
+	h.m.InstallCode(pa, []isa.Instr{{Op: isa.NOP}})
+	h.m.SetBreak(x + isa.InstrSlot)
+	h.m.EIP = x
+	if res := h.m.Run(RunLimits{}); res.Reason != StopBreak {
+		t.Fatalf("evicting run at %#x: stop %v", x, res.Reason)
+	}
+	if b := h.m.blocks[blockIndex(lin)]; b == nil || b.lin != x {
+		t.Fatalf("block at %#x not evicted by %#x", lin, x)
+	}
+	return pa
+}
+
+// TestTraceDetachedByBreakInSuccessor: a breakpoint armed inside a
+// fused successor block, outside the entry block's range, must detach
+// the trace from its entry block and keep the block, and the next run
+// must stop at the break. The successor's own block is evicted first,
+// so only the trace covers the break.
+func TestTraceDetachedByBreakInSuccessor(t *testing.T) {
+	h, syms := warmSplitLoop(t)
+	evictSlot(t, h, syms["tail"])
+	_, _, inv0 := h.m.BlockCacheStats()
+	trInv0 := h.m.TraceStats().Invalidated
+	brk := syms["tail"] + isa.InstrSlot // jne loop
+	h.m.SetBreak(brk)
+	if n := len(liveTraces(h.m)); n != 0 {
+		t.Fatalf("%d traces live after a break inside the successor, want 0", n)
+	}
+	if _, _, inv := h.m.BlockCacheStats(); inv != inv0 {
+		t.Errorf("block invalidations %d -> %d: the entry block must be kept", inv0, inv)
+	}
+	if got := h.m.TraceStats().Invalidated - trInv0; got != 1 {
+		t.Errorf("trace invalidations moved by %d, want 1", got)
+	}
+	if b := h.m.blocks[blockIndex(syms["loop"])]; b == nil || b.lin != syms["loop"] {
+		t.Error("entry block dropped with its trace")
+	}
+	h.m.EIP = syms["entry"]
+	res := h.m.Run(RunLimits{})
+	if res.Reason != StopBreak || h.m.EIP != brk || h.m.Reg(isa.EAX) != 200 {
+		t.Fatalf("break in the former successor not honoured: %v at %#x (eax %d), want %#x (eax 200)",
+			res.Reason, h.m.EIP, h.m.Reg(isa.EAX), brk)
+	}
+}
+
+// TestTraceDetachedByCodeInSuccessor: installing code over a page only
+// the fused successor decoded must detach the trace and keep the entry
+// block, and the next run must execute the new code.
+func TestTraceDetachedByCodeInSuccessor(t *testing.T) {
+	h, syms := warmSplitLoop(t)
+	evictPA := evictSlot(t, h, syms["tail"])
+	loopPA, _ := h.m.MMU.PeekPage(syms["loop"])
+	tailPA, _ := h.m.MMU.PeekPage(syms["tail"])
+	if bit := pageBloomBit(tailPA); bit == pageBloomBit(loopPA) || bit == pageBloomBit(evictPA) {
+		t.Fatalf("successor page %#x shares a bloom bit with a cached block's page", tailPA)
+	}
+	_, _, inv0 := h.m.BlockCacheStats()
+	// dec ecx -> sub ecx, 2: the loop now sums 200, 198, ..., 2.
+	h.m.InstallCode(tailPA, []isa.Instr{{Op: isa.SUB, Dst: isa.R(isa.ECX), Src: isa.I(2), Size: 4}})
+	if n := len(liveTraces(h.m)); n != 0 {
+		t.Fatalf("%d traces live after code installed over the successor's page, want 0", n)
+	}
+	if _, _, inv := h.m.BlockCacheStats(); inv != inv0 {
+		t.Errorf("block invalidations %d -> %d: the entry block must be kept", inv0, inv)
+	}
+	h.m.EIP = syms["entry"]
+	res := h.m.Run(RunLimits{})
+	if res.Reason != StopBreak || h.m.EIP != syms["stop"] || h.m.Reg(isa.EAX) != 10100 {
+		t.Fatalf("new successor code not run: %v at %#x, eax %d, want stop with eax 10100",
+			res.Reason, h.m.EIP, h.m.Reg(isa.EAX))
+	}
+}
+
+// TestTraceEvictedWithEntryBlock: a block built into the entry block's
+// cache slot evicts the entry block and its trace, without counting an
+// invalidation; the loop then promotes a new trace (at the successor,
+// whose heat survived) and runs correctly.
+func TestTraceEvictedWithEntryBlock(t *testing.T) {
+	h, syms := warmSplitLoop(t)
+	ts0 := h.m.TraceStats()
+	evictSlot(t, h, syms["loop"])
+	if n := len(liveTraces(h.m)); n != 0 {
+		t.Fatalf("%d traces live after their entry block was evicted, want 0", n)
+	}
+	h.m.EIP = syms["entry"]
+	res := h.m.Run(RunLimits{})
+	if res.Reason != StopBreak || h.m.EIP != syms["stop"] || h.m.Reg(isa.EAX) != 20100 {
+		t.Fatalf("rerun: %v at %#x, eax %d, want stop with eax 20100", res.Reason, h.m.EIP, h.m.Reg(isa.EAX))
+	}
+	ts := h.m.TraceStats()
+	if ts.Invalidated != ts0.Invalidated || ts.Built != ts0.Built+1 {
+		t.Errorf("trace stats %+v -> %+v: want one new build and no invalidation", ts0, ts)
+	}
+	if n := len(liveTraces(h.m)); n != 1 {
+		t.Errorf("%d traces live after the rerun, want 1", n)
 	}
 }
 
@@ -395,7 +552,7 @@ func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 			t.Errorf("first finish diverged:\n got %+v\nwant %+v", capture(h.m, stop), want)
 		}
 		h.resetTo(frozen)
-		if len(h.m.traces) == 0 {
+		if len(liveTraces(h.m)) == 0 {
 			t.Error("rewind onto the frozen clone dropped the traces")
 		}
 		if finish(h) {
@@ -418,7 +575,7 @@ func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 				gdt.Set(gdt.AllocIndex(), mmu.Descriptor{Kind: mmu.SegData, Limit: 0xFFF, DPL: 3, Present: true, Writable: true})
 			}
 			h.resetTo(tmpl)
-			if !tc.changeTables && len(h.m.traces) == 0 {
+			if !tc.changeTables && len(liveTraces(h.m)) == 0 {
 				t.Error("reset over unchanged tables dropped the traces")
 			}
 			if rebuilt := finish(h); rebuilt != tc.changeTables {

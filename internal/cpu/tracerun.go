@@ -206,8 +206,9 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 			return stop, 0
 		}
 		if ticked {
-			if m.EIP != tr.entryEIP || m.CS != tr.cs ||
-				m.blocks[blockIndex(tr.entryLin)] != tr.entry || tr.entry.trace != tr ||
+			b := tr.entry
+			if m.EIP != b.slots[0].eip || m.CS != b.cs ||
+				m.blocks[blockIndex(b.lin)] != b || b.trace != tr ||
 				tgen != m.MMU.TransGen() {
 				stop, done := m.fetchExec()
 				var n uint64

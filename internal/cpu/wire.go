@@ -1,7 +1,7 @@
 // Snapshot-to-bytes serialization of the machine. Like Clone it carries
 // the machine's state value, the clock and (through the MMU) the
-// translation state; the decoded-block cache and trace registry are
-// wall-clock accelerators that LoadFrom clears.
+// translation state; the decoded-block cache and the traces on its
+// blocks are wall-clock accelerators that LoadFrom clears.
 //
 // Service handlers are the one part of the state that cannot cross the
 // byte boundary: they are Go closures over their owning kernel and

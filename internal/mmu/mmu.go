@@ -231,11 +231,25 @@ func (m *MMU) CheckSegment(sel Selector, off, size uint32, acc Access, cpl int) 
 
 // CheckPage performs the page-level half: translation through the TLB
 // or a charged two-level walk, then the PPL and write-permission
-// checks. It returns the physical address.
+// checks. It returns the physical address. It is CheckPageBatched
+// counting a TLB hit on the TLB itself.
 func (m *MMU) CheckPage(linear uint32, acc Access, cpl int, sel Selector, off uint32) (uint32, *Fault) {
+	return m.CheckPageBatched(linear, acc, cpl, sel, off, &m.tlb.hits)
+}
+
+// CheckPageBatched is the one page-level check. A TLB hit increments
+// *hits: the TLB's own hit counter for CheckPage, or the trace tier's
+// batch counter, which its commit settles through TLB.AddHits. A miss
+// counts a miss, charges the page walk and fills the TLB live, so the
+// sequence of misses, charges and faults does not depend on where the
+// hits are counted.
+func (m *MMU) CheckPageBatched(linear uint32, acc Access, cpl int, sel Selector, off uint32, hits *uint64) (uint32, *Fault) {
 	page := linear &^ uint32(mem.PageMask)
-	e, ok := m.tlb.lookup(page)
-	if !ok {
+	e, ok := m.tlb.peek(page)
+	if ok {
+		*hits++
+	} else {
+		m.tlb.misses++
 		if m.space == nil {
 			return 0, fault(PF, sel, off, linear, acc, cpl, "no address space")
 		}
@@ -272,7 +286,7 @@ func (m *MMU) CheckPage(linear uint32, acc Access, cpl int, sel Selector, off ui
 // no walk is charged. The observable effect is therefore exactly one
 // TLB hit, which this records; the caller reuses the frame base from
 // the full check. Pinned by TestFastFetchHitMatchesCheckPage.
-func (m *MMU) FastFetchHit() { m.tlb.CountHit() }
+func (m *MMU) FastFetchHit() { m.tlb.hits++ }
 
 // PeekPage resolves a linear address to a physical one without
 // charging cycles, counting TLB statistics, or filling the TLB: the
@@ -331,18 +345,28 @@ type SegProbe struct {
 }
 
 // TranslateProbed is Translate with the segment-level half served from
-// the probe when it still matches. The fault identities are exactly
-// Translate's: a probe hit can only fail the limit check, whose fault
-// CheckSegment would raise with identical fields (the offset-
-// independent checks all passed when the probe was filled and their
-// inputs are unchanged).
+// the probe when it still matches. It is TranslateBatched counting a
+// TLB hit on the TLB itself.
 func (m *MMU) TranslateProbed(p *SegProbe, sel Selector, off, size uint32, acc Access, cpl int) (uint32, *Fault) {
+	return m.TranslateBatched(p, sel, off, size, acc, cpl, &m.tlb.hits)
+}
+
+// TranslateBatched is the one probed translation: the segment-level
+// half from the probe when it still matches, the page-level half
+// through CheckPageBatched, whose TLB hits increment *hits. The fault
+// identities are exactly Translate's: a probe hit can only fail the
+// limit check, which runs on every access and whose fault CheckSegment
+// would raise with identical fields (the offset-independent checks all
+// passed when the probe was filled and their inputs are unchanged).
+// Pinned by TestTranslateProbedMatchesTranslate and
+// TestTranslateBatchedMatchesProbed.
+func (m *MMU) TranslateBatched(p *SegProbe, sel Selector, off, size uint32, acc Access, cpl int, hits *uint64) (uint32, *Fault) {
 	if p.valid && p.sel == sel && p.acc == acc && int(p.cpl) == cpl && p.gen == m.segGen {
 		end := off + size - 1
-		if end >= off && end <= p.limit {
-			return m.CheckPage(p.base+off, acc, cpl, sel, off)
+		if end < off || end > p.limit {
+			return 0, fault(GP, sel, off, 0, acc, cpl, "segment limit violation")
 		}
-		return 0, fault(GP, sel, off, 0, acc, cpl, "segment limit violation")
+		return m.CheckPageBatched(p.base+off, acc, cpl, sel, off, hits)
 	}
 	linear, f := m.CheckSegment(sel, off, size, acc, cpl)
 	if f != nil {
@@ -351,7 +375,7 @@ func (m *MMU) TranslateProbed(p *SegProbe, sel Selector, off, size uint32, acc A
 	}
 	d := m.Descriptor(sel)
 	*p = SegProbe{gen: m.segGen, sel: sel, acc: acc, cpl: int8(cpl), valid: true, base: d.Base, limit: d.Limit}
-	return m.CheckPage(linear, acc, cpl, sel, off)
+	return m.CheckPageBatched(linear, acc, cpl, sel, off, hits)
 }
 
 // ElidedChecks always returns 0: every segment-limit check runs. It

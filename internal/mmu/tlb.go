@@ -89,23 +89,11 @@ func (t *TLB) alloc(n int) {
 	t.shift = uint32(32 - bits.TrailingZeros(uint(n)))
 }
 
-// lookup probes the TLB for a page-aligned linear address, counting
-// the probe as a hit or a miss.
-func (t *TLB) lookup(page uint32) (tlbEntry, bool) {
-	e, ok := t.peek(page)
-	if ok {
-		t.hits++
-	} else {
-		t.misses++
-	}
-	return e, ok
-}
-
 // peek reports the cached translation for a page without touching the
-// hit/miss counters. It is the single probe implementation (lookup
-// wraps it with counting): the CPU's block builder uses it directly,
-// since its stat-free pre-translation must see exactly the state a
-// counted lookup would.
+// hit/miss counters. It is the single probe implementation: the page
+// check counts around it, and the CPU's block builder uses it bare
+// (through MMU.PeekPage), so its stat-free pre-translation sees
+// exactly the state the counted check would.
 func (t *TLB) peek(page uint32) (tlbEntry, bool) {
 	vpn := page >> mem.PageShift
 	want := t.epoch<<tlbEpochShift | vpn
@@ -217,15 +205,6 @@ func (t *TLB) newEpoch() {
 	}
 	t.used, t.live = 0, 0
 }
-
-// CountHit records one TLB hit without re-probing the table. It is
-// the accounting half of the CPU's same-page fetch fast path: when a
-// block's next instruction fetch lands on the page the previous fetch
-// just translated (and nothing that could invalidate the entry has
-// happened — the translation generation is unchanged), the probe is
-// guaranteed to hit, so only the counter moves. The counter effect is
-// exactly that of a hitting lookup: hits+1, misses+0, no charge.
-func (t *TLB) CountHit() { t.hits++ }
 
 // Stats reports hit/miss/flush counters.
 func (t *TLB) Stats() (hits, misses, flushes uint64) {

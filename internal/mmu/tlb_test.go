@@ -97,10 +97,13 @@ func TestTLBMatchesMapModel(t *testing.T) {
 	}
 
 	// direct mirrors CheckPage's use of the TLB for pages that need no
-	// page-table mapping.
+	// page-table mapping: a counted probe, then a fill on a miss.
 	direct := func(page uint32) {
 		e := modelEntry(page)
-		if _, ok := tlb.lookup(page); !ok {
+		if _, ok := tlb.peek(page); ok {
+			tlb.hits++
+		} else {
+			tlb.misses++
 			tlb.insert(page, e)
 		}
 		model.access(page, e)

@@ -1,8 +1,11 @@
 package webserver
 
 import (
+	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
 var cloneModels = []Model{CGI, FastCGI, LibCGIProtected, LibCGI, Static}
@@ -47,6 +50,55 @@ func TestServerCloneServesBitIdentical(t *testing.T) {
 	fh, fm, ff := fresh.S.K.MMU.TLB().Stats()
 	if ch != fh || cm != fm || cf != ff {
 		t.Errorf("TLB stats differ: clone %d/%d/%d, fresh %d/%d/%d", ch, cm, cf, fh, fm, ff)
+	}
+}
+
+// TestCloneOfExitedProcessServes: a process that has exited while it
+// is the kernel's current process is in no process table. A clone must
+// still bind it, as the application's process or as the CGI helper,
+// and serve exactly as the template does: the same status and the same
+// simulated latency (what the daemon reports as X-Sim-Micros).
+func TestCloneOfExitedProcessServes(t *testing.T) {
+	serve := func(srv *Server, m Model) (int, string) {
+		t.Helper()
+		before := srv.SimCycles()
+		status, err := srv.ServeRequest(m)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		return status, strconv.FormatFloat(srv.S.Clock().Micros(srv.SimCycles()-before), 'f', 3, 64)
+	}
+	for _, tc := range []struct {
+		name  string
+		model Model
+		proc  func(*Server) *kernel.Process
+	}{
+		{"application", LibCGIProtected, func(srv *Server) *kernel.Process { return srv.app.P }},
+		{"cgi-helper", CGI, func(srv *Server) *kernel.Process { return srv.cgiProc }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmpl, err := BootServer(1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, p := tmpl.S.K, tc.proc(tmpl)
+			k.Switch(p)
+			k.Exit(p, 0)
+			clone, err := tmpl.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp := tc.proc(clone); cp == nil || cp.PID != p.PID || !cp.Exited || cp != clone.S.K.Current() {
+				t.Fatalf("clone bound %+v, want its exited current process %d", cp, p.PID)
+			}
+			for i := range 3 {
+				ts, tus := serve(tmpl, tc.model)
+				cs, cus := serve(clone, tc.model)
+				if ts != cs || tus != cus {
+					t.Errorf("request %d: clone served %d in %s us, template %d in %s us", i, cs, cus, ts, tus)
+				}
+			}
+		})
 	}
 }
 

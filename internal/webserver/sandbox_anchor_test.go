@@ -11,6 +11,15 @@ import (
 	"testing"
 )
 
+// leWord allocates a fresh little-endian word, as the pre-redesign
+// serving path did; the serving path now uses putLEWord into
+// per-server scratch.
+func leWord(v uint32) []byte {
+	b := make([]byte, 4)
+	putLEWord(b, v)
+	return b
+}
+
 // legacyServeRequest replicates the pre-redesign ServeRequest switch
 // against the same server state.
 func legacyServeRequest(srv *Server, m Model) (int, error) {

@@ -31,7 +31,7 @@ var stateOwners = []struct {
 		"codeShared":      "copy-on-write flag of the shared code map",
 		"OnTick":          "timer hook installed by the owning kernel",
 		"Owner":           "wiring: the kernel driving the machine",
-		"blocks":          "decoded-block cache: host-side accelerator",
+		"blocks":          "decoded-block cache and its traces: host-side accelerator",
 		"liveBlocks":      "decoded-block cache: host-side accelerator",
 		"blockMin":        "decoded-block cache: host-side accelerator",
 		"blockMax":        "decoded-block cache: host-side accelerator",
@@ -41,10 +41,6 @@ var stateOwners = []struct {
 		"bcInvalidations": "block-cache statistics: host-side",
 		"bcFastFetches":   "block-cache statistics: host-side",
 		"TraceThreshold":  "trace-tier knob: traces never alter simulated metrics; Clone carries it as configuration",
-		"traces":          "trace registry: host-side accelerator",
-		"traceMin":        "trace registry: host-side accelerator",
-		"traceMax":        "trace registry: host-side accelerator",
-		"tracesBloom":     "trace registry: host-side accelerator",
 		"trStats":         "trace statistics: host-side",
 		"brkLo":           "dispatch envelope recomputed from the breakpoints",
 		"brkHi":           "dispatch envelope recomputed from the breakpoints",

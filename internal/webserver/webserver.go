@@ -231,13 +231,19 @@ func (srv *Server) Clone() (*Server, error) {
 		return nil, err
 	}
 	script2 := srv.script.Rebind(app2)
+	// An exited CGI helper is in no process table, only the kernel's
+	// current process, as core.App.Clone binds an exited application.
+	cgiProc := s2.K.Process(srv.cgiProc.PID)
+	if cur := s2.K.Current(); cgiProc == nil && cur != nil && cur.PID == srv.cgiProc.PID {
+		cgiProc = cur
+	}
 	return &Server{
 		S:           s2,
 		serverState: srv.serverState,
 
 		app:     app2,
 		script:  script2,
-		cgiProc: s2.K.Process(srv.cgiProc.PID),
+		cgiProc: cgiProc,
 		tmpl:    srv,
 
 		extDirect: sandbox.AdoptDirect(app2, "cgi_script", srv.scriptRaw),
@@ -371,15 +377,6 @@ func (srv *Server) serveLibCGIProtected() (int, error) {
 
 func putLEWord(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-// leWord allocates a fresh little-endian word; the serving path uses
-// putLEWord into per-server scratch instead (kept for the pre-redesign
-// replication in the anchor tests).
-func leWord(v uint32) []byte {
-	b := make([]byte, 4)
-	putLEWord(b, v)
-	return b
 }
 
 // Throughput serves n requests under the model and returns the
