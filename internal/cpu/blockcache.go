@@ -1,24 +1,19 @@
 package cpu
 
 import (
-	"repro/internal/cycles"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mmu"
 )
 
-// The decoded-block cache removes the per-instruction map lookups and
-// segment walks from Run's hot loop: each slot carries its decoded
-// instruction, which runs through the reference execute. It also
-// batches the timer-deadline check behind a per-block worst-case cycle
-// bound (maxPrefix, summed from worstCharge) and takes a same-page fast
-// path for the page-level fetch check (fetches on the page the previous
-// fetch translated reuse its frame, counting the guaranteed TLB hit
-// through mmu.FastFetchHit). Run dispatches one block at a time and
-// counts each dispatch of a block toward its promotion into a trace
-// (trace.go), which is built from the cached blocks and stored on its
-// entry block. This is the one code cache: a trace is bounded, evicted
-// and invalidated with its entry block.
+// The decoded-block cache is the one code cache: the decode, heat and
+// invalidation unit of Run's dispatch loop. Each slot carries its
+// decoded instruction and the fetch's build-time addresses. Run
+// dispatches one block at a time and counts each dispatch of a block
+// toward its promotion into a trace (trace.go), which is built from the
+// cached blocks, stored on its entry block and is the one compiled
+// executor; until then, the block's slots run through Step. A trace is
+// bounded, evicted and invalidated with its entry block.
 //
 // A block is a straight-line run of predecoded instructions starting at
 // a linear EIP; the segment-level fetch checks (code-segment type, DPL,
@@ -26,9 +21,9 @@ import (
 // through cache invalidation, while the page-level check — the one with
 // architecturally visible side effects (TLB hit/miss statistics,
 // page-walk cycle charges, page-privilege faults) — still happens per
-// executed instruction (full CheckPage at every page-run head, counted
-// fast path within a page), so cycle and TLB accounting is bit-for-bit
-// what the uncached interpreter produced.
+// executed instruction (Step's full check, or the trace's page-head
+// check and counted guaranteed hits), so cycle and TLB accounting is
+// bit-for-bit what the uncached interpreter produced.
 //
 // Invalidation:
 //   - GDT descriptor mutations and whole-image restores advance
@@ -37,8 +32,8 @@ import (
 //     loads, invlpg) advance only mmu.TransGen: they do not invalidate
 //     blocks — the live per-execution page check follows remaps
 //     lazily, exactly as the uncached interpreter would — but any such
-//     event fired from a timer hook makes the running block bail out
-//     and re-dispatch from live state.
+//     event fired from a timer hook at a trace's entry makes it finish
+//     one step uncached and re-dispatch from live state.
 //   - SetBreak/ClearBreak and RegisterService/UnregisterService
 //     invalidate exactly the cached blocks whose linear range covers
 //     the armed address, with their traces, and detach every other
@@ -92,12 +87,6 @@ type codeBlock struct {
 	pages uint64 // bloom over the physical pages the decode read
 	slots []blockSlot
 
-	// maxPrefix[i] is the worst-case cycle charge of slots[0:i]
-	// (prefix sums of each slot's worstCharge), used by its Horizon to
-	// skip per-instruction deadline checks that provably cannot fire —
-	// the same proof the trace tier runs.
-	maxPrefix cycles.Prefix
-
 	// Trace tier (see trace.go). hot counts Run's dispatches of this
 	// block; at Machine.TraceThreshold the block is promoted to a trace
 	// entry. trace is the compiled superblock rooted here (nil when
@@ -150,8 +139,7 @@ func (m *Machine) lookupBlock(lin uint32, gen uint64) *codeBlock {
 // charges.
 func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 	cpl := m.CPL()
-	b := &codeBlock{lin: lin, cs: m.CS, gen: gen, base: lin - m.EIP,
-		maxPrefix: cycles.NewPrefix(15)}
+	b := &codeBlock{lin: lin, cs: m.CS, gen: gen, base: lin - m.EIP}
 	eip := m.EIP
 	for len(b.slots) < maxBlockLen {
 		flin, f := m.MMU.CheckSegment(m.CS, eip, isa.InstrSlot, mmu.Execute, cpl)
@@ -159,8 +147,9 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 			break
 		}
 		// A block interior must be free of breakpoints and service
-		// endpoints: Run dispatches those only at block entry. (The
-		// entry address itself was just checked by Run.)
+		// endpoints: Run checks those only at block entry, and a trace
+		// fused from the block would run past them. (The entry address
+		// itself was just checked by Run.)
 		if len(b.slots) > 0 && (m.breaks[flin] || m.services[flin] != nil) {
 			break
 		}
@@ -172,20 +161,7 @@ func (m *Machine) buildBlock(lin uint32, gen uint64) *codeBlock {
 		if ins == nil {
 			break
 		}
-		maxCharge := worstCharge(ins, m.Model)
-		if len(b.slots) == 0 ||
-			flin>>mem.PageShift != b.slots[len(b.slots)-1].lin>>mem.PageShift {
-			// Page-run head: executing this slot may also charge a
-			// fetch-side TLB-miss walk (the full CheckPage runs here;
-			// interior slots take the charge-free fast path, and a
-			// post-tick full re-check is a guaranteed hit). The walk
-			// must be inside the worst-case bound or the batched
-			// deadline check could skip a tick the uncached
-			// interpreter fires.
-			maxCharge += m.Model.Cost(cycles.TLBMiss)
-		}
 		b.slots = append(b.slots, blockSlot{ins: ins, eip: eip, lin: flin, pa: pa})
-		b.maxPrefix = b.maxPrefix.Append(maxCharge)
 		b.pages |= pageBloomBit(pa)
 		if ins.Op.TransfersControl() {
 			break
@@ -308,10 +284,11 @@ func (m *Machine) BlockCacheStats() (hits, builds, invalidations uint64) {
 	return m.bcHits, m.bcBuilds, m.bcInvalidations
 }
 
-// ChainStats reports same-page fetch fast-path hits (page-level fetch
-// checks satisfied by the page-run head's translation, each counted as
-// a TLB hit). Its first value, chained block dispatches, is always 0:
-// blocks are no longer chained, and the two-value shape stays only for
+// ChainStats reports the trace tier's guaranteed-hit fetches: executed
+// fetches that took no page check of their own because an earlier
+// fetch in the same dispatch checked their page, each counted as a TLB
+// hit. Its first value, chained block dispatches, is always 0: blocks
+// are no longer chained, and the two-value shape stays only for
 // existing callers.
 func (m *Machine) ChainStats() (chainHits, fastFetches uint64) {
 	return 0, m.bcFastFetches

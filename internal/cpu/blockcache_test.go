@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/isa"
@@ -360,18 +361,25 @@ func TestFirstTickDeferred(t *testing.T) {
 // BenchmarkRunHotLoop measures the interpreter's sustained
 // instructions-per-second on a tight compute loop — the path the
 // decoded-block cache accelerates.
-func BenchmarkRunHotLoop(b *testing.B) { benchLoop(b, benchHotLoopSrc, 0) }
+func BenchmarkRunHotLoop(b *testing.B) { benchLoop(b, benchHotLoopSrc, 0, defaultTraceThreshold) }
 
 // BenchmarkRunHotLoopTicking is BenchmarkRunHotLoop under a timer: a
 // counting hook every 20,000 cycles, the kernel's tick period, so the
 // trace tier's deadline proof runs on every dispatch as it does for
 // every guest the kernel schedules.
-func BenchmarkRunHotLoopTicking(b *testing.B) { benchLoop(b, benchHotLoopSrc, 20000) }
+func BenchmarkRunHotLoopTicking(b *testing.B) {
+	benchLoop(b, benchHotLoopSrc, 20000, defaultTraceThreshold)
+}
 
 // BenchmarkRunByteLoop is the Table 2 strrev extension's reversal loop
 // over a 512-byte buffer: two byte loads and two byte stores per
 // iteration, so it prices the trace tier's memory operands.
-func BenchmarkRunByteLoop(b *testing.B) { benchLoop(b, byteLoopSrc, 0) }
+func BenchmarkRunByteLoop(b *testing.B) { benchLoop(b, byteLoopSrc, 0, defaultTraceThreshold) }
+
+// BenchmarkRunColdLoop is BenchmarkRunHotLoop with a trace threshold
+// no run reaches, so every instruction goes through Step: it prices
+// the code that is not yet hot (or where no trace can start).
+func BenchmarkRunColdLoop(b *testing.B) { benchLoop(b, benchHotLoopSrc, 0, math.MaxUint32) }
 
 // benchHotLoopSrc is hotLoopSrc with 1000 iterations.
 const benchHotLoopSrc = `
@@ -412,12 +420,14 @@ const byteLoopSrc = `
 `
 
 // benchLoop runs a loop benchmark from src's entry to its stop label,
-// with a counting tick hook every tick cycles (0: no hook).
-func benchLoop(b *testing.B, src string, tick float64) {
+// with a counting tick hook every tick cycles (0: no hook) and the
+// given trace threshold.
+func benchLoop(b *testing.B, src string, tick float64, threshold uint32) {
 	h := newHarness(b)
 	syms := h.install(0x0001_0000, src)
 	h.startUser(syms["entry"])
 	h.m.SetBreak(syms["stop"])
+	h.m.TraceThreshold = threshold
 	ticks := 0
 	if tick > 0 {
 		h.m.TickCycles = tick
@@ -436,6 +446,7 @@ func benchLoop(b *testing.B, src string, tick float64) {
 		instr += res.Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
 	_, fast := h.m.ChainStats()
 	b.ReportMetric(float64(h.m.TraceStats().Dispatches-traces0)/float64(b.N), "trace-dispatches/op")
 	b.ReportMetric(float64(fast-fast0)/float64(instr)*100, "fastpath-pct")

@@ -28,24 +28,37 @@ const hotLoopSrc = `
 	scratch: .long 0
 `
 
-// TestChainEngagesOnHotLoop: the block tier must actually engage on a
-// hot loop — same-page fetch fast-path hits counting — while producing
-// the correct architectural result. (Blocks are no longer chained; the
-// name is kept from when the loop's blocks were.)
-func TestChainEngagesOnHotLoop(t *testing.T) {
-	h := newHarness(t)
-	syms := h.install(0x0001_0000, hotLoopSrc)
-	h.startUser(syms["entry"])
-	h.m.SetBreak(syms["stop"])
-	res := h.m.Run(RunLimits{MaxInstructions: 10_000})
-	if res.Reason != StopBreak {
-		t.Fatalf("stop = %+v", res)
+// TestColdBlocksRunThroughStep: below TraceThreshold, Run executes
+// each dispatched block's slots through Step, so the hot loop's 50
+// dispatches of its body block leave exactly what a Step-only run
+// leaves (result, clock, retired instructions, TLB statistics,
+// registers), with no trace dispatch and no guaranteed-hit fetch.
+// Warmed past the threshold, the same loop runs through its trace.
+func TestColdBlocksRunThroughStep(t *testing.T) {
+	hRun, syms, resRun := traceExec(t, (*Machine).Run, hotLoopSrc, defaultTraceThreshold)
+	hStep, _, resStep := traceExec(t, stepRun, hotLoopSrc, defaultTraceThreshold)
+	if resRun.Reason != StopBreak {
+		t.Fatalf("stop = %+v", resRun)
 	}
-	if got, want := h.m.Reg(isa.EAX), uint32(50*51/2); got != want {
+	traceCompare(t, "cold", hRun, hStep, resRun, resStep)
+	if got, want := hRun.m.Reg(isa.EAX), uint32(50*51/2); got != want {
 		t.Errorf("eax = %d, want %d", got, want)
 	}
-	if _, fast := h.m.ChainStats(); fast == 0 {
-		t.Errorf("hot loop executed with zero same-page fetch fast-path hits")
+	if ts := hRun.m.TraceStats(); ts.Built != 0 || ts.Dispatches != 0 {
+		t.Errorf("cold loop engaged the trace tier: %+v", ts)
+	}
+	if _, fast := hRun.m.ChainStats(); fast != 0 {
+		t.Errorf("cold loop counted %d guaranteed-hit fetches, want 0", fast)
+	}
+
+	// Two more runs carry the body block past the threshold.
+	for range 2 {
+		if got, want := runToStop(t, hRun, syms["entry"]), uint32(50*51/2); got != want {
+			t.Errorf("warm eax = %d, want %d", got, want)
+		}
+	}
+	if ts := hRun.m.TraceStats(); ts.Dispatches == 0 {
+		t.Errorf("warmed loop never dispatched a trace: %+v", ts)
 	}
 }
 

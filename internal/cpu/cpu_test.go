@@ -717,6 +717,9 @@ func TestHltAtRing0(t *testing.T) {
 	if res.Reason != StopHalt {
 		t.Fatalf("stop = %+v", res)
 	}
+	if res.Instructions != 1 {
+		t.Errorf("halt retired %d instructions, want 1", res.Instructions)
+	}
 	h.m.ClearHalt()
 }
 

@@ -27,8 +27,9 @@ import (
 // trace-hostile event: paging events and code edits strike while a
 // trace is live, breakpoints land inside fused ranges, ticks and
 // budgets expire mid-trace, and generated faults hit arbitrary fused
-// positions. The oracle therefore pins tier-3 deoptimization — the
-// partial-commit path — to tier-1 semantics along with the blocks.
+// positions. The oracle therefore pins trace deoptimization — the
+// partial-commit path — to Step's semantics, along with the cold
+// blocks that Run steps before they promote.
 
 // diffRegs are the registers random programs scribble on. ESP is
 // excluded so stack handling stays structured (push/pop pairs and

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/mmu"
 )
 
@@ -17,19 +16,17 @@ type RunLimits struct {
 	MaxInstructions uint64
 }
 
-// Run executes instructions until a stop condition occurs. The hot
-// loop dispatches one cached block at a time, each cached slot running
-// the reference execute: breakpoints, service endpoints and block
-// decode are resolved once per straight-line run instead of once per
-// instruction (with the break/service maps themselves consulted only
-// when armed and overlapping, via the machine's linear envelopes),
-// timer-deadline checks are batched behind per-block worst-case charge
-// bounds, and same-page fetches take a counted fast path — while every
-// per-instruction architectural event (timer ticks, page-level fetch
-// checks with their TLB statistics and page-walk charges, faults
-// mid-block) happens exactly as it would stepping uncached. Every
-// dispatch of a block without a trace counts toward its promotion into
-// one, however the block was entered.
+// Run executes instructions until a stop condition occurs. Its loop
+// dispatches one cached block at a time: breakpoints and service
+// endpoints are resolved once per straight-line run (the break/service
+// maps consulted only when armed and overlapping, via the machine's
+// linear envelopes), and every dispatch of a block without a trace
+// counts toward its promotion into one, however the block was entered.
+// A block with a trace runs as that trace (tracerun.go), the one
+// compiled executor. Any other block runs its slots through Step, the
+// reference interpreter, until control leaves the straight-line run,
+// so code that is not yet hot (or where no trace can start) behaves
+// exactly as stepping does.
 func (m *Machine) Run(lim RunLimits) RunResult {
 	var res RunResult
 	for {
@@ -38,56 +35,37 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 			return res
 		}
 		lin := m.linearEIP()
-		if len(m.breaks) != 0 && lin >= m.brkLo && lin <= m.brkHi && m.breaks[lin] {
+		if m.breakAt(lin) {
 			res.Reason = StopBreak
 			return res
 		}
-		if len(m.services) != 0 && lin >= m.svcLo && lin <= m.svcHi {
-			if svc := m.services[lin]; svc != nil {
-				if stop := serviceStop(m.runService(svc)); stop != nil {
-					stop.Instructions = res.Instructions
-					return *stop
-				}
-				continue
+		if svc := m.serviceAt(lin); svc != nil {
+			if stop := serviceStop(m.runService(svc)); stop != nil {
+				stop.Instructions = res.Instructions
+				return *stop
 			}
+			continue
 		}
 		gen := m.MMU.SegGen()
 		b := m.lookupBlock(lin, gen)
 		if b == nil {
 			b = m.buildBlock(lin, gen)
 		}
-		if b == nil {
-			// Nothing fetchable or decodable here: take the uncached
-			// path, which raises the right fault with the right
-			// charges.
-			if stop, _ := m.tickCheck(); stop != nil {
-				stop.Instructions += res.Instructions
-				return *stop
-			}
-			stop, done := m.fetchExec()
-			if stop != nil {
-				stop.Instructions += res.Instructions
-				return *stop
-			}
-			if done {
-				res.Instructions++
-			}
-			continue
-		}
-		var remaining uint64
-		if lim.MaxInstructions > 0 {
-			remaining = lim.MaxInstructions - res.Instructions
-		}
-		if m.TraceThreshold > 0 {
-			// Trace tier: count this dispatch toward the block's heat,
-			// promote it at the threshold, and dispatch through its
-			// superblock. A live b implies a live trace: the trace is
-			// stored on b and shares its tag, and everything that
-			// invalidates b or the trace drops or detaches it.
+		var slots []blockSlot
+		if b != nil {
+			// Count this dispatch toward the block's heat, promote it at
+			// the threshold, and dispatch through its trace. A live b
+			// implies a live trace: the trace is stored on b and shares
+			// its tag, and everything that invalidates b or the trace
+			// drops or detaches it.
 			if b.trace == nil && !b.traceFailed {
 				if b.hot++; b.hot >= m.TraceThreshold {
 					m.buildTrace(b)
 				}
+			}
+			var remaining uint64
+			if lim.MaxInstructions > 0 {
+				remaining = lim.MaxInstructions - res.Instructions
 			}
 			if tr := b.trace; tr != nil {
 				stop, n := m.runTrace(tr, remaining)
@@ -98,133 +76,28 @@ func (m *Machine) Run(lim RunLimits) RunResult {
 				}
 				continue
 			}
+			slots = b.slots
+			if remaining > 0 && uint64(len(slots)) > remaining {
+				slots = slots[:remaining]
+			}
 		}
-		stop, n := m.runBlock(b, remaining)
-		res.Instructions += n
-		if stop != nil {
-			stop.Instructions = res.Instructions
-			return *stop
-		}
-	}
-}
-
-// runBlock executes one cached block, stopping early at the remaining
-// instruction budget (0 = unlimited; Run dispatches only while some
-// remains), a timer-hook error, a fault, or HLT. It returns the
-// retired-instruction count and a stop result whose Instructions field
-// the caller owns.
-func (m *Machine) runBlock(b *codeBlock, remaining uint64) (*RunResult, uint64) {
-	// tgen guards the translation-level caches (the same-page fetch
-	// fast path): any paging event a timer hook performs advances it,
-	// and the block bails out to live-state dispatch.
-	tgen := m.MMU.TransGen()
-	cpl := m.CPL()
-	var n uint64
-	// Same-page fetch fast path: curFrame/curPage hold the frame base
-	// the last full CheckPage returned. Within one block the cached
-	// translation can only be invalidated by events that bump the
-	// translation generation, which bail out below.
-	var curFrame, curPage uint32
-	haveFrame := false
-	slots := b.slots
-	limit := len(slots)
-	if remaining > 0 && uint64(limit) > remaining {
-		limit = int(remaining)
-	}
-	// horizon is the slot below which per-slot deadline checks provably
-	// cannot fire. When ticking it starts at 0, so slot 0 takes the
-	// block-entry check and derives the first horizon.
-	horizon := limit
-	ticking := m.OnTick != nil && m.TickCycles > 0
-	if ticking {
-		horizon = 0
-	}
-	for i := 0; i < limit; i++ {
-		if i >= horizon {
-			stop, ticked := m.tickCheck()
+		// No trace: step the block's slots while control follows them.
+		// With no block (nothing fetchable or decodable here), one step
+		// raises the right fault with the right charges.
+		for i := 0; ; i++ {
+			stop, done := m.Step()
+			if done {
+				res.Instructions++
+			}
 			if stop != nil {
-				return stop, n
+				stop.Instructions = res.Instructions
+				return *stop
 			}
-			if ticked {
-				if m.EIP != slots[i].eip || m.CS != b.cs ||
-					m.blocks[blockIndex(b.lin)] != b || tgen != m.MMU.TransGen() {
-					// The tick handler redirected execution or
-					// invalidated cached state; finish this step
-					// uncached and let Run re-dispatch from live state.
-					stop, done := m.fetchExec()
-					if done {
-						n++
-					}
-					return stop, n
-				}
-				haveFrame = false
+			if i+1 >= len(slots) || m.EIP != slots[i].eip+isa.InstrSlot || m.CS != b.cs {
+				break
 			}
-			horizon = b.maxPrefix.Horizon(m.Clock.Cycles(), m.nextTick, i, limit)
-		}
-		slot := &slots[i]
-		// Page-level fetch check: counted against the TLB and charged
-		// on a miss exactly as the uncached fetch would be, and the
-		// page-privilege faults are raised mid-block as on hardware.
-		// Same-page fetches reuse the page-run head's translation,
-		// counting the guaranteed TLB hit.
-		var pa uint32
-		if page := slot.lin &^ uint32(mem.PageMask); haveFrame && page == curPage {
-			m.MMU.FastFetchHit()
-			m.bcFastFetches++
-			pa = curFrame | (slot.lin & mem.PageMask)
-		} else {
-			full, f := m.MMU.CheckPage(slot.lin, mmu.Execute, cpl, b.cs, slot.eip)
-			if f != nil {
-				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
-			}
-			pa = full
-			curFrame = pa &^ uint32(mem.PageMask)
-			curPage = page
-			haveFrame = true
-		}
-		if pa != slot.pa {
-			// The mapping changed under the block (e.g. a PTE store
-			// with no invlpg, honoured lazily as on hardware): execute
-			// what the live translation holds.
-			ins := m.code[pa]
-			if ins == nil {
-				f := &mmu.Fault{Kind: mmu.UD, Sel: b.cs, Off: slot.eip, Linear: slot.lin,
-					Access: mmu.Execute, CPL: cpl, Reason: "no instruction at address"}
-				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
-			}
-			if f := m.execute(ins); f != nil {
-				return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
-			}
-			m.instret++
-			n++
-			if m.haltFlag {
-				return &RunResult{Reason: StopHalt}, n
-			}
-			if m.EIP != slot.eip+isa.InstrSlot {
-				// The substituted instruction transferred control; the
-				// rest of the cached run no longer follows. Re-dispatch
-				// from live state.
-				return nil, n
-			}
-			// The live instruction's charge is not bounded by the
-			// cached slot's worst case, so the deadline horizon no
-			// longer proves anything: force a full check (and a
-			// re-derivation) before the next slot.
-			if ticking && horizon > i+1 {
-				horizon = i + 1
-			}
-			continue
-		}
-		if f := m.execute(slot.ins); f != nil {
-			return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
-		}
-		m.instret++
-		n++
-		if m.haltFlag {
-			return &RunResult{Reason: StopHalt}, n
 		}
 	}
-	return nil, n
 }
 
 // Step executes at most one instruction (or one trusted service call)
@@ -233,10 +106,10 @@ func (m *Machine) runBlock(b *codeBlock, remaining uint64) (*RunResult, uint64) 
 // retired.
 func (m *Machine) Step() (*RunResult, bool) {
 	lin := m.linearEIP()
-	if m.breaks[lin] {
+	if m.breakAt(lin) {
 		return &RunResult{Reason: StopBreak}, false
 	}
-	if svc := m.services[lin]; svc != nil {
+	if svc := m.serviceAt(lin); svc != nil {
 		return serviceStop(m.runService(svc)), false
 	}
 
@@ -245,6 +118,21 @@ func (m *Machine) Step() (*RunResult, bool) {
 		return stop, false
 	}
 	return m.fetchExec()
+}
+
+// breakAt reports whether a breakpoint is armed at lin. It consults
+// the map only inside the breakpoints' linear envelope.
+func (m *Machine) breakAt(lin uint32) bool {
+	return len(m.breaks) != 0 && lin >= m.brkLo && lin <= m.brkHi && m.breaks[lin]
+}
+
+// serviceAt returns the service endpoint registered at lin, or nil. It
+// consults the map only inside the services' linear envelope.
+func (m *Machine) serviceAt(lin uint32) *Service {
+	if len(m.services) != 0 && lin >= m.svcLo && lin <= m.svcHi {
+		return m.services[lin]
+	}
+	return nil
 }
 
 // serviceStop classifies a service-handler outcome into a stop result
@@ -261,8 +149,9 @@ func serviceStop(err error) *RunResult {
 }
 
 // fetchExec is the uncached fetch-and-execute tail shared by Step and
-// Run's fallback path: full segment+page translation, decoded-code
-// lookup, execution, and instruction retirement.
+// a trace whose entry tick changed live state: full segment+page
+// translation, decoded-code lookup, execution, and instruction
+// retirement.
 func (m *Machine) fetchExec() (*RunResult, bool) {
 	pa, f := m.MMU.Translate(m.CS, m.EIP, isa.InstrSlot, mmu.Execute, m.CPL())
 	if f != nil {
@@ -388,8 +277,8 @@ func costKind(i *isa.Instr) cycles.Kind {
 // worstCharge is the most execute can charge for ins under model: its
 // static cost, the costlier outcome of a branch or far transfer, and
 // one TLB-miss walk per data translation it can perform. The fetch-side
-// walk is the caller's to add at page-run heads. Blocks and traces
-// sum it into prefix bounds (cycles.Prefix) so the per-instruction
+// walk is the caller's to add at page-run heads. Traces sum it into
+// prefix bounds (cycles.Prefix) so the per-instruction
 // timer-deadline check can be skipped while the clock provably cannot
 // reach the next tick; the batching is sound only while this bounds
 // what Step charges (TestWorstChargeBoundsStep).

@@ -170,18 +170,19 @@ type Machine struct {
 	bcHits             uint64
 	bcBuilds           uint64
 	bcInvalidations    uint64
-	bcFastFetches      uint64 // same-page fetch fast-path hits
+	bcFastFetches      uint64 // trace fetches counted as guaranteed TLB hits
 
 	// Trace tier (see trace.go). TraceThreshold is the dispatch count
-	// that promotes a block into a trace entry (0 disables the
-	// tier). Traces live on their entry blocks in the block cache.
+	// that promotes a block into a trace entry; until then the block
+	// runs through Step. Traces live on their entry blocks in the block
+	// cache.
 	TraceThreshold uint32
 	trStats        TraceStats
 
 	// Conservative linear envelopes over the armed breakpoints and
-	// registered services, so Run's dispatch loop can reject both maps
-	// with two compares instead of map probes. They grow on arm and
-	// re-anchor when their map empties.
+	// registered services, so Run and Step (breakAt, serviceAt) can
+	// reject both maps with two compares instead of map probes. They
+	// grow on arm and re-anchor when their map empties.
 	brkLo, brkHi uint32 // inclusive envelope; valid while len(breaks) > 0
 	svcLo, svcHi uint32 // inclusive envelope; valid while len(services) > 0
 

@@ -7,18 +7,18 @@ import (
 	"repro/internal/mmu"
 )
 
-// Tier 3: trace superblocks.
+// Trace superblocks: the one compiled executor.
 //
-// Tier 2 (blockcache.go) made dispatch cheap; its remaining steady-
-// state tax is per-instruction and per-block bookkeeping: every execute
-// call re-dispatches on the opcode and re-loads machine state through a
-// pointer, every flag lives in a struct field, every cycle charge is a
-// float64 add against the shared clock, and every block boundary
-// returns to Run, which re-checks breaks and services, looks the next
-// block up and re-derives the deadline horizon. Tier 3 removes that tax
-// for hot paths: Run counts every dispatch of a block, however it was
-// entered (fall-through, branch, ret, indirect jump, service return),
-// and promotes a block dispatched often into a *trace* — a fused
+// Step, the reference interpreter, pays per-instruction bookkeeping:
+// every instruction re-checks breaks and services and the timer
+// deadline, translates its fetch through the segment and page checks,
+// re-dispatches on the opcode and re-loads machine state through a
+// pointer, every flag lives in a struct field, and every cycle charge
+// is a float64 add against the shared clock. Traces remove that tax for
+// hot paths: Run counts every dispatch of a cached block
+// (blockcache.go), however it was entered (fall-through, branch, ret,
+// indirect jump, service return), and promotes a block dispatched
+// often into a *trace* — a fused
 // superblock covering the whole hot path (loops included), compiled
 // into a flat micro-op array executed by one dispatch loop
 // (tracerun.go). The loop keeps only its loop-carried hot values in Go
@@ -29,8 +29,8 @@ import (
 // memory (traceRun), so none of it competes for registers at the
 // loop's merge point. Accounting is committed once per exit.
 //
-// Bit-identity. Every simulated metric must be exactly what tiers 1/2
-// produce:
+// Bit-identity. Every simulated metric must be exactly what Step
+// produces:
 //
 //   - Cycle charges are accumulated locally and added to the clock at
 //     commit, interleaved (in program order) with the live charges a
@@ -54,17 +54,18 @@ import (
 //     every other access — first touch, another page, a straddle, a
 //     limit or page fault, a shared frame — is taken live, with
 //     identical fault identities, charges and miss behaviour.
-//   - Timer deadlines use the same worst-case prefix-sum batching as
-//     tier 2 (cycles.Prefix), with the proof's slack carried across
-//     loop back-edges (traceRun.prove); past the proven horizon the trace
-//     checks precisely against clock+accum at each op boundary and, if the
-//     deadline has arrived, deoptimizes: it commits the architectural
-//     state at that instruction boundary and returns to Run, whose
-//     tier-2 re-dispatch fires the hook at the identical clock reading
-//     and EIP.
+//   - Timer deadlines are batched behind worst-case prefix sums
+//     (cycles.Prefix of worstCharge), with the proof's slack carried
+//     across loop back-edges (traceRun.prove); past the proven horizon
+//     the trace checks precisely against clock+accum at each op
+//     boundary and, if the deadline has arrived, deoptimizes: it
+//     commits the architectural state at that instruction boundary and
+//     returns to Run, whose re-dispatch fires the hook at the identical
+//     clock reading and EIP.
 //   - A fused page whose frame no longer matches the build-time
-//     translation deoptimizes to one live uncached execute (exactly
-//     tier 2's lazy-remap substitution), then re-dispatches.
+//     translation deoptimizes to one live execute of what the live
+//     translation holds (the remap honoured lazily, as Step does), then
+//     re-dispatches.
 //   - Faults commit the partially-executed architectural state exactly
 //     as execute would have left it: charge already made, flags as
 //     mutated so far, partial memory effects persisted, EIP at the
@@ -211,12 +212,12 @@ type trace struct {
 // TraceStats reports the trace tier's counters: traces built and
 // invalidated, trace dispatches, normal side exits, and deoptimizations
 // by cause. A "deopt" commits partial architectural state mid-trace and
-// falls back to tier 1/2: Tick (deadline reached at an op boundary; the
-// re-dispatch fires the hook there), Fault (the faulting op's state is
-// committed exactly as tier 2 would), Page (a fused page's frame no
-// longer matches the build-time translation; one live substituted
-// execute follows, as in tier 2), Budget (instruction budget exhausted
-// mid-trace).
+// returns to Run's dispatch: Tick (deadline reached at an op boundary;
+// the re-dispatch fires the hook there), Fault (the faulting op's state
+// is committed exactly as Step would leave it), Page (a fused page's
+// frame no longer matches the build-time translation; one live
+// execute of what the live translation holds follows, as Step would
+// fetch it), Budget (instruction budget exhausted mid-trace).
 type TraceStats struct {
 	Built       uint64
 	Invalidated uint64
@@ -339,8 +340,8 @@ func (m *Machine) buildTrace(b *codeBlock) {
 	// Mark in-trace branch targets as page heads: an op reached by a
 	// non-linear transfer cannot prove its page was touched earlier in
 	// this dispatch by its linear predecessor, so it takes the full
-	// per-dispatch check (which is counting-identical to tier 2's page-
-	// transition check whether it hits or walks).
+	// per-dispatch check (which is counting-identical to Step's fetch
+	// check whether it hits or walks).
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		switch op.code {
@@ -413,8 +414,8 @@ func (m *Machine) traceCont(tr *trace, blockStart map[uint32]int, target uint32,
 
 // traceVerifySlot checks that a slot's build-time physical fetch
 // address still matches the live translation. Fusing a stale slot
-// would execute the stale decode where tier 2 would substitute the
-// live instruction, so the trace must stop before it.
+// would execute the stale decode where Step would fetch the live
+// instruction, so the trace must stop before it.
 func (m *Machine) traceVerifySlot(s *blockSlot) bool {
 	pp, ok := m.MMU.PeekPage(s.lin)
 	return ok && pp == s.pa

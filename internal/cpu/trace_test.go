@@ -37,8 +37,7 @@ const traceLoopSrc = `
 `
 
 // traceExec runs src to the stop breakpoint with the given runner and
-// trace threshold (0 disables the trace tier) and returns the harness
-// and stop result.
+// trace threshold and returns the harness and stop result.
 func traceExec(t *testing.T, runner func(*Machine, RunLimits) RunResult, src string, threshold uint32) (*harness, map[string]uint32, RunResult) {
 	t.Helper()
 	h := newHarness(t)
@@ -465,7 +464,7 @@ func TestTraceFaultAtEachPosition(t *testing.T) {
 // TestTracePagingEventsMidTrace: CR3 reloads and page invalidations
 // fired from the tick hook while traces are hot must stay bit-identical
 // to single-stepping (the trace entry check redirects through the
-// uncached path and the trace follows remaps lazily, as tier 2 does).
+// uncached path and the trace follows remaps lazily, as Step does).
 func TestTracePagingEventsMidTrace(t *testing.T) {
 	exec := func(runner func(*Machine, RunLimits) RunResult) (*harness, RunResult) {
 		h := newHarness(t)

@@ -194,8 +194,8 @@ func (st *traceRun) prove(eff float64, i int) {
 // result (the caller owns Instructions) and the number of instructions
 // retired.
 func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
-	// Entry deadline check, mirroring runBlock's block-entry check: if
-	// the hook ran and redirected execution, invalidated the entry
+	// Entry deadline check, the one Step makes before this instruction:
+	// if the hook ran and redirected execution, invalidated the entry
 	// block or this trace, or performed a paging event, finish one step
 	// uncached and let Run re-dispatch from live state.
 	ticking := m.OnTick != nil && m.TickCycles > 0
@@ -247,7 +247,7 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 		wc: tr.wc, flags: m.Flags}
 	// The instruction budget is checked before each op executes, so
 	// exactly `remaining` instructions retire — the same truncation
-	// point as runBlock's.
+	// point as stepping.
 	if st.limit == 0 {
 		st.limit = math.MaxUint64
 	}
@@ -292,7 +292,7 @@ loop:
 					// Deadline reached at this op boundary: deoptimize.
 					// The commit lands the clock on eff and EIP here, so
 					// Run's re-dispatch fires the hook at the identical
-					// point the tier-2 mid-block check would have.
+					// point Step's check would have.
 					ceip = op.eip
 					m.trStats.DeoptTick++
 					break loop
@@ -312,8 +312,7 @@ loop:
 				if pa != op.pa {
 					// The mapping changed under the trace (honoured
 					// lazily, as on hardware): commit, then execute what
-					// the live translation holds — tier 2's substitution
-					// arm.
+					// the live translation holds.
 					ceip = op.eip
 					livePA = pa
 					pageOp = op
@@ -696,8 +695,9 @@ loop:
 
 	if pageOp != nil {
 		// Deopt-page: the frame under pageOp moved. State is committed
-		// at the op; now execute what the live translation holds —
-		// exactly runBlock's substitution arm — and let Run re-dispatch.
+		// at the op, and its fetch was counted and charged by the page
+		// check above; now execute what the live translation holds, as
+		// Step would, and let Run re-dispatch.
 		ins := m.code[livePA]
 		if ins == nil {
 			f := &mmu.Fault{Kind: mmu.UD, Sel: st.cs, Off: pageOp.eip, Linear: pageOp.lin,

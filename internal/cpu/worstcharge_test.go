@@ -131,10 +131,10 @@ func ringIntGate(h *harness, syms map[string]uint32) {
 }
 
 // TestWorstChargeBoundsStep pins worstCharge, the per-instruction bound
-// both compiled tiers sum into their deadline horizons: for every form,
-// Step from a flushed TLB (every translation walks) charges no more
-// than worstCharge plus the one fetch-side walk the tiers add at a
-// page-run head. An under-estimate would let the batched deadline check
+// the trace tier sums into its deadline horizon: for every form, Step
+// from a flushed TLB (every translation walks) charges no more than
+// worstCharge plus the one fetch-side walk a trace adds at a page-run
+// head. An under-estimate would let the batched deadline check
 // skip a timer tick that Step fires.
 func TestWorstChargeBoundsStep(t *testing.T) {
 	taken := map[isa.Op][2]bool{} // [not taken, taken] seen per Jcc

@@ -129,10 +129,11 @@ func TestStrrevPassesVerifier(t *testing.T) {
 }
 
 // TestCompiledTiersEngage runs 200 protected string-reverse calls and
-// requires the compiled tiers to carry them: same-page fetch fast
-// paths and trace dispatches are both nonzero. On this quiet workload no trace may bail out because of a
-// guest fault or a fetch-page remap; such a deopt means the trace tier
-// drops to the block tier where it should stay fused.
+// requires the trace tier to carry them: trace dispatches and the
+// traces' guaranteed-hit fetches are both nonzero. On this quiet
+// workload no trace may bail out because of a guest fault or a
+// fetch-page remap; such a deopt means the trace drops back to Run's
+// dispatch (and Step) where it should stay fused.
 func TestCompiledTiersEngage(t *testing.T) {
 	const calls = 200
 	sys, _, pf, buf := protectedStrrev(t, "palladium-interpreter-workload")
@@ -145,7 +146,7 @@ func TestCompiledTiersEngage(t *testing.T) {
 	_, fastFetches := m.ChainStats()
 	ts := m.TraceStats()
 	if fastFetches == 0 {
-		t.Error("no same-page fast-path fetches")
+		t.Error("no guaranteed-hit trace fetches")
 	}
 	if ts.Dispatches == 0 {
 		t.Error("no trace dispatches")

@@ -2,9 +2,9 @@ package mmu
 
 // Trace-scoped batched accounting.
 //
-// The CPU's trace tier (tier 3) executes a fused superblock with hot
-// state in locals and commits accounting once per exit. Its accesses
-// run the same page check as every other tier — CheckPageBatched,
+// The CPU's trace tier executes a fused superblock with hot state in
+// locals and commits accounting once per exit. Its accesses run the
+// same page check as the CPU's Step — CheckPageBatched,
 // which CheckPage and TranslateProbed also run — handing it a
 // dispatch-local counter in place of the TLB's hit counter. A miss is
 // never batched: it charges a page walk to the simulated clock and

@@ -21,9 +21,10 @@ type MMU struct {
 	// gen counts every event that can change the outcome of a
 	// translation performed through this MMU: CR3 loads, single-page
 	// invalidations and GDT descriptor mutations.
-	// The CPU's block tier checks it after every timer-hook firing: a
-	// changed generation means cached per-run translation state (the
-	// same-page fetch fast path) must be revalidated from scratch.
+	// The CPU's trace tier checks it around a timer-hook firing at a
+	// trace's entry: if the hook changed it, the CPU does not enter the
+	// trace but finishes that step uncached and re-dispatches from live
+	// state.
 	gen uint64
 
 	// segGen counts only the events that can change the outcome of a
@@ -273,20 +274,6 @@ func (m *MMU) CheckPageBatched(linear uint32, acc Access, cpl int, sel Selector,
 	}
 	return e.frame() | (linear & mem.PageMask), nil
 }
-
-// FastFetchHit is the inlineable same-page fetch probe: the CPU calls
-// it instead of CheckPage when the fetch lands on the same linear page
-// as the immediately preceding fetch of a straight-line run and the
-// translation generation is unchanged. Under those conditions CheckPage
-// is guaranteed to take the TLB-hit path with the same entry (the
-// previous fetch inserted or verified it, hardware events that could
-// evict it all advance TransGen, and simulated code cannot touch the
-// TLB), its privilege checks are guaranteed to repeat the previous
-// outcome (same entry bits, same CPL — far transfers end blocks), and
-// no walk is charged. The observable effect is therefore exactly one
-// TLB hit, which this records; the caller reuses the frame base from
-// the full check. Pinned by TestFastFetchHitMatchesCheckPage.
-func (m *MMU) FastFetchHit() { m.tlb.hits++ }
 
 // PeekPage resolves a linear address to a physical one without
 // charging cycles, counting TLB statistics, or filling the TLB: the

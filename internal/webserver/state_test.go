@@ -39,7 +39,7 @@ var stateOwners = []struct {
 		"bcHits":          "block-cache statistics: host-side",
 		"bcBuilds":        "block-cache statistics: host-side",
 		"bcInvalidations": "block-cache statistics: host-side",
-		"bcFastFetches":   "block-cache statistics: host-side",
+		"bcFastFetches":   "trace-tier statistics: host-side",
 		"TraceThreshold":  "trace-tier knob: traces never alter simulated metrics; Clone carries it as configuration",
 		"trStats":         "trace statistics: host-side",
 		"brkLo":           "dispatch envelope recomputed from the breakpoints",
