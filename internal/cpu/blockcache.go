@@ -34,7 +34,7 @@ import (
 //     lazily, exactly as the uncached interpreter would — but any such
 //     event fired from a timer hook at a trace's entry makes it finish
 //     one step uncached and re-dispatch from live state.
-//   - SetBreak/ClearBreak and RegisterService/UnregisterService
+//   - SetBreak/ClearBreak and RegisterService
 //     invalidate exactly the cached blocks whose linear range covers
 //     the armed address, with their traces, and detach every other
 //     block's trace whose fused range covers it (breakpoints and

@@ -198,11 +198,6 @@ func TestBlockCacheSeesNewService(t *testing.T) {
 	if res.Reason != StopError || !errors.Is(res.Err, sentinel) {
 		t.Fatalf("stop = %+v err=%v, want service sentinel", res, res.Err)
 	}
-
-	h.m.UnregisterService(syms["mid"])
-	if got := runToStop(t, h, syms["entry"]); got != 2 {
-		t.Errorf("eax after UnregisterService = %d, want 2", got)
-	}
 }
 
 // TestBlockCacheSeesInvalidatePage: remapping an executed code page is
@@ -381,6 +376,12 @@ func BenchmarkRunByteLoop(b *testing.B) { benchLoop(b, byteLoopSrc, 0, defaultTr
 // the code that is not yet hot (or where no trace can start).
 func BenchmarkRunColdLoop(b *testing.B) { benchLoop(b, benchHotLoopSrc, 0, math.MaxUint32) }
 
+// BenchmarkRunExecLoop is a loop of forms the trace runs through
+// opExec (execLoopSrc): it prices execute inside a trace, and its
+// side-exits/op stays at 1 only while none of those forms leaves the
+// trace.
+func BenchmarkRunExecLoop(b *testing.B) { benchLoop(b, execLoopSrc, 0, defaultTraceThreshold) }
+
 // benchHotLoopSrc is hotLoopSrc with 1000 iterations.
 const benchHotLoopSrc = `
 	entry:
@@ -435,7 +436,7 @@ func benchLoop(b *testing.B, src string, tick float64, threshold uint32) {
 	}
 	b.ResetTimer()
 	var instr uint64
-	traces0 := h.m.TraceStats().Dispatches
+	ts0 := h.m.TraceStats()
 	_, fast0 := h.m.ChainStats()
 	for i := 0; i < b.N; i++ {
 		h.m.EIP = syms["entry"]
@@ -448,7 +449,9 @@ func benchLoop(b *testing.B, src string, tick float64, threshold uint32) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
 	_, fast := h.m.ChainStats()
-	b.ReportMetric(float64(h.m.TraceStats().Dispatches-traces0)/float64(b.N), "trace-dispatches/op")
+	ts := h.m.TraceStats()
+	b.ReportMetric(float64(ts.Dispatches-ts0.Dispatches)/float64(b.N), "trace-dispatches/op")
+	b.ReportMetric(float64(ts.SideExits-ts0.SideExits)/float64(b.N), "side-exits/op")
 	b.ReportMetric(float64(fast-fast0)/float64(instr)*100, "fastpath-pct")
 	if tick > 0 {
 		b.ReportMetric(float64(ticks)/float64(b.N), "ticks/op")

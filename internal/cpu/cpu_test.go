@@ -720,7 +720,6 @@ func TestHltAtRing0(t *testing.T) {
 	if res.Instructions != 1 {
 		t.Errorf("halt retired %d instructions, want 1", res.Instructions)
 	}
-	h.m.ClearHalt()
 }
 
 func TestLoadSegRegChargesAndChecks(t *testing.T) {

@@ -150,13 +150,20 @@ func serviceStop(err error) *RunResult {
 
 // fetchExec is the uncached fetch-and-execute tail shared by Step and
 // a trace whose entry tick changed live state: full segment+page
-// translation, decoded-code lookup, execution, and instruction
-// retirement.
+// translation, then execAt.
 func (m *Machine) fetchExec() (*RunResult, bool) {
 	pa, f := m.MMU.Translate(m.CS, m.EIP, isa.InstrSlot, mmu.Execute, m.CPL())
 	if f != nil {
 		return &RunResult{Reason: StopFault, Fault: f, Err: f}, false
 	}
+	return m.execAt(pa)
+}
+
+// execAt executes the instruction whose fetch at CS:EIP translated to
+// physical address pa: decoded-code lookup, execution, and instruction
+// retirement. A trace whose fetch frame moved under it runs the live
+// decode through it too.
+func (m *Machine) execAt(pa uint32) (*RunResult, bool) {
 	ins := m.code[pa]
 	if ins == nil {
 		f := &mmu.Fault{Kind: mmu.UD, Sel: m.CS, Off: m.EIP, Linear: m.linearEIP(), Access: mmu.Execute,
@@ -167,7 +174,7 @@ func (m *Machine) fetchExec() (*RunResult, bool) {
 		return &RunResult{Reason: StopFault, Fault: f, Err: f}, false
 	}
 	m.instret++
-	if m.halted() {
+	if m.haltFlag {
 		return &RunResult{Reason: StopHalt, Instructions: 1}, true
 	}
 	return nil, true
@@ -195,9 +202,6 @@ func (m *Machine) tickCheck() (*RunResult, bool) {
 	}
 	return nil, true
 }
-
-// halted is set by HLT.
-func (m *Machine) halted() bool { return m.haltFlag }
 
 // runService invokes a trusted Go endpoint and synthesizes the return
 // transfer that real code would perform.

@@ -193,9 +193,6 @@ type Machine struct {
 	popProbe  mmu.SegProbe
 }
 
-// ClearHalt re-arms the machine after a HLT.
-func (m *Machine) ClearHalt() { m.haltFlag = false }
-
 // Flags holds the condition codes.
 type Flags struct {
 	ZF, SF, CF, OF bool
@@ -340,12 +337,6 @@ func (m *Machine) RegisterService(linear uint32, s *Service) {
 		m.svcHi = max(m.svcHi, linear)
 	}
 	m.services[linear] = s
-	m.invalidateBlocksAt(linear)
-}
-
-// UnregisterService removes the endpoint at a linear address.
-func (m *Machine) UnregisterService(linear uint32) {
-	delete(m.services, linear)
 	m.invalidateBlocksAt(linear)
 }
 

@@ -21,7 +21,10 @@ import (
 // often into a *trace* — a fused
 // superblock covering the whole hot path (loops included), compiled
 // into a flat micro-op array executed by one dispatch loop
-// (tracerun.go). The loop keeps only its loop-carried hot values in Go
+// (tracerun.go). Only the forms hot loops run have micro-ops of their
+// own; every other fused instruction is an opExec, which runs the
+// reference execute on its decode in place, with the trace's registers
+// and flags written back before and reloaded after. The loop keeps only its loop-carried hot values in Go
 // locals — the op index, the retired count, the batched cycle charge,
 // the simulated registers, the dispatch seq and the batched TLB-hit
 // count — and reaches everything else (segment selectors, CPL, memory,
@@ -34,7 +37,7 @@ import (
 //
 //   - Cycle charges are accumulated locally and added to the clock at
 //     commit, interleaved (in program order) with the live charges a
-//     TLB-miss walk makes directly. This reorders float additions, so
+//     TLB-miss walk or an opExec's execute makes directly. This reorders float additions, so
 //     the trace tier only engages when the cost model passes
 //     cycles.Model.BatchSafe: every cost a multiple of 0.5, making
 //     summation exact in any order.
@@ -94,31 +97,21 @@ const (
 	maxTraceBlocks = 64
 )
 
-// traceOp codes. Ops with memory operands carry pre-bound segment
-// probes and dispatch-scoped operand caches; ops that can leave the
-// trace carry the side-exit EIP.
+// traceOp codes. The trace specialises only the forms the hot loops
+// run; every other instruction it fuses is an opExec, which runs the
+// reference execute on the slot's decode inside the trace. Ops with
+// memory operands carry pre-bound segment probes and dispatch-scoped
+// operand caches; ops that can leave the trace carry the side-exit EIP.
 const (
-	opExit      uint8 = iota // side exit before this address (untraceable instruction)
-	opNop                    //
+	opExit      uint8 = iota // side exit before this address (far or indirect transfer, HLT)
+	opExec                   // execute(m.code[pa]) live; with opFlagLast, exit where it left EIP
 	opMovRI                  // dst <- imm (byte form pre-masked)
 	opMovRR                  // dst <- src, dword
-	opMovRRB                 // dst <- src & 0xFF
 	opLea                    // dst <- effective address
 	opAluRR                  // sub: ADD..TEST; dst op= src
 	opAluRI                  // dst op= imm
-	opAluRM                  // dst op= mem
-	opAluMR                  // mem op= src
-	opAluMI                  // mem op= imm
 	opUnR                    // sub: INC/DEC/NEG/NOT on reg
-	opUnM                    // on mem
 	opShR                    // sub: SHL/SHR/SAR on reg, count imm
-	opShM                    // on mem
-	opImulRR                 // dst *= src
-	opImulRI                 // dst *= imm
-	opImulRM                 // dst *= mem
-	opXchgRR                 // swap regs
-	opXchgRM                 // dst reg <-> src mem
-	opXchgMR                 // dst mem <-> src reg
 	opMovLoad                // dst reg <- mem
 	opMovStoreR              // mem <- src reg
 	opMovStoreI              // mem <- imm
@@ -128,11 +121,8 @@ const (
 	opPopR                   // pop into reg
 	opPopM                   // pop into mem
 	opJmp                    // jmp imm, followed in-trace (next)
-	opJmpExit                // jmp imm, side exit to exitEIP
 	opJcc                    // sub: JE..JNS; followed direction in-trace
-	opJccExit                // neither direction followed: exit taken (imm) or fall (exitEIP)
 	opCall                   // call imm, callee followed in-trace
-	opCallExit               // call imm, side exit to exitEIP
 	opRet                    // ret [imm]: always a side exit
 )
 
@@ -143,6 +133,7 @@ const (
 	opFlagExit     uint8 = 1 << iota // code is opExit: side exit before this op
 	opFlagPageHead                   // fetch needs a full page check once per dispatch
 	opFlagJump                       // a retired op continues at next, not at the following op
+	opFlagLast                       // an opExec transfer no continuation was fused for: exit after it
 )
 
 // traceOp is one fused micro-operation. The executor (tracerun.go)
@@ -157,7 +148,7 @@ type traceOp struct {
 	useSS    bool   // memory operand addresses through SS
 	flags    uint8  // opFlag* bits, set once the op list is final
 	follow   bool   // opJcc: the followed direction is the taken branch
-	imm      uint32 // immediate / shift count / RET pop / JccExit taken EIP
+	imm      uint32 // immediate / shift count / RET pop
 	disp     uint32
 	eip      uint32 // segment-relative address of this instruction
 	lin      uint32 // linear fetch address
@@ -165,7 +156,7 @@ type traceOp struct {
 	next     uint32 // successor op index
 	exitEIP  uint32 // side-exit EIP for branch/exit ops
 	cost     float64
-	alt      float64 // opJcc/opJccExit: cost of the unfollowed direction
+	alt      float64 // opJcc: cost of the unfollowed direction
 	fseq     uint32  // dispatch seq of the last full fetch check
 	probeR   mmu.SegProbe
 	probeW   mmu.SegProbe
@@ -258,80 +249,45 @@ func (m *Machine) buildTrace(b *codeBlock) {
 		return
 	}
 	tr := &trace{entry: b, lo: b.lin, hi: b.end}
-	tlbMiss := m.Model.Cost(cycles.TLBMiss)
-	// wcs collects each op's worst-case charge (worstCharge of its
-	// instruction; 0 for an exit, which retires nothing) before
-	// page-head TLB walks are known (join targets are marked after the
-	// walk order is final); the prefix table is assembled at the end.
-	wcs := make([]float64, 0, 32)
 	blockStart := make(map[uint32]int) // block linear start -> first op index
-	cur := b
-	nblocks := 0
-	for {
-		nblocks++
+	for cur, nblocks := b, 1; cur != nil; nblocks++ {
 		blockStart[cur.lin] = len(tr.ops)
 		tr.lo = min(tr.lo, cur.lin)
 		tr.hi = max(tr.hi, cur.end)
 		tr.pages |= cur.pages
-		nslots := len(cur.slots)
-		term := cur.slots[nslots-1].ins
-		termSpecial := term.Op.TransfersControl()
-		bailed := false
-		for i := 0; i < nslots-1; i++ { // the terminal slot is appended below
+		next := cur
+		for i := range cur.slots {
 			s := &cur.slots[i]
-			if !m.appendTraceOp(tr, cur, i) {
+			if !m.traceVerifySlot(s) {
+				// Fusing a stale slot would execute the stale decode where
+				// Step fetches the live instruction: exit before it.
 				tr.ops = append(tr.ops, traceOp{code: opExit, eip: s.eip, exitEIP: s.eip})
-				wcs = append(wcs, 0)
-				bailed = true
+				next = nil
 				break
 			}
-			wcs = append(wcs, worstCharge(s.ins, m.Model))
-		}
-		if bailed {
-			break
-		}
-		ts := &cur.slots[nslots-1]
-		if !termSpecial {
-			// Fall-through continuation (length cap or a decode
-			// boundary): the terminal is an ordinary op.
-			if !m.appendTraceOp(tr, cur, nslots-1) {
-				tr.ops = append(tr.ops, traceOp{code: opExit, eip: ts.eip, exitEIP: ts.eip})
-				wcs = append(wcs, 0)
+			if s.ins.Op.TransfersControl() { // only ever the terminal slot
+				next = m.appendTraceTerminal(tr, cur, blockStart, nblocks)
 				break
 			}
-			wcs = append(wcs, worstCharge(ts.ins, m.Model))
-			nxt, done := m.traceCont(tr, blockStart, cur.end, nblocks)
-			if done {
-				// Continuation leaves the trace: exit before the next
-				// instruction.
-				tr.ops = append(tr.ops, traceOp{code: opExit, eip: ts.eip + isa.InstrSlot,
-					exitEIP: ts.eip + isa.InstrSlot})
-				wcs = append(wcs, 0)
-				break
+			m.appendTraceOp(tr, s)
+			if i == len(cur.slots)-1 {
+				// Fall-through continuation (length cap or a decode
+				// boundary).
+				fall := s.eip + isa.InstrSlot
+				nxt, done := m.traceCont(tr, blockStart, cur.end, nblocks)
+				switch {
+				case done: // leave the trace: exit before the next instruction
+					tr.ops = append(tr.ops, traceOp{code: opExit, eip: fall, exitEIP: fall})
+					next = nil
+				case nxt.block == nil:
+					tr.ops[len(tr.ops)-1].next = uint32(nxt.idx)
+					next = nil
+				default:
+					next = nxt.block
+				}
 			}
-			tr.ops[len(tr.ops)-1].next = uint32(len(tr.ops))
-			if nxt.block == nil {
-				tr.ops[len(tr.ops)-1].next = uint32(nxt.idx)
-				break
-			}
-			cur = nxt.block
-			continue
 		}
-		if !m.traceVerifySlot(ts) {
-			tr.ops = append(tr.ops, traceOp{code: opExit, eip: ts.eip, exitEIP: ts.eip})
-			wcs = append(wcs, 0)
-			break
-		}
-		stop := m.appendTraceTerminal(tr, cur, blockStart, nblocks)
-		if tr.ops[len(tr.ops)-1].code == opExit {
-			wcs = append(wcs, 0)
-		} else {
-			wcs = append(wcs, worstCharge(ts.ins, m.Model))
-		}
-		if stop.block == nil {
-			break
-		}
-		cur = stop.block
+		cur = next
 	}
 	if !traceUseful(tr) {
 		b.traceFailed = true
@@ -354,22 +310,26 @@ func (m *Machine) buildTrace(b *codeBlock) {
 		}
 	}
 	// Linear page transitions and the entry are page heads too. Exits
-	// and non-linear successors get their dispatch bits.
+	// and non-linear successors get their dispatch bits. Each op's
+	// worst-case charge is its instruction's (an exit retires nothing),
+	// plus a fetch walk at a page head.
+	tlbMiss := m.Model.Cost(cycles.TLBMiss)
+	tr.wc = cycles.NewPrefix(len(tr.ops))
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		if i == 0 || op.lin>>mem.PageShift != tr.ops[i-1].lin>>mem.PageShift {
 			op.flags |= opFlagPageHead
 		}
+		var wc float64
 		if op.code == opExit {
 			op.flags |= opFlagExit
-		} else if int(op.next) != i+1 {
-			op.flags |= opFlagJump
+		} else {
+			wc = worstCharge(m.code[op.pa], m.Model)
+			if int(op.next) != i+1 {
+				op.flags |= opFlagJump
+			}
 		}
-	}
-	tr.wc = cycles.NewPrefix(len(tr.ops))
-	for i := range tr.ops {
-		wc := wcs[i]
-		if tr.ops[i].flags&opFlagPageHead != 0 {
+		if op.flags&opFlagPageHead != 0 {
 			wc += tlbMiss
 		}
 		tr.wc = tr.wc.Append(wc)
@@ -413,51 +373,50 @@ func (m *Machine) traceCont(tr *trace, blockStart map[uint32]int, target uint32,
 }
 
 // traceVerifySlot checks that a slot's build-time physical fetch
-// address still matches the live translation. Fusing a stale slot
-// would execute the stale decode where Step would fetch the live
-// instruction, so the trace must stop before it.
+// address still matches the live translation.
 func (m *Machine) traceVerifySlot(s *blockSlot) bool {
 	pp, ok := m.MMU.PeekPage(s.lin)
 	return ok && pp == s.pa
 }
 
 // appendTraceTerminal fuses a block's terminal control transfer. It
-// returns the block to continue fusing at, or a zero target when the
-// trace is complete. The terminal slot has already been verified
-// against the live translation.
-func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[uint32]int, nblocks int) traceTarget {
+// returns the block to continue fusing at, or nil when the trace is
+// complete. The terminal slot has already been verified against the
+// live translation. A direct jmp, call or Jcc whose continuation cannot
+// be fused becomes an opExec that exits wherever execute sends EIP.
+func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[uint32]int, nblocks int) *codeBlock {
 	s := &cur.slots[len(cur.slots)-1]
 	ins := s.ins
-	model := m.Model
-	fall := s.eip + isa.InstrSlot
-	switch {
-	case ins.Op == isa.JMP && ins.Dst.Kind == isa.KindImm:
-		target := uint32(ins.Dst.Imm)
-		c := model.Cost(cycles.JmpNear)
-		nxt, done := m.traceCont(tr, blockStart, cur.base+target, nblocks)
-		if done {
-			tr.ops = append(tr.ops, m.newTraceOp(opJmpExit, s, c, func(op *traceOp) {
-				op.exitEIP = target
-			}))
-			return traceTarget{}
+	op := traceOp{code: opExec, flags: opFlagLast, eip: s.eip, lin: s.lin, pa: s.pa}
+	// follow points op at its continuation nxt and returns the block to
+	// fuse next.
+	follow := func(code uint8, nxt traceTarget) *codeBlock {
+		op.code, op.flags = code, 0
+		op.next = uint32(len(tr.ops) + 1)
+		if nxt.block == nil {
+			op.next = uint32(nxt.idx)
 		}
-		op := m.newTraceOp(opJmp, s, c, func(op *traceOp) {
-			op.next = uint32(len(tr.ops) + 1)
-			if nxt.block == nil {
-				op.next = uint32(nxt.idx)
-			}
-		})
 		tr.ops = append(tr.ops, op)
-		return nxt
+		return nxt.block
+	}
+	target := uint32(ins.Dst.Imm)
+	switch {
+	case (ins.Op == isa.JMP || ins.Op == isa.CALL) && ins.Dst.Kind == isa.KindImm:
+		if nxt, done := m.traceCont(tr, blockStart, cur.base+target, nblocks); !done {
+			op.cost = m.Model.Cost(costKind(ins))
+			if ins.Op == isa.JMP {
+				return follow(opJmp, nxt)
+			}
+			return follow(opCall, nxt)
+		}
 
 	case ins.Op.IsBranch():
-		target := uint32(ins.Dst.Imm)
-		cT := model.Cost(cycles.JccTaken)
-		cN := model.Cost(cycles.JccNotTaken)
 		// Prefer fusing the backward edge (the loop): a taken target at
 		// or before this block is a back-edge. Forward branches prefer
 		// the fall-through (the straight-line hot path). The unpreferred
 		// direction is still tried when the preferred one can't fuse.
+		cT := m.Model.Cost(cycles.JccTaken)
+		cN := m.Model.Cost(cycles.JccNotTaken)
 		takenLin, fallLin := cur.base+target, cur.end
 		order := [2]bool{true, false} // true = taken
 		if takenLin > cur.lin {
@@ -472,73 +431,28 @@ func (m *Machine) appendTraceTerminal(tr *trace, cur *codeBlock, blockStart map[
 			if done {
 				continue
 			}
-			op := m.newTraceOp(opJcc, s, 0, func(op *traceOp) {
-				op.sub = ins.Op
-				op.follow = dir
-				op.next = uint32(len(tr.ops) + 1)
-				if nxt.block == nil {
-					op.next = uint32(nxt.idx)
-				}
-				if dir {
-					op.cost, op.alt = cT, cN
-					op.exitEIP = fall
-				} else {
-					op.cost, op.alt = cN, cT
-					op.exitEIP = target
-				}
-			})
-			tr.ops = append(tr.ops, op)
-			return nxt
-		}
-		tr.ops = append(tr.ops, m.newTraceOp(opJccExit, s, 0, func(op *traceOp) {
-			op.sub = ins.Op
-			op.cost, op.alt = cT, cN
-			op.imm = target
-			op.exitEIP = fall
-		}))
-		return traceTarget{}
-
-	case ins.Op == isa.CALL && ins.Dst.Kind == isa.KindImm:
-		target := uint32(ins.Dst.Imm)
-		c := model.Cost(cycles.CallNear)
-		nxt, done := m.traceCont(tr, blockStart, cur.base+target, nblocks)
-		if done {
-			tr.ops = append(tr.ops, m.newTraceOp(opCallExit, s, c, func(op *traceOp) {
-				op.exitEIP = target
-			}))
-			return traceTarget{}
-		}
-		op := m.newTraceOp(opCall, s, c, func(op *traceOp) {
-			op.next = uint32(len(tr.ops) + 1)
-			if nxt.block == nil {
-				op.next = uint32(nxt.idx)
+			op.sub, op.follow = ins.Op, dir
+			if dir {
+				op.cost, op.alt, op.exitEIP = cT, cN, s.eip+isa.InstrSlot
+			} else {
+				op.cost, op.alt, op.exitEIP = cN, cT, target
 			}
-		})
-		tr.ops = append(tr.ops, op)
-		return nxt
+			return follow(opJcc, nxt)
+		}
 
 	case ins.Op == isa.RET:
-		c := model.Cost(cycles.RetNear)
-		tr.ops = append(tr.ops, m.newTraceOp(opRet, s, c, func(op *traceOp) {
-			if ins.Dst.Kind == isa.KindImm {
-				op.imm = uint32(ins.Dst.Imm)
-			}
-		}))
-		return traceTarget{}
-	}
-	// Indirect jmp/call, far transfers, HLT: exit before the terminal.
-	tr.ops = append(tr.ops, traceOp{code: opExit, eip: s.eip, exitEIP: s.eip})
-	return traceTarget{}
-}
+		op.code, op.flags = opRet, 0
+		op.cost = m.Model.Cost(costKind(ins))
+		if ins.Dst.Kind == isa.KindImm {
+			op.imm = target
+		}
 
-// newTraceOp builds a traceOp pre-filled with the slot's addresses and
-// charge, then applies fill.
-func (m *Machine) newTraceOp(code uint8, s *blockSlot, cost float64, fill func(*traceOp)) traceOp {
-	op := traceOp{code: code, eip: s.eip, lin: s.lin, pa: s.pa, cost: cost}
-	if fill != nil {
-		fill(&op)
+	default:
+		// Indirect jmp/call, far transfers, HLT: exit before the terminal.
+		op = traceOp{code: opExit, eip: s.eip, exitEIP: s.eip}
 	}
-	return op
+	tr.ops = append(tr.ops, op)
+	return nil
 }
 
 // bindTraceMem fills a traceOp's memory-operand fields from o.
@@ -550,165 +464,73 @@ func bindTraceMem(op *traceOp, o *isa.Operand) {
 	op.useSS = o.Base == isa.EBP || o.Base == isa.ESP
 }
 
-// appendTraceOp fuses one non-terminal (straight-line) instruction,
-// verifying its build-time translation first. Returns false when the
-// instruction cannot be fused; the caller then ends the trace with an
-// exit before it.
-func (m *Machine) appendTraceOp(tr *trace, cur *codeBlock, idx int) bool {
-	s := &cur.slots[idx]
-	if !m.traceVerifySlot(s) {
-		return false
-	}
+// appendTraceOp fuses one straight-line instruction whose build-time
+// translation has been verified: a specialised op for the forms the
+// hot loops run, an opExec for every other form.
+func (m *Machine) appendTraceOp(tr *trace, s *blockSlot) {
 	ins := s.ins
-	model := m.Model
-	var op traceOp
-	op.eip, op.lin, op.pa = s.eip, s.lin, s.pa
-	op.size = ins.Size
+	op := traceOp{code: opExec, sub: ins.Op, size: ins.Size, eip: s.eip, lin: s.lin, pa: s.pa,
+		next: uint32(len(tr.ops) + 1)}
 	if op.size == 0 {
 		op.size = 4
 	}
-	op.next = uint32(len(tr.ops) + 1)
-
+	dst, src := ins.Dst.Kind, ins.Src.Kind
 	switch ins.Op {
-	case isa.NOP:
-		op.code = opNop
-		op.cost = model.Cost(cycles.Nop)
-
 	case isa.MOV:
-		op.cost = model.Cost(costKind(ins))
 		switch {
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindImm:
+		case dst == isa.KindReg && src == isa.KindImm:
 			op.code = opMovRI
 			op.dst = uint8(ins.Dst.Reg)
 			op.imm = uint32(ins.Src.Imm)
 			if op.size == 1 {
 				op.imm &= 0xFF
 			}
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindReg:
+		case dst == isa.KindReg && src == isa.KindReg && op.size == 4:
 			op.code = opMovRR
-			if op.size == 1 {
-				op.code = opMovRRB
-			}
 			op.dst = uint8(ins.Dst.Reg)
 			op.src = uint8(ins.Src.Reg)
-		case ins.Dst.Kind == isa.KindReg: // load
+		case dst == isa.KindReg && src == isa.KindMem:
 			op.code = opMovLoad
 			op.dst = uint8(ins.Dst.Reg)
 			bindTraceMem(&op, &ins.Src)
-		case ins.Src.Kind == isa.KindReg: // store
+		case dst == isa.KindMem && src == isa.KindReg:
 			op.code = opMovStoreR
 			op.src = uint8(ins.Src.Reg)
 			bindTraceMem(&op, &ins.Dst)
-		case ins.Src.Kind == isa.KindImm:
+		case dst == isa.KindMem && src == isa.KindImm:
 			op.code = opMovStoreI
 			op.imm = uint32(ins.Src.Imm)
 			bindTraceMem(&op, &ins.Dst)
-		default: // mem <- mem does not assemble
-			return false
 		}
 
 	case isa.LEA:
 		op.code = opLea
-		op.cost = model.Cost(cycles.Lea)
 		op.dst = uint8(ins.Dst.Reg)
 		bindTraceMem(&op, &ins.Src)
 
 	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST:
-		op.sub = ins.Op
-		op.cost = model.Cost(costKind(ins))
-		switch {
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindReg:
-			op.code = opAluRR
-			op.dst = uint8(ins.Dst.Reg)
-			op.src = uint8(ins.Src.Reg)
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindImm:
-			op.code = opAluRI
-			op.dst = uint8(ins.Dst.Reg)
-			op.imm = uint32(ins.Src.Imm)
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindMem:
-			op.code = opAluRM
-			op.dst = uint8(ins.Dst.Reg)
-			bindTraceMem(&op, &ins.Src)
-		case ins.Dst.Kind == isa.KindMem && ins.Src.Kind == isa.KindReg:
-			op.code = opAluMR
-			op.src = uint8(ins.Src.Reg)
-			bindTraceMem(&op, &ins.Dst)
-		case ins.Dst.Kind == isa.KindMem && ins.Src.Kind == isa.KindImm:
-			op.code = opAluMI
-			op.imm = uint32(ins.Src.Imm)
-			bindTraceMem(&op, &ins.Dst)
-		default:
-			return false
-		}
-
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		op.sub = ins.Op
-		op.cost = model.Cost(costKind(ins))
-		switch ins.Dst.Kind {
-		case isa.KindReg:
-			op.code = opUnR
-			op.dst = uint8(ins.Dst.Reg)
-		case isa.KindMem:
-			op.code = opUnM
-			bindTraceMem(&op, &ins.Dst)
-		default:
-			return false
-		}
-
-	case isa.SHL, isa.SHR, isa.SAR:
-		op.sub = ins.Op
-		op.cost = model.Cost(costKind(ins))
-		op.imm = uint32(ins.Src.Imm) & 31
-		switch ins.Dst.Kind {
-		case isa.KindReg:
-			op.code = opShR
-			op.dst = uint8(ins.Dst.Reg)
-		case isa.KindMem:
-			op.code = opShM
-			bindTraceMem(&op, &ins.Dst)
-		default:
-			return false
-		}
-
-	case isa.IMUL:
-		op.cost = model.Cost(cycles.Mul)
 		op.dst = uint8(ins.Dst.Reg)
-		switch ins.Src.Kind {
-		case isa.KindReg:
-			op.code = opImulRR
+		switch {
+		case dst == isa.KindReg && src == isa.KindReg:
+			op.code = opAluRR
 			op.src = uint8(ins.Src.Reg)
-		case isa.KindImm:
-			op.code = opImulRI
+		case dst == isa.KindReg && src == isa.KindImm:
+			op.code = opAluRI
 			op.imm = uint32(ins.Src.Imm)
-		case isa.KindMem:
-			op.code = opImulRM
-			bindTraceMem(&op, &ins.Src)
-		default:
-			return false
 		}
 
-	case isa.XCHG:
-		op.cost = model.Cost(cycles.Xchg)
-		switch {
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindReg:
-			op.code = opXchgRR
+	case isa.INC, isa.DEC, isa.NEG, isa.NOT, isa.SHL, isa.SHR, isa.SAR:
+		if dst == isa.KindReg {
+			op.code = opUnR
+			if ins.Op == isa.SHL || ins.Op == isa.SHR || ins.Op == isa.SAR {
+				op.code = opShR
+				op.imm = uint32(ins.Src.Imm) & 31
+			}
 			op.dst = uint8(ins.Dst.Reg)
-			op.src = uint8(ins.Src.Reg)
-		case ins.Dst.Kind == isa.KindReg && ins.Src.Kind == isa.KindMem:
-			op.code = opXchgRM
-			op.dst = uint8(ins.Dst.Reg)
-			bindTraceMem(&op, &ins.Src)
-		case ins.Dst.Kind == isa.KindMem && ins.Src.Kind == isa.KindReg:
-			op.code = opXchgMR
-			op.src = uint8(ins.Src.Reg)
-			bindTraceMem(&op, &ins.Dst)
-		default: // mem <-> mem would need four probes; not fused
-			return false
 		}
 
 	case isa.PUSH:
-		op.cost = model.Cost(costKind(ins))
-		switch ins.Dst.Kind {
+		switch dst {
 		case isa.KindReg:
 			op.code = opPushR
 			op.src = uint8(ins.Dst.Reg)
@@ -718,29 +540,20 @@ func (m *Machine) appendTraceOp(tr *trace, cur *codeBlock, idx int) bool {
 		case isa.KindMem:
 			op.code = opPushM
 			bindTraceMem(&op, &ins.Dst)
-		default:
-			return false
 		}
 
 	case isa.POP:
-		op.cost = model.Cost(costKind(ins))
-		switch ins.Dst.Kind {
+		switch dst {
 		case isa.KindReg:
 			op.code = opPopR
 			op.dst = uint8(ins.Dst.Reg)
 		case isa.KindMem:
 			op.code = opPopM
 			bindTraceMem(&op, &ins.Dst)
-		default:
-			return false
 		}
-
-	default:
-		// HLT, far transfers, branches (terminals, handled by
-		// appendTraceTerminal) and unimplemented opcodes are not fused.
-		return false
 	}
-
+	if op.code != opExec { // an opExec's execute charges live
+		op.cost = m.Model.Cost(costKind(ins))
+	}
 	tr.ops = append(tr.ops, op)
-	return true
 }

@@ -263,7 +263,7 @@ func (m *Machine) runTrace(tr *trace, remaining uint64) (*RunResult, uint64) {
 	var fault *mmu.Fault // a data access faulted, after its fetch passed
 	var ceip uint32      // EIP to commit
 	var livePA uint32    // deopt-page: live physical fetch address
-	var pageOp *traceOp  // deopt-page: the op whose frame moved
+	var moved bool       // deopt-page: the op's fetch frame moved
 
 	i := 0
 loop:
@@ -314,8 +314,7 @@ loop:
 					// lazily, as on hardware): commit, then execute what
 					// the live translation holds.
 					ceip = op.eip
-					livePA = pa
-					pageOp = op
+					livePA, moved = pa, true
 					m.trStats.DeoptPage++
 					break loop
 				}
@@ -330,14 +329,28 @@ loop:
 		accum += op.cost
 
 		switch op.code {
-		case opNop:
+		case opExec:
+			// The reference execute on the slot's decode, with the
+			// trace's state written back first and reloaded after. It
+			// charges the clock and counts its data translations live,
+			// as Step does; eff above reads the clock plus accum, so the
+			// deadline proof still holds.
+			m.Regs, m.Flags, m.EIP = regs, st.flags, op.eip
+			fault = m.execute(m.code[op.pa])
+			regs, st.flags, ceip = m.Regs, m.Flags, m.EIP
+			if fault != nil {
+				break loop
+			}
+			if op.flags&opFlagLast != 0 { // only a terminal moves EIP
+				n++
+				m.trStats.SideExits++
+				break loop
+			}
 
 		case opMovRI:
 			regs[op.dst] = op.imm
 		case opMovRR:
 			regs[op.dst] = regs[op.src]
-		case opMovRRB:
-			regs[op.dst] = regs[op.src] & 0xFF
 
 		case opLea:
 			regs[op.dst] = op.ea(&regs)
@@ -377,45 +390,6 @@ loop:
 				regs[op.dst] = r // byte results already masked
 			}
 
-		case opAluRM:
-			off := op.ea(&regs)
-			b, ok := op.r.load(off, seq, uint32(op.size))
-			if ok {
-				batch++
-			} else if b, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			r, cf, of := aluCF(op.sub, regs[op.dst], b)
-			st.flags.CF, st.flags.OF = cf, of
-			if r = st.flags.setSZ(r, op.size); op.sub != isa.CMP && op.sub != isa.TEST {
-				regs[op.dst] = r
-			}
-
-		case opAluMR, opAluMI:
-			off := op.ea(&regs)
-			a, ok := op.r.load(off, seq, uint32(op.size))
-			if ok {
-				batch++
-			} else if a, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			b := op.imm
-			if op.code == opAluMR {
-				b = regs[op.src]
-			}
-			r, cf, of := aluCF(op.sub, a, b)
-			st.flags.CF, st.flags.OF = cf, of
-			if r = st.flags.setSZ(r, op.size); op.sub != isa.CMP && op.sub != isa.TEST {
-				if op.w.store(off, seq, uint32(op.size), r) {
-					batch++
-				} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, r); fault != nil {
-					ceip = op.eip
-					break loop
-				}
-			}
-
 		case opUnR:
 			a := regs[op.dst]
 			r := ^a // NOT does not affect flags
@@ -426,102 +400,8 @@ loop:
 			}
 			regs[op.dst] = r
 
-		case opUnM:
-			off := op.ea(&regs)
-			a, ok := op.r.load(off, seq, uint32(op.size))
-			if ok {
-				batch++
-			} else if a, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			r := ^a // NOT does not affect flags
-			if op.sub != isa.NOT {
-				r = st.flags.unary(op.sub, op.size, a)
-			}
-			if op.w.store(off, seq, uint32(op.size), r) {
-				batch++
-			} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, r); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-
 		case opShR:
 			regs[op.dst] = st.flags.shift(op.sub, regs[op.dst], op.imm)
-
-		case opShM:
-			// Shifts read and write a dword regardless of Size
-			// (compileShift binds size 4).
-			off := op.ea(&regs)
-			a, ok := op.r.load(off, seq, 4)
-			if ok {
-				batch++
-			} else if a, fault = st.load(op, st.sel(op), off, 4, seq); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			r := st.flags.shift(op.sub, a, op.imm)
-			if op.w.store(off, seq, 4, r) {
-				batch++
-			} else if fault = st.store(op, st.sel(op), off, 4, seq, r); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-
-		case opImulRR:
-			regs[op.dst] = uint32(int32(regs[op.dst]) * int32(regs[op.src]))
-		case opImulRI:
-			regs[op.dst] = uint32(int32(regs[op.dst]) * int32(op.imm))
-		case opImulRM:
-			// IMUL reads its source as a dword, as execute does.
-			off := op.ea(&regs)
-			b, ok := op.r.load(off, seq, 4)
-			if ok {
-				batch++
-			} else if b, fault = st.load(op, st.sel(op), off, 4, seq); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			regs[op.dst] = uint32(int32(regs[op.dst]) * int32(b))
-
-		case opXchgRR:
-			a, b := regs[op.dst], regs[op.src]
-			if op.size == 1 {
-				regs[op.dst], regs[op.src] = b&0xFF, a&0xFF
-			} else {
-				regs[op.dst], regs[op.src] = b, a
-			}
-
-		case opXchgRM, opXchgMR:
-			off := op.ea(&regs)
-			mv, ok := op.r.load(off, seq, uint32(op.size))
-			if ok {
-				batch++
-			} else if mv, fault = st.load(op, st.sel(op), off, uint32(op.size), seq); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			if op.size == 1 {
-				mv &= 0xFF
-			}
-			// The register side is dst for XchgRM, src for XchgMR;
-			// execute writes dst first, so XchgRM writes the register
-			// before memory and XchgMR after.
-			r := op.src
-			if op.code == opXchgRM {
-				r = op.dst
-			}
-			rv := regs[r]
-			if op.code == opXchgRM {
-				regs[r] = mv
-			}
-			if op.w.store(off, seq, uint32(op.size), rv) {
-				batch++
-			} else if fault = st.store(op, st.sel(op), off, uint32(op.size), seq, rv); fault != nil {
-				ceip = op.eip
-				break loop
-			}
-			regs[r] = mv
 
 		case opPushR, opPushI:
 			v := op.imm
@@ -594,12 +474,6 @@ loop:
 
 		case opJmp:
 
-		case opJmpExit:
-			n++
-			ceip = op.exitEIP
-			m.trStats.SideExits++
-			break loop
-
 		case opJcc:
 			if cond(op.sub, st.flags.ZF, st.flags.SF, st.flags.CF, st.flags.OF) != op.follow {
 				accum += op.alt - op.cost // charged op.cost above; actual is alt
@@ -609,18 +483,7 @@ loop:
 				break loop
 			}
 
-		case opJccExit:
-			if cond(op.sub, st.flags.ZF, st.flags.SF, st.flags.CF, st.flags.OF) {
-				ceip = op.imm
-			} else {
-				accum += op.alt - op.cost
-				ceip = op.exitEIP
-			}
-			n++
-			m.trStats.SideExits++
-			break loop
-
-		case opCall, opCallExit:
+		case opCall:
 			esp := regs[isa.ESP] - 4
 			ret := op.eip + isa.InstrSlot
 			if op.w.store(esp, seq, 4, ret) {
@@ -631,12 +494,6 @@ loop:
 				break loop
 			}
 			regs[isa.ESP] = esp
-			if op.code == opCallExit {
-				n++
-				ceip = op.exitEIP
-				m.trStats.SideExits++
-				break loop
-			}
 
 		case opRet:
 			esp := regs[isa.ESP]
@@ -693,26 +550,16 @@ loop:
 	m.MMU.TLB().AddHits(batch + st.hits + g)
 	m.bcFastFetches += g
 
-	if pageOp != nil {
-		// Deopt-page: the frame under pageOp moved. State is committed
+	if moved {
+		// Deopt-page: the fetch frame under op i moved. State is committed
 		// at the op, and its fetch was counted and charged by the page
 		// check above; now execute what the live translation holds, as
 		// Step would, and let Run re-dispatch.
-		ins := m.code[livePA]
-		if ins == nil {
-			f := &mmu.Fault{Kind: mmu.UD, Sel: st.cs, Off: pageOp.eip, Linear: pageOp.lin,
-				Access: mmu.Execute, CPL: st.cpl, Reason: "no instruction at address"}
-			return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
+		stop, done := m.execAt(livePA)
+		if done {
+			n++
 		}
-		if f := m.execute(ins); f != nil {
-			return &RunResult{Reason: StopFault, Fault: f, Err: f}, n
-		}
-		m.instret++
-		n++
-		if m.haltFlag {
-			return &RunResult{Reason: StopHalt}, n
-		}
-		return nil, n
+		return stop, n
 	}
 	return stop, n
 }
