@@ -15,6 +15,7 @@ import (
 // BenchmarkTable1ProtectedCall regenerates Table 1: the cycle
 // decomposition of one protected (inter-domain) procedure call.
 func BenchmarkTable1ProtectedCall(b *testing.B) {
+	b.ReportAllocs()
 	var total, setup, call, ret, restore float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Table1()

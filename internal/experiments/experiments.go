@@ -9,7 +9,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cycles"
@@ -85,6 +88,47 @@ func newApp(s *core.System) (*core.App, error) {
 	return a, nil
 }
 
+// cells runs fn(0) .. fn(n-1) on the calling goroutine and on up to
+// GOMAXPROCS-1 helper goroutines, which take the cells in index order
+// from a shared counter, and returns once every cell has finished. Each
+// cell must boot and measure a system of its own and write only its own
+// index of the caller's result, so running cells at once changes when
+// on the host each machine executes, never what it computes (DESIGN.md,
+// "The machine fleet"). The error returned is the lowest-index cell's,
+// as a serial loop would report it.
+func cells(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	if helpers := min(runtime.GOMAXPROCS(0), n) - 1; helpers > 0 {
+		wg.Add(helpers)
+		for range helpers {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		// A goroutine just started waits in this P's run-next slot,
+		// which an idle P steals only after a delay. Yielding runs it
+		// here at once and leaves the caller in the global queue, where
+		// the idle P finds it as soon as it wakes.
+		runtime.Gosched()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------- Table 1
 
 // Table1Row is one decomposition row.
@@ -95,20 +139,22 @@ type Table1Row struct {
 	Hardware  float64
 }
 
-// Table1 regenerates the protected-call cost decomposition.
+// Table1 regenerates the protected-call cost decomposition. Its three
+// columns are measured on three systems, concurrently.
 func Table1() ([]Table1Row, error) {
-	inter, err := measurePhases(cycles.Measured(), true)
+	var cols [3]core.Phases
+	cfg := [3]struct {
+		model     *cycles.Model
+		protected bool
+	}{{cycles.Measured(), true}, {cycles.Measured(), false}, {cycles.Manual(), true}}
+	err := cells(len(cols), func(i int) (err error) {
+		cols[i], err = measurePhases(cfg[i].model, cfg[i].protected)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	intra, err := measurePhases(cycles.Measured(), false)
-	if err != nil {
-		return nil, err
-	}
-	hw, err := measurePhases(cycles.Manual(), true)
-	if err != nil {
-		return nil, err
-	}
+	inter, intra, hw := cols[0], cols[1], cols[2]
 	return []Table1Row{
 		{"Setting up stack", inter.Setup, intra.Setup, hw.Setup},
 		{"Calling function", inter.Call, intra.Call, hw.Call},
@@ -281,30 +327,41 @@ func modelDests(cgi, fastcgi, prot, unprot, static *float64) map[webserver.Model
 
 // Table3 regenerates the CGI throughput comparison. requests is the
 // per-cell request count (the paper uses 1000; smaller counts converge
-// to the same rates because the model is deterministic).
+// to the same rates because the model is deterministic). Each size row
+// is served by a web server of its own, and the rows run concurrently.
 func Table3(sizes []uint32, requests int) ([]Table3Row, error) {
-	var rows []Table3Row
-	for _, size := range sizes {
-		s, err := newSystem(cycles.Measured())
-		if err != nil {
-			return nil, err
-		}
-		srv, err := webserver.New(s, size)
-		if err != nil {
-			return nil, err
-		}
-		row := Table3Row{Size: size}
-		dst := modelDests(&row.CGI, &row.FastCGI, &row.LibCGIProt, &row.LibCGIUnprot, &row.WebServer)
-		for _, m := range fleetModels {
-			v, err := srv.Throughput(m, requests)
-			if err != nil {
-				return nil, err
-			}
-			*dst[m] = v
-		}
-		rows = append(rows, row)
+	rows := make([]Table3Row, len(sizes))
+	err := cells(len(sizes), func(i int) (err error) {
+		rows[i], err = table3Row(sizes[i], requests)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// table3Row boots a system and a web server for one file size and
+// serves every model in fleetModels' order on it.
+func table3Row(size uint32, requests int) (Table3Row, error) {
+	row := Table3Row{Size: size}
+	s, err := newSystem(cycles.Measured())
+	if err != nil {
+		return row, err
+	}
+	srv, err := webserver.New(s, size)
+	if err != nil {
+		return row, err
+	}
+	dst := modelDests(&row.CGI, &row.FastCGI, &row.LibCGIProt, &row.LibCGIUnprot, &row.WebServer)
+	for _, m := range fleetModels {
+		v, err := srv.Throughput(m, requests)
+		if err != nil {
+			return row, err
+		}
+		*dst[m] = v
+	}
+	return row, nil
 }
 
 // ---------------------------------------------------------------- Figure 7
@@ -397,12 +454,12 @@ func MeasureMicro() (Micro, error) {
 	// the PPL-marking pass seg_dlopen performs.
 	obj := isa.MustAssemble("null", NullExtSrc)
 	var herr error
-	d := k.Clock.Span(func() { _, _, herr = a.DL.Dlopen(obj.Clone(), loader.ExtensionOptions()) })
+	d := k.Clock.Span(func() { _, _, herr = a.DL.Dlopen(obj, loader.ExtensionOptions()) })
 	if herr != nil {
 		return mc, herr
 	}
 	mc.DlopenMicros = k.Clock.Micros(d)
-	d = k.Clock.Span(func() { _, herr = a.SegDlopen(obj.Clone()) })
+	d = k.Clock.Span(func() { _, herr = a.SegDlopen(obj) })
 	if herr != nil {
 		return mc, herr
 	}

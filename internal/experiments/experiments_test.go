@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -351,5 +356,109 @@ func TestRenderers(t *testing.T) {
 	RenderAblations(&b, []SFIPoint{{MemOpsPercent: 50, OverheadPct: 80}}, CrossingsComparison{142, 242, 900})
 	if !strings.Contains(b.String(), "242") {
 		t.Error("ablation rendering wrong")
+	}
+}
+
+// TestConcurrentCellsMatchSerial pins the concurrent drivers against
+// their cells computed one after another on one goroutine: every
+// Table 1 and Table 3 value, bit for bit and in row order, while four
+// regenerations run at once (twice over, so the race detector sees
+// cells of different regenerations overlap).
+func TestConcurrentCellsMatchSerial(t *testing.T) {
+	var ref1 []core.Phases
+	for _, c := range []struct {
+		model     *cycles.Model
+		protected bool
+	}{{cycles.Measured(), true}, {cycles.Measured(), false}, {cycles.Manual(), true}} {
+		ph, err := measurePhases(c.model, c.protected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref1 = append(ref1, ph)
+	}
+	var ref3 []Table3Row
+	for _, size := range Table3Sizes() {
+		row, err := table3Row(size, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref3 = append(ref3, row)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(rows1 []Table1Row, rows3 []Table3Row) error {
+		if len(rows1) != 5 || len(rows3) != len(ref3) {
+			return fmt.Errorf("got %d Table 1 and %d Table 3 rows", len(rows1), len(rows3))
+		}
+		for c, ph := range ref1 {
+			want := []float64{ph.Setup, ph.Call, ph.Return, ph.Restore, ph.Total()}
+			for i, r := range rows1 {
+				got := [...]float64{r.Inter, r.Intra, r.Hardware}[c]
+				if !same(got, want[i]) {
+					return fmt.Errorf("Table 1 %s column %d = %v, serial %v", r.Component, c, got, want[i])
+				}
+			}
+		}
+		for i, r := range rows3 {
+			w := ref3[i]
+			if r.Size != w.Size || !same(r.CGI, w.CGI) || !same(r.FastCGI, w.FastCGI) ||
+				!same(r.LibCGIProt, w.LibCGIProt) || !same(r.LibCGIUnprot, w.LibCGIUnprot) ||
+				!same(r.WebServer, w.WebServer) {
+				return fmt.Errorf("Table 3 row %d = %+v, serial %+v", i, r, w)
+			}
+		}
+		return nil
+	}
+	for round := 0; round < 2; round++ {
+		errs := make([]error, 4)
+		var wg sync.WaitGroup
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rows1, err := Table1()
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				rows3, err := Table3(Table3Sizes(), 20)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				errs[g] = check(rows1, rows3)
+			}()
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Errorf("round %d, goroutine %d: %v", round, g, err)
+			}
+		}
+	}
+}
+
+// TestCellsReportLowestIndexError: cells runs every cell, even after
+// one has failed, returns only once all have finished, and reports the
+// failure a serial loop would have stopped at.
+func TestCellsReportLowestIndexError(t *testing.T) {
+	errLow, errHigh := errors.New("cell 1"), errors.New("cell 3")
+	var done [5]atomic.Bool
+	err := cells(len(done), func(i int) error {
+		defer done[i].Store(true)
+		switch i {
+		case 1:
+			return errLow
+		case 3:
+			return errHigh
+		}
+		return nil
+	})
+	if !errors.Is(err, errLow) {
+		t.Errorf("cells returned %v, want %v", err, errLow)
+	}
+	for i := range done {
+		if !done[i].Load() {
+			t.Errorf("cells returned before cell %d finished", i)
+		}
 	}
 }

@@ -328,8 +328,9 @@ func (o *Object) TextBytes() uint32 { return uint32(len(o.Text)) * InstrSlot }
 // Symbol returns the named symbol or nil.
 func (o *Object) Symbol(name string) *Symbol { return o.Symbols[name] }
 
-// Clone deep-copies the object so a loader can relocate it without
-// mutating the original (objects are templates reused across loads).
+// Clone deep-copies the object, so the copy can be changed (renamed,
+// rewritten) without touching the original. The loader needs no copy:
+// it relocates private copies of the text and data.
 func (o *Object) Clone() *Object {
 	c := &Object{
 		Name:    o.Name,

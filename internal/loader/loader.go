@@ -131,9 +131,10 @@ func (im *Image) Unload() error {
 // Load places obj into space, resolving externals through resolve.
 // The returned image's symbol addresses are final (eager binding; no
 // lazy PLT resolution, per Section 4.4.2: "symbols ... should be
-// resolved eagerly, not lazily").
+// resolved eagerly, not lazily"). obj is left unchanged: relocations
+// are applied to copies of its text and data, the only sections Load
+// writes, so one object can be loaded any number of times.
 func Load(obj *isa.Object, space Space, resolve Resolver, opt Options) (*Image, error) {
-	obj = obj.Clone()
 	im := &Image{
 		Name:  obj.Name,
 		Syms:  make(map[string]uint32),
@@ -230,7 +231,10 @@ func Load(obj *isa.Object, space Space, resolve Resolver, opt Options) (*Image, 
 		im.PLT[name] = im.pltAddr(obj, pltOrder, name)
 	}
 
-	// Apply relocations.
+	// Apply relocations to private copies. text has room for the PLT.
+	text := make([]isa.Instr, len(obj.Text), textSlots)
+	copy(text, obj.Text)
+	data := append([]byte(nil), obj.Data...)
 	for _, r := range obj.Relocs {
 		v, err := addrOf(r.Sym)
 		if err != nil {
@@ -239,21 +243,21 @@ func Load(obj *isa.Object, space Space, resolve Resolver, opt Options) (*Image, 
 		pv := int32(v) + r.Addend
 		switch r.Slot {
 		case isa.RelDstDisp:
-			obj.Text[r.Index].Dst.Disp += pv
+			text[r.Index].Dst.Disp += pv
 		case isa.RelSrcDisp:
-			obj.Text[r.Index].Src.Disp += pv
+			text[r.Index].Src.Disp += pv
 		case isa.RelDstImm:
-			obj.Text[r.Index].Dst.Imm += pv
+			text[r.Index].Dst.Imm += pv
 		case isa.RelSrcImm:
-			obj.Text[r.Index].Src.Imm += pv
+			text[r.Index].Src.Imm += pv
 		case isa.RelData:
-			old := uint32(obj.Data[r.Index]) | uint32(obj.Data[r.Index+1])<<8 |
-				uint32(obj.Data[r.Index+2])<<16 | uint32(obj.Data[r.Index+3])<<24
+			old := uint32(data[r.Index]) | uint32(data[r.Index+1])<<8 |
+				uint32(data[r.Index+2])<<16 | uint32(data[r.Index+3])<<24
 			nv := old + uint32(pv)
-			obj.Data[r.Index] = byte(nv)
-			obj.Data[r.Index+1] = byte(nv >> 8)
-			obj.Data[r.Index+2] = byte(nv >> 16)
-			obj.Data[r.Index+3] = byte(nv >> 24)
+			data[r.Index] = byte(nv)
+			data[r.Index+1] = byte(nv >> 8)
+			data[r.Index+2] = byte(nv >> 16)
+			data[r.Index+3] = byte(nv >> 24)
 		}
 	}
 
@@ -274,8 +278,8 @@ func Load(obj *isa.Object, space Space, resolve Resolver, opt Options) (*Image, 
 	sort.Strings(im.Globals)
 
 	// Materialize: data, GOT, text+PLT.
-	if len(obj.Data) > 0 {
-		if err := space.Write(im.DataBase, obj.Data); err != nil {
+	if len(data) > 0 {
+		if err := space.Write(im.DataBase, data); err != nil {
 			return nil, err
 		}
 	}
@@ -289,8 +293,7 @@ func Load(obj *isa.Object, space Space, resolve Resolver, opt Options) (*Image, 
 			return nil, err
 		}
 	}
-	text := append(obj.Text, plt...)
-	if err := space.InstallText(textBase, text); err != nil {
+	if err := space.InstallText(textBase, append(text, plt...)); err != nil {
 		return nil, err
 	}
 	if opt.SealGOT && im.GOTBase != 0 {

@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -413,5 +414,97 @@ func TestImageLookupAndExterns(t *testing.T) {
 	`)
 	if ext := obj.Externs(); len(ext) != 1 || ext[0] != "g" {
 		t.Errorf("externs = %v", ext)
+	}
+}
+
+// recordSpace is a loader.Space that hands out ranges from a fixed base
+// and records everything a Load writes into it.
+type recordSpace struct {
+	next     uint32
+	ranges   []string
+	writes   map[uint32][]byte
+	text     map[uint32][]isa.Instr
+	readOnly []uint32
+}
+
+func newRecordSpace() *recordSpace {
+	return &recordSpace{next: 0x4000_0000, writes: map[uint32][]byte{}, text: map[uint32][]isa.Instr{}}
+}
+
+func (s *recordSpace) AllocRange(size uint32, name string, writable, ppl1 bool) (uint32, error) {
+	base := s.next
+	s.next += (size + mem.PageSize - 1) &^ mem.PageMask
+	s.ranges = append(s.ranges, name)
+	return base, nil
+}
+func (s *recordSpace) FreeRange(uint32) error { return nil }
+func (s *recordSpace) Write(addr uint32, b []byte) error {
+	s.writes[addr] = append([]byte(nil), b...)
+	return nil
+}
+func (s *recordSpace) InstallText(addr uint32, text []isa.Instr) error {
+	s.text[addr] = append([]isa.Instr(nil), text...)
+	return nil
+}
+func (s *recordSpace) RemoveText(uint32, int) error { return nil }
+func (s *recordSpace) SetWritable(addr, size uint32, writable bool) error {
+	s.readOnly = append(s.readOnly, addr)
+	return nil
+}
+
+// TestLoadLeavesObjectUnchanged loads one object twice, each time into
+// a fresh space with the same layout. Every relocation kind applies
+// (text displacement and immediate, a data word, a PLT call, an extern
+// bound directly), so a Load that relocated the caller's text or data
+// in place would change the object and load the second image
+// relocated twice.
+func TestLoadLeavesObjectUnchanged(t *testing.T) {
+	obj := isa.MustAssemble("twice", `
+		.global f
+		.text
+		f:
+			mov eax, [counter]
+			add eax, [ext_word]
+			push table
+			call ext_fn
+			add esp, 4
+			mov [counter], eax
+			jmp done
+		done:
+			ret
+		.data
+		table: .word 1, f, counter
+		.bss
+		counter: .space 4
+	`)
+	before := obj.Clone()
+	resolve := func(name string) (uint32, bool) {
+		switch name {
+		case "ext_fn":
+			return 0x0800_1000, true
+		case "ext_word":
+			return 0x0800_2000, true
+		}
+		return 0, false
+	}
+	var spaces [2]*recordSpace
+	var images [2]*loader.Image
+	for i := range images {
+		spaces[i] = newRecordSpace()
+		im, err := loader.Load(obj, spaces[i], resolve, loader.LibraryOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[i] = im
+	}
+	if !reflect.DeepEqual(obj.Text, before.Text) || !reflect.DeepEqual(obj.Data, before.Data) ||
+		!reflect.DeepEqual(obj.Symbols, before.Symbols) || !reflect.DeepEqual(obj.Relocs, before.Relocs) {
+		t.Fatal("Load changed the object it loaded")
+	}
+	if !reflect.DeepEqual(images[0], images[1]) || !reflect.DeepEqual(spaces[0], spaces[1]) {
+		t.Fatalf("second load differs from the first:\n%+v\n%+v", spaces[0], spaces[1])
+	}
+	if len(images[0].PLT) != 1 || len(spaces[0].writes) == 0 {
+		t.Fatalf("object did not exercise the PLT and data paths: PLT %v, writes %v", images[0].PLT, spaces[0].writes)
 	}
 }

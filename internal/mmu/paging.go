@@ -202,11 +202,11 @@ func entryAt(frame *[mem.PageSize]byte, i uint32) PTE {
 // present yields the index and value of every present entry i in
 // [lo, hi] of a page-directory or page-table frame, in index order.
 // Absent entries are almost all zero, so the scan skips aligned runs of
-// 16 zero entries with one compare.
+// 16 zero entries with one test.
 func present(frame *[mem.PageSize]byte, lo, hi uint32) iter.Seq2[uint32, PTE] {
 	return func(yield func(uint32, PTE) bool) {
 		for i := lo; i <= hi; i++ {
-			if i%16 == 0 && i+15 <= hi && [64]byte(frame[i*4:i*4+64]) == [64]byte{} {
+			if i%16 == 0 && i+15 <= hi && zeroRun((*[64]byte)(frame[i*4:i*4+64])) {
 				i += 15
 				continue
 			}
@@ -215,6 +215,15 @@ func present(frame *[mem.PageSize]byte, lo, hi uint32) iter.Seq2[uint32, PTE] {
 			}
 		}
 	}
+}
+
+// zeroRun reports whether the 64 bytes of b are all zero. It ORs eight
+// 64-bit loads, which compile inline; comparing b with a zero array
+// calls the runtime's memequal.
+func zeroRun(b *[64]byte) bool {
+	le := binary.LittleEndian
+	return le.Uint64(b[0:])|le.Uint64(b[8:])|le.Uint64(b[16:])|le.Uint64(b[24:])|
+		le.Uint64(b[32:])|le.Uint64(b[40:])|le.Uint64(b[48:])|le.Uint64(b[56:]) == 0
 }
 
 // CopyRangeFrom deep-copies src's mappings covering [startLinear,

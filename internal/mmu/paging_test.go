@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -262,5 +263,44 @@ func TestVisitMappedMatchesReference(t *testing.T) {
 			sameMemory(t, got, want)
 			got.checkShared(t)
 		})
+	}
+}
+
+// TestPresentSkipsOnlyZeroRuns pins the zero-run test of present: a run
+// of 16 entries with one nonzero byte, at any of its 64 offsets, is not
+// skipped, a present entry anywhere in an aligned run is yielded, and a
+// present entry at hi inside a partial last run is still yielded.
+func TestPresentSkipsOnlyZeroRuns(t *testing.T) {
+	if !zeroRun(&[64]byte{}) {
+		t.Error("zeroRun(zero run) = false")
+	}
+	for off := range 64 {
+		var run [64]byte
+		run[off] = 1 << (off % 8)
+		if zeroRun(&run) {
+			t.Errorf("zeroRun with byte %d = %#x: true", off, run[off])
+		}
+	}
+	collect := func(frame *[mem.PageSize]byte, lo, hi uint32) []uint32 {
+		var got []uint32
+		for i := range present(frame, lo, hi) {
+			got = append(got, i)
+		}
+		return got
+	}
+	for e := uint32(32); e < 48; e++ {
+		var frame [mem.PageSize]byte
+		binary.LittleEndian.PutUint32(frame[e*4:], pteP)
+		if got := collect(&frame, 0, 1023); !slices.Equal(got, []uint32{e}) {
+			t.Errorf("present entry %d: got entries %v", e, got)
+		}
+	}
+	for _, hi := range []uint32{1000, 1001, 1015, 1022} {
+		var frame [mem.PageSize]byte
+		binary.LittleEndian.PutUint32(frame[hi*4:], pteP)
+		binary.LittleEndian.PutUint32(frame[(hi+1)*4:], pteP)
+		if got := collect(&frame, 992, hi); !slices.Equal(got, []uint32{hi}) {
+			t.Errorf("present(992, %d) = %v, want [%d]", hi, got, hi)
+		}
 	}
 }
