@@ -249,33 +249,14 @@ func (a *App) SharedAlloc(n uint32) (uint32, error) {
 	return addr, nil
 }
 
-// XAlloc is the trusted side of xmalloc: it carves memory out of the
-// PPL-1 extension heap so extension-visible structures land in the
-// extension's domain.
-func (a *App) XAlloc(n uint32) (uint32, error) {
-	n = (n + 15) &^ 15
-	if a.xheap+n > a.xheapEnd {
-		return 0, fmt.Errorf("palladium: xmalloc heap exhausted")
-	}
-	addr := a.xheap
-	a.xheap += n
-	return addr, nil
-}
-
-// WriteMem / ReadMem give the trusted application access to its own
+// WriteMem / ReadMemInto give the trusted application access to its own
 // address space (it is Go code; real applications would just
 // dereference).
 func (a *App) WriteMem(addr uint32, b []byte) error {
 	return a.S.K.CopyToUser(a.P, addr, b)
 }
 
-// ReadMem reads n bytes at addr.
-func (a *App) ReadMem(addr uint32, n int) ([]byte, error) {
-	return a.S.K.CopyFromUser(a.P, addr, n)
-}
-
-// ReadMemInto reads len(buf) bytes at addr into a caller-owned buffer
-// without allocating; the charges are identical to ReadMem's.
+// ReadMemInto reads len(buf) bytes at addr into a caller-owned buffer.
 func (a *App) ReadMemInto(addr uint32, buf []byte) error {
 	return a.S.K.CopyFromUserInto(a.P, addr, buf)
 }
@@ -283,61 +264,6 @@ func (a *App) ReadMemInto(addr uint32, buf []byte) error {
 // WriteString writes a NUL-terminated string.
 func (a *App) WriteString(addr uint32, s string) error {
 	return a.WriteMem(addr, append([]byte(s), 0))
-}
-
-// ReadString reads a NUL-terminated string of at most max bytes.
-func (a *App) ReadString(addr uint32, max int) (string, error) {
-	b, err := a.ReadMem(addr, max)
-	if err != nil {
-		return "", err
-	}
-	for i, c := range b {
-		if c == 0 {
-			return string(b[:i]), nil
-		}
-	}
-	return string(b), nil
-}
-
-// ExposeService publishes an application service (Section 4.4.2):
-// a call gate whose target is the trusted handler, plus a symbol so
-// extensions can `lcall name`. The handler receives the 4-byte
-// argument the extension pushed on its own stack and returns a 4-byte
-// result (larger structures travel through shared data areas).
-func (a *App) ExposeService(name string, fn func(arg uint32) uint32) error {
-	if !a.promoted {
-		return fmt.Errorf("palladium: ExposeService before init_PL")
-	}
-	addr := a.svcNext
-	a.svcNext += 16
-	k := a.S.K
-	k.Machine.RegisterService(addr, &cpu.Service{
-		Name: name, Kind: cpu.ServiceCallGate,
-		Handler: func(m *cpu.Machine) error {
-			// Gate frame (inner stack): [EIP][CS][ESP][SS]. The
-			// caller pushed the argument on its own (extension)
-			// stack immediately before the lcall, so it sits at
-			// [oldESP] — lcall left nothing on the outer stack.
-			oldESP, f := m.Peek(8)
-			if f != nil {
-				return f
-			}
-			arg, f := m.MMU.Read32(m.DS, oldESP, m.CPL())
-			if f != nil {
-				return f
-			}
-			m.SetReg(isa.EAX, fn(arg))
-			return nil
-		},
-	})
-	gate, err := k.InstallCallGate(3, kernel.ACodeSel, addr)
-	if err != nil {
-		return err
-	}
-	// Publish the gate selector under the service name: extension
-	// code assembles `lcall name`.
-	a.DL.Define(name, uint32(gate))
-	return nil
 }
 
 // Call invokes a protected extension function: the full Figure-6 cycle

@@ -161,8 +161,8 @@ func refill[K comparable, V any](dst, src map[K]V) map[K]V {
 // empty application over the clone's copy of its process, reset to
 // this one (ResetTo), so the dynamic-loader state and stub addresses
 // carry over (the clone's memory holds the same loaded bytes at the
-// same addresses). Application services exposed via ExposeService keep
-// their handlers: those receive the executing machine as an argument,
+// same addresses). Application services (the core tests'
+// ExposeService) keep their handlers: those receive the executing machine as an argument,
 // but a handler closing over this App's state will still observe the
 // template's Go state — re-expose such services on the clone if they
 // are stateful. An application whose process has exited is bound to

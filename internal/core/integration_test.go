@@ -113,7 +113,7 @@ func TestExtensibleApplicationScenario(t *testing.T) {
 		t.Fatalf("blade after quarantine: %d, %v", got, err)
 	}
 	// Private state was never touched.
-	state, _ := a.ReadString(private, 32)
+	state := readString(t, a, private, 32)
 	if state != "customer records" {
 		t.Errorf("private state = %q", state)
 	}

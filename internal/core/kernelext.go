@@ -427,49 +427,9 @@ func (s *System) Insmod(seg *ExtSegment, obj *isa.Object) (*loader.Image, error)
 	return im, nil
 }
 
-// SharedAreaAddr returns the linear address of a module's shared data
-// area, identified by its well-known symbol (Section 4.3); the kernel
-// checks for its existence at run time.
-func (s *System) SharedAreaAddr(im *loader.Image, seg *ExtSegment, symbol string) (uint32, bool) {
-	off, ok := im.Lookup(symbol)
-	if !ok {
-		return 0, false
-	}
-	return seg.Base + off, true
-}
-
-// ReadShared / WriteShared are the kernel's cross-segment accesses to
-// an extension's shared data area; each access sequence pays the
-// segment-register reload the paper measures at 12 cycles.
-func (s *System) ReadShared(seg *ExtSegment, off uint32, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := s.ReadSharedInto(seg, off, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadSharedInto is ReadShared into a caller-owned buffer (steady-
-// state paths reuse one buffer across calls); the segment-register
-// reload and per-byte charges are identical.
-func (s *System) ReadSharedInto(seg *ExtSegment, off uint32, buf []byte) error {
-	var es mmu.Selector
-	if f := s.K.Machine.LoadSegReg(&es, seg.Data); f != nil {
-		return f
-	}
-	s.K.Clock.Add(s.K.Costs.CopyPerByte * float64(len(buf)))
-	return mem.ForEachPageRun(off, len(buf), func(o uint32, n int) error {
-		pa, err := seg.physAt(o)
-		if err != nil {
-			return err
-		}
-		copy(buf[:n], s.K.Phys.FrameView(pa &^ uint32(mem.PageMask))[pa&mem.PageMask:])
-		buf = buf[n:]
-		return nil
-	})
-}
-
-// WriteShared writes into an extension segment's shared area.
+// WriteShared is the kernel's cross-segment write into an extension's
+// shared data area; each access sequence pays the segment-register
+// reload the paper measures at 12 cycles.
 func (s *System) WriteShared(seg *ExtSegment, off uint32, b []byte) error {
 	var es mmu.Selector
 	if f := s.K.Machine.LoadSegReg(&es, seg.Data); f != nil {
@@ -608,9 +568,6 @@ func (seg *ExtSegment) abort(s *System) {
 		}
 	}
 }
-
-// Aborted reports whether the segment has been killed.
-func (seg *ExtSegment) Aborted() bool { return seg.aborted }
 
 // InvokeAsync queues a request for the extension (Section 4.3's
 // asynchronous extensions): if the module is busy the request waits;

@@ -73,15 +73,6 @@ func (r *rangeList) release(off uint32) error {
 	return nil
 }
 
-// freeBytes reports the total reusable bytes (leak-regression tests).
-func (r *rangeList) freeBytes() uint32 {
-	var n uint32
-	for _, sp := range r.free {
-		n += sp.size
-	}
-	return n
-}
-
 // resetTo rewinds the range list in place to a copy of t, or returns
 // a new copy when r is nil (an empty clone's), and returns it.
 func (r *rangeList) resetTo(t *rangeList) *rangeList {

@@ -68,7 +68,7 @@ func TestGOTAttackBlockedBySealing(t *testing.T) {
 
 	// Unsealed: the attack succeeds and hijacks the app's call.
 	a, im, pf, gadget := build(false)
-	args, err := a.XAlloc(8)
+	args, err := a.SharedAlloc(mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,9 @@ func TestGOTAttackBlockedBySealing(t *testing.T) {
 
 	// Sealed: the same attack faults and the app's call is intact.
 	a, im, pf, gadget = build(true)
-	args, _ = a.XAlloc(8)
+	if args, err = a.SharedAlloc(mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
 	a.WriteMem(args, leBytes(im.GOTBase, gadget))
 	if _, err := pf.Call(args); !errors.Is(err, ErrExtensionFault) {
 		t.Fatalf("sealed GOT write: err = %v, want fault", err)
@@ -155,16 +157,15 @@ func TestExtensionUsesLibcMemcpyOnSharedArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, dst := shared, shared+256
+	src, dst, args := shared, shared+256, shared+512
 	if err := a.WriteString(src, "segmentation+pg"); err != nil {
 		t.Fatal(err)
 	}
-	args, _ := a.XAlloc(8)
 	a.WriteMem(args, leBytes(dst, src))
 	if _, err := pf.Call(args); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := a.ReadString(dst, 32)
+	got := readString(t, a, dst, 32)
 	if got != "segmentation+pg" {
 		t.Errorf("memcpy result = %q", got)
 	}
@@ -206,18 +207,6 @@ func TestTwoExtensionModulesNoMutualProtection(t *testing.T) {
 	get := mustSym(t, a, h1, "get")
 	if got, _ := get.Call(0); got != 99 {
 		t.Errorf("stash = %d, want 99 (modules share the PPL-1 domain)", got)
-	}
-}
-
-// TestXAllocExhaustion covers the xmalloc heap bound.
-func TestXAllocExhaustion(t *testing.T) {
-	s := newSystem(t)
-	a := newApp(t, s)
-	if _, err := a.XAlloc(64 * mem.PageSize); err != nil {
-		t.Fatal("first large xalloc should fit")
-	}
-	if _, err := a.XAlloc(16); err == nil {
-		t.Error("exhausted xmalloc heap must error")
 	}
 }
 
@@ -433,8 +422,8 @@ func TestAdversarialUserEscapeAttempts(t *testing.T) {
 			}
 
 			// Not a single protected byte changed.
-			got, err := a.ReadMem(secret, len(secretPattern))
-			if err != nil {
+			got := make([]byte, len(secretPattern))
+			if err := a.ReadMemInto(secret, got); err != nil {
 				t.Fatal(err)
 			}
 			if string(got) != secretPattern {
@@ -548,7 +537,7 @@ func TestAdversarialKernelEscapeAttempts(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "#GP") {
 				t.Errorf("abort error = %q, want #GP with %q", err, tc.want)
 			}
-			if !attacker.Aborted() {
+			if !attacker.aborted {
 				t.Error("attacker segment not aborted")
 			}
 
@@ -560,10 +549,7 @@ func TestAdversarialKernelEscapeAttempts(t *testing.T) {
 			if got, err := vget.Invoke(0); err != nil || got != 90 {
 				t.Errorf("victim stash after attack = %d, %v; want 90", got, err)
 			}
-			raw, err := s.ReadShared(victim, stashOff, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := readShared(t, s, victim, stashOff, 1)
 			if raw[0] != 90 {
 				t.Errorf("victim byte = %d, want 90", raw[0])
 			}

@@ -94,7 +94,7 @@ func TestInvokeTxRollsBackFaultingExtension(t *testing.T) {
 	if after != before {
 		t.Errorf("rollback incomplete:\n before %+v\n after  %+v", before, after)
 	}
-	if seg.Aborted() {
+	if seg.aborted {
 		t.Error("segment aborted despite rollback")
 	}
 	if _, ok := s.ExtensionFunction("scribble_escape"); !ok {
@@ -321,4 +321,13 @@ func TestKernelTextFreeRangeReuse(t *testing.T) {
 	if err := ks.FreeRange(0xDEAD000); err == nil {
 		t.Error("freeing an unallocated range must error")
 	}
+}
+
+// freeBytes reports the total reusable bytes (leak-regression tests).
+func (r *rangeList) freeBytes() uint32 {
+	var n uint32
+	for _, sp := range r.free {
+		n += sp.size
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/loader"
@@ -60,6 +61,7 @@ func (a *stubArena) add(name, src string) (map[string]uint32, error) {
 		return nil, fmt.Errorf("palladium: stub arena full")
 	}
 	base := a.next
+	text := slices.Clone(obj.Text) // the cached object is read-only
 	for _, r := range obj.Relocs {
 		s := obj.Symbol(r.Sym)
 		if s == nil || s.Section != isa.SecText {
@@ -68,16 +70,16 @@ func (a *stubArena) add(name, src string) (map[string]uint32, error) {
 		v := int32(base+s.Off) + r.Addend
 		switch r.Slot {
 		case isa.RelDstDisp:
-			obj.Text[r.Index].Dst.Disp += v
+			text[r.Index].Dst.Disp += v
 		case isa.RelSrcDisp:
-			obj.Text[r.Index].Src.Disp += v
+			text[r.Index].Src.Disp += v
 		case isa.RelDstImm:
-			obj.Text[r.Index].Dst.Imm += v
+			text[r.Index].Dst.Imm += v
 		case isa.RelSrcImm:
-			obj.Text[r.Index].Src.Imm += v
+			text[r.Index].Src.Imm += v
 		}
 	}
-	if err := a.space.InstallText(base, obj.Text); err != nil {
+	if err := a.space.InstallText(base, text); err != nil {
 		return nil, err
 	}
 	a.next += need

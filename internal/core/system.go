@@ -90,15 +90,6 @@ func (s *System) ExtensionFunction(name string) (*KernelExtensionFunc, bool) {
 	return f, ok
 }
 
-// ExtensionFunctions lists registered kernel extension entry points.
-func (s *System) ExtensionFunctions() []string {
-	out := make([]string, 0, len(s.eft))
-	for n := range s.eft {
-		out = append(out, n)
-	}
-	return out
-}
-
 func (s *System) allocSegRange(size uint32) (uint32, error) {
 	base := s.nextSeg
 	if base+size < base || base+size > 0xF000_0000 {

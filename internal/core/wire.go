@@ -163,7 +163,9 @@ func loadArenaExtent(d *mem.Dec, what string, twin *stubArena) *stubArena {
 // module history as the saved system's boot). The core-level image
 // decodes into staged state values, validated against the twin's
 // skeleton, before the kernel — the first mutating step — loads; the
-// staged values are then applied whole.
+// staged values are then applied whole. A corrupt kernel image can
+// fail after the kernel has applied part of it (see Kernel.LoadFrom),
+// so a system whose LoadFrom failed must be discarded.
 func (s *System) LoadFrom(d *mem.Dec) error {
 	st := s.systemState
 	st.nextSeg = d.U32()
@@ -201,7 +203,8 @@ func (s *System) LoadFrom(d *mem.Dec) error {
 
 	// The kernel is the point of no return: on success the machine,
 	// memory and process table are the image's, and the core-level
-	// apply below cannot fail.
+	// apply below cannot fail. On error the kernel may hold part of the
+	// image, and the caller discards this system.
 	if err := s.K.LoadFrom(d); err != nil {
 		return err
 	}

@@ -571,7 +571,7 @@ func TestSnapshotRestoreRebuildsTraces(t *testing.T) {
 			interrupt(h)
 			if tc.changeTables {
 				gdt := h.m.MMU.GDT
-				gdt.Set(gdt.AllocIndex(), mmu.Descriptor{Kind: mmu.SegData, Limit: 0xFFF, DPL: 3, Present: true, Writable: true})
+				gdt.Set(gdt.Len()-1, mmu.Descriptor{Kind: mmu.SegData, Limit: 0xFFF, DPL: 3, Present: true, Writable: true})
 			}
 			h.resetTo(tmpl)
 			if !tc.changeTables && len(liveTraces(h.m)) == 0 {

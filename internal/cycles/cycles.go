@@ -148,8 +148,9 @@ func (m *Model) MaxCost(kinds ...Kind) float64 {
 	return max
 }
 
-// WithCost returns a copy of the model with kind k overridden; used by
-// ablation benchmarks to explore sensitivity to individual costs.
+// WithCost returns a copy of the model with kind k overridden. Only
+// tests call it (the cpu package's tick sweep runs under a zero-cost
+// TLB miss); it is kept because tests in several packages share it.
 func (m *Model) WithCost(k Kind, c float64) *Model {
 	cp := *m
 	cp.costs[k] = c
@@ -255,9 +256,6 @@ func (c *Clock) MHz() float64 { return c.mhz }
 // Micros converts a cycle count to microseconds at this clock's
 // frequency.
 func (c *Clock) Micros(cyc float64) float64 { return cyc / c.mhz }
-
-// CyclesPerMicro returns the number of cycles in one microsecond.
-func (c *Clock) CyclesPerMicro() float64 { return c.mhz }
 
 // Span measures the cycles consumed by fn.
 func (c *Clock) Span(fn func()) float64 {

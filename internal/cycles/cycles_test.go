@@ -81,8 +81,8 @@ func TestClockBasics(t *testing.T) {
 	if got := c.Micros(200); got != 1 {
 		t.Errorf("200 cycles at 200MHz = %v us, want 1", got)
 	}
-	if c.CyclesPerMicro() != 200 {
-		t.Errorf("CyclesPerMicro = %v", c.CyclesPerMicro())
+	if c.MHz() != 200 {
+		t.Errorf("MHz = %v", c.MHz())
 	}
 	c.Reset()
 	if c.Cycles() != 0 {
@@ -137,7 +137,7 @@ func TestMicrosRoundTripProperty(t *testing.T) {
 	c := NewClock(200)
 	f := func(n uint32) bool {
 		cyc := float64(n)
-		got := c.Micros(cyc) * c.CyclesPerMicro()
+		got := c.Micros(cyc) * c.MHz()
 		diff := got - cyc
 		if diff < 0 {
 			diff = -diff

@@ -113,11 +113,11 @@ func TestVerifyReverse(t *testing.T) {
 	if _, err := pf.Call(buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.ReadString(buf, 32)
-	if err != nil {
+	got := make([]byte, len("muidallap")+1)
+	if err := a.ReadMemInto(buf, got); err != nil {
 		t.Fatal(err)
 	}
-	if got != "muidallap" {
+	if string(got) != "muidallap\x00" {
 		t.Errorf("reverse = %q", got)
 	}
 }

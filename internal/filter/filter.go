@@ -164,6 +164,7 @@ func CompileObject(terms []bpf.Term) (*isa.Object, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("filter: assembling compiled filter: %w", err)
 	}
+	obj = obj.Clone() // the cached object is read-only
 	entry := fmt.Sprintf("pfilter_%d", compiledSeq.Add(1))
 	if !obj.RenameSymbol("pfilter", entry) {
 		return nil, "", fmt.Errorf("filter: compiled filter lacks its entry symbol")

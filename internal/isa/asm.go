@@ -60,10 +60,12 @@ var asmCache = struct {
 	m map[string]*Object
 }{m: make(map[string]*Object)}
 
-// AssembleCached is Assemble memoized by (name, source); the returned
-// object is a fresh deep copy each call, so callers may relocate it
-// freely. Use it for sources that recur across boots (built-ins,
-// generated stubs); one-off sources should use Assemble.
+// AssembleCached is Assemble memoized by (name, source). Every caller
+// of one source gets the same cached object, possibly on several
+// goroutines at once, so the result is read-only: a caller that changes
+// it (renames a symbol, rewrites the text) works on a Clone. The
+// loader only reads it. Use it for sources that recur across boots
+// (built-ins, generated stubs); one-off sources should use Assemble.
 func AssembleCached(name, src string) (*Object, error) {
 	key := name + "\x00" + src
 	asmCache.RLock()
@@ -82,11 +84,11 @@ func AssembleCached(name, src string) (*Object, error) {
 		asmCache.Unlock()
 		tmpl = o
 	}
-	return tmpl.Clone(), nil
+	return tmpl, nil
 }
 
 // MustAssemble is AssembleCached for known-good built-in sources; it
-// panics on error.
+// panics on error. Its result is read-only, as AssembleCached's is.
 func MustAssemble(name, src string) *Object {
 	o, err := AssembleCached(name, src)
 	if err != nil {

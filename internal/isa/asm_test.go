@@ -162,9 +162,13 @@ func TestSymbolicReferences(t *testing.T) {
 		}
 	}
 	// counter is defined locally; strcpy/handler are extern.
-	ext := o.Externs()
-	if len(ext) != 2 {
-		t.Errorf("externs = %v, want handler+strcpy", ext)
+	if o.Symbol("counter").Section != SecData {
+		t.Errorf("counter = %+v, want a data symbol", o.Symbol("counter"))
+	}
+	for _, name := range []string{"handler", "strcpy"} {
+		if s := o.Symbol(name); s == nil || s.Section != SecUndef {
+			t.Errorf("%s = %+v, want an undefined extern", name, s)
+		}
 	}
 	// Addend form.
 	o = assemble(t, `mov eax, [counter+4]
@@ -287,7 +291,7 @@ func TestOperandStringRoundTripProperty(t *testing.T) {
 			return true // ambiguous formatting; skip
 		}
 		scale := []uint8{1, 2, 4, 8}[scaleSel%4]
-		op := MIdx(base, idx, scale, int32(disp))
+		op := Operand{Kind: KindMem, Base: base, Index: idx, Scale: scale, Disp: int32(disp)}
 		parsed, sym, _, err := a.parseOperand(op.String())
 		if err != nil || sym != "" {
 			return false

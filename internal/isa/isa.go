@@ -180,11 +180,6 @@ func M(base Reg, disp int32) Operand {
 	return Operand{Kind: KindMem, Base: base, Index: NoReg, Disp: disp}
 }
 
-// MIdx builds a memory operand base+index*scale+disp.
-func MIdx(base, index Reg, scale uint8, disp int32) Operand {
-	return Operand{Kind: KindMem, Base: base, Index: index, Scale: scale, Disp: disp}
-}
-
 // MAbs builds an absolute memory operand.
 func MAbs(addr int32) Operand {
 	return Operand{Kind: KindMem, Base: NoReg, Index: NoReg, Disp: addr}
@@ -366,20 +361,4 @@ func (o *Object) RenameSymbol(old, new string) bool {
 		}
 	}
 	return true
-}
-
-// Externs lists the undefined symbols the object references.
-func (o *Object) Externs() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, r := range o.Relocs {
-		if r.Sym == "" || seen[r.Sym] {
-			continue
-		}
-		if s, ok := o.Symbols[r.Sym]; !ok || s.Section == SecUndef {
-			seen[r.Sym] = true
-			out = append(out, r.Sym)
-		}
-	}
-	return out
 }

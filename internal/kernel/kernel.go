@@ -79,12 +79,11 @@ const (
 
 // Interrupt vectors.
 const (
-	VecSyscall    = 0x80 // user system calls
-	VecKernelSvc  = 0x81 // core kernel services exposed to kernel extensions
-	gdtSize       = 512
-	physBase      = 0x0100_0000 // first allocatable frame (16 MB)
-	physSize      = 0x3000_0000 // 768 MB of simulated frames
-	kernelPDFirst = KernelBase >> 22
+	VecSyscall   = 0x80 // user system calls
+	VecKernelSvc = 0x81 // core kernel services exposed to kernel extensions
+	gdtSize      = 512
+	physBase     = 0x0100_0000 // first allocatable frame (16 MB)
+	physSize     = 0x3000_0000 // 768 MB of simulated frames
 )
 
 // KCodeSel etc. are the ready-made selector values.

@@ -127,11 +127,15 @@ func costsFields(c *CostSheet) []*float64 {
 }
 
 // LoadFrom decodes a SaveTo image into this kernel, which must be a
-// deterministically booted twin. The image decodes into a staged state
-// value that is validated against the twin and then applied whole, so a
-// corrupt image never yields a half-restored kernel. Processes the twin
-// has under the same PID are restored in place, as ResetTo does, and
-// keep the twin's signal handlers; new processes have none.
+// deterministically booted twin. The kernel's own state decodes into a
+// staged value that is validated against the twin before anything is
+// applied; the machine, the frame allocator and the frames then load
+// in turn, each leaving itself untouched when it refuses its part. An
+// error after the machine step therefore leaves the kernel holding part
+// of the image: the caller must discard the twin, as LoadServerBytes
+// does. Processes the twin has under the same PID are restored in
+// place, as ResetTo does, and keep the twin's signal handlers; new
+// processes have none.
 func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	ktCR3 := d.U32()
 	if d.Err() == nil && ktCR3 != k.kernelTemplate.CR3() {
@@ -257,24 +261,18 @@ func (k *Kernel) LoadFrom(d *mem.Dec) error {
 	}
 
 	// The machine decodes next, adopting the staged processes' address
-	// spaces for its current CR3.
+	// spaces for its current CR3. It is the first mutation: the
+	// allocator and the frames after it can still refuse their part.
 	adopt := func(cr3 uint32) *mmu.AddressSpace { return k.spaceFor(s.procs, cr3) }
 	if err := k.Machine.LoadFrom(d, adopt); err != nil {
 		return err
 	}
-
-	// Allocator and frames: stage, then adopt. From here on nothing
-	// fails; the machine application above was the first mutation.
-	stagedAlloc := k.Alloc.Clone()
-	if err := stagedAlloc.LoadFrom(d); err != nil {
+	if err := k.Alloc.LoadFrom(d); err != nil {
 		return err
 	}
-	physImg, err := mem.DecodePhysImage(d)
-	if err != nil {
+	if err := k.Phys.LoadFrom(d); err != nil {
 		return err
 	}
-	k.Phys.AdoptImage(physImg)
-	*k.Alloc = *stagedAlloc
 
 	live := k.procs
 	k.kernelState = s

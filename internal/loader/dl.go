@@ -148,7 +148,9 @@ func (d *DL) Resolve(name string) (uint32, bool) {
 	return a, ok
 }
 
-// Define publishes a symbol (application services, service stubs).
+// Define publishes a symbol (an application service's gate, say). Only
+// tests call it, the loader's and the core package's; it is kept
+// because tests in several packages share it.
 func (d *DL) Define(name string, addr uint32) { d.globals[name] = addr }
 
 // chargeOpen prices the dynamic-library open path: the paper measures

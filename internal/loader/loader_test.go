@@ -412,8 +412,11 @@ func TestImageLookupAndExterns(t *testing.T) {
 		f: call g
 		ret
 	`)
-	if ext := obj.Externs(); len(ext) != 1 || ext[0] != "g" {
-		t.Errorf("externs = %v", ext)
+	if s := obj.Symbol("g"); s == nil || s.Section != isa.SecUndef {
+		t.Errorf("g = %+v, want an undefined extern", s)
+	}
+	if f := obj.Symbol("f"); f == nil || f.Section != isa.SecText {
+		t.Errorf("f = %+v, want a text symbol", f)
 	}
 }
 

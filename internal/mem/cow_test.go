@@ -19,15 +19,15 @@ func TestSnapshotFreezesImageAndRestores(t *testing.T) {
 	s := p.Clone()
 	p.WriteBytes(0x1000, []byte("WORLD"))
 	p.Write8(0x80_0000, 7) // fresh frame after the freeze
-	if got := string(p.ReadBytes(0x1000, 5)); got != "WORLD" {
+	if got := string(p.FrameView(0x1000)[:5]); got != "WORLD" {
 		t.Fatalf("post-freeze write lost: %q", got)
 	}
-	if got := string(s.ReadBytes(0x1000, 5)); got != "hello" {
+	if got := string(s.FrameView(0x1000)[:5]); got != "hello" {
 		t.Fatalf("frozen clone saw the write: %q", got)
 	}
 
 	p.ResetTo(s)
-	if got := string(p.ReadBytes(0x1000, 5)); got != "hello" {
+	if got := string(p.FrameView(0x1000)[:5]); got != "hello" {
 		t.Errorf("reset: got %q, want hello", got)
 	}
 	if p.Read32(0x40_0000) != 0xdeadbeef {

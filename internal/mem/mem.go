@@ -146,7 +146,7 @@ type Physical struct {
 	cowCopies uint64
 
 	// onRestore, when set (by the MMU observing this memory), runs
-	// after every image load (LoadFrom, LoadBytes, AdoptImage) so
+	// after every image load (LoadFrom) so
 	// translation-keyed decode state (the CPU's decoded-block cache
 	// generation) is invalidated: the loaded frame table may back the
 	// same physical addresses with different bytes and different
@@ -435,31 +435,6 @@ func (p *Physical) Write32(pa uint32, v uint32) {
 	}
 }
 
-// Read16 reads a little-endian 16-bit word at pa.
-func (p *Physical) Read16(pa uint32) uint16 {
-	return uint16(p.Read8(pa)) | uint16(p.Read8(pa+1))<<8
-}
-
-// Write16 writes a little-endian 16-bit word at pa.
-func (p *Physical) Write16(pa uint32, v uint16) {
-	p.Write8(pa, byte(v))
-	p.Write8(pa+1, byte(v>>8))
-}
-
-// ReadBytes copies n bytes starting at pa into a new slice.
-func (p *Physical) ReadBytes(pa uint32, n int) []byte {
-	b := make([]byte, n)
-	copied := 0
-	for copied < n {
-		f := p.readFrame(pa)
-		off := int(pa & PageMask)
-		c := copy(b[copied:], f[off:])
-		copied += c
-		pa += uint32(c)
-	}
-	return b
-}
-
 // WriteBytes copies b into physical memory starting at pa.
 func (p *Physical) WriteBytes(pa uint32, b []byte) {
 	for len(b) > 0 {
@@ -513,7 +488,8 @@ var fingerprintSeed = maphash.MakeSeed()
 
 // Fingerprint hashes every touched frame (index and contents) into one
 // value; two Physicals with identical allocated frames and identical
-// bytes fingerprint equally. It never allocates frames.
+// bytes fingerprint equally. It never allocates frames. Only tests call
+// it; it is kept because tests in several packages share it.
 func (p *Physical) Fingerprint() uint64 {
 	var h maphash.Hash
 	h.SetSeed(fingerprintSeed)
@@ -575,7 +551,9 @@ func (a *FrameAllocator) Free(pa uint32) {
 	a.free = append(a.free, pa)
 }
 
-// Available reports how many frames can still be allocated.
+// Available reports how many frames can still be allocated. Only tests
+// call it (frame-leak checks in the mem, mmu, kernel and webserver
+// packages); it is kept because tests in several packages share it.
 func (a *FrameAllocator) Available() int {
 	return int((a.limit-a.next)/PageSize) + len(a.free)
 }

@@ -40,23 +40,15 @@ func TestWord32AcrossPageBoundary(t *testing.T) {
 	}
 }
 
-func TestReadWrite16(t *testing.T) {
-	p := NewPhysical()
-	p.Write16(7, 0xBEEF)
-	if got := p.Read16(7); got != 0xBEEF {
-		t.Errorf("Read16 = %#x", got)
-	}
-}
-
 func TestBytesAndZero(t *testing.T) {
 	p := NewPhysical()
 	src := []byte("palladium")
 	p.WriteBytes(0x2000, src)
-	if got := p.ReadBytes(0x2000, len(src)); !bytes.Equal(got, src) {
-		t.Errorf("ReadBytes = %q", got)
+	if got := p.FrameView(0x2000)[:len(src)]; !bytes.Equal(got, src) {
+		t.Errorf("WriteBytes read back %q", got)
 	}
 	p.Zero(0x2000, 4)
-	if got := p.ReadBytes(0x2000, len(src)); !bytes.Equal(got, append([]byte{0, 0, 0, 0}, src[4:]...)) {
+	if got := p.FrameView(0x2000)[:len(src)]; !bytes.Equal(got, append([]byte{0, 0, 0, 0}, src[4:]...)) {
 		t.Errorf("after Zero = %q", got)
 	}
 }

@@ -9,16 +9,6 @@
 // to be shared.
 package mem
 
-import "fmt"
-
-// physMagic/physVersion frame a standalone Physical image (SaveBytes).
-// Composed images (whole machines) embed SaveTo output inside their
-// own envelope instead.
-const (
-	physMagic   = "PALLPHYS"
-	physVersion = 2
-)
-
 // totalFrames is the number of addressable 4 KB frames in the 4 GB
 // simulated physical space.
 const totalFrames = physRootSize * physChunkSize
@@ -68,17 +58,30 @@ func (p *Physical) SaveTo(e *Enc) {
 }
 
 // LoadFrom decodes a SaveTo image from d and replaces this Physical's
-// contents with it. The image is decoded and validated into a staging
-// frame table first; on any error the receiver is untouched — a
-// corrupt image can never produce a half-loaded memory. On success the
-// previous frame table is released and the restore hook fires (the
-// MMU invalidates translation-keyed decode state).
+// contents with it. This is the one load path of the frame store. The
+// image is decoded and validated into a staging frame table first; on
+// any error the receiver is untouched — a corrupt image can never
+// produce a half-loaded memory. On success the previous frame table is
+// released and the restore hook fires (the MMU invalidates
+// translation-keyed decode state). LoadFrom reads exactly the bytes
+// SaveTo wrote: refusing what follows is the enclosing image's job.
 func (p *Physical) LoadFrom(d *Dec) error {
 	staging, err := decodePhysical(d)
 	if err != nil {
 		return err
 	}
-	p.adopt(staging)
+	old := p.root
+	p.root = staging.root
+	p.touched = staging.touched
+	p.cowCopies = staging.cowCopies
+	for _, c := range &old {
+		if c != nil {
+			releaseChunk(c)
+		}
+	}
+	if p.onRestore != nil {
+		p.onRestore()
+	}
 	return nil
 }
 
@@ -133,81 +136,6 @@ func decodePhysical(d *Dec) (*Physical, error) {
 	return staging, nil
 }
 
-// PhysImage is a decoded-but-not-yet-applied physical memory image:
-// the staging half of the two-phase load that composed (whole-machine)
-// decoders use to keep their all-or-nothing contract — decode and
-// validate every layer first, adopt only when nothing can fail
-// anymore. Single use: adopt an image into exactly one Physical.
-type PhysImage struct {
-	staging *Physical
-}
-
-// DecodePhysImage decodes a SaveTo image into staging without touching
-// any live Physical.
-func DecodePhysImage(d *Dec) (*PhysImage, error) {
-	staging, err := decodePhysical(d)
-	if err != nil {
-		return nil, err
-	}
-	return &PhysImage{staging: staging}, nil
-}
-
-// AdoptImage replaces this Physical's contents with a decoded image,
-// releasing the previous frame table and firing the restore hook.
-func (p *Physical) AdoptImage(img *PhysImage) {
-	if img.staging == nil {
-		panic("mem: PhysImage adopted twice")
-	}
-	p.adopt(img.staging)
-	img.staging = nil
-}
-
-// adopt swaps the staging frame table into p, releases the previous
-// one and fires the restore hook.
-func (p *Physical) adopt(staging *Physical) {
-	old := p.root
-	p.root = staging.root
-	p.touched = staging.touched
-	p.cowCopies = staging.cowCopies
-	for _, c := range &old {
-		if c != nil {
-			releaseChunk(c)
-		}
-	}
-	if p.onRestore != nil {
-		p.onRestore()
-	}
-}
-
-// SaveBytes serializes the memory image into a standalone enveloped
-// byte slice; LoadBytes restores it exactly (same Fingerprint, same
-// FrameCount, same COWStats).
-func (p *Physical) SaveBytes() []byte {
-	var e Enc
-	p.SaveTo(&e)
-	return Seal(physMagic, physVersion, e.Data())
-}
-
-// LoadBytes replaces this Physical's contents with a SaveBytes image.
-// On error (truncated, corrupted, wrong magic/version) the receiver is
-// untouched.
-func (p *Physical) LoadBytes(data []byte) error {
-	payload, err := Open(physMagic, physVersion, data)
-	if err != nil {
-		return err
-	}
-	d := NewDec(payload)
-	staging, err := decodePhysical(d)
-	if err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after frame image", ErrCorrupt, d.Remaining())
-	}
-	p.adopt(staging)
-	return nil
-}
-
 // Release drops every frame reference this Physical holds, leaving it
 // empty. An ephemeral clone must be released when discarded: its
 // references are what mark the template's frames shared, and leaking
@@ -240,6 +168,8 @@ func (p *Physical) ReleaseTo(q *Physical) {
 // every clone of a template has been released, this must
 // equal FrameCount: anything less means a discarded clone leaked
 // references (the falsely-shared-frame bug the churn tests hammer).
+// Only tests call it (the mem, core and webserver packages'); it is
+// kept because tests in several packages share it.
 func (p *Physical) SoleOwnerFrames() int {
 	n := 0
 	for _, c := range &p.root {

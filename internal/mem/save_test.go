@@ -18,20 +18,31 @@ func scribble(p *Physical) {
 	p.Read32(200 * PageSize)                 // read-materialized zero frame
 }
 
+// saveImage is p's SaveTo payload.
+func saveImage(p *Physical) []byte {
+	var e Enc
+	p.SaveTo(&e)
+	return e.Data()
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := NewPhysical()
 	scribble(p)
 	c := p.Clone()
 	p.Write8(0, 9) // nonzero cowCopies: the write faults the frame off c
 	c.Release()
-	img := p.SaveBytes()
+	img := saveImage(p)
 
 	q := NewPhysical()
 	q.Write32(5000*PageSize, 123) // pre-existing junk must be replaced
 	restored := false
 	q.OnRestore(func() { restored = true })
-	if err := q.LoadBytes(img); err != nil {
-		t.Fatalf("LoadBytes: %v", err)
+	d := NewDec(img)
+	if err := q.LoadFrom(d); err != nil {
+		t.Fatalf("LoadFrom: %v", err)
+	}
+	if d.Remaining() != 0 {
+		t.Errorf("LoadFrom left %d of SaveTo's bytes unread", d.Remaining())
 	}
 	if !restored {
 		t.Errorf("restore hook did not fire")
@@ -48,87 +59,67 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("COW copies %d != %d (want nonzero)", qc, pc)
 	}
 	// Serialization is deterministic: a re-save is byte-identical.
-	if !bytes.Equal(q.SaveBytes(), img) {
+	if !bytes.Equal(saveImage(q), img) {
 		t.Errorf("re-serialized image differs from original")
 	}
 }
 
-func TestLoadBytesCorruption(t *testing.T) {
+// TestLoadFromCorruption feeds mutated SaveTo payloads to the frame
+// decoder: each must be refused with a typed error and leave the
+// target's frames as they were. The envelope around a whole image
+// (magic, version, CRC) belongs to the server image and is tested
+// there (webserver.TestServerLoadBytesCorruption).
+func TestLoadFromCorruption(t *testing.T) {
 	p := NewPhysical()
 	scribble(p)
-	img := p.SaveBytes()
+	img := saveImage(p)
 	fp := p.Fingerprint()
 
-	fresh := func() *Physical {
-		q := NewPhysical()
-		q.Write8(0, 1)
-		return q
-	}
 	check := func(t *testing.T, data []byte, want error) {
 		t.Helper()
-		q := fresh()
+		q := NewPhysical()
+		q.Write8(0, 1)
 		wantFP, wantFC := q.Fingerprint(), q.FrameCount()
-		err := q.LoadBytes(data)
+		err := q.LoadFrom(NewDec(data))
 		if err == nil {
-			t.Fatalf("LoadBytes accepted bad image")
+			t.Fatalf("LoadFrom accepted bad image")
 		}
-		if want != nil && !errors.Is(err, want) {
+		if !errors.Is(err, want) {
 			t.Errorf("error %v, want %v", err, want)
 		}
 		if q.Fingerprint() != wantFP || q.FrameCount() != wantFC {
 			t.Errorf("failed load mutated the target (half-machine)")
 		}
 	}
+	mut := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(img)) }
+	// Offsets into the payload: the frame count (0-3), then the first
+	// frame's number (4-7) and flag (8); the first frame is raw, so the
+	// second frame's number follows its 4096 bytes.
+	const second = 9 + PageSize
 
 	t.Run("empty", func(t *testing.T) { check(t, nil, ErrTruncated) })
-	t.Run("truncated-header", func(t *testing.T) { check(t, img[:10], ErrTruncated) })
-	for _, cut := range []int{len(img) - 1, len(img) / 2, envHdrLen + 3} {
-		t.Run("truncated", func(t *testing.T) {
-			// A shortened envelope fails the length/CRC checks.
-			check(t, img[:cut], nil)
-		})
+	t.Run("truncated-header", func(t *testing.T) { check(t, img[:2], ErrTruncated) })
+	for _, cut := range []int{len(img) - 1, len(img) / 2, PageSize} {
+		t.Run("truncated", func(t *testing.T) { check(t, img[:cut], ErrTruncated) })
 	}
-	t.Run("bad-magic", func(t *testing.T) {
-		bad := bytes.Clone(img)
-		bad[0] ^= 0xff
-		check(t, bad, ErrBadMagic)
-	})
-	t.Run("bad-version", func(t *testing.T) {
-		bad := bytes.Clone(img)
-		bad[envMagicLen] ^= 0xff
-		check(t, bad, ErrBadVersion)
-	})
-	t.Run("version-1", func(t *testing.T) {
-		// The version 1 layout carried two more counters; its images
-		// are refused by version, whatever their payload.
-		payload, err := Open(physMagic, physVersion, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, Seal(physMagic, 1, append(bytes.Clone(payload), make([]byte, 16)...)), ErrBadVersion)
-	})
-	t.Run("bit-flips", func(t *testing.T) {
-		// Any single flipped bit past the version field trips the CRC.
-		for _, off := range []int{envHdrLen, envHdrLen + 5, len(img) / 2, len(img) - 1} {
-			bad := bytes.Clone(img)
-			bad[off] ^= 0x10
-			check(t, bad, ErrChecksum)
-		}
-	})
 	t.Run("structural", func(t *testing.T) {
-		// Resealed (valid CRC) but structurally corrupt payloads.
-		payload, err := Open(physMagic, physVersion, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mut := func(f func(b []byte) []byte) []byte {
-			return Seal(physMagic, physVersion, f(bytes.Clone(payload)))
-		}
 		check(t, mut(func(b []byte) []byte { b[0] = 0xff; b[1] = 0xff; b[2] = 0xff; b[3] = 0xff; return b }), ErrCorrupt) // frame count
 		check(t, mut(func(b []byte) []byte { return b[:len(b)-4] }), ErrTruncated)                                        // counters cut
 		check(t, mut(func(b []byte) []byte { b[4] = 0xff; b[5] = 0xff; b[6] = 0xff; b[7] = 0xff; return b }), ErrCorrupt) // first fn out of range
+		check(t, mut(func(b []byte) []byte { copy(b[second:], b[4:8]); return b }), ErrCorrupt)                           // second fn repeats the first
 		check(t, mut(func(b []byte) []byte { b[8] = 7; return b }), ErrCorrupt)                                           // unknown flag
-		check(t, mut(func(b []byte) []byte { return append(b, 0) }), ErrCorrupt)                                          // trailing byte
+	})
+	t.Run("trailing-byte", func(t *testing.T) {
+		// The decoder reads exactly SaveTo's bytes and leaves what
+		// follows to the enclosing image, which refuses it.
+		q := NewPhysical()
+		d := NewDec(append(bytes.Clone(img), 0))
+		if err := q.LoadFrom(d); err != nil {
+			t.Fatal(err)
+		}
+		if d.Remaining() != 1 || q.Fingerprint() != fp {
+			t.Errorf("LoadFrom left %d bytes, fingerprint match %v; want the trailing byte only", d.Remaining(), q.Fingerprint() == fp)
+		}
 	})
 
 	// The original stayed intact through all of this.
@@ -212,29 +203,31 @@ func TestReleaseUnsharesTemplate(t *testing.T) {
 	}
 }
 
-// FuzzLoadBytes drives the framing decoder with arbitrary input: it
-// must never panic and never leave the target half-loaded.
-func FuzzLoadBytes(f *testing.F) {
+// FuzzLoadFrom drives the frame decoder with arbitrary input: it must
+// never panic and never leave the target half-loaded.
+func FuzzLoadFrom(f *testing.F) {
+	// A small image keeps the fuzzer fast: one raw frame, one zero
+	// frame and the counter.
 	p := NewPhysical()
-	scribble(p)
-	img := p.SaveBytes()
+	p.Write8(PageSize+5, 7)
+	p.Read32(3 * PageSize)
+	img := saveImage(p)
 	f.Add(img)
 	f.Add(img[:len(img)-9])
-	f.Add([]byte(physMagic))
-	f.Add(Seal(physMagic, physVersion, []byte{1, 0, 0, 0}))
+	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := NewPhysical()
 		q.Write8(0, 1)
 		fp, fc := q.Fingerprint(), q.FrameCount()
-		if err := q.LoadBytes(data); err != nil {
+		if err := q.LoadFrom(NewDec(data)); err != nil {
 			if q.Fingerprint() != fp || q.FrameCount() != fc {
-				t.Fatalf("failed LoadBytes mutated target")
+				t.Fatalf("failed LoadFrom mutated target")
 			}
 		}
 	})
 }
 
-// FuzzDec drives the primitive decoders directly.
 // TestDecLenBoundedByRemaining: a count is checked against the bytes
 // left as well as its static cap, so a sealed image cannot claim more
 // elements than it carries and make the decoder presize a huge table.
@@ -261,6 +254,7 @@ func TestDecLenBoundedByRemaining(t *testing.T) {
 	}
 }
 
+// FuzzDec drives the primitive decoders directly.
 func FuzzDec(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {

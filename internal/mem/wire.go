@@ -20,8 +20,8 @@ import (
 )
 
 // Typed decode errors. Callers (and tests) classify failures with
-// errors.Is; a LoadBytes never panics and never applies a partial
-// image, it returns one of these wrapped with context.
+// errors.Is; a decoder never panics on hostile input, it returns one
+// of these wrapped with context.
 var (
 	// ErrTruncated: the input ended before the structure it promised.
 	ErrTruncated = errors.New("mem: truncated image")

@@ -402,17 +402,13 @@ func TestDescriptorContains(t *testing.T) {
 
 func TestTableAllocAndClear(t *testing.T) {
 	tb := NewTable("t", 4)
-	i := tb.AllocIndex()
-	if i != 1 {
-		t.Fatalf("first free index = %d, want 1", i)
+	tb.Set(1, Descriptor{Kind: SegData, Present: true})
+	if d := tb.Get(1); d.Kind != SegData || !d.Present {
+		t.Fatalf("installed descriptor reads back as %+v", *d)
 	}
-	tb.Set(i, Descriptor{Kind: SegData, Present: true})
-	if tb.AllocIndex() != 2 {
-		t.Error("next free index should be 2")
-	}
-	tb.Clear(i)
-	if tb.AllocIndex() != 1 {
-		t.Error("cleared index should be reusable")
+	tb.Set(1, Descriptor{})
+	if *tb.Get(1) != (Descriptor{}) {
+		t.Error("a cleared index should hold the null descriptor")
 	}
 	if tb.Get(0) != nil || tb.Get(99) != nil {
 		t.Error("Get must return nil out of range / for entry 0")
@@ -441,9 +437,9 @@ func TestTableCopyOnWrite(t *testing.T) {
 	}
 
 	saved := tb.Snapshot()
-	tb.Clear(1)
+	tb.Set(1, Descriptor{})
 	if saved[1].Base != 1 {
-		t.Error("Clear after Snapshot modified the saved descriptors")
+		t.Error("a clear after Snapshot modified the saved descriptors")
 	}
 	for round := 0; round < 2; round++ {
 		tb.RestoreEntries(saved)

@@ -150,10 +150,10 @@ func (w *pagingWorld) checkShared(t *testing.T) {
 // tableBytes is the directory of as followed by every present page
 // table, in directory order.
 func tableBytes(as *AddressSpace) []byte {
-	out := as.phys.ReadBytes(as.pdBase, mem.PageSize)
+	out := slices.Clone(as.phys.FrameView(as.pdBase)[:])
 	for pdi := uint32(0); pdi < 1024; pdi++ {
 		if e := as.pde(pdi); e.Present() {
-			out = append(out, as.phys.ReadBytes(e.Frame(), mem.PageSize)...)
+			out = append(out, as.phys.FrameView(e.Frame())[:]...)
 		}
 	}
 	return out

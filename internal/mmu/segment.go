@@ -154,7 +154,7 @@ type Table struct {
 	shared atomic.Bool
 
 	// onMutate, when set (by the MMU that consults this table),
-	// runs after every Set/Clear so cached decode state keyed on
+	// runs after every Set so cached decode state keyed on
 	// descriptor contents can be invalidated.
 	onMutate func()
 }
@@ -189,24 +189,6 @@ func (t *Table) Get(i int) *Descriptor {
 		return nil
 	}
 	return &t.entries[i]
-}
-
-// AllocIndex returns the first free (null) index, or -1 when full.
-func (t *Table) AllocIndex() int {
-	for i := 1; i < len(t.entries); i++ {
-		if t.entries[i].Kind == SegNull && !t.entries[i].Present {
-			return i
-		}
-	}
-	return -1
-}
-
-// Clear resets index i to the null descriptor.
-func (t *Table) Clear(i int) {
-	if i <= 0 || i >= len(t.entries) {
-		return
-	}
-	t.Set(i, Descriptor{})
 }
 
 // Len returns the table capacity.

@@ -147,7 +147,3 @@ func (l *L4) Call() float64 {
 	l.Clock.Add(4*l.Costs.Crossing + l.Costs.FixedPerRoundTrip)
 	return l.Clock.Cycles() - start
 }
-
-// Crossings reports the crossings per round trip for the comparison
-// tables.
-func (l *L4) Crossings() int { return 4 }

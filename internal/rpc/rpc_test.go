@@ -79,9 +79,6 @@ func TestL4BestCaseAnchor(t *testing.T) {
 	if got := l4.Call(); got != 242 {
 		t.Errorf("L4 round trip = %v cycles, paper 242", got)
 	}
-	if l4.Crossings() != 4 {
-		t.Error("L4 makes four crossings per round trip")
-	}
 }
 
 func TestPalladiumFasterThanL4ByAbout100Cycles(t *testing.T) {

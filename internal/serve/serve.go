@@ -401,10 +401,6 @@ func (s *Server) CloneStats() (st fleet.CloneStats, ok bool) {
 	return s.clones.Stats(), true
 }
 
-// SimHist and WallHist expose the latency histograms (µs).
-func (s *Server) SimHist() *Hist  { return s.simHist }
-func (s *Server) WallHist() *Hist { return s.wallHist }
-
 // handleServe maps one HTTP request onto a fleet machine.
 func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" && r.URL.Path != "/serve" {

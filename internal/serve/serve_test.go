@@ -100,8 +100,8 @@ func TestServeHTTPThroughFleet(t *testing.T) {
 	if c.Completed != 6 || c.Failed != 0 {
 		t.Errorf("counters = %+v, want 6 completed", c)
 	}
-	if s.SimHist().Count() != 6 || s.WallHist().Count() != 6 {
-		t.Errorf("histograms recorded %d/%d samples, want 6/6", s.SimHist().Count(), s.WallHist().Count())
+	if s.simHist.Count() != 6 || s.wallHist.Count() != 6 {
+		t.Errorf("histograms recorded %d/%d samples, want 6/6", s.simHist.Count(), s.wallHist.Count())
 	}
 }
 

@@ -91,8 +91,8 @@ var resetEvents = []struct {
 			t.Fatal(err)
 		}
 		f, _ := srv.S.ExtensionFunction("crash")
-		if _, err := f.Invoke(0); err == nil || !seg.Aborted() {
-			t.Fatalf("faulting kernel extension returned %v, segment aborted %v", err, seg.Aborted())
+		if _, err := f.Invoke(0); !errors.Is(err, core.ErrKernelExtensionAborted) {
+			t.Fatalf("faulting kernel extension returned %v, want its segment aborted", err)
 		}
 	}},
 	{"new segment", func(t *testing.T, srv *Server) {
@@ -198,8 +198,8 @@ func TestResetForgetsRequestWrites(t *testing.T) {
 		return addr
 	}
 	shared := c.shared
-	before, err := c.app.ReadMem(shared, len(secret))
-	if err != nil {
+	before := make([]byte, len(secret))
+	if err := c.app.ReadMemInto(shared, before); err != nil {
 		t.Fatal(err)
 	}
 	page := mapPage()
@@ -211,7 +211,8 @@ func TestResetForgetsRequestWrites(t *testing.T) {
 	if err := c.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.app.ReadMem(shared, len(secret)); !bytes.Equal(got, before) {
+	got := make([]byte, len(secret))
+	if err := c.app.ReadMemInto(shared, got); err != nil || !bytes.Equal(got, before) {
 		t.Errorf("shared area after reset reads %q, want %q", got, before)
 	}
 	// The next request maps the same page (the allocator was rewound)
@@ -219,7 +220,7 @@ func TestResetForgetsRequestWrites(t *testing.T) {
 	if again := mapPage(); again != page {
 		t.Fatalf("remap landed at %#x, first map at %#x", again, page)
 	}
-	if got, _ := c.app.ReadMem(page, len(secret)); !bytes.Equal(got, make([]byte, len(secret))) {
+	if err := c.app.ReadMemInto(page, got); err != nil || !bytes.Equal(got, make([]byte, len(secret))) {
 		t.Errorf("freshly mapped page after reset reads %q, want zeroes", got)
 	}
 }
@@ -357,7 +358,7 @@ func TestResetKeepsCompiledCodeOnlyWhenValid(t *testing.T) {
 		{"untouched", func(*Server) {}, false},
 		{"gdt descriptor", func(srv *Server) {
 			gdt := srv.S.K.MMU.GDT
-			gdt.Set(gdt.AllocIndex(), mmu.Descriptor{Kind: mmu.SegData, Limit: mem.PageSize - 1, DPL: 3, Present: true, Writable: true})
+			gdt.Set(gdt.Len()-1, mmu.Descriptor{Kind: mmu.SegData, Limit: mem.PageSize - 1, DPL: 3, Present: true, Writable: true})
 		}, true},
 		{"installed code", func(srv *Server) {
 			srv.S.K.Machine.InstallCode(0x0FF0_0000, []isa.Instr{{Op: isa.NOP}})

@@ -71,7 +71,7 @@ func legacyServeRequest(srv *Server, m Model) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, err := srv.app.ReadMem(srv.shared+4, 8); err != nil {
+		if err := srv.app.ReadMemInto(srv.shared+4, make([]byte, 8)); err != nil {
 			return 0, err
 		}
 		if err := k.SetRange(srv.app.P, srv.shared, 1, false); err != nil {

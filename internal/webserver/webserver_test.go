@@ -147,8 +147,8 @@ func TestScriptActuallyRunsThroughPalladium(t *testing.T) {
 	if _, err := srv.ServeRequest(LibCGIProtected); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := srv.App().ReadMem(srv.shared+4, 8)
-	if err != nil {
+	meta := make([]byte, 8)
+	if err := srv.App().ReadMemInto(srv.shared+4, meta); err != nil {
 		t.Fatal(err)
 	}
 	status := uint32(meta[0]) | uint32(meta[1])<<8 | uint32(meta[2])<<16 | uint32(meta[3])<<24

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -181,6 +182,26 @@ func TestServerLoadBytesCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, mem.Seal(srvMagic, srvVersion, append(bytes.Clone(p), 0)))
+	})
+	t.Run("frame-flag", func(t *testing.T) {
+		// An unknown flag on the first frame fails in the frame
+		// decoder, after the kernel has applied the machine state.
+		p, err := mem.Open(srvMagic, srvVersion, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames mem.Enc
+		srv.S.K.Phys.SaveTo(&frames)
+		at := bytes.Index(p, frames.Data())
+		if at < 0 {
+			t.Fatal("frame section not found in the server image")
+		}
+		bad := bytes.Clone(p)
+		bad[at+8] = 7 // frame count u32, first frame number u32, its flag
+		s, err := LoadServerBytes(mem.Seal(srvMagic, srvVersion, bad))
+		if s != nil || !errors.Is(err, mem.ErrCorrupt) || !strings.Contains(err.Error(), "unknown flag") {
+			t.Fatalf("LoadServerBytes = %v, %v; want no server and the frame decoder's ErrCorrupt", s, err)
+		}
 	})
 }
 

@@ -261,8 +261,8 @@ func TestAdversarialFaultsPreservedThroughAdapters(t *testing.T) {
 		if f.Hw != hw {
 			t.Errorf("sandbox fault carries %+v, signal carried %+v — not the same fault", f.Hw, hw)
 		}
-		got, err := a.ReadMem(secret, len(secretPattern))
-		if err != nil {
+		got := make([]byte, len(secretPattern))
+		if err := a.ReadMemInto(secret, got); err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != secretPattern {
